@@ -59,13 +59,26 @@ class AgentWrapper:
         self.name = name
         self.inner = inner
         self.muted = False
+        # Wire bytes of every block this agent has sent, encoded once so
+        # every send of a block carries the same bytes object.  The key
+        # holds the signature too: blocks equal under == may carry
+        # different signature bytes and so different wire bytes.  Bound:
+        # one entry per block the agent has sent.
+        self._wire: dict[tuple[Block, bytes], bytes] = {}
 
     # -- plumbing shared by every role --
 
     def _out(self, sends) -> list[RawSend]:
         if self.muted:
             return []
-        return [(dst, _encode(block)) for dst, block in sends]
+        out = []
+        for dst, block in sends:
+            key = (block, block.id.signature)
+            wire = self._wire.get(key)
+            if wire is None:
+                wire = self._wire[key] = _encode(block)
+            out.append((dst, wire))
+        return out
 
     def bootstrap(self, agent_id: bytes, address: NetAddress):
         self.inner.address_hints[agent_id] = address
@@ -241,7 +254,7 @@ class ForgerWrapper(AgentWrapper):
                 dst=dest,
                 mode=mode,
                 id=b.peek_digest_hex(wire),
-                bytes=wire.hex(),
+                bytes=wire,
             )
             sends.append((dest, wire))
         self._counter += count

@@ -62,6 +62,11 @@ class TraceData:
     def final_blocks(self, name: str, kind: str = "lace") -> list[Block]:
         return self.finals.get(name, {}).get(kind, [])
 
+    def distinct_field(self, key: str, *types: str) -> list[str]:
+        """Distinct values of field `key` over the events of `types`, in
+        order of first appearance; events without the field count as ""."""
+        return list(dict.fromkeys(e.fields.get(key, "") for e in self.events_of(*types)))
+
     def lace_of(self, name: str) -> tuple[Blocklace, list[str]]:
         """Rebuild an agent's final blocklace, re-verifying every block.
         Returns (lace, list of blocks that failed verification)."""
@@ -86,8 +91,8 @@ class TraceData:
                 for block in self.final_blocks(name, kind):
                     if block.id not in union and b.verify_block(block):
                         union.insert(block, verified=True)
-        for event in self.events_of("SUBMIT"):
-            raw = bytes.fromhex(event.fields.get("bytes", ""))
+        for hex_text in self.distinct_field("bytes", "SUBMIT"):
+            raw = bytes.fromhex(hex_text)
             try:
                 block = b.decode_block(raw)
             except b.WireError:
@@ -98,8 +103,24 @@ class TraceData:
 
 
 def parse_trace(text: str) -> TraceData:
+    """Parse a trace's text, one newline-terminated line at a time.
+
+    Event types, field keys and field values go through one intern table,
+    so each distinct string (a payload's hex, an id, an address) is held
+    once however many records repeat it, and each distinct FINAL block is
+    decoded once and shared by every agent that holds it.  Blank lines and
+    `#` lines that are not header fields are skipped."""
     data = TraceData()
-    for line in text.splitlines():
+    interned: dict[str, str] = {}
+    intern = interned.setdefault
+    finals: dict[str, Block] = {}
+    pos, end = 0, len(text)
+    while pos < end:
+        stop = text.find("\n", pos)
+        if stop < 0:
+            stop = end
+        line = text[pos:stop]
+        pos = stop + 1
         if not line:
             continue
         if line.startswith("# "):
@@ -114,10 +135,16 @@ def parse_trace(text: str) -> TraceData:
         if line.startswith("#"):
             continue
         parts = line.split("\t")
-        tick, event_type = int(parts[0]), parts[1]
-        fields = dict(part.split("=", 1) for part in parts[2:])
+        tick, event_type = int(parts[0]), intern(parts[1], parts[1])
+        fields = {}
+        for part in parts[2:]:
+            key, value = part.split("=", 1)
+            fields[intern(key, key)] = intern(value, value)
         if event_type == "FINAL":
-            block = b.decode_block(bytes.fromhex(fields["hex"]))
+            hex_text = fields["hex"]
+            block = finals.get(hex_text)
+            if block is None:
+                block = finals[hex_text] = b.decode_block(bytes.fromhex(hex_text))
             data.finals.setdefault(fields["agent"], {}).setdefault(
                 fields["kind"], []
             ).append(block)
@@ -377,14 +404,15 @@ def oracle_privacy(scenario: Scenario, data: TraceData, params: dict) -> OracleR
         )
     texts = [t for t in _texts_of_group(scenario, founder, group_name) if t]
     members = set(_members_by_name(scenario, data, founder_lace, genesis.id))
-    witness = []
-    for event in data.events_of("SUBMIT", "FORGE"):
-        raw = bytes.fromhex(event.fields.get("bytes", ""))
-        for text in texts:
-            if text in raw:
-                witness.append(
-                    f"plaintext {text[:24]!r} on the wire at tick {event.tick}"
-                )
+    leaks: dict[str, list[bytes]] = {}
+    for hex_text in data.distinct_field("bytes", "SUBMIT", "FORGE"):
+        raw = bytes.fromhex(hex_text)
+        leaks[hex_text] = [text for text in texts if text in raw]
+    witness = [
+        f"plaintext {text[:24]!r} on the wire at tick {event.tick}"
+        for event in data.events_of("SUBMIT", "FORGE")
+        for text in leaks[event.fields.get("bytes", "")]
+    ]
     for spec in scenario.agents:
         if spec.name in members:
             continue

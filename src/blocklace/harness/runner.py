@@ -29,7 +29,7 @@ from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
 from .scenario import Event, Scenario
 
-TRACE_HEADER = "# blocklace-trace v1"
+TRACE_HEADER = "blocklace-trace v1"
 
 
 @dataclass
@@ -98,18 +98,15 @@ class Runner:
         self._write_header()
 
     def _write_header(self):
-        lines = [
-            TRACE_HEADER,
-            f"# scenario={self.scenario.digest()}",
-            f"# seed={self.scenario.seed}",
-            f"# protocol={self.scenario.protocol}",
-        ]
+        self.trace.comment(TRACE_HEADER)
+        self.trace.comment(f"scenario={self.scenario.digest()}")
+        self.trace.comment(f"seed={self.scenario.seed}")
+        self.trace.comment(f"protocol={self.scenario.protocol}")
         for spec in self.scenario.agents:
-            lines.append(
-                f"# agent name={spec.name} role={spec.role} "
+            self.trace.comment(
+                f"agent name={spec.name} role={spec.role} "
                 f"id={self.agent_ids[spec.name].hex()} address={spec.initial_address()}"
             )
-        self.trace.lines.extend(lines)
 
     # --- helpers ------------------------------------------------------------
 
@@ -231,7 +228,7 @@ class Runner:
                         "FINAL",
                         agent=spec.name,
                         kind=kind,
-                        hex=encode_block(block).hex(),
+                        hex=encode_block(block),
                     )
 
     def metrics_report(self) -> dict:

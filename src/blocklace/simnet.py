@@ -55,19 +55,42 @@ class Datagram:
 
 
 class Trace:
-    """Line-delimited event log; the oracles' input.  Also accumulates the
-    lines in memory so a run can hand them over without re-reading."""
+    """Line-delimited event log; the oracles' input.
+
+    A record is one line: tick, event type and `key=value` fields, separated
+    by tabs.  A `bytes` field value is written out in full as its hex, so
+    the text is the `v1` format that the runner's header names.  The lines
+    are kept in memory so a run can hand them over without re-reading, as
+    string parts that `text()` joins once.  Each distinct bytes value is
+    converted to hex once, and every record carrying it shares that one
+    `str`: the memo holds one entry per distinct bytes value written, so it
+    is bounded by the trace's own size."""
 
     def __init__(self):
-        self.lines: list[str] = []
+        self._parts: list[str] = []
+        self._hex: dict[bytes, str] = {}
+
+    def comment(self, text: str):
+        """A `# text` header line."""
+        self._parts.append(f"# {text}\n")
 
     def record(self, tick: int, event: str, **fields):
-        parts = [str(tick), event]
-        parts.extend(f"{key}={value}" for key, value in fields.items())
-        self.lines.append("\t".join(parts))
+        parts = self._parts
+        line = f"{tick}\t{event}"
+        for key, value in fields.items():
+            if isinstance(value, bytes):
+                hex_text = self._hex.get(value)
+                if hex_text is None:
+                    hex_text = self._hex[value] = value.hex()
+                parts.append(f"{line}\t{key}=")
+                parts.append(hex_text)
+                line = ""
+            else:
+                line += f"\t{key}={value}"
+        parts.append(line + "\n")
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n" if self.lines else ""
+        return "".join(self._parts)
 
 
 class AddressTable:
@@ -148,7 +171,7 @@ class SimNet:
             src=datagram.src,
             dst=datagram.dst,
             id=digest,
-            bytes=datagram.payload.hex(),
+            bytes=datagram.payload,
         )
         copies = 0
         if self._rng.random() < self.config.loss_prob:

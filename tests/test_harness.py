@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 from blocklace import blocks as b
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
+from blocklace.harness.adversaries import AgentWrapper
 from blocklace.harness.oracles import evaluate, parse_trace
 from blocklace.harness.runner import run_scenario
 from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
@@ -34,6 +36,58 @@ def test_finals_reconstruct_agent_state():
         lace, bad = data.lace_of(name)
         assert not bad
         assert lace.ids() == wrapper.inner.lace.ids()
+
+
+def test_parse_trace_shares_payloads_and_final_blocks():
+    result = run_scenario(canned.wl_group(seed=1, utterances=3))
+    data = parse_trace(result.trace_text)
+    for key, types in (("bytes", ("SUBMIT",)), ("id", ("SUBMIT", "DELIVER"))):
+        first: dict[str, str] = {}
+        values = [e.fields[key] for e in data.events_of(*types)]
+        assert len(set(values)) < len(values)
+        for value in values:
+            assert first.setdefault(value, value) is value
+    finals = [
+        block
+        for kinds in data.finals.values()
+        for blocks_list in kinds.values()
+        for block in blocks_list
+    ]
+    assert len({id(block) for block in finals}) == len(
+        {b.encode_block(block) for block in finals}
+    ) < len(finals)
+
+
+def test_parse_trace_ignores_trailing_newline_blank_and_comment_lines():
+    text = run_scenario(canned.tl_line(seed=1, utterances=2)).trace_text
+    lines = text.splitlines()
+    padded = "\n".join(
+        line + "\n\n#\n# no fields here" if i % 50 == 0 else line
+        for i, line in enumerate(lines)
+    )
+    reference = parse_trace(text)
+    for variant in (text.rstrip("\n"), padded, padded + "\n"):
+        data = parse_trace(variant)
+        assert data.events == reference.events
+        assert data.finals == reference.finals
+        assert data.meta == reference.meta
+        assert data.agents == reference.agents
+
+
+def test_wrapper_encodes_each_block_once_per_signature():
+    scenario = canned.tl_line(seed=1, utterances=1)
+    result = run_scenario(scenario)
+    wrapper = AgentWrapper("a2", result.wrappers["a"].inner)
+    block = next(iter(wrapper.inner.lace.blocks()))
+    resigned = dataclasses.replace(
+        block, id=dataclasses.replace(block.id, signature=bytes(64))
+    )
+    assert resigned == block
+    (_, one), (_, two), (_, other) = wrapper._out(
+        [("x/0", block), ("y/0", block), ("x/0", resigned)]
+    )
+    assert one is two and one == b.encode_block(block)
+    assert other == b.encode_block(resigned) != one
 
 
 def test_rerun_is_byte_identical():

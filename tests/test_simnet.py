@@ -45,7 +45,7 @@ def test_total_loss():
     for i in range(50):
         net.submit(Datagram("b/0", "a/0", b"x", i), i)
     assert _drain(net, 60) == []
-    assert sum("DROP_LOSS" in line for line in trace.lines) == 50
+    assert sum("DROP_LOSS" in line for line in trace.text().splitlines()) == 50
 
 
 def test_duplication():
@@ -54,7 +54,7 @@ def test_duplication():
     net.submit(Datagram("b/0", "a/0", b"x", 0), 0)
     delivered = _drain(net, 5)
     assert len(delivered) == 2
-    assert sum("DUP" in line for line in trace.lines) == 1
+    assert sum("DUP" in line for line in trace.text().splitlines()) == 1
 
 
 def test_delivery_byte_identity():
@@ -76,7 +76,7 @@ def test_seeded_schedule_reproducible():
             net.step(i)
         for i in range(30, 45):
             net.step(i)
-        return "\n".join(trace.lines)
+        return "\n".join(trace.text().splitlines())
 
     assert run(3) == run(3)
     assert run(3) != run(4)
@@ -98,8 +98,8 @@ def test_rebind_drops_in_flight():
     net.submit(Datagram("b/0", "a/0", b"late", 0), 0)
     net.rebind("alice", "a/1", 1)
     assert _drain(net, 6) == []
-    assert any("DROP_STALE" in line for line in trace.lines)
-    assert any("REBIND" in line for line in trace.lines)
+    assert any("DROP_STALE" in line for line in trace.text().splitlines())
+    assert any("REBIND" in line for line in trace.text().splitlines())
 
 
 def test_rebind_then_new_address_delivers():
@@ -122,7 +122,7 @@ def test_rebind_same_address_noop():
     net, trace = _net()
     net.bind("alice", "a/0")
     net.rebind("alice", "a/0", 1)
-    assert not any("REBIND" in line for line in trace.lines)
+    assert not any("REBIND" in line for line in trace.text().splitlines())
 
 
 def test_address_reuse_is_stale_for_old_traffic():
@@ -135,7 +135,7 @@ def test_address_reuse_is_stale_for_old_traffic():
     net.rebind("alice", "a/1", 1)
     net.rebind("bob", "a/0", 2)
     assert _drain(net, 8) == []
-    assert any("DROP_STALE" in line for line in trace.lines)
+    assert any("DROP_STALE" in line for line in trace.text().splitlines())
 
 
 def test_owner_at_history():
@@ -159,3 +159,34 @@ def test_same_tick_deliveries_shuffled_deterministically():
 
     assert order(0) == order(0)
     assert sorted(order(0)) == [b"%d" % i for i in range(10)]
+
+
+def test_trace_renders_bytes_as_hex():
+    trace = Trace()
+    payload = bytes(range(256))
+    trace.record(3, "SUBMIT", src="b/0", id="ab", bytes=payload, n=2)
+    trace.record(4, "TICK", agent="alice", sends=0)
+    assert trace.text() == (
+        f"3\tSUBMIT\tsrc=b/0\tid=ab\tbytes={payload.hex()}\tn=2\n"
+        "4\tTICK\tagent=alice\tsends=0\n"
+    )
+
+
+def test_trace_shares_one_hex_string_per_payload():
+    trace = Trace()
+    trace.record(0, "SUBMIT", bytes=b"same payload")
+    trace.record(1, "FINAL", hex=bytes(b"same payload"))
+    hex_parts = [part for part in trace._parts if part == b"same payload".hex()]
+    assert len(hex_parts) == 2
+    assert hex_parts[0] is hex_parts[1]
+
+
+def test_empty_trace_text_is_empty():
+    assert Trace().text() == ""
+
+
+def test_trace_comment_lines():
+    trace = Trace()
+    trace.comment("seed=3")
+    trace.record(0, "TICK", agent="alice", sends=0)
+    assert trace.text() == "# seed=3\n0\tTICK\tagent=alice\tsends=0\n"
