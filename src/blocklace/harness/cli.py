@@ -58,7 +58,12 @@ def cmd_verify(args) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     with open(args.trace, "r", encoding="utf-8") as handle:
-        data = oracles.parse_trace(handle.read())
+        text = handle.read()
+    try:
+        data = oracles.parse_trace(text)
+    except ValueError as exc:
+        print(f"invalid trace: {exc}", file=sys.stderr)
+        return 2
     recorded = data.meta.get("scenario")
     if recorded != scenario.digest():
         print(

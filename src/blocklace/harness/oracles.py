@@ -17,6 +17,7 @@ from typing import Optional
 from .. import blocks as b
 from ..blocks import Block, BlockId, Invite
 from ..lace import Blocklace
+from ..simnet import PAYLOAD_KEYS
 from ..wl import compute_member, group_partition, is_genesis
 from .scenario import Scenario
 
@@ -105,22 +106,29 @@ class TraceData:
 def parse_trace(text: str) -> TraceData:
     """Parse a trace's text, one newline-terminated line at a time.
 
-    Event types, field keys and field values go through one intern table,
-    so each distinct string (a payload's hex, an id, an address) is held
-    once however many records repeat it, and each distinct FINAL block is
-    decoded once and shared by every agent that holds it.  Blank lines and
-    `#` lines that are not header fields are skipped."""
+    Reads v2 and v1 alike.  A payload field (a key in `PAYLOAD_KEYS`) whose
+    value is `*N` refers to the N-th distinct payload in order of first
+    appearance, and resolves to the very `str` of that first occurrence; a
+    reference to no earlier payload raises `ValueError` naming the line.
+    Event types, field keys and other field values go through one intern
+    table, so each distinct string (a payload's hex, an id, an address) is
+    held once however many records repeat it, and each distinct FINAL block
+    is decoded once and shared by every agent that holds it.  Blank lines
+    and `#` lines that are not header fields are skipped."""
     data = TraceData()
     interned: dict[str, str] = {}
     intern = interned.setdefault
+    payloads: dict[str, str] = {}
+    by_ordinal: list[str] = []
     finals: dict[str, Block] = {}
-    pos, end = 0, len(text)
+    pos, end, line_no = 0, len(text), 0
     while pos < end:
         stop = text.find("\n", pos)
         if stop < 0:
             stop = end
         line = text[pos:stop]
         pos = stop + 1
+        line_no += 1
         if not line:
             continue
         if line.startswith("# "):
@@ -139,7 +147,22 @@ def parse_trace(text: str) -> TraceData:
         fields = {}
         for part in parts[2:]:
             key, value = part.split("=", 1)
-            fields[intern(key, key)] = intern(value, value)
+            if key not in PAYLOAD_KEYS:
+                value = intern(value, value)
+            elif value.startswith("*"):
+                ref = value[1:]
+                if not (ref.isdecimal() and int(ref) < len(by_ordinal)):
+                    raise ValueError(
+                        f"trace line {line_no}: {key}={value} refers to no earlier payload"
+                    )
+                value = by_ordinal[int(ref)]
+            else:
+                shared = payloads.get(value)
+                if shared is None:
+                    shared = payloads[value] = value
+                    by_ordinal.append(value)
+                value = shared
+            fields[intern(key, key)] = value
         if event_type == "FINAL":
             hex_text = fields["hex"]
             block = finals.get(hex_text)

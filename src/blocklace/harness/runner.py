@@ -29,7 +29,7 @@ from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
 from .scenario import Event, Scenario
 
-TRACE_HEADER = "blocklace-trace v1"
+TRACE_HEADER = "blocklace-trace v2"
 
 
 @dataclass

@@ -54,21 +54,36 @@ class Datagram:
     inject_time: int
 
 
+# Field keys whose values are payloads: `bytes` values, written as hex the
+# first time and as a `*N` back-reference after.  The trace reader resolves
+# references on exactly these keys.
+PAYLOAD_KEYS = ("bytes", "hex")
+
+
 class Trace:
     """Line-delimited event log; the oracles' input.
 
     A record is one line: tick, event type and `key=value` fields, separated
-    by tabs.  A `bytes` field value is written out in full as its hex, so
-    the text is the `v1` format that the runner's header names.  The lines
-    are kept in memory so a run can hand them over without re-reading, as
-    string parts that `text()` joins once.  Each distinct bytes value is
-    converted to hex once, and every record carrying it shares that one
-    `str`: the memo holds one entry per distinct bytes value written, so it
-    is bounded by the trace's own size."""
+    by tabs.  A `bytes` field value is a payload, and the text is the `v2`
+    format that the runner's header names: the first record carrying a
+    distinct payload writes it in full as hex, and every later record
+    carrying the same bytes writes `key=*N` instead, where N is the 0-based
+    ordinal of that distinct payload in order of first appearance, counted
+    across all record types and keys.  Hex never contains `*`, so a
+    reference is unambiguous.  The first occurrence stays inline rather than
+    in a separate record because readers of `SUBMIT` lines take a block's
+    payload from its first `SUBMIT`, which carries the hex unless a `FORGE`
+    of the same bytes came first.  v1 differs only in that repeats are
+    written in full; `parse_trace` reads both.
+
+    The lines are kept in memory so a run can hand them over without
+    re-reading, as string parts that `text()` joins once.  The ordinal memo
+    holds one entry per distinct bytes value written, so it is bounded by
+    the trace's own size."""
 
     def __init__(self):
         self._parts: list[str] = []
-        self._hex: dict[bytes, str] = {}
+        self._ordinal: dict[bytes, int] = {}
 
     def comment(self, text: str):
         """A `# text` header line."""
@@ -79,12 +94,16 @@ class Trace:
         line = f"{tick}\t{event}"
         for key, value in fields.items():
             if isinstance(value, bytes):
-                hex_text = self._hex.get(value)
-                if hex_text is None:
-                    hex_text = self._hex[value] = value.hex()
-                parts.append(f"{line}\t{key}=")
-                parts.append(hex_text)
-                line = ""
+                if key not in PAYLOAD_KEYS:
+                    raise ValueError(f"bytes field {key!r} is not a payload key")
+                ordinal = self._ordinal.get(value)
+                if ordinal is None:
+                    self._ordinal[value] = len(self._ordinal)
+                    parts.append(f"{line}\t{key}=")
+                    parts.append(value.hex())
+                    line = ""
+                else:
+                    line += f"\t{key}=*{ordinal}"
             else:
                 line += f"\t{key}={value}"
         parts.append(line + "\n")

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from blocklace import blocks as b
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
@@ -72,6 +74,33 @@ def test_parse_trace_ignores_trailing_newline_blank_and_comment_lines():
         assert data.finals == reference.finals
         assert data.meta == reference.meta
         assert data.agents == reference.agents
+
+
+@pytest.mark.parametrize(
+    "records, line_no",
+    [
+        (["0\tSUBMIT\tbytes=01", "", "1\tSUBMIT\tbytes=*1"], 4),
+        (["0\tSUBMIT\tbytes=01", "1\tFINAL\tagent=a\tkind=lace\thex=*-1"], 3),
+        (["0\tFINAL\tagent=a\tkind=lace\thex=*0", "1\tSUBMIT\tbytes=01"], 2),
+        (["0\tSUBMIT\tbytes=01", "1\tFORGE\tbytes=*x"], 3),
+    ],
+)
+def test_parse_trace_rejects_unresolved_payload_reference(records, line_no):
+    text = "\n".join(["# blocklace-trace v2", *records]) + "\n"
+    with pytest.raises(ValueError, match=rf"^trace line {line_no}: "):
+        parse_trace(text)
+
+
+def test_cli_verify_rejects_unresolved_payload_reference(tmp_path):
+    scenario = canned.tl_line(seed=1, utterances=2)
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(scenario.to_dict()))
+    text = run_scenario(scenario).trace_text
+    trace_path = tmp_path / "t.trace"
+    broken = text.replace("=*0\n", "=*99999\n", 1)
+    assert broken != text
+    trace_path.write_text(broken)
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
 
 
 def test_wrapper_encodes_each_block_once_per_signature():

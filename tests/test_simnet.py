@@ -172,13 +172,51 @@ def test_trace_renders_bytes_as_hex():
     )
 
 
-def test_trace_shares_one_hex_string_per_payload():
+def test_trace_writes_first_payload_inline_then_references_it():
     trace = Trace()
-    trace.record(0, "SUBMIT", bytes=b"same payload")
-    trace.record(1, "FINAL", hex=bytes(b"same payload"))
-    hex_parts = [part for part in trace._parts if part == b"same payload".hex()]
-    assert len(hex_parts) == 2
-    assert hex_parts[0] is hex_parts[1]
+    trace.record(0, "SUBMIT", id="ab", bytes=b"same payload")
+    trace.record(1, "FINAL", agent="a", hex=bytes(b"same payload"))
+    assert trace.text() == (
+        f"0\tSUBMIT\tid=ab\tbytes={b'same payload'.hex()}\n"
+        "1\tFINAL\tagent=a\thex=*0\n"
+    )
+
+
+def test_trace_reference_ordinals_follow_first_appearance():
+    trace = Trace()
+    trace.record(0, "SUBMIT", bytes=b"\x01")
+    trace.record(0, "FORGE", bytes=b"\x02")
+    trace.record(1, "FINAL", hex=b"\x03")
+    trace.record(2, "FORGE", bytes=b"\x03")
+    trace.record(2, "SUBMIT", bytes=b"\x02")
+    trace.record(3, "FINAL", hex=b"\x01")
+    assert trace.text().splitlines() == [
+        "0\tSUBMIT\tbytes=01",
+        "0\tFORGE\tbytes=02",
+        "1\tFINAL\thex=03",
+        "2\tFORGE\tbytes=*2",
+        "2\tSUBMIT\tbytes=*1",
+        "3\tFINAL\thex=*0",
+    ]
+
+
+def test_trace_empty_payload_takes_an_ordinal():
+    trace = Trace()
+    trace.record(0, "SUBMIT", bytes=b"")
+    trace.record(0, "SUBMIT", bytes=b"\xff")
+    trace.record(1, "SUBMIT", bytes=b"")
+    trace.record(1, "SUBMIT", bytes=b"\xff")
+    assert trace.text().splitlines() == [
+        "0\tSUBMIT\tbytes=",
+        "0\tSUBMIT\tbytes=ff",
+        "1\tSUBMIT\tbytes=*0",
+        "1\tSUBMIT\tbytes=*1",
+    ]
+
+
+def test_trace_rejects_bytes_under_other_keys():
+    with pytest.raises(ValueError, match="payload key"):
+        Trace().record(0, "SUBMIT", id=b"\x01")
 
 
 def test_empty_trace_text_is_empty():
