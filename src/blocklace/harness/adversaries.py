@@ -9,7 +9,8 @@ Roles:
   correct       — faithful protocol agent.
   silent        — receives and updates state, but never sends anything.
   eavesdropper  — silent, plus the runner mirrors every delivery to it.
-  equivocator   — behaves correctly until its scripted fork, then goes mute.
+  equivocator   — behaves correctly until its scripted fork, then goes mute
+                  but for delivering each fork to its own recipients.
   forger        — behaves correctly, and on script injects invalid blocks.
 """
 
@@ -21,7 +22,7 @@ from typing import Callable, Optional, Union
 
 from .. import blocks as b
 from .. import crypto
-from ..blocks import Block, BlockId, NetAddress, Say
+from ..blocks import Ack, Block, BlockId, NetAddress, Say
 from ..simnet import Trace
 from ..tl import ProtocolError, TlAgent
 from ..wl import WlAgent, seal_utterance
@@ -164,8 +165,40 @@ class EavesdropperWrapper(SilentWrapper):
 class EquivocatorWrapper(AgentWrapper):
     """Correct until the scripted fork: it then creates two (or three)
     blocks with the same pointers, hands each to a different subset of
-    recipients, and goes permanently mute so the fork can only spread
-    through honest dissemination."""
+    recipients, and goes mute.  Its one remaining duty is the fork's
+    delivery: each tick it sends every fork to each of its recipients until
+    an ack from that recipient names the fork.  It relays nothing and acks
+    nothing, so the fork spreads beyond its recipients only through honest
+    dissemination."""
+
+    def __init__(self, name: str, inner):
+        super().__init__(name, inner)
+        # (recipient, fork id, wire bytes) per fork delivery not yet
+        # acknowledged.  Bound: forks × recipients of the scripted fork.
+        self._unacked: list[tuple[bytes, BlockId, bytes]] = []
+
+    def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
+        sends = super().receive(payload, src)
+        if self._unacked:
+            try:
+                block = b.decode_block(payload)
+            except b.WireError:
+                return sends
+            if isinstance(block.payload, Ack) and b.verify_block(block):
+                self._unacked = [
+                    entry
+                    for entry in self._unacked
+                    if entry[0] != block.creator or entry[1] not in block.pointers
+                ]
+        return sends
+
+    def tick(self) -> list[RawSend]:
+        sends = super().tick()
+        for recipient, _, wire in self._unacked:
+            dest = self.inner.address_of(recipient)
+            if dest is not None:
+                sends.append((dest, wire))
+        return sends
 
     def _cmd_equivocate(self, command, ctx: Ctx) -> list[RawSend]:
         inner = self.inner
@@ -190,13 +223,14 @@ class EquivocatorWrapper(AgentWrapper):
             for payload in payloads
         ]
 
-        sends: list[RawSend] = []
+        unacked = []
         for block, (_, recipients_key) in zip(forks, branches):
+            wire = _encode(block)
             for name in command[recipients_key]:
-                dest = inner.address_of(ctx.agent_ids[name])
-                if dest is None:
+                recipient = ctx.agent_ids[name]
+                if inner.address_of(recipient) is None:
                     raise Defer(f"no address for recipient {name!r}")
-                sends.append((dest, _encode(block)))
+                unacked.append((recipient, block.id, wire))
         for i, one in enumerate(forks):
             for other in forks[i + 1 :]:
                 ctx.trace.record(
@@ -206,8 +240,9 @@ class EquivocatorWrapper(AgentWrapper):
                     id_a=one.id.hex(),
                     id_b=other.id.hex(),
                 )
+        self._unacked = unacked
         self.muted = True
-        return sends
+        return []
 
 
 class ForgerWrapper(AgentWrapper):

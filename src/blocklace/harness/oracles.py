@@ -109,12 +109,14 @@ def parse_trace(text: str) -> TraceData:
     Reads v2 and v1 alike.  A payload field (a key in `PAYLOAD_KEYS`) whose
     value is `*N` refers to the N-th distinct payload in order of first
     appearance, and resolves to the very `str` of that first occurrence; a
-    reference to no earlier payload raises `ValueError` naming the line.
-    Event types, field keys and other field values go through one intern
-    table, so each distinct string (a payload's hex, an id, an address) is
-    held once however many records repeat it, and each distinct FINAL block
-    is decoded once and shared by every agent that holds it.  Blank lines
-    and `#` lines that are not header fields are skipped."""
+    reference to no earlier payload raises `ValueError` naming the line, as
+    does a record line with a non-integer tick, no event type, or a field
+    without `=`.  Event types, field keys and other field values go through
+    one intern table, so each distinct string (a payload's hex, an id, an
+    address) is held once however many records repeat it, and each
+    distinct FINAL block is decoded once and shared by every agent that
+    holds it.  Blank lines and `#` lines that are not header fields are
+    skipped."""
     data = TraceData()
     interned: dict[str, str] = {}
     intern = interned.setdefault
@@ -143,10 +145,20 @@ def parse_trace(text: str) -> TraceData:
         if line.startswith("#"):
             continue
         parts = line.split("\t")
-        tick, event_type = int(parts[0]), intern(parts[1], parts[1])
+        try:
+            tick = int(parts[0])
+        except ValueError:
+            raise ValueError(
+                f"trace line {line_no}: tick {parts[0]!r} is not an integer"
+            ) from None
+        if len(parts) < 2:
+            raise ValueError(f"trace line {line_no}: record has no event type")
+        event_type = intern(parts[1], parts[1])
         fields = {}
         for part in parts[2:]:
-            key, value = part.split("=", 1)
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ValueError(f"trace line {line_no}: field {part!r} has no '='")
             if key not in PAYLOAD_KEYS:
                 value = intern(value, value)
             elif value.startswith("*"):

@@ -125,6 +125,10 @@ class TlAgent:
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._knowledge_cache: dict[AgentId, tuple[tuple, int]] = {}
         self._decoder = WireDecoder()
+        # (destination, ack id) of every ack sent since the last tick: a
+        # byte-identical ack goes to a destination at most once per tick.
+        # Bound: the acks sent in one tick.
+        self._acked: set[tuple[NetAddress, BlockId]] = set()
 
     # --- state queries -----------------------------------------------------
 
@@ -208,12 +212,14 @@ class TlAgent:
         return self.disseminate()
 
     def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
-        """Validate, integrate, and acknowledge a datagram.
+        """Validate, integrate, acknowledge, and forward a datagram.
 
         The ack goes back to the delivering address (the creator's address
         when none is known): the deliverer is the one whose retry loop the
         ack must stop, and a relayed block acked only to its distant
-        creator would be resent by the relay forever.
+        creator would be resent by the relay forever.  Only the blocks that
+        just landed are forwarded; the rest of the backlog waits for the
+        next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -234,13 +240,21 @@ class TlAgent:
                 ack = b.new_block(
                     self.kp, self.current_address, Ack(), self._ack_pointers(acked, sender)
                 )
+                if (dest, ack.id) in self._acked:
+                    continue
+                self._acked.add((dest, ack.id))
                 self.metrics.acks_sent += 1
                 sends.append((dest, ack))
         if was_new:
-            sends.extend(self.disseminate())
+            only = 0
+            for blk in landed:
+                only |= self.lace.bit_of(blk.id)
+            sends.extend(self.disseminate(only))
         return sends
 
     def tick(self) -> list[Send]:
+        """One full retransmission round; also ends the ack dedup window."""
+        self._acked.clear()
         return self.disseminate()
 
     # --- internals -----------------------------------------------------------
@@ -429,22 +443,27 @@ class TlAgent:
         self._knowledge_cache[q] = (key, mask)
         return mask
 
-    def disseminate(self) -> list[Send]:
-        """Compute the full send set: every block each known agent needs.
+    def disseminate(self, only: Optional[int] = None) -> list[Send]:
+        """Compute the send set: every block each known agent needs.
 
-        Identical logic runs on every new-block event and on every tick, so
-        a lost datagram is simply resent until the destination's blocks or
-        disclosed ack pointers show it has been observed.
+        With `only` None this is the full set, which every tick and every
+        own utterance sends, so a lost datagram is resent once per tick
+        until the destination's blocks or disclosed ack pointers show it
+        has been observed.  `only` is a bitmask of this blocklace that
+        limits the set to those blocks: `receive` passes the blocks that
+        just landed, so a new block is forwarded on arrival without
+        resending the whole backlog once per delivery.
         """
         sends: list[Send] = []
         me = self.agent_id
         lace = self.lace
+        scope = lace.all_mask() if only is None else only
         for q in sorted(self.known_agents()):
             dest = self.address_of(q)
             if dest is None:
                 continue
             q_is_friend = self.friends(q)
-            needed = lace.all_mask() & ~self._knowledge(q)
+            needed = scope & ~self._knowledge(q)
             batch = []
             while needed:
                 low = needed & -needed

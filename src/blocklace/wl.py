@@ -186,6 +186,10 @@ class WlAgent:
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
         self._own_group_names: set[bytes] = set()
         self._decoder = WireDecoder()
+        # (destination, ack id) of every ack sent since the last tick: a
+        # byte-identical ack goes to a destination at most once per tick.
+        # Bound: the acks sent in one tick.
+        self._acked: set[tuple[NetAddress, BlockId]] = set()
 
     # --- state queries -------------------------------------------------------
 
@@ -367,11 +371,13 @@ class WlAgent:
         return self.disseminate()
 
     def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
-        """Validate, integrate (respecting closure), and acknowledge.
+        """Validate, integrate (respecting closure), acknowledge, and forward.
 
         Acks return to the delivering address when known (the deliverer is
         the one that will otherwise retry forever); blocks parked in the
-        pending buffer are not acknowledged until they actually land.
+        pending buffer are not acknowledged until they actually land.  Only
+        the blocks that just landed are forwarded; the rest of the backlog
+        waits for the next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -386,19 +392,32 @@ class WlAgent:
         for acked in landed:
             sends.extend(self._ack(acked, src))
         if was_new:
-            sends.extend(self.disseminate())
+            only = 0
+            for blk in landed:
+                only |= self.lace.bit_of(blk.id)
+            sends.extend(self.disseminate(only))
         return sends
 
     def tick(self) -> list[Send]:
+        """One full retransmission round; also ends the ack dedup window."""
+        self._acked.clear()
         return self.disseminate()
 
     # --- dissemination ----------------------------------------------------------
 
-    def disseminate(self) -> list[Send]:
+    def disseminate(self, only: Optional[int] = None) -> list[Send]:
         """Per group: send each member every partition block it has not
         observed; resend own invites (with their ancestry, so the invitee
-        can validate them) until the invitee's blocks or acks cover them."""
+        can validate them) until the invitee's blocks or acks cover them.
+
+        `only` is a bitmask of this blocklace that limits the sends to
+        those blocks: `receive` passes the blocks that just landed, so a
+        new block is forwarded on arrival without resending the whole
+        backlog once per delivery.  None means every block, which `tick`
+        (once per tick, the retransmission round) and this agent's own
+        commands send."""
         lace = self.lace
+        scope = lace.all_mask() if only is None else only
         sends: list[Send] = []
         queued: set[tuple[NetAddress, BlockId]] = set()
         known_cache: dict[AgentId, int] = {}
@@ -421,7 +440,9 @@ class WlAgent:
 
         for genesis in sorted(self._geneses, key=Block.sort_key):
             gid = genesis.id
-            bits = self._partition_bits.get(gid, 0)
+            bits = self._partition_bits.get(gid, 0) & scope
+            if not bits:
+                continue
             for q in self.members_of(gid):
                 if q == self.agent_id:
                     continue
@@ -439,12 +460,13 @@ class WlAgent:
         for invite_id, (gid, target) in self._invite_index.items():
             if invite_id.creator != self.agent_id or target == self.agent_id:
                 continue
-            if known(target) & lace.bit_of(invite_id):
+            wanted = lace.mask_of(invite_id) & scope
+            if not wanted or known(target) & lace.bit_of(invite_id):
                 continue
             dest = self.address_of(target)
             if dest is None:
                 continue
-            push(dest, self.lace.closure(self.lace.get(invite_id)))
+            push(dest, lace.blocks_of_mask(wanted))
         return sends
 
     # --- receive pipeline -----------------------------------------------------
@@ -555,6 +577,9 @@ class WlAgent:
         ack = b.new_block(
             self.kp, self.current_address, Ack(), self._ack_pointers(block)
         )
+        if (dest, ack.id) in self._acked:
+            return []
+        self._acked.add((dest, ack.id))
         self.metrics.acks_sent += 1
         return [(dest, ack)]
 

@@ -91,6 +91,27 @@ def test_parse_trace_rejects_unresolved_payload_reference(records, line_no):
         parse_trace(text)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("5\n", "record has no event type"),
+        ("x\tSUBMIT\n", "tick 'x' is not an integer"),
+        ("5\tSUBMIT\tsrc\n", "field 'src' has no '='"),
+    ],
+)
+def test_parse_trace_rejects_malformed_record_line(text, problem):
+    with pytest.raises(ValueError, match=rf"^trace line 1: {problem}$"):
+        parse_trace(text)
+
+
+def test_cli_verify_rejects_record_line_without_tab(tmp_path):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text("# blocklace-trace v2\n5\n")
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+
+
 def test_cli_verify_rejects_unresolved_payload_reference(tmp_path):
     scenario = canned.tl_line(seed=1, utterances=2)
     scenario_path = tmp_path / "s.json"
@@ -186,6 +207,32 @@ def test_equivocate_trace_record():
     events = [line for line in result.trace_text.splitlines() if "\tEQUIVOCATE\t" in line]
     assert len(events) == 1
     assert "id_a=" in events[0] and "id_b=" in events[0]
+
+
+@pytest.mark.parametrize("seed", [26, 34])
+def test_equivocator_resends_each_fork_until_acked(seed):
+    # At these seeds each fork was once sent a single time and lost to
+    # both of its recipients, so no member ever saw the equivocation.
+    result = run_scenario(canned.wl_equivocation(seed=seed))
+    verdicts = {r.name: r.verdict for r in result.oracle_results}
+    assert verdicts["equivocation_visibility"] == "PASS"
+    data = parse_trace(result.trace_text)
+    (equivocate,) = data.events_of("EQUIVOCATE")
+    address = {name: fields["address"] for name, fields in data.agents.items()}
+    recipients = {
+        equivocate.fields["id_a"]: {address["f"], address["m1"]},
+        equivocate.fields["id_b"]: {address["m2"], address["m3"]},
+    }
+    after = [
+        e
+        for e in data.events_of("SUBMIT")
+        if e.fields["src"] == address["x"] and e.tick >= equivocate.tick
+    ]
+    sent = [(e.tick, e.fields["dst"], e.fields["id"]) for e in after]
+    assert all(dst in recipients[fork] for _, dst, fork in sent)
+    assert len(set(sent)) == len(sent)  # at most once per tick
+    assert len(sent) > 4  # a lost fork was sent again
+    assert max(tick for tick, _, _ in sent) < result.report["last_tick"]
 
 
 def test_forge_trace_records_match_count():

@@ -119,9 +119,33 @@ def test_duplicate_receive_acks_again_without_growth():
     wire = encode_block(a.last_uttered)
     c.receive(wire, src=a.current_address)
     size = len(c.lace)
+    # The same ack goes to the same destination at most once per tick.
+    sends = c.receive(wire, src=a.current_address)
+    assert len(c.lace) == size
+    assert not any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+    c.tick()
     sends = c.receive(wire, src=a.current_address)
     assert len(c.lace) == size
     assert any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+
+
+def test_receive_forwards_only_landed_blocks():
+    a, c, d = agent(0), agent(1), agent(2)
+    befriend(a, c)
+    befriend(c, d)
+    d.follow(a.agent_id)
+    c.receive(encode_block(d.last_uttered), src=d.current_address)
+    c.say(b"backlog")  # sent, never delivered
+    backlog = c.last_uttered
+    a.say(b"news")
+    news = a.last_uttered
+    sends = c.receive(encode_block(news), src=a.current_address)
+    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
+    assert forwarded == [(d.current_address, news.id)]
+    resent = {(dst, blk.id) for dst, blk in c.tick()}
+    assert (d.current_address, news.id) in resent
+    assert (a.current_address, backlog.id) in resent
+    assert (d.current_address, backlog.id) in resent
 
 
 def test_forged_blocks_dropped():

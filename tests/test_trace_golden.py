@@ -3,10 +3,10 @@ exactly these trace bytes.  A change that alters a trace on purpose must
 say so and update the hash here; any other change must leave them alone.
 
 The trace is written in the v2 encoding, where a repeated payload is a
-`*N` back-reference.  `GOLDEN_SHA256` pins the v1 bytes of the same runs,
-from before that encoding existed: expanding each v2 trace back to v1 must
-reproduce them, so the v2 encoding is checked to change nothing but the
-encoding."""
+`*N` back-reference.  `GOLDEN_SHA256` pins the v1 bytes of the same runs:
+expanding each v2 trace back to v1 must reproduce them, so a change to the
+encoding alone moves only `GOLDEN_V2_SHA256`, while a change to what the
+agents send moves both."""
 
 import hashlib
 import json
@@ -20,34 +20,34 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "4e92a7789447d7375d9e1c88c93a95e32ec521f736e1af1012663f0013ff5e64",
-    "tl_star": "3cbcb16232a6dbfb838e6a3424ba33d6137ad9abc7a39f2c4a693132d7302316",
-    "tl_ring": "e43ac5ec96bca4d7a04c58f62d34fcf0af24ae3f1f96255d89aa55b42454d081",
-    "tl_line_broken": "ca9ccc095906939ec336645ebcdfaabed45c3cd03b15b22e97b727c2843b5364",
-    "tl_churn": "ec90196e942e87a41a843030df01b0d3f948dabfb92c32e0944415d9d2e2a8d6",
-    "tl_forgery": "19b88ecd99cccf4f69683cff85f1d7e6163741a3098fe5b9f8d34ef32c7f81e8",
-    "wl_group": "7a4750e047b5435ac2b25308ddee769662deedba542ae300c2fdc991da47c389",
-    "wl_dropper": "d9577eb62757cc0d2384aeb10ba9839a9b2a1981fd7ee3120de0f2cc09c44bbe",
+    "tl_line": "a72610958fa568f8e34ab884b4d6ff5a39252189cdefd9bcd5cabbe97a316956",
+    "tl_star": "092dd7e24a1ac0f09e8421a62cdc294bf463cdf2a313f49400cf3a861c859d1c",
+    "tl_ring": "ba697b33ca7522cea3f0c90ef5f8b85d8e742d782a37119ea7109168a2528acd",
+    "tl_line_broken": "88b1cec7bb024078fc4e842b8bea4a96729aff6fc188d74ca9c9e90406fc6802",
+    "tl_churn": "0ccc31006fc2b626a32c7ee8a8a82869554dd34f015696d93b67c4e4f92134a8",
+    "tl_forgery": "4a02d4e6a109fbe66b3f4225f32b32f759e0cc1952ad6df5f50ad193c3cdf85f",
+    "wl_group": "441cff3bf483e8326e4ca8011af7b9da8818040a826ebfcf8f4321340461ac5f",
+    "wl_dropper": "3795d1c8ed366e7408549b2731feb1e90d1ac2445c1f46d7b4de5783617a8eb7",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "e63957aaa583a0f15858ab8a77d5d6df2409fb016ac643b5d6f822b7a1ccbd61",
-    "wl_equivocation": "f121fd085d0a15ee705c0eabac6d8f7a669d8f2d6b29350011b03833343396be",
-    "wl_privacy": "24309f49a8f17cd343943cfbf89b991df340c2e69e99fc6c160b76f46bd09a4e",
-    "wl_partitions": "67cea011799b5fc9d6e5e17e7591d70b4571b6fd1459a1e51cda915cc7140a3c",
+    "wl_churn": "434c1ab645006f5097eaeaab856993e291dc42634a2c0637f88930439c6dfb32",
+    "wl_equivocation": "876f7c34b48fedbb215cedd681b01d6c7a1a2a6f49fd0c1197997887b36f9870",
+    "wl_privacy": "06a68c5293ba68c30d4bdc6cf92e4666cfc5d5734e682911f21d93c6a9896952",
+    "wl_partitions": "ab97c9e051124f7d1bcc108dbda009994d9ddd1a3d14e8abf490a63792f55284",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "b079a669e0a05e3e9bd75f3b825cb799c54cfb75516e5606528e945d5fe69465",
-    "tl_star": "e910e671d3361e7ef02b46b92bfb3e9502dc254582318fec71f3c59a62a53f8f",
-    "tl_ring": "518c0c01789cb8f2e027292c5e07b2f799b5e265c588803ca85ec8f9c7196cab",
-    "tl_line_broken": "5ad2acf2aaca72c7e0ecb7120411abe37c5271549474ae9bee750d16b91f50d5",
-    "tl_churn": "228f3415997fed2507c898592be68419ded2f45b02651337390d1b3a2aaa89e0",
-    "tl_forgery": "ef44dda0e7b9674cbd51429fe632c811451475533745e62c31cc558fdb4f37bd",
-    "wl_group": "fa20bd05f422b29787034c06d44adc3e9c194cb8fba980679fc548e7d0a42524",
-    "wl_dropper": "842220fce09954019ad72d3ef6c1217be6d5f73b17411ef0e2dbc31e6b19fe50",
+    "tl_line": "a661370d53c6ff9a841e0f4e3c42fdcd0a4f4bb6771752760dbca458a570008b",
+    "tl_star": "55eff7289e54a5cfca6884d836a833f50a4c88c43e824acd3fd20852d12ec1e7",
+    "tl_ring": "88082df1849b8dff3e9a58acbf4ffe39088464300bdfab52c1997297a8a73805",
+    "tl_line_broken": "538aea0b3c0f7bce38934b764e9fc7bf51e50a9430dab48c45501a1801f1ca57",
+    "tl_churn": "8d8ccb76988396f3a777cd42e6b77015ff845ef2c984364dc14c6983785a341f",
+    "tl_forgery": "b3e77afc68d4463db10ea10fffa09f7e8c27810e18d8f6f38e9cbf633218b5b1",
+    "wl_group": "4c0f4d767e60dba703630c01df58add024aab829d46ff13cb8466d4bd283ed86",
+    "wl_dropper": "f152456f41b39486cee7104071cb63e58467aa29672853337081c0b20fda3c85",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "eaa7bf1458c60a8ac360b7f972c9808a1eca913f7053d49806163140feb3b3aa",
-    "wl_equivocation": "ac41e214e1b37e2274c22ab41a884627cb03cfea9d2205007e1076a00a610026",
-    "wl_privacy": "0c09bb71ff08d098cbdcc7abc6a9046f4b4819e1ef11abcf0092e27019e6acd2",
-    "wl_partitions": "97d4c8ea0bec72d858c56845e8d0f1b604b7dc92ff498e92a64e8e652f10b907",
+    "wl_churn": "928b040bd1cfcaad001b2dc794da7e15b2292a66750d74d3ed014d770dc0877a",
+    "wl_equivocation": "9e0c0a2a12ae2ed0b830475cb5e504068bd565fc8467a5474e5ee08f52fc88f1",
+    "wl_privacy": "9eee8a9aa51c80fb996a958dfaa977d4b5910141bb079796cf815e819c9c64fa",
+    "wl_partitions": "56dfd77b33586e14597a4d8697dafaeb904de60fb3d6823329c5fbfe40f5dc45",
 }
 
 

@@ -267,6 +267,53 @@ def test_ack_discloses_only_group_tips():
     assert not ack.pointers & m.partition_ids(gid2)
 
 
+def test_receive_forwards_only_landed_blocks():
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    m1.say_group(gid, b"backlog")  # sent, never delivered
+    backlog = m1.last_uttered
+    f.say_group(gid, b"news")
+    news = f.last_uttered
+    sends = m1.receive(encode_block(news), src=f.current_address)
+    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
+    assert forwarded == [(m2.current_address, news.id)]
+    assert {blk.id for _, blk in m1.tick()} == {backlog.id, news.id}
+
+
+def test_pending_drain_forwards_every_landed_block():
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    f.say_group(gid, b"one")
+    first = f.last_uttered
+    f.say_group(gid, b"two")
+    second = f.last_uttered
+    assert m1.receive(encode_block(second), src=f.current_address) == []
+    sends = m1.receive(encode_block(first), src=f.current_address)
+    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
+    assert forwarded == [(m2.current_address, first.id), (m2.current_address, second.id)]
+
+
+def test_identical_ack_sent_once_per_destination_per_tick():
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    f.say_group(gid, b"twice")
+    wire = encode_block(f.last_uttered)
+    sent_before = m1.metrics.acks_sent
+
+    def acks(sends):
+        return [(dst, blk) for dst, blk in sends if isinstance(blk.payload, b.Ack)]
+
+    (first,) = acks(m1.receive(wire, src=f.current_address))
+    assert acks(m1.receive(wire, src=f.current_address)) == []
+    # Another deliverer of the same block gets its own ack.
+    assert acks(m1.receive(wire, src=m2.current_address)) == [
+        (m2.current_address, first[1])
+    ]
+    m1.tick()
+    assert acks(m1.receive(wire, src=f.current_address)) == [first]
+    assert m1.metrics.acks_sent - sent_before == 3
+
+
 def test_invite_acked_with_invite_id():
     f, m = agent(0), agent(1)
     f.create_group(b"g")
