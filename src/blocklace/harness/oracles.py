@@ -103,6 +103,9 @@ class TraceData:
         return union
 
 
+_FINAL_KEYS = ("agent", "kind", "hex")
+
+
 def parse_trace(text: str) -> TraceData:
     """Parse a trace's text, one newline-terminated line at a time.
 
@@ -111,7 +114,9 @@ def parse_trace(text: str) -> TraceData:
     appearance, and resolves to the very `str` of that first occurrence; a
     reference to no earlier payload raises `ValueError` naming the line, as
     does a record line with a non-integer tick, no event type, or a field
-    without `=`.  Event types, field keys and other field values go through
+    without `=`, a `FINAL` record that lacks a field or whose block does not
+    decode, and an `# agent` header line with a field without `=` or no
+    name.  Event types, field keys and other field values go through
     one intern table, so each distinct string (a payload's hex, an id, an
     address) is held once however many records repeat it, and each
     distinct FINAL block is decoded once and shared by every agent that
@@ -136,7 +141,16 @@ def parse_trace(text: str) -> TraceData:
         if line.startswith("# "):
             body = line[2:]
             if body.startswith("agent "):
-                fields = dict(part.split("=", 1) for part in body[6:].split(" "))
+                fields = {}
+                for part in body[6:].split(" "):
+                    key, sep, value = part.partition("=")
+                    if not sep:
+                        raise ValueError(
+                            f"trace line {line_no}: agent field {part!r} has no '='"
+                        )
+                    fields[key] = value
+                if "name" not in fields:
+                    raise ValueError(f"trace line {line_no}: agent line has no name=")
                 data.agents[fields["name"]] = fields
             elif "=" in body:
                 key, value = body.split("=", 1)
@@ -176,10 +190,19 @@ def parse_trace(text: str) -> TraceData:
                 value = shared
             fields[intern(key, key)] = value
         if event_type == "FINAL":
+            for key in _FINAL_KEYS:
+                if key not in fields:
+                    raise ValueError(f"trace line {line_no}: FINAL record has no {key}=")
             hex_text = fields["hex"]
             block = finals.get(hex_text)
             if block is None:
-                block = finals[hex_text] = b.decode_block(bytes.fromhex(hex_text))
+                try:
+                    block = b.decode_block(bytes.fromhex(hex_text))
+                except (ValueError, b.WireError) as exc:
+                    raise ValueError(
+                        f"trace line {line_no}: FINAL block does not decode: {exc}"
+                    ) from None
+                finals[hex_text] = block
             data.finals.setdefault(fields["agent"], {}).setdefault(
                 fields["kind"], []
             ).append(block)

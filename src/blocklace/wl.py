@@ -176,7 +176,13 @@ class WlAgent:
         self.address_hints: dict[AgentId, NetAddress] = {}
         self.last_uttered: Optional[Block] = None
         self.ack_log: list[Block] = []
-        self._disclosed: dict[AgentId, set[BlockId]] = {}
+        # Per peer, the union of the closures of the ids its acks named:
+        # what those acks prove it holds.  An id not present here yet is
+        # parked under the peers that named it and folded in when it lands
+        # (a present block's closure never changes, the lace being closed).
+        # Bound: one parked entry per distinct absent id named by an ack.
+        self._disclosed_mask: dict[AgentId, int] = {}
+        self._disclosed_parked: dict[BlockId, set[AgentId]] = {}
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._geneses: list[Block] = []
@@ -420,16 +426,10 @@ class WlAgent:
         scope = lace.all_mask() if only is None else only
         sends: list[Send] = []
         queued: set[tuple[NetAddress, BlockId]] = set()
-        known_cache: dict[AgentId, int] = {}
+        disclosed = self._disclosed_mask
 
         def known(q: AgentId) -> int:
-            mask = known_cache.get(q)
-            if mask is None:
-                mask = lace.known_mask(q)
-                for disclosed_id in self._disclosed.get(q, ()):
-                    mask |= lace.mask_of(disclosed_id)
-                known_cache[q] = mask
-            return mask
+            return lace.known_mask(q) | disclosed.get(q, 0)
 
         def push(dest: NetAddress, batch: list[Block]):
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
@@ -474,7 +474,14 @@ class WlAgent:
     def _record_ack(self, ack: Block):
         self.metrics.acks_received += 1
         self.ack_log.append(ack)
-        self._disclosed.setdefault(ack.creator, set()).update(ack.pointers)
+        mask = 0
+        for ptr in ack.pointers:
+            if ptr in self.lace:
+                mask |= self.lace.mask_of(ptr)
+            else:
+                self._disclosed_parked.setdefault(ptr, set()).add(ack.creator)
+        if mask:
+            self._disclosed_mask[ack.creator] = self._disclosed_mask.get(ack.creator, 0) | mask
 
     def _integrate(self, block: Block) -> tuple[list[Block], bool]:
         """Insert a verified non-ack block, honoring closure.
@@ -547,6 +554,11 @@ class WlAgent:
         self.lace.insert(block, verified=True)
         self.metrics.inserted += 1
         bit = self.lace.bit_of(block.id)
+        disclosers = self._disclosed_parked.pop(block.id, ())
+        if disclosers:
+            mask = self.lace.mask_of(block.id)
+            for q in disclosers:
+                self._disclosed_mask[q] = self._disclosed_mask.get(q, 0) | mask
         if is_genesis(block):
             self._geneses.append(block)
             self._genesis_bits |= bit

@@ -104,12 +104,38 @@ def test_parse_trace_rejects_malformed_record_line(text, problem):
         parse_trace(text)
 
 
+MALFORMED_FINAL_AND_HEADER_LINES = [
+    ("0\tFINAL\tagent=a\tkind=lace\thex=00\n", "FINAL block does not decode: truncated"),
+    ("0\tFINAL\tagent=a\tkind=lace\thex=zz\n", "FINAL block does not decode: .*"),
+    ("0\tFINAL\tagent=a\tkind=lace\n", "FINAL record has no hex="),
+    ("0\tFINAL\tkind=lace\thex=00\n", "FINAL record has no agent="),
+    ("# agent name\n", "agent field 'name' has no '='"),
+    ("# agent id=00\n", "agent line has no name="),
+]
+
+
+@pytest.mark.parametrize("text, problem", MALFORMED_FINAL_AND_HEADER_LINES)
+def test_parse_trace_rejects_malformed_final_and_agent_lines(text, problem):
+    with pytest.raises(ValueError, match=rf"^trace line 1: {problem}$"):
+        parse_trace(text)
+
+
 def test_cli_verify_rejects_record_line_without_tab(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
     trace_path = tmp_path / "t.trace"
     trace_path.write_text("# blocklace-trace v2\n5\n")
     assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+
+
+@pytest.mark.parametrize("line", [text for text, _ in MALFORMED_FINAL_AND_HEADER_LINES])
+def test_cli_verify_rejects_malformed_final_and_agent_lines(tmp_path, capsys, line):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text("# blocklace-trace v2\n" + line)
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+    assert "invalid trace: trace line 2: " in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_unresolved_payload_reference(tmp_path):
