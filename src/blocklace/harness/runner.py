@@ -7,6 +7,10 @@ then protocol ticks, then invariant monitors), agents always iterate in
 roster order, and all randomness comes from generators seeded by the
 scenario seed — so a (scenario, seed) pair determines the trace bytes.
 
+A run is quiescent after two quiet rounds in a row (no correct agent sent
+a block in its tick or still has a retransmit timer running) with no
+datagram in flight and no scripted event left.
+
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
 agent's events execute in script order.
@@ -146,12 +150,12 @@ class Runner:
         for now in range(self.scenario.ticks):
             self._run_events(now)
             self._run_deliveries(now)
-            tick_sends = None
+            quiet = None
             if now % interval == 0:
-                tick_sends = self._run_ticks(now)
+                quiet = self._run_ticks(now)
             self._run_monitors(now)
-            if tick_sends is not None:
-                quiet_rounds = quiet_rounds + 1 if tick_sends == 0 else 0
+            if quiet is not None:
+                quiet_rounds = quiet_rounds + 1 if quiet else 0
                 if (
                     quiet_rounds >= 2
                     and self.net.in_flight() == 0
@@ -190,16 +194,20 @@ class Runner:
                 if eavesdropper != agent_name:
                     self.wrappers[eavesdropper].receive(payload, src)
 
-    def _run_ticks(self, now: int) -> int:
-        total = 0
+    def _run_ticks(self, now: int) -> bool:
+        """Every agent's round.  True when the round was quiet: no correct
+        agent sent anything and none has an armed retransmit timer, so no
+        correct agent still owes a peer a block (a backed-off pair sends
+        nothing in most rounds, yet is still outstanding)."""
+        quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]
             sends = wrapper.tick()
             self.trace.record(now, "TICK", agent=spec.name, sends=len(sends))
-            if spec.role == "correct":
-                total += len(sends)
+            if spec.role == "correct" and (sends or wrapper.inner.retransmit.armed()):
+                quiet = False
             self._submit(spec.name, sends, now)
-        return total
+        return quiet
 
     def _run_monitors(self, now: int):
         if self.scenario.protocol != "wl":

@@ -2,10 +2,12 @@
 
 Each agent is a single-threaded state machine over its own blocklace.
 Utterances (follow/say/respond) become blocks pointing at the current
-tips; every received non-ack block is acknowledged, and a periodic tick
-re-runs dissemination so lost datagrams are eventually retried.
-Friendship is mutual following; a pending friendship offer is resent to
-its target until acknowledged.
+tips; every received non-ack block is acknowledged.  A block goes to each
+peer that needs it when it lands or is uttered, and a periodic tick
+resends what is still unacknowledged on a backoff schedule per (peer
+address, block) (`retransmit.Retransmit`), so lost datagrams are
+eventually retried.  Friendship is mutual following; a pending
+friendship offer is resent to its target until acknowledged.
 
 Reliable dissemination rests on three choices that keep the ack/nack
 bookkeeping sound:
@@ -38,6 +40,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, Empty, Follow, NetAddress, Respond, Say, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
+from .retransmit import Retransmit
 
 
 class ProtocolError(Exception):
@@ -102,6 +105,7 @@ class TlMetrics:
     acks_received: int = 0
     acks_sent: int = 0
     pending_evicted: int = 0
+    resent: int = 0
 
 
 class TlAgent:
@@ -112,6 +116,7 @@ class TlAgent:
         self.pending_cap = pending_cap
         self.lace = Blocklace()
         self.metrics = TlMetrics()
+        self.retransmit = Retransmit(self.metrics)
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}
         self.ack_log: list[Block] = []
@@ -217,9 +222,11 @@ class TlAgent:
         The ack goes back to the delivering address (the creator's address
         when none is known): the deliverer is the one whose retry loop the
         ack must stop, and a relayed block acked only to its distant
-        creator would be resent by the relay forever.  Only the blocks that
-        just landed are forwarded; the rest of the backlog waits for the
-        next `tick`.
+        creator would be resent by the relay forever.  A block delivered
+        from a known agent's address counts as that agent's claim of
+        possession, like a pointer in one of its own blocks.  Only the
+        blocks that just landed are forwarded; the rest of the backlog
+        waits for the next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -234,6 +241,11 @@ class TlAgent:
         landed, was_new = self._integrate(block)
         sends: list[Send] = []
         sender = self._resolve_sender(src, block)
+        if src is not None and sender not in (None, self.agent_id) and (
+            block.id in self.lace or block.id in self._pending
+        ):
+            # A peer sends only blocks it holds: the copy is its claim.
+            self._claims.setdefault(sender, set()).add(block.id)
         dest = src if src is not None else self.address_of(block.creator)
         if dest is not None and dest != self.current_address:
             for acked in landed:
@@ -253,9 +265,12 @@ class TlAgent:
         return sends
 
     def tick(self) -> list[Send]:
-        """One full retransmission round; also ends the ack dedup window."""
+        """One retransmission round: every unacknowledged block whose
+        timer is due, plus first offers of blocks newly needed; it ends
+        this agent's tick and the ack dedup window."""
         self._acked.clear()
-        return self.disseminate()
+        with self.retransmit.round():
+            return self.disseminate()
 
     # --- internals -----------------------------------------------------------
 
@@ -444,20 +459,22 @@ class TlAgent:
         return mask
 
     def disseminate(self, only: Optional[int] = None) -> list[Send]:
-        """Compute the send set: every block each known agent needs.
+        """Send every block each known agent needs, as `self.retransmit`
+        schedules it.
 
-        With `only` None this is the full set, which every tick and every
-        own utterance sends, so a lost datagram is resent once per tick
-        until the destination's blocks or disclosed ack pointers show it
-        has been observed.  `only` is a bitmask of this blocklace that
-        limits the set to those blocks: `receive` passes the blocks that
-        just landed, so a new block is forwarded on arrival without
-        resending the whole backlog once per delivery.
+        A block is needed until the destination's blocks or disclosed ack
+        pointers show it has been observed.  Outside `tick`'s round only
+        first offers go out; in the round, every pair whose timer is due.
+        `only` is a bitmask of this blocklace that limits the candidates to
+        those blocks: `receive` passes the blocks that just landed, so a
+        new block is forwarded on arrival.  None means every block, which
+        `tick` and the agent's own commands consider.
         """
         sends: list[Send] = []
         me = self.agent_id
         lace = self.lace
         scope = lace.all_mask() if only is None else only
+        take = self.retransmit.take
         for q in sorted(self.known_agents()):
             dest = self.address_of(q)
             if dest is None:
@@ -479,5 +496,5 @@ class TlAgent:
                 ):
                     batch.append(block)
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            sends.extend((dest, blk) for blk in batch)
+            sends.extend((dest, blk) for blk in batch if take(dest, blk.id))
         return sends

@@ -36,6 +36,7 @@ from .blocks import (
 )
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
+from .retransmit import Retransmit
 from .tl import (
     BootstrapCmd,
     ChangeAddressCmd,
@@ -103,6 +104,7 @@ class WlMetrics:
     pending_evicted: int = 0
     acks_received: int = 0
     acks_sent: int = 0
+    resent: int = 0
 
 
 @dataclass
@@ -172,17 +174,24 @@ class WlAgent:
         self.config = config or WlConfig()
         self.lace = Blocklace()
         self.metrics = WlMetrics()
+        self.retransmit = Retransmit(self.metrics)
         self.group_keys: dict[GroupId, GroupKey] = {}
         self.address_hints: dict[AgentId, NetAddress] = {}
         self.last_uttered: Optional[Block] = None
         self.ack_log: list[Block] = []
-        # Per peer, the union of the closures of the ids its acks named:
-        # what those acks prove it holds.  An id not present here yet is
-        # parked under the peers that named it and folded in when it lands
-        # (a present block's closure never changes, the lace being closed).
-        # Bound: one parked entry per distinct absent id named by an ack.
+        # Per peer, the union of the closures of the ids its acks named and
+        # of the blocks it sent here: what those prove it holds.  An id not
+        # present here yet is parked under the peers that disclosed it and
+        # folded in when it lands (a present block's closure never changes,
+        # the lace being closed).  Bound: one parked entry per distinct
+        # absent id named by an ack, as many as the id sets this replaced
+        # held; a sent block parks only while it waits in the pending
+        # buffer, and leaves with it on eviction.
         self._disclosed_mask: dict[AgentId, int] = {}
         self._disclosed_parked: dict[BlockId, set[AgentId]] = {}
+        # (lace version, address -> the other members there), for `receive`.
+        # Bound: one entry per member.
+        self._address_book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._geneses: list[Block] = []
@@ -381,7 +390,9 @@ class WlAgent:
 
         Acks return to the delivering address when known (the deliverer is
         the one that will otherwise retry forever); blocks parked in the
-        pending buffer are not acknowledged until they actually land.  Only
+        pending buffer are not acknowledged until they actually land.  A
+        member sends only blocks it holds, so a block delivered from a
+        member's address counts as that member's disclosure of it.  Only
         the blocks that just landed are forwarded; the rest of the backlog
         waits for the next `tick`.
         """
@@ -394,6 +405,9 @@ class WlAgent:
             self._record_ack(block)
             return []
         landed, was_new = self._integrate(block)
+        if block.id in self.lace or block.id in self._pending:
+            for q in self._members_at(src):
+                self._disclose(q, (block.id,))
         sends: list[Send] = []
         for acked in landed:
             sends.extend(self._ack(acked, src))
@@ -405,28 +419,32 @@ class WlAgent:
         return sends
 
     def tick(self) -> list[Send]:
-        """One full retransmission round; also ends the ack dedup window."""
+        """One retransmission round: every unacknowledged block whose
+        timer is due, plus first offers of blocks newly needed; it ends
+        this agent's tick and the ack dedup window."""
         self._acked.clear()
-        return self.disseminate()
+        with self.retransmit.round():
+            return self.disseminate()
 
     # --- dissemination ----------------------------------------------------------
 
     def disseminate(self, only: Optional[int] = None) -> list[Send]:
         """Per group: send each member every partition block it has not
-        observed; resend own invites (with their ancestry, so the invitee
+        observed; send own invites (with their ancestry, so the invitee
         can validate them) until the invitee's blocks or acks cover them.
+        `self.retransmit` schedules each send: outside `tick`'s round only
+        first offers go out; in the round, every pair whose timer is due.
 
-        `only` is a bitmask of this blocklace that limits the sends to
+        `only` is a bitmask of this blocklace that limits the candidates to
         those blocks: `receive` passes the blocks that just landed, so a
-        new block is forwarded on arrival without resending the whole
-        backlog once per delivery.  None means every block, which `tick`
-        (once per tick, the retransmission round) and this agent's own
-        commands send."""
+        new block is forwarded on arrival.  None means every block, which
+        `tick` and this agent's own commands consider."""
         lace = self.lace
         scope = lace.all_mask() if only is None else only
         sends: list[Send] = []
         queued: set[tuple[NetAddress, BlockId]] = set()
         disclosed = self._disclosed_mask
+        take = self.retransmit.take
 
         def known(q: AgentId) -> int:
             return lace.known_mask(q) | disclosed.get(q, 0)
@@ -436,7 +454,8 @@ class WlAgent:
             for blk in batch:
                 if (dest, blk.id) not in queued:
                     queued.add((dest, blk.id))
-                    sends.append((dest, blk))
+                    if take(dest, blk.id):
+                        sends.append((dest, blk))
 
         for genesis in sorted(self._geneses, key=Block.sort_key):
             gid = genesis.id
@@ -474,14 +493,33 @@ class WlAgent:
     def _record_ack(self, ack: Block):
         self.metrics.acks_received += 1
         self.ack_log.append(ack)
+        self._disclose(ack.creator, ack.pointers)
+
+    def _disclose(self, q: AgentId, ids) -> None:
+        """Credit q with holding the closure of each id."""
         mask = 0
-        for ptr in ack.pointers:
-            if ptr in self.lace:
-                mask |= self.lace.mask_of(ptr)
+        for block_id in ids:
+            if block_id in self.lace:
+                mask |= self.lace.mask_of(block_id)
             else:
-                self._disclosed_parked.setdefault(ptr, set()).add(ack.creator)
+                self._disclosed_parked.setdefault(block_id, set()).add(q)
         if mask:
-            self._disclosed_mask[ack.creator] = self._disclosed_mask.get(ack.creator, 0) | mask
+            self._disclosed_mask[q] = self._disclosed_mask.get(q, 0) | mask
+
+    def _members_at(self, src: Optional[NetAddress]) -> list[AgentId]:
+        """The other members of this agent's groups whose address is src.
+        A member's address comes from its own blocks here, so the book is
+        rebuilt only when the blocklace grows."""
+        version, book = self._address_book
+        if version != self.lace.version():
+            book = {}
+            peers = set().union(*self._members.values()) - {self.agent_id}
+            for q in sorted(peers):
+                address = self.address_of(q)
+                if address is not None:
+                    book.setdefault(address, []).append(q)
+            self._address_book = (self.lace.version(), book)
+        return book.get(src, [])
 
     def _integrate(self, block: Block) -> tuple[list[Block], bool]:
         """Insert a verified non-ack block, honoring closure.
@@ -525,6 +563,7 @@ class WlAgent:
         while len(self._pending) >= self.config.pending_cap:
             evicted_id = next(iter(self._pending))
             del self._pending[evicted_id]
+            self._disclosed_parked.pop(evicted_id, None)
             self.metrics.pending_evicted += 1
         self._pending[block.id] = block
         for ptr in missing:

@@ -251,12 +251,17 @@ def test_offer_resent_until_acked():
     a.address_hints[c.agent_id] = c.current_address
     a.follow(c.agent_id)
     offer = a.last_uttered
-    for _ in range(3):
-        assert any(blk.id == offer.id for _, blk in a.tick())
+
+    def resent_at(ticks):
+        return [t for t in ticks if any(blk.id == offer.id for _, blk in a.tick())]
+
+    # The same tick's round, then +1, +3, +7 and every 4 ticks.
+    assert resent_at(range(12)) == [0, 1, 3, 7, 11]
     sends = c.receive(encode_block(offer), src=a.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     a.receive(encode_block(ack), src=c.current_address)
-    assert not any(blk.id == offer.id for _, blk in a.tick())
+    assert resent_at(range(12, 24)) == []
+    assert a.retransmit.armed() == 0
 
 
 def test_no_sends_to_unknown_address():

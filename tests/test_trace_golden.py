@@ -20,34 +20,34 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "a72610958fa568f8e34ab884b4d6ff5a39252189cdefd9bcd5cabbe97a316956",
-    "tl_star": "092dd7e24a1ac0f09e8421a62cdc294bf463cdf2a313f49400cf3a861c859d1c",
-    "tl_ring": "ba697b33ca7522cea3f0c90ef5f8b85d8e742d782a37119ea7109168a2528acd",
-    "tl_line_broken": "88b1cec7bb024078fc4e842b8bea4a96729aff6fc188d74ca9c9e90406fc6802",
-    "tl_churn": "0ccc31006fc2b626a32c7ee8a8a82869554dd34f015696d93b67c4e4f92134a8",
-    "tl_forgery": "4a02d4e6a109fbe66b3f4225f32b32f759e0cc1952ad6df5f50ad193c3cdf85f",
-    "wl_group": "441cff3bf483e8326e4ca8011af7b9da8818040a826ebfcf8f4321340461ac5f",
-    "wl_dropper": "3795d1c8ed366e7408549b2731feb1e90d1ac2445c1f46d7b4de5783617a8eb7",
+    "tl_line": "d37de1d77f6c0721c07f11671b14b9e7af8778e21451ede2d4abba733a0f6599",
+    "tl_star": "e8e900e718de7811fbffe099cb2e4a191adc2128f5143ed4a01b7024c92b5661",
+    "tl_ring": "ffd38d86478b1dbaf12c58b30471c890c561c6b95947280472f68ea3193e04f2",
+    "tl_line_broken": "6ff50899e9c2774347bb6eccbad45d03930b150a986e6aceaacd1561193198f9",
+    "tl_churn": "23f0c952aa48b837885c1a0126aa74b00883d1321c25edade8264e2a7c05e5e2",
+    "tl_forgery": "7583b58b94187d0c82c1258c5030d33e226d0aab00b4bc59c7e46894bb6eb36e",
+    "wl_group": "2d3307f1aaa737fbc6b76225519d94b6b38c0de479530c50ff196d9263f6c5c3",
+    "wl_dropper": "d6fddf83dfbe36524886395b8d881d666052c2a4b3568dddf22be5dedcc1baac",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "434c1ab645006f5097eaeaab856993e291dc42634a2c0637f88930439c6dfb32",
-    "wl_equivocation": "876f7c34b48fedbb215cedd681b01d6c7a1a2a6f49fd0c1197997887b36f9870",
-    "wl_privacy": "06a68c5293ba68c30d4bdc6cf92e4666cfc5d5734e682911f21d93c6a9896952",
-    "wl_partitions": "ab97c9e051124f7d1bcc108dbda009994d9ddd1a3d14e8abf490a63792f55284",
+    "wl_churn": "8802107b96d879e58d29019d5b45f9741a565ba73df3e4defe93fc73e7267787",
+    "wl_equivocation": "6aa12e5e52bd68fb30c1b7f751365d8487bf6756ecedb00aeca9992222964034",
+    "wl_privacy": "294e4b341a2080f1c20dc150388dc94a34623c1c491b23b65aee676697a6b357",
+    "wl_partitions": "f13ce942f0588c3617252927ba52a85d7ac380eb069d4d0e61dec4ef87128cda",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "a661370d53c6ff9a841e0f4e3c42fdcd0a4f4bb6771752760dbca458a570008b",
-    "tl_star": "55eff7289e54a5cfca6884d836a833f50a4c88c43e824acd3fd20852d12ec1e7",
-    "tl_ring": "88082df1849b8dff3e9a58acbf4ffe39088464300bdfab52c1997297a8a73805",
-    "tl_line_broken": "538aea0b3c0f7bce38934b764e9fc7bf51e50a9430dab48c45501a1801f1ca57",
-    "tl_churn": "8d8ccb76988396f3a777cd42e6b77015ff845ef2c984364dc14c6983785a341f",
-    "tl_forgery": "b3e77afc68d4463db10ea10fffa09f7e8c27810e18d8f6f38e9cbf633218b5b1",
-    "wl_group": "4c0f4d767e60dba703630c01df58add024aab829d46ff13cb8466d4bd283ed86",
-    "wl_dropper": "f152456f41b39486cee7104071cb63e58467aa29672853337081c0b20fda3c85",
+    "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
+    "tl_star": "2b143f77e89cf811f7330eccb866394901ba5933d8856dd39585f7d4b52159ea",
+    "tl_ring": "505ba3d01e5c621b6fa2ad9fa575890dd4dcab8b46ed820002638f510a72426e",
+    "tl_line_broken": "6350e5a198796875363ce7edc5cdf60b95626835a23c629d9561d9d3a823c17b",
+    "tl_churn": "80ab34d36fae57d682a2a43b720e32f50537204d3b41fc8b1350315df6ba759a",
+    "tl_forgery": "f13147177dc8ab742df75ea7d135de00a4c1ba79c9666deb2b254a0f0dfd0d72",
+    "wl_group": "2eb9dc08530e9bbd28bb4d05597f8ea2d502ccaa3494930b76d3df01becbc561",
+    "wl_dropper": "9e57f6ad27e122a2dfacd048a8483523eb504786ff00ba50130bc9922304710f",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "928b040bd1cfcaad001b2dc794da7e15b2292a66750d74d3ed014d770dc0877a",
-    "wl_equivocation": "9e0c0a2a12ae2ed0b830475cb5e504068bd565fc8467a5474e5ee08f52fc88f1",
-    "wl_privacy": "9eee8a9aa51c80fb996a958dfaa977d4b5910141bb079796cf815e819c9c64fa",
-    "wl_partitions": "56dfd77b33586e14597a4d8697dafaeb904de60fb3d6823329c5fbfe40f5dc45",
+    "wl_churn": "1b00f43e6113ce64826e2faff5c8b8d3cd64054311b59b5f646168e62634d2b0",
+    "wl_equivocation": "2f6f1a1e830d7727185e3f5dcf0ae1723c24f8a1c4bc5a92422069bec1a28769",
+    "wl_privacy": "f198f9153b12225f991247350e0ad24a6bc8c9f31fe649fdd4bb93d4afa52d6d",
+    "wl_partitions": "434bac33e5bbf99e73dcd8983b2426ee461d98467bd6dbba7ef8cab96d99b543",
 }
 
 

@@ -334,12 +334,17 @@ def test_invite_resent_until_acked():
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
-    f.invite(m.agent_id, gid)
+    first_offer = f.invite(m.agent_id, gid)
     invite = f.last_uttered
-    for _ in range(3):
-        assert any(blk.id == invite.id for _, blk in f.tick())
-    pump([f, m], f.tick(), f)  # delivery + ack
-    assert not any(blk.id == invite.id for _, blk in f.tick())
+
+    def resent_at(ticks):
+        return [t for t in ticks if any(blk.id == invite.id for _, blk in f.tick())]
+
+    # The same tick's round, then +1, +3, +7 and every 4 ticks.
+    assert resent_at(range(12)) == [0, 1, 3, 7, 11]
+    pump([f, m], first_offer, f)  # delivery + ack
+    assert resent_at(range(12, 24)) == []
+    assert f.retransmit.armed() == 0
 
 
 def test_dissemination_reaches_all_members_not_strangers():
@@ -432,6 +437,8 @@ def test_pending_eviction_bounded():
         m.receive(encode_block(blk), src=f.current_address)
     assert len(m.pending_blocks()) == 4
     assert m.metrics.pending_evicted == 1
+    # A parked copy's credit to its sender leaves with the evicted block.
+    assert set(m._disclosed_parked) == {blk.id for blk in m.pending_blocks()}
 
 
 def test_group_partition_unknown_id_empty():
