@@ -7,7 +7,7 @@ from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
-from blocklace.harness.runner import Runner
+from blocklace.harness.runner import Runner, run_scenario
 from blocklace.retransmit import MAX_GAP, Retransmit
 from blocklace.tl import TlAgent, TlMetrics
 from blocklace.wl import WlAgent
@@ -230,13 +230,31 @@ def _required_held(runner):
     return missing
 
 
+# A correct agent owes blocks forever to a peer that never acks: a silent
+# member (wl_dropper), the muted equivocator, or one beyond a broken link.
+NEVER_QUIESCE = {"tl_line_broken", "wl_dropper", "wl_equivocation"}
+
+
 @pytest.mark.parametrize("name", sorted(canned.CANNED))
 def test_quiescence_leaves_no_timer_and_every_required_block_held(name):
     runner = Runner(canned.CANNED[name](seed=1))
     quiescence_tick, _ = runner.run()
-    if quiescence_tick is None:
-        pytest.skip(f"{name} does not quiesce")
-    for spec in runner.scenario.agents:
-        if spec.role == "correct":
-            assert runner.wrappers[spec.name].inner.retransmit.armed() == 0, spec.name
+    armed = {
+        spec.name: runner.wrappers[spec.name].inner.retransmit.armed()
+        for spec in runner.scenario.agents
+        if spec.role == "correct"
+    }
+    if name in NEVER_QUIESCE:
+        assert quiescence_tick is None and any(armed.values())
+        return
+    assert quiescence_tick is not None
+    assert not any(armed.values()), armed
     assert _required_held(runner) == []
+
+
+def test_resent_counter_in_report_not_trace():
+    result = run_scenario(canned.wl_group(seed=1, utterances=5))
+    metrics = result.report["agent_metrics"]
+    assert all("resent" in m for m in metrics.values())
+    assert sum(m["resent"] for m in metrics.values()) > 0
+    assert "resent" not in result.trace_text
