@@ -442,7 +442,6 @@ class WlAgent:
         lace = self.lace
         scope = lace.all_mask() if only is None else only
         sends: list[Send] = []
-        queued: set[tuple[NetAddress, BlockId]] = set()
         disclosed = self._disclosed_mask
         take = self.retransmit.take
 
@@ -450,12 +449,11 @@ class WlAgent:
             return lace.known_mask(q) | disclosed.get(q, 0)
 
         def push(dest: NetAddress, batch: list[Block]):
+            # A pair pushed twice in one call (an invite's closure to a
+            # target that is already a member) goes out at most once: the
+            # first `take` arms or backs off its timer.
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            for blk in batch:
-                if (dest, blk.id) not in queued:
-                    queued.add((dest, blk.id))
-                    if take(dest, blk.id):
-                        sends.append((dest, blk))
+            sends.extend((dest, blk) for blk in batch if take(dest, blk.id))
 
         for genesis in sorted(self._geneses, key=Block.sort_key):
             gid = genesis.id
