@@ -225,22 +225,14 @@ class Blocklace:
         cached = self._heads_cache.get(creator)
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        # One OR: every own block's closure without its own bit.  A block is
+        # maximal iff its bit is not in that union (closures are acyclic).
         own = self._by_creator.get(creator, ())
-        n = len(own)
-        prefix = [0] * (n + 1)
-        for i, bid in enumerate(own):
-            prefix[i + 1] = prefix[i] | self._mask[bid]
-        suffix = 0
-        others = [0] * n
-        for i in range(n - 1, -1, -1):
-            others[i] = prefix[i] | suffix
-            suffix |= self._mask[own[i]]
+        below = 0
+        for bid in own:
+            below |= self._mask[bid] ^ (1 << self._index[bid])
         heads = sorted(
-            (
-                self._blocks[bid]
-                for i, bid in enumerate(own)
-                if not others[i] >> self._index[bid] & 1
-            ),
+            (self._blocks[bid] for bid in own if not below >> self._index[bid] & 1),
             key=Block.sort_key,
         )
         self._heads_cache[creator] = (self._version, heads)
@@ -260,16 +252,9 @@ class Blocklace:
             for bid in reversed(own):
                 if self._mask[bid] & all_bits == all_bits:
                     return self._blocks[bid].address
-            maximal = [
-                bid
-                for bid in own
-                if not any(
-                    other != bid and self._mask[other] >> self._index[bid] & 1
-                    for other in own
-                )
-            ]
-            chosen = min(maximal, key=lambda bid: (bid.digest, bid.creator))
-            return self._blocks[chosen].address
+            # No single latest block: the maximal one with the smallest
+            # digest (heads of one creator sort by digest).
+            return self.creator_heads(agent)[0].address
         announcements = self._ip_announcements.get(agent)
         if announcements:
             chosen = min(announcements, key=Block.sort_key)

@@ -192,6 +192,45 @@ def test_ip_address_equivocation_tiebreak(kp, kp2):
     assert lace.ip_address(kp2.agent_id) == expected.address
 
 
+def _bruteforce_address(creator, blocks_list):
+    own = [blk for blk in blocks_list if blk.creator == creator]
+    maximal = [
+        blk
+        for blk in own
+        if not any(
+            other != blk and oracle.observes(other, blk, blocks_list) for other in own
+        )
+    ]
+    return min(maximal, key=lambda blk: blk.id.digest).address
+
+
+def test_ip_address_without_a_latest_block_matches_bruteforce(kp):
+    # A WL founder: every invite points only at the genesis.
+    genesis = make_block(kp, b.Group(b"g"), address="g/0")
+    fan_out = [genesis] + [
+        make_block(kp, b.Say(b"%d" % i), pointers=[genesis.id], address=f"i{i}/0")
+        for i in range(12)
+    ]
+    assert lace_of(fan_out).ip_address(kp.agent_id) == _bruteforce_address(
+        kp.agent_id, fan_out
+    )
+    # An equivocating creator: random same-creator DAGs, inserted out of order.
+    rng = random.Random(5)
+    keypair = KEYPAIRS[2]
+    for _ in range(200):
+        blocks_list = []
+        for i in range(rng.randint(1, 6)):
+            pool = [blk.id for blk in blocks_list]
+            pointers = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+            blocks_list.append(
+                make_block(keypair, b.Say(b"%d" % i), pointers, address=f"a{i}/0")
+            )
+        lace = lace_of(blocks_list, shuffle_rng=rng)
+        assert lace.ip_address(keypair.agent_id) == _bruteforce_address(
+            keypair.agent_id, blocks_list
+        )
+
+
 def test_equivocation_shapes(kp, kp2):
     base = make_block(kp2)
     lace = lace_of([base])
