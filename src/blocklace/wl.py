@@ -199,6 +199,9 @@ class WlAgent:
         self._partition_bits: dict[GroupId, int] = {}
         self._members: dict[GroupId, set[AgentId]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
+        # Members of the groups here and targets of indexed invites: the
+        # only agents whose acks are kept.  Bound: one entry per such agent.
+        self._peers: set[AgentId] = set()
         self._own_group_names: set[bytes] = set()
         self._decoder = WireDecoder()
         # (destination, ack id) of every ack sent since the last tick: a
@@ -489,7 +492,12 @@ class WlAgent:
     # --- receive pipeline -----------------------------------------------------
 
     def _record_ack(self, ack: Block):
+        # An ack from a stranger proves nothing this agent acts on, so it
+        # reaches neither `ack_log` nor `_disclosed_parked`: both stay
+        # bounded by the acks of members and invitees.
         self.metrics.acks_received += 1
+        if ack.creator not in self._peers:
+            return
         self.ack_log.append(ack)
         self._disclose(ack.creator, ack.pointers)
 
@@ -601,6 +609,7 @@ class WlAgent:
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
             self._members.setdefault(block.id, set()).add(block.creator)
+            self._peers.add(block.creator)
         else:
             mask = self.lace.mask_of(block.id)
             for genesis in self._geneses:
@@ -611,6 +620,7 @@ class WlAgent:
             gid = self.group_of(block.id)
             if gid is not None and block.creator == gid.creator and block.pointers == frozenset([gid]):
                 self._invite_index[block.id] = (gid, payload.target)
+                self._peers.add(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
             (invite_id,) = block.pointers
             entry = self._invite_index.get(invite_id)

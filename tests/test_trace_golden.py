@@ -31,7 +31,7 @@ GOLDEN_SHA256 = {
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
     "wl_churn": "8802107b96d879e58d29019d5b45f9741a565ba73df3e4defe93fc73e7267787",
     "wl_equivocation": "6aa12e5e52bd68fb30c1b7f751365d8487bf6756ecedb00aeca9992222964034",
-    "wl_privacy": "294e4b341a2080f1c20dc150388dc94a34623c1c491b23b65aee676697a6b357",
+    "wl_privacy": "85a78c35c48f410099d8d9ec30c7d114ffa7620fb140b1bd9e75ea48a1a3452d",
     "wl_partitions": "f13ce942f0588c3617252927ba52a85d7ac380eb069d4d0e61dec4ef87128cda",
 }
 GOLDEN_V2_SHA256 = {
@@ -46,7 +46,7 @@ GOLDEN_V2_SHA256 = {
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
     "wl_churn": "1b00f43e6113ce64826e2faff5c8b8d3cd64054311b59b5f646168e62634d2b0",
     "wl_equivocation": "2f6f1a1e830d7727185e3f5dcf0ae1723c24f8a1c4bc5a92422069bec1a28769",
-    "wl_privacy": "f198f9153b12225f991247350e0ad24a6bc8c9f31fe649fdd4bb93d4afa52d6d",
+    "wl_privacy": "fadce0a40cfbcab50658a9ca6cfe4e31238edb229a58a4e6176a88d3efbbe7db",
     "wl_partitions": "434bac33e5bbf99e73dcd8983b2426ee461d98467bd6dbba7ef8cab96d99b543",
 }
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blocklace import blocks as b
@@ -312,6 +314,33 @@ def test_identical_ack_sent_once_per_destination_per_tick():
     m1.tick()
     assert acks(m1.receive(wire, src=f.current_address)) == [first]
     assert m1.metrics.acks_sent - sent_before == 3
+
+
+def test_acks_from_strangers_are_dropped():
+    f, m = agent(0), agent(1)
+    gid = form_group(f, [m])
+    rng = random.Random(7)
+
+    def random_id():
+        return b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
+
+    log_before = list(f.ack_log)
+    for i in range(50):
+        pointers = [random_id() for _ in range(20)]
+        ack = b.new_block(KP[3], f"w3/{i}", b.Ack(), pointers)
+        assert f.receive(encode_block(ack), src="w3/0") == []
+    assert f.ack_log == log_before
+    assert f._disclosed_parked == {}
+
+    f.say_group(gid, b"hello")
+    sends = m.receive(encode_block(f.last_uttered), src=f.current_address)
+    (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
+    f.receive(encode_block(ack), src=m.current_address)
+    assert f.ack_log[-1] == ack
+    # A member's ack naming an id not here yet is parked for it.
+    absent = random_id()
+    f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(), [absent])))
+    assert f._disclosed_parked == {absent: {m.agent_id}}
 
 
 def test_invite_acked_with_invite_id():
