@@ -437,6 +437,10 @@ class WlAgent:
         can validate them) until the invitee's blocks or acks cover them.
         `self.retransmit` schedules each send: outside `tick`'s round only
         first offers go out; in the round, every pair whose timer is due.
+        This agent's own blocks (invite closures included) go on the eager
+        schedule.  A block it relays goes on the backup schedule, one copy
+        and then one every BACKUP_GAP ticks, because the block's creator
+        sends it to every member as well.
 
         `only` is a bitmask of this blocklace that limits the candidates to
         those blocks: `receive` passes the blocks that just landed, so a
@@ -447,6 +451,7 @@ class WlAgent:
         sends: list[Send] = []
         disclosed = self._disclosed_mask
         take = self.retransmit.take
+        me = self.agent_id
 
         def known(q: AgentId) -> int:
             return lace.known_mask(q) | disclosed.get(q, 0)
@@ -454,9 +459,14 @@ class WlAgent:
         def push(dest: NetAddress, batch: list[Block]):
             # A pair pushed twice in one call (an invite's closure to a
             # target that is already a member) goes out at most once: the
-            # first `take` arms or backs off its timer.
+            # first `take` arms or backs off its timer.  A relayed block is
+            # a backup: its creator sends it to every member too.
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            sends.extend((dest, blk) for blk in batch if take(dest, blk.id))
+            sends.extend(
+                (dest, blk)
+                for blk in batch
+                if take(dest, blk.id, backup=blk.creator != me)
+            )
 
         for genesis in sorted(self._geneses, key=Block.sort_key):
             gid = genesis.id

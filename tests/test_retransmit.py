@@ -8,7 +8,7 @@ from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import Runner, run_scenario
-from blocklace.retransmit import MAX_GAP, Retransmit
+from blocklace.retransmit import BACKUP_GAP, MAX_GAP, Retransmit
 from blocklace.tl import TlAgent, TlMetrics
 from blocklace.wl import WlAgent
 
@@ -17,14 +17,14 @@ BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
 OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 
-def round_sends(schedule, pairs, rounds):
+def round_sends(schedule, pairs, rounds, backup=False):
     """Run `rounds` rounds asking about every pair; returns, per pair, the
     ticks at which the round sent it."""
     sent = {pair: [] for pair in pairs}
     for _ in range(rounds):
         with schedule.round():
             for dest, block_id in pairs:
-                if schedule.take(dest, block_id):
+                if schedule.take(dest, block_id, backup=backup):
                     sent[(dest, block_id)].append(schedule.now)
     return sent
 
@@ -47,6 +47,26 @@ def test_first_offer_in_a_round_sends_once_then_backs_off():
     sent = round_sends(schedule, [("p/0", BLOCK)], 12)
     assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11]
     assert metrics.resent == 4
+
+
+def test_backup_pair_sent_once_then_every_backup_gap():
+    metrics = TlMetrics()
+    schedule = Retransmit(metrics)
+    assert schedule.take("p/0", BLOCK, backup=True)  # first offer, outside a round
+    assert not schedule.take("p/0", BLOCK, backup=True)
+    sent = round_sends(schedule, [("p/0", BLOCK)], 10, backup=True)
+    # No second copy in the same tick's round; no backoff.
+    assert sent[("p/0", BLOCK)] == [3, 6, 9]
+    assert BACKUP_GAP == 3
+    assert metrics.resent == 3
+
+
+def test_backup_pair_first_offered_in_a_round():
+    metrics = TlMetrics()
+    schedule = Retransmit(metrics)
+    sent = round_sends(schedule, [("p/0", BLOCK)], 10, backup=True)
+    assert sent[("p/0", BLOCK)] == [0, 3, 6, 9]
+    assert metrics.resent == 3
 
 
 def test_rebound_address_gets_a_fresh_timer():
@@ -158,13 +178,27 @@ def test_wl_block_created_by_the_peer_stops_the_resends():
     assert not owes(f, m, said.id)
 
 
+def test_wl_relay_sends_once_in_its_first_tick_creator_twice():
+    f, m1, m2 = wl_agent(0), wl_agent(1), wl_agent(2)
+    gid = wl_group(f, m1, m2)
+
+    def copies(sends, dest, block_id):
+        return sum(dst == dest.current_address and blk.id == block_id for dst, blk in sends)
+
+    own = f.say_group(gid, b"mine")
+    said = f.last_uttered
+    assert copies(own + f.tick(), m2, said.id) == 2
+    relayed = deliver(m1, f, said)
+    assert copies(relayed + m1.tick(), m2, said.id) == 1
+
+
 def test_wl_copy_sent_by_the_peer_stops_the_resends():
     f, m1, m2 = wl_agent(0), wl_agent(1), wl_agent(2)
     gid = wl_group(f, m1, m2)
     m2.say_group(gid, b"relay me")
     said = m2.last_uttered
-    deliver(f, m2, said)
-    assert owes(f, m1, said.id, rounds=1)
+    forwarded = deliver(f, m2, said)  # f's one backup copy to m1 is lost
+    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in forwarded}
     deliver(m1, m2, said)
     # m1 relays its copy to f: f learns that m1 holds it.
     forwarded = deliver(f, m1, said)

@@ -26,13 +26,13 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "6ff50899e9c2774347bb6eccbad45d03930b150a986e6aceaacd1561193198f9",
     "tl_churn": "23f0c952aa48b837885c1a0126aa74b00883d1321c25edade8264e2a7c05e5e2",
     "tl_forgery": "7583b58b94187d0c82c1258c5030d33e226d0aab00b4bc59c7e46894bb6eb36e",
-    "wl_group": "2d3307f1aaa737fbc6b76225519d94b6b38c0de479530c50ff196d9263f6c5c3",
-    "wl_dropper": "d6fddf83dfbe36524886395b8d881d666052c2a4b3568dddf22be5dedcc1baac",
+    "wl_group": "e801e6a4335a374f27540b42a31422e8aad7ad9c54872518233870def694babe",
+    "wl_dropper": "d288ec8490688ff31f9678a428301d74da2cd0c9e7581780472a51f64c67f508",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "8802107b96d879e58d29019d5b45f9741a565ba73df3e4defe93fc73e7267787",
-    "wl_equivocation": "6aa12e5e52bd68fb30c1b7f751365d8487bf6756ecedb00aeca9992222964034",
-    "wl_privacy": "85a78c35c48f410099d8d9ec30c7d114ffa7620fb140b1bd9e75ea48a1a3452d",
-    "wl_partitions": "f13ce942f0588c3617252927ba52a85d7ac380eb069d4d0e61dec4ef87128cda",
+    "wl_churn": "6aaa68bb559c2c95b87da9eb025ad3f83108d770336002b56d2e4fde21409939",
+    "wl_equivocation": "e8b26cf15950879877c6773eb9f04fb46eaf26b803352d684d0bcf1620a61852",
+    "wl_privacy": "dda191e82b99e05d28d0b4aa38ecb07525387ec4423579b3e9a70b031606cceb",
+    "wl_partitions": "bd8eb2aeaa238824cb5bc2f77ca250bdc32e9a9ddda8535612d978eec2b4101d",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
@@ -41,13 +41,13 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "6350e5a198796875363ce7edc5cdf60b95626835a23c629d9561d9d3a823c17b",
     "tl_churn": "80ab34d36fae57d682a2a43b720e32f50537204d3b41fc8b1350315df6ba759a",
     "tl_forgery": "f13147177dc8ab742df75ea7d135de00a4c1ba79c9666deb2b254a0f0dfd0d72",
-    "wl_group": "2eb9dc08530e9bbd28bb4d05597f8ea2d502ccaa3494930b76d3df01becbc561",
-    "wl_dropper": "9e57f6ad27e122a2dfacd048a8483523eb504786ff00ba50130bc9922304710f",
+    "wl_group": "c4ae2c980b2c6fb5dad7c4fef1a9a76e452d97e3e772b3355f5b2a36a68ac1ce",
+    "wl_dropper": "802540e3f550653de48dee02cf2e9d5df1c0b3637bb4e5d52b79dda366c0028d",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "1b00f43e6113ce64826e2faff5c8b8d3cd64054311b59b5f646168e62634d2b0",
-    "wl_equivocation": "2f6f1a1e830d7727185e3f5dcf0ae1723c24f8a1c4bc5a92422069bec1a28769",
-    "wl_privacy": "fadce0a40cfbcab50658a9ca6cfe4e31238edb229a58a4e6176a88d3efbbe7db",
-    "wl_partitions": "434bac33e5bbf99e73dcd8983b2426ee461d98467bd6dbba7ef8cab96d99b543",
+    "wl_churn": "7348143bf8a66f6dd3a31a4fb771a05ecaf6e0a9f85ef76502dc71b599a43ea7",
+    "wl_equivocation": "03ce91a5523eec7f0a0dc91969cb41d8978156d7a101f88eb73a6ef36d887ef8",
+    "wl_privacy": "a50fe5a76cf2a283f1fe45e4265843847a8ffa03cdb0975f0098303c8b0bafb1",
+    "wl_partitions": "3699b7f14a3eccc1b6714cda91ee62f0308e30c46cc2c8ea5fda02e618fcadba",
 }
 
 
