@@ -288,18 +288,25 @@ def peek_digest_hex(data: bytes) -> str:
 
 
 class WireDecoder:
-    """decode_block + verify_block with a byte-level memo, so repeated
-    deliveries of the same datagram cost one hash instead of one
-    signature verification."""
+    """decode_block + verify_block behind one byte-level memo shared by
+    every decoder in the process.  Decoding and verifying are pure, so an
+    agent that receives bytes another agent already decoded gets the very
+    same `Block` (or `None` for bytes that do not decode and verify), and
+    repeated deliveries cost one hash instead of one signature
+    verification.
 
-    def __init__(self, cap: int = 1 << 16):
-        self._cap = cap
-        self._cache: dict[bytes, Block | None] = {}
+    Bound: the memo is cleared when it reaches `CAP` entries, so it holds
+    at most `CAP` (32-byte key, decoded block) entries, as `crypto`'s
+    memos do."""
+
+    CAP = 1 << 16
+    _cache: dict[bytes, Block | None] = {}
 
     def decode_verified(self, data: bytes) -> Block | None:
+        cache = WireDecoder._cache
         key = hashlib.sha256(data).digest()
-        if key in self._cache:
-            return self._cache[key]
+        if key in cache:
+            return cache[key]
         block: Block | None
         try:
             block = decode_block(data)
@@ -307,7 +314,7 @@ class WireDecoder:
                 block = None
         except WireError:
             block = None
-        if len(self._cache) > self._cap:
-            self._cache.clear()
-        self._cache[key] = block
+        if len(cache) >= WireDecoder.CAP:
+            cache.clear()
+        cache[key] = block
         return block

@@ -37,11 +37,36 @@ class OracleResult:
         assert self.verdict != FAIL or self.witness, "failure requires a witness"
 
 
-@dataclass
 class TraceEvent:
-    tick: int
-    type: str
-    fields: dict[str, str]
+    """One trace record other than FINAL: tick, event type and fields.
+
+    Held compactly, since a trace has tens of thousands of them: the field
+    keys are one tuple shared by every record of the same shape (its keys
+    in order), and the values are a tuple of their own.  `fields` builds
+    the `key=value` dict from the two on each read.  Events are equal when
+    their tick, type and fields are."""
+
+    __slots__ = ("tick", "type", "_keys", "_values")
+
+    def __init__(self, tick: int, type: str, keys: tuple[str, ...], values: tuple[str, ...]):
+        self.tick = tick
+        self.type = type
+        self._keys = keys
+        self._values = values
+
+    @property
+    def fields(self) -> dict[str, str]:
+        return dict(zip(self._keys, self._values))
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return (self.tick, self.type, self.fields) == (other.tick, other.type, other.fields)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TraceEvent(tick={self.tick!r}, type={self.type!r}, fields={self.fields!r})"
 
 
 class TraceData:
@@ -118,13 +143,16 @@ def parse_trace(text: str) -> TraceData:
     decode, and an `# agent` header line with a field without `=` or no
     name.  Event types, field keys and other field values go through
     one intern table, so each distinct string (a payload's hex, an id, an
-    address) is held once however many records repeat it, and each
+    address) is held once however many records repeat it; the key tuples
+    of `TraceEvent` are shared the same way, one per record shape; and each
     distinct FINAL block is decoded once and shared by every agent that
-    holds it.  Blank lines and `#` lines that are not header fields are
-    skipped."""
+    holds it.  These tables hold one entry per distinct value, so they are
+    bounded by the trace's own size.  Blank lines and `#` lines that are
+    not header fields are skipped."""
     data = TraceData()
     interned: dict[str, str] = {}
     intern = interned.setdefault
+    shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
     payloads: dict[str, str] = {}
     by_ordinal: list[str] = []
     finals: dict[str, Block] = {}
@@ -168,7 +196,7 @@ def parse_trace(text: str) -> TraceData:
         if len(parts) < 2:
             raise ValueError(f"trace line {line_no}: record has no event type")
         event_type = intern(parts[1], parts[1])
-        fields = {}
+        keys, values = [], []
         for part in parts[2:]:
             key, sep, value = part.partition("=")
             if not sep:
@@ -188,8 +216,10 @@ def parse_trace(text: str) -> TraceData:
                     shared = payloads[value] = value
                     by_ordinal.append(value)
                 value = shared
-            fields[intern(key, key)] = value
+            keys.append(intern(key, key))
+            values.append(value)
         if event_type == "FINAL":
+            fields = dict(zip(keys, values))
             for key in _FINAL_KEYS:
                 if key not in fields:
                     raise ValueError(f"trace line {line_no}: FINAL record has no {key}=")
@@ -207,7 +237,9 @@ def parse_trace(text: str) -> TraceData:
                 fields["kind"], []
             ).append(block)
         else:
-            data.events.append(TraceEvent(tick, event_type, fields))
+            shape = tuple(keys)
+            shape = shapes.setdefault(shape, shape)
+            data.events.append(TraceEvent(tick, event_type, shape, tuple(values)))
     return data
 
 

@@ -76,10 +76,12 @@ class Trace:
     of the same bytes came first.  v1 differs only in that repeats are
     written in full; `parse_trace` reads both.
 
-    The lines are kept in memory so a run can hand them over without
-    re-reading, as string parts that `text()` joins once.  The ordinal memo
-    holds one entry per distinct bytes value written, so it is bounded by
-    the trace's own size."""
+    The text is kept in memory so a run can hand it over without
+    re-reading.  Records accumulate as string parts until `text()` joins
+    them; the joined text then replaces the parts, so the trace is held
+    once, and a record written later is joined onto it by the next call.
+    The ordinal memo holds one entry per distinct bytes value written, so
+    it is bounded by the trace's own size."""
 
     def __init__(self):
         self._parts: list[str] = []
@@ -109,7 +111,9 @@ class Trace:
         parts.append(line + "\n")
 
     def text(self) -> str:
-        return "".join(self._parts)
+        joined = "".join(self._parts)
+        self._parts = [joined]
+        return joined
 
 
 class AddressTable:

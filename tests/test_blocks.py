@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -159,7 +160,30 @@ def test_wire_decoder_caches(kp):
     first = decoder.decode_verified(wire)
     second = decoder.decode_verified(wire)
     assert first is second
-    assert decoder.decode_verified(b"garbage") is None
+    blk = make_block(kp, b.Say(b"forged"))
+    unsigned = b.BlockId(blk.id.creator, blk.id.digest, bytes(64))
+    forged = b.encode_block(dataclasses.replace(blk, id=unsigned))
+    for wire in (b"garbage", forged):
+        assert decoder.decode_verified(wire) is None
+        assert decoder.decode_verified(wire) is None
+
+
+def test_wire_decoders_share_one_memo(kp):
+    wire = b.encode_block(make_block(kp, b.Say(b"shared")))
+    block = b.WireDecoder().decode_verified(wire)
+    assert block is not None and b.encode_block(block) == wire
+    assert b.WireDecoder().decode_verified(wire) is block
+
+
+def test_wire_decoder_memo_clears_at_cap(kp, monkeypatch):
+    monkeypatch.setattr(b.WireDecoder, "CAP", 3)
+    monkeypatch.setattr(b.WireDecoder, "_cache", {})
+    decoder = b.WireDecoder()
+    sizes = []
+    for i in range(7):
+        decoder.decode_verified(b.encode_block(make_block(kp, b.Say(b"%d" % i))))
+        sizes.append(len(b.WireDecoder._cache))
+    assert sizes == [1, 2, 3, 1, 2, 3, 1]
 
 
 @settings(max_examples=100, deadline=None)

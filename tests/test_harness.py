@@ -60,6 +60,59 @@ def test_parse_trace_shares_payloads_and_final_blocks():
     ) < len(finals)
 
 
+@pytest.mark.parametrize("name", ["tl_churn", "tl_forgery", "wl_equivocation", "wl_partitions"])
+def test_trace_event_fields_match_record_lines(name):
+    text = run_scenario(getattr(canned, name)(seed=1)).trace_text
+    events = iter(parse_trace(text).events)
+    payloads: list[str] = []
+    types = set()
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        tick, kind, *parts = line.split("\t")
+        fields = dict(part.split("=", 1) for part in parts)
+        for key in fields.keys() & {"bytes", "hex"}:
+            if fields[key].startswith("*"):
+                fields[key] = payloads[int(fields[key][1:])]
+            else:
+                payloads.append(fields[key])
+        if kind == "FINAL":
+            continue
+        event = next(events)
+        assert (event.tick, event.type, event.fields) == (int(tick), kind, fields)
+        types.add(kind)
+    assert next(events, None) is None
+    assert {"SUBMIT", "DROP_LOSS", "DELIVER", "TICK"} <= types
+
+
+def test_trace_events_compare_by_tick_type_and_fields():
+    def event(line: str):
+        (parsed,) = parse_trace(line + "\n").events
+        return parsed
+
+    one = event("3\tDELIVER\tdst=a/0\tagent=a\tid=ff")
+    assert one.fields == {"dst": "a/0", "agent": "a", "id": "ff"}
+    assert one == event("3\tDELIVER\tdst=a/0\tagent=a\tid=ff")
+    assert one == event("3\tDELIVER\tagent=a\tid=ff\tdst=a/0")
+    assert one != event("4\tDELIVER\tdst=a/0\tagent=a\tid=ff")
+    assert one != event("3\tDUP\tdst=a/0\tagent=a\tid=ff")
+    assert one != event("3\tDELIVER\tdst=a/0\tagent=b\tid=ff")
+    assert one != event("3\tDELIVER\tdst=a/0\tagent=a")
+
+
+def test_receivers_of_the_same_bytes_hold_one_block():
+    result = run_scenario(canned.wl_group(seed=1, utterances=3))
+    agents = [wrapper.inner for wrapper in result.wrappers.values()]
+    shared = 0
+    for creator in agents:
+        for block in creator.lace.by_creator(creator.agent_id):
+            held = [a.lace.get(block.id) for a in agents if a is not creator]
+            held = [h for h in held if h is not None]
+            assert all(h is held[0] for h in held)
+            shared += len(held) - 1
+    assert shared > 0
+
+
 def test_parse_trace_ignores_trailing_newline_blank_and_comment_lines():
     text = run_scenario(canned.tl_line(seed=1, utterances=2)).trace_text
     lines = text.splitlines()

@@ -223,6 +223,22 @@ def test_empty_trace_text_is_empty():
     assert Trace().text() == ""
 
 
+def test_trace_text_twice_is_equal():
+    trace = Trace()
+    trace.comment("seed=3")
+    trace.record(0, "SUBMIT", id="ab", bytes=b"\x01")
+    assert trace.text() == trace.text() == "# seed=3\n0\tSUBMIT\tid=ab\tbytes=01\n"
+
+
+def test_trace_record_after_text_appears_in_next_text():
+    trace = Trace()
+    trace.record(0, "SUBMIT", bytes=b"\x01")
+    first = trace.text()
+    trace.record(1, "SUBMIT", bytes=b"\x01")
+    trace.comment("end")
+    assert trace.text() == first + "1\tSUBMIT\tbytes=*0\n# end\n"
+
+
 def test_trace_comment_lines():
     trace = Trace()
     trace.comment("seed=3")
