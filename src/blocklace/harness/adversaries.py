@@ -47,10 +47,6 @@ class Ctx:
     wl_encrypt: bool = True
 
 
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
 def _encode(block: Block) -> bytes:
     return b.encode_block(block)
 
@@ -144,10 +140,6 @@ class AgentWrapper:
     def _cmd_respond_group(self, command, ctx):
         re = self._resolve_label(ctx, command["re"])
         return self._out(self.inner.respond_group(re, command["text"].encode("utf-8")))
-
-
-class CorrectWrapper(AgentWrapper):
-    pass
 
 
 class SilentWrapper(AgentWrapper):
@@ -301,7 +293,7 @@ class ForgerWrapper(AgentWrapper):
         body = b.canonical_encode(self.inner.current_address, Say(text), ())
         digest = crypto.hash_bytes(body)
         signature = ctx.rng.randbytes(crypto.SIGNATURE_LEN)
-        return _lp(victim) + _lp(digest) + _lp(signature) + body
+        return b._lp(victim) + b._lp(digest) + b._lp(signature) + body
 
     def _forge_tamper(self, victim: bytes) -> bytes:
         pool = [wire for creator, wire in self._material if creator == victim]
@@ -315,15 +307,15 @@ class ForgerWrapper(AgentWrapper):
             payload = Say(b"tampered-" + str(self._counter).encode())
         body = b.canonical_encode(block.address, payload, block.pointers)
         return (
-            _lp(block.id.creator)
-            + _lp(block.id.digest)
-            + _lp(block.id.signature)
+            b._lp(block.id.creator)
+            + b._lp(block.id.digest)
+            + b._lp(block.id.signature)
             + body
         )
 
 
 ROLE_WRAPPERS = {
-    "correct": CorrectWrapper,
+    "correct": AgentWrapper,
     "silent": SilentWrapper,
     "eavesdropper": EavesdropperWrapper,
     "equivocator": EquivocatorWrapper,

@@ -17,7 +17,7 @@ from typing import Optional
 from .. import blocks as b
 from ..blocks import Block, BlockId, Invite
 from ..lace import Blocklace
-from ..simnet import PAYLOAD_KEYS
+from ..simnet import ID_KEY, PAYLOAD_KEYS
 from ..wl import compute_member, group_partition, is_genesis
 from .scenario import Scenario
 
@@ -134,27 +134,35 @@ _FINAL_KEYS = ("agent", "kind", "hex")
 def parse_trace(text: str) -> TraceData:
     """Parse a trace's text, one newline-terminated line at a time.
 
-    Reads v2 and v1 alike.  A payload field (a key in `PAYLOAD_KEYS`) whose
-    value is `*N` refers to the N-th distinct payload in order of first
-    appearance, and resolves to the very `str` of that first occurrence; a
-    reference to no earlier payload raises `ValueError` naming the line, as
-    does a record line with a non-integer tick, no event type, or a field
-    without `=`, a `FINAL` record that lacks a field or whose block does not
-    decode, and an `# agent` header line with a field without `=` or no
-    name.  Event types, field keys and other field values go through
-    one intern table, so each distinct string (a payload's hex, an id, an
-    address) is held once however many records repeat it; the key tuples
-    of `TraceEvent` are shared the same way, one per record shape; and each
-    distinct FINAL block is decoded once and shared by every agent that
-    holds it.  These tables hold one entry per distinct value, so they are
-    bounded by the trace's own size.  Blank lines and `#` lines that are
-    not header fields are skipped."""
+    Reads v3, v2 and v1 alike.  A payload field (a key in `PAYLOAD_KEYS`)
+    whose value is `*N` refers to the N-th distinct payload in order of
+    first appearance, and resolves to the very `str` of that first
+    occurrence.  An `id` field whose value is `#M` refers to the M-th
+    distinct id in order of first appearance and resolves to its digest
+    hex, so events carry the same fields as in a v2 trace: when `#M` first
+    appears, its record must carry a `bytes` payload (inline or `*N`), and
+    the id is `peek_digest_hex` of that payload.  `ValueError` naming the
+    line is raised by a reference to no earlier payload, an `#M` that is
+    neither an earlier id nor the next new one, a new `#M` on a record
+    without a payload (or with a payload that is not hex), a record line
+    with a non-integer tick, no event type, or a field without `=`, a
+    `FINAL` record that lacks a field or whose block does not decode, and
+    an `# agent` header line with a field without `=` or no name.  Event
+    types, field keys and other field values go through one intern table,
+    so each distinct string (a payload's hex, an id, an address) is held
+    once however many records repeat it; the key tuples of `TraceEvent`
+    are shared the same way, one per record shape; and each distinct FINAL
+    block is decoded once and shared by every agent that holds it.  These
+    tables hold one entry per distinct value, so they are bounded by the
+    trace's own size.  Blank lines and `#` lines that are not header fields
+    are skipped."""
     data = TraceData()
     interned: dict[str, str] = {}
     intern = interned.setdefault
     shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
     payloads: dict[str, str] = {}
     by_ordinal: list[str] = []
+    id_of: dict[str, str] = {}  # "#M" -> digest hex
     finals: dict[str, Block] = {}
     pos, end, line_no = 0, len(text), 0
     while pos < end:
@@ -197,12 +205,25 @@ def parse_trace(text: str) -> TraceData:
             raise ValueError(f"trace line {line_no}: record has no event type")
         event_type = intern(parts[1], parts[1])
         keys, values = [], []
+        new_id_at = None
         for part in parts[2:]:
             key, sep, value = part.partition("=")
             if not sep:
                 raise ValueError(f"trace line {line_no}: field {part!r} has no '='")
             if key not in PAYLOAD_KEYS:
-                value = intern(value, value)
+                if key != ID_KEY:
+                    value = intern(value, value)
+                elif value in id_of:
+                    value = id_of[value]
+                elif not value.startswith("#"):
+                    value = intern(value, value)
+                elif value == f"#{len(id_of)}" and new_id_at is None:
+                    new_id_at = len(values)
+                else:
+                    raise ValueError(
+                        f"trace line {line_no}: {key}={value} is neither an"
+                        f" earlier id nor #{len(id_of)}, the next new one"
+                    )
             elif value.startswith("*"):
                 ref = value[1:]
                 if not (ref.isdecimal() and int(ref) < len(by_ordinal)):
@@ -218,6 +239,16 @@ def parse_trace(text: str) -> TraceData:
                 value = shared
             keys.append(intern(key, key))
             values.append(value)
+        if new_id_at is not None:
+            try:
+                payload = bytes.fromhex(values[keys.index("bytes")])
+            except ValueError:
+                raise ValueError(
+                    f"trace line {line_no}: new {ID_KEY}={values[new_id_at]} on a"
+                    " record without a hex bytes= payload"
+                ) from None
+            token, digest = values[new_id_at], b.peek_digest_hex(payload)
+            id_of[token] = values[new_id_at] = intern(digest, digest)
         if event_type == "FINAL":
             fields = dict(zip(keys, values))
             for key in _FINAL_KEYS:

@@ -33,7 +33,7 @@ from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
 from .scenario import Event, Scenario
 
-TRACE_HEADER = "blocklace-trace v2"
+TRACE_HEADER = "blocklace-trace v3"
 
 
 @dataclass
@@ -117,7 +117,7 @@ class Runner:
     def _submit(self, src_agent: str, sends: list[RawSend], now: int):
         src_address = self.net.table.address_of(src_agent) or ""
         for dst, payload in sends:
-            self.net.submit(Datagram(src_address, dst, payload, now), now)
+            self.net.submit(Datagram(src_address, dst, payload), now)
 
     def _correct_targets(self) -> list[tuple[str, NetAddress]]:
         out = []

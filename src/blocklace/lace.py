@@ -188,7 +188,7 @@ class Blocklace:
         """All present blocks that `block` observes, in insertion order."""
         if block.id not in self._index:
             return []
-        return self._blocks_of_mask(self._mask[block.id])
+        return self.blocks_of_mask(self._mask[block.id])
 
     def self_closure(self, block: Block) -> list[Block]:
         """Blocks reachable from `block` via pointers to same-creator blocks."""
@@ -276,16 +276,13 @@ class Blocklace:
 
     # --- internals -------------------------------------------------------
 
-    def _blocks_of_mask(self, mask: int) -> list[Block]:
+    def blocks_of_mask(self, mask: int) -> list[Block]:
         out = []
         while mask:
             low = mask & -mask
             out.append(self._order[low.bit_length() - 1])
             mask ^= low
         return out
-
-    def blocks_of_mask(self, mask: int) -> list[Block]:
-        return self._blocks_of_mask(mask)
 
     def mask_of(self, block_id: BlockId) -> int:
         return self._mask.get(block_id, 0)

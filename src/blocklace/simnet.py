@@ -51,21 +51,24 @@ class Datagram:
     src: NetAddress
     dst: NetAddress
     payload: bytes
-    inject_time: int
 
 
 # Field keys whose values are payloads: `bytes` values, written as hex the
 # first time and as a `*N` back-reference after.  The trace reader resolves
 # references on exactly these keys.
 PAYLOAD_KEYS = ("bytes", "hex")
+# Field key whose values are block ids (a payload's digest, as
+# `peek_digest_hex` reads it), always written as an `#N` back-reference.
+ID_KEY = "id"
 
 
 class Trace:
     """Line-delimited event log; the oracles' input.
 
     A record is one line: tick, event type and `key=value` fields, separated
-    by tabs.  A `bytes` field value is a payload, and the text is the `v2`
-    format that the runner's header names: the first record carrying a
+    by tabs.  The text is the `v3` format that the runner's header names.
+
+    A `bytes` field value is a payload: the first record carrying a
     distinct payload writes it in full as hex, and every later record
     carrying the same bytes writes `key=*N` instead, where N is the 0-based
     ordinal of that distinct payload in order of first appearance, counted
@@ -73,19 +76,33 @@ class Trace:
     reference is unambiguous.  The first occurrence stays inline rather than
     in a separate record because readers of `SUBMIT` lines take a block's
     payload from its first `SUBMIT`, which carries the hex unless a `FORGE`
-    of the same bytes came first.  v1 differs only in that repeats are
-    written in full; `parse_trace` reads both.
+    of the same bytes came first.
+
+    An `id` field value is written as `#M`, every occurrence the first one
+    included, where M is the 0-based ordinal of that distinct id string in
+    order of first appearance, numbered apart from the payload ordinals.
+    An id is a pure function of a payload, so the record that first
+    carries an id must also carry the payload it is the digest of, and
+    readers recover the hex from that payload; `record` raises
+    `ValueError` otherwise.  Writing the first occurrence as a reference
+    too keeps every record of one id spelled the same, so a reader that
+    keys records on the raw `id` text still groups them correctly.  Other
+    fields that hold ids (`EQUIVOCATE`'s `id_a` and `id_b`) stay hex.
+
+    v2 differs only in writing ids as hex, and v1 also in writing repeated
+    payloads in full; `parse_trace` reads all three.
 
     The text is kept in memory so a run can hand it over without
     re-reading.  Records accumulate as string parts until `text()` joins
     them; the joined text then replaces the parts, so the trace is held
     once, and a record written later is joined onto it by the next call.
-    The ordinal memo holds one entry per distinct bytes value written, so
-    it is bounded by the trace's own size."""
+    The ordinal memos hold one entry per distinct payload or id written,
+    so they are bounded by the trace's own size."""
 
     def __init__(self):
         self._parts: list[str] = []
         self._ordinal: dict[bytes, int] = {}
+        self._id_ordinal: dict[str, int] = {}
 
     def comment(self, text: str):
         """A `# text` header line."""
@@ -106,6 +123,16 @@ class Trace:
                     line = ""
                 else:
                     line += f"\t{key}=*{ordinal}"
+            elif key == ID_KEY:
+                ordinal = self._id_ordinal.get(value)
+                if ordinal is None:
+                    payload = fields.get("bytes")
+                    if not isinstance(payload, bytes) or peek_digest_hex(payload) != value:
+                        raise ValueError(
+                            f"new id {value!r} is not the digest of the record's bytes"
+                        )
+                    ordinal = self._id_ordinal[value] = len(self._id_ordinal)
+                line += f"\t{key}=#{ordinal}"
             else:
                 line += f"\t{key}={value}"
         parts.append(line + "\n")
@@ -143,6 +170,9 @@ class AddressTable:
         return self._owner_address.get(agent)
 
     def owner_at(self, address: NetAddress, tick: int) -> Optional[str]:
+        """The agent bound to `address` at the end of `tick`.  Delivery does
+        not ask this: `SimNet` records the owner when a datagram is
+        submitted."""
         # History is append-only and an agent holds one address at a time,
         # so replaying bindings up to `tick` is the simplest correct answer.
         held: dict[str, NetAddress] = {}
@@ -167,7 +197,8 @@ class SimNet:
         # str seeds hash deterministically (unlike tuples, which go through
         # PYTHONHASHSEED-dependent hash()).
         self._rng = random.Random(f"simnet:{config.seed}")
-        self._schedule: dict[int, list[Datagram]] = {}
+        # tick -> (datagram, its id, destination owner at submission)
+        self._schedule: dict[int, list[tuple[Datagram, str, Optional[str]]]] = {}
         self._in_flight = 0
 
     # --- bindings -----------------------------------------------------------
@@ -204,9 +235,12 @@ class SimNet:
         if self._rng.random() < self.config.dup_prob:
             copies += 1
             self.trace.record(now, "DUP", src=datagram.src, dst=datagram.dst, id=digest)
+        # The destination's owner now, so delivery can tell whether the
+        # address changed hands in flight.
+        entry = (datagram, digest, self.table.owner(datagram.dst))
         for _ in range(copies):
             when = now + self._rng.randint(self.config.delay_min, self.config.delay_max)
-            self._schedule.setdefault(when, []).append(datagram)
+            self._schedule.setdefault(when, []).append(entry)
             self._in_flight += 1
 
     def step(self, now: int) -> list[tuple[str, bytes, NetAddress]]:
@@ -216,10 +250,8 @@ class SimNet:
         self._in_flight -= len(batch)
         self._rng.shuffle(batch)
         out = []
-        for datagram in batch:
-            digest = peek_digest_hex(datagram.payload)
+        for datagram, digest, owner_at_submit in batch:
             owner = self.table.owner(datagram.dst)
-            owner_at_submit = self.table.owner_at(datagram.dst, datagram.inject_time)
             if owner is None or owner != owner_at_submit:
                 self.trace.record(
                     now, "DROP_STALE", src=datagram.src, dst=datagram.dst, id=digest

@@ -65,6 +65,7 @@ def test_trace_event_fields_match_record_lines(name):
     text = run_scenario(getattr(canned, name)(seed=1)).trace_text
     events = iter(parse_trace(text).events)
     payloads: list[str] = []
+    ids: list[str] = []
     types = set()
     for line in text.splitlines():
         if not line or line.startswith("#"):
@@ -76,6 +77,11 @@ def test_trace_event_fields_match_record_lines(name):
                 fields[key] = payloads[int(fields[key][1:])]
             else:
                 payloads.append(fields[key])
+        if "id" in fields:
+            ordinal = int(fields["id"].removeprefix("#"))
+            if ordinal == len(ids):
+                ids.append(b.peek_digest_hex(bytes.fromhex(fields["bytes"])))
+            fields["id"] = ids[ordinal]
         if kind == "FINAL":
             continue
         event = next(events)
@@ -142,6 +148,60 @@ def test_parse_trace_rejects_unresolved_payload_reference(records, line_no):
     text = "\n".join(["# blocklace-trace v2", *records]) + "\n"
     with pytest.raises(ValueError, match=rf"^trace line {line_no}: "):
         parse_trace(text)
+
+
+# Wire bytes, as hex, whose digest field (the second length-prefixed
+# field) is "01".
+WIRE_01 = "0000000163" "0000000101"
+UNRESOLVED_ID_TRACES = [
+    pytest.param(
+        ["0\tSUBMIT\tid=#0\tbytes=" + WIRE_01, "1\tDELIVER\tagent=a\tid=#7"],
+        3,
+        "neither an earlier id nor #1",
+        id="dangling",
+    ),
+    pytest.param(
+        ["0\tSUBMIT\tid=#1\tbytes=" + WIRE_01],
+        2,
+        "neither an earlier id nor #0",
+        id="forward",
+    ),
+    pytest.param(
+        ["0\tDELIVER\tagent=a\tid=#0", "0\tSUBMIT\tid=#0\tbytes=" + WIRE_01],
+        2,
+        "new id=#0 on a record without a hex bytes= payload",
+        id="no_payload",
+    ),
+]
+
+
+def test_parse_trace_resolves_id_from_first_payload():
+    text = "\n".join(
+        [
+            "# blocklace-trace v3",
+            "0\tSUBMIT\tid=#0\tbytes=" + WIRE_01,
+            "1\tSUBMIT\tid=#1\tbytes=ff",
+            "2\tDELIVER\tagent=a\tid=#0",
+        ]
+    )
+    assert [e.fields["id"] for e in parse_trace(text).events] == ["01", "invalid", "01"]
+
+
+@pytest.mark.parametrize("records, line_no, problem", UNRESOLVED_ID_TRACES)
+def test_parse_trace_rejects_unresolved_id_reference(records, line_no, problem):
+    text = "\n".join(["# blocklace-trace v3", *records]) + "\n"
+    with pytest.raises(ValueError, match=rf"^trace line {line_no}: .*{problem}"):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize("records, line_no, problem", UNRESOLVED_ID_TRACES)
+def test_cli_verify_rejects_unresolved_id_reference(tmp_path, capsys, records, line_no, problem):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text("\n".join(["# blocklace-trace v3", *records]) + "\n")
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+    assert f"invalid trace: trace line {line_no}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -285,7 +345,9 @@ def test_equivocate_trace_record():
     result = run_scenario(canned.wl_equivocation(seed=1))
     events = [line for line in result.trace_text.splitlines() if "\tEQUIVOCATE\t" in line]
     assert len(events) == 1
-    assert "id_a=" in events[0] and "id_b=" in events[0]
+    fields = dict(part.split("=", 1) for part in events[0].split("\t")[2:])
+    for key in ("id_a", "id_b"):
+        int(fields[key], 16)  # full hex, not an `#N` reference
 
 
 @pytest.mark.parametrize("seed", [26, 34])

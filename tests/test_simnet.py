@@ -33,7 +33,7 @@ def test_config_validation():
 def test_exactly_once_next_tick():
     net, _ = _net()
     net.bind("alice", "a/0")
-    net.submit(Datagram("b/0", "a/0", b"payload", 0), 0)
+    net.submit(Datagram("b/0", "a/0", b"payload"), 0)
     delivered = _drain(net, 5)
     assert delivered == [(1, "alice", b"payload")]
     assert net.in_flight() == 0
@@ -43,7 +43,7 @@ def test_total_loss():
     net, trace = _net(loss_prob=1.0)
     net.bind("alice", "a/0")
     for i in range(50):
-        net.submit(Datagram("b/0", "a/0", b"x", i), i)
+        net.submit(Datagram("b/0", "a/0", b"x"), i)
     assert _drain(net, 60) == []
     assert sum("DROP_LOSS" in line for line in trace.text().splitlines()) == 50
 
@@ -51,7 +51,7 @@ def test_total_loss():
 def test_duplication():
     net, trace = _net(dup_prob=1.0)
     net.bind("alice", "a/0")
-    net.submit(Datagram("b/0", "a/0", b"x", 0), 0)
+    net.submit(Datagram("b/0", "a/0", b"x"), 0)
     delivered = _drain(net, 5)
     assert len(delivered) == 2
     assert sum("DUP" in line for line in trace.text().splitlines()) == 1
@@ -62,7 +62,7 @@ def test_delivery_byte_identity():
     net.bind("alice", "a/0")
     payload = bytes(range(256))
     for i in range(20):
-        net.submit(Datagram("b/0", "a/0", payload, 0), 0)
+        net.submit(Datagram("b/0", "a/0", payload), 0)
     for _, _, got in _drain(net, 10):
         assert got == payload
 
@@ -72,7 +72,7 @@ def test_seeded_schedule_reproducible():
         net, trace = _net(loss_prob=0.4, dup_prob=0.2, delay_max=5, seed=seed)
         net.bind("alice", "a/0")
         for i in range(30):
-            net.submit(Datagram("b/0", "a/0", b"m%d" % i, i), i)
+            net.submit(Datagram("b/0", "a/0", b"m%d" % i), i)
             net.step(i)
         for i in range(30, 45):
             net.step(i)
@@ -87,7 +87,7 @@ def test_fair_lossy_resubmission():
     net, _ = _net(loss_prob=0.9, seed=1)
     net.bind("alice", "a/0")
     for i in range(10_000):
-        net.submit(Datagram("b/0", "a/0", b"persistent", i), i)
+        net.submit(Datagram("b/0", "a/0", b"persistent"), i)
     delivered = _drain(net, 10_005)
     assert len(delivered) >= 1
 
@@ -95,7 +95,7 @@ def test_fair_lossy_resubmission():
 def test_rebind_drops_in_flight():
     net, trace = _net(delay_min=3, delay_max=3)
     net.bind("alice", "a/0")
-    net.submit(Datagram("b/0", "a/0", b"late", 0), 0)
+    net.submit(Datagram("b/0", "a/0", b"late"), 0)
     net.rebind("alice", "a/1", 1)
     assert _drain(net, 6) == []
     assert any("DROP_STALE" in line for line in trace.text().splitlines())
@@ -106,7 +106,7 @@ def test_rebind_then_new_address_delivers():
     net, _ = _net()
     net.bind("alice", "a/0")
     net.rebind("alice", "a/1", 0)
-    net.submit(Datagram("b/0", "a/1", b"hello", 1), 1)
+    net.submit(Datagram("b/0", "a/1", b"hello"), 1)
     assert _drain(net, 4) == [(2, "alice", b"hello")]
 
 
@@ -131,7 +131,7 @@ def test_address_reuse_is_stale_for_old_traffic():
     net, trace = _net(delay_min=5, delay_max=5)
     net.bind("alice", "a/0")
     net.bind("bob", "b/0")
-    net.submit(Datagram("x/0", "a/0", b"for-alice", 0), 0)
+    net.submit(Datagram("x/0", "a/0", b"for-alice"), 0)
     net.rebind("alice", "a/1", 1)
     net.rebind("bob", "a/0", 2)
     assert _drain(net, 8) == []
@@ -154,7 +154,7 @@ def test_same_tick_deliveries_shuffled_deterministically():
         net, _ = _net(seed=seed)
         net.bind("alice", "a/0")
         for i in range(10):
-            net.submit(Datagram("b/0", "a/0", b"%d" % i, 0), 0)
+            net.submit(Datagram("b/0", "a/0", b"%d" % i), 0)
         return [payload for _, payload, _ in net.step(1)]
 
     assert order(0) == order(0)
@@ -164,20 +164,20 @@ def test_same_tick_deliveries_shuffled_deterministically():
 def test_trace_renders_bytes_as_hex():
     trace = Trace()
     payload = bytes(range(256))
-    trace.record(3, "SUBMIT", src="b/0", id="ab", bytes=payload, n=2)
+    trace.record(3, "SUBMIT", src="b/0", bytes=payload, n=2)
     trace.record(4, "TICK", agent="alice", sends=0)
     assert trace.text() == (
-        f"3\tSUBMIT\tsrc=b/0\tid=ab\tbytes={payload.hex()}\tn=2\n"
+        f"3\tSUBMIT\tsrc=b/0\tbytes={payload.hex()}\tn=2\n"
         "4\tTICK\tagent=alice\tsends=0\n"
     )
 
 
 def test_trace_writes_first_payload_inline_then_references_it():
     trace = Trace()
-    trace.record(0, "SUBMIT", id="ab", bytes=b"same payload")
+    trace.record(0, "SUBMIT", bytes=b"same payload")
     trace.record(1, "FINAL", agent="a", hex=bytes(b"same payload"))
     assert trace.text() == (
-        f"0\tSUBMIT\tid=ab\tbytes={b'same payload'.hex()}\n"
+        f"0\tSUBMIT\tbytes={b'same payload'.hex()}\n"
         "1\tFINAL\tagent=a\thex=*0\n"
     )
 
@@ -214,6 +214,62 @@ def test_trace_empty_payload_takes_an_ordinal():
     ]
 
 
+def _wire(digest: bytes) -> bytes:
+    """Bytes that `peek_digest_hex` reads `digest` from: two
+    length-prefixed fields, a creator and the digest."""
+    return b"\0\0\0\1c" + len(digest).to_bytes(4, "big") + digest
+
+
+def test_trace_writes_every_id_as_a_reference():
+    one, two = _wire(b"\xaa"), _wire(b"\xbb")
+    trace = Trace()
+    trace.record(0, "FINAL", hex=b"\x03")
+    trace.record(1, "SUBMIT", id="aa", bytes=one)
+    trace.record(1, "DROP_LOSS", id="aa")
+    trace.record(2, "SUBMIT", id="bb", bytes=two)
+    trace.record(3, "DELIVER", agent="alice", id="aa")
+    trace.record(3, "SUBMIT", id="bb", bytes=two)
+    trace.record(4, "EQUIVOCATE", agent="eve", id_a="aa", id_b="bb")
+    assert trace.text().splitlines() == [
+        "0\tFINAL\thex=03",
+        f"1\tSUBMIT\tid=#0\tbytes={one.hex()}",
+        "1\tDROP_LOSS\tid=#0",
+        f"2\tSUBMIT\tid=#1\tbytes={two.hex()}",
+        "3\tDELIVER\tagent=alice\tid=#0",
+        "3\tSUBMIT\tid=#1\tbytes=*2",
+        "4\tEQUIVOCATE\tagent=eve\tid_a=aa\tid_b=bb",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(id="aa"), dict(id="aa", bytes=_wire(b"\xbb")), dict(id="aa", hex=_wire(b"\xaa"))],
+)
+def test_trace_rejects_new_id_without_its_payload(fields):
+    with pytest.raises(ValueError, match="not the digest of the record's bytes"):
+        Trace().record(0, "SUBMIT", **fields)
+
+
+def test_simnet_trace_refers_to_one_id_per_payload():
+    net, trace = _net()
+    net.bind("alice", "a/0")
+    for payload in (_wire(b"\x01"), _wire(b"\x02"), _wire(b"\x01")):
+        net.submit(Datagram("b/0", "a/0", payload), 0)
+    _drain(net, 2)
+    ids = sorted(
+        (line.split("\t")[1], line.split("\tid=")[1].split("\t")[0])
+        for line in trace.text().splitlines()
+    )
+    assert ids == [
+        ("DELIVER", "#0"),
+        ("DELIVER", "#0"),
+        ("DELIVER", "#1"),
+        ("SUBMIT", "#0"),
+        ("SUBMIT", "#0"),
+        ("SUBMIT", "#1"),
+    ]
+
+
 def test_trace_rejects_bytes_under_other_keys():
     with pytest.raises(ValueError, match="payload key"):
         Trace().record(0, "SUBMIT", id=b"\x01")
@@ -226,8 +282,8 @@ def test_empty_trace_text_is_empty():
 def test_trace_text_twice_is_equal():
     trace = Trace()
     trace.comment("seed=3")
-    trace.record(0, "SUBMIT", id="ab", bytes=b"\x01")
-    assert trace.text() == trace.text() == "# seed=3\n0\tSUBMIT\tid=ab\tbytes=01\n"
+    trace.record(0, "SUBMIT", bytes=b"\x01")
+    assert trace.text() == trace.text() == "# seed=3\n0\tSUBMIT\tbytes=01\n"
 
 
 def test_trace_record_after_text_appears_in_next_text():

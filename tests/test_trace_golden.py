@@ -2,11 +2,14 @@
 exactly these trace bytes.  A change that alters a trace on purpose must
 say so and update the hash here; any other change must leave them alone.
 
-The trace is written in the v2 encoding, where a repeated payload is a
-`*N` back-reference.  `GOLDEN_SHA256` pins the v1 bytes of the same runs:
-expanding each v2 trace back to v1 must reproduce them, so a change to the
-encoding alone moves only `GOLDEN_V2_SHA256`, while a change to what the
-agents send moves both."""
+The trace is written in the v3 encoding, where a repeated payload is a
+`*N` back-reference and every block id is an `#M` back-reference.
+`GOLDEN_V3_SHA256` pins those bytes.  `GOLDEN_V2_SHA256` pins the v2 bytes
+of the same runs (ids spelled out as hex) and `GOLDEN_SHA256` the v1 bytes
+(repeated payloads spelled out too): expanding each v3 trace to v2 and on
+to v1 must reproduce them.  So a change to the encoding alone moves only
+the table of its own version, while a change to what the agents send
+moves all three."""
 
 import hashlib
 import json
@@ -34,6 +37,21 @@ GOLDEN_SHA256 = {
     "wl_privacy": "dda191e82b99e05d28d0b4aa38ecb07525387ec4423579b3e9a70b031606cceb",
     "wl_partitions": "bd8eb2aeaa238824cb5bc2f77ca250bdc32e9a9ddda8535612d978eec2b4101d",
 }
+GOLDEN_V3_SHA256 = {
+    "tl_line": "bf2cc6c344280cb7087d0b758db05c3cc9d8bdb620997ea8bd84d639e69626b3",
+    "tl_star": "790f891559416dbc47143ac0e704b3265a311390484d4f0733bb39ce069efaa4",
+    "tl_ring": "a080b3e4bebde5ea3ab113ce2e225820bae24e3e2f974df51e596c8b54c3a708",
+    "tl_line_broken": "4b892ffc1725d7c638543ef0e6d37c09fa246e2f20f02617136c1db472dc9847",
+    "tl_churn": "2ed51dc40b92aeb8b0292374103c9f8bc69c762dcdb2dec06c212579ecadd32c",
+    "tl_forgery": "7967b4b8b77b3b6008f154155f7394a9210f42f81ebc2070c36e66a98b8bf84c",
+    "wl_group": "b1cd0ba2767c816a32e993a1a1dc1cb3cf10adef5e7f6f017aff7938a6c54df6",
+    "wl_dropper": "cc34b5732defe5ecc1a3923ea277508e4e24e1c03c9432b05c1618a67854e96f",
+    "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
+    "wl_churn": "bfb801c7d8c9db2ba642f89ac6e0664aa50513f38d55d77cb7b574c7d19d7ac0",
+    "wl_equivocation": "6aa630204f5223be0a8adabed12cdb52cb7fd962a7c5317a2ef9b103757f868f",
+    "wl_privacy": "5ac1d916c09dcb0d56170ff609ed9752740113c011d0eba7ad572b10f5d488c9",
+    "wl_partitions": "d89528cbc25113360d3cebeca8dddbac9f88acf024169fc1f5a2210e9269c63b",
+}
 GOLDEN_V2_SHA256 = {
     "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
     "tl_star": "2b143f77e89cf811f7330eccb866394901ba5933d8856dd39585f7d4b52159ea",
@@ -49,6 +67,53 @@ GOLDEN_V2_SHA256 = {
     "wl_privacy": "a50fe5a76cf2a283f1fe45e4265843847a8ffa03cdb0975f0098303c8b0bafb1",
     "wl_partitions": "3699b7f14a3eccc1b6714cda91ee62f0308e30c46cc2c8ea5fda02e618fcadba",
 }
+
+
+def _digest_hex(payload_hex: str) -> str:
+    """The second length-prefixed field of wire bytes given as hex (a
+    block's digest), or "invalid" when the bytes end before it does."""
+    end = 0
+    for _ in range(2):
+        start = end + 8
+        if start > len(payload_hex):
+            return "invalid"
+        end = start + 2 * int(payload_hex[start - 8 : start], 16)
+        if end > len(payload_hex):
+            return "invalid"
+    return payload_hex[start:end]
+
+
+def to_v2(text: str) -> str:
+    """The v2 text of a v3 trace: the header names v2 and every `id=#M`
+    is replaced by the digest of the payload on the record where `#M`
+    first appears.  Written apart from `parse_trace` so the two readings
+    of the format check each other."""
+    payloads: list[str] = []
+    ids: list[str] = []
+    lines = []
+    for line in text.split("\n"):
+        if line == "# blocklace-trace v3":
+            line = "# blocklace-trace v2"
+        elif line and not line.startswith("#"):
+            parts = line.split("\t")
+            fields = dict(part.split("=", 1) for part in parts[2:])
+            for key in ("bytes", "hex"):
+                value = fields.get(key)
+                if value is None:
+                    continue
+                if value.startswith("*"):
+                    fields[key] = payloads[int(value[1:])]
+                else:
+                    payloads.append(value)
+            if "id" in fields:
+                ordinal = int(fields["id"][1:])
+                if ordinal == len(ids):
+                    ids.append(_digest_hex(fields["bytes"]))
+                at = next(i for i, part in enumerate(parts) if part.startswith("id="))
+                parts[at] = f"id={ids[ordinal]}"
+            line = "\t".join(parts)
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def to_v1(text: str) -> str:
@@ -80,7 +145,12 @@ def _sha256(text: str) -> str:
 
 
 def test_golden_covers_every_canned_scenario():
-    assert set(GOLDEN_SHA256) == set(GOLDEN_V2_SHA256) == set(canned.CANNED)
+    assert (
+        set(GOLDEN_SHA256)
+        == set(GOLDEN_V2_SHA256)
+        == set(GOLDEN_V3_SHA256)
+        == set(canned.CANNED)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
@@ -88,13 +158,27 @@ def test_trace_bytes_unchanged(name):
     runner = Runner(canned.CANNED[name](seed=GOLDEN_SEED))
     runner.run()
     text = runner.trace.text()
-    assert _sha256(text) == GOLDEN_V2_SHA256[name]
-    assert _sha256(to_v1(text)) == GOLDEN_SHA256[name]
+    assert _sha256(text) == GOLDEN_V3_SHA256[name]
+    v2_text = to_v2(text)
+    assert _sha256(v2_text) == GOLDEN_V2_SHA256[name]
+    assert _sha256(to_v1(v2_text)) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])
+def test_parse_trace_reads_v3_as_v2(name):
+    text = run_scenario(canned.CANNED[name](seed=GOLDEN_SEED)).trace_text
+    v2_text = to_v2(text)
+    assert "\tid=#" in text and "\tid=#" not in v2_text
+    v3, v2 = parse_trace(text), parse_trace(v2_text)
+    assert v3.events == v2.events
+    assert v3.finals == v2.finals
+    assert v3.agents == v2.agents
+    assert v3.meta == v2.meta
 
 
 @pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])
 def test_parse_trace_reads_v1_as_v2(name):
-    text = run_scenario(canned.CANNED[name](seed=GOLDEN_SEED)).trace_text
+    text = to_v2(run_scenario(canned.CANNED[name](seed=GOLDEN_SEED)).trace_text)
     v1_text = to_v1(text)
     assert "=*" not in v1_text and "=*" in text
     v1, v2 = parse_trace(v1_text), parse_trace(text)
@@ -109,6 +193,16 @@ def test_cli_verifies_saved_v1_trace(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(scenario.to_dict()))
     trace_path = tmp_path / "v1.trace"
-    trace_path.write_text(to_v1(run_scenario(scenario).trace_text))
+    trace_path.write_text(to_v1(to_v2(run_scenario(scenario).trace_text)))
     assert trace_path.read_text().startswith("# blocklace-trace v1\n")
+    assert cli_main(["verify", str(trace_path), str(scenario_path)]) == 0
+
+
+def test_cli_verifies_saved_v2_trace(tmp_path):
+    scenario = canned.tl_line(seed=GOLDEN_SEED, utterances=3)
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(scenario.to_dict()))
+    trace_path = tmp_path / "v2.trace"
+    trace_path.write_text(to_v2(run_scenario(scenario).trace_text))
+    assert trace_path.read_text().startswith("# blocklace-trace v2\n")
     assert cli_main(["verify", str(trace_path), str(scenario_path)]) == 0
