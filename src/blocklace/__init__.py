@@ -10,7 +10,6 @@ from .blocks import (
     Follow,
     Group,
     Invite,
-    IpAnnounce,
     NetAddress,
     Payload,
     Respond,
@@ -42,7 +41,6 @@ __all__ = [
     "Group",
     "GroupKey",
     "Invite",
-    "IpAnnounce",
     "Keypair",
     "NetAddress",
     "NetConfig",

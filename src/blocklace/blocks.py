@@ -94,15 +94,9 @@ class Accept:
     pass
 
 
-@dataclass(frozen=True)
-class IpAnnounce:
-    agent: AgentId
-    address: NetAddress
+Payload = Union[Empty, Follow, Say, Respond, Ack, Group, Invite, Accept]
 
-
-Payload = Union[Empty, Follow, Say, Respond, Ack, Group, Invite, Accept, IpAnnounce]
-
-_PAYLOAD_TAGS = [Empty, Follow, Say, Respond, Ack, Group, Invite, Accept, IpAnnounce]
+_PAYLOAD_TAGS = [Empty, Follow, Say, Respond, Ack, Group, Invite, Accept]
 _TAG_OF = {cls: bytes([i]) for i, cls in enumerate(_PAYLOAD_TAGS)}
 
 
@@ -161,8 +155,6 @@ def _encode_payload(payload: Payload) -> bytes:
         return tag + _lp(payload.name)
     if isinstance(payload, Invite):
         return tag + _lp(payload.target) + _lp(payload.sealed_key)
-    if isinstance(payload, IpAnnounce):
-        return tag + _lp(payload.agent) + _lp(payload.address.encode("utf-8"))
     raise TypeError(f"unknown payload {payload!r}")
 
 
@@ -184,8 +176,6 @@ def _decode_payload(reader: _Reader) -> Payload:
         return Group(reader.take_lp())
     if cls is Invite:
         return Invite(reader.take_lp(), reader.take_lp())
-    if cls is IpAnnounce:
-        return IpAnnounce(reader.take_lp(), reader.take_lp().decode("utf-8"))
     raise WireError("unreachable")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .blocks import Block, BlockId, IpAnnounce, NetAddress, verify_block
+from .blocks import Block, BlockId, NetAddress, verify_block
 from .crypto import AgentId
 
 
@@ -37,7 +37,6 @@ class Blocklace:
         self._known: dict[AgentId, int] = {}           # union of closures of a creator's blocks
         self._pointed: set[BlockId] = set()
         self._tips: set[BlockId] = set()
-        self._ip_announcements: dict[AgentId, list[Block]] = {}
         self._version = 0
         self._heads_cache: dict[AgentId, tuple[int, list[Block]]] = {}
 
@@ -87,9 +86,6 @@ class Blocklace:
 
         if block.id not in self._pointed:
             self._tips.add(block.id)
-
-        if isinstance(block.payload, IpAnnounce):
-            self._ip_announcements.setdefault(block.payload.agent, []).append(block)
 
         if block.id in self._missing:
             del self._missing[block.id]
@@ -194,18 +190,7 @@ class Blocklace:
         """Blocks reachable from `block` via pointers to same-creator blocks."""
         if block.id not in self._blocks:
             return []
-        creator = block.creator
-        seen = {block.id}
-        queue = [block]
-        out = [block]
-        while queue:
-            for ptr in queue.pop().pointers:
-                target = self._blocks.get(ptr)
-                if target is not None and target.creator == creator and ptr not in seen:
-                    seen.add(ptr)
-                    queue.append(target)
-                    out.append(target)
-        return sorted(out, key=Block.sort_key)
+        return sorted(self.blocks_of_mask(self._self_mask[block.id]), key=Block.sort_key)
 
     def agent_observes(self, agent: AgentId, block: Block) -> bool:
         """True iff this blocklace holds an agent-created block observing
@@ -243,8 +228,7 @@ class Blocklace:
 
         The agent's own most recent block wins; if the agent equivocated
         (no single latest block), ties break to the maximal block with the
-        smallest digest.  Third-party announcements are consulted only when
-        the agent has no blocks here at all.
+        smallest digest.  None when the agent has no blocks here.
         """
         own = self._by_creator.get(agent)
         if own:
@@ -255,10 +239,6 @@ class Blocklace:
             # No single latest block: the maximal one with the smallest
             # digest (heads of one creator sort by digest).
             return self.creator_heads(agent)[0].address
-        announcements = self._ip_announcements.get(agent)
-        if announcements:
-            chosen = min(announcements, key=Block.sort_key)
-            return chosen.payload.address
         return None
 
     def detect_equivocations(self, agent: AgentId) -> list[tuple[Block, Block]]:
@@ -295,6 +275,14 @@ class Blocklace:
 
     def known_mask(self, agent: AgentId) -> int:
         return self._known.get(agent, 0)
+
+    def creator_mask(self, agent: AgentId) -> int:
+        """The agent's own blocks here: the union of their self-closures."""
+        return self._creator_bits.get(agent, 0)
+
+    def pointed_by(self, block_id: BlockId) -> list[BlockId]:
+        """The present blocks that point at block_id, here or not."""
+        return self._rev.get(block_id, [])
 
     def all_mask(self) -> int:
         return (1 << len(self._order)) - 1

@@ -17,7 +17,7 @@ plaintext, so a decrypted message can still be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import blocks as b
 from . import crypto
@@ -32,79 +32,20 @@ from .blocks import (
     NetAddress,
     Respond,
     Say,
-    WireDecoder,
 )
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
-from .retransmit import Retransmit
-from .tl import (
-    BootstrapCmd,
-    ChangeAddressCmd,
-    ProtocolError,
-    ReceiveCmd,
-    Send,
-    TickCmd,
-)
+from .peers import Agent, AgentMetrics, PeerKnowledge, Send
+from .tl import ProtocolError
 
 GroupId = BlockId
 
 _UTTER_DOMAIN = b"group-utterance\x00"
 
 
-# --- commands ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CreateGroupCmd:
-    name: bytes
-
-
-@dataclass(frozen=True)
-class InviteCmd:
-    target: AgentId
-    group: GroupId
-
-
-@dataclass(frozen=True)
-class AcceptCmd:
-    group: GroupId
-
-
-@dataclass(frozen=True)
-class SayGroupCmd:
-    group: GroupId
-    text: bytes
-
-
-@dataclass(frozen=True)
-class RespondGroupCmd:
-    re: BlockId
-    text: bytes
-
-
-WlCommand = Union[
-    CreateGroupCmd,
-    InviteCmd,
-    AcceptCmd,
-    SayGroupCmd,
-    RespondGroupCmd,
-    ChangeAddressCmd,
-    ReceiveCmd,
-    TickCmd,
-    BootstrapCmd,
-]
-
-
 @dataclass
-class WlMetrics:
-    received: int = 0
-    inserted: int = 0
-    dropped_invalid: int = 0
+class WlMetrics(AgentMetrics):
     dropped_structure: int = 0
-    pending_evicted: int = 0
-    acks_received: int = 0
-    acks_sent: int = 0
-    resent: int = 0
 
 
 @dataclass
@@ -166,34 +107,18 @@ def group_partition(lace: Blocklace, block_id: BlockId) -> list[Block]:
 # --- the agent ---------------------------------------------------------------
 
 
-class WlAgent:
+class WlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress, config: WlConfig | None = None):
-        self.kp = kp
-        self.agent_id = kp.agent_id
-        self.current_address = address
         self.config = config or WlConfig()
-        self.lace = Blocklace()
-        self.metrics = WlMetrics()
-        self.retransmit = Retransmit(self.metrics)
+        super().__init__(kp, address, WlMetrics(), self.config.pending_cap)
+        # A peer holds the closures of its own blocks, of the ids its acks
+        # named and of the blocks it sent here.
+        lace = self.lace
+        self.peers = PeerKnowledge(lace, lace.known_mask, lace.mask_of)
         self.group_keys: dict[GroupId, GroupKey] = {}
-        self.address_hints: dict[AgentId, NetAddress] = {}
-        self.last_uttered: Optional[Block] = None
-        self.ack_log: list[Block] = []
-        # Per peer, the union of the closures of the ids its acks named and
-        # of the blocks it sent here: what those prove it holds.  An id not
-        # present here yet is parked under the peers that disclosed it and
-        # folded in when it lands (a present block's closure never changes,
-        # the lace being closed).  Bound: one parked entry per distinct
-        # absent id named by an ack, as many as the id sets this replaced
-        # held; a sent block parks only while it waits in the pending
-        # buffer, and leaves with it on eviction.
-        self._disclosed_mask: dict[AgentId, int] = {}
-        self._disclosed_parked: dict[BlockId, set[AgentId]] = {}
         # (lace version, address -> the other members there), for `receive`.
         # Bound: one entry per member.
         self._address_book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
-        self._pending: dict[BlockId, Block] = {}
-        self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._geneses: list[Block] = []
         self._genesis_bits = 0
         self._partition_bits: dict[GroupId, int] = {}
@@ -201,13 +126,8 @@ class WlAgent:
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
         # Members of the groups here and targets of indexed invites: the
         # only agents whose acks are kept.  Bound: one entry per such agent.
-        self._peers: set[AgentId] = set()
+        self._ack_senders: set[AgentId] = set()
         self._own_group_names: set[bytes] = set()
-        self._decoder = WireDecoder()
-        # (destination, ack id) of every ack sent since the last tick: a
-        # byte-identical ack goes to a destination at most once per tick.
-        # Bound: the acks sent in one tick.
-        self._acked: set[tuple[NetAddress, BlockId]] = set()
 
     # --- state queries -------------------------------------------------------
 
@@ -241,9 +161,6 @@ class WlAgent:
         candidates = [g.id for g in self._geneses if mask & self.lace.bit_of(g.id)]
         return min(candidates)
 
-    def pending_blocks(self) -> list[Block]:
-        return list(self._pending.values())
-
     def structure_violations(self) -> list[str]:
         """Partition-invariant audit: the blocklace must be closed and every
         non-genesis block must observe exactly one genesis."""
@@ -257,9 +174,6 @@ class WlAgent:
             if hits == 0 or hits & (hits - 1):
                 issues.append(f"partition:{block.id.hex()}")
         return issues
-
-    def address_of(self, q: AgentId) -> Optional[NetAddress]:
-        return self.lace.ip_address(q) or self.address_hints.get(q)
 
     def transcript(self, gid: GroupId) -> list[tuple[AgentId, bytes, bool]]:
         """Decrypted (author, text, signature_ok) feed of a group, in
@@ -279,33 +193,11 @@ class WlAgent:
 
     # --- command surface -------------------------------------------------------
 
-    def step(self, cmd: WlCommand) -> list[Send]:
-        if isinstance(cmd, CreateGroupCmd):
-            return self.create_group(cmd.name)
-        if isinstance(cmd, InviteCmd):
-            return self.invite(cmd.target, cmd.group)
-        if isinstance(cmd, AcceptCmd):
-            return self.accept(cmd.group)
-        if isinstance(cmd, SayGroupCmd):
-            return self.say_group(cmd.group, cmd.text)
-        if isinstance(cmd, RespondGroupCmd):
-            return self.respond_group(cmd.re, cmd.text)
-        if isinstance(cmd, ChangeAddressCmd):
-            return self.change_address(cmd.address)
-        if isinstance(cmd, ReceiveCmd):
-            return self.receive(cmd.data, cmd.src)
-        if isinstance(cmd, TickCmd):
-            return self.tick()
-        if isinstance(cmd, BootstrapCmd):
-            self.address_hints[cmd.agent] = cmd.address
-            return []
-        raise TypeError(f"unknown command {cmd!r}")
-
     def create_group(self, name: bytes) -> list[Send]:
         if name in self._own_group_names:
             raise ProtocolError("group name already used by this agent")
         genesis = b.new_block(self.kp, self.current_address, Group(name), ())
-        self._insert_verified(genesis)
+        self._insert(genesis)
         self._own_group_names.add(name)
         key = crypto.group_keygen(crypto.derive_seed("group-key", self.kp.sign_seed, name))
         self.group_keys[genesis.id] = key.bound_to(genesis.id.digest)
@@ -324,7 +216,7 @@ class WlAgent:
         block = b.new_block(
             self.kp, self.current_address, Invite(target, sealed), [gid]
         )
-        self._insert_verified(block)
+        self._insert(block)
         self.last_uttered = block
         return self.disseminate()
 
@@ -343,7 +235,7 @@ class WlAgent:
         if key.group_digest != gid.digest:
             raise ProtocolError("sealed key bound to a different group")
         block = b.new_block(self.kp, self.current_address, Accept(), [invite.id])
-        self._insert_verified(block)
+        self._insert(block)
         self.group_keys[gid] = key
         self.last_uttered = block
         return self.disseminate()
@@ -354,7 +246,7 @@ class WlAgent:
         block = b.new_block(
             self.kp, self.current_address, payload, self.partition_tips(gid)
         )
-        self._insert_verified(block)
+        self._insert(block)
         self.last_uttered = block
         return self.disseminate()
 
@@ -374,7 +266,7 @@ class WlAgent:
         block = b.new_block(
             self.kp, self.current_address, payload, self.partition_tips(gid)
         )
-        self._insert_verified(block)
+        self._insert(block)
         self.last_uttered = block
         return self.disseminate()
 
@@ -384,50 +276,9 @@ class WlAgent:
             block = b.new_block(
                 self.kp, self.current_address, Empty(), self.partition_tips(gid)
             )
-            self._insert_verified(block)
+            self._insert(block)
             self.last_uttered = block
         return self.disseminate()
-
-    def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
-        """Validate, integrate (respecting closure), acknowledge, and forward.
-
-        Acks return to the delivering address when known (the deliverer is
-        the one that will otherwise retry forever); blocks parked in the
-        pending buffer are not acknowledged until they actually land.  A
-        member sends only blocks it holds, so a block delivered from a
-        member's address counts as that member's disclosure of it.  Only
-        the blocks that just landed are forwarded; the rest of the backlog
-        waits for the next `tick`.
-        """
-        self.metrics.received += 1
-        block = self._decoder.decode_verified(data)
-        if block is None:
-            self.metrics.dropped_invalid += 1
-            return []
-        if isinstance(block.payload, Ack):
-            self._record_ack(block)
-            return []
-        landed, was_new = self._integrate(block)
-        if block.id in self.lace or block.id in self._pending:
-            for q in self._members_at(src):
-                self._disclose(q, (block.id,))
-        sends: list[Send] = []
-        for acked in landed:
-            sends.extend(self._ack(acked, src))
-        if was_new:
-            only = 0
-            for blk in landed:
-                only |= self.lace.bit_of(blk.id)
-            sends.extend(self.disseminate(only))
-        return sends
-
-    def tick(self) -> list[Send]:
-        """One retransmission round: every unacknowledged block whose
-        timer is due, plus first offers of blocks newly needed; it ends
-        this agent's tick and the ack dedup window."""
-        self._acked.clear()
-        with self.retransmit.round():
-            return self.disseminate()
 
     # --- dissemination ----------------------------------------------------------
 
@@ -449,12 +300,9 @@ class WlAgent:
         lace = self.lace
         scope = lace.all_mask() if only is None else only
         sends: list[Send] = []
-        disclosed = self._disclosed_mask
+        known = self.peers.known
         take = self.retransmit.take
         me = self.agent_id
-
-        def known(q: AgentId) -> int:
-            return lace.known_mask(q) | disclosed.get(q, 0)
 
         def push(dest: NetAddress, batch: list[Block]):
             # A pair pushed twice in one call (an invite's closure to a
@@ -503,24 +351,19 @@ class WlAgent:
 
     def _record_ack(self, ack: Block):
         # An ack from a stranger proves nothing this agent acts on, so it
-        # reaches neither `ack_log` nor `_disclosed_parked`: both stay
-        # bounded by the acks of members and invitees.
-        self.metrics.acks_received += 1
-        if ack.creator not in self._peers:
+        # reaches neither `ack_log` nor `peers`: both stay bounded by the
+        # acks of members and invitees.
+        if ack.creator not in self._ack_senders:
             return
         self.ack_log.append(ack)
-        self._disclose(ack.creator, ack.pointers)
+        self.peers.credit(ack.creator, ack.pointers)
 
-    def _disclose(self, q: AgentId, ids) -> None:
-        """Credit q with holding the closure of each id."""
-        mask = 0
-        for block_id in ids:
-            if block_id in self.lace:
-                mask |= self.lace.mask_of(block_id)
-            else:
-                self._disclosed_parked.setdefault(block_id, set()).add(q)
-        if mask:
-            self._disclosed_mask[q] = self._disclosed_mask.get(q, 0) | mask
+    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> None:
+        # A member sends only blocks it holds, so a block delivered from a
+        # member's address counts as that member's disclosure of it.
+        if self._holds(block.id):
+            for q in self._members_at(src):
+                self.peers.credit(q, (block.id,))
 
     def _members_at(self, src: Optional[NetAddress]) -> list[AgentId]:
         """The other members of this agent's groups whose address is src.
@@ -537,89 +380,32 @@ class WlAgent:
             self._address_book = (self.lace.version(), book)
         return book.get(src, [])
 
-    def _integrate(self, block: Block) -> tuple[list[Block], bool]:
-        """Insert a verified non-ack block, honoring closure.
-
-        Returns (blocks worth acknowledging, whether anything new landed).
-        A duplicate of an already-present block is re-acknowledged so the
-        sender's retry loop terminates; a block still waiting for ancestors
-        is not acknowledged at all.
-        """
-        if block.id in self.lace:
-            return [block], False
-        if block.id in self._pending:
-            return [], False
-        missing = [ptr for ptr in sorted(block.pointers) if ptr not in self.lace]
-        if missing:
-            self._buffer_pending(block, missing)
-            return [], False
-        if not self._admit(block):
-            return [], False
-        landed = [block]
-        landed.extend(self._drain(block.id))
-        return landed, True
+    def _missing(self, block: Block) -> list[BlockId]:
+        # The blocklace stays closed: a block waits for its whole past.
+        return [ptr for ptr in block.pointers if ptr not in self.lace]
 
     def _admit(self, block: Block) -> bool:
         # All ancestors present: enforce the one-genesis partition rule,
         # then insert and index.
-        if is_genesis(block):
-            self._insert_verified(block)
-            return True
-        observed = 0
-        for ptr in block.pointers:
-            observed |= self.lace.mask_of(ptr)
-        hits = observed & self._genesis_bits
-        if hits == 0 or hits & (hits - 1):
-            self.metrics.dropped_structure += 1
-            return False
-        self._insert_verified(block)
+        if not is_genesis(block):
+            observed = 0
+            for ptr in block.pointers:
+                observed |= self.lace.mask_of(ptr)
+            hits = observed & self._genesis_bits
+            if hits == 0 or hits & (hits - 1):
+                self.metrics.dropped_structure += 1
+                return False
+        self._insert(block)
         return True
 
-    def _buffer_pending(self, block: Block, missing: list[BlockId]):
-        while len(self._pending) >= self.config.pending_cap:
-            evicted_id = next(iter(self._pending))
-            del self._pending[evicted_id]
-            self._disclosed_parked.pop(evicted_id, None)
-            self.metrics.pending_evicted += 1
-        self._pending[block.id] = block
-        for ptr in missing:
-            waiters = self._pending_on.setdefault(ptr, [])
-            if block.id not in waiters:
-                waiters.append(block.id)
-
-    def _drain(self, arrived: BlockId) -> list[Block]:
-        landed = []
-        queue = [arrived]
-        while queue:
-            current = queue.pop(0)
-            for waiter_id in self._pending_on.pop(current, ()):
-                waiter = self._pending.get(waiter_id)
-                if waiter is None:
-                    continue
-                missing = [p for p in waiter.pointers if p not in self.lace]
-                if missing:
-                    continue
-                del self._pending[waiter_id]
-                if self._admit(waiter):
-                    landed.append(waiter)
-                    queue.append(waiter_id)
-        return landed
-
-    def _insert_verified(self, block: Block):
-        self.lace.insert(block, verified=True)
-        self.metrics.inserted += 1
+    def _index(self, block: Block):
         bit = self.lace.bit_of(block.id)
-        disclosers = self._disclosed_parked.pop(block.id, ())
-        if disclosers:
-            mask = self.lace.mask_of(block.id)
-            for q in disclosers:
-                self._disclosed_mask[q] = self._disclosed_mask.get(q, 0) | mask
         if is_genesis(block):
             self._geneses.append(block)
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
             self._members.setdefault(block.id, set()).add(block.creator)
-            self._peers.add(block.creator)
+            self._ack_senders.add(block.creator)
         else:
             mask = self.lace.mask_of(block.id)
             for genesis in self._geneses:
@@ -630,7 +416,7 @@ class WlAgent:
             gid = self.group_of(block.id)
             if gid is not None and block.creator == gid.creator and block.pointers == frozenset([gid]):
                 self._invite_index[block.id] = (gid, payload.target)
-                self._peers.add(payload.target)
+                self._ack_senders.add(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
             (invite_id,) = block.pointers
             entry = self._invite_index.get(invite_id)
@@ -639,20 +425,7 @@ class WlAgent:
                 if target == block.creator:
                     self._members.setdefault(gid, set()).add(target)
 
-    def _ack(self, block: Block, src: Optional[NetAddress] = None) -> list[Send]:
-        dest = src if src is not None else self.address_of(block.creator)
-        if dest is None or dest == self.current_address:
-            return []
-        ack = b.new_block(
-            self.kp, self.current_address, Ack(), self._ack_pointers(block)
-        )
-        if (dest, ack.id) in self._acked:
-            return []
-        self._acked.add((dest, ack.id))
-        self.metrics.acks_sent += 1
-        return [(dest, ack)]
-
-    def _ack_pointers(self, block: Block) -> frozenset[BlockId]:
+    def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> frozenset[BlockId]:
         # Disclose only the tips of the group the block belongs to; an
         # invite addressed to this agent is acknowledged by naming it.
         gid = self.group_of(block.id)

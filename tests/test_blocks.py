@@ -104,7 +104,6 @@ def _all_payloads(kp, kp2):
         b.Group(b"group-name"),
         b.Invite(kp2.agent_id, sealed),
         b.Accept(),
-        b.IpAnnounce(kp2.agent_id, "addr/9"),
     ]
 
 
@@ -122,6 +121,19 @@ def test_decode_garbage_raises():
     for bad in (b"", b"\x00", b"\xff" * 40, b"\x00\x00\x00\x99" + b"\x01" * 3):
         with pytest.raises(b.WireError):
             b.decode_block(bad)
+
+
+def test_decode_unknown_payload_tag_raises(kp):
+    # Tag 8 was a payload no agent produced; it is no longer on the wire.
+    body = b._lp(b"addr/1") + b._lp(bytes([8])) + (0).to_bytes(4, "big")
+    wire = (
+        b._lp(kp.agent_id)
+        + b._lp(bytes(crypto.DIGEST_LEN))
+        + b._lp(bytes(crypto.SIGNATURE_LEN))
+        + body
+    )
+    with pytest.raises(b.WireError, match="tag 8"):
+        b.decode_block(wire)
 
 
 def test_decode_trailing_bytes_raises(kp):

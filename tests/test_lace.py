@@ -20,9 +20,17 @@ def _assert_matches_oracle(blocks_list, lace):
             blk, blocks_list
         )
         assert lace.self_closure(blk) == oracle.self_closure(blk, blocks_list)
+        assert set(lace.pointed_by(blk.id)) == {
+            x.id for x in blocks_list if blk.id in x.pointers
+        }
     for x, y in itertools.product(blocks_list, repeat=2):
         assert lace.observes(x, y) == oracle.observes(x, y, blocks_list)
     for creator in creators:
+        own = 0
+        for blk in blocks_list:
+            if blk.creator == creator:
+                own |= lace.self_mask_of(blk.id)
+        assert lace.creator_mask(creator) == own
         assert lace.detect_equivocations(creator) == oracle.equivocations(
             creator, blocks_list
         )
@@ -168,19 +176,6 @@ def test_ip_address_unknown(kp, kp2):
     lace = Blocklace()
     lace.insert(make_block(kp))
     assert lace.ip_address(kp2.agent_id) is None
-
-
-def test_ip_address_announcement_fallback(kp, kp2):
-    announcement = make_block(kp, b.IpAnnounce(kp2.agent_id, "heard/9"))
-    lace = lace_of([announcement])
-    assert lace.ip_address(kp2.agent_id) == "heard/9"
-
-
-def test_ip_address_own_block_beats_announcement(kp, kp2):
-    announcement = make_block(kp, b.IpAnnounce(kp2.agent_id, "heard/9"))
-    own = make_block(kp2, address="mine/1")
-    lace = lace_of([announcement, own])
-    assert lace.ip_address(kp2.agent_id) == "mine/1"
 
 
 def test_ip_address_equivocation_tiebreak(kp, kp2):

@@ -1,0 +1,222 @@
+"""The peer-knowledge core (`peers.PeerKnowledge`) under TL's credit rule.
+
+TL keeps what each peer holds as a mask updated as claims, acks and
+arrivals happen.  The reference below is the formula that used to rebuild
+that mask from every claim and disclosure on each use; the maintained mask
+must equal it.
+"""
+
+import pytest
+
+from blocklace import blocks as b
+from blocklace import crypto
+from blocklace.blocks import encode_block
+from blocklace.harness import canned
+from blocklace.harness.runner import run_scenario
+from blocklace.lace import Blocklace
+from blocklace.tl import TlAgent
+from blocklace.wl import WlAgent, WlConfig
+
+KP = [crypto.keygen(f"peers-{i}") for i in range(4)]
+
+TL_CANNED = ["tl_line", "tl_star", "tl_ring", "tl_line_broken", "tl_churn", "tl_forgery"]
+
+
+def reference_knowledge(agent: TlAgent, q, delivered: set) -> int:
+    """What q provably holds, rebuilt from scratch: q's own blocks and
+    chain, plus credit for every block q pointed at, delivered or
+    disclosed.  `delivered` holds the ids q delivered here while holding
+    them."""
+    lace = agent.lace
+    claims = set(delivered)
+    mask = 0
+    for blk in lace.by_creator(q):
+        mask |= lace.self_mask_of(blk.id)
+        claims |= blk.pointers
+    disclosed, weak = set(), set()
+    for ack in agent.ack_log:
+        if ack.creator != q:
+            continue
+        if len(ack.pointers) == 1:
+            (only,) = ack.pointers
+            named = lace.get(only)
+            if (
+                named is not None
+                and named.creator == agent.agent_id
+                and isinstance(named.payload, b.Follow)
+                and named.payload.target == q
+            ):
+                weak.add(only)
+                continue
+        disclosed |= ack.pointers
+    for claimed in claims:
+        block = lace.get(claimed)
+        if block is None:
+            continue
+        payload = block.payload
+        if agent.follows(q, block.creator) and not (
+            isinstance(payload, b.Follow) and payload.target == q
+        ):
+            mask |= lace.self_mask_of(claimed)
+        else:
+            mask |= lace.bit_of(claimed)
+    for disclosed_id in disclosed:
+        mask |= lace.self_mask_of(disclosed_id)
+    for weak_id in weak:
+        if weak_id in lace:
+            mask |= lace.bit_of(weak_id)
+    return mask
+
+
+@pytest.mark.parametrize("name", TL_CANNED)
+def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
+    # Delivered claims, per (agent, sender), recorded where the agent
+    # credits them, with the sender resolved the way the agent does.
+    delivered: dict[tuple[int, bytes], set] = {}
+    credit_delivery = TlAgent._credit_delivery
+    disseminate = TlAgent.disseminate
+    checks = 0
+
+    def record(self, block, src):
+        sender = self._resolve_sender(src, block)
+        if src is not None and sender not in (None, self.agent_id) and self._holds(block.id):
+            delivered.setdefault((id(self), sender), set()).add(block.id)
+        return credit_delivery(self, block, src)
+
+    def check(self, only=None):
+        nonlocal checks
+        for q in self.known_agents():
+            expected = reference_knowledge(self, q, delivered.get((id(self), q), ()))
+            assert self.peers.known(q) == expected
+            checks += 1
+        return disseminate(self, only)
+
+    monkeypatch.setattr(TlAgent, "_credit_delivery", record)
+    monkeypatch.setattr(TlAgent, "disseminate", check)
+    for seed in (1, 2, 3):
+        delivered.clear()
+        result = run_scenario(getattr(canned, name)(seed=seed))
+        assert all(
+            w.inner.metrics.pending_evicted == 0 for w in result.wrappers.values()
+        )
+    assert checks > 0
+
+
+def tl(i):
+    return TlAgent(KP[i], f"p{i}/0")
+
+
+def chain(kp, n, address="d/0"):
+    """n blocks by one creator, each pointing at the one before."""
+    out = []
+    for i in range(n):
+        pointers = [out[-1].id] if out else []
+        out.append(b.new_block(kp, address, b.Say(b"%d" % i), pointers))
+    return out
+
+
+def bits(lace: Blocklace, blocks_list) -> int:
+    mask = 0
+    for blk in blocks_list:
+        mask |= lace.bit_of(blk.id)
+    return mask
+
+
+def test_claim_credited_alone_until_follow_edge_lands():
+    me, c, d = tl(0), KP[1], KP[2]
+    x = chain(d, 2)
+    for blk in x:
+        me.receive(encode_block(blk))
+    claim = b.new_block(c, "c/0", b.Say(b"seen"), [x[1].id])
+    me.receive(encode_block(claim))
+    known = me.peers.known(c.agent_id)
+    assert known & bits(me.lace, x) == me.lace.bit_of(x[1].id)
+    follow = b.new_block(c, "c/0", b.Follow(d.agent_id), [claim.id])
+    me.receive(encode_block(follow))
+    assert me.follows(c.agent_id, d.agent_id)
+    assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x)
+
+
+def test_offer_to_the_claimant_stays_credited_alone():
+    me, c, d = tl(0), KP[1], KP[2]
+    base = b.new_block(d, "d/0", b.Say(b"before"), [])
+    offer = b.new_block(d, "d/0", b.Follow(c.agent_id), [base.id])
+    me.receive(encode_block(base))
+    me.receive(encode_block(offer))
+    claim = b.new_block(c, "c/0", b.Follow(d.agent_id), [offer.id])
+    me.receive(encode_block(claim))
+    known = me.peers.known(c.agent_id)
+    assert known & me.lace.bit_of(offer.id)
+    assert not known & me.lace.bit_of(base.id)
+
+
+def test_full_credit_grows_when_a_same_creator_ancestor_lands():
+    me, c, d = tl(0), KP[1], KP[2]
+    x = chain(d, 3)
+    me.receive(encode_block(x[1]))
+    me.receive(encode_block(x[2]))
+    follow = b.new_block(c, "c/0", b.Follow(d.agent_id), [])
+    claim = b.new_block(c, "c/0", b.Say(b"seen"), [follow.id, x[2].id])
+    me.receive(encode_block(follow))
+    me.receive(encode_block(claim))
+    known = me.peers.known(c.agent_id)
+    assert known & bits(me.lace, x[1:]) == bits(me.lace, x[1:])
+    me.receive(encode_block(x[0]))
+    assert me.lace.self_mask_of(x[2].id) == bits(me.lace, x)
+    assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x)
+
+
+def test_absent_claim_is_parked_until_it_lands():
+    me, c, d = tl(0), KP[1], KP[2]
+    x = chain(d, 1)
+    claim = b.new_block(c, "c/0", b.Say(b"seen"), [x[0].id])
+    me.receive(encode_block(claim))
+    assert me.peers.parked == {x[0].id: {c.agent_id: False}}
+    me.receive(encode_block(x[0]))
+    assert me.peers.parked == {}
+    assert me.peers.known(c.agent_id) & me.lace.bit_of(x[0].id)
+
+
+def test_eviction_drops_waiters_and_parked_credit():
+    f, m = TlAgent(KP[0], "p0/0", pending_cap=2), KP[1]
+    f.follow(m.agent_id)
+    f.address_hints[m.agent_id] = "p1/0"
+    x = chain(m, 5, address="p1/0")
+    for blk in x[1:]:
+        f.receive(encode_block(blk), src="p1/0")
+    assert f.metrics.pending_evicted == 2
+    pending = {blk.id for blk in f.pending_blocks()}
+    assert pending == {x[3].id, x[4].id}
+    assert {w for waiters in f._pending_on.values() for w in waiters} == pending
+    # Copies of pending blocks are their sender's claims, parked until
+    # they land, and leave with the evicted blocks.
+    assert set(f.peers.parked) == pending
+
+
+def test_stranger_chain_costs_linear_self_mask_calls(monkeypatch):
+    calls = 0
+    self_mask_of = Blocklace.self_mask_of
+
+    def counted(self, block_id):
+        nonlocal calls
+        calls += 1
+        return self_mask_of(self, block_id)
+
+    monkeypatch.setattr(Blocklace, "self_mask_of", counted)
+    me, stranger = tl(0), KP[3]
+    n = 500
+    for blk in chain(stranger, n, address="s/0"):
+        me.receive(encode_block(blk), src="s/0")
+        me.tick()
+    assert len(me.lace) == n
+    assert calls <= 4 * n
+
+
+def test_wl_credit_is_the_whole_closure():
+    f = WlAgent(KP[0], "w0/0", WlConfig())
+    f.create_group(b"g")
+    gid = f.last_uttered.id
+    f.say_group(gid, b"one")
+    said = f.last_uttered.id
+    f.peers.credit(KP[1].agent_id, [said])
+    assert f.peers.known(KP[1].agent_id) == f.lace.mask_of(said)

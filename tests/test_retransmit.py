@@ -8,8 +8,9 @@ from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import Runner, run_scenario
+from blocklace.peers import AgentMetrics
 from blocklace.retransmit import BACKUP_GAP, MAX_GAP, Retransmit
-from blocklace.tl import TlAgent, TlMetrics
+from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
@@ -30,7 +31,7 @@ def round_sends(schedule, pairs, rounds, backup=False):
 
 
 def test_first_offer_then_same_round_then_backoff_capped():
-    metrics = TlMetrics()
+    metrics = AgentMetrics()
     schedule = Retransmit(metrics)
     assert schedule.take("p/0", BLOCK)  # first offer, outside a round
     assert not schedule.take("p/0", BLOCK)  # no repeat before the round
@@ -42,7 +43,7 @@ def test_first_offer_then_same_round_then_backoff_capped():
 
 
 def test_first_offer_in_a_round_sends_once_then_backs_off():
-    metrics = TlMetrics()
+    metrics = AgentMetrics()
     schedule = Retransmit(metrics)
     sent = round_sends(schedule, [("p/0", BLOCK)], 12)
     assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11]
@@ -50,7 +51,7 @@ def test_first_offer_in_a_round_sends_once_then_backs_off():
 
 
 def test_backup_pair_sent_once_then_every_backup_gap():
-    metrics = TlMetrics()
+    metrics = AgentMetrics()
     schedule = Retransmit(metrics)
     assert schedule.take("p/0", BLOCK, backup=True)  # first offer, outside a round
     assert not schedule.take("p/0", BLOCK, backup=True)
@@ -62,7 +63,7 @@ def test_backup_pair_sent_once_then_every_backup_gap():
 
 
 def test_backup_pair_first_offered_in_a_round():
-    metrics = TlMetrics()
+    metrics = AgentMetrics()
     schedule = Retransmit(metrics)
     sent = round_sends(schedule, [("p/0", BLOCK)], 10, backup=True)
     assert sent[("p/0", BLOCK)] == [0, 3, 6, 9]
@@ -70,7 +71,7 @@ def test_backup_pair_first_offered_in_a_round():
 
 
 def test_rebound_address_gets_a_fresh_timer():
-    schedule = Retransmit(TlMetrics())
+    schedule = Retransmit(AgentMetrics())
     round_sends(schedule, [("p/0", BLOCK)], 9)  # backed off to the cap
     start = schedule.now
     sent = round_sends(schedule, [("p/1", BLOCK)], 8)
@@ -78,7 +79,7 @@ def test_rebound_address_gets_a_fresh_timer():
 
 
 def test_round_prunes_to_the_pairs_it_asked_about():
-    schedule = Retransmit(TlMetrics())
+    schedule = Retransmit(AgentMetrics())
     schedule.take("p/0", BLOCK)
     schedule.take("p/0", OTHER)
     schedule.take("q/0", BLOCK)

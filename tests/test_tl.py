@@ -3,15 +3,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
-from blocklace.tl import (
-    BootstrapCmd,
-    FollowCmd,
-    ProtocolError,
-    ReceiveCmd,
-    SayCmd,
-    TickCmd,
-    TlAgent,
-)
+from blocklace.tl import ProtocolError, TlAgent
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
 
@@ -315,19 +307,6 @@ def test_feed_projection_and_spam_exclusion():
     c.receive(encode_block(stranger.last_uttered))
     assert stranger.last_uttered.id in c.lace
     assert c.feed(stranger.agent_id) == []
-
-
-def test_step_dispatch():
-    a, c = agent(0), agent(1)
-    a.step(BootstrapCmd(c.agent_id, c.current_address))
-    a.step(FollowCmd(c.agent_id))
-    a.step(SayCmd(b"via step"))
-    sends = a.step(TickCmd())
-    assert sends
-    c.step(ReceiveCmd(encode_block(a.last_uttered)))
-    assert a.last_uttered.id in c.lace
-    with pytest.raises(TypeError):
-        a.step(object())
 
 
 def test_two_hop_relay_liveness_perfect_network():

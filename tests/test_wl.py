@@ -332,7 +332,7 @@ def test_acks_from_strangers_are_dropped():
         ack = b.new_block(KP[3], f"w3/{i}", b.Ack(), pointers)
         assert f.receive(encode_block(ack), src="w3/0") == []
     assert f.ack_log == log_before
-    assert f._disclosed_parked == {}
+    assert f.peers.parked == {}
 
     f.say_group(gid, b"hello")
     sends = m.receive(encode_block(f.last_uttered), src=f.current_address)
@@ -342,7 +342,7 @@ def test_acks_from_strangers_are_dropped():
     # A member's ack naming an id not here yet is parked for it.
     absent = random_id()
     f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(), [absent])))
-    assert f._disclosed_parked == {absent: {m.agent_id}}
+    assert f.peers.parked == {absent: {m.agent_id: True}}
 
 
 def test_invite_acked_with_invite_id():
@@ -469,7 +469,7 @@ def test_pending_eviction_bounded():
     assert len(m.pending_blocks()) == 4
     assert m.metrics.pending_evicted == 1
     # A parked copy's credit to its sender leaves with the evicted block.
-    assert set(m._disclosed_parked) == {blk.id for blk in m.pending_blocks()}
+    assert set(m.peers.parked) == {blk.id for blk in m.pending_blocks()}
 
 
 def test_group_partition_unknown_id_empty():
