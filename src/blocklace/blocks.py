@@ -252,9 +252,16 @@ def _decode_block(data: bytes) -> Block:
     if not payload_reader.done():
         raise WireError("trailing payload bytes")
     count = int.from_bytes(reader.take(4), "big")
+    # One block, one encoding: pointers come strictly ascending, as
+    # `canonical_encode` writes them.
     pointers = []
+    previous = None
     for _ in range(count):
-        pointers.append(BlockId(reader.take_lp(), reader.take_lp()))
+        key = (reader.take_lp(), reader.take_lp())
+        if previous is not None and key <= previous:
+            raise WireError("pointers not strictly ascending")
+        previous = key
+        pointers.append(BlockId(*key))
     if not reader.done():
         raise WireError("trailing bytes")
     if len(creator) != crypto.AGENT_ID_LEN or len(digest) != crypto.DIGEST_LEN:

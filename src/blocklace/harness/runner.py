@@ -64,7 +64,6 @@ class Runner:
                 delay_min=scenario.delay_min,
                 delay_max=scenario.delay_max,
                 seed=scenario.seed,
-                tick_interval=scenario.tick_interval,
             ),
             self.trace,
         )

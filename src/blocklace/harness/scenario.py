@@ -139,6 +139,14 @@ def _expect(condition: bool, where: str, message: str):
         raise ScenarioError(f"{where}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_key(obj: dict, key: str, where: str):
     _expect(key in obj, where, f"missing required field '{key}'")
     return obj[key]
@@ -154,11 +162,26 @@ def parse_scenario(raw: dict[str, Any]) -> Scenario:
 
     net = raw.get("net", {})
     _expect(isinstance(net, dict), "net", "must be an object")
+    for key in ("loss", "dup"):
+        probability = net.get(key, 0.0)
+        _expect(
+            _is_number(probability) and 0.0 <= probability <= 1.0,
+            f"net.{key}",
+            "must be a number from 0 to 1",
+        )
     delay = net.get("delay", [1, 5])
     _expect(
-        isinstance(delay, list) and len(delay) == 2,
+        isinstance(delay, list) and len(delay) == 2 and all(map(_is_int, delay)),
         "net.delay",
-        "must be [min, max]",
+        "must be [min, max], two integers",
+    )
+    # Same-tick delivery is not modeled.
+    _expect(1 <= delay[0] <= delay[1], "net.delay", "must have 1 <= min <= max")
+    tick_interval = net.get("tick_interval", 1)
+    _expect(
+        _is_int(tick_interval) and tick_interval >= 1,
+        "net.tick_interval",
+        "must be a positive integer",
     )
 
     agents_raw = _require_key(raw, "agents", "$")
@@ -236,7 +259,7 @@ def parse_scenario(raw: dict[str, Any]) -> Scenario:
         dup_prob=net.get("dup", 0.0),
         delay_min=delay[0],
         delay_max=delay[1],
-        tick_interval=net.get("tick_interval", 1),
+        tick_interval=tick_interval,
         wl_encrypt=raw.get("wl_encrypt", True),
     )
     _expect(isinstance(scenario.seed, int), "seed", "must be an integer")

@@ -5,9 +5,10 @@ An agent sends a block to a peer until it knows the peer holds it.
 blocklace, updated as each claim, ack or arrival happens; each agent
 supplies only its credit rule.  `Agent` holds the rest both agents share:
 the bounded pending buffer, the receive -> ack -> forward pipeline with
-its per-tick ack dedup, and the retransmission round.  A subclass fills in
-`_missing`, `_admit`, `_index`, `_record_ack`, `_credit_delivery`,
-`_ack_pointers` and `disseminate`.
+its per-tick ack dedup, the send loop (`disseminate`) and the
+retransmission round.  A subclass fills in `_missing`, `_admit`, `_index`,
+`_record_ack`, `_credit_delivery`, `_ack_pointers` and `_wanted`, which
+says who may receive what.
 """
 
 from __future__ import annotations
@@ -131,7 +132,12 @@ class PeerKnowledge:
 
 
 class Agent:
-    """The state and receive pipeline common to the TL and WL agents."""
+    """The state, receive pipeline and send loop common to the TL and WL
+    agents."""
+
+    # Whether a block this agent relays (one it did not create) goes on
+    # the backup schedule rather than the eager one (`retransmit`).
+    RELAY_BACKUP = False
 
     def __init__(
         self, kp: Keypair, address: NetAddress, metrics: AgentMetrics, pending_cap: int
@@ -214,6 +220,41 @@ class Agent:
             sends.extend(self.disseminate(only))
         return sends
 
+    def disseminate(self, only: Optional[int] = None) -> list[Send]:
+        """Send each peer the blocks `_wanted` lists for it, as
+        `self.retransmit` schedules them.
+
+        Outside `tick`'s round only first offers go out; in the round,
+        every pair whose timer is due.  Each peer's blocks go in causal
+        order (by closure size).  A pair listed twice in one call (a WL
+        invite's closure to a target that is already a member) goes out
+        at most once: the first `take` arms or backs off its timer.
+        `only` is a bitmask of this blocklace that limits the candidates
+        to those blocks: `receive` passes the blocks that just landed, so
+        a new block is forwarded on arrival.  None means every block,
+        which `tick` and the agent's own commands consider.
+        """
+        lace = self.lace
+        scope = lace.all_mask() if only is None else only
+        take = self.retransmit.take
+        relay_backup = self.RELAY_BACKUP
+        me = self.agent_id
+        sends: list[Send] = []
+        for q, wanted in self._wanted(scope):
+            if not wanted:
+                continue
+            dest = self.address_of(q)
+            if dest is None:
+                continue
+            batch = lace.blocks_of_mask(wanted)
+            batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
+            sends.extend(
+                (dest, blk)
+                for blk in batch
+                if take(dest, blk.id, backup=relay_backup and blk.creator != me)
+            )
+        return sends
+
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose
         timer is due, plus first offers of blocks newly needed; it ends
@@ -275,6 +316,13 @@ class Agent:
                     landed.append(waiter)
                     queue.append(waiter_id)
         return landed
+
+    def _utter(self, payload: b.Payload, pointers: Iterable[BlockId]) -> Block:
+        """Sign and store one of this agent's own blocks."""
+        block = b.new_block(self.kp, self.current_address, payload, pointers)
+        self._insert(block)
+        self.last_uttered = block
+        return block
 
     def _insert(self, block: Block) -> None:
         self.lace.insert(block, verified=True)

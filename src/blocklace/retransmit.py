@@ -30,7 +30,8 @@ creator of a block sends it to every member on the eager schedule, so a
 relay's copy is a second path and goes on the backup schedule.  In TL a
 relay is often the only path (friends in a line), so TL relays stay
 eager: dropping a TL relay's second copy raised the 95th-percentile
-delivery time on a 5-agent line from 12.6 to 18.5 ticks.
+delivery time on a 5-agent line from 12.6 to 18.5 ticks.  Each agent
+class states its choice as `RELAY_BACKUP` (`peers.Agent`).
 
 Backup variants on a 12-member WL group at 30% loss (perfbench's
 `wl_wide`, medians over 10 seeds, against relays on the eager schedule):

@@ -31,7 +31,6 @@ class NetConfig:
     delay_min: int = 1
     delay_max: int = 5
     seed: int = 0
-    tick_interval: int = 1
 
     def validate(self):
         if not 0.0 <= self.loss_prob <= 1.0:
@@ -42,8 +41,6 @@ class NetConfig:
             raise SimError("delay_min must be >= 1 (same-tick delivery is not modeled)")
         if self.delay_min > self.delay_max:
             raise SimError("delay_min > delay_max")
-        if self.tick_interval < 1:
-            raise SimError("tick_interval must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ proves the block's self-chain prefix; any other block it names proves
 itself alone, until the peer follows the creator.  A block goes to a peer
 that does not hold it when the peer is a friend that follows the block's
 creator, or when it is this agent's own friendship offer to the peer, so
-`disseminate` is mask arithmetic over the blocks it will send.
+what `_wanted` hands the shared send loop (`peers.Agent.disseminate`) is
+mask arithmetic.
 
 Received acks live in a side table rather than the blocklace: storing
 them would make them tips, everything afterwards would point at them, yet
@@ -42,7 +43,7 @@ and would resend forever.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import blocks as b
 from .blocks import Block, BlockId, Empty, Follow, NetAddress, Respond, Say
@@ -109,11 +110,11 @@ class TlAgent(Agent):
     # --- commands ----------------------------------------------------------
 
     def follow(self, target: AgentId) -> list[Send]:
-        self._utter(Follow(target))
+        self._utter(Follow(target), self._pointers())
         return self.disseminate()
 
     def say(self, text: bytes) -> list[Send]:
-        self._utter(Say(text))
+        self._utter(Say(text), self._pointers())
         return self.disseminate()
 
     def respond(self, text: bytes, re: BlockId) -> list[Send]:
@@ -122,44 +123,21 @@ class TlAgent(Agent):
             raise ProtocolError("respond referent not known locally")
         if not b.is_utterance(referent.payload):
             raise ProtocolError("respond referent is not an utterance")
-        self._utter(Respond(text, re))
+        self._utter(Respond(text, re), self._pointers())
         return self.disseminate()
 
     def change_address(self, address: NetAddress) -> list[Send]:
         self.current_address = address
-        self._utter(Empty())
+        self._utter(Empty(), self._pointers())
         return self.disseminate()
 
-    def disseminate(self, only: Optional[int] = None) -> list[Send]:
-        """Send every block each known agent needs, as `self.retransmit`
-        schedules it.
-
-        A block is needed until the destination's blocks, claims or
-        disclosed ack pointers show it has been observed.  Outside
-        `tick`'s round only first offers go out; in the round, every pair
-        whose timer is due.  `only` is a bitmask of this blocklace that
-        limits the candidates to those blocks: `receive` passes the blocks
-        that just landed, so a new block is forwarded on arrival.  None
-        means every block, which `tick` and the agent's own commands
-        consider.
-        """
-        sends: list[Send] = []
-        lace = self.lace
-        scope = lace.all_mask() if only is None else only
-        take = self.retransmit.take
-        for q in sorted(self.known_agents()):
-            dest = self.address_of(q)
-            if dest is None:
-                continue
-            wanted = scope & self._sendable(q) & ~self.peers.known(q)
-            if not wanted:
-                continue
-            batch = lace.blocks_of_mask(wanted)
-            batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            sends.extend((dest, blk) for blk in batch if take(dest, blk.id))
-        return sends
-
     # --- internals -----------------------------------------------------------
+
+    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
+        # Every known agent, each block it may be sent and does not hold.
+        known = self.peers.known
+        for q in sorted(self.known_agents()):
+            yield q, scope & self._sendable(q) & ~known(q)
 
     def _sendable(self, q: AgentId) -> int:
         """The blocks q may be sent: those by creators q follows when q is
@@ -182,14 +160,13 @@ class TlAgent(Agent):
             self.follows(q, block.creator) and not is_offer_to(block, q)
         )
 
-    def _utter(self, payload: b.Payload) -> Block:
+    def _pointers(self) -> set[BlockId]:
+        # An own block points at the tips and at this agent's previous
+        # block, so its blocks form one self-pointer chain.
         pointers = set(self.lace.tip_ids())
         if self._own_head is not None:
             pointers.add(self._own_head)
-        block = b.new_block(self.kp, self.current_address, payload, pointers)
-        self._insert(block)
-        self.last_uttered = block
-        return block
+        return pointers
 
     def _missing(self, block: Block) -> list[BlockId]:
         # A followed creator's block waits for its same-creator ancestors.
@@ -242,9 +219,14 @@ class TlAgent(Agent):
     def _record_ack(self, ack: Block):
         """File an ack's pointers as knowledge about its creator.
 
-        A bare receipt of one of this agent's own friendship offers proves
-        only that single block (offers land out of chain order); every
-        other disclosure vouches for the named blocks and their history."""
+        An ack from an agent no block here names, as creator or follow
+        target, proves nothing this agent acts on, so it reaches neither
+        `ack_log` nor `peers`.  A bare receipt of one of this agent's own
+        friendship offers proves only that single block (offers land out
+        of chain order); every other disclosure vouches for the named
+        blocks and their history."""
+        if ack.creator not in self._known_agents:
+            return
         self.ack_log.append(ack)
         pointers = ack.pointers
         vouched = True

@@ -17,13 +17,12 @@ plaintext, so a decrypted message can still be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import blocks as b
 from . import crypto
 from .blocks import (
     Accept,
-    Ack,
     Block,
     BlockId,
     Empty,
@@ -196,12 +195,10 @@ class WlAgent(Agent):
     def create_group(self, name: bytes) -> list[Send]:
         if name in self._own_group_names:
             raise ProtocolError("group name already used by this agent")
-        genesis = b.new_block(self.kp, self.current_address, Group(name), ())
-        self._insert(genesis)
+        genesis = self._utter(Group(name), ())
         self._own_group_names.add(name)
         key = crypto.group_keygen(crypto.derive_seed("group-key", self.kp.sign_seed, name))
         self.group_keys[genesis.id] = key.bound_to(genesis.id.digest)
-        self.last_uttered = genesis
         return self.disseminate()
 
     def invite(self, target: AgentId, gid: GroupId) -> list[Send]:
@@ -213,11 +210,7 @@ class WlAgent(Agent):
         if target == self.agent_id:
             raise ProtocolError("cannot invite self")
         sealed = crypto.seal(self.group_keys[gid], target)
-        block = b.new_block(
-            self.kp, self.current_address, Invite(target, sealed), [gid]
-        )
-        self._insert(block)
-        self.last_uttered = block
+        self._utter(Invite(target, sealed), [gid])
         return self.disseminate()
 
     def accept(self, gid: GroupId) -> list[Send]:
@@ -234,20 +227,14 @@ class WlAgent(Agent):
         key = crypto.open_sealed(self.kp, invite.payload.sealed_key)
         if key.group_digest != gid.digest:
             raise ProtocolError("sealed key bound to a different group")
-        block = b.new_block(self.kp, self.current_address, Accept(), [invite.id])
-        self._insert(block)
+        self._utter(Accept(), [invite.id])
         self.group_keys[gid] = key
-        self.last_uttered = block
         return self.disseminate()
 
     def say_group(self, gid: GroupId, text: bytes) -> list[Send]:
         self._require_member(gid)
         payload = Say(seal_utterance(self.group_keys[gid], self.kp, text, self.config.encrypt))
-        block = b.new_block(
-            self.kp, self.current_address, payload, self.partition_tips(gid)
-        )
-        self._insert(block)
-        self.last_uttered = block
+        self._utter(payload, self.partition_tips(gid))
         return self.disseminate()
 
     def respond_group(self, re: BlockId, text: bytes) -> list[Send]:
@@ -263,89 +250,40 @@ class WlAgent(Agent):
         payload = Respond(
             seal_utterance(self.group_keys[gid], self.kp, text, self.config.encrypt), re
         )
-        block = b.new_block(
-            self.kp, self.current_address, payload, self.partition_tips(gid)
-        )
-        self._insert(block)
-        self.last_uttered = block
+        self._utter(payload, self.partition_tips(gid))
         return self.disseminate()
 
     def change_address(self, address: NetAddress) -> list[Send]:
         self.current_address = address
         for gid in self.my_groups():
-            block = b.new_block(
-                self.kp, self.current_address, Empty(), self.partition_tips(gid)
-            )
-            self._insert(block)
-            self.last_uttered = block
+            self._utter(Empty(), self.partition_tips(gid))
         return self.disseminate()
 
     # --- dissemination ----------------------------------------------------------
 
-    def disseminate(self, only: Optional[int] = None) -> list[Send]:
-        """Per group: send each member every partition block it has not
-        observed; send own invites (with their ancestry, so the invitee
-        can validate them) until the invitee's blocks or acks cover them.
-        `self.retransmit` schedules each send: outside `tick`'s round only
-        first offers go out; in the round, every pair whose timer is due.
-        This agent's own blocks (invite closures included) go on the eager
-        schedule.  A block it relays goes on the backup schedule, one copy
-        and then one every BACKUP_GAP ticks, because the block's creator
-        sends it to every member as well.
+    # The creator of a block sends it to every member, so a copy this agent
+    # relays is a second path and goes on the backup schedule.
+    RELAY_BACKUP = True
 
-        `only` is a bitmask of this blocklace that limits the candidates to
-        those blocks: `receive` passes the blocks that just landed, so a
-        new block is forwarded on arrival.  None means every block, which
-        `tick` and this agent's own commands consider."""
+    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
+        # Per group, each other member the partition blocks it has not
+        # observed; then each invitee this agent's invite with its
+        # ancestry, so the invitee can validate it, until the invitee's
+        # blocks or acks cover the invite.
         lace = self.lace
-        scope = lace.all_mask() if only is None else only
-        sends: list[Send] = []
         known = self.peers.known
-        take = self.retransmit.take
         me = self.agent_id
-
-        def push(dest: NetAddress, batch: list[Block]):
-            # A pair pushed twice in one call (an invite's closure to a
-            # target that is already a member) goes out at most once: the
-            # first `take` arms or backs off its timer.  A relayed block is
-            # a backup: its creator sends it to every member too.
-            batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            sends.extend(
-                (dest, blk)
-                for blk in batch
-                if take(dest, blk.id, backup=blk.creator != me)
-            )
-
         for genesis in sorted(self._geneses, key=Block.sort_key):
-            gid = genesis.id
-            bits = self._partition_bits.get(gid, 0) & scope
-            if not bits:
-                continue
-            for q in self.members_of(gid):
-                if q == self.agent_id:
-                    continue
-                dest = self.address_of(q)
-                if dest is None:
-                    continue
-                needed = bits & ~known(q)
-                batch = []
-                while needed:
-                    low = needed & -needed
-                    needed ^= low
-                    batch.append(lace.blocks_of_mask(low)[0])
-                push(dest, batch)
-
+            bits = self._partition_bits.get(genesis.id, 0) & scope
+            if bits:
+                for q in self.members_of(genesis.id):
+                    if q != me:
+                        yield q, bits & ~known(q)
         for invite_id, (gid, target) in self._invite_index.items():
-            if invite_id.creator != self.agent_id or target == self.agent_id:
+            if invite_id.creator != me or target == me:
                 continue
-            wanted = lace.mask_of(invite_id) & scope
-            if not wanted or known(target) & lace.bit_of(invite_id):
-                continue
-            dest = self.address_of(target)
-            if dest is None:
-                continue
-            push(dest, lace.blocks_of_mask(wanted))
-        return sends
+            if not known(target) & lace.bit_of(invite_id):
+                yield target, lace.mask_of(invite_id) & scope
 
     # --- receive pipeline -----------------------------------------------------
 

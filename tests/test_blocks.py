@@ -142,6 +142,37 @@ def test_decode_trailing_bytes_raises(kp):
         b.decode_block(wire + b"\x00")
 
 
+def _wire_with_pointers(blk, pointers):
+    """blk's wire bytes with its pointer list written as given."""
+    parts = [
+        b._lp(blk.id.creator),
+        b._lp(blk.id.digest),
+        b._lp(blk.id.signature),
+        b._lp(blk.address.encode("utf-8")),
+        b._lp(b._encode_payload(blk.payload)),
+        len(pointers).to_bytes(4, "big"),
+    ]
+    parts.extend(b._lp(ptr.creator) + b._lp(ptr.digest) for ptr in pointers)
+    return b"".join(parts)
+
+
+def test_decode_rejects_permuted_pointers(kp, kp2):
+    # The digest covers the sorted pointer set, so a permuted list would
+    # verify: one block would have many wire encodings.
+    low, high = sorted([make_block(kp).id, make_block(kp2).id])
+    blk = b.new_block(kp, "addr/3", b.Say(b"x"), [low, high])
+    assert _wire_with_pointers(blk, [low, high]) == b.encode_block(blk)
+    with pytest.raises(b.WireError, match="ascending"):
+        b.decode_block(_wire_with_pointers(blk, [high, low]))
+
+
+def test_decode_rejects_duplicate_pointer(kp):
+    parent = make_block(kp).id
+    blk = b.new_block(kp, "addr/3", b.Say(b"x"), [parent])
+    with pytest.raises(b.WireError, match="ascending"):
+        b.decode_block(_wire_with_pointers(blk, [parent, parent]))
+
+
 def test_peek_digest(kp):
     blk = make_block(kp)
     assert b.peek_digest_hex(b.encode_block(blk)) == blk.id.digest.hex()

@@ -594,10 +594,17 @@ def test_cli_verify_rejects_mismatched_scenario(tmp_path):
     assert run_cli("verify", str(trace_path), str(other_path)) == 2
 
 
-def test_cli_rejects_invalid_scenario(tmp_path):
+def test_cli_rejects_invalid_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"protocol": "tl", "agents": []}))
-    assert run_cli("run", str(bad)) == 2
+    one_agent = {"protocol": "tl", "agents": [{"name": "a"}]}
+    for raw in (
+        {"protocol": "tl", "agents": []},
+        {**one_agent, "net": {"tick_interval": 0}},
+        {**one_agent, "net": {"loss": 1.5}},
+    ):
+        bad.write_text(json.dumps(raw))
+        assert run_cli("run", str(bad)) == 2
+        assert "invalid scenario" in capsys.readouterr().err
 
 
 def test_cli_failing_oracle_nonzero_exit(tmp_path):

@@ -193,6 +193,24 @@ def test_wl_relay_sends_once_in_its_first_tick_creator_twice():
     assert copies(relayed + m1.tick(), m2, said.id) == 1
 
 
+def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():
+    # On a line of friends the relay may be the only path, so TL relays
+    # stay on the eager schedule.
+    a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
+    befriend(a, c)
+    befriend(c, d)
+    pump([c, d], d.follow(a.agent_id), d)
+
+    def copies(sends, dest, block_id):
+        return sum(dst == dest.current_address and blk.id == block_id for dst, blk in sends)
+
+    own = a.say(b"news")
+    news = a.last_uttered
+    assert copies(own + a.tick(), c, news.id) == 2
+    relayed = deliver(c, a, news)
+    assert copies(relayed + c.tick(), d, news.id) == 2
+
+
 def test_wl_copy_sent_by_the_peer_stops_the_resends():
     f, m1, m2 = wl_agent(0), wl_agent(1), wl_agent(2)
     gid = wl_group(f, m1, m2)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,16 @@ def test_minimal_parses():
         (dict(bootstrap=[{"agent": "a", "knows": "zz"}]), "bootstrap[0].knows"),
         (dict(ticks=0), "ticks"),
         (dict(net={"delay": [3]}), "net.delay"),
+        (dict(net={"delay": [0, 3]}), "net.delay"),
+        (dict(net={"delay": [4, 2]}), "net.delay"),
+        (dict(net={"delay": [1, 2.5]}), "net.delay"),
+        (dict(net={"loss": 1.5}), "net.loss"),
+        (dict(net={"loss": -0.1}), "net.loss"),
+        (dict(net={"loss": "high"}), "net.loss"),
+        (dict(net={"dup": 2}), "net.dup"),
+        (dict(net={"dup": True}), "net.dup"),
+        (dict(net={"tick_interval": 0}), "net.tick_interval"),
+        (dict(net={"tick_interval": 1.5}), "net.tick_interval"),
         (dict(agents=[{"name": "a b"}]), "agents[0].name"),
         (dict(agents=[{"name": "a", "address": "has\ttab"}]), "agents[0].address"),
         (
@@ -78,6 +89,23 @@ def test_validation_reports_location(mutation, location):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(minimal(**mutation))
     assert location in str(err.value)
+
+
+def test_net_edges_accepted():
+    scenario = parse_scenario(
+        minimal(net={"loss": 1, "dup": 0.0, "delay": [2, 2], "tick_interval": 3})
+    )
+    assert (scenario.loss_prob, scenario.dup_prob) == (1, 0.0)
+    assert (scenario.delay_min, scenario.delay_max, scenario.tick_interval) == (2, 2, 3)
+
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+def test_committed_scenario_matches_its_builder(path):
+    scenario = load_scenario(str(path))
+    assert scenario.to_dict() == canned.CANNED[path.stem](seed=scenario.seed).to_dict()
 
 
 def test_round_trip_canned(tmp_path):

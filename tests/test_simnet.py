@@ -24,7 +24,6 @@ def test_config_validation():
         dict(dup_prob=-0.1),
         dict(delay_min=0),
         dict(delay_min=4, delay_max=2),
-        dict(tick_interval=0),
     ):
         with pytest.raises(SimError):
             _net(**bad)

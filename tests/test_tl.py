@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blocklace import blocks as b
@@ -172,6 +174,31 @@ def test_received_acks_side_tabled_not_inserted():
     a.receive(encode_block(ack), src=c.current_address)
     assert len(a.lace) == before
     assert len(a.ack_log) >= 1
+
+
+def test_acks_from_strangers_are_dropped():
+    a, c = agent(0), agent(1)
+    rng = random.Random(7)
+
+    def random_id():
+        return b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
+
+    for i in range(50):
+        pointers = [random_id() for _ in range(20)]
+        ack = b.new_block(KP[3], f"t3/{i}", b.Ack(), pointers)
+        assert a.receive(encode_block(ack), src="t3/0") == []
+    assert a.ack_log == []
+    assert a.peers.parked == {}
+
+    befriend(a, c)
+    a.say(b"x")
+    said = a.last_uttered
+    assert not a.peers.known(c.agent_id) & a.lace.bit_of(said.id)
+    sends = c.receive(encode_block(said), src=a.current_address)
+    (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
+    a.receive(encode_block(ack), src=c.current_address)
+    assert a.ack_log[-1] == ack
+    assert a.peers.known(c.agent_id) & a.lace.bit_of(said.id)
 
 
 def test_respond_requires_known_utterance():
