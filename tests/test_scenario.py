@@ -67,6 +67,12 @@ def test_minimal_parses():
         (dict(bootstrap=[{"agent": "a", "knows": "zz"}]), "bootstrap[0].knows"),
         (dict(ticks=0), "ticks"),
         (dict(net={"delay": [3]}), "net.delay"),
+        (dict(agents=[{"name": "a b"}]), "agents[0].name"),
+        (dict(agents=[{"name": "a", "address": "has\ttab"}]), "agents[0].address"),
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "rebind", "address": "x y"}]),
+            "events[0].address",
+        ),
         (dict(net={"delay": [0, 3]}), "net.delay"),
         (dict(net={"delay": [4, 2]}), "net.delay"),
         (dict(net={"delay": [1, 2.5]}), "net.delay"),
@@ -77,12 +83,6 @@ def test_minimal_parses():
         (dict(net={"dup": True}), "net.dup"),
         (dict(net={"tick_interval": 0}), "net.tick_interval"),
         (dict(net={"tick_interval": 1.5}), "net.tick_interval"),
-        (dict(agents=[{"name": "a b"}]), "agents[0].name"),
-        (dict(agents=[{"name": "a", "address": "has\ttab"}]), "agents[0].address"),
-        (
-            dict(events=[{"tick": 0, "agent": "a", "cmd": "rebind", "address": "x y"}]),
-            "events[0].address",
-        ),
     ],
 )
 def test_validation_reports_location(mutation, location):
