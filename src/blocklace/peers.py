@@ -7,8 +7,8 @@ supplies only its credit rule.  `Agent` holds the rest both agents share:
 the bounded pending buffer, the receive -> ack -> forward pipeline with
 its per-tick ack dedup, the send loop (`disseminate`) and the
 retransmission round.  A subclass fills in `_missing`, `_admit`, `_index`,
-`_record_ack`, `_credit_delivery`, `_ack_pointers` and `_wanted`, which
-says who may receive what.
+`_record_ack`, `_credit_delivery`, `_ack_pointers`, `_nack_pointers` and
+`_wanted`, which says who may receive what.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ class AgentMetrics:
     dropped_invalid: int = 0
     acks_received: int = 0
     acks_sent: int = 0
+    # Of `acks_sent`, the acks of parked blocks (`Agent.receive`).
+    nacks_sent: int = 0
     pending_evicted: int = 0
     resent: int = 0
 
@@ -136,8 +138,9 @@ class Agent:
     agents."""
 
     # Whether a block this agent relays (one it did not create) goes on
-    # the backup schedule rather than the eager one (`retransmit`).
-    RELAY_BACKUP = False
+    # the relay schedule, sent once and repaired on a nack, rather than on
+    # the eager one (`retransmit`).
+    RELAY_ONCE = False
 
     def __init__(
         self, kp: Keypair, address: NetAddress, metrics: AgentMetrics, pending_cap: int
@@ -182,8 +185,10 @@ class Agent:
         (its creator's address when none is known): the deliverer is the
         one whose retry loop the ack must stop, and a relayed block acked
         only to its distant creator would be resent by the relay forever.
-        A duplicate is acknowledged again; a block parked in the pending
-        buffer is not acknowledged until it lands.  A peer sends only
+        A duplicate is acknowledged again.  A block parked in the pending
+        buffer is acknowledged to its deliverer only when `_nack_pointers`
+        gives pointers: a nack, whose pointers show the deliverer which
+        ancestors are missing here.  A peer sends only
         blocks it holds, so a copy that is held or pending here counts as
         possession by the agents at the delivering address.  Only the
         blocks that just landed are forwarded; the rest of the backlog
@@ -201,24 +206,38 @@ class Agent:
         landed, was_new = self._integrate(block)
         sender = self._credit_delivery(block, src)
         sends: list[Send] = []
+        if not landed and src is not None and block.id in self._pending:
+            pointers = self._nack_pointers(block)
+            if pointers and self._ack(src, pointers, sends):
+                self.metrics.nacks_sent += 1
         for acked in landed:
             dest = src if src is not None else self.address_of(acked.creator)
-            if dest is None or dest == self.current_address:
-                continue
-            ack = b.new_block(
-                self.kp, self.current_address, Ack(), self._ack_pointers(acked, sender)
-            )
-            if (dest, ack.id) in self._acked:
-                continue
-            self._acked.add((dest, ack.id))
-            self.metrics.acks_sent += 1
-            sends.append((dest, ack))
+            self._ack(dest, self._ack_pointers(acked, sender), sends)
         if was_new:
             only = 0
             for blk in landed:
                 only |= self.lace.bit_of(blk.id)
             sends.extend(self.disseminate(only))
         return sends
+
+    def _ack(
+        self, dest: Optional[NetAddress], pointers: frozenset[BlockId], sends: list[Send]
+    ) -> bool:
+        """Append an ack with these pointers for `dest` to `sends`, unless
+        the same ack already went there this tick."""
+        if dest is None or dest == self.current_address:
+            return False
+        ack = b.new_block(self.kp, self.current_address, Ack(), pointers)
+        if (dest, ack.id) in self._acked:
+            return False
+        self._acked.add((dest, ack.id))
+        self.metrics.acks_sent += 1
+        sends.append((dest, ack))
+        return True
+
+    def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
+        """The pointers of the ack of a parked block, or None for none."""
+        return None
 
     def disseminate(self, only: Optional[int] = None) -> list[Send]:
         """Send each peer the blocks `_wanted` lists for it, as
@@ -237,7 +256,7 @@ class Agent:
         lace = self.lace
         scope = lace.all_mask() if only is None else only
         take = self.retransmit.take
-        relay_backup = self.RELAY_BACKUP
+        relay_once = self.RELAY_ONCE
         me = self.agent_id
         sends: list[Send] = []
         for q, wanted in self._wanted(scope):
@@ -251,7 +270,7 @@ class Agent:
             sends.extend(
                 (dest, blk)
                 for blk in batch
-                if take(dest, blk.id, backup=relay_backup and blk.creator != me)
+                if take(dest, blk.id, relay=relay_once and blk.creator != me)
             )
         return sends
 

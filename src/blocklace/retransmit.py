@@ -1,10 +1,10 @@
 """The retransmission schedules shared by the TL and WL agents.
 
-An agent sends a block to a destination address until the destination is
+An agent owes a block to a destination address until the destination is
 known to hold it.  Resending on every tick floods the network while the
 first copy or its ack is still in flight (a round trip takes 2-10 ticks
 at a delay of 1-5), so each (destination address, block id) pair gets its
-own timer.  There are two schedules.
+own entry.  There are two schedules.
 
 The eager schedule, with capped exponential backoff after RFC 6298
 ("Computing TCP's Retransmission Timer"), is for a pair whose copy may be
@@ -21,30 +21,47 @@ for its next try: in a 12-member group at 30% loss, a cap of 16 instead
 of 4 saved under 0.3% of the datagrams but delayed quiescence by up to
 38 ticks (170 instead of 132).
 
-The backup schedule is for a pair another path also covers.  It is sent
-once on first offer, in or out of a round, with no same-round copy, then
-every BACKUP_GAP ticks, without backoff, until the destination is known
-to hold it.  This is the eager/lazy split of Plumtree (Leitao, Pereira
-and Rodrigues, "Epidemic Broadcast Trees", SRDS 2007): in a WL group the
-creator of a block sends it to every member on the eager schedule, so a
-relay's copy is a second path and goes on the backup schedule.  In TL a
-relay is often the only path (friends in a line), so TL relays stay
-eager: dropping a TL relay's second copy raised the 95th-percentile
-delivery time on a 5-agent line from 12.6 to 18.5 ticks.  Each agent
-class states its choice as `RELAY_BACKUP` (`peers.Agent`).
+The relay schedule is for a pair another path also covers.  It is sent
+once on first offer, in or out of a round, with no same-round copy and
+no timer, so it never keeps a run from quiescing.  It is resent only to
+repair a loss: in a round after an ack from the destination arrived, if
+the last send is at least REPAIR_AFTER ticks old.  REPAIR_AFTER is twice
+the largest delay plus one, so the ack left the destination after the
+copy could have arrived; an ack that still does not cover the block is
+evidence the copy was lost.  The ack may be a nack: a WL agent that parks
+a block because ancestors are missing acks it at once with the tips of
+the block's group (`peers.Agent.receive`), which shows the deliverer what
+is missing.  This is the eager/lazy split of Plumtree (Leitao, Pereira
+and Rodrigues, "Epidemic Broadcast Trees", SRDS 2007), with acks and
+nacks in place of its IHAVE and GRAFT messages: in a WL group the creator of a block
+sends it to every member on the eager schedule, so a relay's copy is a
+second path and goes on the relay schedule.  The repair is needed: with
+single relay copies and no repair, `wl_partitions` at seed 1 never
+quiesces, because two members each miss the other's Accept when the
+founder's one relay copy is lost.  In TL a relay is often the only path
+(friends in a line), so TL relays stay eager: dropping a TL relay's
+second copy raised the 95th-percentile delivery time on a 5-agent line
+from 12.6 to 18.5 ticks.  Each agent class states its choice as
+`RELAY_ONCE` (`peers.Agent`).
 
-Backup variants on a 12-member WL group at 30% loss (perfbench's
-`wl_wide`, medians over 10 seeds, against relays on the eager schedule):
-a gap of 3 cut datagrams by 34% with quiescence 6% later (134 -> 141.5
-ticks, at most 10% later at one seed); a gap of 4 cut 40% but left a
-longer tail (quiescence 15% later at one seed); a gap doubling from 3 to
-4 also widened the tail (153 ticks at one seed against a median of 138);
-acking a landed block to every member, not only to its deliverer, added
-datagrams and did not quiesce sooner.
+Relay schedules on a 12-member WL group at 30% loss (perfbench's
+`wl_wide`):
+
+* every 3 ticks after the first copy, against relays on the eager
+  schedule: 34% fewer datagrams, quiescence 6% later (medians over 10
+  seeds); a gap of 4 cut 40% but left a longer tail; acking a landed
+  block to every member added datagrams and did not quiesce sooner;
+* once, then repair on an ack, against every 3 ticks (medians over seeds
+  5-24): datagrams 12,172 -> 9,244 (-24%, lower at every seed), p50 1.93
+  -> 1.96 ticks, p95 3.45 -> 3.46, quiescence tick 138 -> 131.  On
+  `wl_long` (6 members): datagrams 10,561 -> 8,248, p50 and p95 within
+  1%.  Relays now resend almost nothing: at 12 members and 50
+  utterances, seed 1, without duplication, relay resends fell from 4,194
+  to 1 and acks from 8,124 to 6,137.
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
-address starts over with a fresh timer there.
+address starts over with a fresh entry there.
 """
 
 from __future__ import annotations
@@ -56,7 +73,8 @@ from .blocks import BlockId, NetAddress
 
 FIRST_GAP = 1
 MAX_GAP = 4
-BACKUP_GAP = 3
+# Twice the largest delay of 5 ticks, plus one.
+REPAIR_AFTER = 11
 
 Pair = tuple[NetAddress, BlockId]
 
@@ -64,14 +82,15 @@ Pair = tuple[NetAddress, BlockId]
 class Retransmit:
     """Send schedule per (destination address, block id).
 
-    `take` decides each candidate send; its `backup` flag picks the
+    `take` decides each candidate send; its `relay` flag picks the
     schedule.  Outside a round it passes only first offers.  Inside a
-    round (`with schedule.round():`) it passes every pair whose timer is
-    due, and backs an eager timer off; the pairs the round asked about
-    are exactly the pairs still outstanding, and when the round ends
-    every other timer is dropped.  Bound: the table holds the pairs
-    outstanding at the last round plus those first offered since, one
-    entry each.
+    round (`with schedule.round():`) it passes every eager pair whose
+    timer is due, and backs its timer off, and every relay pair due for
+    repair; the pairs the round asked about are exactly the pairs still
+    outstanding, and when the round ends every other entry is dropped.
+    Bound: each table holds the pairs outstanding at the last round plus
+    those first offered since, one entry each; the repair marks hold the
+    addresses acks came from since the last round.
     """
 
     def __init__(self, metrics):
@@ -79,38 +98,58 @@ class Retransmit:
         # same block to the same destination.
         self._metrics = metrics
         self.now = 0
-        # pair -> (tick the next send is due, gap after that send)
+        # eager pair -> (tick the next send is due, gap after that send)
         self._timers: dict[Pair, tuple[int, int]] = {}
+        # relay pair -> tick it was last sent
+        self._relayed: dict[Pair, int] = {}
+        # destinations an ack came from since the last round
+        self._repair: set[NetAddress] = set()
         self._live: Optional[set[Pair]] = None
 
     def armed(self) -> int:
-        """Timers still running: pairs not yet known to be held."""
+        """Timers still running: eager pairs not yet known to be held."""
         return len(self._timers)
+
+    def mark_repair(self, dest: NetAddress) -> None:
+        """An ack came from `dest`: the next round may repair its relay
+        pairs that the ack did not cover."""
+        self._repair.add(dest)
 
     @contextmanager
     def round(self) -> Iterator[None]:
         """One retransmission round; ends the agent's current tick."""
-        self._live = set()
+        self._live = live = set()
         try:
             yield
         finally:
-            timers = self._timers
-            self._timers = {pair: timers[pair] for pair in self._live}
+            timers, relayed = self._timers, self._relayed
+            self._timers = {pair: timers[pair] for pair in live if pair in timers}
+            self._relayed = {pair: relayed[pair] for pair in live if pair in relayed}
+            self._repair = set()
             self._live = None
             self.now += 1
 
-    def take(self, dest: NetAddress, block_id: BlockId, backup: bool = False) -> bool:
+    def take(self, dest: NetAddress, block_id: BlockId, relay: bool = False) -> bool:
         """Whether to send the block to `dest` now; arms or backs off its
-        timer when it does.  A backup pair is sent once on first offer and
-        then every BACKUP_GAP ticks, with no same-round copy."""
+        timer when it does.  A relay pair is sent once on first offer and
+        again only to repair a loss: in a round after an ack from `dest`,
+        at least REPAIR_AFTER ticks after its last send."""
         pair = (dest, block_id)
-        timer = self._timers.get(pair)
         if self._live is not None:
             self._live.add(pair)
+        if relay:
+            last = self._relayed.get(pair)
+            if last is None:
+                self._relayed[pair] = self.now
+                return True
+            if self._live is None or dest not in self._repair or self.now - last < REPAIR_AFTER:
+                return False
+            self._relayed[pair] = self.now
+            self._metrics.resent += 1
+            return True
+        timer = self._timers.get(pair)
         if timer is None:
-            if backup:
-                self._timers[pair] = (self.now + BACKUP_GAP, BACKUP_GAP)
-            elif self._live is None:
+            if self._live is None:
                 # Due again in this tick's round: the second copy.
                 self._timers[pair] = (self.now, FIRST_GAP)
             else:
@@ -119,6 +158,6 @@ class Retransmit:
         due, gap = timer
         if self._live is None or due > self.now:
             return False
-        self._timers[pair] = (self.now + gap, gap if backup else min(2 * gap, MAX_GAP))
+        self._timers[pair] = (self.now + gap, min(2 * gap, MAX_GAP))
         self._metrics.resent += 1
         return True

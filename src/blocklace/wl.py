@@ -262,8 +262,8 @@ class WlAgent(Agent):
     # --- dissemination ----------------------------------------------------------
 
     # The creator of a block sends it to every member, so a copy this agent
-    # relays is a second path and goes on the backup schedule.
-    RELAY_BACKUP = True
+    # relays is a second path: it goes out once and is repaired on a nack.
+    RELAY_ONCE = True
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not
@@ -295,6 +295,8 @@ class WlAgent(Agent):
             return
         self.ack_log.append(ack)
         self.peers.credit(ack.creator, ack.pointers)
+        # Relay copies the ack does not cover may have been lost.
+        self.retransmit.mark_repair(ack.address)
 
     def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> None:
         # A member sends only blocks it holds, so a block delivered from a
@@ -326,15 +328,20 @@ class WlAgent(Agent):
         # All ancestors present: enforce the one-genesis partition rule,
         # then insert and index.
         if not is_genesis(block):
-            observed = 0
-            for ptr in block.pointers:
-                observed |= self.lace.mask_of(ptr)
-            hits = observed & self._genesis_bits
+            hits = self._geneses_observed(block)
             if hits == 0 or hits & (hits - 1):
                 self.metrics.dropped_structure += 1
                 return False
         self._insert(block)
         return True
+
+    def _geneses_observed(self, block: Block) -> int:
+        """The genesis bits that the block's pointers held here observe."""
+        observed = 0
+        for ptr in block.pointers:
+            if ptr in self.lace:
+                observed |= self.lace.mask_of(ptr)
+        return observed & self._genesis_bits
 
     def _index(self, block: Block):
         bit = self.lace.bit_of(block.id)
@@ -373,6 +380,18 @@ class WlAgent(Agent):
         if isinstance(payload, Invite) and payload.target == self.agent_id:
             return frozenset([block.id])
         return frozenset()
+
+    def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
+        # A parked block's present pointers name its group: acking that
+        # group's tips, as `_ack_pointers` would, shows the deliverer what
+        # is missing here.  Nothing when they name no group of this agent.
+        hits = self._geneses_observed(block)
+        if hits == 0 or hits & (hits - 1):
+            return None
+        gid = next(g.id for g in self._geneses if hits & self.lace.bit_of(g.id))
+        if not self.member(self.agent_id, gid):
+            return None
+        return self.partition_tips(gid)
 
     def _require_member(self, gid: GroupId):
         if not self.member(self.agent_id, gid):

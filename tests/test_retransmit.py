@@ -9,7 +9,7 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import Runner, run_scenario
 from blocklace.peers import AgentMetrics
-from blocklace.retransmit import BACKUP_GAP, MAX_GAP, Retransmit
+from blocklace.retransmit import MAX_GAP, REPAIR_AFTER, Retransmit
 from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
 
@@ -18,14 +18,17 @@ BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
 OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 
-def round_sends(schedule, pairs, rounds, backup=False):
-    """Run `rounds` rounds asking about every pair; returns, per pair, the
-    ticks at which the round sent it."""
+def round_sends(schedule, pairs, rounds, relay=False, marked=()):
+    """Run `rounds` rounds asking about every pair, each after acks from
+    the `marked` addresses; returns, per pair, the ticks at which the
+    round sent it."""
     sent = {pair: [] for pair in pairs}
     for _ in range(rounds):
+        for dest in marked:
+            schedule.mark_repair(dest)
         with schedule.round():
             for dest, block_id in pairs:
-                if schedule.take(dest, block_id, backup=backup):
+                if schedule.take(dest, block_id, relay=relay):
                     sent[(dest, block_id)].append(schedule.now)
     return sent
 
@@ -50,24 +53,62 @@ def test_first_offer_in_a_round_sends_once_then_backs_off():
     assert metrics.resent == 4
 
 
-def test_backup_pair_sent_once_then_every_backup_gap():
+def test_relay_pair_sent_once_in_or_out_of_a_round():
     metrics = AgentMetrics()
     schedule = Retransmit(metrics)
-    assert schedule.take("p/0", BLOCK, backup=True)  # first offer, outside a round
-    assert not schedule.take("p/0", BLOCK, backup=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 10, backup=True)
-    # No second copy in the same tick's round; no backoff.
-    assert sent[("p/0", BLOCK)] == [3, 6, 9]
-    assert BACKUP_GAP == 3
-    assert metrics.resent == 3
+    assert schedule.take("p/0", BLOCK, relay=True)  # first offer, outside a round
+    assert not schedule.take("p/0", BLOCK, relay=True)
+    sent = round_sends(schedule, [("p/0", BLOCK), ("p/0", OTHER)], 5, relay=True)
+    # No same-round copy; a pair first offered in a round goes out there.
+    assert sent == {("p/0", BLOCK): [], ("p/0", OTHER): [0]}
+    assert metrics.resent == 0
 
 
-def test_backup_pair_first_offered_in_a_round():
+def test_relay_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
     schedule = Retransmit(metrics)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 10, backup=True)
-    assert sent[("p/0", BLOCK)] == [0, 3, 6, 9]
-    assert metrics.resent == 3
+    schedule.take("p/0", BLOCK, relay=True)
+    # Acks from another address do not repair p's pairs.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["q/0"])
+    assert sent[("p/0", BLOCK)] == []
+    assert metrics.resent == 0
+
+
+def test_marked_relay_pair_resent_only_after_repair_after():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    schedule.take("p/0", BLOCK, relay=True)
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    assert REPAIR_AFTER == 11
+    assert metrics.resent == 2
+    # A mark lasts one round: an ack before an early round repairs nothing
+    # later.
+    schedule = Retransmit(AgentMetrics())
+    schedule.take("p/0", BLOCK, relay=True)
+    round_sends(schedule, [("p/0", BLOCK)], 1, relay=True, marked=["p/0"])
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    assert sent[("p/0", BLOCK)] == []
+
+
+def test_relay_pairs_are_never_armed():
+    schedule = Retransmit(AgentMetrics())
+    schedule.take("p/0", BLOCK, relay=True)
+    round_sends(schedule, [("p/0", BLOCK), ("q/0", BLOCK)], 15, relay=True, marked=["p/0"])
+    assert schedule.armed() == 0
+    schedule.take("p/0", OTHER)
+    assert schedule.armed() == 1
+
+
+def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
+    schedule = Retransmit(AgentMetrics())
+    schedule.take("p/0", BLOCK, relay=True)
+    schedule.take("p/0", OTHER, relay=True)
+    round_sends(schedule, [("p/0", OTHER)], 1, relay=True)
+    assert not schedule.take("p/0", OTHER, relay=True)  # still outstanding
+    assert schedule.take("p/0", BLOCK, relay=True)  # pruned: a first offer again
+    round_sends(schedule, [], 1)
+    assert schedule.take("p/0", OTHER, relay=True)
 
 
 def test_rebound_address_gets_a_fresh_timer():
@@ -216,13 +257,17 @@ def test_wl_copy_sent_by_the_peer_stops_the_resends():
     gid = wl_group(f, m1, m2)
     m2.say_group(gid, b"relay me")
     said = m2.last_uttered
-    forwarded = deliver(f, m2, said)  # f's one backup copy to m1 is lost
+    forwarded = deliver(f, m2, said)  # f's one relay copy to m1 is lost
     assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in forwarded}
+    # Without a nack the copy is not resent, but it stays outstanding.
+    assert not owes(f, m1, said.id, rounds=REPAIR_AFTER)
     deliver(m1, m2, said)
     # m1 relays its copy to f: f learns that m1 holds it.
     forwarded = deliver(f, m1, said)
     assert not any(blk.id == said.id for _, blk in forwarded)
-    assert not owes(f, m1, said.id)
+    # So an ack from m1 that does not name it repairs nothing.
+    f.retransmit.mark_repair(m1.current_address)
+    assert not owes(f, m1, said.id, rounds=1)
 
 
 def test_tl_copy_sent_by_the_peer_is_not_sent_back():

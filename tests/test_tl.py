@@ -231,6 +231,28 @@ def test_out_of_order_from_followed_creator_waits_for_chain():
     assert first.id in c.lace and second.id in c.lace
 
 
+def test_parked_block_not_acked_even_with_pointers_here():
+    # TL has no nack: a parked block is acked only once it lands, however
+    # often it is delivered.
+    a, c = agent(0), agent(1)
+    befriend(a, c)
+    a.say(b"one")
+    first = a.last_uttered
+    pump([a, c], c.say(b"hi"), c)
+    a.say(b"two")
+    second = a.last_uttered
+    assert c.last_uttered.id in second.pointers
+    for _ in range(2):
+        sends = c.receive(encode_block(second), src=a.current_address)
+        assert second.id in {blk.id for blk in c.pending_blocks()}
+        assert not [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
+        c.tick()
+    assert c.metrics.nacks_sent == 0
+    sends = c.receive(encode_block(first), src=a.current_address)
+    assert second.id in c.lace
+    assert [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
+
+
 def test_stranger_blocks_insert_immediately():
     a, c = agent(0), agent(1)
     a.say(b"one")

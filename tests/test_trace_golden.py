@@ -29,13 +29,13 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "6ff50899e9c2774347bb6eccbad45d03930b150a986e6aceaacd1561193198f9",
     "tl_churn": "23f0c952aa48b837885c1a0126aa74b00883d1321c25edade8264e2a7c05e5e2",
     "tl_forgery": "7583b58b94187d0c82c1258c5030d33e226d0aab00b4bc59c7e46894bb6eb36e",
-    "wl_group": "e801e6a4335a374f27540b42a31422e8aad7ad9c54872518233870def694babe",
-    "wl_dropper": "d288ec8490688ff31f9678a428301d74da2cd0c9e7581780472a51f64c67f508",
+    "wl_group": "67960fa448fa0e1c22b7579b3f4ac9285184c3b5bff4ad9729eba05db320b01b",
+    "wl_dropper": "904016df824c2f0ad3ed746987e279abdefb70009fad46a5879e2ccef3406311",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "6aaa68bb559c2c95b87da9eb025ad3f83108d770336002b56d2e4fde21409939",
-    "wl_equivocation": "e8b26cf15950879877c6773eb9f04fb46eaf26b803352d684d0bcf1620a61852",
-    "wl_privacy": "dda191e82b99e05d28d0b4aa38ecb07525387ec4423579b3e9a70b031606cceb",
-    "wl_partitions": "bd8eb2aeaa238824cb5bc2f77ca250bdc32e9a9ddda8535612d978eec2b4101d",
+    "wl_churn": "6400b632f750011f5e9afab85f747fb2c5b2a9c907844bd8fa3d4fb0f85e56e1",
+    "wl_equivocation": "49747d5ac26cc9d973ca65eefd0bab400c2f6fc2f93b5693cc49598a65a0841a",
+    "wl_privacy": "5a54266c3d08252ef32300694ec8857e707d80fc46c60ed0f8b448b716e83cd8",
+    "wl_partitions": "2b43737669934932d25169d72413b75c15bf19a7b6bb8c5c4ff796fe165569fb",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "bf2cc6c344280cb7087d0b758db05c3cc9d8bdb620997ea8bd84d639e69626b3",
@@ -44,13 +44,13 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "4b892ffc1725d7c638543ef0e6d37c09fa246e2f20f02617136c1db472dc9847",
     "tl_churn": "2ed51dc40b92aeb8b0292374103c9f8bc69c762dcdb2dec06c212579ecadd32c",
     "tl_forgery": "7967b4b8b77b3b6008f154155f7394a9210f42f81ebc2070c36e66a98b8bf84c",
-    "wl_group": "b1cd0ba2767c816a32e993a1a1dc1cb3cf10adef5e7f6f017aff7938a6c54df6",
-    "wl_dropper": "cc34b5732defe5ecc1a3923ea277508e4e24e1c03c9432b05c1618a67854e96f",
+    "wl_group": "ea6381269c7c92c3d283213d1c3ed9eb18019b6ac6e0d2ef21c08240ff9e663b",
+    "wl_dropper": "019b8240040c06c922597f79e4dafafe2e11d33aaffb7c54c18766f5b6f0657d",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "bfb801c7d8c9db2ba642f89ac6e0664aa50513f38d55d77cb7b574c7d19d7ac0",
-    "wl_equivocation": "6aa630204f5223be0a8adabed12cdb52cb7fd962a7c5317a2ef9b103757f868f",
-    "wl_privacy": "5ac1d916c09dcb0d56170ff609ed9752740113c011d0eba7ad572b10f5d488c9",
-    "wl_partitions": "d89528cbc25113360d3cebeca8dddbac9f88acf024169fc1f5a2210e9269c63b",
+    "wl_churn": "584bda95ee8e7462f8b055906e9ab64df8fe9762bbc8738b5f80bd8836b366af",
+    "wl_equivocation": "d1607b672888eefb698984acae506bbd5c4a478e9c6ef97889a9a05f53cc0f1b",
+    "wl_privacy": "f6e1fa9ee546dd076ce9465dc1defe4d113e73fa5998900de7b2a51b175b2d8f",
+    "wl_partitions": "ca574e22c619aca14af4d93e0d15ec83cb153b0689c25927a2168a6b5ce8c84e",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
@@ -59,13 +59,13 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "6350e5a198796875363ce7edc5cdf60b95626835a23c629d9561d9d3a823c17b",
     "tl_churn": "80ab34d36fae57d682a2a43b720e32f50537204d3b41fc8b1350315df6ba759a",
     "tl_forgery": "f13147177dc8ab742df75ea7d135de00a4c1ba79c9666deb2b254a0f0dfd0d72",
-    "wl_group": "c4ae2c980b2c6fb5dad7c4fef1a9a76e452d97e3e772b3355f5b2a36a68ac1ce",
-    "wl_dropper": "802540e3f550653de48dee02cf2e9d5df1c0b3637bb4e5d52b79dda366c0028d",
+    "wl_group": "210b33283bdee90833eaed4179a1a49f33757a40ee3b6230f6fcd3a9eb6e5eb3",
+    "wl_dropper": "ba5acc3fdd5f80cb77e281b0e0a69ef469fb064a7dcc5bc4a9682db3a1cd6c92",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "7348143bf8a66f6dd3a31a4fb771a05ecaf6e0a9f85ef76502dc71b599a43ea7",
-    "wl_equivocation": "03ce91a5523eec7f0a0dc91969cb41d8978156d7a101f88eb73a6ef36d887ef8",
-    "wl_privacy": "a50fe5a76cf2a283f1fe45e4265843847a8ffa03cdb0975f0098303c8b0bafb1",
-    "wl_partitions": "3699b7f14a3eccc1b6714cda91ee62f0308e30c46cc2c8ea5fda02e618fcadba",
+    "wl_churn": "db8f45cfb7255581b0dba2013f526ce2fefdc1bf4adebea8d826a8227a339d03",
+    "wl_equivocation": "8d11c13b2774a11a7cce9ed40976197b1b36cac32ebc48bc3041e1454a7184cd",
+    "wl_privacy": "c35f8dbeb73271bd5cad4036834beb81cfc4d719482d42dd1352539412e90d72",
+    "wl_partitions": "76530d838b3c1375209916b0cdf8df8811b9af241ef31bbfabd13fd5f5440002",
 }
 
 

@@ -5,6 +5,9 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
+from blocklace.harness import canned
+from blocklace.harness.runner import run_scenario
+from blocklace.retransmit import REPAIR_AFTER
 from blocklace.tl import ProtocolError
 from blocklace.wl import (
     WlAgent,
@@ -216,7 +219,8 @@ def test_pending_buffer_reorders_to_closure():
     out = m.receive(encode_block(second), src=f.current_address)
     assert second.id not in m.lace
     assert second.id in {blk.id for blk in m.pending_blocks()}
-    assert not [blk for _, blk in out if isinstance(blk.payload, b.Ack)]  # no ack while pending
+    # No ack while pending: none of its pointers is here to name a group.
+    assert not [blk for _, blk in out if isinstance(blk.payload, b.Ack)]
     m.receive(encode_block(first), src=f.current_address)
     assert second.id in m.lace and first.id in m.lace
     assert m.lace.is_closed()
@@ -279,8 +283,8 @@ def test_receive_forwards_only_landed_blocks():
     sends = m1.receive(encode_block(news), src=f.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(m2.current_address, news.id)]
-    # The round resends the own backlog; the relayed news was its one
-    # backup copy for this tick.
+    # The round resends the own backlog; the relayed news went out once,
+    # on arrival, and is resent only to repair a loss a nack reveals.
     assert {blk.id for _, blk in m1.tick()} == {backlog.id}
 
 
@@ -295,6 +299,108 @@ def test_pending_drain_forwards_every_landed_block():
     sends = m1.receive(encode_block(first), src=f.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(m2.current_address, first.id), (m2.current_address, second.id)]
+
+
+def acks(sends):
+    return [(dst, blk) for dst, blk in sends if isinstance(blk.payload, b.Ack)]
+
+
+def test_parked_block_acked_at_once_with_the_group_tips():
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    m2.say_group(gid, b"missed")
+    missed = m2.last_uttered
+    f.receive(encode_block(missed), src=m2.current_address)
+    m1.say_group(gid, b"mine")
+    f.receive(encode_block(m1.last_uttered), src=m1.current_address)
+    f.say_group(gid, b"both")
+    both = f.last_uttered
+    assert missed.id in both.pointers and missed.id not in m1.lace
+    m1.tick()  # a new ack dedup window
+    ((dst, nack),) = acks(m1.receive(encode_block(both), src=f.current_address))
+    assert both.id in {blk.id for blk in m1.pending_blocks()}
+    assert dst == f.current_address
+    assert nack.pointers == m1.partition_tips(gid)
+    assert m1.metrics.nacks_sent == 1
+    # Delivered again while still parked: the same ack, deduplicated in
+    # this tick and sent again in the next.
+    assert acks(m1.receive(encode_block(both), src=f.current_address)) == []
+    m1.tick()
+    assert acks(m1.receive(encode_block(both), src=f.current_address)) == [(dst, nack)]
+    assert m1.metrics.nacks_sent == 2
+    # Without a source address there is no deliverer to nack.
+    m1.tick()
+    assert acks(m1.receive(encode_block(both))) == []
+
+
+def test_parked_block_not_acked_without_a_group_of_this_agent():
+    f, m = agent(0), agent(1)
+    f.create_group(b"g")
+    gid = f.last_uttered.id
+    f.address_hints[m.agent_id] = m.current_address
+    pump([f, m], f.invite(m.agent_id, gid), f)  # m is invited, not a member
+    invite = f.last_uttered
+    f.invite(agent(2).agent_id, gid)  # never reaches m
+    f.say_group(gid, b"after")
+    after = f.last_uttered
+    # after's present pointer, m's invite, observes a group m has not joined.
+    assert invite.id in after.pointers and len(after.pointers) == 2
+    m.tick()  # a new ack dedup window
+    out = m.receive(encode_block(after), src=f.current_address)
+    assert after.id in {blk.id for blk in m.pending_blocks()}
+    assert acks(out) == []
+    # No pointer here at all.
+    g, n = agent(2), agent(3)
+    gid2 = form_group(g, [n])
+    g.say_group(gid2, b"one")
+    g.say_group(gid2, b"two")
+    assert acks(n.receive(encode_block(g.last_uttered), src=g.current_address)) == []
+    assert m.metrics.nacks_sent == n.metrics.nacks_sent == 0
+
+
+def test_lost_relay_copy_of_an_accept_is_repaired_on_a_nack():
+    # The founder relays each member's Accept to the other member once.
+    # With both copies lost, m1 and m2 never learn the other joined, so
+    # neither sends the other anything; the founder's next block points
+    # at both Accepts and parks at each of them.
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    everyone = [f, m1, m2]
+    f.create_group(b"room")
+    gid = f.last_uttered.id
+    for m in (m1, m2):
+        f.address_hints[m.agent_id] = m.current_address
+        pump(everyone, f.invite(m.agent_id, gid), f)
+    accepts = {}
+    lost = []  # everything f sends from here on
+    for m in (m1, m2):
+        m.accept(gid)
+        accepts[m] = m.last_uttered
+        lost += f.receive(encode_block(accepts[m]), src=m.current_address)
+    lost = {(dst, blk.id) for dst, blk in lost + f.tick()}
+    assert (m1.current_address, accepts[m2].id) in lost
+    assert (m2.current_address, accepts[m1].id) in lost
+    for _ in range(REPAIR_AFTER - 1):  # all lost; no nack, so no repair
+        assert (m1.current_address, accepts[m2]) not in f.tick()
+    f.say_group(gid, b"hello")
+    hello = f.last_uttered
+    assert {accepts[m1].id, accepts[m2].id} <= hello.pointers
+    ((_, nack),) = acks(m1.receive(encode_block(hello), src=f.current_address))
+    assert hello.id not in m1.lace
+    f.receive(encode_block(nack), src=m1.current_address)
+    repaired = [blk for dst, blk in f.tick() if dst == m1.current_address]
+    assert accepts[m2].id in {blk.id for blk in repaired}
+    # The round's copies to m1 land and release the parked block.
+    for blk in repaired:
+        m1.receive(encode_block(blk), src=f.current_address)
+    assert hello.id in m1.lace
+    assert m1.member(m2.agent_id, gid)
+
+
+def test_nacks_counted_in_report_not_trace():
+    result = run_scenario(canned.wl_partitions(seed=1))
+    metrics = result.report["agent_metrics"]
+    assert sum(m["nacks_sent"] for m in metrics.values()) > 0
+    assert "nacks_sent" not in result.trace_text
 
 
 def test_identical_ack_sent_once_per_destination_per_tick():
