@@ -53,15 +53,35 @@ def test_first_offer_in_a_round_sends_once_then_backs_off():
     assert metrics.resent == 4
 
 
-def test_relay_pair_sent_once_in_or_out_of_a_round():
+# A backup pair is one on the relay schedule: another path also covers it.
+
+
+def test_backup_pair_sent_once_then_every_backup_gap():
     metrics = AgentMetrics()
     schedule = Retransmit(metrics)
     assert schedule.take("p/0", BLOCK, relay=True)  # first offer, outside a round
     assert not schedule.take("p/0", BLOCK, relay=True)
-    sent = round_sends(schedule, [("p/0", BLOCK), ("p/0", OTHER)], 5, relay=True)
-    # No same-round copy; a pair first offered in a round goes out there.
-    assert sent == {("p/0", BLOCK): [], ("p/0", OTHER): [0]}
+    sent = round_sends(schedule, [("p/0", BLOCK)], 10, relay=True)
+    # No same-round copy, and without an ack from p no resend at all.
+    assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
+    # After acks from p, resends come REPAIR_AFTER ticks after the last send
+    # at tick 0.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
+    assert metrics.resent == 3
+
+
+def test_backup_pair_first_offered_in_a_round():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    sent = round_sends(schedule, [("p/0", BLOCK), ("p/0", OTHER)], 10, relay=True)
+    # A pair first offered in a round goes out there, once.
+    assert sent == {("p/0", BLOCK): [0], ("p/0", OTHER): [0]}
+    assert metrics.resent == 0
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
+    assert metrics.resent == 3
 
 
 def test_relay_pair_silent_without_a_repair_mark():
