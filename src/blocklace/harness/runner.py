@@ -9,10 +9,11 @@ scenario seed — so a (scenario, seed) pair determines the trace bytes.
 
 A run is quiescent after two quiet rounds in a row (no correct agent sent
 a block in its tick or still has a retransmit timer running) with no
-datagram in flight and no scripted event left.  Only eager pairs, a
-block's creator sending it and TL relays, have timers; a WL relay's copy
-goes out once and is repaired only on a nack, so it never holds a run
-open (`retransmit`).
+datagram in flight and no scripted event left.  Eager pairs (a block's
+creator sending it, TL relays) and WL relay copies on a backstop have
+timers.  A WL relay copy whose creator is known to send the block to
+the same member has none: the creator's own timer holds the run open
+until that member holds the block (`retransmit`).
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
@@ -199,10 +200,9 @@ class Runner:
     def _run_ticks(self, now: int) -> bool:
         """Every agent's round.  True when the round was quiet: no correct
         agent sent anything and none has an armed retransmit timer, so no
-        correct agent still owes a peer a block on the eager schedule (a
-        backed-off pair sends nothing in most rounds, yet is still
-        outstanding).  A WL relay pair is never armed: its repair waits
-        for a nack (`retransmit`)."""
+        correct agent still owes a peer a block (a backed-off pair sends
+        nothing in most rounds, yet is still outstanding), except WL relay
+        copies whose creator is known to send them too."""
         quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]

@@ -7,8 +7,8 @@ supplies only its credit rule.  `Agent` holds the rest both agents share:
 the bounded pending buffer, the receive -> ack -> forward pipeline with
 its per-tick ack dedup, the send loop (`disseminate`) and the
 retransmission round.  A subclass fills in `_missing`, `_admit`, `_index`,
-`_record_ack`, `_credit_delivery`, `_ack_pointers`, `_nack_pointers` and
-`_wanted`, which says who may receive what.
+`_record_ack`, `_credit_delivery`, `_ack_pointers`, `_nack_pointers`,
+`_creator_sends` and `_wanted`, which says who may receive what.
 """
 
 from __future__ import annotations
@@ -138,8 +138,10 @@ class Agent:
     agents."""
 
     # Whether a block this agent relays (one it did not create) goes on
-    # the relay schedule, sent once and repaired on a nack, rather than on
-    # the eager one (`retransmit`).
+    # the relay schedule, sent once, rather than on the eager one
+    # (`retransmit`).  Such a pair is repaired on a nack when
+    # `_creator_sends` says the creator covers it, and is on a backstop
+    # otherwise.
     RELAY_ONCE = False
 
     def __init__(
@@ -267,12 +269,19 @@ class Agent:
                 continue
             batch = lace.blocks_of_mask(wanted)
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            sends.extend(
-                (dest, blk)
-                for blk in batch
-                if take(dest, blk.id, relay=relay_once and blk.creator != me)
-            )
+            for blk in batch:
+                if not relay_once or blk.creator == me:
+                    sent = take(dest, blk.id)
+                else:
+                    sent = take(dest, blk.id, True, not self._creator_sends(blk, q))
+                if sent:
+                    sends.append((dest, blk))
         return sends
+
+    def _creator_sends(self, block: Block, q: AgentId) -> bool:
+        """Whether the block's creator, if correct, sends it to q itself,
+        so a relayed copy is a second path (`RELAY_ONCE`)."""
+        return False
 
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose

@@ -21,28 +21,49 @@ for its next try: in a 12-member group at 30% loss, a cap of 16 instead
 of 4 saved under 0.3% of the datagrams but delayed quiescence by up to
 38 ticks (170 instead of 132).
 
-The relay schedule is for a pair another path also covers.  It is sent
-once on first offer, in or out of a round, with no same-round copy and
-no timer, so it never keeps a run from quiescing.  It is resent only to
-repair a loss: in a round after an ack from the destination arrived, if
-the last send is at least REPAIR_AFTER ticks old.  REPAIR_AFTER is twice
-the largest delay plus one, so the ack left the destination after the
-copy could have arrived; an ack that still does not cover the block is
-evidence the copy was lost.  The ack may be a nack: a WL agent that parks
-a block because ancestors are missing acks it at once with the tips of
-the block's group (`peers.Agent.receive`), which shows the deliverer what
-is missing.  This is the eager/lazy split of Plumtree (Leitao, Pereira
-and Rodrigues, "Epidemic Broadcast Trees", SRDS 2007), with acks and
-nacks in place of its IHAVE and GRAFT messages: in a WL group the creator of a block
-sends it to every member on the eager schedule, so a relay's copy is a
-second path and goes on the relay schedule.  The repair is needed: with
-single relay copies and no repair, `wl_partitions` at seed 1 never
-quiesces, because two members each miss the other's Accept when the
-founder's one relay copy is lost.  In TL a relay is often the only path
-(friends in a line), so TL relays stay eager: dropping a TL relay's
-second copy raised the 95th-percentile delivery time on a 5-agent line
-from 12.6 to 18.5 ticks.  Each agent class states its choice as
-`RELAY_ONCE` (`peers.Agent`).
+The relay schedule is for a copy of a block this agent did not create,
+where the creator sends it too.  It is sent once on first offer, in or
+out of a round, with no same-round copy.  How it is resent depends on
+whether the creator is known to cover the destination:
+
+* covered: the agent knows the creator holds the block that made the
+  destination a member, so a correct creator has the pair on its own
+  eager schedule.  The copy has no timer.  It is resent only to repair
+  a loss: in a round after an ack from the destination arrived, if the
+  last send is at least REPAIR_AFTER ticks old;
+* not covered: the creator may not know the destination yet (a member
+  learns of others only from their Accepts), so this copy may be the
+  only path.  It is on a backstop: armed, and resent every REPAIR_AFTER
+  ticks until the destination is known to hold the block.  A later ack
+  that shows the creator now covers it takes it off the backstop.
+
+So a run is quiescent only when every pair is held or covered by an
+armed eager timer: what a correct agent owes a member, the member
+holds.  The exception is a creator that withholds its block from a
+member it knows (a faulty one); the relays' covered copies then get
+only the repair.
+
+REPAIR_AFTER is twice the largest default delay (5 ticks) plus one, so
+an ack that still does not cover the block left the destination after
+the copy could have arrived, and is evidence the copy was lost.  With
+longer delays a repair may race a copy still in flight: an extra send.
+The ack may be a nack: a WL agent that parks a block because ancestors
+are missing acks it at once with the tips of the block's group
+(`peers.Agent.receive`), which shows the deliverer what is missing.
+This is the eager/lazy split of Plumtree (Leitao, Pereira and Rodrigues,
+"Epidemic Broadcast Trees", SRDS 2007), with acks and nacks in place of
+its IHAVE and GRAFT messages.  With single relay copies and neither
+repair nor backstop, `wl_partitions` fails at 11 of seeds 0-39: two
+members each miss the other's Accept when the founder's one relay copy
+is lost.  The repair alone passes there only while later blocks keep
+drawing acks from the member; when a new member's Accept and say are the
+last blocks and the founder's copies of them are lost, nothing does, and
+a run could quiesce with the member lacking both.  The backstop closes
+that.  In TL a relay is often the only path (friends in a line), so TL
+relays stay eager: dropping a TL relay's second copy raised the
+95th-percentile delivery time on a 5-agent line from 12.6 to 18.5 ticks.
+Each agent class states its choice as `RELAY_ONCE` and, in WL, which
+creators cover whom as `_creator_sends` (`peers.Agent`).
 
 Relay schedules on a 12-member WL group at 30% loss (perfbench's
 `wl_wide`):
@@ -51,13 +72,20 @@ Relay schedules on a 12-member WL group at 30% loss (perfbench's
   schedule: 34% fewer datagrams, quiescence 6% later (medians over 10
   seeds); a gap of 4 cut 40% but left a longer tail; acking a landed
   block to every member added datagrams and did not quiesce sooner;
-* once, then repair on an ack, against every 3 ticks (medians over seeds
-  5-24): datagrams 12,172 -> 9,244 (-24%, lower at every seed), p50 1.93
-  -> 1.96 ticks, p95 3.45 -> 3.46, quiescence tick 138 -> 131.  On
-  `wl_long` (6 members): datagrams 10,561 -> 8,248, p50 and p95 within
-  1%.  Relays now resend almost nothing: at 12 members and 50
-  utterances, seed 1, without duplication, relay resends fell from 4,194
-  to 1 and acks from 8,124 to 6,137.
+* once, then the repair or the backstop, against every 3 ticks
+  (medians over seeds 1-24): datagrams 12,165 -> 9,245 (-24%), p50 1.95
+  -> 2.00 ticks, p95 3.45 -> 3.49, quiescence tick 138 -> 132.  On
+  `wl_long` (6 members, seeds 1-12): datagrams 10,591 -> 8,260, p50 and
+  p95 within 1.5%.  At seed 1, 1,174 of `wl_wide`'s 4,229 relay first
+  copies start on a backstop, nearly all during group formation, and
+  none is resent: acks show the copy held, or the creator covering it,
+  within REPAIR_AFTER ticks.  At 12 members and 50 utterances, seed 1,
+  without duplication, relay resends fell from 4,194 to 1 and acks from
+  8,124 to 6,137.  Without the backstop (every relay copy repaired only
+  on an ack) `wl_wide` sent 0.1% more datagrams and quiesced at the same
+  tick; a backstop on every relay copy instead made it quiesce at tick
+  178 rather than 133 (medians over seeds 1-8), since a relay learns
+  that a member holds a block only from that member's acks to it.
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
@@ -73,7 +101,9 @@ from .blocks import BlockId, NetAddress
 
 FIRST_GAP = 1
 MAX_GAP = 4
-# Twice the largest delay of 5 ticks, plus one.
+# Twice the largest delay of the default range (1-5 ticks), plus one.  With
+# longer delays a repair may go out while the first copy is still in
+# flight: an extra send, never a lost block.
 REPAIR_AFTER = 11
 
 Pair = tuple[NetAddress, BlockId]
@@ -82,15 +112,15 @@ Pair = tuple[NetAddress, BlockId]
 class Retransmit:
     """Send schedule per (destination address, block id).
 
-    `take` decides each candidate send; its `relay` flag picks the
-    schedule.  Outside a round it passes only first offers.  Inside a
-    round (`with schedule.round():`) it passes every eager pair whose
-    timer is due, and backs its timer off, and every relay pair due for
-    repair; the pairs the round asked about are exactly the pairs still
-    outstanding, and when the round ends every other entry is dropped.
-    Bound: each table holds the pairs outstanding at the last round plus
-    those first offered since, one entry each; the repair marks hold the
-    addresses acks came from since the last round.
+    `take` decides each candidate send; its `relay` and `backstop` flags
+    pick the schedule.  Outside a round it passes only first offers.
+    Inside a round (`with schedule.round():`) it passes every eager pair
+    whose timer is due, and backs its timer off, and every relay pair due
+    for a resend; the pairs the round asked about are exactly the pairs
+    still outstanding, and when the round ends every other entry is
+    dropped.  Bound: each table holds the pairs outstanding at the last
+    round plus those first offered since, one entry each; the repair
+    marks hold the addresses acks came from since the last round.
     """
 
     def __init__(self, metrics):
@@ -102,13 +132,16 @@ class Retransmit:
         self._timers: dict[Pair, tuple[int, int]] = {}
         # relay pair -> tick it was last sent
         self._relayed: dict[Pair, int] = {}
+        # the relay pairs on a backstop, a subset of `_relayed`
+        self._backstops: set[Pair] = set()
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
         self._live: Optional[set[Pair]] = None
 
     def armed(self) -> int:
-        """Timers still running: eager pairs not yet known to be held."""
-        return len(self._timers)
+        """Timers still running: eager pairs and relay pairs on a
+        backstop not yet known to be held."""
+        return len(self._timers) + len(self._backstops)
 
     def mark_repair(self, dest: NetAddress) -> None:
         """An ack came from `dest`: the next round may repair its relay
@@ -125,24 +158,35 @@ class Retransmit:
             timers, relayed = self._timers, self._relayed
             self._timers = {pair: timers[pair] for pair in live if pair in timers}
             self._relayed = {pair: relayed[pair] for pair in live if pair in relayed}
+            self._backstops &= live
             self._repair = set()
             self._live = None
             self.now += 1
 
-    def take(self, dest: NetAddress, block_id: BlockId, relay: bool = False) -> bool:
+    def take(
+        self, dest: NetAddress, block_id: BlockId, relay: bool = False, backstop: bool = False
+    ) -> bool:
         """Whether to send the block to `dest` now; arms or backs off its
         timer when it does.  A relay pair is sent once on first offer and
-        again only to repair a loss: in a round after an ack from `dest`,
-        at least REPAIR_AFTER ticks after its last send."""
+        again at least REPAIR_AFTER ticks after its last send: on a
+        backstop, then; otherwise only in a round after an ack from
+        `dest`.  `backstop` is read on every call, so a pair leaves its
+        backstop once another path is known to cover it."""
         pair = (dest, block_id)
         if self._live is not None:
             self._live.add(pair)
         if relay:
+            if backstop:
+                self._backstops.add(pair)
+            else:
+                self._backstops.discard(pair)
             last = self._relayed.get(pair)
             if last is None:
                 self._relayed[pair] = self.now
                 return True
-            if self._live is None or dest not in self._repair or self.now - last < REPAIR_AFTER:
+            if self._live is None or self.now - last < REPAIR_AFTER:
+                return False
+            if not backstop and dest not in self._repair:
                 return False
             self._relayed[pair] = self.now
             self._metrics.resent += 1

@@ -122,6 +122,10 @@ class WlAgent(Agent):
         self._genesis_bits = 0
         self._partition_bits: dict[GroupId, int] = {}
         self._members: dict[GroupId, set[AgentId]] = {}
+        # (group, member) -> the bits of the blocks that made it a member
+        # here: the genesis it created, or its Accepts of invites.  Bound:
+        # one entry per membership.
+        self._joined: dict[tuple[GroupId, AgentId], int] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
         # Members of the groups here and targets of indexed invites: the
         # only agents whose acks are kept.  Bound: one entry per such agent.
@@ -261,9 +265,18 @@ class WlAgent(Agent):
 
     # --- dissemination ----------------------------------------------------------
 
-    # The creator of a block sends it to every member, so a copy this agent
-    # relays is a second path: it goes out once and is repaired on a nack.
+    # The creator of a block sends it to every member it knows, so a copy
+    # this agent relays to such a member is a second path: it goes out once
+    # and is repaired on a nack.  A copy to a member the creator may not
+    # know yet goes out once and stays on a backstop until it is held.
     RELAY_ONCE = True
+
+    def _creator_sends(self, block: Block, q: AgentId) -> bool:
+        # The creator holds the block that made q a member of the block's
+        # group, so it counts q among the members it sends that group's
+        # blocks to.
+        joined = self._joined.get((self.group_of(block.id), q), 0)
+        return bool(self.peers.known(block.creator) & joined)
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not
@@ -350,6 +363,7 @@ class WlAgent(Agent):
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
             self._members.setdefault(block.id, set()).add(block.creator)
+            self._joined[(block.id, block.creator)] = bit
             self._ack_senders.add(block.creator)
         else:
             mask = self.lace.mask_of(block.id)
@@ -369,6 +383,8 @@ class WlAgent(Agent):
                 gid, target = entry
                 if target == block.creator:
                     self._members.setdefault(gid, set()).add(target)
+                    key = (gid, target)
+                    self._joined[key] = self._joined.get(key, 0) | bit
 
     def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> frozenset[BlockId]:
         # Disclose only the tips of the group the block belongs to; an

@@ -1,6 +1,8 @@
 """The retransmission schedule per (destination address, block) and how the
 agents follow it."""
 
+import dataclasses
+
 import pytest
 
 from blocklace import blocks as b
@@ -18,7 +20,7 @@ BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
 OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 
-def round_sends(schedule, pairs, rounds, relay=False, marked=()):
+def round_sends(schedule, pairs, rounds, relay=False, marked=(), backstop=False):
     """Run `rounds` rounds asking about every pair, each after acks from
     the `marked` addresses; returns, per pair, the ticks at which the
     round sent it."""
@@ -28,7 +30,7 @@ def round_sends(schedule, pairs, rounds, relay=False, marked=()):
             schedule.mark_repair(dest)
         with schedule.round():
             for dest, block_id in pairs:
-                if schedule.take(dest, block_id, relay=relay):
+                if schedule.take(dest, block_id, relay=relay, backstop=backstop):
                     sent[(dest, block_id)].append(schedule.now)
     return sent
 
@@ -111,13 +113,44 @@ def test_marked_relay_pair_resent_only_after_repair_after():
     assert sent[("p/0", BLOCK)] == []
 
 
-def test_relay_pairs_are_never_armed():
+def test_relay_pairs_armed_only_on_a_backstop():
     schedule = Retransmit(AgentMetrics())
     schedule.take("p/0", BLOCK, relay=True)
     round_sends(schedule, [("p/0", BLOCK), ("q/0", BLOCK)], 15, relay=True, marked=["p/0"])
     assert schedule.armed() == 0
     schedule.take("p/0", OTHER)
     assert schedule.armed() == 1
+    schedule.take("q/0", OTHER, relay=True, backstop=True)
+    assert schedule.armed() == 2
+
+
+def test_backstop_pair_resent_every_repair_after_until_held():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    assert schedule.take("p/0", BLOCK, relay=True, backstop=True)
+    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True)
+    # No same-round copy; resent without any ack, REPAIR_AFTER ticks apart.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, backstop=True)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    assert metrics.resent == 2
+    # Acks from p do not bring the resend forward.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 10, relay=True, backstop=True, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [3 * REPAIR_AFTER]
+    assert schedule.armed() == 1
+    # Held: the next round does not ask about it, and the timer is gone.
+    round_sends(schedule, [], 1)
+    assert schedule.armed() == 0
+
+
+def test_backstop_left_once_another_path_covers_the_pair():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    schedule.take("p/0", BLOCK, relay=True, backstop=True)
+    round_sends(schedule, [("p/0", BLOCK)], 5, relay=True, backstop=True)
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    assert sent[("p/0", BLOCK)] == []
+    assert schedule.armed() == 0
+    assert metrics.resent == 0
 
 
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
@@ -322,7 +355,7 @@ def test_wl_new_address_gets_a_fresh_timer():
 
 def _required_held(runner):
     """(agent, peer, block) triples a correct agent owes a correct peer that
-    the peer does not hold."""
+    the peer does not hold; `runner` is a Runner or a RunResult."""
     correct = {
         w.inner.agent_id: w.inner
         for name, w in runner.wrappers.items()
@@ -368,6 +401,18 @@ def test_quiescence_leaves_no_timer_and_every_required_block_held(name):
     assert quiescence_tick is not None
     assert not any(armed.values()), armed
     assert _required_held(runner) == []
+
+
+@pytest.mark.parametrize("name", ["wl_partitions", "wl_churn"])
+def test_delays_beyond_the_repair_window_still_quiesce_with_every_block_held(name):
+    # REPAIR_AFTER fits the default delays of 1-5 ticks; at up to 12 a
+    # repair may race a copy still in flight, which costs a send, not a
+    # block.
+    scenario = dataclasses.replace(canned.CANNED[name](seed=1), delay_max=12)
+    result = run_scenario(scenario)
+    assert result.quiescence_tick is not None
+    assert _required_held(result) == []
+    assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 
 
 def test_resent_counter_in_report_not_trace():

@@ -35,7 +35,7 @@ GOLDEN_SHA256 = {
     "wl_churn": "6400b632f750011f5e9afab85f747fb2c5b2a9c907844bd8fa3d4fb0f85e56e1",
     "wl_equivocation": "49747d5ac26cc9d973ca65eefd0bab400c2f6fc2f93b5693cc49598a65a0841a",
     "wl_privacy": "5a54266c3d08252ef32300694ec8857e707d80fc46c60ed0f8b448b716e83cd8",
-    "wl_partitions": "2b43737669934932d25169d72413b75c15bf19a7b6bb8c5c4ff796fe165569fb",
+    "wl_partitions": "24489e134fc0fc24e02efe751d26bf6167f46db6acd44a760e9bbd284514d779",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "bf2cc6c344280cb7087d0b758db05c3cc9d8bdb620997ea8bd84d639e69626b3",
@@ -50,7 +50,7 @@ GOLDEN_V3_SHA256 = {
     "wl_churn": "584bda95ee8e7462f8b055906e9ab64df8fe9762bbc8738b5f80bd8836b366af",
     "wl_equivocation": "d1607b672888eefb698984acae506bbd5c4a478e9c6ef97889a9a05f53cc0f1b",
     "wl_privacy": "f6e1fa9ee546dd076ce9465dc1defe4d113e73fa5998900de7b2a51b175b2d8f",
-    "wl_partitions": "ca574e22c619aca14af4d93e0d15ec83cb153b0689c25927a2168a6b5ce8c84e",
+    "wl_partitions": "4c4ab3a3e12874570b9ef89eb3b85c0b89c3311ac4c78601424f6169dbc49ff0",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
@@ -65,7 +65,7 @@ GOLDEN_V2_SHA256 = {
     "wl_churn": "db8f45cfb7255581b0dba2013f526ce2fefdc1bf4adebea8d826a8227a339d03",
     "wl_equivocation": "8d11c13b2774a11a7cce9ed40976197b1b36cac32ebc48bc3041e1454a7184cd",
     "wl_privacy": "c35f8dbeb73271bd5cad4036834beb81cfc4d719482d42dd1352539412e90d72",
-    "wl_partitions": "76530d838b3c1375209916b0cdf8df8811b9af241ef31bbfabd13fd5f5440002",
+    "wl_partitions": "8cdabfa07f9e007e3ba8fdf409c5b86c755fe4feb99f9be5146c2b16fa44ea7b",
 }
 
 

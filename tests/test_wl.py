@@ -358,11 +358,60 @@ def test_parked_block_not_acked_without_a_group_of_this_agent():
     assert m.metrics.nacks_sent == n.metrics.nacks_sent == 0
 
 
-def test_lost_relay_copy_of_an_accept_is_repaired_on_a_nack():
-    # The founder relays each member's Accept to the other member once.
-    # With both copies lost, m1 and m2 never learn the other joined, so
-    # neither sends the other anything; the founder's next block points
-    # at both Accepts and parks at each of them.
+def test_lost_relay_copy_is_repaired_on_a_nack():
+    # m2 withholds its say from m1, and f's one relay copy to m1 is lost.
+    # f knows m2 holds m1's Accept, so its copy was a second path and has
+    # no backstop: only f's next block, which points at the say and at
+    # m1's own and parks at m1, shows f what is missing.
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    m2.say_group(gid, b"withheld")
+    said = m2.last_uttered
+    lost = f.receive(encode_block(said), src=m2.current_address)
+    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in lost}
+    assert f.retransmit.armed() == 0
+    m1.say_group(gid, b"mine")
+    f.receive(encode_block(m1.last_uttered), src=m1.current_address)
+    for _ in range(REPAIR_AFTER):  # no nack, so no repair
+        assert said.id not in {blk.id for _, blk in f.tick()}
+    f.say_group(gid, b"after")
+    after = f.last_uttered
+    assert said.id in after.pointers
+    m1.tick()  # a new ack dedup window
+    ((_, nack),) = acks(m1.receive(encode_block(after), src=f.current_address))
+    assert after.id not in m1.lace
+    f.receive(encode_block(nack), src=m1.current_address)
+    repaired = [blk for dst, blk in f.tick() if dst == m1.current_address]
+    assert said.id in {blk.id for blk in repaired}
+    # The round's copies to m1 land and release the parked block.
+    for blk in repaired:
+        m1.receive(encode_block(blk), src=f.current_address)
+    assert after.id in m1.lace
+
+
+def deliver_losing(agents, sends, src_agent, lost):
+    """Deliver `sends` from `src_agent` and everything they spawn, in
+    order, except that the first copy of each (destination agent, block
+    id) in the set `lost` is dropped (and removed from it)."""
+    queue = [(src_agent, dst, blk) for dst, blk in sends]
+    while queue:
+        src, dst, blk = queue.pop(0)
+        target = next((a for a in agents if a.current_address == dst), None)
+        if target is None or (target, blk.id) in lost:
+            lost.discard((target, blk.id))
+            continue
+        out = target.receive(encode_block(blk), src.current_address)
+        queue.extend((target, d, reply) for d, reply in out)
+
+
+@pytest.mark.parametrize("say_lost", [True, False], ids=["say_lost", "say_parked"])
+def test_relay_copy_to_a_member_its_creator_does_not_know_is_held(say_lost):
+    # m1 and m2 learn of each other only from f's relay copies of their
+    # Accepts, and both are lost.  m2's say, the last event, goes to f
+    # alone; f's one relay copy to m1 is lost too, or lands and parks
+    # while f's Accept copy is too recent for a nack to repair.  Neither
+    # m2 nor the acks f holds show that m2 knows m1, so f's copies to m1
+    # stay on a backstop until m1 holds them.
     f, m1, m2 = agent(0), agent(1), agent(2)
     everyone = [f, m1, m2]
     f.create_group(b"room")
@@ -370,34 +419,61 @@ def test_lost_relay_copy_of_an_accept_is_repaired_on_a_nack():
     for m in (m1, m2):
         f.address_hints[m.agent_id] = m.current_address
         pump(everyone, f.invite(m.agent_id, gid), f)
-    accepts = {}
-    lost = []  # everything f sends from here on
+    sends = {m: m.accept(gid) for m in (m1, m2)}
+    lost = {(m1, m2.last_uttered.id), (m2, m1.last_uttered.id)}
     for m in (m1, m2):
-        m.accept(gid)
-        accepts[m] = m.last_uttered
-        lost += f.receive(encode_block(accepts[m]), src=m.current_address)
-    lost = {(dst, blk.id) for dst, blk in lost + f.tick()}
-    assert (m1.current_address, accepts[m2].id) in lost
-    assert (m2.current_address, accepts[m1].id) in lost
-    for _ in range(REPAIR_AFTER - 1):  # all lost; no nack, so no repair
-        assert (m1.current_address, accepts[m2]) not in f.tick()
-    f.say_group(gid, b"hello")
-    hello = f.last_uttered
-    assert {accepts[m1].id, accepts[m2].id} <= hello.pointers
-    ((_, nack),) = acks(m1.receive(encode_block(hello), src=f.current_address))
-    assert hello.id not in m1.lace
-    f.receive(encode_block(nack), src=m1.current_address)
-    repaired = [blk for dst, blk in f.tick() if dst == m1.current_address]
-    assert accepts[m2].id in {blk.id for blk in repaired}
-    # The round's copies to m1 land and release the parked block.
-    for blk in repaired:
-        m1.receive(encode_block(blk), src=f.current_address)
-    assert hello.id in m1.lace
-    assert m1.member(m2.agent_id, gid)
+        deliver_losing(everyone, sends[m], m, lost)
+    for a in everyone:
+        deliver_losing(everyone, a.tick(), a, lost)
+    assert not lost
+    sends = m2.say_group(gid, b"last word")
+    said = m2.last_uttered
+    assert {dst for dst, _ in sends} == {f.current_address}
+    lost = {(m1, said.id)} if say_lost else set()
+    deliver_losing(everyone, sends, m2, lost)
+    assert not lost
+    assert said.id not in m1.lace and f.retransmit.armed() > 0
+    for _ in range(4 * REPAIR_AFTER):
+        for a in everyone:
+            deliver_losing(everyone, a.tick(), a, set())
+    assert said.id in m1.lace
+    assert m1.member(m2.agent_id, gid) and m2.member(m1.agent_id, gid)
+    # Quiescent: nothing is owed any more.
+    assert [a.retransmit.armed() for a in everyone] == [0, 0, 0]
+
+
+def test_creator_covers_a_member_only_in_the_group_it_knows_it_in():
+    # c knows q joined "two" but not "one", so c sends its blocks in "one"
+    # to f alone, and f's copy of one of them is q's only path.
+    f, c, q = agent(0), agent(1), agent(2)
+    everyone = [f, c, q]
+    gids = {}
+    for name in (b"two", b"one"):
+        f.create_group(name)
+        gids[name] = f.last_uttered.id
+        for m in (c, q):
+            f.address_hints[m.agent_id] = m.current_address
+            pump(everyone, f.invite(m.agent_id, gids[name]), f)
+    for m in (c, q):
+        pump(everyone, m.accept(gids[b"two"]), m)
+    for a in everyone:
+        pump(everyone, a.tick(), a)
+    assert c.member(q.agent_id, gids[b"two"])
+    pump(everyone, c.accept(gids[b"one"]), c)
+    sends = q.accept(gids[b"one"])
+    lost = {(c, q.last_uttered.id)}  # f's copy
+    deliver_losing(everyone, sends, q, lost)
+    assert not lost and not c.member(q.agent_id, gids[b"one"])
+    sends = c.say_group(gids[b"one"], b"to f")
+    assert {dst for dst, _ in sends} == {f.current_address}
+    armed = f.retransmit.armed()
+    relayed = f.receive(encode_block(c.last_uttered), src=c.current_address)
+    assert (q.current_address, c.last_uttered.id) in {(dst, blk.id) for dst, blk in relayed}
+    assert f.retransmit.armed() == armed + 1
 
 
 def test_nacks_counted_in_report_not_trace():
-    result = run_scenario(canned.wl_partitions(seed=1))
+    result = run_scenario(canned.wl_group(seed=0))
     metrics = result.report["agent_metrics"]
     assert sum(m["nacks_sent"] for m in metrics.values()) > 0
     assert "nacks_sent" not in result.trace_text
