@@ -183,11 +183,11 @@ class Agent:
     def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
         """Validate, integrate, acknowledge, and forward a datagram.
 
-        Each block that lands is acknowledged to the delivering address
-        (its creator's address when none is known): the deliverer is the
-        one whose retry loop the ack must stop, and a relayed block acked
-        only to its distant creator would be resent by the relay forever.
-        A duplicate is acknowledged again.  A block parked in the pending
+        An ack exists to stop the deliverer's retransmission timer, so
+        each block that lands is acknowledged to the delivering address
+        (its creator's address when none is known), and a duplicate is
+        acknowledged again, unless `_ack_pointers` gives None: in WL, a
+        relay's copy that no timer waits on.  A block parked in the pending
         buffer is acknowledged to its deliverer only when `_nack_pointers`
         gives pointers: a nack, whose pointers show the deliverer which
         ancestors are missing here.  A peer sends only
@@ -213,8 +213,10 @@ class Agent:
             if pointers and self._ack(src, pointers, sends):
                 self.metrics.nacks_sent += 1
         for acked in landed:
-            dest = src if src is not None else self.address_of(acked.creator)
-            self._ack(dest, self._ack_pointers(acked, sender), sends)
+            pointers = self._ack_pointers(acked, sender)
+            if pointers is not None:
+                dest = src if src is not None else self.address_of(acked.creator)
+                self._ack(dest, pointers, sends)
         if was_new:
             only = 0
             for blk in landed:

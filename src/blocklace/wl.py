@@ -311,12 +311,18 @@ class WlAgent(Agent):
         # Relay copies the ack does not cover may have been lost.
         self.retransmit.mark_repair(ack.address)
 
-    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> None:
+    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
         # A member sends only blocks it holds, so a block delivered from a
-        # member's address counts as that member's disclosure of it.
+        # member's address counts as that member's disclosure of it.  The
+        # deliverer is the block's creator when it sits at src, else the
+        # other member there, if any.
+        members = self._members_at(src)
         if self._holds(block.id):
-            for q in self._members_at(src):
+            for q in members:
                 self.peers.credit(q, (block.id,))
+        if block.creator in members:
+            return block.creator
+        return members[0] if members else None
 
     def _members_at(self, src: Optional[NetAddress]) -> list[AgentId]:
         """The other members of this agent's groups whose address is src.
@@ -386,11 +392,20 @@ class WlAgent(Agent):
                     key = (gid, target)
                     self._joined[key] = self._joined.get(key, 0) | bit
 
-    def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> frozenset[BlockId]:
+    def _ack_pointers(
+        self, block: Block, sender: Optional[AgentId]
+    ) -> Optional[frozenset[BlockId]]:
         # Disclose only the tips of the group the block belongs to; an
         # invite addressed to this agent is acknowledged by naming it.
+        # No ack for a copy from a member other than the creator when the
+        # block observes the block that made this agent a member: that
+        # relay holds it too, so knows the creator covers this agent, and
+        # its copy has no timer for an ack to stop (`_creator_sends`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
+            joined = self._joined.get((gid, self.agent_id), 0)
+            if sender not in (None, block.creator) and self.lace.mask_of(block.id) & joined:
+                return None
             return self.partition_tips(gid)
         payload = block.payload
         if isinstance(payload, Invite) and payload.target == self.agent_id:

@@ -378,3 +378,11 @@ def test_two_hop_relay_liveness_perfect_network():
         b"msg-2",
         b"msg-3",
     ]
+    # c's copy is on c's timer (TL relays stay eager), so d acks it to c.
+    a.say(b"msg-4")
+    relayed = c.receive(encode_block(a.last_uttered), src=a.current_address)
+    (copy,) = [blk for dst, blk in relayed if dst == d.current_address]
+    assert copy.id == a.last_uttered.id
+    sends = d.receive(encode_block(copy), src=c.current_address)
+    assert copy.id in d.lace
+    assert c.current_address in {dst for dst, blk in sends if isinstance(blk.payload, b.Ack)}

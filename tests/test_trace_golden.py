@@ -29,13 +29,13 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "6ff50899e9c2774347bb6eccbad45d03930b150a986e6aceaacd1561193198f9",
     "tl_churn": "23f0c952aa48b837885c1a0126aa74b00883d1321c25edade8264e2a7c05e5e2",
     "tl_forgery": "7583b58b94187d0c82c1258c5030d33e226d0aab00b4bc59c7e46894bb6eb36e",
-    "wl_group": "67960fa448fa0e1c22b7579b3f4ac9285184c3b5bff4ad9729eba05db320b01b",
-    "wl_dropper": "904016df824c2f0ad3ed746987e279abdefb70009fad46a5879e2ccef3406311",
+    "wl_group": "3c491df2e56faf5bc1315160df7020f6f6621a664fd8ac305003356df8817469",
+    "wl_dropper": "b4b488993e95261ce72a538f167a2aca61548dbe7ad4455abe06166d733a05c4",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "6400b632f750011f5e9afab85f747fb2c5b2a9c907844bd8fa3d4fb0f85e56e1",
-    "wl_equivocation": "49747d5ac26cc9d973ca65eefd0bab400c2f6fc2f93b5693cc49598a65a0841a",
-    "wl_privacy": "5a54266c3d08252ef32300694ec8857e707d80fc46c60ed0f8b448b716e83cd8",
-    "wl_partitions": "24489e134fc0fc24e02efe751d26bf6167f46db6acd44a760e9bbd284514d779",
+    "wl_churn": "210b514a9c72597393be0151bae733262f7580b0235fa604ab5a19b59db36faf",
+    "wl_equivocation": "c43bd42c47711a4c64137064ba84ee4dd340d1b5f0a1bfa80f1d02282ca2c70f",
+    "wl_privacy": "e4148d280eb7c9356a647a8be9ac1fad52e1742a32b23ff73c3e17e83e9f55f2",
+    "wl_partitions": "26c08b732698e86a714636f1a576587e682a0a8239acc93fc799aa57a43643b6",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "bf2cc6c344280cb7087d0b758db05c3cc9d8bdb620997ea8bd84d639e69626b3",
@@ -44,13 +44,13 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "4b892ffc1725d7c638543ef0e6d37c09fa246e2f20f02617136c1db472dc9847",
     "tl_churn": "2ed51dc40b92aeb8b0292374103c9f8bc69c762dcdb2dec06c212579ecadd32c",
     "tl_forgery": "7967b4b8b77b3b6008f154155f7394a9210f42f81ebc2070c36e66a98b8bf84c",
-    "wl_group": "ea6381269c7c92c3d283213d1c3ed9eb18019b6ac6e0d2ef21c08240ff9e663b",
-    "wl_dropper": "019b8240040c06c922597f79e4dafafe2e11d33aaffb7c54c18766f5b6f0657d",
+    "wl_group": "d217d773ad4f7f74e5e543c4d65804be39c5e2355c13dec8e563184a9b3ca6ea",
+    "wl_dropper": "2f831f4461ae8d5cbbbd9834b59673916ca1153fe734137df2c7da6cc11b69b4",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "584bda95ee8e7462f8b055906e9ab64df8fe9762bbc8738b5f80bd8836b366af",
-    "wl_equivocation": "d1607b672888eefb698984acae506bbd5c4a478e9c6ef97889a9a05f53cc0f1b",
-    "wl_privacy": "f6e1fa9ee546dd076ce9465dc1defe4d113e73fa5998900de7b2a51b175b2d8f",
-    "wl_partitions": "4c4ab3a3e12874570b9ef89eb3b85c0b89c3311ac4c78601424f6169dbc49ff0",
+    "wl_churn": "52facd3cf4d6dab216ef0d96b78ffe6b23149432c094f815d657d21b08f8a8e3",
+    "wl_equivocation": "9594769a5301d70684422102f8b2dc8e36b8d7bd1f132b93b2170cb877dbc1bb",
+    "wl_privacy": "ddffdc2a70639f11bdfb47f4b27f2738b7d36a6f7235cef286120e5b4df80c58",
+    "wl_partitions": "d5eefcc6270c6c8fd2e893f2086801f053fcd5f2df2a7c6b6fa8fc68a32a8d0c",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
@@ -59,13 +59,13 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "6350e5a198796875363ce7edc5cdf60b95626835a23c629d9561d9d3a823c17b",
     "tl_churn": "80ab34d36fae57d682a2a43b720e32f50537204d3b41fc8b1350315df6ba759a",
     "tl_forgery": "f13147177dc8ab742df75ea7d135de00a4c1ba79c9666deb2b254a0f0dfd0d72",
-    "wl_group": "210b33283bdee90833eaed4179a1a49f33757a40ee3b6230f6fcd3a9eb6e5eb3",
-    "wl_dropper": "ba5acc3fdd5f80cb77e281b0e0a69ef469fb064a7dcc5bc4a9682db3a1cd6c92",
+    "wl_group": "5cc9486ebfd39828fbc24600503b25af30106373e7461b7e07ae858bdaa9a908",
+    "wl_dropper": "f3d6b1ea588a27c9847ad55898d2f2ebd0582f32ceefa6e99b58626105ae51cc",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "db8f45cfb7255581b0dba2013f526ce2fefdc1bf4adebea8d826a8227a339d03",
-    "wl_equivocation": "8d11c13b2774a11a7cce9ed40976197b1b36cac32ebc48bc3041e1454a7184cd",
-    "wl_privacy": "c35f8dbeb73271bd5cad4036834beb81cfc4d719482d42dd1352539412e90d72",
-    "wl_partitions": "8cdabfa07f9e007e3ba8fdf409c5b86c755fe4feb99f9be5146c2b16fa44ea7b",
+    "wl_churn": "9f24df7ffb90bc5215046f7cf02bbd284af00952bff387cb6f1af02254fbeb09",
+    "wl_equivocation": "9b61798532188e096e3dbc4cbe7763cecba592fd5dc467fe75d3bd9c84c49f1a",
+    "wl_privacy": "5a8c6fc7c4bcfb1147f30ebbdb009461a5abae294c591c32f6efdb3dfba4dc60",
+    "wl_partitions": "b04321bd550d3cac57f5a7dc85c2c9ced2b12a603b1c31295ece44298a903940",
 }
 
 

@@ -328,6 +328,12 @@ def test_parked_block_acked_at_once_with_the_group_tips():
     m1.tick()
     assert acks(m1.receive(encode_block(both), src=f.current_address)) == [(dst, nack)]
     assert m1.metrics.nacks_sent == 2
+    # A relay's copy parks too and draws the same nack, to the relay.
+    m1.tick()
+    assert acks(m1.receive(encode_block(both), src=m2.current_address)) == [
+        (m2.current_address, nack)
+    ]
+    assert m1.metrics.nacks_sent == 3
     # Without a source address there is no deliverer to nack.
     m1.tick()
     assert acks(m1.receive(encode_block(both))) == []
@@ -467,15 +473,35 @@ def test_creator_covers_a_member_only_in_the_group_it_knows_it_in():
     sends = c.say_group(gids[b"one"], b"to f")
     assert {dst for dst, _ in sends} == {f.current_address}
     armed = f.retransmit.armed()
-    relayed = f.receive(encode_block(c.last_uttered), src=c.current_address)
-    assert (q.current_address, c.last_uttered.id) in {(dst, blk.id) for dst, blk in relayed}
+    said = c.last_uttered
+    relayed = f.receive(encode_block(said), src=c.current_address)
+    assert (q.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
     assert f.retransmit.armed() == armed + 1
+    # The say does not observe q's Accept in "one", so q acks f's copy,
+    # and the ack takes the copy off its backstop.
+    for _ in range(2):  # c's Accept in "one", which q lacks, then its ack
+        pump(everyone, f.tick(), f)
+    assert f.retransmit.armed() == 1
+    ((dst, ack),) = acks(q.receive(encode_block(said), src=f.current_address))
+    assert dst == f.current_address
+    f.receive(encode_block(ack), src=q.current_address)
+    f.tick()
+    assert f.retransmit.armed() == 0
 
 
 def test_nacks_counted_in_report_not_trace():
+    f, m = agent(0), agent(1)
+    gid = form_group(f, [m])
+    f.say_group(gid, b"missed")
+    m.say_group(gid, b"mine")
+    f.receive(encode_block(m.last_uttered), src=m.current_address)
+    f.say_group(gid, b"both")  # parks at m, which lacks "missed"
+    assert m.metrics.nacks_sent == 0
+    m.receive(encode_block(f.last_uttered), src=f.current_address)
+    assert m.metrics.nacks_sent == 1
     result = run_scenario(canned.wl_group(seed=0))
     metrics = result.report["agent_metrics"]
-    assert sum(m["nacks_sent"] for m in metrics.values()) > 0
+    assert metrics and all("nacks_sent" in m for m in metrics.values())
     assert "nacks_sent" not in result.trace_text
 
 
@@ -486,18 +512,33 @@ def test_identical_ack_sent_once_per_destination_per_tick():
     wire = encode_block(f.last_uttered)
     sent_before = m1.metrics.acks_sent
 
-    def acks(sends):
-        return [(dst, blk) for dst, blk in sends if isinstance(blk.payload, b.Ack)]
-
     (first,) = acks(m1.receive(wire, src=f.current_address))
     assert acks(m1.receive(wire, src=f.current_address)) == []
-    # Another deliverer of the same block gets its own ack.
-    assert acks(m1.receive(wire, src=m2.current_address)) == [
-        (m2.current_address, first[1])
-    ]
+    # An address where no member is known gets its own ack.
+    assert acks(m1.receive(wire, src="w9/0")) == [("w9/0", first[1])]
+    # m2's copy gets none: the say observes m1's Accept, so m2 knows f
+    # sends it to m1 too and keeps no timer for its own copy.
+    assert acks(m1.receive(wire, src=m2.current_address)) == []
     m1.tick()
+    assert acks(m1.receive(wire, src=m2.current_address)) == []
     assert acks(m1.receive(wire, src=f.current_address)) == [first]
     assert m1.metrics.acks_sent - sent_before == 3
+
+
+def test_covered_relay_copy_not_acked_as_it_lands():
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    f.say_group(gid, b"news")
+    said = f.last_uttered
+    armed = m2.retransmit.armed()
+    relayed = m2.receive(encode_block(said), src=f.current_address)
+    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
+    assert m2.retransmit.armed() == armed  # no timer on m2's copy
+    assert acks(m1.receive(encode_block(said), src=m2.current_address)) == []
+    assert said.id in m1.lace
+    # The creator's copy of the same block is acked, to stop its timer.
+    ((dst, _),) = acks(m1.receive(encode_block(said), src=f.current_address))
+    assert dst == f.current_address
 
 
 def test_acks_from_strangers_are_dropped():
