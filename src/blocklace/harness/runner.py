@@ -76,7 +76,6 @@ class Runner:
             spec.name: agent_keypair(scenario.seed, spec.name) for spec in scenario.agents
         }
         self.agent_ids = {name: kp.agent_id for name, kp in self.keypairs.items()}
-        self.names_by_id = {kp.agent_id: name for name, kp in self.keypairs.items()}
         self.wrappers: dict[str, AgentWrapper] = {}
         self.eavesdroppers: list[str] = []
         for spec in scenario.agents:
@@ -232,7 +231,6 @@ class Runner:
             sections: list[tuple[str, list]] = [("lace", list(inner.lace.blocks()))]
             if isinstance(inner, WlAgent):
                 sections.append(("pending", inner.pending_blocks()))
-            sections.append(("acks", list(inner.ack_log)))
             for kind, blocks_list in sections:
                 for block in blocks_list:
                     self.trace.record(

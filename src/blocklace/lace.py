@@ -35,7 +35,6 @@ class Blocklace:
         self._by_creator: dict[AgentId, list[BlockId]] = {}
         self._creator_bits: dict[AgentId, int] = {}    # own bits of a creator's blocks
         self._known: dict[AgentId, int] = {}           # union of closures of a creator's blocks
-        self._pointed: set[BlockId] = set()
         self._tips: set[BlockId] = set()
         self._version = 0
         self._heads_cache: dict[AgentId, tuple[int, list[Block]]] = {}
@@ -74,7 +73,6 @@ class Blocklace:
                         self._missing_by_creator.get(ptr.creator, 0) + 1
                     )
                 self._missing[ptr] = self._missing.get(ptr, 0) + 1
-            self._pointed.add(ptr)
             self._tips.discard(ptr)
         self._mask[block.id] = mask
         self._self_mask[block.id] = self_mask
@@ -84,7 +82,7 @@ class Blocklace:
         self._creator_bits[creator] = self._creator_bits.get(creator, 0) | bit
         self._known[creator] = self._known.get(creator, 0) | mask
 
-        if block.id not in self._pointed:
+        if block.id not in self._rev:
             self._tips.add(block.id)
 
         if block.id in self._missing:

@@ -56,11 +56,9 @@ class PeerKnowledge:
       rule that depends on state may upgrade them by crediting again.
 
     An id not here yet is parked until it lands or its pending block is
-    evicted (`forget`).  Bound: one entry per distinct absent id some
-    peer named, holding one flag per peer that named it.  Named ids come
-    from acks, from the pointers of blocks stored here and from deliveries
-    of blocks that are held or pending, so the table is bounded by the
-    acks kept, the blocks stored and the pending buffer.
+    evicted (`forget`).  Bound: one entry per distinct absent id named by
+    a block stored or pending here, or by an ack the agent's gate admits
+    (`_record_ack`), holding one flag per peer that named it.
     """
 
     def __init__(
@@ -157,7 +155,6 @@ class Agent:
         self.peers: PeerKnowledge  # set by the subclass, with its credit rule
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}
-        self.ack_log: list[Block] = []
         # Blocks waiting for missing ancestors, oldest first, and the
         # pending blocks waiting on each missing id.  Bound: `pending_cap`
         # blocks, the oldest evicted to make room; `_pending_on` names only

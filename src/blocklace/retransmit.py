@@ -70,35 +70,6 @@ relays stay eager: dropping a TL relay's second copy raised the
 Each agent class states its choice as `RELAY_ONCE` and, in WL, which
 creators cover whom as `_creator_sends` (`peers.Agent`).
 
-Relay schedules on a 12-member WL group at 30% loss (perfbench's
-`wl_wide`):
-
-* every 3 ticks after the first copy, against relays on the eager
-  schedule: 34% fewer datagrams, quiescence 6% later (medians over 10
-  seeds); a gap of 4 cut 40% but left a longer tail; acking a landed
-  block to every member added datagrams and did not quiesce sooner;
-* once, then the repair or the backstop, against every 3 ticks
-  (medians over seeds 1-24): datagrams 12,165 -> 9,245 (-24%), p50 1.95
-  -> 2.00 ticks, p95 3.45 -> 3.49, quiescence tick 138 -> 132.  On
-  `wl_long` (6 members, seeds 1-12): datagrams 10,591 -> 8,260, p50 and
-  p95 within 1.5%.  At seed 1, 1,174 of `wl_wide`'s 4,229 relay first
-  copies start on a backstop, nearly all during group formation, and
-  none is resent: acks show the copy held, or the creator covering it,
-  within REPAIR_AFTER ticks.  At 12 members and 50 utterances, seed 1,
-  without duplication, relay resends fell from 4,194 to 1 and acks from
-  8,124 to 6,137.  Without the backstop (every relay copy repaired only
-  on an ack) `wl_wide` sent 0.1% more datagrams and quiesced at the same
-  tick; a backstop on every relay copy instead made it quiesce at tick
-  178 rather than 133 (medians over seeds 1-8), since a relay learns
-  that a member holds a block only from that member's acks to it;
-* no ack for a covered copy, against an ack for every copy (medians
-  over seeds 1-16): datagrams 9,245 -> 7,678 (-17%, lower at every
-  seed), p50 2.02 -> 1.97 ticks, p95 3.49 -> 3.44, quiescence tick 131
-  -> 133 (worst seed +13%).  On `wl_long` (seeds 3-10): datagrams 8,260
-  -> 6,814, p50 and p95 within 6%.  At seed 1, acks fell from 3,365 to
-  1,796; at 12 members and 50 utterances, from 6,137 to 2,473, while
-  block sends per (destination, block) stayed at 13.0.
-
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
 address starts over with a fresh entry there.

@@ -148,17 +148,21 @@ class AddressTable:
         self._owner_address: dict[str, NetAddress] = {}
         self.history: list[tuple[str, NetAddress, int]] = []
 
-    def bind(self, agent: str, address: NetAddress, now: int):
+    def bind(self, agent: str, address: NetAddress, now: int) -> bool:
+        """Bind `address` to `agent`, releasing the agent's old address.
+        Returns whether the binding changed: False when the agent already
+        holds `address`."""
         if self._current.get(address, agent) != agent:
             raise SimError(f"address {address!r} already bound")
         old = self._owner_address.get(agent)
         if old == address:
-            return
+            return False
         if old is not None:
             del self._current[old]
         self._current[address] = agent
         self._owner_address[agent] = address
         self.history.append((agent, address, now))
+        return True
 
     def owner(self, address: NetAddress) -> Optional[str]:
         return self._current.get(address)
@@ -204,13 +208,8 @@ class SimNet:
         self.table.bind(agent, address, now)
 
     def rebind(self, agent: str, new_address: NetAddress, now: int):
-        current_owner = self.table.owner(new_address)
-        if current_owner not in (None, agent):
-            raise SimError(f"address {new_address!r} already bound")
-        if self.table.address_of(agent) == new_address:
-            return
-        self.table.bind(agent, new_address, now)
-        self.trace.record(now, "REBIND", agent=agent, address=new_address)
+        if self.table.bind(agent, new_address, now):
+            self.trace.record(now, "REBIND", agent=agent, address=new_address)
 
     # --- traffic ----------------------------------------------------------------
 

@@ -35,10 +35,11 @@ creator, or when it is this agent's own friendship offer to the peer, so
 what `_wanted` hands the shared send loop (`peers.Agent.disseminate`) is
 mask arithmetic.
 
-Received acks live in a side table rather than the blocklace: storing
-them would make them tips, everything afterwards would point at them, yet
-acks are never disseminated, so peers could not resolve those pointers
-and would resend forever.
+Received acks never enter the blocklace: storing them would make them
+tips, everything afterwards would point at them, yet acks are never
+disseminated, so peers could not resolve those pointers and would resend
+forever.  An ack only updates what its creator is known to hold
+(`_record_ack`) and is then dropped.
 """
 
 from __future__ import annotations
@@ -220,14 +221,13 @@ class TlAgent(Agent):
         """File an ack's pointers as knowledge about its creator.
 
         An ack from an agent no block here names, as creator or follow
-        target, proves nothing this agent acts on, so it reaches neither
-        `ack_log` nor `peers`.  A bare receipt of one of this agent's own
-        friendship offers proves only that single block (offers land out
-        of chain order); every other disclosure vouches for the named
-        blocks and their history."""
+        target, proves nothing this agent acts on, so it does not reach
+        `peers`.  A bare receipt of one of this agent's own friendship
+        offers proves only that single block (offers land out of chain
+        order); every other disclosure vouches for the named blocks and
+        their history."""
         if ack.creator not in self._known_agents:
             return
-        self.ack_log.append(ack)
         pointers = ack.pointers
         vouched = True
         if len(pointers) == 1:

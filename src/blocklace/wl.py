@@ -3,10 +3,11 @@
 Groups are independent blocklace partitions rooted at a genesis block.
 A correct agent keeps its blocklace closed: a block whose ancestors have
 not arrived yet waits in a bounded pending buffer and is only inserted
-(and acknowledged) once its whole past is present.  Received acks are the
-one exception — they are kept in a side table rather than the blocklace,
-both because the sender never stored them and because a groupless block
-would break the one-genesis-per-block partition rule.
+(and acknowledged) once its whole past is present.  Received acks never
+enter the blocklace, both because the sender never stored them and
+because a groupless block would break the one-genesis-per-block
+partition rule: an ack only updates what its creator is known to hold,
+and marks the relay copies to its address for repair (`_record_ack`).
 
 Group privacy: the founder generates a symmetric key per group and seals
 it to each invitee inside the invite block.  Utterance text is encrypted
@@ -118,33 +119,32 @@ class WlAgent(Agent):
         # (lace version, address -> the other members there), for `receive`.
         # Bound: one entry per member.
         self._address_book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
-        self._geneses: list[Block] = []
         self._genesis_bits = 0
+        # Each genesis here, in insertion order -> the bits of its partition.
         self._partition_bits: dict[GroupId, int] = {}
-        self._members: dict[GroupId, set[AgentId]] = {}
-        # (group, member) -> the bits of the blocks that made it a member
+        # group -> member -> the bits of the blocks that made it a member
         # here: the genesis it created, or its Accepts of invites.  Bound:
         # one entry per membership.
-        self._joined: dict[tuple[GroupId, AgentId], int] = {}
+        self._members: dict[GroupId, dict[AgentId, int]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
         # Members of the groups here and targets of indexed invites: the
-        # only agents whose acks are kept.  Bound: one entry per such agent.
+        # only agents whose acks are filed (`_record_ack`).  Bound: one
+        # entry per such agent.
         self._ack_senders: set[AgentId] = set()
-        self._own_group_names: set[bytes] = set()
 
     # --- state queries -------------------------------------------------------
 
     def member(self, q: AgentId, gid: GroupId) -> bool:
-        return q == gid.creator and gid in self._members or q in self._members.get(gid, ())
+        return q in self._members.get(gid, ())
 
     def members_of(self, gid: GroupId) -> list[AgentId]:
         return sorted(self._members.get(gid, ()))
 
     def groups(self) -> list[GroupId]:
-        return [g.id for g in self._geneses]
+        return list(self._partition_bits)
 
     def my_groups(self) -> list[GroupId]:
-        return [g.id for g in self._geneses if self.member(self.agent_id, g.id)]
+        return [gid for gid in self._partition_bits if self.member(self.agent_id, gid)]
 
     def partition_ids(self, gid: GroupId) -> set[BlockId]:
         return {blk.id for blk in self.lace.blocks_of_mask(self._partition_bits.get(gid, 0))}
@@ -161,8 +161,7 @@ class WlAgent(Agent):
         hit = mask & self._genesis_bits
         if not hit:
             return None
-        candidates = [g.id for g in self._geneses if mask & self.lace.bit_of(g.id)]
-        return min(candidates)
+        return min(gid for gid in self._partition_bits if hit & self.lace.bit_of(gid))
 
     def structure_violations(self) -> list[str]:
         """Partition-invariant audit: the blocklace must be closed and every
@@ -197,10 +196,10 @@ class WlAgent(Agent):
     # --- command surface -------------------------------------------------------
 
     def create_group(self, name: bytes) -> list[Send]:
-        if name in self._own_group_names:
-            raise ProtocolError("group name already used by this agent")
+        for gid in self._partition_bits:
+            if gid.creator == self.agent_id and self.lace.get(gid).payload.name == name:
+                raise ProtocolError("group name already used by this agent")
         genesis = self._utter(Group(name), ())
-        self._own_group_names.add(name)
         key = crypto.group_keygen(crypto.derive_seed("group-key", self.kp.sign_seed, name))
         self.group_keys[genesis.id] = key.bound_to(genesis.id.digest)
         return self.disseminate()
@@ -275,7 +274,7 @@ class WlAgent(Agent):
         # The creator holds the block that made q a member of the block's
         # group, so it counts q among the members it sends that group's
         # blocks to.
-        joined = self._joined.get((self.group_of(block.id), q), 0)
+        joined = self._members.get(self.group_of(block.id), {}).get(q, 0)
         return bool(self.peers.known(block.creator) & joined)
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
@@ -286,10 +285,10 @@ class WlAgent(Agent):
         lace = self.lace
         known = self.peers.known
         me = self.agent_id
-        for genesis in sorted(self._geneses, key=Block.sort_key):
-            bits = self._partition_bits.get(genesis.id, 0) & scope
+        for gid in sorted(self._partition_bits):
+            bits = self._partition_bits[gid] & scope
             if bits:
-                for q in self.members_of(genesis.id):
+                for q in self.members_of(gid):
                     if q != me:
                         yield q, bits & ~known(q)
         for invite_id, (gid, target) in self._invite_index.items():
@@ -302,11 +301,9 @@ class WlAgent(Agent):
 
     def _record_ack(self, ack: Block):
         # An ack from a stranger proves nothing this agent acts on, so it
-        # reaches neither `ack_log` nor `peers`: both stay bounded by the
-        # acks of members and invitees.
+        # does not reach `peers`.
         if ack.creator not in self._ack_senders:
             return
-        self.ack_log.append(ack)
         self.peers.credit(ack.creator, ack.pointers)
         # Relay copies the ack does not cover may have been lost.
         self.retransmit.mark_repair(ack.address)
@@ -347,14 +344,14 @@ class WlAgent(Agent):
         # All ancestors present: enforce the one-genesis partition rule,
         # then insert and index.
         if not is_genesis(block):
-            hits = self._geneses_observed(block)
+            hits = self._genesis_hits(block)
             if hits == 0 or hits & (hits - 1):
                 self.metrics.dropped_structure += 1
                 return False
         self._insert(block)
         return True
 
-    def _geneses_observed(self, block: Block) -> int:
+    def _genesis_hits(self, block: Block) -> int:
         """The genesis bits that the block's pointers held here observe."""
         observed = 0
         for ptr in block.pointers:
@@ -365,17 +362,15 @@ class WlAgent(Agent):
     def _index(self, block: Block):
         bit = self.lace.bit_of(block.id)
         if is_genesis(block):
-            self._geneses.append(block)
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
-            self._members.setdefault(block.id, set()).add(block.creator)
-            self._joined[(block.id, block.creator)] = bit
+            self._members[block.id] = {block.creator: bit}
             self._ack_senders.add(block.creator)
         else:
             mask = self.lace.mask_of(block.id)
-            for genesis in self._geneses:
-                if mask & self.lace.bit_of(genesis.id):
-                    self._partition_bits[genesis.id] |= bit
+            for gid in self._partition_bits:
+                if mask & self.lace.bit_of(gid):
+                    self._partition_bits[gid] |= bit
         payload = block.payload
         if isinstance(payload, Invite):
             gid = self.group_of(block.id)
@@ -388,9 +383,8 @@ class WlAgent(Agent):
             if entry is not None:
                 gid, target = entry
                 if target == block.creator:
-                    self._members.setdefault(gid, set()).add(target)
-                    key = (gid, target)
-                    self._joined[key] = self._joined.get(key, 0) | bit
+                    joined = self._members[gid]
+                    joined[target] = joined.get(target, 0) | bit
 
     def _ack_pointers(
         self, block: Block, sender: Optional[AgentId]
@@ -403,7 +397,7 @@ class WlAgent(Agent):
         # its copy has no timer for an ack to stop (`_creator_sends`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
-            joined = self._joined.get((gid, self.agent_id), 0)
+            joined = self._members[gid][self.agent_id]
             if sender not in (None, block.creator) and self.lace.mask_of(block.id) & joined:
                 return None
             return self.partition_tips(gid)
@@ -416,10 +410,10 @@ class WlAgent(Agent):
         # A parked block's present pointers name its group: acking that
         # group's tips, as `_ack_pointers` would, shows the deliverer what
         # is missing here.  Nothing when they name no group of this agent.
-        hits = self._geneses_observed(block)
+        hits = self._genesis_hits(block)
         if hits == 0 or hits & (hits - 1):
             return None
-        gid = next(g.id for g in self._geneses if hits & self.lace.bit_of(g.id))
+        gid = next(g for g in self._partition_bits if hits & self.lace.bit_of(g))
         if not self.member(self.agent_id, gid):
             return None
         return self.partition_tips(gid)

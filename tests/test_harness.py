@@ -33,11 +33,27 @@ def test_trace_header_carries_identity():
 def test_finals_reconstruct_agent_state():
     scenario = canned.tl_line(seed=3, utterances=3)
     result = run_scenario(scenario)
-    data = parse_trace(result.trace_text)
-    for name, wrapper in result.wrappers.items():
-        lace, bad = data.lace_of(name)
-        assert not bad
-        assert lace.ids() == wrapper.inner.lace.ids()
+    # Older traces also carry each agent's received acks as
+    # `FINAL kind=acks` records; such a trace still parses and verifies.
+    acks = {
+        name: b.new_block(w.inner.kp, w.inner.current_address, b.Ack(), w.inner.lace.tip_ids())
+        for name, w in result.wrappers.items()
+    }
+    with_acks = result.trace_text + "".join(
+        f"{result.report['last_tick']}\tFINAL\tagent={name}\tkind=acks"
+        f"\thex={b.encode_block(ack).hex()}\n"
+        for name, ack in acks.items()
+    )
+    verdicts = [r.verdict for r in result.oracle_results]
+    for text in (result.trace_text, with_acks):
+        data = parse_trace(text)
+        for name, wrapper in result.wrappers.items():
+            lace, bad = data.lace_of(name)
+            assert not bad
+            assert lace.ids() == wrapper.inner.lace.ids()
+        assert [r.verdict for r in evaluate(scenario, data)] == verdicts
+    for name, ack in acks.items():
+        assert data.final_blocks(name, "acks") == [ack]
 
 
 def test_parse_trace_shares_payloads_and_final_blocks():

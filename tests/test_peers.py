@@ -22,11 +22,11 @@ KP = [crypto.keygen(f"peers-{i}") for i in range(4)]
 TL_CANNED = ["tl_line", "tl_star", "tl_ring", "tl_line_broken", "tl_churn", "tl_forgery"]
 
 
-def reference_knowledge(agent: TlAgent, q, delivered: set) -> int:
+def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
     """What q provably holds, rebuilt from scratch: q's own blocks and
     chain, plus credit for every block q pointed at, delivered or
     disclosed.  `delivered` holds the ids q delivered here while holding
-    them."""
+    them, `acked` the acks from q that the agent admitted."""
     lace = agent.lace
     claims = set(delivered)
     mask = 0
@@ -34,9 +34,7 @@ def reference_knowledge(agent: TlAgent, q, delivered: set) -> int:
         mask |= lace.self_mask_of(blk.id)
         claims |= blk.pointers
     disclosed, weak = set(), set()
-    for ack in agent.ack_log:
-        if ack.creator != q:
-            continue
+    for ack in acked:
         if len(ack.pointers) == 1:
             (only,) = ack.pointers
             named = lace.get(only)
@@ -71,9 +69,12 @@ def reference_knowledge(agent: TlAgent, q, delivered: set) -> int:
 @pytest.mark.parametrize("name", TL_CANNED)
 def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
     # Delivered claims, per (agent, sender), recorded where the agent
-    # credits them, with the sender resolved the way the agent does.
+    # credits them, with the sender resolved the way the agent does; and
+    # the acks the agent admits, per (agent, ack creator).
     delivered: dict[tuple[int, bytes], set] = {}
+    acked: dict[tuple[int, bytes], list] = {}
     credit_delivery = TlAgent._credit_delivery
+    record_ack = TlAgent._record_ack
     disseminate = TlAgent.disseminate
     checks = 0
 
@@ -83,18 +84,27 @@ def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
             delivered.setdefault((id(self), sender), set()).add(block.id)
         return credit_delivery(self, block, src)
 
+    def record_acked(self, ack):
+        if ack.creator in self._known_agents:
+            acked.setdefault((id(self), ack.creator), []).append(ack)
+        return record_ack(self, ack)
+
     def check(self, only=None):
         nonlocal checks
         for q in self.known_agents():
-            expected = reference_knowledge(self, q, delivered.get((id(self), q), ()))
+            expected = reference_knowledge(
+                self, q, delivered.get((id(self), q), ()), acked.get((id(self), q), [])
+            )
             assert self.peers.known(q) == expected
             checks += 1
         return disseminate(self, only)
 
     monkeypatch.setattr(TlAgent, "_credit_delivery", record)
+    monkeypatch.setattr(TlAgent, "_record_ack", record_acked)
     monkeypatch.setattr(TlAgent, "disseminate", check)
     for seed in (1, 2, 3):
         delivered.clear()
+        acked.clear()
         result = run_scenario(getattr(canned, name)(seed=seed))
         assert all(
             w.inner.metrics.pending_evicted == 0 for w in result.wrappers.values()

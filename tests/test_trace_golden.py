@@ -23,49 +23,49 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "d37de1d77f6c0721c07f11671b14b9e7af8778e21451ede2d4abba733a0f6599",
-    "tl_star": "e8e900e718de7811fbffe099cb2e4a191adc2128f5143ed4a01b7024c92b5661",
-    "tl_ring": "ffd38d86478b1dbaf12c58b30471c890c561c6b95947280472f68ea3193e04f2",
-    "tl_line_broken": "6ff50899e9c2774347bb6eccbad45d03930b150a986e6aceaacd1561193198f9",
-    "tl_churn": "23f0c952aa48b837885c1a0126aa74b00883d1321c25edade8264e2a7c05e5e2",
-    "tl_forgery": "7583b58b94187d0c82c1258c5030d33e226d0aab00b4bc59c7e46894bb6eb36e",
-    "wl_group": "3c491df2e56faf5bc1315160df7020f6f6621a664fd8ac305003356df8817469",
-    "wl_dropper": "b4b488993e95261ce72a538f167a2aca61548dbe7ad4455abe06166d733a05c4",
+    "tl_line": "3f2ad101295dfe7bf3f84001d046d8a92d91766b3390fb051641dcdbbb501528",
+    "tl_star": "c0873097423033dbda3459cff140104dca4b4e9db873bb0ae22746db85a54beb",
+    "tl_ring": "6102b871bc09692899f33c1129df374f430120600bc2a97ee7fb5f8811128801",
+    "tl_line_broken": "d131208732e032d315cb28081b6197ba480b4e6b7a3909031c37456aa60d7911",
+    "tl_churn": "271ca1ba1e2e87035f018590e72037f8ac0bebd6dffda17bcbb4241939f3c4ec",
+    "tl_forgery": "5f6b2d2a2791f541cd995723713b844053c7341cd6c4ec9138515b05013ea274",
+    "wl_group": "fd2cfff04b9f3fa1fde1cd007c5b725c6ebf350bf166f7bbcdccc111b875ebd6",
+    "wl_dropper": "66947857f66f2a905b5df7aee0a83e5cafcca795b7703d2660fcc138716706b9",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "210b514a9c72597393be0151bae733262f7580b0235fa604ab5a19b59db36faf",
-    "wl_equivocation": "c43bd42c47711a4c64137064ba84ee4dd340d1b5f0a1bfa80f1d02282ca2c70f",
-    "wl_privacy": "e4148d280eb7c9356a647a8be9ac1fad52e1742a32b23ff73c3e17e83e9f55f2",
-    "wl_partitions": "26c08b732698e86a714636f1a576587e682a0a8239acc93fc799aa57a43643b6",
+    "wl_churn": "60d76f23249b9f65a13bdc0d84feb47e414f0d26adf01da0d5cebe158ec852b6",
+    "wl_equivocation": "45b1c8aa0f3874cecf701b4477a07bfaf021036ed9b0ed714e2c0558c001f84d",
+    "wl_privacy": "804528fd2479f29d42396309cdabc07d765a10610d855662da4cf90016b23b37",
+    "wl_partitions": "33e011fd9a151bc661591dff1cc0da030a059d23ed5c32ee04e2a712aacc56ce",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "bf2cc6c344280cb7087d0b758db05c3cc9d8bdb620997ea8bd84d639e69626b3",
-    "tl_star": "790f891559416dbc47143ac0e704b3265a311390484d4f0733bb39ce069efaa4",
-    "tl_ring": "a080b3e4bebde5ea3ab113ce2e225820bae24e3e2f974df51e596c8b54c3a708",
-    "tl_line_broken": "4b892ffc1725d7c638543ef0e6d37c09fa246e2f20f02617136c1db472dc9847",
-    "tl_churn": "2ed51dc40b92aeb8b0292374103c9f8bc69c762dcdb2dec06c212579ecadd32c",
-    "tl_forgery": "7967b4b8b77b3b6008f154155f7394a9210f42f81ebc2070c36e66a98b8bf84c",
-    "wl_group": "d217d773ad4f7f74e5e543c4d65804be39c5e2355c13dec8e563184a9b3ca6ea",
-    "wl_dropper": "2f831f4461ae8d5cbbbd9834b59673916ca1153fe734137df2c7da6cc11b69b4",
+    "tl_line": "d0fe55a34255c64b754107da7025de474d16b7400b85655974785ff688b9793b",
+    "tl_star": "f13bd0e7ac3fc7c79745d9741eab8c6a800e9e0a90c707d4e69d6a03d9de15b0",
+    "tl_ring": "6e027796d06260ebbea379d6c1d1823b74090bf22f6d1f1311db454291529fce",
+    "tl_line_broken": "14ef1e450d205864c89cd60c9ccbccea4549dadb996ca18b1541f29d2f871ae5",
+    "tl_churn": "c15f768f7ac44f802e75b588988021aebe4871bbf074d4e1247d1e2c060bb3a6",
+    "tl_forgery": "31641d9150e384a7998022c302eea7288347c559942155ab13cf1023ea739e35",
+    "wl_group": "0ac3a4a07db265929a8228eae2e7a5bb8434ae57e2c278a941965138150f8933",
+    "wl_dropper": "80efeba8f4a6fc0f5af2d99dd2bd0bd63e3eddf8a19d77e0dc505d97494d04be",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "52facd3cf4d6dab216ef0d96b78ffe6b23149432c094f815d657d21b08f8a8e3",
-    "wl_equivocation": "9594769a5301d70684422102f8b2dc8e36b8d7bd1f132b93b2170cb877dbc1bb",
-    "wl_privacy": "ddffdc2a70639f11bdfb47f4b27f2738b7d36a6f7235cef286120e5b4df80c58",
-    "wl_partitions": "d5eefcc6270c6c8fd2e893f2086801f053fcd5f2df2a7c6b6fa8fc68a32a8d0c",
+    "wl_churn": "5879b914e7451bb3e96932bc60323a68d71cd5ec6c173da501101d5f01047031",
+    "wl_equivocation": "600843fba8a683d68a4f5e2c9ce58e50c0fc8d76d2839396a8792ac3922e988d",
+    "wl_privacy": "ab1b1757b1f9b4a6861e0e06410a40c49e799b504b5d9fa827de584816eec181",
+    "wl_partitions": "8e2df340acbad51b196f55fbd3f8bde92574a971e1377f839e09652ef47d93fa",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "348669f965f33ffafe88e0921c20c81b531d78b9561ead046d2f58323cfcef97",
-    "tl_star": "2b143f77e89cf811f7330eccb866394901ba5933d8856dd39585f7d4b52159ea",
-    "tl_ring": "505ba3d01e5c621b6fa2ad9fa575890dd4dcab8b46ed820002638f510a72426e",
-    "tl_line_broken": "6350e5a198796875363ce7edc5cdf60b95626835a23c629d9561d9d3a823c17b",
-    "tl_churn": "80ab34d36fae57d682a2a43b720e32f50537204d3b41fc8b1350315df6ba759a",
-    "tl_forgery": "f13147177dc8ab742df75ea7d135de00a4c1ba79c9666deb2b254a0f0dfd0d72",
-    "wl_group": "5cc9486ebfd39828fbc24600503b25af30106373e7461b7e07ae858bdaa9a908",
-    "wl_dropper": "f3d6b1ea588a27c9847ad55898d2f2ebd0582f32ceefa6e99b58626105ae51cc",
+    "tl_line": "c7a8ad751db3d6dd10c286f052000e1dcd3e3fbefff54cfecc802d654c8cd8cf",
+    "tl_star": "f5fc1ca01d87e27e03872cd53b321a1cf208d4cba688001efa2aa0e895b1e393",
+    "tl_ring": "e70eb73f35ec971ce5cb2def6ca35de9ccf435912dfaa21757631d8fc0048cfa",
+    "tl_line_broken": "6e15bb1da3a214174a83d339b4dd168a14253d4a8b5039b0b7ee2da7db36233b",
+    "tl_churn": "200452f7e9d4f6d1be692b98f3a1aea2ad2208e953359522d83f497ceb908a4a",
+    "tl_forgery": "43d390f1fe14f83b7538813427e5e4693ff102ee0c02cf8961694b7420254cac",
+    "wl_group": "e26cf9785adc07d857c4b97937938f93c7a0e7353d07d978d27206c35af2f172",
+    "wl_dropper": "1bf5e9be325e0bff4ad1ad26f8b1ecbd7eb27eed48e19d8660cffce009e35342",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "9f24df7ffb90bc5215046f7cf02bbd284af00952bff387cb6f1af02254fbeb09",
-    "wl_equivocation": "9b61798532188e096e3dbc4cbe7763cecba592fd5dc467fe75d3bd9c84c49f1a",
-    "wl_privacy": "5a8c6fc7c4bcfb1147f30ebbdb009461a5abae294c591c32f6efdb3dfba4dc60",
-    "wl_partitions": "b04321bd550d3cac57f5a7dc85c2c9ced2b12a603b1c31295ece44298a903940",
+    "wl_churn": "6e3215865900394e3ec1bd52e563e83aeeab6903ae567fa30497ea697f26ea2d",
+    "wl_equivocation": "7eadc105d21f20f726ef4d607d6e84364d40a763b8659612333f7817cb593c3d",
+    "wl_privacy": "3935996163552e37ef4ea5002799397a7092550d262b61ec0eec0593b744e670",
+    "wl_partitions": "e0a04e0d732a3e51cfcf7f6ed912dd3186159860ab48f4c7a4eb6c04d6f82cfa",
 }
 
 

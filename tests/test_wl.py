@@ -14,6 +14,7 @@ from blocklace.wl import (
     WlConfig,
     compute_member,
     group_partition,
+    is_genesis,
     open_utterance,
 )
 
@@ -549,19 +550,21 @@ def test_acks_from_strangers_are_dropped():
     def random_id():
         return b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
 
-    log_before = list(f.ack_log)
     for i in range(50):
         pointers = [random_id() for _ in range(20)]
         ack = b.new_block(KP[3], f"w3/{i}", b.Ack(), pointers)
         assert f.receive(encode_block(ack), src="w3/0") == []
-    assert f.ack_log == log_before
+    assert f.peers.known(KP[3].agent_id) == 0
     assert f.peers.parked == {}
 
     f.say_group(gid, b"hello")
     sends = m.receive(encode_block(f.last_uttered), src=f.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
+    assert not f.peers.known(m.agent_id) & f.lace.bit_of(f.last_uttered.id)
     f.receive(encode_block(ack), src=m.current_address)
-    assert f.ack_log[-1] == ack
+    for named in ack.pointers:
+        assert f.peers.known(m.agent_id) & f.lace.bit_of(named)
+    assert f.peers.parked == {}
     # A member's ack naming an id not here yet is parked for it.
     absent = random_id()
     f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(), [absent])))
@@ -629,6 +632,31 @@ def test_member_matches_compute_member():
             assert holder.member(q.agent_id, gid) == compute_member(
                 holder.lace, q.agent_id, gid
             )
+
+
+@pytest.mark.parametrize("name", [n for n in canned.CANNED if n.startswith("wl_")])
+def test_group_tables_match_first_principles_in_canned_runs(name):
+    # The groups, members and partitions each correct agent indexes as
+    # blocks land equal those derived from its final blocklace.
+    scenario = canned.CANNED[name](seed=1)
+    result = run_scenario(scenario)
+    roster = [wrapper.inner.agent_id for wrapper in result.wrappers.values()]
+    checked = 0
+    for spec in scenario.agents:
+        if spec.role != "correct":
+            continue
+        holder = result.wrappers[spec.name].inner
+        geneses = [blk.id for blk in holder.lace.blocks() if is_genesis(blk)]
+        assert holder.groups() == geneses
+        for gid in geneses:
+            assert holder.members_of(gid) == sorted(
+                q for q in roster if compute_member(holder.lace, q, gid)
+            )
+            assert holder.partition_ids(gid) == {
+                blk.id for blk in group_partition(holder.lace, gid)
+            }
+            checked += 1
+    assert checked > 0
 
 
 def test_transcript_roundtrip_encrypted():
