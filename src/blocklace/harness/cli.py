@@ -17,7 +17,7 @@ import sys
 from ..blocks import Say
 from . import canned, oracles
 from .runner import run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_scenario
 
 
 def _print_results(results) -> bool:
@@ -34,15 +34,19 @@ def _print_results(results) -> bool:
 
 
 def cmd_run(args) -> int:
+    overrides = {
+        key: value
+        for key, value in (("seed", args.seed), ("ticks", args.ticks))
+        if value is not None
+    }
     try:
         scenario = load_scenario(args.scenario)
+        if overrides:
+            # The overrides pass the checks the file's own fields pass.
+            scenario = parse_scenario({**scenario.to_dict(), **overrides})
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.ticks is not None:
-        scenario.ticks = args.ticks
     result = run_scenario(scenario, trace_path=args.trace, report_path=args.report)
     print(
         f"ran '{args.scenario}' seed={scenario.seed} "

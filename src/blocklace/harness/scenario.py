@@ -222,7 +222,7 @@ def parse_scenario(raw: dict[str, Any]) -> Scenario:
         where = f"events[{i}]"
         _expect(isinstance(entry, dict), where, "must be an object")
         tick = _require_key(entry, "tick", where)
-        _expect(isinstance(tick, int) and tick >= 0, f"{where}.tick", "must be a non-negative integer")
+        _expect(_is_int(tick) and tick >= 0, f"{where}.tick", "must be a non-negative integer")
         _expect(tick >= last_tick, f"{where}.tick", "event ticks must be nondecreasing")
         last_tick = tick
         agent = _require_key(entry, "agent", where)
@@ -262,12 +262,13 @@ def parse_scenario(raw: dict[str, Any]) -> Scenario:
         tick_interval=tick_interval,
         wl_encrypt=raw.get("wl_encrypt", True),
     )
-    _expect(isinstance(scenario.seed, int), "seed", "must be an integer")
+    _expect(_is_int(scenario.seed), "seed", "must be an integer")
     _expect(
-        isinstance(scenario.ticks, int) and scenario.ticks > 0,
+        _is_int(scenario.ticks) and scenario.ticks > 0,
         "ticks",
         "must be a positive integer",
     )
+    _expect(isinstance(scenario.wl_encrypt, bool), "wl_encrypt", "must be true or false")
     return scenario
 
 
@@ -314,8 +315,8 @@ def _validate_command(command: dict[str, Any], names: set[str], where: str, prot
         _expect(need("victim") in names, f"{where}.victim", "unknown agent")
         mode = need("mode")
         _expect(mode in ("garbage", "tamper"), f"{where}.mode", "must be garbage|tamper")
-        count = need("count", int)
-        _expect(count > 0, f"{where}.count", "must be positive")
+        count = _require_key(command, "count", where)
+        _expect(_is_int(count) and count > 0, f"{where}.count", "must be a positive integer")
     if cmd in ("say", "respond", "say_group", "respond_group", "create_group"):
         label = command.get("label")
         if label is not None:

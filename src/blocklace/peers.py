@@ -4,11 +4,14 @@ An agent sends a block to a peer until it knows the peer holds it.
 `PeerKnowledge` keeps that estimate per peer as a mask of the agent's
 blocklace, updated as each claim, ack or arrival happens; each agent
 supplies only its credit rule.  `Agent` holds the rest both agents share:
-the bounded pending buffer, the receive -> ack -> forward pipeline with
-its per-tick ack dedup, the send loop (`disseminate`) and the
-retransmission round.  A subclass fills in `_missing`, `_admit`, `_index`,
-`_record_ack`, `_credit_delivery`, `_ack_pointers`, `_nack_pointers`,
-`_creator_sends` and `_wanted`, which says who may receive what.
+the contact directory (the agents this one talks to, and which of them
+sits at a delivering address), the gate that drops strangers' acks, the
+credit a delivered copy earns the contacts at its address, the bounded
+pending buffer, the receive -> ack -> forward pipeline with its per-tick
+ack dedup, the send loop (`disseminate`) and the retransmission round.  A
+subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
+`_record_ack`, `_ack_pointers`, `_nack_pointers`, `_creator_sends` and
+`_wanted`, which says who may receive what.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class PeerKnowledge:
 
     An id not here yet is parked until it lands or its pending block is
     evicted (`forget`).  Bound: one entry per distinct absent id named by
-    a block stored or pending here, or by an ack the agent's gate admits
-    (`_record_ack`), holding one flag per peer that named it.
+    a block stored or pending here, or by an ack from a contact
+    (`Agent.receive`), holding one flag per peer that named it.
     """
 
     def __init__(
@@ -155,6 +158,15 @@ class Agent:
         self.peers: PeerKnowledge  # set by the subclass, with its credit rule
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}
+        # The agents this one talks to, in the order `_index` met them: the
+        # only agents whose acks are filed and whose deliveries earn credit.
+        # Bound: one entry per agent some stored block names.
+        self._contacts: dict[AgentId, None] = {}
+        # (lace version, address -> the other contacts there).  An address
+        # comes from a contact's own blocks or its bootstrap hint, so the
+        # book is rebuilt only when the blocklace grows.  Bound: one entry
+        # per contact.
+        self._book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
         # Blocks waiting for missing ancestors, oldest first, and the
         # pending blocks waiting on each missing id.  Bound: `pending_cap`
         # blocks, the oldest evicted to make room; `_pending_on` names only
@@ -175,6 +187,18 @@ class Agent:
     def pending_blocks(self) -> list[Block]:
         return list(self._pending.values())
 
+    def _contacts_at(self, src: Optional[NetAddress]) -> list[AgentId]:
+        """The other contacts whose address is src, in table order."""
+        version, book = self._book
+        if version != self.lace.version():
+            book = {}
+            for q in self._contacts:
+                address = self.address_of(q)
+                if address is not None and q != self.agent_id:
+                    book.setdefault(address, []).append(q)
+            self._book = (self.lace.version(), book)
+        return book.get(src, [])
+
     # --- the receive pipeline ------------------------------------------------
 
     def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
@@ -187,11 +211,10 @@ class Agent:
         relay's copy that no timer waits on.  A block parked in the pending
         buffer is acknowledged to its deliverer only when `_nack_pointers`
         gives pointers: a nack, whose pointers show the deliverer which
-        ancestors are missing here.  A peer sends only
-        blocks it holds, so a copy that is held or pending here counts as
-        possession by the agents at the delivering address.  Only the
-        blocks that just landed are forwarded; the rest of the backlog
-        waits for the next `tick`.
+        ancestors are missing here.  A copy earns the contacts at the
+        delivering address credit (`_credit_delivery`); an ack counts only
+        from a contact.  Only the blocks that just landed are forwarded;
+        the rest of the backlog waits for the next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -200,7 +223,10 @@ class Agent:
             return []
         if isinstance(block.payload, Ack):
             self.metrics.acks_received += 1
-            self._record_ack(block)
+            # A stranger's ack proves nothing this agent acts on, so it
+            # does not reach `peers`.
+            if block.creator in self._contacts:
+                self._record_ack(block)
             return []
         landed, was_new = self._integrate(block)
         sender = self._credit_delivery(block, src)
@@ -220,6 +246,23 @@ class Agent:
                 only |= self.lace.bit_of(blk.id)
             sends.extend(self.disseminate(only))
         return sends
+
+    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
+        """Credit the contacts at src with a delivered block they hold, and
+        return its deliverer.
+
+        A peer sends only blocks it holds, so a copy held or pending here
+        counts as the claim of every contact at the delivering address,
+        like a pointer in its own block.  The deliverer is the creator when
+        src is unknown or the creator sits there, else the first contact
+        at src, if any."""
+        at_src = self._contacts_at(src)
+        if at_src and self._holds(block.id):
+            for q in at_src:
+                self.peers.credit(q, (block.id,), vouched=False)
+        if src is None or block.creator in at_src:
+            return block.creator
+        return at_src[0] if at_src else None
 
     def _ack(
         self, dest: Optional[NetAddress], pointers: frozenset[BlockId], sends: list[Send]

@@ -33,7 +33,10 @@ itself alone, until the peer follows the creator.  A block goes to a peer
 that does not hold it when the peer is a friend that follows the block's
 creator, or when it is this agent's own friendship offer to the peer, so
 what `_wanted` hands the shared send loop (`peers.Agent.disseminate`) is
-mask arithmetic.
+mask arithmetic.  TL's contacts in the shared directory (`peers.Agent`)
+are the creators and follow targets of the blocks here: a copy delivered
+from a contact's address is that contact's claim, and an ack from anyone
+else is dropped.
 
 Received acks never enter the blocklace: storing them would make them
 tips, everything afterwards would point at them, yet acks are never
@@ -73,7 +76,6 @@ class TlAgent(Agent):
         # by target.  Bound: one entry per follow block stored here.
         self._followees: dict[AgentId, set[AgentId]] = {}
         self._offers_to: dict[AgentId, int] = {}
-        self._known_agents: dict[AgentId, None] = {}  # insertion-ordered set
 
     # --- state queries -----------------------------------------------------
 
@@ -106,7 +108,7 @@ class TlAgent(Agent):
 
     def known_agents(self) -> list[AgentId]:
         """Agents that appear in the blocklace as creators or follow targets."""
-        return [q for q in self._known_agents if q != self.agent_id]
+        return [q for q in self._contacts if q != self.agent_id]
 
     # --- commands ----------------------------------------------------------
 
@@ -191,7 +193,7 @@ class TlAgent(Agent):
 
     def _index(self, block: Block) -> None:
         creator = block.creator
-        self._known_agents.setdefault(creator)
+        self._contacts.setdefault(creator)
         if creator == self.agent_id:
             self._own_head = block.id
         else:
@@ -200,7 +202,7 @@ class TlAgent(Agent):
         payload = block.payload
         if isinstance(payload, Follow):
             target = payload.target
-            self._known_agents.setdefault(target)
+            self._contacts.setdefault(target)
             if creator == self.agent_id:
                 bit = self.lace.bit_of(block.id)
                 self._offers_to[target] = self._offers_to.get(target, 0) | bit
@@ -218,16 +220,11 @@ class TlAgent(Agent):
                     )
 
     def _record_ack(self, ack: Block):
-        """File an ack's pointers as knowledge about its creator.
+        """File a contact's ack as knowledge about its creator.
 
-        An ack from an agent no block here names, as creator or follow
-        target, proves nothing this agent acts on, so it does not reach
-        `peers`.  A bare receipt of one of this agent's own friendship
-        offers proves only that single block (offers land out of chain
-        order); every other disclosure vouches for the named blocks and
-        their history."""
-        if ack.creator not in self._known_agents:
-            return
+        A bare receipt of one of this agent's own friendship offers proves
+        only that single block (offers land out of chain order); every
+        other disclosure vouches for the named blocks and their history."""
         pointers = ack.pointers
         vouched = True
         if len(pointers) == 1:
@@ -239,27 +236,6 @@ class TlAgent(Agent):
                 and is_offer_to(named, ack.creator)
             )
         self.peers.credit(ack.creator, pointers, vouched)
-
-    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
-        # A block delivered from a known agent's address counts as that
-        # agent's claim of possession, like a pointer in its own block.
-        sender = self._resolve_sender(src, block)
-        if src is not None and sender not in (None, self.agent_id) and self._holds(block.id):
-            self.peers.credit(sender, (block.id,), vouched=False)
-        return sender
-
-    def _resolve_sender(self, src: Optional[NetAddress], block: Block) -> Optional[AgentId]:
-        """Which known agent currently sits at the delivering address."""
-        if src is None:
-            return block.creator
-        if self.lace.ip_address(block.creator) == src or (
-            self.address_hints.get(block.creator) == src
-        ):
-            return block.creator
-        for q in self._known_agents:
-            if self.lace.ip_address(q) == src:
-                return q
-        return None
 
     def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> frozenset[BlockId]:
         # Full disclosure to a friend: the most recent block known per

@@ -8,6 +8,10 @@ enter the blocklace, both because the sender never stored them and
 because a groupless block would break the one-genesis-per-block
 partition rule: an ack only updates what its creator is known to hold,
 and marks the relay copies to its address for repair (`_record_ack`).
+WL's contacts in the shared directory (`peers.Agent`) are the founders of
+the groups here and the targets of their invites: only their acks are
+filed, and a copy delivered from a contact's address is that contact's
+disclosure of the block's whole past.
 
 Group privacy: the founder generates a symmetric key per group and seals
 it to each invitee inside the invite block.  Utterance text is encrypted
@@ -116,9 +120,6 @@ class WlAgent(Agent):
         lace = self.lace
         self.peers = PeerKnowledge(lace, lace.known_mask, lace.mask_of)
         self.group_keys: dict[GroupId, GroupKey] = {}
-        # (lace version, address -> the other members there), for `receive`.
-        # Bound: one entry per member.
-        self._address_book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
         self._genesis_bits = 0
         # Each genesis here, in insertion order -> the bits of its partition.
         self._partition_bits: dict[GroupId, int] = {}
@@ -127,10 +128,6 @@ class WlAgent(Agent):
         # one entry per membership.
         self._members: dict[GroupId, dict[AgentId, int]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
-        # Members of the groups here and targets of indexed invites: the
-        # only agents whose acks are filed (`_record_ack`).  Bound: one
-        # entry per such agent.
-        self._ack_senders: set[AgentId] = set()
 
     # --- state queries -------------------------------------------------------
 
@@ -300,41 +297,9 @@ class WlAgent(Agent):
     # --- receive pipeline -----------------------------------------------------
 
     def _record_ack(self, ack: Block):
-        # An ack from a stranger proves nothing this agent acts on, so it
-        # does not reach `peers`.
-        if ack.creator not in self._ack_senders:
-            return
         self.peers.credit(ack.creator, ack.pointers)
         # Relay copies the ack does not cover may have been lost.
         self.retransmit.mark_repair(ack.address)
-
-    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
-        # A member sends only blocks it holds, so a block delivered from a
-        # member's address counts as that member's disclosure of it.  The
-        # deliverer is the block's creator when it sits at src, else the
-        # other member there, if any.
-        members = self._members_at(src)
-        if self._holds(block.id):
-            for q in members:
-                self.peers.credit(q, (block.id,))
-        if block.creator in members:
-            return block.creator
-        return members[0] if members else None
-
-    def _members_at(self, src: Optional[NetAddress]) -> list[AgentId]:
-        """The other members of this agent's groups whose address is src.
-        A member's address comes from its own blocks here, so the book is
-        rebuilt only when the blocklace grows."""
-        version, book = self._address_book
-        if version != self.lace.version():
-            book = {}
-            peers = set().union(*self._members.values()) - {self.agent_id}
-            for q in sorted(peers):
-                address = self.address_of(q)
-                if address is not None:
-                    book.setdefault(address, []).append(q)
-            self._address_book = (self.lace.version(), book)
-        return book.get(src, [])
 
     def _missing(self, block: Block) -> list[BlockId]:
         # The blocklace stays closed: a block waits for its whole past.
@@ -365,7 +330,7 @@ class WlAgent(Agent):
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
             self._members[block.id] = {block.creator: bit}
-            self._ack_senders.add(block.creator)
+            self._contacts.setdefault(block.creator)
         else:
             mask = self.lace.mask_of(block.id)
             for gid in self._partition_bits:
@@ -376,7 +341,7 @@ class WlAgent(Agent):
             gid = self.group_of(block.id)
             if gid is not None and block.creator == gid.creator and block.pointers == frozenset([gid]):
                 self._invite_index[block.id] = (gid, payload.target)
-                self._ack_senders.add(payload.target)
+                self._contacts.setdefault(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
             (invite_id,) = block.pointers
             entry = self._invite_index.get(invite_id)

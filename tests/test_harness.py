@@ -613,13 +613,16 @@ def test_cli_verify_rejects_mismatched_scenario(tmp_path):
 def test_cli_rejects_invalid_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     one_agent = {"protocol": "tl", "agents": [{"name": "a"}]}
-    for raw in (
-        {"protocol": "tl", "agents": []},
-        {**one_agent, "net": {"tick_interval": 0}},
-        {**one_agent, "net": {"loss": 1.5}},
+    for raw, flags in (
+        ({"protocol": "tl", "agents": []}, ()),
+        ({**one_agent, "net": {"tick_interval": 0}}, ()),
+        ({**one_agent, "net": {"loss": 1.5}}, ()),
+        # An override must pass the checks the file's own field passes.
+        (one_agent, ("--ticks", "0")),
+        (one_agent, ("--ticks", "-3")),
     ):
         bad.write_text(json.dumps(raw))
-        assert run_cli("run", str(bad)) == 2
+        assert run_cli("run", str(bad), *flags) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
 

@@ -68,9 +68,9 @@ def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
 
 @pytest.mark.parametrize("name", TL_CANNED)
 def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
-    # Delivered claims, per (agent, sender), recorded where the agent
-    # credits them, with the sender resolved the way the agent does; and
-    # the acks the agent admits, per (agent, ack creator).
+    # Delivered claims, per (agent, contact), recorded where the agent
+    # credits them: every contact at the delivering address; and the acks
+    # the agent files, per (agent, ack creator).
     delivered: dict[tuple[int, bytes], set] = {}
     acked: dict[tuple[int, bytes], list] = {}
     credit_delivery = TlAgent._credit_delivery
@@ -79,14 +79,13 @@ def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
     checks = 0
 
     def record(self, block, src):
-        sender = self._resolve_sender(src, block)
-        if src is not None and sender not in (None, self.agent_id) and self._holds(block.id):
-            delivered.setdefault((id(self), sender), set()).add(block.id)
+        if self._holds(block.id):
+            for q in self._contacts_at(src):
+                delivered.setdefault((id(self), q), set()).add(block.id)
         return credit_delivery(self, block, src)
 
     def record_acked(self, ack):
-        if ack.creator in self._known_agents:
-            acked.setdefault((id(self), ack.creator), []).append(ack)
+        acked.setdefault((id(self), ack.creator), []).append(ack)
         return record_ack(self, ack)
 
     def check(self, only=None):
@@ -185,6 +184,18 @@ def test_absent_claim_is_parked_until_it_lands():
     me.receive(encode_block(x[0]))
     assert me.peers.parked == {}
     assert me.peers.known(c.agent_id) & me.lace.bit_of(x[0].id)
+
+
+def test_copy_from_a_hinted_followee_is_its_claim():
+    # c is followed and known only by its bootstrap hint: no block of c's
+    # is here to give its address.  A stranger's block relayed from that
+    # address still counts as c's claim of it.
+    me, c, d = tl(0), KP[1], KP[2]
+    me.address_hints[c.agent_id] = "p1/0"
+    me.follow(c.agent_id)
+    (x,) = chain(d, 1)
+    me.receive(encode_block(x), src="p1/0")
+    assert me.peers.known(c.agent_id) & me.lace.bit_of(x.id)
 
 
 def test_eviction_drops_waiters_and_parked_credit():

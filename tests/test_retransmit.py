@@ -425,6 +425,16 @@ def test_delays_beyond_the_repair_window_still_quiesce_with_every_block_held(nam
     assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 
 
+@pytest.mark.parametrize("seed", [15, 32])
+def test_withheld_forks_reach_every_member_through_nack_and_repair(seed):
+    # The equivocator withholds each fork from some members it knows, so
+    # the relays' copies carry no timer.  At these seeds a lost copy
+    # reaches its member only through the member's nack and the relay's
+    # repair: without either, wl_liveness and equivocation_visibility fail.
+    result = run_scenario(canned.wl_equivocation(seed=seed))
+    assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
+
+
 def test_resent_counter_in_report_not_trace():
     result = run_scenario(canned.wl_group(seed=1, utterances=5))
     metrics = result.report["agent_metrics"]

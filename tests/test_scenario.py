@@ -83,6 +83,17 @@ def test_minimal_parses():
         (dict(net={"dup": True}), "net.dup"),
         (dict(net={"tick_interval": 0}), "net.tick_interval"),
         (dict(net={"tick_interval": 1.5}), "net.tick_interval"),
+        # bool is a subclass of int, so each integer field must refuse it.
+        (dict(seed=True), "seed"),
+        (dict(ticks=True), "ticks"),
+        (dict(events=[{"tick": True, "agent": "a", "cmd": "say", "text": "x"}]), "events[0].tick"),
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "forge", "victim": "b",
+                          "mode": "garbage", "count": True}]),
+            "events[0].count",
+        ),
+        # A string such as "no" is truthy and would leave encryption on.
+        (dict(wl_encrypt="no"), "wl_encrypt"),
     ],
 )
 def test_validation_reports_location(mutation, location):
