@@ -8,7 +8,9 @@ byte-for-byte reproducible; the price is that encrypting the same
 plaintext under the same key twice yields the same ciphertext (message
 equality leaks, which is acceptable here).
 
-All operations are pure; nothing in this module holds mutable state.
+All operations are pure functions of their inputs; `sign` and `verify`
+memoize their results in two module-level tables, each cleared when it
+reaches `_CACHE_CAP` entries.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 
 from .. import blocks as b
 from .. import crypto
-from ..blocks import Ack, Block, BlockId, NetAddress, Say
+from ..blocks import Ack, Block, BlockId, NetAddress, Say, WireDecoder
 from ..simnet import Trace
 from ..tl import ProtocolError, TlAgent
 from ..wl import WlAgent, seal_utterance
@@ -172,11 +172,8 @@ class EquivocatorWrapper(AgentWrapper):
     def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
         sends = super().receive(payload, src)
         if self._unacked:
-            try:
-                block = b.decode_block(payload)
-            except b.WireError:
-                return sends
-            if isinstance(block.payload, Ack) and b.verify_block(block):
+            block = WireDecoder().decode_verified(payload)
+            if block is not None and isinstance(block.payload, Ack):
                 self._unacked = [
                     entry
                     for entry in self._unacked

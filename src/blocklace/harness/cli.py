@@ -44,10 +44,11 @@ def cmd_run(args) -> int:
         if overrides:
             # The overrides pass the checks the file's own fields pass.
             scenario = parse_scenario({**scenario.to_dict(), **overrides})
+        # Running raises it too: a rebind to an address another agent holds.
+        result = run_scenario(scenario, trace_path=args.trace, report_path=args.report)
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(scenario, trace_path=args.trace, report_path=args.report)
     print(
         f"ran '{args.scenario}' seed={scenario.seed} "
         f"quiescence={result.quiescence_tick} last_tick={result.report['last_tick']}"

@@ -18,7 +18,7 @@ from .. import blocks as b
 from ..blocks import Block, BlockId, Invite
 from ..lace import Blocklace
 from ..simnet import ID_KEY, PAYLOAD_KEYS
-from ..wl import compute_member, group_partition, is_genesis
+from ..wl import compute_member, group_partition, is_genesis, partition_violations
 from .scenario import Scenario
 
 PASS = "PASS"
@@ -285,13 +285,6 @@ def _scripted_follow_edges(scenario: Scenario) -> set[tuple[str, str]]:
     }
 
 
-def _find_genesis(lace: Blocklace, founder_id: bytes, name: bytes) -> Optional[Block]:
-    for block in lace.by_creator(founder_id):
-        if is_genesis(block) and block.payload.name == name:
-            return block
-    return None
-
-
 def _group_labels(scenario: Scenario) -> dict[str, tuple[str, str]]:
     """Group label -> (founder, group name)."""
     return {
@@ -335,6 +328,20 @@ def _members_by_name(
         for spec in scenario.agents
         if compute_member(lace, data.agent_id(spec.name), gid)
     ]
+
+
+def _group(
+    scenario: Scenario, data: TraceData, params: dict
+) -> Optional[tuple[BlockId, list[str]]]:
+    """The group `params` names (`founder`, `group_name`) as the founder's
+    final blocklace holds it: its genesis id and its members, in roster
+    order.  None when the founder never created it."""
+    founder, name = params["founder"], params["group_name"].encode()
+    lace, _ = data.lace_of(founder)
+    for block in lace.by_creator(data.agent_id(founder)):
+        if is_genesis(block) and block.payload.name == name:
+            return block.id, _members_by_name(scenario, data, lace, block.id)
+    return None
 
 
 # --- the oracles ------------------------------------------------------------
@@ -393,19 +400,14 @@ def oracle_tl_liveness(scenario: Scenario, data: TraceData, params: dict) -> Ora
 
 
 def oracle_wl_liveness(scenario: Scenario, data: TraceData, params: dict) -> OracleResult:
-    founder, group_name = params["founder"], params["group_name"]
-    founder_lace, _ = data.lace_of(founder)
-    genesis = _find_genesis(founder_lace, data.agent_id(founder), group_name.encode())
-    if genesis is None:
+    group = _group(scenario, data, params)
+    if group is None:
         return OracleResult(
             "wl_liveness", PRECONDITION_UNSATISFIED, detail="group was never created"
         )
+    gid, members = group
     roles = scenario.roles()
-    members = [
-        m
-        for m in _members_by_name(scenario, data, founder_lace, genesis.id)
-        if roles[m] == "correct"
-    ]
+    members = [m for m in members if roles[m] == "correct"]
     if not members:
         return OracleResult(
             "wl_liveness", PRECONDITION_UNSATISFIED, detail="no correct members"
@@ -413,7 +415,7 @@ def oracle_wl_liveness(scenario: Scenario, data: TraceData, params: dict) -> Ora
     partitions = {}
     for member in members:
         lace, _ = data.lace_of(member)
-        partitions[member] = {blk.id for blk in group_partition(lace, genesis.id)}
+        partitions[member] = {blk.id for blk in group_partition(lace, gid)}
     union = set().union(*partitions.values())
     witness = []
     for member, ids in sorted(partitions.items()):
@@ -462,22 +464,17 @@ def oracle_equivocation_visibility(
     scenario: Scenario, data: TraceData, params: dict
 ) -> OracleResult:
     culprit = params["culprit"]
-    founder, group_name = params["founder"], params["group_name"]
     culprit_id = data.agent_id(culprit)
-    founder_lace, _ = data.lace_of(founder)
-    genesis = _find_genesis(founder_lace, data.agent_id(founder), group_name.encode())
-    if genesis is None:
+    group = _group(scenario, data, params)
+    if group is None:
         return OracleResult(
             "equivocation_visibility",
             PRECONDITION_UNSATISFIED,
             detail="group was never created",
         )
+    _, members = group
     roles = scenario.roles()
-    members = [
-        m
-        for m in _members_by_name(scenario, data, founder_lace, genesis.id)
-        if roles[m] == "correct" and m != culprit
-    ]
+    members = [m for m in members if roles[m] == "correct" and m != culprit]
     expected_pairs = {
         tuple(sorted((e.fields["id_a"], e.fields["id_b"])))
         for e in data.events_of("EQUIVOCATE")
@@ -517,14 +514,13 @@ def oracle_equivocation_visibility(
 
 def oracle_privacy(scenario: Scenario, data: TraceData, params: dict) -> OracleResult:
     founder, group_name = params["founder"], params["group_name"]
-    founder_lace, _ = data.lace_of(founder)
-    genesis = _find_genesis(founder_lace, data.agent_id(founder), group_name.encode())
-    if genesis is None:
+    group = _group(scenario, data, params)
+    if group is None:
         return OracleResult(
             "privacy", PRECONDITION_UNSATISFIED, detail="group was never created"
         )
+    _, members = group
     texts = [t for t in _texts_of_group(scenario, founder, group_name) if t]
-    members = set(_members_by_name(scenario, data, founder_lace, genesis.id))
     leaks: dict[str, list[bytes]] = {}
     for hex_text in data.distinct_field("bytes", "SUBMIT", "FORGE"):
         raw = bytes.fromhex(hex_text)
@@ -562,19 +558,10 @@ def oracle_partition_integrity(
         for e in data.events_of("VIOLATION")
     ]
     for name in scenario.correct_agents():
-        lace, _ = data.lace_of(name)
-        if not lace.is_closed():
-            witness.append(f"{name} final blocklace not closed")
-        genesis_bits = 0
-        for block in lace.blocks():
-            if is_genesis(block):
-                genesis_bits |= lace.bit_of(block.id)
-        for block in lace.blocks():
-            if is_genesis(block):
-                continue
-            hits = lace.mask_of(block.id) & genesis_bits
-            if hits == 0 or hits & (hits - 1):
-                witness.append(f"{name} block {block.id.hex()[:12]} in {bin(hits).count('1')} partitions")
+        witness.extend(
+            f"final blocklace of {name}: {issue}"
+            for issue in partition_violations(data.lace_of(name)[0])
+        )
 
     union = data.union_lace()
     geneses = [blk for blk in union.blocks() if is_genesis(blk)]

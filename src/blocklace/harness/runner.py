@@ -32,10 +32,10 @@ from .. import crypto
 from ..blocks import NetAddress, encode_block
 from ..simnet import Datagram, NetConfig, SimNet, Trace
 from ..tl import TlAgent
-from ..wl import WlAgent, WlConfig
+from ..wl import WlAgent, WlConfig, partition_violations
 from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
-from .scenario import Event, Scenario
+from .scenario import Event, Scenario, ScenarioError
 
 TRACE_HEADER = "blocklace-trace v3"
 
@@ -178,6 +178,12 @@ class Runner:
                 if command["cmd"] == "rebind":
                     queue.pop(0)
                     address = command["address"]
+                    # Checked only now: a deferred event delays the rebind.
+                    holder = self.net.table.owner(address)
+                    if holder not in (None, spec.name):
+                        raise ScenarioError(
+                            f"tick {now}: {spec.name} rebinds to {address!r}, which {holder} holds"
+                        )
                     self.net.rebind(spec.name, address, now)
                     self._submit(spec.name, wrapper.change_address(address), now)
                     continue
@@ -220,8 +226,7 @@ class Runner:
         for spec in self.scenario.agents:
             if spec.role != "correct":
                 continue
-            agent = self.wrappers[spec.name].inner
-            for issue in agent.structure_violations():
+            for issue in partition_violations(self.wrappers[spec.name].inner.lace):
                 self.trace.record(now, "VIOLATION", agent=spec.name, kind=issue)
 
     def _write_finals(self, end_tick: int):

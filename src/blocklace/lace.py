@@ -34,7 +34,6 @@ class Blocklace:
         self._missing_by_creator: dict[AgentId, int] = {}
         self._by_creator: dict[AgentId, list[BlockId]] = {}
         self._creator_bits: dict[AgentId, int] = {}    # own bits of a creator's blocks
-        self._known: dict[AgentId, int] = {}           # union of closures of a creator's blocks
         self._tips: set[BlockId] = set()
         self._version = 0
         self._heads_cache: dict[AgentId, tuple[int, list[Block]]] = {}
@@ -80,7 +79,6 @@ class Blocklace:
         creator = block.creator
         self._by_creator.setdefault(creator, []).append(block.id)
         self._creator_bits[creator] = self._creator_bits.get(creator, 0) | bit
-        self._known[creator] = self._known.get(creator, 0) | mask
 
         if block.id not in self._rev:
             self._tips.add(block.id)
@@ -110,7 +108,6 @@ class Blocklace:
                 merged = self._mask[waiter] | current_mask
                 if merged != self._mask[waiter]:
                     self._mask[waiter] = merged
-                    self._known[self._blocks[waiter].creator] |= merged
                     changed = True
                 if self._blocks[waiter].creator == current_creator:
                     merged_self = self._self_mask[waiter] | current_self
@@ -196,7 +193,7 @@ class Blocklace:
         idx = self._index.get(block.id)
         if idx is None:
             return False
-        return bool(self._known.get(agent, 0) >> idx & 1)
+        return any(self._mask[bid] >> idx & 1 for bid in self._by_creator.get(agent, ()))
 
     def closure_size(self, block_id: BlockId) -> int:
         return self._mask[block_id].bit_count()
@@ -270,9 +267,6 @@ class Blocklace:
 
     def bit_of(self, block_id: BlockId) -> int:
         return 1 << self._index[block_id]
-
-    def known_mask(self, agent: AgentId) -> int:
-        return self._known.get(agent, 0)
 
     def creator_mask(self, agent: AgentId) -> int:
         """The agent's own blocks here: the union of their self-closures."""

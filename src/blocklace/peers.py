@@ -44,9 +44,10 @@ class AgentMetrics:
 class PeerKnowledge:
     """Per peer, a mask of the blocks it provably holds.
 
-    `known(q)` is `own(q)`, what q's own blocks here prove, joined with
-    the credits q earned by naming blocks (in an ack, in a pointer, or by
-    delivering a copy).  A named block earns one of two credits, as
+    `known(q)` is q's own blocks here (`Blocklace.creator_mask`) joined
+    with the credits q earned by naming blocks: in an ack, in a pointer,
+    by delivering a copy, or, where the agent credits it so, by creating
+    the block.  A named block earns one of two credits, as
     `rule(q, block, vouched)` decides when the block is here (no rule
     means always the first):
 
@@ -67,22 +68,20 @@ class PeerKnowledge:
     def __init__(
         self,
         lace: Blocklace,
-        own: Callable[[AgentId], int],
         closure: Callable[[BlockId], int],
         rule: Optional[Callable[[AgentId, Block, bool], bool]] = None,
     ):
         self._lace = lace
-        self._own = own
         self._closure = closure
         self._rule = rule
-        # Bound: one entry per agent that ever named a block here.
+        # Bound: one entry per agent that ever named or created a block here.
         self._full: dict[AgentId, int] = {}
         self._bits: dict[AgentId, int] = {}
         # absent id -> {peer: whether any of its namings vouched for it}
         self.parked: dict[BlockId, dict[AgentId, bool]] = {}
 
     def known(self, q: AgentId) -> int:
-        return self._own(q) | self._full.get(q, 0) | self._bits.get(q, 0)
+        return self._lace.creator_mask(q) | self._full.get(q, 0) | self._bits.get(q, 0)
 
     def bits(self, q: AgentId) -> int:
         """q's bit credits that no full credit covers."""

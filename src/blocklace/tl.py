@@ -67,10 +67,7 @@ def is_offer_to(block: Block, q: AgentId) -> bool:
 class TlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress, pending_cap: int = 1024):
         super().__init__(kp, address, AgentMetrics(), pending_cap)
-        lace = self.lace
-        self.peers = PeerKnowledge(
-            lace, lace.creator_mask, lace.self_mask_of, self._full_credit
-        )
+        self.peers = PeerKnowledge(self.lace, self.lace.self_mask_of, self._full_credit)
         self._own_head: Optional[BlockId] = None
         # Follow edges by follower, and this agent's own friendship offers
         # by target.  Bound: one entry per follow block stored here.

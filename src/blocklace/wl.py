@@ -108,6 +108,23 @@ def group_partition(lace: Blocklace, block_id: BlockId) -> list[Block]:
     return [blk for blk in lace.blocks() if lace.observes_ids(blk.id, genesis.id)]
 
 
+def partition_violations(lace: Blocklace) -> list[str]:
+    """The partition invariant's breaches: "closure" when some pointer
+    does not resolve, and "partition:<hex>" for each non-genesis block
+    that observes no genesis or several."""
+    issues = [] if lace.is_closed() else ["closure"]
+    geneses = 0
+    for block in lace.blocks():
+        if is_genesis(block):
+            geneses |= lace.bit_of(block.id)
+    # A genesis observes only itself, so it always passes.
+    for block in lace.blocks():
+        hits = lace.mask_of(block.id) & geneses
+        if hits == 0 or hits & (hits - 1):
+            issues.append(f"partition:{block.id.hex()}")
+    return issues
+
+
 # --- the agent ---------------------------------------------------------------
 
 
@@ -115,10 +132,9 @@ class WlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress, config: WlConfig | None = None):
         self.config = config or WlConfig()
         super().__init__(kp, address, WlMetrics(), self.config.pending_cap)
-        # A peer holds the closures of its own blocks, of the ids its acks
-        # named and of the blocks it sent here.
-        lace = self.lace
-        self.peers = PeerKnowledge(lace, lace.known_mask, lace.mask_of)
+        # A peer holds the closures of its own blocks (credited by
+        # `_index`), of the ids its acks named and of the blocks it sent here.
+        self.peers = PeerKnowledge(self.lace, self.lace.mask_of)
         self.group_keys: dict[GroupId, GroupKey] = {}
         self._genesis_bits = 0
         # Each genesis here, in insertion order -> the bits of its partition.
@@ -159,20 +175,6 @@ class WlAgent(Agent):
         if not hit:
             return None
         return min(gid for gid in self._partition_bits if hit & self.lace.bit_of(gid))
-
-    def structure_violations(self) -> list[str]:
-        """Partition-invariant audit: the blocklace must be closed and every
-        non-genesis block must observe exactly one genesis."""
-        issues = []
-        if not self.lace.is_closed():
-            issues.append("closure")
-        for block in self.lace.blocks():
-            if is_genesis(block):
-                continue
-            hits = self.lace.mask_of(block.id) & self._genesis_bits
-            if hits == 0 or hits & (hits - 1):
-                issues.append(f"partition:{block.id.hex()}")
-        return issues
 
     def transcript(self, gid: GroupId) -> list[tuple[AgentId, bytes, bool]]:
         """Decrypted (author, text, signature_ok) feed of a group, in
@@ -215,11 +217,9 @@ class WlAgent(Agent):
 
     def accept(self, gid: GroupId) -> list[Send]:
         invites = [
-            blk
-            for blk in self.lace.by_creator(gid.creator)
-            if isinstance(blk.payload, Invite)
-            and blk.payload.target == self.agent_id
-            and blk.pointers == frozenset([gid])
+            self.lace.get(invite_id)
+            for invite_id, entry in self._invite_index.items()
+            if entry == (gid, self.agent_id)
         ]
         if not invites:
             raise ProtocolError("no founder-authored invite for this group")
@@ -308,40 +308,41 @@ class WlAgent(Agent):
     def _admit(self, block: Block) -> bool:
         # All ancestors present: enforce the one-genesis partition rule,
         # then insert and index.
-        if not is_genesis(block):
-            hits = self._genesis_hits(block)
-            if hits == 0 or hits & (hits - 1):
-                self.metrics.dropped_structure += 1
-                return False
+        if not is_genesis(block) and self._pointer_group(block) is None:
+            self.metrics.dropped_structure += 1
+            return False
         self._insert(block)
         return True
 
-    def _genesis_hits(self, block: Block) -> int:
-        """The genesis bits that the block's pointers held here observe."""
+    def _pointer_group(self, block: Block) -> Optional[GroupId]:
+        """The group whose genesis the block's pointers held here observe;
+        None when they observe no genesis or several."""
         observed = 0
         for ptr in block.pointers:
-            if ptr in self.lace:
-                observed |= self.lace.mask_of(ptr)
-        return observed & self._genesis_bits
+            observed |= self.lace.mask_of(ptr)
+        hits = observed & self._genesis_bits
+        if hits == 0 or hits & (hits - 1):
+            return None
+        (genesis,) = self.lace.blocks_of_mask(hits)
+        return genesis.id
 
     def _index(self, block: Block):
         bit = self.lace.bit_of(block.id)
+        self.peers.credit(block.creator, (block.id,))
         if is_genesis(block):
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit
             self._members[block.id] = {block.creator: bit}
             self._contacts.setdefault(block.creator)
-        else:
-            mask = self.lace.mask_of(block.id)
-            for gid in self._partition_bits:
-                if mask & self.lace.bit_of(gid):
-                    self._partition_bits[gid] |= bit
+            return
+        gid = self._pointer_group(block)
+        if gid is None:
+            return
+        self._partition_bits[gid] |= bit
         payload = block.payload
-        if isinstance(payload, Invite):
-            gid = self.group_of(block.id)
-            if gid is not None and block.creator == gid.creator and block.pointers == frozenset([gid]):
-                self._invite_index[block.id] = (gid, payload.target)
-                self._contacts.setdefault(payload.target)
+        if isinstance(payload, Invite) and block.creator == gid.creator and block.pointers == {gid}:
+            self._invite_index[block.id] = (gid, payload.target)
+            self._contacts.setdefault(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
             (invite_id,) = block.pointers
             entry = self._invite_index.get(invite_id)
@@ -375,11 +376,8 @@ class WlAgent(Agent):
         # A parked block's present pointers name its group: acking that
         # group's tips, as `_ack_pointers` would, shows the deliverer what
         # is missing here.  Nothing when they name no group of this agent.
-        hits = self._genesis_hits(block)
-        if hits == 0 or hits & (hits - 1):
-            return None
-        gid = next(g for g in self._partition_bits if hits & self.lace.bit_of(g))
-        if not self.member(self.agent_id, gid):
+        gid = self._pointer_group(block)
+        if gid is None or not self.member(self.agent_id, gid):
             return None
         return self.partition_tips(gid)
 

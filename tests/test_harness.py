@@ -10,6 +10,7 @@ from blocklace.harness.adversaries import AgentWrapper
 from blocklace.harness.oracles import evaluate, parse_trace
 from blocklace.harness.runner import run_scenario
 from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
+from blocklace.wl import is_genesis
 
 
 def test_trace_has_required_event_vocabulary():
@@ -324,6 +325,37 @@ def test_offline_oracles_reproduce_verdicts(tmp_path):
     assert {o["name"] for o in report["oracles"]} == {o.name for o in scenario.oracles}
 
 
+def partition_integrity(scenario, text):
+    results = evaluate(scenario, parse_trace(text))
+    (result,) = [r for r in results if r.name == "partition_integrity"]
+    return result
+
+
+def test_partition_integrity_fails_on_a_violation_record():
+    scenario = canned.wl_partitions(seed=1)
+    text = run_scenario(scenario).trace_text
+    assert partition_integrity(scenario, text).verdict == "PASS"
+    result = partition_integrity(scenario, text + "7\tVIOLATION\tagent=m2\tkind=closure\n")
+    assert result.verdict == "FAIL"
+    assert result.witness == ["violation at tick 7: m2 closure"]
+
+
+def test_partition_integrity_fails_on_a_merge_block_in_a_final_lace():
+    scenario = canned.wl_partitions(seed=1)
+    result = run_scenario(scenario)
+    data = parse_trace(result.trace_text)
+    # m2 is in groups alpha and beta, so it holds two geneses to merge.
+    lace, _ = data.lace_of("m2")
+    geneses = [blk.id for blk in lace.blocks() if is_genesis(blk)]
+    assert len(geneses) >= 2
+    m2 = result.wrappers["m2"].inner
+    merge = b.new_block(m2.kp, m2.current_address, b.Say(b"bridge"), geneses[:2])
+    final = f"0\tFINAL\tagent=m2\tkind=lace\thex={b.encode_block(merge).hex()}\n"
+    failed = partition_integrity(scenario, result.trace_text + final)
+    assert failed.verdict == "FAIL"
+    assert failed.witness == [f"final blocklace of m2: partition:{merge.id.hex()}"]
+
+
 def test_report_enumerates_every_oracle():
     scenario = canned.wl_partitions(seed=1)
     result = run_scenario(scenario)
@@ -624,6 +656,21 @@ def test_cli_rejects_invalid_scenario(tmp_path, capsys):
         bad.write_text(json.dumps(raw))
         assert run_cli("run", str(bad), *flags) == 2
         assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_cli_rejects_rebind_to_an_address_another_agent_holds(tmp_path, capsys):
+    # A deferred event delays the rebind after it, so the clash is found
+    # only when the rebind comes due.
+    path = tmp_path / "s.json"
+    assert run_cli("export", "tl_churn", "--out", str(path)) == 0
+    raw = json.loads(path.read_text())
+    (rebind,) = [e for e in raw["events"] if e["cmd"] == "rebind"]
+    rebind["address"] = "a/0"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run_cli("run", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and "'a/0'" in err
 
 
 def test_cli_failing_oracle_nonzero_exit(tmp_path):

@@ -1,9 +1,10 @@
-"""The peer-knowledge core (`peers.PeerKnowledge`) under TL's credit rule.
+"""The peer-knowledge core (`peers.PeerKnowledge`) under TL's and WL's
+credit rules.
 
-TL keeps what each peer holds as a mask updated as claims, acks and
-arrivals happen.  The reference below is the formula that used to rebuild
-that mask from every claim and disclosure on each use; the maintained mask
-must equal it.
+Each agent keeps what each peer holds as a mask updated as claims, acks
+and arrivals happen.  The references below rebuild that mask from every
+claim and disclosure on each use (TL's is the formula TL used to run);
+the maintained mask must equal them.
 """
 
 import pytest
@@ -20,6 +21,9 @@ from blocklace.wl import WlAgent, WlConfig
 KP = [crypto.keygen(f"peers-{i}") for i in range(4)]
 
 TL_CANNED = ["tl_line", "tl_star", "tl_ring", "tl_line_broken", "tl_churn", "tl_forgery"]
+WL_CANNED = [
+    "wl_group", "wl_dropper", "wl_solo", "wl_churn", "wl_equivocation", "wl_privacy", "wl_partitions"
+]
 
 
 def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
@@ -66,16 +70,34 @@ def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
     return mask
 
 
-@pytest.mark.parametrize("name", TL_CANNED)
-def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
-    # Delivered claims, per (agent, contact), recorded where the agent
-    # credits them: every contact at the delivering address; and the acks
-    # the agent files, per (agent, ack creator).
+def wl_reference_knowledge(agent: WlAgent, q, delivered: set, acked: list) -> int:
+    """What q provably holds under WL's rule, rebuilt from scratch: the
+    closures of q's own blocks, of the ids q's admitted acks named, and of
+    the ids q delivered here while they were held."""
+    lace = agent.lace
+    named = set(delivered)
+    for ack in acked:
+        named |= ack.pointers
+    mask = 0
+    for blk in lace.by_creator(q):
+        mask |= lace.mask_of(blk.id)
+    for block_id in named:
+        mask |= lace.mask_of(block_id)
+    return mask
+
+
+def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of) -> None:
+    """Run `builder` at seeds 1-3 and, before every `disseminate` of a
+    `cls` agent, assert each of its peers' maintained mask equals
+    `reference(agent, q, delivered, acked)`.  Delivered claims are
+    recorded per (agent, contact) where the agent credits them: every
+    contact at the delivering address; and the acks the agent files, per
+    (agent, ack creator)."""
     delivered: dict[tuple[int, bytes], set] = {}
     acked: dict[tuple[int, bytes], list] = {}
-    credit_delivery = TlAgent._credit_delivery
-    record_ack = TlAgent._record_ack
-    disseminate = TlAgent.disseminate
+    credit_delivery = cls._credit_delivery
+    record_ack = cls._record_ack
+    disseminate = cls.disseminate
     checks = 0
 
     def record(self, block, src):
@@ -90,25 +112,49 @@ def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
 
     def check(self, only=None):
         nonlocal checks
-        for q in self.known_agents():
-            expected = reference_knowledge(
+        for q in peers_of(self):
+            expected = reference(
                 self, q, delivered.get((id(self), q), ()), acked.get((id(self), q), [])
             )
             assert self.peers.known(q) == expected
             checks += 1
         return disseminate(self, only)
 
-    monkeypatch.setattr(TlAgent, "_credit_delivery", record)
-    monkeypatch.setattr(TlAgent, "_record_ack", record_acked)
-    monkeypatch.setattr(TlAgent, "disseminate", check)
+    monkeypatch.setattr(cls, "_credit_delivery", record)
+    monkeypatch.setattr(cls, "_record_ack", record_acked)
+    monkeypatch.setattr(cls, "disseminate", check)
     for seed in (1, 2, 3):
         delivered.clear()
         acked.clear()
-        result = run_scenario(getattr(canned, name)(seed=seed))
+        result = run_scenario(builder(seed=seed))
         assert all(
             w.inner.metrics.pending_evicted == 0 for w in result.wrappers.values()
         )
     assert checks > 0
+
+
+@pytest.mark.parametrize("name", TL_CANNED)
+def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
+    assert_maintained_masks_match(
+        monkeypatch,
+        TlAgent,
+        getattr(canned, name),
+        reference_knowledge,
+        lambda agent: agent.known_agents(),
+    )
+
+
+@pytest.mark.parametrize("name", WL_CANNED)
+def test_wl_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
+    # A creator's own blocks are credited where WL indexes them, so this
+    # also checks that no block reaches the blocklace unindexed.
+    assert_maintained_masks_match(
+        monkeypatch,
+        WlAgent,
+        getattr(canned, name),
+        wl_reference_knowledge,
+        lambda agent: list(agent._contacts),
+    )
 
 
 def tl(i):

@@ -7,6 +7,7 @@ from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
+from blocklace.lace import Blocklace
 from blocklace.retransmit import REPAIR_AFTER
 from blocklace.tl import ProtocolError
 from blocklace.wl import (
@@ -16,6 +17,7 @@ from blocklace.wl import (
     group_partition,
     is_genesis,
     open_utterance,
+    partition_violations,
 )
 
 KP = [crypto.keygen(f"wl-{i}") for i in range(6)]
@@ -145,7 +147,7 @@ def test_every_block_observes_exactly_one_genesis():
     f2 = agent(2)
     gid2 = form_group(f2, [m], name=b"second")
     m.say_group(gid2, b"other room")
-    assert m.structure_violations() == []
+    assert partition_violations(m.lace) == []
     for blk in m.lace.blocks():
         geneses = [
             g for g in m.lace.blocks()
@@ -259,7 +261,41 @@ def test_cross_group_merge_rejected():
     m.receive(encode_block(merge))
     assert merge.id not in m.lace
     assert m.metrics.dropped_structure == 1
-    assert m.structure_violations() == []
+    assert partition_violations(m.lace) == []
+
+
+def hand_built_lace(blocks_list):
+    lace = Blocklace()
+    for blk in blocks_list:
+        lace.insert(blk)
+    return lace
+
+
+def test_partition_violations_names_a_merge_and_a_groupless_block():
+    kp = KP[0]
+    g1 = b.new_block(kp, "w0/0", b.Group(b"one"), ())
+    g2 = b.new_block(kp, "w0/0", b.Group(b"two"), ())
+    said = b.new_block(kp, "w0/0", b.Say(b"in one"), [g1.id])
+    assert partition_violations(hand_built_lace([g1, g2, said])) == []
+    merge = b.new_block(kp, "w0/0", b.Say(b"bridge"), [said.id, g2.id])
+    floater = b.new_block(kp, "w0/0", b.Say(b"no group"), ())
+    lace = hand_built_lace([g1, g2, said, merge, floater])
+    assert partition_violations(lace) == [
+        f"partition:{merge.id.hex()}",
+        f"partition:{floater.id.hex()}",
+    ]
+
+
+def test_partition_violations_names_a_dangling_pointer():
+    kp = KP[0]
+    genesis = b.new_block(kp, "w0/0", b.Group(b"g"), ())
+    first = b.new_block(kp, "w0/0", b.Say(b"1"), [genesis.id])
+    second = b.new_block(kp, "w0/0", b.Say(b"2"), [first.id])
+    lace = hand_built_lace([genesis, second])
+    # `second` reaches the genesis only through the absent `first`.
+    assert partition_violations(lace) == ["closure", f"partition:{second.id.hex()}"]
+    lace.insert(first)
+    assert partition_violations(lace) == []
 
 
 def test_ack_discloses_only_group_tips():
