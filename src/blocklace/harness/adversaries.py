@@ -115,6 +115,12 @@ class AgentWrapper:
     def _cmd_follow(self, command, ctx):
         return self._out(self.inner.follow(ctx.agent_ids[command["target"]]))
 
+    def _cmd_mute(self, command, ctx):
+        # From now on the agent receives and updates its state, but sends
+        # nothing: a phone switched off for good.
+        self.muted = True
+        return []
+
     def _cmd_say(self, command, ctx):
         return self._out(self.inner.say(command["text"].encode("utf-8")))
 

@@ -230,6 +230,58 @@ def wl_group(seed: int = 0, utterances: int = 50, loss: float = 0.3) -> Scenario
     )
 
 
+def wl_founder_moves(seed: int = 0) -> Scenario:
+    """`wl_group` with the founder rebinding in the middle of formation: the
+    invites after the move, and the relays of the Accepts, carry its new
+    address.  A member whose Accept is still in flight at the move knows
+    the founder only at its old address, so the run does not quiesce (a
+    known fault)."""
+    scenario = wl_group(seed)
+    events = list(scenario.events)
+    events.append(Event(7, "f", {"cmd": "rebind", "address": "f/1"}))
+    events.sort(key=lambda e: e.tick)
+    scenario.events = events
+    return scenario
+
+
+def wl_founder_quits(seed: int = 0) -> Scenario:
+    """Founder plus five members; the founder goes silent after formation,
+    so the members' blocks reach each other only through their own copies
+    and relays.  A founder that goes silent before it has relayed every
+    Accept splits the group."""
+    names = ["f", "m1", "m2", "m3", "m4", "m5"]
+    members = names[1:]
+    agents = [AgentSpec(name) for name in names]
+    bootstrap = [("f", m) for m in members] + [(m, "f") for m in members]
+    events: list[Event] = []
+    _wl_group_formation("f", members, "G", "orphans", events)
+    events.append(Event(40, "f", {"cmd": "mute"}))
+    for i in range(25):
+        events.append(
+            Event(
+                44 + 4 * i,
+                members[i % len(members)],
+                {"cmd": "say_group", "group": "G", "text": f"orphan-msg-{i:03d}"},
+            )
+        )
+    events.sort(key=lambda e: e.tick)
+    return Scenario(
+        protocol="wl",
+        agents=agents,
+        events=events,
+        bootstrap=bootstrap,
+        oracles=[
+            OracleSpec("wl_liveness", {"founder": "f", "group_name": "orphans"}),
+            OracleSpec("attribution"),
+        ],
+        seed=seed,
+        # The muted founder never acks, so the members resend to it until
+        # the budget runs out; quiescence is unreachable by design.
+        ticks=600,
+        loss_prob=0.3,
+    )
+
+
 def wl_dropper(seed: int = 0) -> Scenario:
     """Four-member group where one member silently swallows everything:
     liveness must still hold among the correct three."""
@@ -452,6 +504,8 @@ CANNED = {
     "tl_churn": tl_churn,
     "tl_forgery": tl_forgery,
     "wl_group": wl_group,
+    "wl_founder_moves": wl_founder_moves,
+    "wl_founder_quits": wl_founder_quits,
     "wl_dropper": wl_dropper,
     "wl_solo": wl_solo,
     "wl_churn": wl_churn,

@@ -24,7 +24,7 @@ _ADDRESS_RE = re.compile(r"^[^\s=]+$")
 ROLES = ("correct", "silent", "equivocator", "forger", "eavesdropper")
 PROTOCOLS = ("tl", "wl")
 
-TL_COMMANDS = {"follow", "say", "respond", "rebind", "equivocate", "forge"}
+TL_COMMANDS = {"follow", "say", "respond", "rebind", "mute", "equivocate", "forge"}
 WL_COMMANDS = {
     "create_group",
     "invite",
@@ -32,6 +32,7 @@ WL_COMMANDS = {
     "say_group",
     "respond_group",
     "rebind",
+    "mute",
     "equivocate",
     "forge",
 }
@@ -292,6 +293,9 @@ def _validate_command(command: dict[str, Any], names: set[str], where: str, prot
             f"{where}.address",
             "no whitespace or '=' allowed",
         )
+    elif cmd == "mute":
+        for key in command:
+            _expect(key == "cmd", f"{where}.{key}", "mute takes no arguments")
     elif cmd == "create_group":
         need("name")
         need("label")

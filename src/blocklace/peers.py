@@ -27,6 +27,11 @@ from .retransmit import Retransmit
 
 Send = tuple[NetAddress, Block]
 
+# How many absent ids `PeerKnowledge` keeps credits parked for; past it the
+# oldest is dropped, as the pending buffer drops its oldest block.  A
+# dropped credit costs at most sends the peer did not need.
+PARKED_CAP = 4096
+
 
 @dataclass
 class AgentMetrics:
@@ -59,10 +64,11 @@ class PeerKnowledge:
     * a bit credit, the block alone.  `bits(q)` lists those, so that a
       rule that depends on state may upgrade them by crediting again.
 
-    An id not here yet is parked until it lands or its pending block is
-    evicted (`forget`).  Bound: one entry per distinct absent id named by
-    a block stored or pending here, or by an ack from a contact
-    (`Agent.receive`), holding one flag per peer that named it.
+    An id not here yet is parked until it lands, its pending block is
+    evicted (`forget`), or PARKED_CAP newer ids push it out.  Bound:
+    PARKED_CAP entries, each holding one flag per peer that named the id;
+    the ids come from blocks stored or pending here and from acks from
+    contacts (`Agent.receive`).
     """
 
     def __init__(
@@ -95,7 +101,11 @@ class PeerKnowledge:
             if block_id in lace:
                 self._credit(block_id, {q: vouched})
             else:
-                waiting = self.parked.setdefault(block_id, {})
+                waiting = self.parked.get(block_id)
+                if waiting is None:
+                    if len(self.parked) >= PARKED_CAP:
+                        del self.parked[next(iter(self.parked))]
+                    waiting = self.parked[block_id] = {}
                 waiting[q] = waiting.get(q, False) or vouched
 
     def landed(self, block_id: BlockId) -> None:
@@ -141,7 +151,8 @@ class Agent:
     # the relay schedule, sent once, rather than on the eager one
     # (`retransmit`).  Such a pair is repaired on a nack when
     # `_creator_sends` says the creator covers it, and is on a backstop
-    # otherwise.
+    # otherwise; a backstop pair is sent on first offer only where
+    # `_first_relay` says so, and REPAIR_AFTER ticks later elsewhere.
     RELAY_ONCE = False
 
     def __init__(
@@ -314,7 +325,9 @@ class Agent:
                 if not relay_once or blk.creator == me:
                     sent = take(dest, blk.id)
                 else:
-                    sent = take(dest, blk.id, True, not self._creator_sends(blk, q))
+                    backstop = not self._creator_sends(blk, q)
+                    hold = backstop and not self._first_relay(blk)
+                    sent = take(dest, blk.id, True, backstop, hold)
                 if sent:
                     sends.append((dest, blk))
         return sends
@@ -323,6 +336,12 @@ class Agent:
         """Whether the block's creator, if correct, sends it to q itself,
         so a relayed copy is a second path (`RELAY_ONCE`)."""
         return False
+
+    def _first_relay(self, block: Block) -> bool:
+        """Whether this agent sends a relayed copy the creator does not
+        cover on first offer, rather than holding it on its backstop
+        (`RELAY_ONCE`)."""
+        return True
 
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose

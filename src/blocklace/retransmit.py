@@ -23,8 +23,9 @@ of 4 saved under 0.3% of the datagrams but delayed quiescence by up to
 
 The relay schedule is for a copy of a block this agent did not create,
 where the creator sends it too.  It is sent once on first offer, in or
-out of a round, with no same-round copy.  How it is resent depends on
-whether the creator is known to cover the destination:
+out of a round, with no same-round copy, unless it is held (below).
+How it is resent depends on whether the creator is known to cover the
+destination:
 
 * covered: the agent knows the creator holds the block that made the
   destination a member, so a correct creator has the pair on its own
@@ -32,16 +33,27 @@ whether the creator is known to cover the destination:
   a loss: in a round after an ack from the destination arrived, if the
   last send is at least REPAIR_AFTER ticks old;
 * not covered: the creator may not know the destination yet (a member
-  learns of others only from their Accepts), so this copy may be the
-  only path.  It is on a backstop: armed, and resent every REPAIR_AFTER
-  ticks until the destination is known to hold the block.  A later ack
-  that shows the creator now covers it takes it off the backstop.
+  learns of others only from their Accepts), so a relay's copy may be
+  the only path.  It is on a backstop: armed, and sent every
+  REPAIR_AFTER ticks until the destination is known to hold the block.
+  Only the group's founder sends it on first offer too: it created
+  every invite, so it knows every invitee, and a new member, which
+  knows only the founder, sends its Accept there first.  Any other
+  relay holds its first offer (`take`'s `hold`), so its copy goes out
+  REPAIR_AFTER ticks later, if the destination still lacks the block.
+  With every member relaying every Accept to every other member at
+  once, relayed Invites and Accepts grew as n^3; holding cut a
+  12-member group's datagrams at 30% loss by 14%, with delivery times
+  unchanged.  A later ack that shows the creator now covers the pair
+  takes it off the backstop.
 
 So a run is quiescent only when every pair is held or covered by an
 armed eager timer: what a correct agent owes a member, the member
 holds.  The exception is a creator that withholds its block from a
 member it knows (a faulty one); the relays' covered copies then get
-only the repair.
+only the repair.  A founder that goes silent costs delay, not liveness,
+only once it has relayed every Accept: before that, a new member's
+Accept may have reached no one else, and the group stays split.
 
 REPAIR_AFTER is twice the largest default delay (5 ticks) plus one, so
 an ack that still does not cover the block left the destination after
@@ -68,7 +80,8 @@ that.  In TL a relay is often the only path (friends in a line), so TL
 relays stay eager: dropping a TL relay's second copy raised the
 95th-percentile delivery time on a 5-agent line from 12.6 to 18.5 ticks.
 Each agent class states its choice as `RELAY_ONCE` and, in WL, which
-creators cover whom as `_creator_sends` (`peers.Agent`).
+creators cover whom as `_creator_sends` and which relay sends an
+uncovered copy at once as `_first_relay` (`peers.Agent`).
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
@@ -95,15 +108,16 @@ Pair = tuple[NetAddress, BlockId]
 class Retransmit:
     """Send schedule per (destination address, block id).
 
-    `take` decides each candidate send; its `relay` and `backstop` flags
-    pick the schedule.  Outside a round it passes only first offers.
-    Inside a round (`with schedule.round():`) it passes every eager pair
-    whose timer is due, and backs its timer off, and every relay pair due
-    for a resend; the pairs the round asked about are exactly the pairs
-    still outstanding, and when the round ends every other entry is
-    dropped.  Bound: each table holds the pairs outstanding at the last
-    round plus those first offered since, one entry each; the repair
-    marks hold the addresses acks came from since the last round.
+    `take` decides each candidate send; its `relay`, `backstop` and
+    `hold` flags pick the schedule.  Outside a round it passes only first
+    offers.  Inside a round (`with schedule.round():`) it passes every
+    eager pair whose timer is due, and backs its timer off, and every
+    relay pair due for a resend; the pairs the round asked about are
+    exactly the pairs still outstanding, and when the round ends every
+    other entry is dropped.  Bound: each table holds the pairs
+    outstanding at the last round plus those first offered since, one
+    entry each; the repair marks hold the addresses acks came from since
+    the last round.
     """
 
     def __init__(self, metrics):
@@ -117,6 +131,9 @@ class Retransmit:
         self._relayed: dict[Pair, int] = {}
         # the relay pairs on a backstop, a subset of `_relayed`
         self._backstops: set[Pair] = set()
+        # the relay pairs first offered on hold and not sent since, a
+        # subset of `_relayed`: their first send is no resend
+        self._held: set[Pair] = set()
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
         self._live: Optional[set[Pair]] = None
@@ -142,19 +159,29 @@ class Retransmit:
             self._timers = {pair: timers[pair] for pair in live if pair in timers}
             self._relayed = {pair: relayed[pair] for pair in live if pair in relayed}
             self._backstops &= live
+            self._held &= live
             self._repair = set()
             self._live = None
             self.now += 1
 
     def take(
-        self, dest: NetAddress, block_id: BlockId, relay: bool = False, backstop: bool = False
+        self,
+        dest: NetAddress,
+        block_id: BlockId,
+        relay: bool = False,
+        backstop: bool = False,
+        hold: bool = False,
     ) -> bool:
         """Whether to send the block to `dest` now; arms or backs off its
         timer when it does.  A relay pair is sent once on first offer and
         again at least REPAIR_AFTER ticks after its last send: on a
         backstop, then; otherwise only in a round after an ack from
-        `dest`.  `backstop` is read on every call, so a pair leaves its
-        backstop once another path is known to cover it."""
+        `dest`.  `hold`, read on first offer only, records the pair
+        without sending it, as if sent then: a held backstop pair goes out
+        in the first round REPAIR_AFTER ticks later.  `backstop` is read
+        on every call, so a pair leaves its backstop once another path is
+        known to cover it; a held pair that does so before its first send
+        follows the covered rule, so it goes out only on a repair mark."""
         pair = (dest, block_id)
         if self._live is not None:
             self._live.add(pair)
@@ -166,13 +193,18 @@ class Retransmit:
             last = self._relayed.get(pair)
             if last is None:
                 self._relayed[pair] = self.now
-                return True
+                if hold:
+                    self._held.add(pair)
+                return not hold
             if self._live is None or self.now - last < REPAIR_AFTER:
                 return False
             if not backstop and dest not in self._repair:
                 return False
             self._relayed[pair] = self.now
-            self._metrics.resent += 1
+            if pair in self._held:
+                self._held.discard(pair)
+            else:
+                self._metrics.resent += 1
             return True
         timer = self._timers.get(pair)
         if timer is None:

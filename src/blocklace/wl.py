@@ -264,7 +264,8 @@ class WlAgent(Agent):
     # The creator of a block sends it to every member it knows, so a copy
     # this agent relays to such a member is a second path: it goes out once
     # and is repaired on a nack.  A copy to a member the creator may not
-    # know yet goes out once and stays on a backstop until it is held.
+    # know yet stays on a backstop until it is held: the founder sends it
+    # at once, any other member REPAIR_AFTER ticks later.
     RELAY_ONCE = True
 
     def _creator_sends(self, block: Block, q: AgentId) -> bool:
@@ -273,6 +274,13 @@ class WlAgent(Agent):
         # blocks to.
         joined = self._members.get(self.group_of(block.id), {}).get(q, 0)
         return bool(self.peers.known(block.creator) & joined)
+
+    def _first_relay(self, block: Block) -> bool:
+        # The founder created every invite, so it knows every invitee: its
+        # copy is the one path a new member's Accept has to the others.
+        # Every other relay's copy waits on its backstop.
+        gid = self.group_of(block.id)
+        return gid is not None and gid.creator == self.agent_id
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not

@@ -441,6 +441,17 @@ def test_silent_agent_never_sends():
             assert f"src={silent_address}" not in line
 
 
+def test_muted_agent_sends_nothing_from_its_mute_on():
+    result = run_scenario(canned.wl_founder_quits(seed=1))
+    sent_at = [
+        event.tick for event in parse_trace(result.trace_text).events_of("SUBMIT")
+        if event.fields["src"] == "f/0"
+    ]
+    assert sent_at and max(sent_at) < 40
+    founder = result.wrappers["f"]
+    assert founder.muted and founder.inner.metrics.received > 0
+
+
 def test_eavesdropper_receives_copies_but_stays_silent():
     scenario = canned.wl_privacy(seed=2)
     result = run_scenario(scenario)

@@ -153,6 +153,53 @@ def test_backstop_left_once_another_path_covers_the_pair():
     assert metrics.resent == 0
 
 
+# A held pair is a relay pair first offered with `hold`: recorded on its
+# backstop as if sent, but not sent.
+
+
+def test_held_first_offer_not_sent_outside_a_round():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
+    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True)
+    assert schedule.armed() == 1
+    # Nor in a round before REPAIR_AFTER ticks have passed.
+    sent = round_sends(schedule, [("p/0", BLOCK)], REPAIR_AFTER, relay=True, backstop=True)
+    assert sent[("p/0", BLOCK)] == []
+    assert metrics.resent == 0
+
+
+def test_held_pair_sent_repair_after_later_while_on_its_backstop():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, backstop=True)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    # The first send repeats no earlier one.
+    assert metrics.resent == 1
+    # First offered in a round, it is held there too.
+    schedule = Retransmit(AgentMetrics())
+    with schedule.round():
+        assert not schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
+    sent = round_sends(schedule, [("p/0", BLOCK)], REPAIR_AFTER, relay=True, backstop=True)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
+
+
+def test_held_pair_dropped_once_covered():
+    metrics = AgentMetrics()
+    schedule = Retransmit(metrics)
+    schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
+    round_sends(schedule, [("p/0", BLOCK)], 5, relay=True, backstop=True)
+    # Covered before its first send: the creator's eager timer owns it.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    assert sent[("p/0", BLOCK)] == []
+    assert schedule.armed() == 0
+    # A repair mark can still bring it back, as for any covered pair.
+    sent = round_sends(schedule, [("p/0", BLOCK)], 1, relay=True, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [35]
+    assert metrics.resent == 0
+
+
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
     schedule = Retransmit(AgentMetrics())
     schedule.take("p/0", BLOCK, relay=True)
@@ -287,6 +334,31 @@ def test_wl_relay_sends_once_in_its_first_tick_creator_twice():
     assert copies(relayed + m1.tick(), m2, said.id) == 1
 
 
+def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
+    gid = wl_group(f, m1, m2)
+    everyone = [f, m1, m2, m3]
+    f.address_hints[m3.agent_id] = m3.current_address
+    pump(everyone, f.invite(m3.agent_id, gid), f)
+    # m3 knows only f, so its Accept goes to f alone, and reaches the
+    # others only through relays: none of them knows m3 holds their Accepts.
+    sends = m3.accept(gid)
+    accept = m3.last_uttered
+    assert {dst for dst, _ in sends} == {f.current_address}
+
+    def copies(sends, dest):
+        return sum(dst == dest.current_address and blk.id == accept.id for dst, blk in sends)
+
+    at_f = deliver(f, m3, accept)
+    assert copies(at_f, m1) == copies(at_f, m2) == 1
+    # m1 holds its copy to m2 on its backstop: not sent on the tick it
+    # lands, but REPAIR_AFTER ticks later while m2 is not known to hold it.
+    at_m1 = deliver(m1, f, accept)
+    assert copies(at_m1 + m1.tick(), m2) == 0
+    assert m1.retransmit.armed() > 0
+    assert owes(m1, m2, accept.id, rounds=REPAIR_AFTER)
+
+
 def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():
     # On a line of friends the relay may be the only path, so TL relays
     # stay on the eager schedule.
@@ -382,14 +454,28 @@ def _required_held(runner):
 
 
 # A correct agent owes blocks forever to a peer that never acks: a silent
-# member (wl_dropper), the muted equivocator, or one beyond a broken link.
-NEVER_QUIESCE = {"tl_line_broken", "wl_dropper", "wl_equivocation"}
+# member (wl_dropper), the muted equivocator, the muted founder, or one
+# beyond a broken link.
+NEVER_QUIESCE = {"tl_line_broken", "wl_dropper", "wl_equivocation", "wl_founder_quits"}
+
+# Known fault, not by design: a member whose Accept is still in flight when
+# the founder rebinds knows the founder only at its old address, and nothing
+# the founder sends it afterwards names the new one.  The member resends
+# its Accept there for good, and the founder its invite.
+STUCK = pytest.mark.xfail(
+    strict=True, reason="members that accepted before the founder moved cannot reach it"
+)
+
+
+def _case(name, seed, id):
+    marks = [STUCK] if name == "wl_founder_moves" else []
+    return pytest.param(name, seed, id=id, marks=marks)
 
 
 # Which acks reach which timers is where WL quiescence can go wrong, so the
 # WL scenarios that quiesce run at more seeds.
-QUIESCENCE_CASES = [pytest.param(name, 1, id=name) for name in sorted(canned.CANNED)] + [
-    pytest.param(name, seed, id=f"{name}-seed{seed}")
+QUIESCENCE_CASES = [_case(name, 1, name) for name in sorted(canned.CANNED)] + [
+    _case(name, seed, f"{name}-seed{seed}")
     for name in sorted(canned.CANNED)
     if name.startswith("wl_") and name not in NEVER_QUIESCE
     for seed in (2, 3)

@@ -94,12 +94,18 @@ def test_minimal_parses():
         ),
         # A string such as "no" is truthy and would leave encryption on.
         (dict(wl_encrypt="no"), "wl_encrypt"),
+        (dict(events=[{"tick": 0, "agent": "a", "cmd": "mute", "target": "b"}]), "events[0].target"),
     ],
 )
 def test_validation_reports_location(mutation, location):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(minimal(**mutation))
     assert location in str(err.value)
+
+
+def test_mute_takes_no_arguments():
+    scenario = parse_scenario(minimal(events=[{"tick": 3, "agent": "b", "cmd": "mute"}]))
+    assert scenario.events[0].command == {"cmd": "mute"}
 
 
 def test_net_edges_accepted():

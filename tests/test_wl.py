@@ -8,6 +8,7 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
+from blocklace.peers import PARKED_CAP
 from blocklace.retransmit import REPAIR_AFTER
 from blocklace.tl import ProtocolError
 from blocklace.wl import (
@@ -605,6 +606,25 @@ def test_acks_from_strangers_are_dropped():
     absent = random_id()
     f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(), [absent])))
     assert f.peers.parked == {absent: {m.agent_id: True}}
+
+
+def test_parked_ids_from_a_members_acks_stay_within_the_cap():
+    f, m = agent(0), agent(1)
+    form_group(f, [m])
+    rng = random.Random(11)
+    named = []
+    for i in range(1000):
+        pointers = [
+            b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
+            for _ in range(20)
+        ]
+        named.append(set(pointers))
+        ack = b.new_block(KP[1], m.current_address, b.Ack(), pointers)
+        f.receive(encode_block(ack), src=m.current_address)
+    assert len(f.peers.parked) == PARKED_CAP
+    # The oldest went first: the ids of the last acks are all still there.
+    assert set().union(*named[-(PARKED_CAP // 20) :]) <= set(f.peers.parked)
+    assert not named[0] & set(f.peers.parked)
 
 
 def test_invite_acked_with_invite_id():
