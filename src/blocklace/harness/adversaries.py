@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .. import blocks as b
 from .. import crypto
 from ..blocks import Ack, Block, BlockId, NetAddress, Say, WireDecoder
+from ..peers import Agent, ProtocolError
 from ..simnet import Trace
-from ..tl import ProtocolError, TlAgent
 from ..wl import WlAgent, seal_utterance
 
 RawSend = tuple[NetAddress, bytes]
@@ -52,7 +52,7 @@ def _encode(block: Block) -> bytes:
 
 
 class AgentWrapper:
-    def __init__(self, name: str, inner: Union[TlAgent, WlAgent]):
+    def __init__(self, name: str, inner: Agent):
         self.name = name
         self.inner = inner
         self.muted = False

@@ -62,11 +62,11 @@ def cmd_verify(args) -> int:
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        data = oracles.parse_trace(text)
+        with open(args.trace, "r", encoding="utf-8") as handle:
+            data = oracles.parse_trace(handle.read())
     except ValueError as exc:
+        # UnicodeDecodeError is a ValueError too.
         print(f"invalid trace: {exc}", file=sys.stderr)
         return 2
     recorded = data.meta.get("scenario")

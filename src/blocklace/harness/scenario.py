@@ -333,6 +333,8 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario(raw)

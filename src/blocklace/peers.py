@@ -10,8 +10,9 @@ credit a delivered copy earns the contacts at its address, the bounded
 pending buffer, the receive -> ack -> forward pipeline with its per-tick
 ack dedup, the send loop (`disseminate`) and the retransmission round.  A
 subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
-`_record_ack`, `_ack_pointers`, `_nack_pointers`, `_creator_sends` and
-`_wanted`, which says who may receive what.
+`_record_ack`, `_ack_pointers`, `_nack_pointers` and `_wanted`, which
+says who may receive what, and may override `_schedule`, which names the
+retransmission schedule of each copy (`retransmit`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
-from .retransmit import Retransmit
+from .retransmit import EAGER, Retransmit
 
 Send = tuple[NetAddress, Block]
 
@@ -31,6 +32,10 @@ Send = tuple[NetAddress, Block]
 # oldest is dropped, as the pending buffer drops its oldest block.  A
 # dropped credit costs at most sends the peer did not need.
 PARKED_CAP = 4096
+
+
+class ProtocolError(Exception):
+    """A command violated its precondition."""
 
 
 @dataclass
@@ -146,14 +151,6 @@ class PeerKnowledge:
 class Agent:
     """The state, receive pipeline and send loop common to the TL and WL
     agents."""
-
-    # Whether a block this agent relays (one it did not create) goes on
-    # the relay schedule, sent once, rather than on the eager one
-    # (`retransmit`).  Such a pair is repaired on a nack when
-    # `_creator_sends` says the creator covers it, and is on a backstop
-    # otherwise; a backstop pair is sent on first offer only where
-    # `_first_relay` says so, and REPAIR_AFTER ticks later elsewhere.
-    RELAY_ONCE = False
 
     def __init__(
         self, kp: Keypair, address: NetAddress, metrics: AgentMetrics, pending_cap: int
@@ -310,8 +307,7 @@ class Agent:
         lace = self.lace
         scope = lace.all_mask() if only is None else only
         take = self.retransmit.take
-        relay_once = self.RELAY_ONCE
-        me = self.agent_id
+        schedule = self._schedule
         sends: list[Send] = []
         for q, wanted in self._wanted(scope):
             if not wanted:
@@ -322,26 +318,15 @@ class Agent:
             batch = lace.blocks_of_mask(wanted)
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
             for blk in batch:
-                if not relay_once or blk.creator == me:
-                    sent = take(dest, blk.id)
-                else:
-                    backstop = not self._creator_sends(blk, q)
-                    hold = backstop and not self._first_relay(blk)
-                    sent = take(dest, blk.id, True, backstop, hold)
-                if sent:
+                if take(dest, blk.id, schedule(blk, q)):
                     sends.append((dest, blk))
         return sends
 
-    def _creator_sends(self, block: Block, q: AgentId) -> bool:
-        """Whether the block's creator, if correct, sends it to q itself,
-        so a relayed copy is a second path (`RELAY_ONCE`)."""
-        return False
-
-    def _first_relay(self, block: Block) -> bool:
-        """Whether this agent sends a relayed copy the creator does not
-        cover on first offer, rather than holding it on its backstop
-        (`RELAY_ONCE`)."""
-        return True
+    def _schedule(self, block: Block, q: AgentId) -> str:
+        """The retransmission schedule of this agent's copies of the block
+        to q (`retransmit`).  EAGER for every copy, as TL wants: on a line
+        of friends a relay is often the only path."""
+        return EAGER
 
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose

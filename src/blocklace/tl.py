@@ -52,11 +52,7 @@ from typing import Iterator, Optional
 from . import blocks as b
 from .blocks import Block, BlockId, Empty, Follow, NetAddress, Respond, Say
 from .crypto import AgentId, Keypair
-from .peers import Agent, AgentMetrics, PeerKnowledge, Send
-
-
-class ProtocolError(Exception):
-    """A command violated its precondition."""
+from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
 
 
 def is_offer_to(block: Block, q: AgentId) -> bool:

@@ -39,8 +39,8 @@ from .blocks import (
 )
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
-from .peers import Agent, AgentMetrics, PeerKnowledge, Send
-from .tl import ProtocolError
+from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
+from .retransmit import BACKSTOP, COVERED, EAGER, HELD
 
 GroupId = BlockId
 
@@ -170,11 +170,7 @@ class WlAgent(Agent):
 
     def group_of(self, block_id: BlockId) -> Optional[GroupId]:
         """The genesis whose partition contains block_id, if resolved."""
-        mask = self.lace.mask_of(block_id)
-        hit = mask & self._genesis_bits
-        if not hit:
-            return None
-        return min(gid for gid in self._partition_bits if hit & self.lace.bit_of(gid))
+        return self._genesis_in(self.lace.mask_of(block_id))
 
     def transcript(self, gid: GroupId) -> list[tuple[AgentId, bytes, bool]]:
         """Decrypted (author, text, signature_ok) feed of a group, in
@@ -261,26 +257,22 @@ class WlAgent(Agent):
 
     # --- dissemination ----------------------------------------------------------
 
-    # The creator of a block sends it to every member it knows, so a copy
-    # this agent relays to such a member is a second path: it goes out once
-    # and is repaired on a nack.  A copy to a member the creator may not
-    # know yet stays on a backstop until it is held: the founder sends it
-    # at once, any other member REPAIR_AFTER ticks later.
-    RELAY_ONCE = True
-
-    def _creator_sends(self, block: Block, q: AgentId) -> bool:
-        # The creator holds the block that made q a member of the block's
-        # group, so it counts q among the members it sends that group's
-        # blocks to.
-        joined = self._members.get(self.group_of(block.id), {}).get(q, 0)
-        return bool(self.peers.known(block.creator) & joined)
-
-    def _first_relay(self, block: Block) -> bool:
-        # The founder created every invite, so it knows every invitee: its
-        # copy is the one path a new member's Accept has to the others.
-        # Every other relay's copy waits on its backstop.
+    def _schedule(self, block: Block, q: AgentId) -> str:
+        # The creator of a block sends it to every member it knows.  When
+        # it holds the block that made q a member of the block's group, it
+        # counts q among them, so this agent's relayed copy is a second
+        # path.  Otherwise the copy may be q's only path: the founder,
+        # which created every invite and so knows every invitee, sends it
+        # at once; any other relay holds it for REPAIR_AFTER ticks.
+        if block.creator == self.agent_id:
+            return EAGER
         gid = self.group_of(block.id)
-        return gid is not None and gid.creator == self.agent_id
+        joined = self._members.get(gid, {}).get(q, 0)
+        if self.peers.known(block.creator) & joined:
+            return COVERED
+        if gid is not None and gid.creator == self.agent_id:
+            return BACKSTOP
+        return HELD
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not
@@ -323,12 +315,17 @@ class WlAgent(Agent):
         return True
 
     def _pointer_group(self, block: Block) -> Optional[GroupId]:
-        """The group whose genesis the block's pointers held here observe;
-        None when they observe no genesis or several."""
+        """The group whose genesis the block's pointers held here observe."""
         observed = 0
         for ptr in block.pointers:
             observed |= self.lace.mask_of(ptr)
-        hits = observed & self._genesis_bits
+        return self._genesis_in(observed)
+
+    def _genesis_in(self, mask: int) -> Optional[GroupId]:
+        """The one genesis in a mask of this blocklace; None when it holds
+        none or several.  `_admit` lets in only blocks that observe
+        exactly one."""
+        hits = mask & self._genesis_bits
         if hits == 0 or hits & (hits - 1):
             return None
         (genesis,) = self.lace.blocks_of_mask(hits)
@@ -367,8 +364,8 @@ class WlAgent(Agent):
         # invite addressed to this agent is acknowledged by naming it.
         # No ack for a copy from a member other than the creator when the
         # block observes the block that made this agent a member: that
-        # relay holds it too, so knows the creator covers this agent, and
-        # its copy has no timer for an ack to stop (`_creator_sends`).
+        # relay holds it too, so its copy is COVERED and has no timer for
+        # an ack to stop (`_schedule`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
             joined = self._members[gid][self.agent_id]

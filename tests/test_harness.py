@@ -268,6 +268,15 @@ def test_cli_verify_rejects_malformed_final_and_agent_lines(tmp_path, capsys, li
     assert "invalid trace: trace line 2: " in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_trace_that_is_not_utf8(tmp_path, capsys):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_bytes(b"# blocklace-trace v3\n0\tTICK\tagent=\xff\n")
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+    assert "invalid trace: " in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_unresolved_payload_reference(tmp_path):
     scenario = canned.tl_line(seed=1, utterances=2)
     scenario_path = tmp_path / "s.json"
@@ -667,6 +676,10 @@ def test_cli_rejects_invalid_scenario(tmp_path, capsys):
         bad.write_text(json.dumps(raw))
         assert run_cli("run", str(bad), *flags) == 2
         assert "invalid scenario" in capsys.readouterr().err
+    bad.write_bytes(b'{"protocol": "tl\xff"}')
+    for argv in (("run", str(bad)), ("verify", str(tmp_path / "t.trace"), str(bad))):
+        assert run_cli(*argv) == 2
+        assert "invalid scenario: " in capsys.readouterr().err
 
 
 def test_cli_rejects_rebind_to_an_address_another_agent_holds(tmp_path, capsys):

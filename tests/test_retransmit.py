@@ -11,7 +11,15 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import Runner, run_scenario
 from blocklace.peers import AgentMetrics
-from blocklace.retransmit import MAX_GAP, REPAIR_AFTER, Retransmit
+from blocklace.retransmit import (
+    BACKSTOP,
+    COVERED,
+    EAGER,
+    HELD,
+    MAX_GAP,
+    REPAIR_AFTER,
+    Retransmit,
+)
 from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
 
@@ -20,27 +28,27 @@ BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
 OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 
-def round_sends(schedule, pairs, rounds, relay=False, marked=(), backstop=False):
-    """Run `rounds` rounds asking about every pair, each after acks from
-    the `marked` addresses; returns, per pair, the ticks at which the
-    round sent it."""
+def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
+    """Run `rounds` rounds asking about every pair on `schedule`, each
+    after acks from the `marked` addresses; returns, per pair, the ticks
+    at which the round sent it."""
     sent = {pair: [] for pair in pairs}
     for _ in range(rounds):
         for dest in marked:
-            schedule.mark_repair(dest)
-        with schedule.round():
+            rtx.mark_repair(dest)
+        with rtx.round():
             for dest, block_id in pairs:
-                if schedule.take(dest, block_id, relay=relay, backstop=backstop):
-                    sent[(dest, block_id)].append(schedule.now)
+                if rtx.take(dest, block_id, schedule):
+                    sent[(dest, block_id)].append(rtx.now)
     return sent
 
 
 def test_first_offer_then_same_round_then_backoff_capped():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    assert schedule.take("p/0", BLOCK)  # first offer, outside a round
-    assert not schedule.take("p/0", BLOCK)  # no repeat before the round
-    sent = round_sends(schedule, [("p/0", BLOCK)], 24)
+    rtx = Retransmit(metrics)
+    assert rtx.take("p/0", BLOCK)  # first offer, outside a round
+    assert not rtx.take("p/0", BLOCK)  # no repeat before the round
+    sent = round_sends(rtx, [("p/0", BLOCK)], 24)
     # The same tick's round, then +1, +3, +7, then every MAX_GAP ticks.
     assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11, 15, 19, 23]
     assert MAX_GAP == 4
@@ -49,188 +57,188 @@ def test_first_offer_then_same_round_then_backoff_capped():
 
 def test_first_offer_in_a_round_sends_once_then_backs_off():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 12)
+    rtx = Retransmit(metrics)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 12)
     assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11]
     assert metrics.resent == 4
 
 
-# A backup pair is one on the relay schedule: another path also covers it.
+# A backup pair is a COVERED one: another path also covers it.
 
 
 def test_backup_pair_sent_once_then_every_backup_gap():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    assert schedule.take("p/0", BLOCK, relay=True)  # first offer, outside a round
-    assert not schedule.take("p/0", BLOCK, relay=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 10, relay=True)
+    rtx = Retransmit(metrics)
+    assert rtx.take("p/0", BLOCK, COVERED)  # first offer, outside a round
+    assert not rtx.take("p/0", BLOCK, COVERED)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 10, COVERED)
     # No same-round copy, and without an ack from p no resend at all.
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
     # After acks from p, resends come REPAIR_AFTER ticks after the last send
     # at tick 0.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
     assert metrics.resent == 3
 
 
 def test_backup_pair_first_offered_in_a_round():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    sent = round_sends(schedule, [("p/0", BLOCK), ("p/0", OTHER)], 10, relay=True)
+    rtx = Retransmit(metrics)
+    sent = round_sends(rtx, [("p/0", BLOCK), ("p/0", OTHER)], 10, COVERED)
     # A pair first offered in a round goes out there, once.
     assert sent == {("p/0", BLOCK): [0], ("p/0", OTHER): [0]}
     assert metrics.resent == 0
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
     assert metrics.resent == 3
 
 
 def test_relay_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    schedule.take("p/0", BLOCK, relay=True)
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, COVERED)
     # Acks from another address do not repair p's pairs.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["q/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["q/0"])
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
 
 
 def test_marked_relay_pair_resent_only_after_repair_after():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    schedule.take("p/0", BLOCK, relay=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, marked=["p/0"])
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, COVERED)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     assert REPAIR_AFTER == 11
     assert metrics.resent == 2
     # A mark lasts one round: an ack before an early round repairs nothing
     # later.
-    schedule = Retransmit(AgentMetrics())
-    schedule.take("p/0", BLOCK, relay=True)
-    round_sends(schedule, [("p/0", BLOCK)], 1, relay=True, marked=["p/0"])
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    rtx = Retransmit(AgentMetrics())
+    rtx.take("p/0", BLOCK, COVERED)
+    round_sends(rtx, [("p/0", BLOCK)], 1, COVERED, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
     assert sent[("p/0", BLOCK)] == []
 
 
 def test_relay_pairs_armed_only_on_a_backstop():
-    schedule = Retransmit(AgentMetrics())
-    schedule.take("p/0", BLOCK, relay=True)
-    round_sends(schedule, [("p/0", BLOCK), ("q/0", BLOCK)], 15, relay=True, marked=["p/0"])
-    assert schedule.armed() == 0
-    schedule.take("p/0", OTHER)
-    assert schedule.armed() == 1
-    schedule.take("q/0", OTHER, relay=True, backstop=True)
-    assert schedule.armed() == 2
+    rtx = Retransmit(AgentMetrics())
+    rtx.take("p/0", BLOCK, COVERED)
+    round_sends(rtx, [("p/0", BLOCK), ("q/0", BLOCK)], 15, COVERED, marked=["p/0"])
+    assert rtx.armed() == 0
+    rtx.take("p/0", OTHER)
+    assert rtx.armed() == 1
+    rtx.take("q/0", OTHER, BACKSTOP)
+    assert rtx.armed() == 2
 
 
 def test_backstop_pair_resent_every_repair_after_until_held():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    assert schedule.take("p/0", BLOCK, relay=True, backstop=True)
-    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True)
+    rtx = Retransmit(metrics)
+    assert rtx.take("p/0", BLOCK, BACKSTOP)
+    assert not rtx.take("p/0", BLOCK, BACKSTOP)
     # No same-round copy; resent without any ack, REPAIR_AFTER ticks apart.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, backstop=True)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, BACKSTOP)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     assert metrics.resent == 2
     # Acks from p do not bring the resend forward.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 10, relay=True, backstop=True, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 10, BACKSTOP, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [3 * REPAIR_AFTER]
-    assert schedule.armed() == 1
+    assert rtx.armed() == 1
     # Held: the next round does not ask about it, and the timer is gone.
-    round_sends(schedule, [], 1)
-    assert schedule.armed() == 0
+    round_sends(rtx, [], 1)
+    assert rtx.armed() == 0
 
 
 def test_backstop_left_once_another_path_covers_the_pair():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    schedule.take("p/0", BLOCK, relay=True, backstop=True)
-    round_sends(schedule, [("p/0", BLOCK)], 5, relay=True, backstop=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, BACKSTOP)
+    round_sends(rtx, [("p/0", BLOCK)], 5, BACKSTOP)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
     assert sent[("p/0", BLOCK)] == []
-    assert schedule.armed() == 0
+    assert rtx.armed() == 0
     assert metrics.resent == 0
 
 
-# A held pair is a relay pair first offered with `hold`: recorded on its
-# backstop as if sent, but not sent.
+# A HELD pair is a backstop pair whose first offer is recorded as if sent,
+# but not sent.
 
 
 def test_held_first_offer_not_sent_outside_a_round():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
-    assert not schedule.take("p/0", BLOCK, relay=True, backstop=True)
-    assert schedule.armed() == 1
+    rtx = Retransmit(metrics)
+    assert not rtx.take("p/0", BLOCK, HELD)
+    assert not rtx.take("p/0", BLOCK, HELD)
+    assert rtx.armed() == 1
     # Nor in a round before REPAIR_AFTER ticks have passed.
-    sent = round_sends(schedule, [("p/0", BLOCK)], REPAIR_AFTER, relay=True, backstop=True)
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
 
 
 def test_held_pair_sent_repair_after_later_while_on_its_backstop():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True, backstop=True)
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, HELD)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, HELD)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     # The first send repeats no earlier one.
     assert metrics.resent == 1
     # First offered in a round, it is held there too.
-    schedule = Retransmit(AgentMetrics())
-    with schedule.round():
-        assert not schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
-    sent = round_sends(schedule, [("p/0", BLOCK)], REPAIR_AFTER, relay=True, backstop=True)
+    rtx = Retransmit(AgentMetrics())
+    with rtx.round():
+        assert not rtx.take("p/0", BLOCK, HELD)
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
 
 
 def test_held_pair_dropped_once_covered():
     metrics = AgentMetrics()
-    schedule = Retransmit(metrics)
-    schedule.take("p/0", BLOCK, relay=True, backstop=True, hold=True)
-    round_sends(schedule, [("p/0", BLOCK)], 5, relay=True, backstop=True)
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, HELD)
+    round_sends(rtx, [("p/0", BLOCK)], 5, HELD)
     # Covered before its first send: the creator's eager timer owns it.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 30, relay=True)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
     assert sent[("p/0", BLOCK)] == []
-    assert schedule.armed() == 0
+    assert rtx.armed() == 0
     # A repair mark can still bring it back, as for any covered pair.
-    sent = round_sends(schedule, [("p/0", BLOCK)], 1, relay=True, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 1, COVERED, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [35]
     assert metrics.resent == 0
 
 
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
-    schedule = Retransmit(AgentMetrics())
-    schedule.take("p/0", BLOCK, relay=True)
-    schedule.take("p/0", OTHER, relay=True)
-    round_sends(schedule, [("p/0", OTHER)], 1, relay=True)
-    assert not schedule.take("p/0", OTHER, relay=True)  # still outstanding
-    assert schedule.take("p/0", BLOCK, relay=True)  # pruned: a first offer again
-    round_sends(schedule, [], 1)
-    assert schedule.take("p/0", OTHER, relay=True)
+    rtx = Retransmit(AgentMetrics())
+    rtx.take("p/0", BLOCK, COVERED)
+    rtx.take("p/0", OTHER, COVERED)
+    round_sends(rtx, [("p/0", OTHER)], 1, COVERED)
+    assert not rtx.take("p/0", OTHER, COVERED)  # still outstanding
+    assert rtx.take("p/0", BLOCK, COVERED)  # pruned: a first offer again
+    round_sends(rtx, [], 1)
+    assert rtx.take("p/0", OTHER, COVERED)
 
 
 def test_rebound_address_gets_a_fresh_timer():
-    schedule = Retransmit(AgentMetrics())
-    round_sends(schedule, [("p/0", BLOCK)], 9)  # backed off to the cap
-    start = schedule.now
-    sent = round_sends(schedule, [("p/1", BLOCK)], 8)
+    rtx = Retransmit(AgentMetrics())
+    round_sends(rtx, [("p/0", BLOCK)], 9)  # backed off to the cap
+    start = rtx.now
+    sent = round_sends(rtx, [("p/1", BLOCK)], 8)
     assert sent[("p/1", BLOCK)] == [start, start + 1, start + 3, start + 7]
 
 
 def test_round_prunes_to_the_pairs_it_asked_about():
-    schedule = Retransmit(AgentMetrics())
-    schedule.take("p/0", BLOCK)
-    schedule.take("p/0", OTHER)
-    schedule.take("q/0", BLOCK)
-    assert schedule.armed() == 3
-    round_sends(schedule, [("p/0", OTHER)], 1)
-    assert schedule.armed() == 1
-    assert not schedule.take("p/0", OTHER)  # still armed, outside a round
-    assert schedule.take("p/0", BLOCK)  # pruned: a first offer again
-    round_sends(schedule, [], 1)
-    assert schedule.armed() == 0
+    rtx = Retransmit(AgentMetrics())
+    rtx.take("p/0", BLOCK)
+    rtx.take("p/0", OTHER)
+    rtx.take("q/0", BLOCK)
+    assert rtx.armed() == 3
+    round_sends(rtx, [("p/0", OTHER)], 1)
+    assert rtx.armed() == 1
+    assert not rtx.take("p/0", OTHER)  # still armed, outside a round
+    assert rtx.take("p/0", BLOCK)  # pruned: a first offer again
+    round_sends(rtx, [], 1)
+    assert rtx.armed() == 0
 
 
 # --- the agents -------------------------------------------------------------
@@ -357,6 +365,43 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
     assert copies(at_m1 + m1.tick(), m2) == 0
     assert m1.retransmit.armed() > 0
     assert owes(m1, m2, accept.id, rounds=REPAIR_AFTER)
+
+
+def test_schedule_names_each_copy():
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
+    gid = wl_group(f, m1, m2)
+    m2.say_group(gid, b"covered")
+    said = m2.last_uttered
+    deliver(f, m2, said)
+    # m3's Accept: none of the others knows m3 holds their Accepts.
+    f.address_hints[m3.agent_id] = m3.current_address
+    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    m3.accept(gid)
+    accept = m3.last_uttered
+    deliver(f, m3, accept)
+    deliver(m1, f, accept)
+    f.say_group(gid, b"own")
+    own = f.last_uttered
+    stray = b.new_block(KP[3], "r3/0", b.Say(b"stray"), ())
+    f.lace.insert(stray, verified=True)
+    cases = [
+        (f, own, m1, EAGER),  # the agent's own block
+        (f, said, m1, COVERED),  # m2 holds m1's Accept
+        (f, accept, m1, BACKSTOP),  # uncovered, at the founder
+        (m1, accept, m2, HELD),  # uncovered, at any other relay
+        (f, stray, m1, HELD),  # in no group
+    ]
+    for agent, block, q, schedule in cases:
+        assert agent._schedule(block, q.agent_id) == schedule
+    # TL copies are all EAGER, relayed or not.
+    a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
+    befriend(a, c)
+    befriend(c, d)
+    pump([c, d], d.follow(a.agent_id), d)
+    a.say(b"news")
+    news = a.last_uttered
+    deliver(c, a, news)
+    assert a._schedule(news, c.agent_id) == c._schedule(news, d.agent_id) == EAGER
 
 
 def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():

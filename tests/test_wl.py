@@ -8,9 +8,8 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
-from blocklace.peers import PARKED_CAP
+from blocklace.peers import PARKED_CAP, ProtocolError
 from blocklace.retransmit import REPAIR_AFTER
-from blocklace.tl import ProtocolError
 from blocklace.wl import (
     WlAgent,
     WlConfig,
