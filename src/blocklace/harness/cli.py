@@ -65,6 +65,9 @@ def cmd_verify(args) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
             data = oracles.parse_trace(handle.read())
+    except OSError as exc:
+        print(f"invalid trace: {args.trace}: cannot read ({exc.strerror})", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # UnicodeDecodeError is a ValueError too.
         print(f"invalid trace: {exc}", file=sys.stderr)

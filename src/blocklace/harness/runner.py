@@ -10,9 +10,9 @@ scenario seed — so a (scenario, seed) pair determines the trace bytes.
 A run is quiescent after two quiet rounds in a row (no correct agent sent
 a block in its tick or still has a retransmit timer running) with no
 datagram in flight and no scripted event left.  Every outstanding pair
-has a timer except a COVERED one (`retransmit`): a WL relay copy whose
-creator is known to send the block to the same member.  The creator's
-own timer holds the run open until that member holds the block.
+has a timer except a COVERED or LAZY one (`retransmit`): a WL relay copy
+whose creator is known to send the block to the same member.  The
+creator's own timer holds the run open until that member holds the block.
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an

@@ -330,11 +330,14 @@ def _validate_command(command: dict[str, Any], names: set[str], where: str, prot
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"{path}: not UTF-8 ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        # No such file, a directory, no permission.
+        raise ScenarioError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario(raw)

@@ -40,7 +40,7 @@ from .blocks import (
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
-from .retransmit import BACKSTOP, COVERED, EAGER, HELD
+from .retransmit import BACKSTOP, COVERED, EAGER, HELD, LAZY
 
 GroupId = BlockId
 
@@ -261,15 +261,18 @@ class WlAgent(Agent):
         # The creator of a block sends it to every member it knows.  When
         # it holds the block that made q a member of the block's group, it
         # counts q among them, so this agent's relayed copy is a second
-        # path.  Otherwise the copy may be q's only path: the founder,
-        # which created every invite and so knows every invitee, sends it
-        # at once; any other relay holds it for REPAIR_AFTER ticks.
+        # path: sent at once for an utterance, whose delivery time the
+        # copy may shorten, and only to repair a loss for a membership
+        # block (Group, Invite, Accept, Empty).  Otherwise the copy may be
+        # q's only path: the founder, which created every invite and so
+        # knows every invitee, sends it at once; any other relay holds it
+        # for REPAIR_AFTER ticks.
         if block.creator == self.agent_id:
             return EAGER
         gid = self.group_of(block.id)
         joined = self._members.get(gid, {}).get(q, 0)
         if self.peers.known(block.creator) & joined:
-            return COVERED
+            return COVERED if b.is_utterance(block.payload) else LAZY
         if gid is not None and gid.creator == self.agent_id:
             return BACKSTOP
         return HELD
@@ -364,8 +367,8 @@ class WlAgent(Agent):
         # invite addressed to this agent is acknowledged by naming it.
         # No ack for a copy from a member other than the creator when the
         # block observes the block that made this agent a member: that
-        # relay holds it too, so its copy is COVERED and has no timer for
-        # an ack to stop (`_schedule`).
+        # relay holds it too, so its copy is COVERED or LAZY and has no
+        # timer for an ack to stop (`_schedule`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
             joined = self._members[gid][self.agent_id]

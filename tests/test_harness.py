@@ -277,6 +277,14 @@ def test_cli_verify_rejects_trace_that_is_not_utf8(tmp_path, capsys):
     assert "invalid trace: " in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_trace_path_that_names_no_file(tmp_path, capsys):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    for path in (tmp_path / "nope.txt", tmp_path):
+        assert run_cli("verify", str(path), str(scenario_path)) == 2
+        assert "invalid trace: " in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_unresolved_payload_reference(tmp_path):
     scenario = canned.tl_line(seed=1, utterances=2)
     scenario_path = tmp_path / "s.json"
@@ -679,6 +687,10 @@ def test_cli_rejects_invalid_scenario(tmp_path, capsys):
     bad.write_bytes(b'{"protocol": "tl\xff"}')
     for argv in (("run", str(bad)), ("verify", str(tmp_path / "t.trace"), str(bad))):
         assert run_cli(*argv) == 2
+        assert "invalid scenario: " in capsys.readouterr().err
+    # A path that names no file, or a directory.
+    for path in (tmp_path / "nope.json", tmp_path):
+        assert run_cli("run", str(path)) == 2
         assert "invalid scenario: " in capsys.readouterr().err
 
 

@@ -9,6 +9,7 @@ from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
+from blocklace.harness.oracles import parse_trace
 from blocklace.harness.runner import Runner, run_scenario
 from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
@@ -16,6 +17,7 @@ from blocklace.retransmit import (
     COVERED,
     EAGER,
     HELD,
+    LAZY,
     MAX_GAP,
     REPAIR_AFTER,
     Retransmit,
@@ -208,6 +210,53 @@ def test_held_pair_dropped_once_covered():
     assert metrics.resent == 0
 
 
+# A LAZY pair is a COVERED one whose first offer is recorded but not sent:
+# it goes out only to repair a loss.
+
+
+def test_lazy_first_offer_not_sent_and_not_armed():
+    rtx = Retransmit(AgentMetrics())
+    assert not rtx.take("p/0", BLOCK, LAZY)
+    assert not rtx.take("p/0", BLOCK, LAZY)
+    with rtx.round():
+        assert not rtx.take("p/0", OTHER, LAZY)
+    assert rtx.armed() == 0
+
+
+def test_lazy_pair_silent_without_a_repair_mark():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, LAZY)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["q/0"])
+    assert sent[("p/0", BLOCK)] == []
+    assert metrics.resent == 0
+
+
+def test_lazy_pair_repaired_only_after_repair_after():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, LAZY)
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER + 1, LAZY, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
+    # The first send repeats no earlier one.
+    assert metrics.resent == 0
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, LAZY, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [2 * REPAIR_AFTER]
+    assert metrics.resent == 1
+
+
+def test_backstop_pair_turned_lazy_resent_only_on_repair():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    assert rtx.take("p/0", BLOCK, BACKSTOP)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY)
+    assert sent[("p/0", BLOCK)] == []
+    assert rtx.armed() == 0
+    sent = round_sends(rtx, [("p/0", BLOCK)], 1, LAZY, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [30]
+    assert metrics.resent == 1
+
+
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
     rtx = Retransmit(AgentMetrics())
     rtx.take("p/0", BLOCK, COVERED)
@@ -370,16 +419,32 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
 def test_schedule_names_each_copy():
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
+    (m1_accept,) = [
+        blk for blk in f.lace.by_creator(m1.agent_id) if isinstance(blk.payload, b.Accept)
+    ]
     m2.say_group(gid, b"covered")
     said = m2.last_uttered
     deliver(f, m2, said)
-    # m3's Accept: none of the others knows m3 holds their Accepts.
+    m2.respond_group(said.id, b"re")
+    responded = m2.last_uttered
+    deliver(f, m2, responded)
+    m1.change_address("r1/1")
+    empty = m1.last_uttered
+    deliver(f, m1, empty)
+    # m3's invite and Accept: none of the others knows m3 holds their
+    # Accepts, and m2 does not hold m3's.
     f.address_hints[m3.agent_id] = m3.current_address
     pump([f, m3], f.invite(m3.agent_id, gid), f)
+    invite = f.last_uttered
+    deliver(m1, f, invite)
+    deliver(m2, f, invite)
     m3.accept(gid)
     accept = m3.last_uttered
     deliver(f, m3, accept)
     deliver(m1, f, accept)
+    # An invite a member made admits no one, but is a block of the group.
+    stray_invite = b.new_block(m1.kp, m1.current_address, b.Invite(m3.agent_id, b""), [gid])
+    deliver(f, m1, stray_invite)
     f.say_group(gid, b"own")
     own = f.last_uttered
     stray = b.new_block(KP[3], "r3/0", b.Say(b"stray"), ())
@@ -387,8 +452,14 @@ def test_schedule_names_each_copy():
     cases = [
         (f, own, m1, EAGER),  # the agent's own block
         (f, said, m1, COVERED),  # m2 holds m1's Accept
+        (f, responded, m1, COVERED),
+        (m1, invite, m2, LAZY),  # covered, not an utterance
+        (f, m1_accept, m2, LAZY),
+        (f, empty, m2, LAZY),
         (f, accept, m1, BACKSTOP),  # uncovered, at the founder
+        (f, stray_invite, m3, BACKSTOP),
         (m1, accept, m2, HELD),  # uncovered, at any other relay
+        (m2, invite, m3, HELD),
         (f, stray, m1, HELD),  # in no group
     ]
     for agent, block, q, schedule in cases:
@@ -402,6 +473,20 @@ def test_schedule_names_each_copy():
     news = a.last_uttered
     deliver(c, a, news)
     assert a._schedule(news, c.agent_id) == c._schedule(news, d.agent_id) == EAGER
+
+
+def test_only_the_founder_submits_invites():
+    # The founder sends each invite to every member on its EAGER schedule,
+    # so a member's relay copy of it is LAZY: sent only to repair a loss.
+    data = parse_trace(run_scenario(canned.wl_group(seed=1)).trace_text)
+    invites = {}
+    for event in data.events_of("SUBMIT"):
+        raw = event.fields["bytes"]
+        if raw not in invites:
+            invites[raw] = isinstance(b.decode_block(bytes.fromhex(raw)).payload, b.Invite)
+        if invites[raw]:
+            assert event.fields["src"] == data.agents["f"]["address"]
+    assert any(invites.values())
 
 
 def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():

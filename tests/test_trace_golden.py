@@ -29,15 +29,15 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "d131208732e032d315cb28081b6197ba480b4e6b7a3909031c37456aa60d7911",
     "tl_churn": "271ca1ba1e2e87035f018590e72037f8ac0bebd6dffda17bcbb4241939f3c4ec",
     "tl_forgery": "5f6b2d2a2791f541cd995723713b844053c7341cd6c4ec9138515b05013ea274",
-    "wl_group": "2fbe8071c88cde5e1aee151d2608c46849beeda5677d7d2d5a16bc6444c69e45",
-    "wl_dropper": "66947857f66f2a905b5df7aee0a83e5cafcca795b7703d2660fcc138716706b9",
+    "wl_group": "7724754694d1ae0af02e5735401715f0b8c898ce7b8a9343ac4bc1939dc03788",
+    "wl_dropper": "4b553395645d63ff518b4fb4a1d923d3d24df7ea1f8433cc91884d635d5111ca",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "60d76f23249b9f65a13bdc0d84feb47e414f0d26adf01da0d5cebe158ec852b6",
-    "wl_equivocation": "5a121f48bce870808a7f9a90256f00c14c50e9499a317e0db613e69ec5d6516e",
-    "wl_privacy": "804528fd2479f29d42396309cdabc07d765a10610d855662da4cf90016b23b37",
-    "wl_partitions": "33e011fd9a151bc661591dff1cc0da030a059d23ed5c32ee04e2a712aacc56ce",
-    "wl_founder_moves": "82d0f6bc5eaecbad085d39c69cc523a5633842d8ee95f4196eacef3bbe794a96",
-    "wl_founder_quits": "845a67c6d7ffd4f407e30a19f36c2a51e7ecd1877acfe61bcb1c889b89245a7d",
+    "wl_churn": "69ae7397ee4fe503e672d75136f3ce0121ec7ed3e5b7e802cabc2b73e2316722",
+    "wl_equivocation": "0274b46f1216dc1a4127861e56e63e862f987d54a8a9f362d537dea3cf1ce16a",
+    "wl_privacy": "a8c96a9fefa755b5725c5a6ca5623eb1aa2823a27aae561ccd25badb253dbafb",
+    "wl_partitions": "c916d10bf6233162b416306b017321e2e9687651fa907887d626f9782fc9739e",
+    "wl_founder_moves": "a981ec968f60a89d94577180081edf8cb9ecc2d0ac5607f1ded4ba7b17b97d96",
+    "wl_founder_quits": "cb51f1f3046aa41e3e9322afc53313f5f7d9076e6b316377a382626fe57b97f6",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "d0fe55a34255c64b754107da7025de474d16b7400b85655974785ff688b9793b",
@@ -46,15 +46,15 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "14ef1e450d205864c89cd60c9ccbccea4549dadb996ca18b1541f29d2f871ae5",
     "tl_churn": "c15f768f7ac44f802e75b588988021aebe4871bbf074d4e1247d1e2c060bb3a6",
     "tl_forgery": "31641d9150e384a7998022c302eea7288347c559942155ab13cf1023ea739e35",
-    "wl_group": "34a29510063d434ecc926fae2af955b62201fcd7fcee0d76a1afca7b243e4806",
-    "wl_dropper": "80efeba8f4a6fc0f5af2d99dd2bd0bd63e3eddf8a19d77e0dc505d97494d04be",
+    "wl_group": "d52c59965cc39ea6e47e19ba0743756e8ec8be21ec1c985a0a30c7f2f29d04ad",
+    "wl_dropper": "1a5011830869352d2ef9822bf61d53a2f17f348b3537b44fda049075d7ac0858",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "5879b914e7451bb3e96932bc60323a68d71cd5ec6c173da501101d5f01047031",
-    "wl_equivocation": "2897f76add69a4517bbad75ddf0fc971b0905caaac4ff5a5c95ee45d106ad390",
-    "wl_privacy": "ab1b1757b1f9b4a6861e0e06410a40c49e799b504b5d9fa827de584816eec181",
-    "wl_partitions": "8e2df340acbad51b196f55fbd3f8bde92574a971e1377f839e09652ef47d93fa",
-    "wl_founder_moves": "ff45225490f330135daea5ef820dcd31174bbd93c88e89ff2ee6cf1c9f93edb3",
-    "wl_founder_quits": "c14fa994213265b26c37f4728e73252c762c5d168df904e390ca32e8670b1243",
+    "wl_churn": "2270a49b87ba0fe704098d28824b5adcff4bf5c60befe34df5403d0ba55d256d",
+    "wl_equivocation": "10b94ef39d7f1ef1c06bad8862022c03dc15c87ed807559e9414f8a3718f369b",
+    "wl_privacy": "83cefe7918d7aad7792e1825d38c5c2edf701e8a76cae8bd6ab3009b818b87d6",
+    "wl_partitions": "7101eb129594d02c6ed52baf6cb7e079c5ea5d09f46420cb09d1ec3734212637",
+    "wl_founder_moves": "e8918998387b32966192bccfea506e6ebe828c9a8333148e537738ad0ac38d5b",
+    "wl_founder_quits": "8caf88606255d9728b0f99c1375ec9668ed6eb2478b3b924ac0905d95bf1ceb0",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "c7a8ad751db3d6dd10c286f052000e1dcd3e3fbefff54cfecc802d654c8cd8cf",
@@ -63,15 +63,15 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "6e15bb1da3a214174a83d339b4dd168a14253d4a8b5039b0b7ee2da7db36233b",
     "tl_churn": "200452f7e9d4f6d1be692b98f3a1aea2ad2208e953359522d83f497ceb908a4a",
     "tl_forgery": "43d390f1fe14f83b7538813427e5e4693ff102ee0c02cf8961694b7420254cac",
-    "wl_group": "87efb2343d0652d915fbf3f229f397893faec447d57a24d00461c473adb0040b",
-    "wl_dropper": "1bf5e9be325e0bff4ad1ad26f8b1ecbd7eb27eed48e19d8660cffce009e35342",
+    "wl_group": "6483f0f10485e803a400320b99578bf72c745d7992ea82715a7cb9e778301130",
+    "wl_dropper": "e103f206e772ff002dac118d3e5f9490569e55e70760bb2df91e421fa85d1113",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "6e3215865900394e3ec1bd52e563e83aeeab6903ae567fa30497ea697f26ea2d",
-    "wl_equivocation": "048f7a1fafd29f1f6827c5dba73c525fd3914c99b32f807cd745b992423cc25c",
-    "wl_privacy": "3935996163552e37ef4ea5002799397a7092550d262b61ec0eec0593b744e670",
-    "wl_partitions": "e0a04e0d732a3e51cfcf7f6ed912dd3186159860ab48f4c7a4eb6c04d6f82cfa",
-    "wl_founder_moves": "260a8595749865f2a1b6513c381008f67ddfeaecd1b63e08caa46e3397db782b",
-    "wl_founder_quits": "cb2de2f05b03dba4fb61abfe4e0a5a524921c3b0a8aa0e586562877095b98b35",
+    "wl_churn": "9e47ccce0a7e46f3ac8bbaa965af6c10aa538b5539d863e262f41e58b56fe5a9",
+    "wl_equivocation": "92185d4d9f7cee132af0bd6a35d357cbf61ea0eadbd07ebbc2613f0dc8a3d47c",
+    "wl_privacy": "b9f4341d84ada052dc2211e905ecd0626583b5080d0b6e8ef502709f7148a418",
+    "wl_partitions": "58eb117e626d9683d15d595a903663cbd2a14a2d558a21563da9fed0b7deb45e",
+    "wl_founder_moves": "150ef95b9b7db92febc2268983ec3c0e340629ea1bc85714ba8520e39979ffed",
+    "wl_founder_quits": "b57a3dbbffcb104288571bd5dd6c16bf4e17a9e48d26c9334be76c736dea1d7f",
 }
 
 
