@@ -52,10 +52,13 @@ def _encode(block: Block) -> bytes:
 
 
 class AgentWrapper:
+    # A muted agent receives and updates its state, but sends nothing
+    # (`_out`).  The `mute` command sets it; the silent roles start muted.
+    muted = False
+
     def __init__(self, name: str, inner: Agent):
         self.name = name
         self.inner = inner
-        self.muted = False
         # Wire bytes of every block this agent has sent, encoded once so
         # every send of a block carries the same bytes object.  The key
         # holds the signature too: blocks equal under == may carry
@@ -149,11 +152,9 @@ class AgentWrapper:
 
 
 class SilentWrapper(AgentWrapper):
-    """Processes everything, emits nothing."""
+    """Processes everything, emits nothing: muted from the start."""
 
-    def _out(self, sends) -> list[RawSend]:
-        list(sends)
-        return []
+    muted = True
 
 
 class EavesdropperWrapper(SilentWrapper):

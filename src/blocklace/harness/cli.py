@@ -33,6 +33,11 @@ def _print_results(results) -> bool:
     return ok
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"invalid output: {path}: cannot write ({exc.strerror})", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     overrides = {
         key: value
@@ -44,6 +49,13 @@ def cmd_run(args) -> int:
         if overrides:
             # The overrides pass the checks the file's own fields pass.
             scenario = parse_scenario({**scenario.to_dict(), **overrides})
+        for path in filter(None, (args.trace, args.report)):
+            # Opened now, without truncating, so that a path that cannot be
+            # written fails before the run rather than after it.
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                return _cannot_write(path, exc)
         # Running raises it too: a rebind to an address another agent holds.
         result = run_scenario(scenario, trace_path=args.trace, report_path=args.report)
     except ScenarioError as exc:
@@ -122,9 +134,12 @@ def cmd_export(args) -> int:
               f"choose from {sorted(canned.CANNED)}", file=sys.stderr)
         return 2
     scenario = builder(seed=args.seed if args.seed is not None else 0)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(scenario.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out}")
     return 0
 

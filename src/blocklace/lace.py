@@ -272,9 +272,5 @@ class Blocklace:
         """The agent's own blocks here: the union of their self-closures."""
         return self._creator_bits.get(agent, 0)
 
-    def pointed_by(self, block_id: BlockId) -> list[BlockId]:
-        """The present blocks that point at block_id, here or not."""
-        return self._rev.get(block_id, [])
-
     def all_mask(self) -> int:
         return (1 << len(self._order)) - 1

@@ -1,17 +1,18 @@
 """What peers hold, and the receive pipeline the TL and WL agents share.
 
 An agent sends a block to a peer until it knows the peer holds it.
-`PeerKnowledge` keeps that estimate per peer as a mask of the agent's
-blocklace, updated as each claim, ack or arrival happens; each agent
-supplies only its credit rule.  `Agent` holds the rest both agents share:
-the contact directory (the agents this one talks to, and which of them
-sits at a delivering address), the gate that drops strangers' acks, the
-credit a delivered copy earns the contacts at its address, the bounded
-pending buffer, the receive -> ack -> forward pipeline with its per-tick
-ack dedup, the send loop (`disseminate`) and the retransmission round.  A
-subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
-`_record_ack`, `_ack_pointers`, `_nack_pointers` and `_wanted`, which
-says who may receive what, and may override `_schedule`, which names the
+`PeerKnowledge` keeps that estimate per peer as one mask of the agent's
+blocklace.  Each claim, ack or delivered copy widens it by a credit that
+is fixed when it is made; each agent supplies only its credit rule.
+`Agent` holds the rest both agents share: the contact directory (the
+agents this one talks to, and which of them sits at a delivering
+address), the gate that drops strangers' acks, the credit a delivered
+copy earns the contacts at its address, the bounded pending buffer, the
+receive -> ack -> forward pipeline with its per-tick ack dedup, the send
+loop (`disseminate`) and the retransmission round.  A subclass fills in
+`_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
+`_ack_pointers`, `_nack_pointers` and `_wanted`, which says who may
+receive what, and may override `_schedule`, which names the
 retransmission schedule of each copy (`retransmit`).
 """
 
@@ -27,6 +28,11 @@ from .lace import Blocklace
 from .retransmit import EAGER, Retransmit
 
 Send = tuple[NetAddress, Block]
+
+# How many blocks the pending buffer holds while they wait for missing
+# ancestors; past it the oldest is evicted, and lands only if a copy
+# arrives again.  Read when a block is buffered.
+PENDING_CAP = 1024
 
 # How many absent ids `PeerKnowledge` keeps credits parked for; past it the
 # oldest is dropped, as the pending buffer drops its oldest block.  A
@@ -57,17 +63,13 @@ class PeerKnowledge:
     `known(q)` is q's own blocks here (`Blocklace.creator_mask`) joined
     with the credits q earned by naming blocks: in an ack, in a pointer,
     by delivering a copy, or, where the agent credits it so, by creating
-    the block.  A named block earns one of two credits, as
-    `rule(q, block, vouched)` decides when the block is here (no rule
-    means always the first):
-
-    * a full credit, the block's `closure`, which is kept equal to that
-      closure as the blocklace grows: when y lands, every fully credited
-      block z that points at y and now has y in its closure adds y's
-      closure (on a closed blocklace nothing points at an arriving block,
-      so this never fires);
-    * a bit credit, the block alone.  `bits(q)` lists those, so that a
-      rule that depends on state may upgrade them by crediting again.
+    the block.  A named block earns the block's `closure`, or the block
+    alone where `rule(q, block, vouched)` says so when the block is here
+    (no rule means always the closure).  A credit is fixed when it is
+    made: a closure that grows later (an ancestor lands) does not widen
+    it.  Under-crediting costs at most sends the peer did not need, and
+    the peer's next ack or claim widens it.  A rule that depends on state
+    may upgrade a credit by crediting again.
 
     An id not here yet is parked until it lands, its pending block is
     evicted (`forget`), or PARKED_CAP newer ids push it out.  Bound:
@@ -86,17 +88,12 @@ class PeerKnowledge:
         self._closure = closure
         self._rule = rule
         # Bound: one entry per agent that ever named or created a block here.
-        self._full: dict[AgentId, int] = {}
-        self._bits: dict[AgentId, int] = {}
+        self._credits: dict[AgentId, int] = {}
         # absent id -> {peer: whether any of its namings vouched for it}
         self.parked: dict[BlockId, dict[AgentId, bool]] = {}
 
     def known(self, q: AgentId) -> int:
-        return self._lace.creator_mask(q) | self._full.get(q, 0) | self._bits.get(q, 0)
-
-    def bits(self, q: AgentId) -> int:
-        """q's bit credits that no full credit covers."""
-        return self._bits.get(q, 0) & ~self._full.get(q, 0)
+        return self._lace.creator_mask(q) | self._credits.get(q, 0)
 
     def credit(self, q: AgentId, ids: Iterable[BlockId], vouched: bool = True) -> None:
         """q named these ids.  `vouched` means q vouched for their history
@@ -114,23 +111,10 @@ class PeerKnowledge:
                 waiting[q] = waiting.get(q, False) or vouched
 
     def landed(self, block_id: BlockId) -> None:
-        """Fold in the credits parked for a block that just landed, and
-        grow the full credits whose closure it extends."""
+        """Fold in the credits parked for a block that just landed."""
         waiting = self.parked.pop(block_id, None)
         if waiting:
             self._credit(block_id, waiting)
-        pointed = self._lace.pointed_by(block_id)
-        if not pointed or not self._full:
-            return
-        lace, closure = self._lace, self._closure
-        bit = lace.bit_of(block_id)
-        extension = 0
-        for q, full in self._full.items():
-            for z in pointed:
-                if full & lace.bit_of(z) and closure(z) & bit:
-                    extension = extension or closure(block_id)
-                    self._full[q] = full | extension
-                    break
 
     def forget(self, block_id: BlockId) -> None:
         """Drop the credits parked for an id that will not land soon."""
@@ -139,26 +123,24 @@ class PeerKnowledge:
     def _credit(self, block_id: BlockId, namers: dict[AgentId, bool]) -> None:
         rule = self._rule
         block = self._lace.get(block_id) if rule is not None else None
-        mask = 0
+        credits = self._credits
+        closure = 0
         for q, vouched in namers.items():
             if rule is None or rule(q, block, vouched):
-                mask = mask or self._closure(block_id)
-                self._full[q] = self._full.get(q, 0) | mask
+                closure = closure or self._closure(block_id)
+                credits[q] = credits.get(q, 0) | closure
             else:
-                self._bits[q] = self._bits.get(q, 0) | self._lace.bit_of(block_id)
+                credits[q] = credits.get(q, 0) | self._lace.bit_of(block_id)
 
 
 class Agent:
     """The state, receive pipeline and send loop common to the TL and WL
     agents."""
 
-    def __init__(
-        self, kp: Keypair, address: NetAddress, metrics: AgentMetrics, pending_cap: int
-    ):
+    def __init__(self, kp: Keypair, address: NetAddress, metrics: AgentMetrics):
         self.kp = kp
         self.agent_id = kp.agent_id
         self.current_address = address
-        self.pending_cap = pending_cap
         self.lace = Blocklace()
         self.metrics = metrics
         self.retransmit = Retransmit(metrics)
@@ -175,7 +157,7 @@ class Agent:
         # per contact.
         self._book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
         # Blocks waiting for missing ancestors, oldest first, and the
-        # pending blocks waiting on each missing id.  Bound: `pending_cap`
+        # pending blocks waiting on each missing id.  Bound: PENDING_CAP
         # blocks, the oldest evicted to make room; `_pending_on` names only
         # pending blocks, so it holds at most their pointers.
         self._pending: dict[BlockId, Block] = {}
@@ -359,7 +341,7 @@ class Agent:
         return landed, True
 
     def _buffer_pending(self, block: Block, missing: list[BlockId]):
-        while len(self._pending) >= self.pending_cap:
+        while len(self._pending) >= PENDING_CAP:
             evicted = self._pending.pop(next(iter(self._pending)))
             for ptr in evicted.pointers:
                 waiters = self._pending_on.get(ptr)

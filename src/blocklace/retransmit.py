@@ -147,10 +147,11 @@ class Retransmit:
         # same block to the same destination.
         self._metrics = metrics
         self.now = 0
-        # pair -> (tick the next send is due, gap after that send, schedule)
+        # pair -> (tick the next send is due, gap after that send, schedule).
+        # A HELD or LAZY pair records gap 0 until its first send; every
+        # other gap is REPAIR_AFTER or, for EAGER, at least FIRST_GAP, so a
+        # gap of 0 means "not sent yet" and its send is no resend.
         self._pairs: dict[Pair, tuple[int, int, str]] = {}
-        # the HELD and LAZY pairs not sent yet: their first send is no resend
-        self._held: set[Pair] = set()
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
         self._live: Optional[set[Pair]] = None
@@ -173,7 +174,6 @@ class Retransmit:
         finally:
             pairs = self._pairs
             self._pairs = {pair: pairs[pair] for pair in live if pair in pairs}
-            self._held &= live
             self._repair = set()
             self._live = None
             self.now += 1
@@ -187,11 +187,11 @@ class Retransmit:
             live.add(pair)
         entry = self._pairs.get(pair)
         if entry is None:
+            if schedule in (HELD, LAZY):
+                self._pairs[pair] = (self.now + REPAIR_AFTER, 0, schedule)
+                return False
             if schedule != EAGER:
                 self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
-                if schedule in (HELD, LAZY):
-                    self._held.add(pair)
-                    return False
             elif live is None:
                 # Due again in this tick's round: the second copy.
                 self._pairs[pair] = (self.now, FIRST_GAP, schedule)
@@ -211,8 +211,6 @@ class Retransmit:
             self._pairs[pair] = (self.now + gap, min(2 * gap, MAX_GAP), schedule)
         else:
             self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
-        if pair in self._held:
-            self._held.discard(pair)
-        else:
+        if gap:
             self._metrics.resent += 1
         return True

@@ -61,8 +61,8 @@ def is_offer_to(block: Block, q: AgentId) -> bool:
 
 
 class TlAgent(Agent):
-    def __init__(self, kp: Keypair, address: NetAddress, pending_cap: int = 1024):
-        super().__init__(kp, address, AgentMetrics(), pending_cap)
+    def __init__(self, kp: Keypair, address: NetAddress):
+        super().__init__(kp, address, AgentMetrics())
         self.peers = PeerKnowledge(self.lace, self.lace.self_mask_of, self._full_credit)
         self._own_head: Optional[BlockId] = None
         # Follow edges by follower, and this agent's own friendship offers
@@ -202,9 +202,10 @@ class TlAgent(Agent):
             followees = self._followees.setdefault(creator, set())
             if target not in followees:
                 followees.add(target)
-                # The creator's claims of target's blocks, credited alone
-                # so far, now prove their self-chain prefixes.
-                claimed = self.peers.bits(creator) & self.lace.creator_mask(target)
+                # The creator's claims of target's blocks now prove their
+                # self-chain prefixes: crediting them again upgrades those
+                # credited alone so far.
+                claimed = self.peers.known(creator) & self.lace.creator_mask(target)
                 if claimed:
                     self.peers.credit(
                         creator,

@@ -55,7 +55,6 @@ class WlMetrics(AgentMetrics):
 @dataclass
 class WlConfig:
     encrypt: bool = True
-    pending_cap: int = 1024
 
 
 # --- pure helpers (the protocol's predicates, evaluated from a blocklace) ----
@@ -131,7 +130,7 @@ def partition_violations(lace: Blocklace) -> list[str]:
 class WlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress, config: WlConfig | None = None):
         self.config = config or WlConfig()
-        super().__init__(kp, address, WlMetrics(), self.config.pending_cap)
+        super().__init__(kp, address, WlMetrics())
         # A peer holds the closures of its own blocks (credited by
         # `_index`), of the ids its acks named and of the blocks it sent here.
         self.peers = PeerKnowledge(self.lace, self.lace.mask_of)

@@ -694,6 +694,21 @@ def test_cli_rejects_invalid_scenario(tmp_path, capsys):
         assert "invalid scenario: " in capsys.readouterr().err
 
 
+def test_cli_rejects_output_path_that_names_a_directory(tmp_path, capsys):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(canned.tl_line(seed=1, utterances=2).to_dict()))
+    for argv in (
+        ("run", str(scenario_path), "--trace", str(tmp_path)),
+        ("run", str(scenario_path), "--report", str(tmp_path)),
+        ("export", "tl_line", "--out", str(tmp_path)),
+    ):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        # Refused before the run: nothing ran, so no oracle line printed.
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid output: {tmp_path}: cannot write")
+
+
 def test_cli_rejects_rebind_to_an_address_another_agent_holds(tmp_path, capsys):
     # A deferred event delays the rebind after it, so the clash is found
     # only when the rebind comes due.

@@ -10,7 +10,7 @@ the maintained mask must equal them.
 import pytest
 
 from blocklace import blocks as b
-from blocklace import crypto
+from blocklace import crypto, peers
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
@@ -205,7 +205,10 @@ def test_offer_to_the_claimant_stays_credited_alone():
     assert not known & me.lace.bit_of(base.id)
 
 
-def test_full_credit_grows_when_a_same_creator_ancestor_lands():
+def test_credit_stays_as_made_until_the_next_ack():
+    # A credit is fixed when it is made: the claim of x[2] earned x[2]'s
+    # self-chain prefix as it was then, and x[0] landing later does not
+    # widen it.  c's next vouched ack of d's head credits the whole prefix.
     me, c, d = tl(0), KP[1], KP[2]
     x = chain(d, 3)
     me.receive(encode_block(x[1]))
@@ -218,6 +221,9 @@ def test_full_credit_grows_when_a_same_creator_ancestor_lands():
     assert known & bits(me.lace, x[1:]) == bits(me.lace, x[1:])
     me.receive(encode_block(x[0]))
     assert me.lace.self_mask_of(x[2].id) == bits(me.lace, x)
+    assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x[1:])
+    ack = b.new_block(c, "c/0", b.Ack(), [x[2].id])
+    me.receive(encode_block(ack))
     assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x)
 
 
@@ -244,8 +250,9 @@ def test_copy_from_a_hinted_followee_is_its_claim():
     assert me.peers.known(c.agent_id) & me.lace.bit_of(x.id)
 
 
-def test_eviction_drops_waiters_and_parked_credit():
-    f, m = TlAgent(KP[0], "p0/0", pending_cap=2), KP[1]
+def test_eviction_drops_waiters_and_parked_credit(monkeypatch):
+    monkeypatch.setattr(peers, "PENDING_CAP", 2)
+    f, m = tl(0), KP[1]
     f.follow(m.agent_id)
     f.address_hints[m.agent_id] = "p1/0"
     x = chain(m, 5, address="p1/0")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from blocklace import blocks as b
-from blocklace import crypto
+from blocklace import crypto, peers
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
@@ -761,9 +761,9 @@ def test_inner_signature_attributes_author():
     assert not ok
 
 
-def test_pending_eviction_bounded():
-    f = agent(0)
-    m = WlAgent(KP[1], "w1/0", WlConfig(pending_cap=4))
+def test_pending_eviction_bounded(monkeypatch):
+    monkeypatch.setattr(peers, "PENDING_CAP", 4)
+    f, m = agent(0), agent(1)
     gid = form_group(f, [m])
     orphans = []
     for i in range(6):
