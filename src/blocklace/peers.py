@@ -300,7 +300,7 @@ class Agent:
             batch = lace.blocks_of_mask(wanted)
             batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
             for blk in batch:
-                if take(dest, blk.id, schedule(blk, q)):
+                if take(dest, blk.id, lambda: schedule(blk, q)):
                     sends.append((dest, blk))
         return sends
 

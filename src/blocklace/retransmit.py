@@ -109,7 +109,7 @@ address starts over with a fresh entry there.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .blocks import BlockId, NetAddress
 
@@ -178,14 +178,29 @@ class Retransmit:
             self._live = None
             self.now += 1
 
-    def take(self, dest: NetAddress, block_id: BlockId, schedule: str = EAGER) -> bool:
+    def take(
+        self,
+        dest: NetAddress,
+        block_id: BlockId,
+        schedule: Union[str, Callable[[], str]] = EAGER,
+    ) -> bool:
         """Whether to send the block to `dest` now, on `schedule`; arms or
-        backs off its timer when it does."""
+        backs off its timer when it does.
+
+        `schedule` is the schedule's name, or a function that gives it,
+        called only when the pair could send: a COVERED or LAZY pair stays
+        so (what the creator is known to hold only grows), so one that is
+        not due, or has no repair mark, is decided without it."""
         pair = (dest, block_id)
         live = self._live
         if live is not None:
             live.add(pair)
         entry = self._pairs.get(pair)
+        if entry is not None and entry[2] in (COVERED, LAZY):
+            if live is None or entry[0] > self.now or dest not in self._repair:
+                return False
+        if not isinstance(schedule, str):
+            schedule = schedule()
         if entry is None:
             if schedule in (HELD, LAZY):
                 self._pairs[pair] = (self.now + REPAIR_AFTER, 0, schedule)
