@@ -230,6 +230,39 @@ def wl_group(seed: int = 0, utterances: int = 50, loss: float = 0.3) -> Scenario
     )
 
 
+def wl_crowd(seed: int = 0) -> Scenario:
+    """Founder plus eleven members, 30% loss and 10% duplication: large
+    enough that only RACING_RELAYS of the ten relays race each
+    utterance to each member (`wl.WlAgent._race`)."""
+    names = ["f"] + [f"m{i}" for i in range(1, 12)]
+    agents = [AgentSpec(name) for name in names]
+    bootstrap = [("f", m) for m in names[1:]] + [(m, "f") for m in names[1:]]
+    events: list[Event] = []
+    _wl_group_formation("f", names[1:], "G", "crowd", events)
+    for i in range(20):
+        events.append(
+            Event(
+                40 + 4 * i,
+                names[i % len(names)],
+                {"cmd": "say_group", "group": "G", "text": f"crowd-msg-{i:02d}"},
+            )
+        )
+    return Scenario(
+        protocol="wl",
+        agents=agents,
+        events=events,
+        bootstrap=bootstrap,
+        oracles=[
+            OracleSpec("wl_liveness", {"founder": "f", "group_name": "crowd"}),
+            OracleSpec("attribution"),
+        ],
+        seed=seed,
+        ticks=1000,
+        loss_prob=0.3,
+        dup_prob=0.1,
+    )
+
+
 def wl_founder_moves(seed: int = 0) -> Scenario:
     """`wl_group` with the founder rebinding in the middle of formation: the
     invites after the move, and the relays of the Accepts, carry its new
@@ -504,6 +537,7 @@ CANNED = {
     "tl_churn": tl_churn,
     "tl_forgery": tl_forgery,
     "wl_group": wl_group,
+    "wl_crowd": wl_crowd,
     "wl_founder_moves": wl_founder_moves,
     "wl_founder_quits": wl_founder_quits,
     "wl_dropper": wl_dropper,

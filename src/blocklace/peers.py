@@ -277,10 +277,12 @@ class Agent:
         `self.retransmit` schedules them.
 
         Outside `tick`'s round only first offers go out; in the round,
-        every pair whose timer is due.  Each peer's blocks go in causal
-        order (by closure size).  A pair listed twice in one call (a WL
-        invite's closure to a target that is already a member) goes out
-        at most once: the first `take` arms or backs off its timer.
+        every pair whose timer is due.  `take` says how many copies: an
+        EAGER first offer sends EAGER_COPIES at once.  Each peer's blocks
+        go in causal order (by closure size), a block's copies together.
+        A pair listed twice in one call (a WL invite's closure to a target
+        that is already a member) gets at most one offer: the first `take`
+        arms or backs off its timer.
         `only` is a bitmask of this blocklace that limits the candidates
         to those blocks: `receive` passes the blocks that just landed, so
         a new block is forwarded on arrival.  None means every block,
@@ -297,11 +299,16 @@ class Agent:
             dest = self.address_of(q)
             if dest is None:
                 continue
-            batch = lace.blocks_of_mask(wanted)
-            batch.sort(key=lambda blk: (lace.closure_size(blk.id), blk.sort_key()))
-            for blk in batch:
-                if take(dest, blk.id, lambda: schedule(blk, q)):
-                    sends.append((dest, blk))
+            # Each pair's `take` reads and writes only that pair, so only
+            # the blocks that go out need sorting.
+            batch = []
+            for blk in lace.blocks_of_mask(wanted):
+                copies = take(dest, blk.id, lambda: schedule(blk, q))
+                if copies:
+                    batch.append((lace.closure_size(blk.id), blk.sort_key(), blk, copies))
+            batch.sort(key=lambda item: item[:2])
+            for _, _, blk, copies in batch:
+                sends.extend([(dest, blk)] * copies)
         return sends
 
     def _schedule(self, block: Block, q: AgentId) -> str:

@@ -12,11 +12,20 @@ Retransmission Timer"), is for a pair whose copy may be the destination's
 only path to the block: every pair of a block the agent created, and
 every TL pair.  It is sent:
 
-* on first offer: when the block lands, or on the agent's own command;
-* again in the same tick's round, since two copies with independent
-  delays arrive sooner than one;
-* then at +1, +3 and +7 ticks: the gap starts at FIRST_GAP and doubles;
+* on first offer, in EAGER_COPIES copies at once: when the block lands,
+  or on the agent's own command, in a round or not;
+* then at +3 and +7 ticks: the gap starts at FIRST_GAP and doubles;
 * then every MAX_GAP ticks until the destination is known to hold it.
+
+The three copies up front cost nothing over the schedule they replace
+(first offer, the same tick's round, then +1, +3, +7): no ack, claim or
+peer copy can come back within 2 ticks, since every delay is at least 1
+tick each way, so that +1 copy always went out.  An offer outside a round
+now sends the same datagrams, only sooner; one in a round sends one copy
+more.  Loss and delay are drawn per copy, so at 30% loss all three are
+lost 2.7% of the time, below the 5% that the 95th-percentile delivery
+time reads.  That closes the loss tail at the creator, which lets most
+relays hold their copies back (COVERED and LAZY, below).
 
 The cap bounds how long a pair whose copies or acks were all lost waits
 for its next try: in a 12-member group at 30% loss, a cap of 16 instead
@@ -24,14 +33,15 @@ of 4 saved under 0.3% of the datagrams but delayed quiescence by up to
 38 ticks (170 instead of 132).
 
 The other four are for a WL copy of a block this agent did not create,
-where the creator sends it too.  None has a same-round copy, and none is
-resent sooner than REPAIR_AFTER ticks after its last send:
+where the creator sends it too.  Each sends at most one copy at a time,
+and none is resent sooner than REPAIR_AFTER ticks after its last send:
 
 * COVERED: the agent knows the creator holds the block that made the
   destination a member, so a correct creator has the pair on its own
-  EAGER schedule.  The copy is sent once on first offer and has no
-  timer: it is resent only to repair a loss, in a round after an ack
-  from the destination arrived;
+  EAGER schedule, and the agent is one of the RACING_RELAYS members that
+  race this utterance to the destination (`wl.WlAgent._race`).  The copy
+  is sent once on first offer and has no timer: it is resent only to
+  repair a loss, in a round after an ack from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
   only path.  It is sent on first offer, then every REPAIR_AFTER ticks
@@ -45,22 +55,42 @@ resent sooner than REPAIR_AFTER ticks after its last send:
   member relaying every Accept to every other member at once, relayed
   Accepts grew as n^3; holding cut a 12-member group's datagrams at 30%
   loss by 14%, with delivery times unchanged;
-* LAZY: a COVERED pair whose block is not an utterance (Group, Invite,
-  Accept, Empty), so COVERED is left to Say and Respond.  Its first
-  offer is recorded but not sent, and it has no timer: it goes out only
-  to repair a loss, in a round at least REPAIR_AFTER ticks after the
-  offer, once an ack or nack from the destination still does not cover
-  the block.  No reader waits on a membership block, so its relay copies
-  need not race the creator's: this is Plumtree's eager/lazy split
-  (below) made by payload.  When every member relayed every covered
-  Invite to every other member at once, although the founder sends each
-  invite to all of them, relayed Invites grew as n^3.  In a 12-member
-  group with 20 utterances at 30% loss and 10% duplication (seeds 1-8,
-  medians), LAZY cut the datagrams from 6,616.5 to 5,328 (-19.5%), with
-  p50 +1.2%, p95 +3.0% and the quiescence tick unchanged.  With 50
-  utterances and no duplication (seed 1), it cut them by 10%, 23% and
-  29% in groups of 12, 24 and 32 (11,925 to 10,694, 53,042 to 41,012 and
-  102,622 to 73,223), with p50 and p95 no higher.
+* LAZY: a covered pair whose copy need not race the creator's: a
+  membership block (Group, Invite, Accept, Empty), or an utterance this
+  agent does not race to the destination.  Its first offer is recorded
+  but not sent, and it has no timer: it goes out only to repair a loss,
+  in a round at least REPAIR_AFTER ticks after the offer, once an ack or
+  nack from the destination still does not cover the block.  This is
+  Plumtree's eager/lazy split (below), made by payload and, for
+  utterances, per (utterance, destination).  No reader waits on a
+  membership block: when every member relayed every covered Invite to
+  every other member at once, although the founder sends each invite to
+  all of them, relayed Invites grew as n^3.  In a 12-member group with 20
+  utterances at 30% loss and 10% duplication (seeds 1-8, medians), LAZY
+  membership copies cut the datagrams from 6,616.5 to 5,328 (-19.5%),
+  with p50 +1.2%, p95 +3.0% and the quiescence tick unchanged.
+
+Racing relays.  A reader does wait on an utterance, and with one copy
+from its creator up front a loss tail was left that only relays
+covered; so every member raced its relay copy of every utterance to
+every other member, ten racing copies per (utterance, member) in a
+12-member group.  With three creator copies up front, RACING_RELAYS (5)
+racers suffice.  In that group (20 utterances, 30% loss, 10%
+duplication, seeds 1-8 and 1733-1736, medians) the two together cut the
+datagrams from 5,378 to 4,507 (-16.2%), lower at every seed, with p50
+-13%, p95 +5.9% (3.48 to 3.68) and the quiescence tick 132 to 131.  At
+seeds 1-4 (medians; 5,310.5 datagrams and p95 3.53 before), against
+4,514 and 3.47 for the two together:
+* three copies up front with every relay racing: 5,498.5 (+3.5%), p95
+  3.30 (-6.5%);
+* five racers with two copies up front and a first gap of 1 (the
+  datagrams of the old schedule): 4,547.5 (-14.4%), p95 3.87 (+9.7%);
+* four racers: 4,319.5 (-18.7%), p95 3.93 (+11.3%);
+* six racers: 4,675 (-12.0%), p95 3.40 (-3.8%);
+* no racers: 3,461.5 (-34.8%), p95 4.82 (+36.5%).
+Groups of up to RACING_RELAYS + 2 members are unchanged, since every
+relay races there.  With a fixed number of racers p95 no longer falls as
+the group grows: see ROADMAP item 6 for the ladder.
 
 The schedule is read on every `take`, so an ack that shows the creator
 now covers a BACKSTOP or HELD pair makes it COVERED, or LAZY for a
@@ -98,8 +128,10 @@ drawing acks from the member; when a new member's Accept and say are the
 last blocks and the founder's copies of them are lost, nothing does, and
 a run could quiesce with the member lacking both.  The backstop closes
 that.  In TL a relay is often the only path (friends in a line), so TL
-relays stay EAGER: dropping a TL relay's second copy raised the
-95th-percentile delivery time on a 5-agent line from 12.6 to 18.5 ticks.
+relays stay EAGER: dropping a TL relay's same-round second copy raised
+the 95th-percentile delivery time on a 5-agent line from 12.6 to 18.5
+ticks.  Sending its copies up front cut that line's (`tl_feed`) p95 by
+5% and its datagrams by 1.5% (seeds 1-4, medians).
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
@@ -113,7 +145,10 @@ from typing import Callable, Iterator, Optional, Union
 
 from .blocks import BlockId, NetAddress
 
-FIRST_GAP = 1
+# An EAGER first offer sends this many copies at once; the next is due
+# FIRST_GAP ticks later.
+EAGER_COPIES = 3
+FIRST_GAP = 3
 MAX_GAP = 4
 # Twice the largest delay of the default range (1-5 ticks), plus one.  With
 # longer delays a repair may go out while the first copy is still in
@@ -183,9 +218,10 @@ class Retransmit:
         dest: NetAddress,
         block_id: BlockId,
         schedule: Union[str, Callable[[], str]] = EAGER,
-    ) -> bool:
-        """Whether to send the block to `dest` now, on `schedule`; arms or
-        backs off its timer when it does.
+    ) -> int:
+        """How many copies of the block to send to `dest` now, on
+        `schedule`: 0, 1, or EAGER_COPIES for an EAGER first offer.  Arms
+        or backs off its timer when it sends.
 
         `schedule` is the schedule's name, or a function that gives it,
         called only when the pair could send: a COVERED or LAZY pair stays
@@ -198,21 +234,19 @@ class Retransmit:
         entry = self._pairs.get(pair)
         if entry is not None and entry[2] in (COVERED, LAZY):
             if live is None or entry[0] > self.now or dest not in self._repair:
-                return False
+                return 0
         if not isinstance(schedule, str):
             schedule = schedule()
         if entry is None:
             if schedule in (HELD, LAZY):
                 self._pairs[pair] = (self.now + REPAIR_AFTER, 0, schedule)
-                return False
+                return 0
             if schedule != EAGER:
                 self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
-            elif live is None:
-                # Due again in this tick's round: the second copy.
-                self._pairs[pair] = (self.now, FIRST_GAP, schedule)
-            else:
-                self._pairs[pair] = (self.now + FIRST_GAP, min(2 * FIRST_GAP, MAX_GAP), schedule)
-            return True
+                return 1
+            self._pairs[pair] = (self.now + FIRST_GAP, min(2 * FIRST_GAP, MAX_GAP), schedule)
+            self._metrics.resent += EAGER_COPIES - 1
+            return EAGER_COPIES
         due, gap, _ = entry
         if (
             live is None
@@ -221,11 +255,11 @@ class Retransmit:
         ):
             if entry[2] != schedule:
                 self._pairs[pair] = (due, gap, schedule)
-            return False
+            return 0
         if schedule == EAGER:
             self._pairs[pair] = (self.now + gap, min(2 * gap, MAX_GAP), schedule)
         else:
             self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
         if gap:
             self._metrics.resent += 1
-        return True
+        return 1

@@ -44,6 +44,10 @@ from .retransmit import BACKSTOP, COVERED, EAGER, HELD, LAZY
 
 GroupId = BlockId
 
+# How many members race their relay copy of an utterance to each other
+# member at once (`WlAgent._race`); the rest relay it only to repair.
+RACING_RELAYS = 5
+
 _UTTER_DOMAIN = b"group-utterance\x00"
 
 
@@ -143,6 +147,9 @@ class WlAgent(Agent):
         # one entry per membership.
         self._members: dict[GroupId, dict[AgentId, int]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
+        # member -> the bits of the utterances this agent races to it
+        # (`_race`).  Bound: one entry per member.
+        self._racing: dict[AgentId, int] = {}
 
     # --- state queries -------------------------------------------------------
 
@@ -260,18 +267,20 @@ class WlAgent(Agent):
         # The creator of a block sends it to every member it knows.  When
         # it holds the block that made q a member of the block's group, it
         # counts q among them, so this agent's relayed copy is a second
-        # path: sent at once for an utterance, whose delivery time the
-        # copy may shorten, and only to repair a loss for a membership
-        # block (Group, Invite, Accept, Empty).  Otherwise the copy may be
-        # q's only path: the founder, which created every invite and so
-        # knows every invitee, sends it at once; any other relay holds it
-        # for REPAIR_AFTER ticks.
+        # path: sent at once for an utterance this agent races to q
+        # (`_race`), whose delivery time the copy may shorten, and
+        # otherwise only to repair a loss: for the utterances the other
+        # racers cover, and for membership blocks (Group, Invite, Accept,
+        # Empty), on which no reader waits.  Otherwise the copy may be q's
+        # only path: the founder, which created every invite and so knows
+        # every invitee, sends it at once; any other relay holds it for
+        # REPAIR_AFTER ticks.
         if block.creator == self.agent_id:
             return EAGER
         gid = self.group_of(block.id)
         joined = self._members.get(gid, {}).get(q, 0)
         if self.peers.known(block.creator) & joined:
-            return COVERED if b.is_utterance(block.payload) else LAZY
+            return COVERED if self._racing.get(q, 0) & self.lace.bit_of(block.id) else LAZY
         if gid is not None and gid.creator == self.agent_id:
             return BACKSTOP
         return HELD
@@ -347,7 +356,9 @@ class WlAgent(Agent):
             return
         self._partition_bits[gid] |= bit
         payload = block.payload
-        if isinstance(payload, Invite) and block.creator == gid.creator and block.pointers == {gid}:
+        if b.is_utterance(payload):
+            self._race(gid, block, bit)
+        elif isinstance(payload, Invite) and block.creator == gid.creator and block.pointers == {gid}:
             self._invite_index[block.id] = (gid, payload.target)
             self._contacts.setdefault(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
@@ -358,6 +369,33 @@ class WlAgent(Agent):
                 if target == block.creator:
                     joined = self._members[gid]
                     joined[target] = joined.get(target, 0) | bit
+
+    def _race(self, gid: GroupId, block: Block, bit: int) -> None:
+        """Mark a landed utterance in `_racing` for the members this agent
+        races its relay copy to.
+
+        The group's members other than the creator, as known here, are
+        ordered by the digest of the block's digest and the member's id;
+        each member's racers are the RACING_RELAYS members after it in
+        that cyclic order.  So every member has RACING_RELAYS racers, or
+        every other relay in a group of up to RACING_RELAYS + 2 members,
+        chosen afresh per utterance, and every relay races to as many
+        members as race to it.  The creator's own EAGER copies come
+        first; the racers cover the few pairs whose creator copies are
+        all lost."""
+        me = self.agent_id
+        members = self._members[gid]
+        if block.creator == me or me not in members:
+            return
+        digest = block.id.digest
+        order = sorted(
+            (q for q in members if q != block.creator),
+            key=lambda q: crypto.hash_bytes(digest + q),
+        )
+        at = order.index(me)
+        for step in range(1, min(RACING_RELAYS, len(order) - 1) + 1):
+            q = order[at - step]
+            self._racing[q] = self._racing.get(q, 0) | bit
 
     def _ack_pointers(
         self, block: Block, sender: Optional[AgentId]

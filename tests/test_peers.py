@@ -26,19 +26,60 @@ WL_CANNED = [
 ]
 
 
-def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
+def prefix_as_of(lace: Blocklace, block_id, size: int) -> int:
+    """The block's self-chain prefix as it was when the blocklace held
+    its first `size` blocks: what `self_mask_of` gave then."""
+    mask = 0
+    stack = [block_id]
+    while stack:
+        current = stack.pop()
+        if current not in lace or lace.bit_of(current) >> size or mask & lace.bit_of(current):
+            continue
+        mask |= lace.bit_of(current)
+        block = lace.get(current)
+        stack.extend(ptr for ptr in block.pointers if ptr.creator == block.creator)
+    return mask
+
+
+def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
     """What q provably holds, rebuilt from scratch: q's own blocks and
     chain, plus credit for every block q pointed at, delivered or
-    disclosed.  `delivered` holds the ids q delivered here while holding
-    them, `acked` the acks from q that the agent admitted."""
+    disclosed.  `delivered` maps the ids q delivered here while holding
+    them to the blocklace size at the last delivery, `acked` holds the
+    acks from q that the agent admitted with the size at each.
+
+    A credit is fixed when it is made: a claimed or disclosed block earns
+    its self-chain prefix as it was then (`prefix_as_of`), at the claim,
+    or when the block lands if the claim named it before it did.  A claim
+    earns the prefix only once q follows the block's creator; when q's
+    first follow of a creator lands, every block of that creator q was
+    then known to hold earns its prefix as it is at that moment."""
     lace = agent.lace
-    claims = set(delivered)
-    mask = 0
+
+    def landed_at(block_id) -> int:
+        return lace.bit_of(block_id).bit_length()
+
+    follow_at: dict = {}
+    claims = dict(delivered)
     for blk in lace.by_creator(q):
-        mask |= lace.self_mask_of(blk.id)
-        claims |= blk.pointers
-    disclosed, weak = set(), set()
-    for ack in acked:
+        payload = blk.payload
+        if isinstance(payload, b.Follow):
+            follow_at.setdefault(payload.target, landed_at(blk.id))
+        for ptr in blk.pointers:
+            claims[ptr] = max(claims.get(ptr, 0), landed_at(blk.id))
+
+    def claim_credit(block_id, size: int) -> int:
+        block = lace.get(block_id)
+        follow = follow_at.get(block.creator)
+        if follow is None or (isinstance(block.payload, b.Follow) and block.payload.target == q):
+            return lace.bit_of(block_id)
+        return prefix_as_of(lace, block_id, max(size, follow))
+
+    mask = lace.creator_mask(q)
+    for claimed, size in claims.items():
+        if claimed in lace:
+            mask |= claim_credit(claimed, max(size, landed_at(claimed)))
+    for ack, size in acked:
         if len(ack.pointers) == 1:
             (only,) = ack.pointers
             named = lace.get(only)
@@ -48,35 +89,30 @@ def reference_knowledge(agent: TlAgent, q, delivered: set, acked: list) -> int:
                 and isinstance(named.payload, b.Follow)
                 and named.payload.target == q
             ):
-                weak.add(only)
+                mask |= lace.bit_of(only)
                 continue
-        disclosed |= ack.pointers
-    for claimed in claims:
-        block = lace.get(claimed)
-        if block is None:
-            continue
-        payload = block.payload
-        if agent.follows(q, block.creator) and not (
-            isinstance(payload, b.Follow) and payload.target == q
-        ):
-            mask |= lace.self_mask_of(claimed)
-        else:
-            mask |= lace.bit_of(claimed)
-    for disclosed_id in disclosed:
-        mask |= lace.self_mask_of(disclosed_id)
-    for weak_id in weak:
-        if weak_id in lace:
-            mask |= lace.bit_of(weak_id)
+        for disclosed in ack.pointers:
+            if disclosed not in lace:
+                continue
+            size_then = max(size, landed_at(disclosed))
+            prefix = prefix_as_of(lace, disclosed, size_then)
+            mask |= prefix
+            follow = follow_at.get(disclosed.creator)
+            if follow is not None and follow > size_then:
+                for blk in lace.blocks_of_mask(prefix):
+                    mask |= claim_credit(blk.id, size_then)
     return mask
 
 
-def wl_reference_knowledge(agent: WlAgent, q, delivered: set, acked: list) -> int:
+def wl_reference_knowledge(agent: WlAgent, q, delivered: dict, acked: list) -> int:
     """What q provably holds under WL's rule, rebuilt from scratch: the
     closures of q's own blocks, of the ids q's admitted acks named, and of
-    the ids q delivered here while they were held."""
+    the ids q delivered here while they were held.  A WL blocklace is
+    closed, so a closure never grows after its block lands, and when each
+    claim was made does not matter."""
     lace = agent.lace
     named = set(delivered)
-    for ack in acked:
+    for ack, _ in acked:
         named |= ack.pointers
     mask = 0
     for blk in lace.by_creator(q):
@@ -92,8 +128,9 @@ def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of
     `reference(agent, q, delivered, acked)`.  Delivered claims are
     recorded per (agent, contact) where the agent credits them: every
     contact at the delivering address; and the acks the agent files, per
-    (agent, ack creator)."""
-    delivered: dict[tuple[int, bytes], set] = {}
+    (agent, ack creator).  Each is recorded with the agent's blocklace
+    size at that moment."""
+    delivered: dict[tuple[int, bytes], dict] = {}
     acked: dict[tuple[int, bytes], list] = {}
     credit_delivery = cls._credit_delivery
     record_ack = cls._record_ack
@@ -103,18 +140,18 @@ def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of
     def record(self, block, src):
         if self._holds(block.id):
             for q in self._contacts_at(src):
-                delivered.setdefault((id(self), q), set()).add(block.id)
+                delivered.setdefault((id(self), q), {})[block.id] = len(self.lace)
         return credit_delivery(self, block, src)
 
     def record_acked(self, ack):
-        acked.setdefault((id(self), ack.creator), []).append(ack)
+        acked.setdefault((id(self), ack.creator), []).append((ack, len(self.lace)))
         return record_ack(self, ack)
 
     def check(self, only=None):
         nonlocal checks
         for q in peers_of(self):
             expected = reference(
-                self, q, delivered.get((id(self), q), ()), acked.get((id(self), q), [])
+                self, q, delivered.get((id(self), q), {}), acked.get((id(self), q), [])
             )
             assert self.peers.known(q) == expected
             checks += 1

@@ -11,11 +11,14 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.oracles import parse_trace
 from blocklace.harness.runner import Runner, run_scenario
+from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
 from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
     BACKSTOP,
     COVERED,
     EAGER,
+    EAGER_COPIES,
+    FIRST_GAP,
     HELD,
     LAZY,
     MAX_GAP,
@@ -23,7 +26,7 @@ from blocklace.retransmit import (
     Retransmit,
 )
 from blocklace.tl import TlAgent
-from blocklace.wl import WlAgent
+from blocklace.wl import RACING_RELAYS, WlAgent
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -32,37 +35,37 @@ OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
     """Run `rounds` rounds asking about every pair on `schedule`, each
-    after acks from the `marked` addresses; returns, per pair, the ticks
-    at which the round sent it."""
+    after acks from the `marked` addresses; returns, per pair, the tick of
+    each copy the round sent."""
     sent = {pair: [] for pair in pairs}
     for _ in range(rounds):
         for dest in marked:
             rtx.mark_repair(dest)
         with rtx.round():
             for dest, block_id in pairs:
-                if rtx.take(dest, block_id, schedule):
-                    sent[(dest, block_id)].append(rtx.now)
+                sent[(dest, block_id)] += [rtx.now] * rtx.take(dest, block_id, schedule)
     return sent
 
 
-def test_first_offer_then_same_round_then_backoff_capped():
+def test_first_offer_sends_three_copies_then_backoff_capped():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK)  # first offer, outside a round
-    assert not rtx.take("p/0", BLOCK)  # no repeat before the round
+    assert rtx.take("p/0", BLOCK) == EAGER_COPIES == 3  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK) == 0  # no repeat before it is due
     sent = round_sends(rtx, [("p/0", BLOCK)], 24)
-    # The same tick's round, then +1, +3, +7, then every MAX_GAP ticks.
-    assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11, 15, 19, 23]
-    assert MAX_GAP == 4
-    assert metrics.resent == 8
+    # Nothing in the same tick's round: +3, +7, then every MAX_GAP ticks.
+    assert sent[("p/0", BLOCK)] == [3, 7, 11, 15, 19, 23]
+    assert FIRST_GAP == 3 and MAX_GAP == 4
+    # Every copy after the first counts.
+    assert metrics.resent == 2 + 6
 
 
-def test_first_offer_in_a_round_sends_once_then_backs_off():
+def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
     sent = round_sends(rtx, [("p/0", BLOCK)], 12)
-    assert sent[("p/0", BLOCK)] == [0, 1, 3, 7, 11]
-    assert metrics.resent == 4
+    assert sent[("p/0", BLOCK)] == [0, 0, 0, 3, 7, 11]
+    assert metrics.resent == 5
 
 
 # A backup pair is a COVERED one: another path also covers it.
@@ -71,8 +74,8 @@ def test_first_offer_in_a_round_sends_once_then_backs_off():
 def test_backup_pair_sent_once_then_every_backup_gap():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, COVERED)  # first offer, outside a round
-    assert not rtx.take("p/0", BLOCK, COVERED)
+    assert rtx.take("p/0", BLOCK, COVERED) == 1  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, COVERED) == 0
     sent = round_sends(rtx, [("p/0", BLOCK)], 10, COVERED)
     # No same-round copy, and without an ack from p no resend at all.
     assert sent[("p/0", BLOCK)] == []
@@ -137,8 +140,8 @@ def test_relay_pairs_armed_only_on_a_backstop():
 def test_backstop_pair_resent_every_repair_after_until_held():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, BACKSTOP)
-    assert not rtx.take("p/0", BLOCK, BACKSTOP)
+    assert rtx.take("p/0", BLOCK, BACKSTOP) == 1
+    assert rtx.take("p/0", BLOCK, BACKSTOP) == 0
     # No same-round copy; resent without any ack, REPAIR_AFTER ticks apart.
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, BACKSTOP)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
@@ -273,7 +276,7 @@ def test_rebound_address_gets_a_fresh_timer():
     round_sends(rtx, [("p/0", BLOCK)], 9)  # backed off to the cap
     start = rtx.now
     sent = round_sends(rtx, [("p/1", BLOCK)], 8)
-    assert sent[("p/1", BLOCK)] == [start, start + 1, start + 3, start + 7]
+    assert sent[("p/1", BLOCK)] == [start] * EAGER_COPIES + [start + 3, start + 7]
 
 
 def test_round_prunes_to_the_pairs_it_asked_about():
@@ -377,7 +380,7 @@ def test_wl_block_created_by_the_peer_stops_the_resends():
     assert not owes(f, m, said.id)
 
 
-def test_wl_relay_sends_once_in_its_first_tick_creator_twice():
+def test_wl_relay_sends_once_in_its_first_tick_creator_three_times():
     f, m1, m2 = wl_agent(0), wl_agent(1), wl_agent(2)
     gid = wl_group(f, m1, m2)
 
@@ -386,7 +389,8 @@ def test_wl_relay_sends_once_in_its_first_tick_creator_twice():
 
     own = f.say_group(gid, b"mine")
     said = f.last_uttered
-    assert copies(own + f.tick(), m2, said.id) == 2
+    assert copies(own, m2, said.id) == EAGER_COPIES
+    assert copies(f.tick(), m2, said.id) == 0
     relayed = deliver(m1, f, said)
     assert copies(relayed + m1.tick(), m2, said.id) == 1
 
@@ -475,6 +479,92 @@ def test_schedule_names_each_copy():
     assert a._schedule(news, c.agent_id) == c._schedule(news, d.agent_id) == EAGER
 
 
+CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
+
+
+@pytest.mark.parametrize("size", [12, 7])
+def test_racing_relays_per_utterance_and_member(size):
+    # Each member says once in a group formed over a perfect network.  In
+    # a 12-member group each (utterance, member) pair has exactly
+    # RACING_RELAYS racers among the other ten relays; in a group of 7
+    # every relay races.  A relay's copy is COVERED where it races and
+    # LAZY where it does not.
+    agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
+    gid = wl_group(*agents)
+    said = []
+    for speaker in agents:
+        pump(agents, speaker.say_group(gid, b"hello"), speaker)
+        said.append(speaker.last_uttered)
+    settle(agents)
+    racers_per_pair = set()
+    for block in said:
+        for q in agents:
+            if q.agent_id == block.creator:
+                continue
+            racers = 0
+            for relay in agents:
+                if relay.agent_id in (block.creator, q.agent_id):
+                    continue
+                racing = bool(relay._racing.get(q.agent_id, 0) & relay.lace.bit_of(block.id))
+                racers += racing
+                assert relay._schedule(block, q.agent_id) == (COVERED if racing else LAZY)
+            racers_per_pair.add(racers)
+    assert racers_per_pair == {min(RACING_RELAYS, size - 2)}
+
+
+def wide_equivocation(seed):
+    """`canned.wl_equivocation` with ten correct members besides the
+    equivocator, so relays race only some (utterance, member) pairs."""
+    names = ["f"] + [f"m{i}" for i in range(1, 10)]
+    roster = names + ["x"]
+    events = [Event(0, "f", {"cmd": "create_group", "name": "forked", "label": "G"})]
+    for i, member in enumerate(roster[1:]):
+        events.append(Event(2 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member}))
+        events.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    for i in range(6):
+        events.append(
+            Event(30 + 5 * i, names[i % 10], {"cmd": "say_group", "group": "G", "text": f"chatter-{i}"})
+        )
+    fork = {
+        "cmd": "equivocate",
+        "group": "G",
+        "text_a": "fork-alpha",
+        "text_b": "fork-beta",
+        "recipients_a": ["f", "m1"],
+        "recipients_b": ["m2", "m3"],
+    }
+    events.append(Event(90, "x", fork))
+    for i in range(6):
+        events.append(
+            Event(110 + 5 * i, names[i % 10], {"cmd": "say_group", "group": "G", "text": f"later-{i}"})
+        )
+    events.sort(key=lambda e: e.tick)
+    return Scenario(
+        protocol="wl",
+        agents=[AgentSpec(n) for n in names] + [AgentSpec("x", role="equivocator")],
+        events=events,
+        bootstrap=[("f", m) for m in roster[1:]] + [(m, "f") for m in roster[1:]],
+        oracles=[
+            OracleSpec(
+                "equivocation_visibility",
+                {"culprit": "x", "founder": "f", "group_name": "forked"},
+            ),
+            OracleSpec("wl_liveness", {"founder": "f", "group_name": "forked"}),
+        ],
+        seed=seed,
+        ticks=600,
+        loss_prob=0.3,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_both_forks_reach_every_member_of_a_crowd(seed):
+    # Non-racing relays send a fork only to repair a loss, so both forks
+    # must still reach all ten correct members.
+    result = run_scenario(wide_equivocation(seed))
+    assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
+
+
 def test_only_the_founder_submits_invites():
     # The founder sends each invite to every member on its EAGER schedule,
     # so a member's relay copy of it is LAZY: sent only to repair a loss.
@@ -489,7 +579,7 @@ def test_only_the_founder_submits_invites():
     assert any(invites.values())
 
 
-def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():
+def test_tl_relay_sends_three_copies_in_its_first_tick_like_the_creator():
     # On a line of friends the relay may be the only path, so TL relays
     # stay on the eager schedule.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
@@ -502,9 +592,11 @@ def test_tl_relay_sends_twice_in_its_first_tick_like_the_creator():
 
     own = a.say(b"news")
     news = a.last_uttered
-    assert copies(own + a.tick(), c, news.id) == 2
+    assert copies(own, c, news.id) == EAGER_COPIES
+    assert copies(a.tick(), c, news.id) == 0
     relayed = deliver(c, a, news)
-    assert copies(relayed + c.tick(), d, news.id) == 2
+    assert copies(relayed, d, news.id) == EAGER_COPIES
+    assert copies(c.tick(), d, news.id) == 0
 
 
 def test_wl_copy_sent_by_the_peer_stops_the_resends():

@@ -5,6 +5,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
+from blocklace.retransmit import EAGER_COPIES, FIRST_GAP
 from blocklace.tl import ProtocolError, TlAgent
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
@@ -135,11 +136,16 @@ def test_receive_forwards_only_landed_blocks():
     news = a.last_uttered
     sends = c.receive(encode_block(news), src=a.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
-    assert forwarded == [(d.current_address, news.id)]
-    resent = {(dst, blk.id) for dst, blk in c.tick()}
-    assert (d.current_address, news.id) in resent
-    assert (a.current_address, backlog.id) in resent
-    assert (d.current_address, backlog.id) in resent
+    assert forwarded == [(d.current_address, news.id)] * EAGER_COPIES
+    # Both were first offered in this tick, so the rounds resend them
+    # FIRST_GAP ticks later.
+    owed = {
+        (d.current_address, news.id),
+        (a.current_address, backlog.id),
+        (d.current_address, backlog.id),
+    }
+    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(FIRST_GAP + 1)]
+    assert [sent & owed for sent in rounds] == [set()] * FIRST_GAP + [owed]
 
 
 def test_forged_blocks_dropped():
@@ -273,11 +279,9 @@ def test_disseminate_sends_followed_creators_to_friend():
     d.follow(a.agent_id)
     c.receive(encode_block(d.last_uttered), src=d.current_address)
     a.say(b"payload")
-    c.receive(encode_block(a.last_uttered), src=a.current_address)
-    sends = c.tick()
-    assert any(
-        dst == d.current_address and blk.id == a.last_uttered.id for dst, blk in sends
-    )
+    sends = c.receive(encode_block(a.last_uttered), src=a.current_address)
+    copies = [dst for dst, blk in sends if blk.id == a.last_uttered.id]
+    assert copies == [d.current_address] * EAGER_COPIES
 
 
 def test_disseminate_skips_acked_blocks():
@@ -294,14 +298,15 @@ def test_disseminate_skips_acked_blocks():
 def test_offer_resent_until_acked():
     a, c = agent(0), agent(1)
     a.address_hints[c.agent_id] = c.current_address
-    a.follow(c.agent_id)
+    sends = a.follow(c.agent_id)
     offer = a.last_uttered
 
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == offer.id for _, blk in a.tick())]
 
-    # The same tick's round, then +1, +3, +7 and every 4 ticks.
-    assert resent_at(range(12)) == [0, 1, 3, 7, 11]
+    # EAGER_COPIES copies on the offer, then +3, +7 and every 4 ticks.
+    assert [blk.id for _, blk in sends] == [offer.id] * EAGER_COPIES
+    assert resent_at(range(12)) == [3, 7, 11]
     sends = c.receive(encode_block(offer), src=a.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     a.receive(encode_block(ack), src=c.current_address)
@@ -343,8 +348,10 @@ def test_change_address_announces():
     assert a.last_uttered.address == "t0/9"
     pump([a, c], sends, a)
     assert c.lace.ip_address(a.agent_id) == "t0/9"
-    a.change_address("t0/10")
-    pump([a, c], a.tick(), a)
+    a.change_address("t0/10")  # every copy of the announcement is lost
+    for _ in range(FIRST_GAP):
+        assert a.tick() == []
+    pump([a, c], a.tick(), a)  # resent FIRST_GAP ticks after the offer
     assert c.lace.ip_address(a.agent_id) == "t0/10"
 
 
@@ -385,8 +392,9 @@ def test_two_hop_relay_liveness_perfect_network():
     # c's copy is on c's timer (TL relays stay eager), so d acks it to c.
     a.say(b"msg-4")
     relayed = c.receive(encode_block(a.last_uttered), src=a.current_address)
-    (copy,) = [blk for dst, blk in relayed if dst == d.current_address]
-    assert copy.id == a.last_uttered.id
+    copies = [blk for dst, blk in relayed if dst == d.current_address]
+    assert [blk.id for blk in copies] == [a.last_uttered.id] * EAGER_COPIES
+    copy = copies[0]
     sends = d.receive(encode_block(copy), src=c.current_address)
     assert copy.id in d.lace
     assert c.current_address in {dst for dst, blk in sends if isinstance(blk.payload, b.Ack)}

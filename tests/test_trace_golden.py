@@ -23,55 +23,58 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "3f2ad101295dfe7bf3f84001d046d8a92d91766b3390fb051641dcdbbb501528",
-    "tl_star": "c0873097423033dbda3459cff140104dca4b4e9db873bb0ae22746db85a54beb",
-    "tl_ring": "6102b871bc09692899f33c1129df374f430120600bc2a97ee7fb5f8811128801",
-    "tl_line_broken": "d131208732e032d315cb28081b6197ba480b4e6b7a3909031c37456aa60d7911",
-    "tl_churn": "271ca1ba1e2e87035f018590e72037f8ac0bebd6dffda17bcbb4241939f3c4ec",
-    "tl_forgery": "5f6b2d2a2791f541cd995723713b844053c7341cd6c4ec9138515b05013ea274",
-    "wl_group": "7724754694d1ae0af02e5735401715f0b8c898ce7b8a9343ac4bc1939dc03788",
-    "wl_dropper": "4b553395645d63ff518b4fb4a1d923d3d24df7ea1f8433cc91884d635d5111ca",
+    "tl_line": "c270ad31189d1f7286bfe094a90782a72796dc713560ba07f3bce29aa4126620",
+    "tl_star": "c681e6ec8871c9c8c65bb800d5eff8f549f0c3655c8f5405ef3cf3dd7486b020",
+    "tl_ring": "ccba0ad20fd7a31212956b99645fe67e2dfe4e891a78e5156973773a512518a3",
+    "tl_line_broken": "aa16458d8874bce3e689d4c5d06a8ab8d27777bee08c43c36afc709b19940def",
+    "tl_churn": "38cb396a71b82f8656539aef2a0962b8f0048fd60fd1dc2c55a92703a993afc4",
+    "tl_forgery": "859f88e094277e71446b41abb6a58f038b742fe381157650e3a60992d33ea16c",
+    "wl_group": "fcca30a961d60e1aec5a4cd5ac9d21496eaccb19d533377e4dbb80a65126a4aa",
+    "wl_crowd": "69fb4c2fed3b9e6f398f4883c3b8ff99663fcf060a0fcdaf52ce78a93d412a58",
+    "wl_dropper": "7b4530ba120c8146b5d03929fd0c3fba4f85d07a2e1fd68aa2b7fa480a5a1c8e",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "69ae7397ee4fe503e672d75136f3ce0121ec7ed3e5b7e802cabc2b73e2316722",
-    "wl_equivocation": "0274b46f1216dc1a4127861e56e63e862f987d54a8a9f362d537dea3cf1ce16a",
-    "wl_privacy": "a8c96a9fefa755b5725c5a6ca5623eb1aa2823a27aae561ccd25badb253dbafb",
-    "wl_partitions": "c916d10bf6233162b416306b017321e2e9687651fa907887d626f9782fc9739e",
-    "wl_founder_moves": "a981ec968f60a89d94577180081edf8cb9ecc2d0ac5607f1ded4ba7b17b97d96",
-    "wl_founder_quits": "cb51f1f3046aa41e3e9322afc53313f5f7d9076e6b316377a382626fe57b97f6",
+    "wl_churn": "6e47609c0e7cc33e4dd08af95762576cc2751808f31c123f03434a75cd720293",
+    "wl_equivocation": "e0b545decc55a4f0cb337fccf7710d57e3769bf4bfa251fb4f087ec549673e53",
+    "wl_privacy": "42b7fee3f564344c49413cbb3c97c441d65bb5f358ad860abda9c79716f7de5e",
+    "wl_partitions": "329ddb62867988a6cba575ae14ec298119cc505eeb4e8a2e7514011c3d8204f5",
+    "wl_founder_moves": "117d4430cbcd6204a88cc914a27ef505a2b4e7808c28f886166cc5582e0822bd",
+    "wl_founder_quits": "4453dcaac0ecda6f5b67814e9f77663c474d25f1ebef53a5ceb4b416c1d9b19f",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "d0fe55a34255c64b754107da7025de474d16b7400b85655974785ff688b9793b",
-    "tl_star": "f13bd0e7ac3fc7c79745d9741eab8c6a800e9e0a90c707d4e69d6a03d9de15b0",
-    "tl_ring": "6e027796d06260ebbea379d6c1d1823b74090bf22f6d1f1311db454291529fce",
-    "tl_line_broken": "14ef1e450d205864c89cd60c9ccbccea4549dadb996ca18b1541f29d2f871ae5",
-    "tl_churn": "c15f768f7ac44f802e75b588988021aebe4871bbf074d4e1247d1e2c060bb3a6",
-    "tl_forgery": "31641d9150e384a7998022c302eea7288347c559942155ab13cf1023ea739e35",
-    "wl_group": "d52c59965cc39ea6e47e19ba0743756e8ec8be21ec1c985a0a30c7f2f29d04ad",
-    "wl_dropper": "1a5011830869352d2ef9822bf61d53a2f17f348b3537b44fda049075d7ac0858",
+    "tl_line": "0194142b36fe1d83833cc883c581a6bc9ada4f117105492534a0610a41515238",
+    "tl_star": "80f93727062de1cd66b9417b6df7965d9ba228b13c19cd7afcfe3502c5735025",
+    "tl_ring": "c123c94529300ea9652fae8ef97bcd5a130aeac19b382e6e765022c250ee29bc",
+    "tl_line_broken": "14d4a5c02d2351f3a6a1392a9fb7eab7697c5055bfd6c650d0f2e533bf129525",
+    "tl_churn": "19c8023c74b381f3095acc5ecd9ee8ba3b2217381dc57e11e06c8ea415134b95",
+    "tl_forgery": "3cd6ada2377bd2016ab5d3c5fee54b5742887f654491c5204a93aed3abb4735f",
+    "wl_group": "04bb82d58ddc8206b914541979c421443c48b872f6799e2396e54540c5609e71",
+    "wl_crowd": "d84c5d5964b39b8d90ec6c3e5a69e2508d3b58b228346c71e4c9497caa7f7313",
+    "wl_dropper": "4257e1793a2f79febd55a6d99365ea739d70a34fbe6a0e5fffcf3141afd339e0",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "2270a49b87ba0fe704098d28824b5adcff4bf5c60befe34df5403d0ba55d256d",
-    "wl_equivocation": "10b94ef39d7f1ef1c06bad8862022c03dc15c87ed807559e9414f8a3718f369b",
-    "wl_privacy": "83cefe7918d7aad7792e1825d38c5c2edf701e8a76cae8bd6ab3009b818b87d6",
-    "wl_partitions": "7101eb129594d02c6ed52baf6cb7e079c5ea5d09f46420cb09d1ec3734212637",
-    "wl_founder_moves": "e8918998387b32966192bccfea506e6ebe828c9a8333148e537738ad0ac38d5b",
-    "wl_founder_quits": "8caf88606255d9728b0f99c1375ec9668ed6eb2478b3b924ac0905d95bf1ceb0",
+    "wl_churn": "067beedc50d7b392ab265c62a8aa7e23346806ee5c14b629e2234cceed6c2962",
+    "wl_equivocation": "1f88ea607a469181af39fa3eda4f57711ca72b39b400ebf9e80000c8374888e9",
+    "wl_privacy": "8ab84ba44c052b3f90abd7645311aa6a88a8c54612c70a45633277c5c2e08e8d",
+    "wl_partitions": "0fbd20661aff026b0539471fbc2f33255b9c68394267a63f9ebaa9fd5f0e2c92",
+    "wl_founder_moves": "e1aca5642c6d9f6b573b9af56248ac84d43856f549b8192a3b673885d71a499b",
+    "wl_founder_quits": "da3237634f151d8b9b21180adcc670728875d00d582ac59d691c1c99e7db1ba4",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "c7a8ad751db3d6dd10c286f052000e1dcd3e3fbefff54cfecc802d654c8cd8cf",
-    "tl_star": "f5fc1ca01d87e27e03872cd53b321a1cf208d4cba688001efa2aa0e895b1e393",
-    "tl_ring": "e70eb73f35ec971ce5cb2def6ca35de9ccf435912dfaa21757631d8fc0048cfa",
-    "tl_line_broken": "6e15bb1da3a214174a83d339b4dd168a14253d4a8b5039b0b7ee2da7db36233b",
-    "tl_churn": "200452f7e9d4f6d1be692b98f3a1aea2ad2208e953359522d83f497ceb908a4a",
-    "tl_forgery": "43d390f1fe14f83b7538813427e5e4693ff102ee0c02cf8961694b7420254cac",
-    "wl_group": "6483f0f10485e803a400320b99578bf72c745d7992ea82715a7cb9e778301130",
-    "wl_dropper": "e103f206e772ff002dac118d3e5f9490569e55e70760bb2df91e421fa85d1113",
+    "tl_line": "c2deedb82e8e13b74eb84bf893735ec1cb8c2bb19502a196c5df653ca30cfe52",
+    "tl_star": "8020dafa0913fc12846920ea2ddf8fc691da658d8e47a806647d3042d6703f70",
+    "tl_ring": "985c334bd025ca8946d2d3b0d1f4d48721047f52edc11f30335e240b172c6f47",
+    "tl_line_broken": "e7087d74fb57da8c6d5b59d572d1b6b8167e5968437aeaa9eca5fc0ef730936d",
+    "tl_churn": "b9feceff2c38a80fb7f670a5e7c859e7a5c7991ec4557badcf3017c0d9fe7b27",
+    "tl_forgery": "4b4d6c4166afdab4c7eb72bee756187b4f8dfc2eb15a12f264adfad1fb2ad221",
+    "wl_group": "1dc89eb39276936cd681b9712e3c79ba8e19dce9271d7131f34f151d1d304607",
+    "wl_crowd": "cce304f43459795937cf1d2985fda358aff150f6330898dbb887dd25de59fac3",
+    "wl_dropper": "10d7a9bcec03d57dd1b3466a89680dae1d819e7ea0a9677dcc9f9b22aa312ceb",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "9e47ccce0a7e46f3ac8bbaa965af6c10aa538b5539d863e262f41e58b56fe5a9",
-    "wl_equivocation": "92185d4d9f7cee132af0bd6a35d357cbf61ea0eadbd07ebbc2613f0dc8a3d47c",
-    "wl_privacy": "b9f4341d84ada052dc2211e905ecd0626583b5080d0b6e8ef502709f7148a418",
-    "wl_partitions": "58eb117e626d9683d15d595a903663cbd2a14a2d558a21563da9fed0b7deb45e",
-    "wl_founder_moves": "150ef95b9b7db92febc2268983ec3c0e340629ea1bc85714ba8520e39979ffed",
-    "wl_founder_quits": "b57a3dbbffcb104288571bd5dd6c16bf4e17a9e48d26c9334be76c736dea1d7f",
+    "wl_churn": "71b29f52b384bb368360f93ae327534b63f042a3668a56afed48c9e70b1190bf",
+    "wl_equivocation": "e03e9eea6dcd674eb3d71092c522587d6548376bb361ed6862b3c86370191804",
+    "wl_privacy": "52e7436e66ffe01a7bdfc35e94ba838c4a27e823410c20ed1f9b01b438fb6cdc",
+    "wl_partitions": "35c7187a2ce8187e970c3a1e54a5da526d594fd1ae5328bd086d36d992a95ecb",
+    "wl_founder_moves": "054801095e33155d1a4010bcb0c6adf8793c8f3c2760b610be73105985b04f38",
+    "wl_founder_quits": "024e0fe7d5e4e44e6571af5c9ee2376f01f710f7ffa58b8cf4516ce9e2e200da",
 }
 
 

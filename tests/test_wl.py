@@ -9,7 +9,7 @@ from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
 from blocklace.peers import PARKED_CAP, ProtocolError
-from blocklace.retransmit import REPAIR_AFTER
+from blocklace.retransmit import EAGER_COPIES, FIRST_GAP, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
     WlConfig,
@@ -320,9 +320,11 @@ def test_receive_forwards_only_landed_blocks():
     sends = m1.receive(encode_block(news), src=f.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(m2.current_address, news.id)]
-    # The round resends the own backlog; the relayed news went out once,
-    # on arrival, and is resent only to repair a loss a nack reveals.
-    assert {blk.id for _, blk in m1.tick()} == {backlog.id}
+    # The rounds resend the own backlog FIRST_GAP ticks after its offer;
+    # the relayed news went out once, on arrival, and is resent only to
+    # repair a loss a nack reveals.
+    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(FIRST_GAP + 1)]
+    assert rounds == [set()] * FIRST_GAP + [{backlog.id}]
 
 
 def test_pending_drain_forwards_every_landed_block():
@@ -632,13 +634,17 @@ def test_invite_acked_with_invite_id():
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
     sends = f.invite(m.agent_id, gid)
-    # invite dissemination carries genesis first, then invite
+    # invite dissemination carries genesis first, then invite, each in
+    # EAGER_COPIES copies
     to_m = [blk for dst, blk in sends if dst == m.current_address]
-    assert [type(blk.payload) for blk in to_m] == [b.Group, b.Invite]
-    m.receive(encode_block(to_m[0]), src=f.current_address)
-    out = m.receive(encode_block(to_m[1]), src=f.current_address)
+    assert [type(blk.payload) for blk in to_m] == [b.Group] * EAGER_COPIES + [
+        b.Invite
+    ] * EAGER_COPIES
+    genesis, invite = to_m[0], to_m[-1]
+    m.receive(encode_block(genesis), src=f.current_address)
+    out = m.receive(encode_block(invite), src=f.current_address)
     (ack,) = [blk for _, blk in out if isinstance(blk.payload, b.Ack)]
-    assert ack.pointers == frozenset([to_m[1].id])
+    assert ack.pointers == frozenset([invite.id])
 
 
 def test_invite_resent_until_acked():
@@ -652,8 +658,9 @@ def test_invite_resent_until_acked():
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == invite.id for _, blk in f.tick())]
 
-    # The same tick's round, then +1, +3, +7 and every 4 ticks.
-    assert resent_at(range(12)) == [0, 1, 3, 7, 11]
+    # EAGER_COPIES copies on the offer, then +3, +7 and every 4 ticks.
+    assert [blk.id for _, blk in first_offer if blk.id == invite.id] == [invite.id] * EAGER_COPIES
+    assert resent_at(range(12)) == [3, 7, 11]
     pump([f, m], first_offer, f)  # delivery + ack
     assert resent_at(range(12, 24)) == []
     assert f.retransmit.armed() == 0
