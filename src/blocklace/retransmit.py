@@ -92,10 +92,10 @@ Groups of up to RACING_RELAYS + 2 members are unchanged, since every
 relay races there.  With a fixed number of racers p95 no longer falls as
 the group grows: see ROADMAP item 6 for the ladder.
 
-The schedule is read on every `take`, so an ack that shows the creator
-now covers a BACKSTOP or HELD pair makes it COVERED, or LAZY for a
-membership block; a HELD pair that does so before its first send goes
-out only on a repair.
+The schedule is read on every `take` of a pair that is not yet COVERED
+or LAZY (one that is stays so), so an ack that shows the creator now
+covers a BACKSTOP or HELD pair makes it COVERED or LAZY; a HELD pair
+that does so before its first send goes out only on a repair.
 
 So a run is quiescent only when every pair is held, COVERED or LAZY:
 what a correct agent owes a member, the member holds.  The exception is
