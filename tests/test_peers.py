@@ -29,6 +29,10 @@ WL_CANNED = [
 def prefix_as_of(lace: Blocklace, block_id, size: int) -> int:
     """The block's self-chain prefix as it was when the blocklace held
     its first `size` blocks: what `self_mask_of` gave then."""
+    if block_id in lace and not lace.self_mask_of(block_id) >> size:
+        # Every block of today's prefix was there then, with the same
+        # pointers between them.
+        return lace.self_mask_of(block_id)
     mask = 0
     stack = [block_id]
     while stack:
