@@ -11,7 +11,7 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.oracles import parse_trace
 from blocklace.harness.runner import Runner, run_scenario
-from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
+from blocklace.harness.scenario import AgentSpec, Event
 from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
     BACKSTOP,
@@ -513,48 +513,20 @@ def test_racing_relays_per_utterance_and_member(size):
 
 
 def wide_equivocation(seed):
-    """`canned.wl_equivocation` with ten correct members besides the
-    equivocator, so relays race only some (utterance, member) pairs."""
-    names = ["f"] + [f"m{i}" for i in range(1, 10)]
-    roster = names + ["x"]
-    events = [Event(0, "f", {"cmd": "create_group", "name": "forked", "label": "G"})]
-    for i, member in enumerate(roster[1:]):
-        events.append(Event(2 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member}))
-        events.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": "G"}))
-    for i in range(6):
-        events.append(
-            Event(30 + 5 * i, names[i % 10], {"cmd": "say_group", "group": "G", "text": f"chatter-{i}"})
+    """`canned.wl_equivocation` with five more correct members, ten in
+    all besides the equivocator, so relays race only some (utterance,
+    member) pairs.  The newcomers join after the others and only listen."""
+    scenario = canned.wl_equivocation(seed)
+    extra = [f"m{i}" for i in range(5, 10)]
+    scenario.agents = [AgentSpec(name) for name in extra] + scenario.agents
+    scenario.bootstrap += [("f", m) for m in extra] + [(m, "f") for m in extra]
+    for i, member in enumerate(extra):
+        scenario.events.append(
+            Event(14 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member})
         )
-    fork = {
-        "cmd": "equivocate",
-        "group": "G",
-        "text_a": "fork-alpha",
-        "text_b": "fork-beta",
-        "recipients_a": ["f", "m1"],
-        "recipients_b": ["m2", "m3"],
-    }
-    events.append(Event(90, "x", fork))
-    for i in range(6):
-        events.append(
-            Event(110 + 5 * i, names[i % 10], {"cmd": "say_group", "group": "G", "text": f"later-{i}"})
-        )
-    events.sort(key=lambda e: e.tick)
-    return Scenario(
-        protocol="wl",
-        agents=[AgentSpec(n) for n in names] + [AgentSpec("x", role="equivocator")],
-        events=events,
-        bootstrap=[("f", m) for m in roster[1:]] + [(m, "f") for m in roster[1:]],
-        oracles=[
-            OracleSpec(
-                "equivocation_visibility",
-                {"culprit": "x", "founder": "f", "group_name": "forked"},
-            ),
-            OracleSpec("wl_liveness", {"founder": "f", "group_name": "forked"}),
-        ],
-        seed=seed,
-        ticks=600,
-        loss_prob=0.3,
-    )
+        scenario.events.append(Event(15 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    scenario.events.sort(key=lambda e: e.tick)
+    return scenario
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
