@@ -25,7 +25,7 @@ from .crypto import AgentId, CryptoError, GroupKey, Keypair, keygen
 from .lace import Blocklace
 from .simnet import Datagram, NetConfig, SimNet
 from .tl import TlAgent
-from .wl import WlAgent, WlConfig
+from .wl import WlAgent
 
 __all__ = [
     "Accept",
@@ -51,7 +51,6 @@ __all__ = [
     "TlAgent",
     "WireError",
     "WlAgent",
-    "WlConfig",
     "canonical_encode",
     "decode_block",
     "encode_block",

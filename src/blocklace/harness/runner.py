@@ -31,7 +31,7 @@ from .. import crypto
 from ..blocks import NetAddress, encode_block
 from ..simnet import Datagram, NetConfig, SimNet, Trace
 from ..tl import TlAgent
-from ..wl import WlAgent, WlConfig, partition_violations
+from ..wl import WlAgent, partition_violations
 from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
 from .scenario import Event, Scenario, ScenarioError
@@ -83,7 +83,7 @@ class Runner:
             if scenario.protocol == "tl":
                 inner: Union[TlAgent, WlAgent] = TlAgent(kp, address)
             else:
-                inner = WlAgent(kp, address, WlConfig(encrypt=scenario.wl_encrypt))
+                inner = WlAgent(kp, address, encrypt=scenario.wl_encrypt)
             wrapper = ROLE_WRAPPERS[spec.role](spec.name, inner)
             self.wrappers[spec.name] = wrapper
             self.net.bind(spec.name, address, now=0)

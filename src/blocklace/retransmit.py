@@ -7,15 +7,19 @@ at a delay of 1-5), so each (destination address, block id) pair gets its
 own entry, on one of five schedules.  The agent names the schedule of
 each pair (`peers.Agent._schedule`); `Retransmit` keeps it.
 
-EAGER, with capped exponential backoff after RFC 6298 ("Computing TCP's
-Retransmission Timer"), is for a pair whose copy may be the destination's
-only path to the block: every pair of a block the agent created, and
-every TL pair.  It is sent:
+EAGER is for a pair whose copy may be the destination's only path to the
+block: every pair of a block the agent created, and every TL pair.  It is
+sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
   or on the agent's own command, in a round or not;
-* then at +3 and +7 ticks: the gap starts at FIRST_GAP and doubles;
-* then every MAX_GAP ticks until the destination is known to hold it.
+* then FIRST_GAP (3) ticks later;
+* then every MAX_GAP (4) ticks until the destination is known to hold it.
+
+RFC 6298 ("Computing TCP's Retransmission Timer") doubles the gap after
+each send up to a cap.  With these constants the cap binds at the first
+backoff, since twice FIRST_GAP exceeds MAX_GAP, so every gap after the
+first is MAX_GAP.
 
 The three copies up front cost nothing over the schedule they replace
 (first offer, the same tick's round, then +1, +3, +7): no ack, claim or
@@ -92,10 +96,17 @@ Groups of up to RACING_RELAYS + 2 members are unchanged, since every
 relay races there.  With a fixed number of racers p95 no longer falls as
 the group grows: see ROADMAP item 6 for the ladder.
 
-The schedule is read on every `take` of a pair that is not yet COVERED
-or LAZY (one that is stays so), so an ack that shows the creator now
-covers a BACKSTOP or HELD pair makes it COVERED or LAZY; a HELD pair
-that does so before its first send goes out only on a repair.
+A pair's entry holds only its due tick and its schedule; two renamings
+carry the rest.  HELD and LAZY mean "not sent yet": a HELD pair's first
+send makes it BACKSTOP, a LAZY pair's makes it COVERED, and neither
+first send counts as a resend.  And an ack that shows the creator now
+covers a BACKSTOP pair makes it COVERED, and a HELD one LAZY, so a HELD
+pair covered before its first send goes out only on a repair.  That is
+the one re-read: `take` asks for the schedule of a BACKSTOP or HELD pair
+on every call until the answer is COVERED or LAZY, and of any other pair
+only on its first offer.  Whether the agent created the block never
+changes, and what the creator is known to hold only grows, so an EAGER,
+COVERED or LAZY pair keeps its schedule.
 
 So a run is quiescent only when every pair is held, COVERED or LAZY:
 what a correct agent owes a member, the member holds.  The exception is
@@ -141,12 +152,12 @@ address starts over with a fresh entry there.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
 
 # An EAGER first offer sends this many copies at once; the next is due
-# FIRST_GAP ticks later.
+# FIRST_GAP ticks later, and every MAX_GAP ticks after that.
 EAGER_COPIES = 3
 FIRST_GAP = 3
 MAX_GAP = 4
@@ -161,20 +172,27 @@ BACKSTOP = "backstop"
 HELD = "held"
 LAZY = "lazy"
 
+# The schedule a pair not sent yet takes on its first send.
+_FIRST_SEND = {HELD: BACKSTOP, LAZY: COVERED}
+# The schedule a BACKSTOP or HELD pair takes once the creator covers it.
+_ON_COVER = {BACKSTOP: COVERED, HELD: LAZY}
+
 Pair = tuple[NetAddress, BlockId]
 
 
 class Retransmit:
     """Send schedule per (destination address, block id).
 
-    `take` decides each candidate send on the schedule it names.  Outside
-    a round it passes only first offers.  Inside a round (`with
-    schedule.round():`) it passes every pair that is due, and backs off
-    its timer; the pairs the round asked about are exactly the pairs
-    still outstanding, and when the round ends every other entry is
-    dropped.  Bound: the table holds the pairs outstanding at the last
-    round plus those first offered since, one entry each; the repair
-    marks hold the addresses acks came from since the last round.
+    `take` decides each candidate send on the pair's schedule.  Outside a
+    round it passes only first offers.  Inside a round (`with
+    schedule.round():`) it passes every pair that is due, and rearms its
+    timer.  A round moves the table aside, and each `take` moves the pair
+    it asks about back, so the pairs the round asked about are exactly
+    the pairs still outstanding; when the round ends every other entry is
+    dropped.  So `armed()` is read only between rounds.  Bound: the table
+    holds the pairs outstanding at the last round plus those first offered
+    since, one entry each; the repair marks hold the addresses acks came
+    from since the last round.
     """
 
     def __init__(self, metrics):
@@ -182,18 +200,16 @@ class Retransmit:
         # same block to the same destination.
         self._metrics = metrics
         self.now = 0
-        # pair -> (tick the next send is due, gap after that send, schedule).
-        # A HELD or LAZY pair records gap 0 until its first send; every
-        # other gap is REPAIR_AFTER or, for EAGER, at least FIRST_GAP, so a
-        # gap of 0 means "not sent yet" and its send is no resend.
-        self._pairs: dict[Pair, tuple[int, int, str]] = {}
+        # pair -> (tick the next send is due, schedule)
+        self._pairs: dict[Pair, tuple[int, str]] = {}
+        # the table as the current round found it; None between rounds
+        self._before: Optional[dict[Pair, tuple[int, str]]] = None
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
-        self._live: Optional[set[Pair]] = None
 
     def armed(self) -> int:
         """Timers still running: the pairs neither COVERED nor LAZY."""
-        return sum(entry[2] not in (COVERED, LAZY) for entry in self._pairs.values())
+        return sum(entry[1] not in (COVERED, LAZY) for entry in self._pairs.values())
 
     def mark_repair(self, dest: NetAddress) -> None:
         """An ack came from `dest`: the next round may repair its COVERED
@@ -203,63 +219,43 @@ class Retransmit:
     @contextmanager
     def round(self) -> Iterator[None]:
         """One retransmission round; ends the agent's current tick."""
-        self._live = live = set()
+        self._before, self._pairs = self._pairs, {}
         try:
             yield
         finally:
-            pairs = self._pairs
-            self._pairs = {pair: pairs[pair] for pair in live if pair in pairs}
+            self._before = None
             self._repair = set()
-            self._live = None
             self.now += 1
 
-    def take(
-        self,
-        dest: NetAddress,
-        block_id: BlockId,
-        schedule: Union[str, Callable[[], str]] = EAGER,
-    ) -> int:
-        """How many copies of the block to send to `dest` now, on
-        `schedule`: 0, 1, or EAGER_COPIES for an EAGER first offer.  Arms
-        or backs off its timer when it sends.
-
-        `schedule` is the schedule's name, or a function that gives it,
-        called only when the pair could send: a COVERED or LAZY pair stays
-        so (what the creator is known to hold only grows), so one that is
-        not due, or has no repair mark, is decided without it."""
+    def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
+        """How many copies of the block to send to `dest` now: 0, 1, or
+        EAGER_COPIES for an EAGER first offer.  Rearms the pair's timer
+        when it sends.  `schedule` gives the pair's schedule; it is called
+        on the first offer, and after that only while the pair is BACKSTOP
+        or HELD."""
         pair = (dest, block_id)
-        live = self._live
-        if live is not None:
-            live.add(pair)
-        entry = self._pairs.get(pair)
-        if entry is not None and entry[2] in (COVERED, LAZY):
-            if live is None or entry[0] > self.now or dest not in self._repair:
-                return 0
-        if not isinstance(schedule, str):
-            schedule = schedule()
+        pairs, before, now = self._pairs, self._before, self.now
+        entry = pairs.get(pair)
+        if entry is None and before is not None and pair in before:
+            entry = pairs[pair] = before.pop(pair)
         if entry is None:
-            if schedule in (HELD, LAZY):
-                self._pairs[pair] = (self.now + REPAIR_AFTER, 0, schedule)
-                return 0
-            if schedule != EAGER:
-                self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
-                return 1
-            self._pairs[pair] = (self.now + FIRST_GAP, min(2 * FIRST_GAP, MAX_GAP), schedule)
-            self._metrics.resent += EAGER_COPIES - 1
-            return EAGER_COPIES
-        due, gap, _ = entry
-        if (
-            live is None
-            or due > self.now
-            or (schedule in (COVERED, LAZY) and dest not in self._repair)
-        ):
-            if entry[2] != schedule:
-                self._pairs[pair] = (due, gap, schedule)
+            name = schedule()
+            if name == EAGER:
+                pairs[pair] = (now + FIRST_GAP, EAGER)
+                self._metrics.resent += EAGER_COPIES - 1
+                return EAGER_COPIES
+            pairs[pair] = (now + REPAIR_AFTER, name)
+            return 0 if name in _FIRST_SEND else 1
+        due, name = entry
+        if name in _ON_COVER and schedule() in (COVERED, LAZY):
+            name = _ON_COVER[name]
+            pairs[pair] = (due, name)
+        if before is None or due > now or (name in (COVERED, LAZY) and dest not in self._repair):
             return 0
-        if schedule == EAGER:
-            self._pairs[pair] = (self.now + gap, min(2 * gap, MAX_GAP), schedule)
+        if name == EAGER:
+            pairs[pair] = (now + MAX_GAP, EAGER)
         else:
-            self._pairs[pair] = (self.now + REPAIR_AFTER, REPAIR_AFTER, schedule)
-        if gap:
+            pairs[pair] = (now + REPAIR_AFTER, _FIRST_SEND.get(name, name))
+        if name not in _FIRST_SEND:
             self._metrics.resent += 1
         return 1

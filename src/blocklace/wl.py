@@ -56,11 +56,6 @@ class WlMetrics(AgentMetrics):
     dropped_structure: int = 0
 
 
-@dataclass
-class WlConfig:
-    encrypt: bool = True
-
-
 # --- pure helpers (the protocol's predicates, evaluated from a blocklace) ----
 
 
@@ -132,8 +127,10 @@ def partition_violations(lace: Blocklace) -> list[str]:
 
 
 class WlAgent(Agent):
-    def __init__(self, kp: Keypair, address: NetAddress, config: WlConfig | None = None):
-        self.config = config or WlConfig()
+    def __init__(self, kp: Keypair, address: NetAddress, encrypt: bool = True):
+        # Whether utterances are sealed with the group key; `wl_privacy`'s
+        # control run sends them in clear.
+        self.encrypt = encrypt
         super().__init__(kp, address, WlMetrics())
         # A peer holds the closures of its own blocks (credited by
         # `_index`), of the ids its acks named and of the blocks it sent here.
@@ -190,7 +187,7 @@ class WlAgent(Agent):
             key=lambda blk: (self.lace.closure_size(blk.id), blk.id.digest),
         ):
             if isinstance(blk.payload, (Say, Respond)):
-                text, ok = open_utterance(key, blk, self.config.encrypt)
+                text, ok = open_utterance(key, blk, self.encrypt)
                 entries.append((blk.creator, text, ok))
         return entries
 
@@ -235,7 +232,7 @@ class WlAgent(Agent):
 
     def say_group(self, gid: GroupId, text: bytes) -> list[Send]:
         self._require_member(gid)
-        payload = Say(seal_utterance(self.group_keys[gid], self.kp, text, self.config.encrypt))
+        payload = Say(seal_utterance(self.group_keys[gid], self.kp, text, self.encrypt))
         self._utter(payload, self.partition_tips(gid))
         return self.disseminate()
 
@@ -250,7 +247,7 @@ class WlAgent(Agent):
             raise ProtocolError("referent belongs to no group")
         self._require_member(gid)
         payload = Respond(
-            seal_utterance(self.group_keys[gid], self.kp, text, self.config.encrypt), re
+            seal_utterance(self.group_keys[gid], self.kp, text, self.encrypt), re
         )
         self._utter(payload, self.partition_tips(gid))
         return self.disseminate()

@@ -16,7 +16,7 @@ from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
 from blocklace.tl import TlAgent
-from blocklace.wl import WlAgent, WlConfig
+from blocklace.wl import WlAgent
 
 KP = [crypto.keygen(f"peers-{i}") for i in range(4)]
 
@@ -328,7 +328,7 @@ def test_stranger_chain_costs_linear_self_mask_calls(monkeypatch):
 
 
 def test_wl_credit_is_the_whole_closure():
-    f = WlAgent(KP[0], "w0/0", WlConfig())
+    f = WlAgent(KP[0], "w0/0", encrypt=True)
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.say_group(gid, b"one")

@@ -33,31 +33,47 @@ BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
 OTHER = b.new_block(KP[0], "r0/0", b.Say(b"y"), ()).id
 
 
+class Asked:
+    """A schedule function that gives `name` and counts its calls."""
+
+    def __init__(self, name):
+        self.name = name
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.name
+
+
 def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
-    """Run `rounds` rounds asking about every pair on `schedule`, each
-    after acks from the `marked` addresses; returns, per pair, the tick of
-    each copy the round sent."""
+    """Run `rounds` rounds asking about every pair on `schedule` (a name,
+    or an `Asked`), each after acks from the `marked` addresses; returns,
+    per pair, the tick of each copy the round sent."""
+    ask = schedule if isinstance(schedule, Asked) else lambda: schedule
     sent = {pair: [] for pair in pairs}
     for _ in range(rounds):
         for dest in marked:
             rtx.mark_repair(dest)
         with rtx.round():
             for dest, block_id in pairs:
-                sent[(dest, block_id)] += [rtx.now] * rtx.take(dest, block_id, schedule)
+                sent[(dest, block_id)] += [rtx.now] * rtx.take(dest, block_id, ask)
     return sent
 
 
 def test_first_offer_sends_three_copies_then_backoff_capped():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK) == EAGER_COPIES == 3  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK) == 0  # no repeat before it is due
-    sent = round_sends(rtx, [("p/0", BLOCK)], 24)
+    eager = Asked(EAGER)
+    assert rtx.take("p/0", BLOCK, eager) == EAGER_COPIES == 3  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, eager) == 0  # no repeat before it is due
+    sent = round_sends(rtx, [("p/0", BLOCK)], 24, eager)
     # Nothing in the same tick's round: +3, +7, then every MAX_GAP ticks.
     assert sent[("p/0", BLOCK)] == [3, 7, 11, 15, 19, 23]
     assert FIRST_GAP == 3 and MAX_GAP == 4
     # Every copy after the first counts.
     assert metrics.resent == 2 + 6
+    # An EAGER pair keeps its schedule: it is asked for on the first offer only.
+    assert eager.calls == 1
 
 
 def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
@@ -74,8 +90,8 @@ def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
 def test_backup_pair_sent_once_then_every_backup_gap():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, COVERED) == 1  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK, COVERED) == 0
+    assert rtx.take("p/0", BLOCK, lambda: COVERED) == 1  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, lambda: COVERED) == 0
     sent = round_sends(rtx, [("p/0", BLOCK)], 10, COVERED)
     # No same-round copy, and without an ack from p no resend at all.
     assert sent[("p/0", BLOCK)] == []
@@ -102,7 +118,7 @@ def test_backup_pair_first_offered_in_a_round():
 def test_relay_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, COVERED)
+    rtx.take("p/0", BLOCK, lambda: COVERED)
     # Acks from another address do not repair p's pairs.
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["q/0"])
     assert sent[("p/0", BLOCK)] == []
@@ -112,7 +128,7 @@ def test_relay_pair_silent_without_a_repair_mark():
 def test_marked_relay_pair_resent_only_after_repair_after():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, COVERED)
+    rtx.take("p/0", BLOCK, lambda: COVERED)
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     assert REPAIR_AFTER == 11
@@ -120,7 +136,7 @@ def test_marked_relay_pair_resent_only_after_repair_after():
     # A mark lasts one round: an ack before an early round repairs nothing
     # later.
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, COVERED)
+    rtx.take("p/0", BLOCK, lambda: COVERED)
     round_sends(rtx, [("p/0", BLOCK)], 1, COVERED, marked=["p/0"])
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
     assert sent[("p/0", BLOCK)] == []
@@ -128,20 +144,20 @@ def test_marked_relay_pair_resent_only_after_repair_after():
 
 def test_relay_pairs_armed_only_on_a_backstop():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, COVERED)
+    rtx.take("p/0", BLOCK, lambda: COVERED)
     round_sends(rtx, [("p/0", BLOCK), ("q/0", BLOCK)], 15, COVERED, marked=["p/0"])
     assert rtx.armed() == 0
-    rtx.take("p/0", OTHER)
+    rtx.take("p/0", OTHER, lambda: EAGER)
     assert rtx.armed() == 1
-    rtx.take("q/0", OTHER, BACKSTOP)
+    rtx.take("q/0", OTHER, lambda: BACKSTOP)
     assert rtx.armed() == 2
 
 
 def test_backstop_pair_resent_every_repair_after_until_held():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, BACKSTOP) == 1
-    assert rtx.take("p/0", BLOCK, BACKSTOP) == 0
+    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP) == 1
+    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP) == 0
     # No same-round copy; resent without any ack, REPAIR_AFTER ticks apart.
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, BACKSTOP)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
@@ -158,12 +174,23 @@ def test_backstop_pair_resent_every_repair_after_until_held():
 def test_backstop_left_once_another_path_covers_the_pair():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, BACKSTOP)
-    round_sends(rtx, [("p/0", BLOCK)], 5, BACKSTOP)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
+    backstop = Asked(BACKSTOP)
+    rtx.take("p/0", BLOCK, backstop)
+    round_sends(rtx, [("p/0", BLOCK)], 5, backstop)
+    # Asked for on every take while on its backstop...
+    assert backstop.calls == 6
+    backstop.name = COVERED
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, backstop)
     assert sent[("p/0", BLOCK)] == []
     assert rtx.armed() == 0
     assert metrics.resent == 0
+    # ...and never again once covered.
+    assert backstop.calls == 7
+    # A repair resends the copy sent at tick 0.
+    sent = round_sends(rtx, [("p/0", BLOCK)], 1, backstop, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [35]
+    assert metrics.resent == 1
+    assert backstop.calls == 7
 
 
 # A HELD pair is a backstop pair whose first offer is recorded as if sent,
@@ -173,8 +200,8 @@ def test_backstop_left_once_another_path_covers_the_pair():
 def test_held_first_offer_not_sent_outside_a_round():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert not rtx.take("p/0", BLOCK, HELD)
-    assert not rtx.take("p/0", BLOCK, HELD)
+    assert not rtx.take("p/0", BLOCK, lambda: HELD)
+    assert not rtx.take("p/0", BLOCK, lambda: HELD)
     assert rtx.armed() == 1
     # Nor in a round before REPAIR_AFTER ticks have passed.
     sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
@@ -185,7 +212,7 @@ def test_held_first_offer_not_sent_outside_a_round():
 def test_held_pair_sent_repair_after_later_while_on_its_backstop():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, HELD)
+    rtx.take("p/0", BLOCK, lambda: HELD)
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, HELD)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     # The first send repeats no earlier one.
@@ -193,7 +220,7 @@ def test_held_pair_sent_repair_after_later_while_on_its_backstop():
     # First offered in a round, it is held there too.
     rtx = Retransmit(AgentMetrics())
     with rtx.round():
-        assert not rtx.take("p/0", BLOCK, HELD)
+        assert not rtx.take("p/0", BLOCK, lambda: HELD)
     sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
 
@@ -201,16 +228,20 @@ def test_held_pair_sent_repair_after_later_while_on_its_backstop():
 def test_held_pair_dropped_once_covered():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, HELD)
-    round_sends(rtx, [("p/0", BLOCK)], 5, HELD)
+    held = Asked(HELD)
+    rtx.take("p/0", BLOCK, held)
+    round_sends(rtx, [("p/0", BLOCK)], 5, held)
+    assert held.calls == 6
     # Covered before its first send: the creator's eager timer owns it.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
+    held.name = COVERED
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, held)
     assert sent[("p/0", BLOCK)] == []
     assert rtx.armed() == 0
     # A repair mark can still bring it back, as for any covered pair.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 1, COVERED, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 1, held, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [35]
     assert metrics.resent == 0
+    assert held.calls == 7
 
 
 # A LAZY pair is a COVERED one whose first offer is recorded but not sent:
@@ -219,17 +250,17 @@ def test_held_pair_dropped_once_covered():
 
 def test_lazy_first_offer_not_sent_and_not_armed():
     rtx = Retransmit(AgentMetrics())
-    assert not rtx.take("p/0", BLOCK, LAZY)
-    assert not rtx.take("p/0", BLOCK, LAZY)
+    assert not rtx.take("p/0", BLOCK, lambda: LAZY)
+    assert not rtx.take("p/0", BLOCK, lambda: LAZY)
     with rtx.round():
-        assert not rtx.take("p/0", OTHER, LAZY)
+        assert not rtx.take("p/0", OTHER, lambda: LAZY)
     assert rtx.armed() == 0
 
 
 def test_lazy_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, LAZY)
+    rtx.take("p/0", BLOCK, lambda: LAZY)
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["q/0"])
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
@@ -238,7 +269,7 @@ def test_lazy_pair_silent_without_a_repair_mark():
 def test_lazy_pair_repaired_only_after_repair_after():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, LAZY)
+    rtx.take("p/0", BLOCK, lambda: LAZY)
     sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER + 1, LAZY, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
     # The first send repeats no earlier one.
@@ -251,7 +282,7 @@ def test_lazy_pair_repaired_only_after_repair_after():
 def test_backstop_pair_turned_lazy_resent_only_on_repair():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, BACKSTOP)
+    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP)
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY)
     assert sent[("p/0", BLOCK)] == []
     assert rtx.armed() == 0
@@ -262,13 +293,13 @@ def test_backstop_pair_turned_lazy_resent_only_on_repair():
 
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, COVERED)
-    rtx.take("p/0", OTHER, COVERED)
+    rtx.take("p/0", BLOCK, lambda: COVERED)
+    rtx.take("p/0", OTHER, lambda: COVERED)
     round_sends(rtx, [("p/0", OTHER)], 1, COVERED)
-    assert not rtx.take("p/0", OTHER, COVERED)  # still outstanding
-    assert rtx.take("p/0", BLOCK, COVERED)  # pruned: a first offer again
+    assert not rtx.take("p/0", OTHER, lambda: COVERED)  # still outstanding
+    assert rtx.take("p/0", BLOCK, lambda: COVERED)  # pruned: a first offer again
     round_sends(rtx, [], 1)
-    assert rtx.take("p/0", OTHER, COVERED)
+    assert rtx.take("p/0", OTHER, lambda: COVERED)
 
 
 def test_rebound_address_gets_a_fresh_timer():
@@ -281,14 +312,14 @@ def test_rebound_address_gets_a_fresh_timer():
 
 def test_round_prunes_to_the_pairs_it_asked_about():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK)
-    rtx.take("p/0", OTHER)
-    rtx.take("q/0", BLOCK)
+    rtx.take("p/0", BLOCK, lambda: EAGER)
+    rtx.take("p/0", OTHER, lambda: EAGER)
+    rtx.take("q/0", BLOCK, lambda: EAGER)
     assert rtx.armed() == 3
     round_sends(rtx, [("p/0", OTHER)], 1)
     assert rtx.armed() == 1
-    assert not rtx.take("p/0", OTHER)  # still armed, outside a round
-    assert rtx.take("p/0", BLOCK)  # pruned: a first offer again
+    assert not rtx.take("p/0", OTHER, lambda: EAGER)  # still armed, outside a round
+    assert rtx.take("p/0", BLOCK, lambda: EAGER)  # pruned: a first offer again
     round_sends(rtx, [], 1)
     assert rtx.armed() == 0
 

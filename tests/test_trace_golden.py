@@ -9,7 +9,9 @@ of the same runs (ids spelled out as hex) and `GOLDEN_SHA256` the v1 bytes
 (repeated payloads spelled out too): expanding each v3 trace to v2 and on
 to v1 must reproduce them.  So a change to the encoding alone moves only
 the table of its own version, while a change to what the agents send
-moves all three."""
+moves all three.  `GOLDEN_METRICS_SHA256` pins each run's per-agent
+counters (`Runner.metrics_report`), which the trace does not show, such
+as `resent`."""
 
 import hashlib
 import json
@@ -75,6 +77,27 @@ GOLDEN_V2_SHA256 = {
     "wl_partitions": "35c7187a2ce8187e970c3a1e54a5da526d594fd1ae5328bd086d36d992a95ecb",
     "wl_founder_moves": "054801095e33155d1a4010bcb0c6adf8793c8f3c2760b610be73105985b04f38",
     "wl_founder_quits": "024e0fe7d5e4e44e6571af5c9ee2376f01f710f7ffa58b8cf4516ce9e2e200da",
+}
+
+# sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
+# same runs.
+GOLDEN_METRICS_SHA256 = {
+    "tl_line": "9105aa298f4579d29ea581378ff9ef7f7db3583e2a77d9369e79eb6e9b73e678",
+    "tl_star": "20df325407a42509bb37db01c3586467521430744a6b3d52a8a1372693d4ee25",
+    "tl_ring": "217a878e5d1e351af3d9d2125b30d8db42ac34b8fc66bc575944eef8f79816d2",
+    "tl_line_broken": "5f3758d4bf9ad1ace8cafd309ba8c4505e61c8e8dfbc5e74f8001b3c0f952878",
+    "tl_churn": "ddcd7834cd6490136b8122181c045d53897090ffbe0039d96fb880b909126486",
+    "tl_forgery": "85c98b97b5f1318c21f6c8598e7c5698bde0deb3883457c1cbf53b6c1dd8217a",
+    "wl_group": "4b0a0e3eefb62eb7c2968e9a0b17c35680e88fca9a142555c0d6bda34048a5be",
+    "wl_crowd": "68db00045e62fb784620d62fdb913a7e52b4001c31e01857de0491d45bc20d3d",
+    "wl_dropper": "f60d405986f1577a3213125812a5a06e74748e6b4c429f2e81d2376ac3246c31",
+    "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
+    "wl_churn": "95e5a2f683f8fb9155fcfd58279145f7d9c856d669bd46b48e888b4be9dff99f",
+    "wl_equivocation": "e12d7a8b0edf4557787853791174ad88e72e7e064556894fb6c07a066db1a4f3",
+    "wl_privacy": "546f90e6f7645d7a73274e19f3f7839e3d9566342092902034b750e0ae88c720",
+    "wl_partitions": "cda55366b2cea521a1f7eac6f6b49dd6fac94f286ea1ef4781fd0803595bd13d",
+    "wl_founder_moves": "dd95c162ed74b19fdb515e46d55cc46474dad7fcec28b1e7e58561dd2c35765f",
+    "wl_founder_quits": "5194a165e7a6064c3f32ee8cf1862fe5c254616d58bc380b4fac541882abc5fe",
 }
 
 
@@ -158,6 +181,7 @@ def test_golden_covers_every_canned_scenario():
         set(GOLDEN_SHA256)
         == set(GOLDEN_V2_SHA256)
         == set(GOLDEN_V3_SHA256)
+        == set(GOLDEN_METRICS_SHA256)
         == set(canned.CANNED)
     )
 
@@ -171,6 +195,8 @@ def test_trace_bytes_unchanged(name):
     v2_text = to_v2(text)
     assert _sha256(v2_text) == GOLDEN_V2_SHA256[name]
     assert _sha256(to_v1(v2_text)) == GOLDEN_SHA256[name]
+    metrics = json.dumps(runner.metrics_report(), sort_keys=True)
+    assert _sha256(metrics) == GOLDEN_METRICS_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])

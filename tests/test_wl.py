@@ -12,7 +12,6 @@ from blocklace.peers import PARKED_CAP, ProtocolError
 from blocklace.retransmit import EAGER_COPIES, FIRST_GAP, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
-    WlConfig,
     compute_member,
     group_partition,
     is_genesis,
@@ -23,8 +22,8 @@ from blocklace.wl import (
 KP = [crypto.keygen(f"wl-{i}") for i in range(6)]
 
 
-def agent(i, **cfg):
-    return WlAgent(KP[i], f"w{i}/0", WlConfig(**cfg) if cfg else None)
+def agent(i, encrypt=True):
+    return WlAgent(KP[i], f"w{i}/0", encrypt=encrypt)
 
 
 def pump(agents, sends, src_agent):
