@@ -8,7 +8,7 @@ is fixed when it is made; each agent supplies only its credit rule.
 agents this one talks to, and which of them sits at a delivering
 address), the gate that drops strangers' acks, the credit a delivered
 copy earns the contacts at its address, the bounded pending buffer, the
-receive -> ack -> forward pipeline with its per-tick ack dedup, the send
+receive -> ack -> forward pipeline with its ack holdoff, the send
 loop (`disseminate`) and the retransmission round.  A subclass fills in
 `_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
 `_ack_pointers`, `_nack_pointers` and `_wanted`, which says who may
@@ -25,7 +25,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
-from .retransmit import EAGER, Retransmit
+from .retransmit import ACK_HOLDOFF, EAGER, Retransmit
 
 Send = tuple[NetAddress, Block]
 
@@ -163,10 +163,11 @@ class Agent:
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._decoder = WireDecoder()
-        # (destination, ack id) of every ack sent since the last tick: a
-        # byte-identical ack goes to a destination at most once per tick.
-        # Bound: the acks sent in one tick.
-        self._acked: set[tuple[NetAddress, BlockId]] = set()
+        # (destination, ack id) -> the tick (`retransmit.now`) the ack last
+        # went there: a byte-identical ack goes to a destination at most
+        # once in ACK_HOLDOFF ticks.  Bound: the acks sent in the last
+        # ACK_HOLDOFF ticks.
+        self._acked: dict[tuple[NetAddress, BlockId], int] = {}
 
     # --- shared queries ------------------------------------------------------
 
@@ -195,15 +196,19 @@ class Agent:
 
         An ack exists to stop the deliverer's retransmission timer, so
         each block that lands is acknowledged to the delivering address
-        (its creator's address when none is known), and a duplicate is
-        acknowledged again, unless `_ack_pointers` gives None: in WL, a
-        relay's copy that no timer waits on.  A block parked in the pending
-        buffer is acknowledged to its deliverer only when `_nack_pointers`
-        gives pointers: a nack, whose pointers show the deliverer which
-        ancestors are missing here.  A copy earns the contacts at the
-        delivering address credit (`_credit_delivery`); an ack counts only
-        from a contact.  Only the blocks that just landed are forwarded;
-        the rest of the backlog waits for the next `tick`.
+        (its creator's address when none is known), unless `_ack_pointers`
+        gives None: in WL, a relay's copy that no timer waits on.  A
+        duplicate is acknowledged again, but an ack byte-identical to one
+        sent to the same address in the last ACK_HOLDOFF ticks is held
+        back (`_ack`): the copies of one burst draw one ack, and a later
+        resend a fresh one.  A block parked in the pending buffer is
+        acknowledged to its deliverer only when `_nack_pointers` gives
+        pointers: a nack, whose pointers show the deliverer which
+        ancestors are missing here, held back like any ack.  A copy earns
+        the contacts at the delivering address credit
+        (`_credit_delivery`); an ack counts only from a contact.  Only the
+        blocks that just landed are forwarded; the rest of the backlog
+        waits for the next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -257,13 +262,15 @@ class Agent:
         self, dest: Optional[NetAddress], pointers: frozenset[BlockId], sends: list[Send]
     ) -> bool:
         """Append an ack with these pointers for `dest` to `sends`, unless
-        the same ack already went there this tick."""
+        the same ack went there within the last ACK_HOLDOFF ticks."""
         if dest is None or dest == self.current_address:
             return False
         ack = b.new_block(self.kp, self.current_address, Ack(), pointers)
-        if (dest, ack.id) in self._acked:
+        key = (dest, ack.id)
+        # `tick` keeps only the acks whose holdoff still runs.
+        if key in self._acked:
             return False
-        self._acked.add((dest, ack.id))
+        self._acked[key] = self.retransmit.now
         self.metrics.acks_sent += 1
         sends.append((dest, ack))
         return True
@@ -320,10 +327,12 @@ class Agent:
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose
         timer is due, plus first offers of blocks newly needed; it ends
-        this agent's tick and the ack dedup window."""
-        self._acked.clear()
+        this agent's tick, and forgets the acks whose holdoff is over."""
         with self.retransmit.round():
-            return self.disseminate()
+            sends = self.disseminate()
+        now = self.retransmit.now
+        self._acked = {key: sent for key, sent in self._acked.items() if now - sent < ACK_HOLDOFF}
+        return sends
 
     # --- integration -----------------------------------------------------------
 

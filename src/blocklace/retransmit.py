@@ -13,28 +13,44 @@ sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
   or on the agent's own command, in a round or not;
-* then FIRST_GAP (3) ticks later;
-* then every MAX_GAP (4) ticks until the destination is known to hold it.
+* then every GAP (4) ticks until the destination is known to hold it.
 
-RFC 6298 ("Computing TCP's Retransmission Timer") doubles the gap after
-each send up to a cap.  With these constants the cap binds at the first
-backoff, since twice FIRST_GAP exceeds MAX_GAP, so every gap after the
-first is MAX_GAP.
+The copies up front cost nothing over a first resend one tick after the
+offer: no ack, claim or peer copy can come back within 2 ticks, since
+every delay is at least 1 tick each way, so that copy always went out.
+Loss and delay are drawn per copy, so at 30% loss all three are lost
+2.7% of the time, below the 5% that the 95th-percentile delivery time
+reads.  That closes the loss tail at the creator, which lets most relays
+hold their copies back (COVERED and LAZY, below).
 
-The three copies up front cost nothing over the schedule they replace
-(first offer, the same tick's round, then +1, +3, +7): no ack, claim or
-peer copy can come back within 2 ticks, since every delay is at least 1
-tick each way, so that +1 copy always went out.  An offer outside a round
-now sends the same datagrams, only sooner; one in a round sends one copy
-more.  Loss and delay are drawn per copy, so at 30% loss all three are
-lost 2.7% of the time, below the 5% that the 95th-percentile delivery
-time reads.  That closes the loss tail at the creator, which lets most
-relays hold their copies back (COVERED and LAZY, below).
+One GAP, not an RTO.  The estimator of RFC 6298 (Paxson et al.,
+"Computing TCP's Retransmission Timer") gives an RTO of about 11 ticks
+at the default delay of 1-5 ticks each way; as the gap, 11 raised the
+95th-percentile delivery time on a 5-agent line (`tl_feed`, seeds 1-4,
+medians) from 12.1 to 20.8 ticks (+72%).  A longer wait between tries
+costs quiescence too: in a 12-member group at 30% loss, doubling the
+gap after each send up to 16 saved under 0.3% of the datagrams but
+delayed quiescence by up to 38 ticks (170 instead of 132).
 
-The cap bounds how long a pair whose copies or acks were all lost waits
-for its next try: in a 12-member group at 30% loss, a cap of 16 instead
-of 4 saved under 0.3% of the datagrams but delayed quiescence by up to
-38 ticks (170 instead of 132).
+Ack holdoff.  Each copy that lands draws an ack, and the copies of one
+EAGER burst land in different ticks, so one burst drew up to three
+identical acks.  So an agent sends a byte-identical ack to the same
+address at most once in ACK_HOLDOFF (3) ticks (`peers.Agent._ack`), and
+nacks follow the same rule.  The holdoff only delays a repeat, never
+stops one: with ACK_HOLDOFF < GAP, a resend that arrives with the same
+delay as the copy before it finds the holdoff over and draws a fresh
+ack, so a sender whose acks were all lost still gets one.  On the line
+above (seed 1), repeated acks fell from 1,749 to 628 while the resends
+stayed about the same (creator 966 to 984, relay 2,739 to 2,712): the
+acks held off were not the ones that stop timers.  Seeds 1-8, medians,
+against a first gap of 3, then 4, and no holdoff (7,881 datagrams on
+the line, p95 11.95 ticks, and a 12-member group at 30% loss, `wl_wide`,
+quiescent at tick 131):
+* holdoff 3: -11.4% datagrams, p95 11.88, quiescence 137.5;
+* holdoff 3 and GAP 4 (these constants): -15.3%, p95 11.98, 137.5;
+* GAP 5: -11.4%, p95 12.06, 132.5;
+* holdoff 3 and GAP 5: -20.9%, p95 12.56, 139;
+* holdoff 4 and GAP 5: -22.8%, p95 13.18, 144 (+9.9%).
 
 The other four are for a WL copy of a block this agent did not create,
 where the creator sends it too.  Each sends at most one copy at a time,
@@ -156,11 +172,13 @@ from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
 
-# An EAGER first offer sends this many copies at once; the next is due
-# FIRST_GAP ticks later, and every MAX_GAP ticks after that.
+# An EAGER first offer sends this many copies at once; the next is due GAP
+# ticks later, and every GAP ticks after that.
 EAGER_COPIES = 3
-FIRST_GAP = 3
-MAX_GAP = 4
+GAP = 4
+# An agent repeats a byte-identical ack to the same address only after this
+# many of its ticks.  Below GAP, so each timer resend draws a fresh ack.
+ACK_HOLDOFF = 3
 # Twice the largest delay of the default range (1-5 ticks), plus one.  With
 # longer delays a repair may go out while the first copy is still in
 # flight: an extra send, never a lost block.
@@ -241,7 +259,7 @@ class Retransmit:
         if entry is None:
             name = schedule()
             if name == EAGER:
-                pairs[pair] = (now + FIRST_GAP, EAGER)
+                pairs[pair] = (now + GAP, EAGER)
                 self._metrics.resent += EAGER_COPIES - 1
                 return EAGER_COPIES
             pairs[pair] = (now + REPAIR_AFTER, name)
@@ -253,7 +271,7 @@ class Retransmit:
         if before is None or due > now or (name in (COVERED, LAZY) and dest not in self._repair):
             return 0
         if name == EAGER:
-            pairs[pair] = (now + MAX_GAP, EAGER)
+            pairs[pair] = (now + GAP, EAGER)
         else:
             pairs[pair] = (now + REPAIR_AFTER, _FIRST_SEND.get(name, name))
         if name not in _FIRST_SEND:

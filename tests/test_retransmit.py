@@ -14,14 +14,14 @@ from blocklace.harness.runner import Runner, run_scenario
 from blocklace.harness.scenario import AgentSpec, Event
 from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
+    ACK_HOLDOFF,
     BACKSTOP,
     COVERED,
     EAGER,
     EAGER_COPIES,
-    FIRST_GAP,
+    GAP,
     HELD,
     LAZY,
-    MAX_GAP,
     REPAIR_AFTER,
     Retransmit,
 )
@@ -60,18 +60,22 @@ def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
     return sent
 
 
-def test_first_offer_sends_three_copies_then_backoff_capped():
+def test_first_offer_sends_three_copies_then_one_every_gap():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
     eager = Asked(EAGER)
     assert rtx.take("p/0", BLOCK, eager) == EAGER_COPIES == 3  # first offer, outside a round
     assert rtx.take("p/0", BLOCK, eager) == 0  # no repeat before it is due
     sent = round_sends(rtx, [("p/0", BLOCK)], 24, eager)
-    # Nothing in the same tick's round: +3, +7, then every MAX_GAP ticks.
-    assert sent[("p/0", BLOCK)] == [3, 7, 11, 15, 19, 23]
-    assert FIRST_GAP == 3 and MAX_GAP == 4
+    # Nothing in the same tick's round, then one copy every GAP ticks.
+    assert sent[("p/0", BLOCK)] == [4, 8, 12, 16, 20]
+    assert GAP == 4
+    # With equal delays each timer resend lands once the holdoff of the ack
+    # its previous copy drew is over, so it draws a fresh ack
+    # (`peers.Agent._ack`).
+    assert ACK_HOLDOFF < GAP
     # Every copy after the first counts.
-    assert metrics.resent == 2 + 6
+    assert metrics.resent == 2 + 5
     # An EAGER pair keeps its schedule: it is asked for on the first offer only.
     assert eager.calls == 1
 
@@ -79,8 +83,8 @@ def test_first_offer_sends_three_copies_then_backoff_capped():
 def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 12)
-    assert sent[("p/0", BLOCK)] == [0, 0, 0, 3, 7, 11]
+    sent = round_sends(rtx, [("p/0", BLOCK)], 13)
+    assert sent[("p/0", BLOCK)] == [0, 0, 0, GAP, 2 * GAP, 3 * GAP]
     assert metrics.resent == 5
 
 
@@ -304,10 +308,10 @@ def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
 
 def test_rebound_address_gets_a_fresh_timer():
     rtx = Retransmit(AgentMetrics())
-    round_sends(rtx, [("p/0", BLOCK)], 9)  # backed off to the cap
+    round_sends(rtx, [("p/0", BLOCK)], 10)  # resent at 4 and 8, due at 12
     start = rtx.now
-    sent = round_sends(rtx, [("p/1", BLOCK)], 8)
-    assert sent[("p/1", BLOCK)] == [start] * EAGER_COPIES + [start + 3, start + 7]
+    sent = round_sends(rtx, [("p/1", BLOCK)], 2 * GAP + 1)
+    assert sent[("p/1", BLOCK)] == [start] * EAGER_COPIES + [start + GAP, start + 2 * GAP]
 
 
 def test_round_prunes_to_the_pairs_it_asked_about():

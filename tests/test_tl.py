@@ -5,7 +5,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
-from blocklace.retransmit import EAGER_COPIES, FIRST_GAP
+from blocklace.retransmit import ACK_HOLDOFF, EAGER_COPIES, GAP
 from blocklace.tl import ProtocolError, TlAgent
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
@@ -112,16 +112,25 @@ def test_duplicate_receive_acks_again_without_growth():
     befriend(a, c)
     a.say(b"once")
     wire = encode_block(a.last_uttered)
-    c.receive(wire, src=a.current_address)
+    (ack,) = [blk for _, blk in c.receive(wire, src=a.current_address) if isinstance(blk.payload, b.Ack)]
     size = len(c.lace)
-    # The same ack goes to the same destination at most once per tick.
+    # The same ack goes to the same destination at most once in
+    # ACK_HOLDOFF ticks, and again once they have passed.
+    for _ in range(ACK_HOLDOFF):
+        sends = c.receive(wire, src=a.current_address)
+        assert len(c.lace) == size
+        assert not any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+        c.tick()
     sends = c.receive(wire, src=a.current_address)
     assert len(c.lace) == size
-    assert not any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+    assert [blk for _, blk in sends if isinstance(blk.payload, b.Ack)] == [ack]
+    # Only the acks of the last ACK_HOLDOFF ticks are kept.
+    repeated = c.retransmit.now
+    for _ in range(ACK_HOLDOFF - 1):
+        c.tick()
+    assert c._acked == {(a.current_address, ack.id): repeated}
     c.tick()
-    sends = c.receive(wire, src=a.current_address)
-    assert len(c.lace) == size
-    assert any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+    assert c._acked == {}
 
 
 def test_receive_forwards_only_landed_blocks():
@@ -137,15 +146,15 @@ def test_receive_forwards_only_landed_blocks():
     sends = c.receive(encode_block(news), src=a.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(d.current_address, news.id)] * EAGER_COPIES
-    # Both were first offered in this tick, so the rounds resend them
-    # FIRST_GAP ticks later.
+    # Both were first offered in this tick, so the rounds resend them GAP
+    # ticks later.
     owed = {
         (d.current_address, news.id),
         (a.current_address, backlog.id),
         (d.current_address, backlog.id),
     }
-    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(FIRST_GAP + 1)]
-    assert [sent & owed for sent in rounds] == [set()] * FIRST_GAP + [owed]
+    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(GAP + 1)]
+    assert [sent & owed for sent in rounds] == [set()] * GAP + [owed]
 
 
 def test_forged_blocks_dropped():
@@ -304,13 +313,13 @@ def test_offer_resent_until_acked():
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == offer.id for _, blk in a.tick())]
 
-    # EAGER_COPIES copies on the offer, then +3, +7 and every 4 ticks.
+    # EAGER_COPIES copies on the offer, then one every GAP ticks.
     assert [blk.id for _, blk in sends] == [offer.id] * EAGER_COPIES
-    assert resent_at(range(12)) == [3, 7, 11]
+    assert resent_at(range(3 * GAP)) == [GAP, 2 * GAP]
     sends = c.receive(encode_block(offer), src=a.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     a.receive(encode_block(ack), src=c.current_address)
-    assert resent_at(range(12, 24)) == []
+    assert resent_at(range(3 * GAP, 6 * GAP)) == []
     assert a.retransmit.armed() == 0
 
 
@@ -349,9 +358,9 @@ def test_change_address_announces():
     pump([a, c], sends, a)
     assert c.lace.ip_address(a.agent_id) == "t0/9"
     a.change_address("t0/10")  # every copy of the announcement is lost
-    for _ in range(FIRST_GAP):
+    for _ in range(GAP):
         assert a.tick() == []
-    pump([a, c], a.tick(), a)  # resent FIRST_GAP ticks after the offer
+    pump([a, c], a.tick(), a)  # resent GAP ticks after the offer
     assert c.lace.ip_address(a.agent_id) == "t0/10"
 
 

@@ -25,79 +25,79 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "c270ad31189d1f7286bfe094a90782a72796dc713560ba07f3bce29aa4126620",
-    "tl_star": "c681e6ec8871c9c8c65bb800d5eff8f549f0c3655c8f5405ef3cf3dd7486b020",
-    "tl_ring": "ccba0ad20fd7a31212956b99645fe67e2dfe4e891a78e5156973773a512518a3",
-    "tl_line_broken": "aa16458d8874bce3e689d4c5d06a8ab8d27777bee08c43c36afc709b19940def",
-    "tl_churn": "38cb396a71b82f8656539aef2a0962b8f0048fd60fd1dc2c55a92703a993afc4",
-    "tl_forgery": "859f88e094277e71446b41abb6a58f038b742fe381157650e3a60992d33ea16c",
-    "wl_group": "fcca30a961d60e1aec5a4cd5ac9d21496eaccb19d533377e4dbb80a65126a4aa",
-    "wl_crowd": "69fb4c2fed3b9e6f398f4883c3b8ff99663fcf060a0fcdaf52ce78a93d412a58",
-    "wl_dropper": "7b4530ba120c8146b5d03929fd0c3fba4f85d07a2e1fd68aa2b7fa480a5a1c8e",
+    "tl_line": "26d0f3e6a542da88530bb56488f7eab7410080d1e50e7075d60a99d1fd9fb2fc",
+    "tl_star": "16ff1e410b9e6173bddd79e10f480bd8e3e3b07751a2eaee842992345ff9e203",
+    "tl_ring": "f1cda44ecd23e9f3d0db9a8583998a7d02f73f662d1b487d14a9713483f3f201",
+    "tl_line_broken": "041ae13de0c42331ee9b5a7f9ffaa1cc710a3d963768963b3dd3bad988da5404",
+    "tl_churn": "330a6edc6ca4e7e3c4aa5b25fe6613541f300540811e9c58f4318477978928b7",
+    "tl_forgery": "49d8ec6aa915a6f8c4d3cc6ead4ba1fc4c433dec07e60b641cdb4d70934f0a46",
+    "wl_group": "5f42645e780b856034ccaa7d3bb7f7fb0274da7d377e1a011b0ad83d3c1255a2",
+    "wl_crowd": "d4a652092a627eeec0d1a7fec6281f9b0a04a4db9205cb2ba6cb0af57dca06fc",
+    "wl_dropper": "6fbc8d5ccd8a73209a5c5208fabfa2ac37e522292891a9f1955b69b9b1cdd578",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "6e47609c0e7cc33e4dd08af95762576cc2751808f31c123f03434a75cd720293",
-    "wl_equivocation": "e0b545decc55a4f0cb337fccf7710d57e3769bf4bfa251fb4f087ec549673e53",
-    "wl_privacy": "42b7fee3f564344c49413cbb3c97c441d65bb5f358ad860abda9c79716f7de5e",
-    "wl_partitions": "329ddb62867988a6cba575ae14ec298119cc505eeb4e8a2e7514011c3d8204f5",
-    "wl_founder_moves": "117d4430cbcd6204a88cc914a27ef505a2b4e7808c28f886166cc5582e0822bd",
-    "wl_founder_quits": "4453dcaac0ecda6f5b67814e9f77663c474d25f1ebef53a5ceb4b416c1d9b19f",
+    "wl_churn": "5169152fee4edb9f6b017492b6625ce217e9cb1c06d4a284f47fe8a7ccba80cc",
+    "wl_equivocation": "134383a7c114980f7e85e78cbaacc74503954d9f3b800cdaabe218af7124869f",
+    "wl_privacy": "c070e870c9629e52a8b26993ee7e0429f3249e28a79d8c0bc23332b4b111f464",
+    "wl_partitions": "40de39ff72e0b36a58b5fb1c1c6c5855dc2bc04ce69e62d0059488324857c6d4",
+    "wl_founder_moves": "f71af1acbbf4d8011c15d779db243eb5a4558f9e78349345e06ff6595b1aa24e",
+    "wl_founder_quits": "2a71398ae08499fd05df096cc3422a9a5ef53188e48383bf0f334298b2b7f3be",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "0194142b36fe1d83833cc883c581a6bc9ada4f117105492534a0610a41515238",
-    "tl_star": "80f93727062de1cd66b9417b6df7965d9ba228b13c19cd7afcfe3502c5735025",
-    "tl_ring": "c123c94529300ea9652fae8ef97bcd5a130aeac19b382e6e765022c250ee29bc",
-    "tl_line_broken": "14d4a5c02d2351f3a6a1392a9fb7eab7697c5055bfd6c650d0f2e533bf129525",
-    "tl_churn": "19c8023c74b381f3095acc5ecd9ee8ba3b2217381dc57e11e06c8ea415134b95",
-    "tl_forgery": "3cd6ada2377bd2016ab5d3c5fee54b5742887f654491c5204a93aed3abb4735f",
-    "wl_group": "04bb82d58ddc8206b914541979c421443c48b872f6799e2396e54540c5609e71",
-    "wl_crowd": "d84c5d5964b39b8d90ec6c3e5a69e2508d3b58b228346c71e4c9497caa7f7313",
-    "wl_dropper": "4257e1793a2f79febd55a6d99365ea739d70a34fbe6a0e5fffcf3141afd339e0",
+    "tl_line": "e5396e60aadb3936aa0e095e17f29017f89ec6295879b0f3ab375f9de445a8a9",
+    "tl_star": "f2c9a3725d31defa832958d342d9d2a348535fe4edbd238097e9ff74206bf66e",
+    "tl_ring": "681eeb59233faf2b9ac8e63ab3d6070d73db8ddc363606c7f18d0598b0059767",
+    "tl_line_broken": "943e15b2bac6b1de3198bfa5ad4319a13d2cf1ecc161b054837cdd42f9d4c0e2",
+    "tl_churn": "9408f4aa8abdd43d1ea7988d3028b07d918d2d437ccf4db9e85c42e618724c37",
+    "tl_forgery": "2cd37456303ddf72733e5a3e09cb5f856aee9589c30225cae1a0b54b0cbd3774",
+    "wl_group": "803bb93a89ad86d23390c7bec1464e7fef4e8f652f85ba8c6acf2955a3c8d41a",
+    "wl_crowd": "ebbbaa5c9f4207e61e5ebb7ebead402f9f14c8b726d166447aaff753eb4de8bf",
+    "wl_dropper": "7badd677d98350260aa2c0bbcdfc61e54c47d978ea063daf68f5e5b05fa2439a",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "067beedc50d7b392ab265c62a8aa7e23346806ee5c14b629e2234cceed6c2962",
-    "wl_equivocation": "1f88ea607a469181af39fa3eda4f57711ca72b39b400ebf9e80000c8374888e9",
-    "wl_privacy": "8ab84ba44c052b3f90abd7645311aa6a88a8c54612c70a45633277c5c2e08e8d",
-    "wl_partitions": "0fbd20661aff026b0539471fbc2f33255b9c68394267a63f9ebaa9fd5f0e2c92",
-    "wl_founder_moves": "e1aca5642c6d9f6b573b9af56248ac84d43856f549b8192a3b673885d71a499b",
-    "wl_founder_quits": "da3237634f151d8b9b21180adcc670728875d00d582ac59d691c1c99e7db1ba4",
+    "wl_churn": "64c50cc438e63cf6ea49c47af44e9229590372f9a59391462546b68dc096ea1e",
+    "wl_equivocation": "fdace14a28585f375f576b93e73928b77dbb7230338735c1e7f5a628707e62b1",
+    "wl_privacy": "0442869927350897dcd9ba155a3ec883c0f1194cef899eaed6c00178f3733c7d",
+    "wl_partitions": "1515ac2a318c72f92eec45b35a38c0b43cdd8249cbe44511da4430f543ebd281",
+    "wl_founder_moves": "4a6802f0e2563d6c6c07178e4b2df6219fd2ac147f499f5bd4ee29ad4fd713e8",
+    "wl_founder_quits": "6c8dc0d1d4350fbcda8588e47a8173e5d7088b36687b955adddb236359be85c0",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "c2deedb82e8e13b74eb84bf893735ec1cb8c2bb19502a196c5df653ca30cfe52",
-    "tl_star": "8020dafa0913fc12846920ea2ddf8fc691da658d8e47a806647d3042d6703f70",
-    "tl_ring": "985c334bd025ca8946d2d3b0d1f4d48721047f52edc11f30335e240b172c6f47",
-    "tl_line_broken": "e7087d74fb57da8c6d5b59d572d1b6b8167e5968437aeaa9eca5fc0ef730936d",
-    "tl_churn": "b9feceff2c38a80fb7f670a5e7c859e7a5c7991ec4557badcf3017c0d9fe7b27",
-    "tl_forgery": "4b4d6c4166afdab4c7eb72bee756187b4f8dfc2eb15a12f264adfad1fb2ad221",
-    "wl_group": "1dc89eb39276936cd681b9712e3c79ba8e19dce9271d7131f34f151d1d304607",
-    "wl_crowd": "cce304f43459795937cf1d2985fda358aff150f6330898dbb887dd25de59fac3",
-    "wl_dropper": "10d7a9bcec03d57dd1b3466a89680dae1d819e7ea0a9677dcc9f9b22aa312ceb",
+    "tl_line": "11410788e945205847240a37d2ac21c407c1eec751a30186a1b2c4a7e8dd813f",
+    "tl_star": "7727168270b4c1aa1cac480da0c0deae2665d24bb1040913d56a3fa1a72f90fe",
+    "tl_ring": "394b73123069e38301da7469ccaa81ea974293db19985b87cd3ea165152f1923",
+    "tl_line_broken": "2322fdd1edcb3a476ce9c0080172dc2fc8550a580bcb7fb8c1be804fe6a0f3d9",
+    "tl_churn": "fb80228119fa4f981a6bd55697e2fbb0622a58beaac40f2ef68a2de94132ae89",
+    "tl_forgery": "3fcd4d5d47a2d6e1e2f3f285f8311531960c77a6404d65c1a28273b83975dc32",
+    "wl_group": "262064aa05bc1efb87e6d00cd6eb7f1e024ccbd01da5cd0e602af9af372b3dc3",
+    "wl_crowd": "a5129e576322b595ee1d8012ced2655e8c0489620ec0faa4489d1cc5b0329bf7",
+    "wl_dropper": "30cb763f72357f8f78a783cade58eb12a6eddecabf13f28c93e9c890d6febc10",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "71b29f52b384bb368360f93ae327534b63f042a3668a56afed48c9e70b1190bf",
-    "wl_equivocation": "e03e9eea6dcd674eb3d71092c522587d6548376bb361ed6862b3c86370191804",
-    "wl_privacy": "52e7436e66ffe01a7bdfc35e94ba838c4a27e823410c20ed1f9b01b438fb6cdc",
-    "wl_partitions": "35c7187a2ce8187e970c3a1e54a5da526d594fd1ae5328bd086d36d992a95ecb",
-    "wl_founder_moves": "054801095e33155d1a4010bcb0c6adf8793c8f3c2760b610be73105985b04f38",
-    "wl_founder_quits": "024e0fe7d5e4e44e6571af5c9ee2376f01f710f7ffa58b8cf4516ce9e2e200da",
+    "wl_churn": "2518a10512b4065e1de07da31077fb5987532363e263549478b6adcabca098c4",
+    "wl_equivocation": "074c812a4ca5b2b2409137d78966032ae00e10130fd0a445305adb8268d1dc08",
+    "wl_privacy": "9f11e917a8c05c31ba4bc3038579e15e82094a1bf79a2d910224408a7b2810df",
+    "wl_partitions": "e4649769e5c8989f4caa06cf685f019dc960c1d947f918e21e7d41f61886eda6",
+    "wl_founder_moves": "7088d51ae6957f4bc6b3f0708e5fa17b2b556845b1c11976fc7d98da959c23c3",
+    "wl_founder_quits": "3e8e26105e0ffff2876a89ef64d9253e18a520d0cdb9e2b012635f4c6b019790",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "9105aa298f4579d29ea581378ff9ef7f7db3583e2a77d9369e79eb6e9b73e678",
-    "tl_star": "20df325407a42509bb37db01c3586467521430744a6b3d52a8a1372693d4ee25",
-    "tl_ring": "217a878e5d1e351af3d9d2125b30d8db42ac34b8fc66bc575944eef8f79816d2",
-    "tl_line_broken": "5f3758d4bf9ad1ace8cafd309ba8c4505e61c8e8dfbc5e74f8001b3c0f952878",
-    "tl_churn": "ddcd7834cd6490136b8122181c045d53897090ffbe0039d96fb880b909126486",
-    "tl_forgery": "85c98b97b5f1318c21f6c8598e7c5698bde0deb3883457c1cbf53b6c1dd8217a",
-    "wl_group": "4b0a0e3eefb62eb7c2968e9a0b17c35680e88fca9a142555c0d6bda34048a5be",
-    "wl_crowd": "68db00045e62fb784620d62fdb913a7e52b4001c31e01857de0491d45bc20d3d",
-    "wl_dropper": "f60d405986f1577a3213125812a5a06e74748e6b4c429f2e81d2376ac3246c31",
+    "tl_line": "f21f80692d05f7c9f5203534b3531e066a32c45ced19beeb259c1c57b6c56181",
+    "tl_star": "fa19d3e87ee65f020426023cb725a78f3133b078fadcab51240b98e88b5ffcf4",
+    "tl_ring": "d2910366becb4079c7ac4d9a678a1bb6ab1d1bc91efb4a0ddfbdcadc793dac88",
+    "tl_line_broken": "981f6a1d8688f612adf4b55f0283c7cec085bb80f6f1b98128d9163fb44f25d8",
+    "tl_churn": "5a6503de270a360e9c8853c1cb3e63989f7023c5bdeec458cc9b893e759f1e07",
+    "tl_forgery": "f0291ab9184162b9e09b4f2afd943b111c5d349d0362da368dee02ddf2fe200d",
+    "wl_group": "0d7667228fee8cff1dfcd6d5122dff4bd8ad5c272b000284a4ee5c76731c44ab",
+    "wl_crowd": "fea215e7015cc001f8700b901492c837863d64cf9050fb6510c287b3a2ce9921",
+    "wl_dropper": "97ae7b056bc4fa3b79ef22fb7650a07b90942b4d1692687b01d1cddb9c61e2ac",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "95e5a2f683f8fb9155fcfd58279145f7d9c856d669bd46b48e888b4be9dff99f",
-    "wl_equivocation": "e12d7a8b0edf4557787853791174ad88e72e7e064556894fb6c07a066db1a4f3",
-    "wl_privacy": "546f90e6f7645d7a73274e19f3f7839e3d9566342092902034b750e0ae88c720",
-    "wl_partitions": "cda55366b2cea521a1f7eac6f6b49dd6fac94f286ea1ef4781fd0803595bd13d",
-    "wl_founder_moves": "dd95c162ed74b19fdb515e46d55cc46474dad7fcec28b1e7e58561dd2c35765f",
-    "wl_founder_quits": "5194a165e7a6064c3f32ee8cf1862fe5c254616d58bc380b4fac541882abc5fe",
+    "wl_churn": "7d850704298de5d0d9ec7bf9446af357d2f2ce6d01915b93688c16cc4954bb9f",
+    "wl_equivocation": "a0a3bfe682929d9b89e55a2a8cfae54aeeeb18c1c41eaaa27c89b8c151affe23",
+    "wl_privacy": "c7714ba92e8fc31debc65e6e069aa4a8ba986240bea22899e287168cb7360e8e",
+    "wl_partitions": "16994b9b99f8080e01f279088d2f9d8a8cc21a44fa5d694726ae20d7c814e50f",
+    "wl_founder_moves": "edaf715847375bae20e6b07f00c724bb8d4883051054c696e3911c96d3372136",
+    "wl_founder_quits": "50847ccf542adeecfbaf92d0aac5ef79aaf61037f4dcf6e07994a486e92cfbc8",
 }
 
 

@@ -9,7 +9,7 @@ from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
 from blocklace.peers import PARKED_CAP, ProtocolError
-from blocklace.retransmit import EAGER_COPIES, FIRST_GAP, REPAIR_AFTER
+from blocklace.retransmit import ACK_HOLDOFF, EAGER_COPIES, GAP, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
     compute_member,
@@ -319,11 +319,11 @@ def test_receive_forwards_only_landed_blocks():
     sends = m1.receive(encode_block(news), src=f.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(m2.current_address, news.id)]
-    # The rounds resend the own backlog FIRST_GAP ticks after its offer;
+    # The rounds resend the own backlog GAP ticks after its offer;
     # the relayed news went out once, on arrival, and is resent only to
     # repair a loss a nack reveals.
-    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(FIRST_GAP + 1)]
-    assert rounds == [set()] * FIRST_GAP + [{backlog.id}]
+    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(GAP + 1)]
+    assert rounds == [set()] * GAP + [{backlog.id}]
 
 
 def test_pending_drain_forwards_every_landed_block():
@@ -354,26 +354,29 @@ def test_parked_block_acked_at_once_with_the_group_tips():
     f.say_group(gid, b"both")
     both = f.last_uttered
     assert missed.id in both.pointers and missed.id not in m1.lace
-    m1.tick()  # a new ack dedup window
+    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
+        m1.tick()
     ((dst, nack),) = acks(m1.receive(encode_block(both), src=f.current_address))
     assert both.id in {blk.id for blk in m1.pending_blocks()}
     assert dst == f.current_address
     assert nack.pointers == m1.partition_tips(gid)
     assert m1.metrics.nacks_sent == 1
-    # Delivered again while still parked: the same ack, deduplicated in
-    # this tick and sent again in the next.
-    assert acks(m1.receive(encode_block(both), src=f.current_address)) == []
-    m1.tick()
+    # Delivered again while still parked: the same nack, held off for
+    # ACK_HOLDOFF ticks and sent again once they have passed.
+    for _ in range(ACK_HOLDOFF):
+        assert acks(m1.receive(encode_block(both), src=f.current_address)) == []
+        m1.tick()
     assert acks(m1.receive(encode_block(both), src=f.current_address)) == [(dst, nack)]
     assert m1.metrics.nacks_sent == 2
-    # A relay's copy parks too and draws the same nack, to the relay.
-    m1.tick()
+    # A relay's copy parks too and draws the same nack, to the relay: the
+    # holdoff is per address.
     assert acks(m1.receive(encode_block(both), src=m2.current_address)) == [
         (m2.current_address, nack)
     ]
     assert m1.metrics.nacks_sent == 3
     # Without a source address there is no deliverer to nack.
-    m1.tick()
+    for _ in range(ACK_HOLDOFF):
+        m1.tick()
     assert acks(m1.receive(encode_block(both))) == []
 
 
@@ -389,7 +392,8 @@ def test_parked_block_not_acked_without_a_group_of_this_agent():
     after = f.last_uttered
     # after's present pointer, m's invite, observes a group m has not joined.
     assert invite.id in after.pointers and len(after.pointers) == 2
-    m.tick()  # a new ack dedup window
+    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
+        m.tick()
     out = m.receive(encode_block(after), src=f.current_address)
     assert after.id in {blk.id for blk in m.pending_blocks()}
     assert acks(out) == []
@@ -421,7 +425,8 @@ def test_lost_relay_copy_is_repaired_on_a_nack():
     f.say_group(gid, b"after")
     after = f.last_uttered
     assert said.id in after.pointers
-    m1.tick()  # a new ack dedup window
+    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
+        m1.tick()
     ((_, nack),) = acks(m1.receive(encode_block(after), src=f.current_address))
     assert after.id not in m1.lace
     f.receive(encode_block(nack), src=m1.current_address)
@@ -543,7 +548,7 @@ def test_nacks_counted_in_report_not_trace():
     assert "nacks_sent" not in result.trace_text
 
 
-def test_identical_ack_sent_once_per_destination_per_tick():
+def test_identical_ack_sent_once_per_destination_per_holdoff():
     f, m1, m2 = agent(0), agent(1), agent(2)
     gid = form_group(f, [m1, m2])
     f.say_group(gid, b"twice")
@@ -557,6 +562,10 @@ def test_identical_ack_sent_once_per_destination_per_tick():
     # m2's copy gets none: the say observes m1's Accept, so m2 knows f
     # sends it to m1 too and keeps no timer for its own copy.
     assert acks(m1.receive(wire, src=m2.current_address)) == []
+    # Not again to f within ACK_HOLDOFF ticks; again once they have passed.
+    for _ in range(ACK_HOLDOFF - 1):
+        m1.tick()
+        assert acks(m1.receive(wire, src=f.current_address)) == []
     m1.tick()
     assert acks(m1.receive(wire, src=m2.current_address)) == []
     assert acks(m1.receive(wire, src=f.current_address)) == [first]
@@ -657,11 +666,11 @@ def test_invite_resent_until_acked():
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == invite.id for _, blk in f.tick())]
 
-    # EAGER_COPIES copies on the offer, then +3, +7 and every 4 ticks.
+    # EAGER_COPIES copies on the offer, then one every GAP ticks.
     assert [blk.id for _, blk in first_offer if blk.id == invite.id] == [invite.id] * EAGER_COPIES
-    assert resent_at(range(12)) == [3, 7, 11]
+    assert resent_at(range(3 * GAP)) == [GAP, 2 * GAP]
     pump([f, m], first_offer, f)  # delivery + ack
-    assert resent_at(range(12, 24)) == []
+    assert resent_at(range(3 * GAP, 6 * GAP)) == []
     assert f.retransmit.armed() == 0
 
 
