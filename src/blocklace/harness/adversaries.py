@@ -44,7 +44,6 @@ class Ctx:
     trace: Trace
     correct_targets: Callable[[], list[tuple[str, NetAddress]]]
     rng: random.Random
-    wl_encrypt: bool = True
 
 
 def _encode(block: Block) -> bytes:
@@ -208,7 +207,7 @@ class EquivocatorWrapper(AgentWrapper):
             key = inner.group_keys[gid]
             tips = inner.partition_tips(gid)
             payloads = [
-                Say(seal_utterance(key, inner.kp, command[text].encode(), ctx.wl_encrypt))
+                Say(seal_utterance(key, inner.kp, command[text].encode(), inner.encrypt))
                 for text, _ in branches
             ]
         else:

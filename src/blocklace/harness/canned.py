@@ -2,47 +2,73 @@
 
 Builders return Scenario objects; pass a seed to vary the network's fault
 schedule while keeping the script identical.
+
+`_friends` writes the TL friend graphs (tl_line, tl_star, tl_ring) and
+`_group_chat` the WL group chats, so each builder states only how its
+scenario differs.  Two keep a script of their own: tl_forgery befriends
+all its pairs at tick 0, and wl_partitions has two founders and three
+groups.  tl_line_broken, tl_churn and wl_founder_moves edit another
+builder's scenario.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .scenario import AgentSpec, Event, OracleSpec, Scenario
 
 
-def _mutual_follow(events: list, tick: int, a: str, b: str):
-    events.append(Event(tick, a, {"cmd": "follow", "target": b}))
-    events.append(Event(tick, b, {"cmd": "follow", "target": a}))
+def _friends(
+    names: list[str],
+    pairs: list[tuple[str, str]],
+    follows: list[tuple[int, str]],
+    author: str,
+    says: list[str],
+    follower: str,
+    bootstrap: Optional[list[tuple[str, str]]] = None,
+    **scenario_fields,
+) -> Scenario:
+    """TL friend graph: pair i befriends at tick i, each (tick, name) in
+    `follows` follows the author, and the author says `says`, one every 5
+    ticks from tick 10.  The bootstrap defaults to both directions of each
+    pair.  The events are written in tick order and not sorted: tl_line's
+    build is part of the tl_feed workload's timed set-up."""
+    if bootstrap is None:
+        bootstrap = [entry for x, y in pairs for entry in ((x, y), (y, x))]
+    events = []
+    for i, (x, y) in enumerate(pairs):
+        events.append(Event(i, x, {"cmd": "follow", "target": y}))
+        events.append(Event(i, y, {"cmd": "follow", "target": x}))
+    for tick, name in follows:
+        events.append(Event(tick, name, {"cmd": "follow", "target": author}))
+    for i, text in enumerate(says):
+        events.append(Event(10 + 5 * i, author, {"cmd": "say", "text": text}))
+    return Scenario(
+        protocol="tl",
+        agents=[AgentSpec(name) for name in names],
+        events=events,
+        bootstrap=bootstrap,
+        oracles=[
+            OracleSpec("tl_liveness", {"author": author, "follower": follower}),
+            OracleSpec("attribution"),
+        ],
+        ticks=2000,
+        **scenario_fields,
+    )
 
 
 def tl_line(seed: int = 0, utterances: int = 20, loss: float = 0.3, dup: float = 0.1) -> Scenario:
     """Five agents in a line, consecutive pairs friends, everyone following
     the end author; the author speaks `utterances` times."""
     names = ["a", "b", "c", "d", "e"]
-    agents = [AgentSpec(name) for name in names]
-    bootstrap = []
-    for x, y in zip(names, names[1:]):
-        bootstrap.append((x, y))
-        bootstrap.append((y, x))
-    events: list[Event] = []
-    for i, (x, y) in enumerate(zip(names, names[1:])):
-        _mutual_follow(events, i, x, y)
-    for i, name in enumerate(["c", "d", "e"]):
-        events.append(Event(4 + i, name, {"cmd": "follow", "target": "a"}))
-    for i in range(utterances):
-        events.append(
-            Event(10 + 5 * i, "a", {"cmd": "say", "text": f"line-msg-{i:03d}"})
-        )
-    return Scenario(
-        protocol="tl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
-            OracleSpec("tl_liveness", {"author": "a", "follower": "e"}),
-            OracleSpec("attribution"),
-        ],
+    return _friends(
+        names,
+        pairs=list(zip(names, names[1:])),
+        follows=[(4, "c"), (5, "d"), (6, "e")],
+        author="a",
+        says=[f"line-msg-{i:03d}" for i in range(utterances)],
+        follower="e",
         seed=seed,
-        ticks=2000,
         loss_prob=loss,
         dup_prob=dup,
     )
@@ -51,30 +77,19 @@ def tl_line(seed: int = 0, utterances: int = 20, loss: float = 0.3, dup: float =
 def tl_star(seed: int = 0, utterances: int = 8) -> Scenario:
     """Author and two leaves hang off a hub; the far leaf only hears the
     author through the hub."""
-    agents = [AgentSpec(n) for n in ("author", "hub", "l1", "l2")]
-    bootstrap = []
-    for leaf in ("author", "l1", "l2"):
-        bootstrap.append(("hub", leaf))
-        bootstrap.append((leaf, "hub"))
-    events: list[Event] = []
-    _mutual_follow(events, 0, "author", "hub")
-    _mutual_follow(events, 1, "hub", "l1")
-    _mutual_follow(events, 2, "hub", "l2")
-    events.append(Event(4, "l1", {"cmd": "follow", "target": "author"}))
-    events.append(Event(4, "l2", {"cmd": "follow", "target": "author"}))
-    for i in range(utterances):
-        events.append(Event(10 + 5 * i, "author", {"cmd": "say", "text": f"star-{i:02d}"}))
-    return Scenario(
-        protocol="tl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
-            OracleSpec("tl_liveness", {"author": "author", "follower": "l2"}),
-            OracleSpec("attribution"),
+    return _friends(
+        ["author", "hub", "l1", "l2"],
+        pairs=[("author", "hub"), ("hub", "l1"), ("hub", "l2")],
+        follows=[(4, "l1"), (4, "l2")],
+        author="author",
+        says=[f"star-{i:02d}" for i in range(utterances)],
+        follower="l2",
+        bootstrap=[
+            ("hub", "author"), ("author", "hub"),
+            ("hub", "l1"), ("l1", "hub"),
+            ("hub", "l2"), ("l2", "hub"),
         ],
         seed=seed,
-        ticks=2000,
         loss_prob=0.3,
     )
 
@@ -83,30 +98,14 @@ def tl_ring(seed: int = 0, utterances: int = 8) -> Scenario:
     """Five agents in a cycle, everyone following the author: content can
     reach the far side along either arc."""
     names = ["a", "b", "c", "d", "e"]
-    agents = [AgentSpec(n) for n in names]
-    pairs = list(zip(names, names[1:] + names[:1]))
-    bootstrap = []
-    for x, y in pairs:
-        bootstrap.append((x, y))
-        bootstrap.append((y, x))
-    events: list[Event] = []
-    for i, (x, y) in enumerate(pairs):
-        _mutual_follow(events, i, x, y)
-    for i, name in enumerate(["b", "c", "d", "e"]):
-        events.append(Event(5, name, {"cmd": "follow", "target": "a"}))
-    for i in range(utterances):
-        events.append(Event(10 + 5 * i, "a", {"cmd": "say", "text": f"ring-{i:02d}"}))
-    return Scenario(
-        protocol="tl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
-            OracleSpec("tl_liveness", {"author": "a", "follower": "c"}),
-            OracleSpec("attribution"),
-        ],
+    return _friends(
+        names,
+        pairs=list(zip(names, names[1:] + names[:1])),
+        follows=[(5, name) for name in names[1:]],
+        author="a",
+        says=[f"ring-{i:02d}" for i in range(utterances)],
+        follower="c",
         seed=seed,
-        ticks=2000,
         loss_prob=0.3,
     )
 
@@ -137,41 +136,20 @@ def tl_churn(seed: int = 0) -> Scenario:
 def tl_forgery(seed: int = 0, garbage: int = 100, tampered: int = 100) -> Scenario:
     """A forger who is the victim's friend (so it holds authentic material)
     floods the others with invalid-signature and tampered blocks."""
-    agents = [
-        AgentSpec("victim"),
-        AgentSpec("w1"),
-        AgentSpec("w2"),
-        AgentSpec("mallory", role="forger"),
-    ]
+    agents = [AgentSpec(n) for n in ("victim", "w1", "w2")] + [AgentSpec("mallory", role="forger")]
     bootstrap = []
-    for name in ("w1", "w2", "mallory"):
-        bootstrap.append(("victim", name))
-        bootstrap.append((name, "victim"))
     events: list[Event] = []
-    _mutual_follow(events, 0, "victim", "w1")
-    _mutual_follow(events, 0, "victim", "w2")
-    _mutual_follow(events, 0, "victim", "mallory")
+    for name in ("w1", "w2", "mallory"):
+        bootstrap += [("victim", name), (name, "victim")]
+        events.append(Event(0, "victim", {"cmd": "follow", "target": name}))
+        events.append(Event(0, name, {"cmd": "follow", "target": "victim"}))
     for i in range(10):
-        events.append(
-            Event(5 + 4 * i, "victim", {"cmd": "say", "text": f"authentic-{i:02d}"})
-        )
+        events.append(Event(5 + 4 * i, "victim", {"cmd": "say", "text": f"authentic-{i:02d}"}))
     per_burst = 10
-    for i in range(garbage // per_burst):
-        events.append(
-            Event(
-                30 + 3 * i,
-                "mallory",
-                {"cmd": "forge", "victim": "victim", "mode": "garbage", "count": per_burst},
-            )
-        )
-    for i in range(tampered // per_burst):
-        events.append(
-            Event(
-                60 + 3 * i,
-                "mallory",
-                {"cmd": "forge", "victim": "victim", "mode": "tamper", "count": per_burst},
-            )
-        )
+    for mode, start, count in (("garbage", 30, garbage), ("tamper", 60, tampered)):
+        for i in range(count // per_burst):
+            command = {"cmd": "forge", "victim": "victim", "mode": mode, "count": per_burst}
+            events.append(Event(start + 3 * i, "mallory", command))
     events.sort(key=lambda e: e.tick)
     return Scenario(
         protocol="tl",
@@ -188,39 +166,53 @@ def tl_forgery(seed: int = 0, garbage: int = 100, tampered: int = 100) -> Scenar
     )
 
 
-def _wl_group_formation(
-    founder: str, members: list[str], label: str, name: str, events: list[Event]
-):
-    events.append(Event(0, founder, {"cmd": "create_group", "name": name, "label": label}))
-    for i, member in enumerate(members):
-        events.append(
-            Event(2 + 2 * i, founder, {"cmd": "invite", "group": label, "target": member})
-        )
-        events.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": label}))
+def _says(start: int, every: int, speakers: list[str], texts: list[str]) -> list[Event]:
+    """Round-robin chat in group G: text i is said by speaker i mod
+    len(speakers), at tick start + every * i."""
+    events = []
+    for i, text in enumerate(texts):
+        command = {"cmd": "say_group", "group": "G", "text": text}
+        events.append(Event(start + every * i, speakers[i % len(speakers)], command))
+    return events
+
+
+def _group_chat(
+    roster: list[AgentSpec],
+    invitees: list[str],
+    name: str,
+    events: list[Event],
+    oracles: list[OracleSpec],
+    **scenario_fields,
+) -> Scenario:
+    """WL group: the first agent in `roster` creates group G, called `name`,
+    at tick 0.  It invites invitee i at tick 2 + 2i, who accepts at tick
+    3 + 2i.  The founder knows each invitee, then each invitee knows the
+    founder.  `events` merge with the formation in tick order, the
+    formation first within a tick."""
+    founder = roster[0].name
+    script = [Event(0, founder, {"cmd": "create_group", "name": name, "label": "G"})]
+    for i, member in enumerate(invitees):
+        script.append(Event(2 + 2 * i, founder, {"cmd": "invite", "group": "G", "target": member}))
+        script.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    return Scenario(
+        protocol="wl",
+        agents=roster,
+        events=sorted(script + events, key=lambda e: e.tick),
+        bootstrap=[(founder, m) for m in invitees] + [(m, founder) for m in invitees],
+        oracles=oracles,
+        **scenario_fields,
+    )
 
 
 def wl_group(seed: int = 0, utterances: int = 50, loss: float = 0.3) -> Scenario:
     """Founder plus five invited members; everyone chats."""
     names = ["f", "m1", "m2", "m3", "m4", "m5"]
-    agents = [AgentSpec(name) for name in names]
-    bootstrap = [("f", m) for m in names[1:]] + [(m, "f") for m in names[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", names[1:], "G", "team", events)
-    for i in range(utterances):
-        speaker = names[i % len(names)]
-        events.append(
-            Event(
-                40 + 4 * i,
-                speaker,
-                {"cmd": "say_group", "group": "G", "text": f"group-msg-{i:03d}"},
-            )
-        )
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
+    return _group_chat(
+        [AgentSpec(name) for name in names],
+        names[1:],
+        "team",
+        _says(40, 4, names, [f"group-msg-{i:03d}" for i in range(utterances)]),
+        [
             OracleSpec("wl_liveness", {"founder": "f", "group_name": "team"}),
             OracleSpec("attribution"),
         ],
@@ -235,24 +227,12 @@ def wl_crowd(seed: int = 0) -> Scenario:
     enough that only RACING_RELAYS of the ten relays race each
     utterance to each member (`wl.WlAgent._race`)."""
     names = ["f"] + [f"m{i}" for i in range(1, 12)]
-    agents = [AgentSpec(name) for name in names]
-    bootstrap = [("f", m) for m in names[1:]] + [(m, "f") for m in names[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", names[1:], "G", "crowd", events)
-    for i in range(20):
-        events.append(
-            Event(
-                40 + 4 * i,
-                names[i % len(names)],
-                {"cmd": "say_group", "group": "G", "text": f"crowd-msg-{i:02d}"},
-            )
-        )
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
+    return _group_chat(
+        [AgentSpec(name) for name in names],
+        names[1:],
+        "crowd",
+        _says(40, 4, names, [f"crowd-msg-{i:02d}" for i in range(20)]),
+        [
             OracleSpec("wl_liveness", {"founder": "f", "group_name": "crowd"}),
             OracleSpec("attribution"),
         ],
@@ -284,26 +264,13 @@ def wl_founder_quits(seed: int = 0) -> Scenario:
     Accept splits the group."""
     names = ["f", "m1", "m2", "m3", "m4", "m5"]
     members = names[1:]
-    agents = [AgentSpec(name) for name in names]
-    bootstrap = [("f", m) for m in members] + [(m, "f") for m in members]
-    events: list[Event] = []
-    _wl_group_formation("f", members, "G", "orphans", events)
-    events.append(Event(40, "f", {"cmd": "mute"}))
-    for i in range(25):
-        events.append(
-            Event(
-                44 + 4 * i,
-                members[i % len(members)],
-                {"cmd": "say_group", "group": "G", "text": f"orphan-msg-{i:03d}"},
-            )
-        )
-    events.sort(key=lambda e: e.tick)
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
+    chat = _says(44, 4, members, [f"orphan-msg-{i:03d}" for i in range(25)])
+    return _group_chat(
+        [AgentSpec(name) for name in names],
+        members,
+        "orphans",
+        [Event(40, "f", {"cmd": "mute"})] + chat,
+        [
             OracleSpec("wl_liveness", {"founder": "f", "group_name": "orphans"}),
             OracleSpec("attribution"),
         ],
@@ -319,21 +286,12 @@ def wl_dropper(seed: int = 0) -> Scenario:
     """Four-member group where one member silently swallows everything:
     liveness must still hold among the correct three."""
     names = ["f", "m1", "m2"]
-    agents = [AgentSpec(n) for n in names] + [AgentSpec("hole", role="silent")]
-    roster = names + ["hole"]
-    bootstrap = [("f", m) for m in roster[1:]] + [(m, "f") for m in roster[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", ["m1", "m2", "hole"], "G", "leaky", events)
-    for i in range(9):
-        events.append(
-            Event(40 + 5 * i, names[i % 3], {"cmd": "say_group", "group": "G", "text": f"note-{i}"})
-        )
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[OracleSpec("wl_liveness", {"founder": "f", "group_name": "leaky"})],
+    return _group_chat(
+        [AgentSpec(n) for n in names] + [AgentSpec("hole", role="silent")],
+        ["m1", "m2", "hole"],
+        "leaky",
+        _says(40, 5, names, [f"note-{i}" for i in range(9)]),
+        [OracleSpec("wl_liveness", {"founder": "f", "group_name": "leaky"})],
         seed=seed,
         # the silent member never acks, so the budget is the stop condition
         ticks=500,
@@ -343,16 +301,12 @@ def wl_dropper(seed: int = 0) -> Scenario:
 
 def wl_solo(seed: int = 0) -> Scenario:
     """Single-member group: liveness is trivially satisfied."""
-    agents = [AgentSpec("f")]
-    events = [
-        Event(0, "f", {"cmd": "create_group", "name": "diary", "label": "G"}),
-        Event(2, "f", {"cmd": "say_group", "group": "G", "text": "dear diary"}),
-    ]
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        oracles=[OracleSpec("wl_liveness", {"founder": "f", "group_name": "diary"})],
+    return _group_chat(
+        [AgentSpec("f")],
+        [],
+        "diary",
+        _says(2, 1, ["f"], ["dear diary"]),
+        [OracleSpec("wl_liveness", {"founder": "f", "group_name": "diary"})],
         seed=seed,
         ticks=50,
         loss_prob=0.3,
@@ -362,26 +316,14 @@ def wl_solo(seed: int = 0) -> Scenario:
 def wl_churn(seed: int = 0) -> Scenario:
     """Three-member group; one member rebinds mid-conversation."""
     names = ["f", "m1", "m2"]
-    agents = [AgentSpec(name) for name in names]
-    bootstrap = [("f", m) for m in names[1:]] + [(m, "f") for m in names[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", names[1:], "G", "rooms", events)
-    for i in range(8):
-        events.append(
-            Event(30 + 6 * i, names[i % 3], {"cmd": "say_group", "group": "G", "text": f"before-{i}"})
-        )
-    events.append(Event(90, "m2", {"cmd": "rebind", "address": "m2/1"}))
-    for i in range(8):
-        events.append(
-            Event(100 + 6 * i, names[i % 3], {"cmd": "say_group", "group": "G", "text": f"after-{i}"})
-        )
-    events.sort(key=lambda e: e.tick)
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[OracleSpec("wl_liveness", {"founder": "f", "group_name": "rooms"})],
+    before = _says(30, 6, names, [f"before-{i}" for i in range(8)])
+    after = _says(100, 6, names, [f"after-{i}" for i in range(8)])
+    return _group_chat(
+        [AgentSpec(name) for name in names],
+        names[1:],
+        "rooms",
+        before + [Event(90, "m2", {"cmd": "rebind", "address": "m2/1"})] + after,
+        [OracleSpec("wl_liveness", {"founder": "f", "group_name": "rooms"})],
         seed=seed,
         ticks=2000,
         loss_prob=0.3,
@@ -393,40 +335,22 @@ def wl_equivocation(seed: int = 0) -> Scenario:
     disjoint pairs of members; the fifth correct member hears about the
     fork only through dissemination."""
     names = ["f", "m1", "m2", "m3", "m4"]
-    agents = [AgentSpec(n) for n in names] + [AgentSpec("x", role="equivocator")]
-    roster = names + ["x"]
-    bootstrap = [("f", m) for m in roster[1:]] + [(m, "f") for m in roster[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", roster[1:], "G", "forked", events)
-    for i in range(6):
-        events.append(
-            Event(30 + 5 * i, names[i % 5], {"cmd": "say_group", "group": "G", "text": f"chatter-{i}"})
-        )
-    events.append(
-        Event(
-            90,
-            "x",
-            {
-                "cmd": "equivocate",
-                "group": "G",
-                "text_a": "fork-alpha",
-                "text_b": "fork-beta",
-                "recipients_a": ["f", "m1"],
-                "recipients_b": ["m2", "m3"],
-            },
-        )
-    )
-    for i in range(6):
-        events.append(
-            Event(110 + 5 * i, names[i % 5], {"cmd": "say_group", "group": "G", "text": f"later-{i}"})
-        )
-    events.sort(key=lambda e: e.tick)
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
+    fork = {
+        "cmd": "equivocate",
+        "group": "G",
+        "text_a": "fork-alpha",
+        "text_b": "fork-beta",
+        "recipients_a": ["f", "m1"],
+        "recipients_b": ["m2", "m3"],
+    }
+    before = _says(30, 5, names, [f"chatter-{i}" for i in range(6)])
+    after = _says(110, 5, names, [f"later-{i}" for i in range(6)])
+    return _group_chat(
+        [AgentSpec(n) for n in names] + [AgentSpec("x", role="equivocator")],
+        names[1:] + ["x"],
+        "forked",
+        before + [Event(90, "x", fork)] + after,
+        [
             OracleSpec(
                 "equivocation_visibility",
                 {"culprit": "x", "founder": "f", "group_name": "forked"},
@@ -445,32 +369,21 @@ def wl_privacy(seed: int = 0, encrypt: bool = True) -> Scenario:
     """Three-member group with an eavesdropper that receives a copy of
     every delivered datagram; group text must never appear in the clear."""
     names = ["f", "m1", "m2"]
-    agents = [AgentSpec(n) for n in names] + [AgentSpec("eve", role="eavesdropper")]
-    bootstrap = [("f", m) for m in names[1:]] + [(m, "f") for m in names[1:]]
-    events: list[Event] = []
-    _wl_group_formation("f", names[1:], "G", "sanctum", events)
     secrets = [
         "the-vault-combination-is-7743",
         "we-meet-at-the-old-lighthouse",
         "operation-silent-sunrise-begins",
     ]
-    for i, secret in enumerate(secrets):
-        events.append(
-            Event(
-                30 + 8 * i,
-                names[i % 3],
-                {"cmd": "say_group", "group": "G", "text": secret, "label": f"s{i}"},
-            )
-        )
-    events.append(
-        Event(60, "m1", {"cmd": "respond_group", "re": "s0", "text": "confirmed-the-combination-works"})
-    )
-    return Scenario(
-        protocol="wl",
-        agents=agents,
-        events=events,
-        bootstrap=bootstrap,
-        oracles=[
+    says = _says(30, 8, names, secrets)
+    for i, event in enumerate(says):
+        event.command["label"] = f"s{i}"
+    respond = {"cmd": "respond_group", "re": "s0", "text": "confirmed-the-combination-works"}
+    return _group_chat(
+        [AgentSpec(n) for n in names] + [AgentSpec("eve", role="eavesdropper")],
+        names[1:],
+        "sanctum",
+        says + [Event(60, "m1", respond)],
+        [
             OracleSpec("privacy", {"founder": "f", "group_name": "sanctum"}),
             OracleSpec("wl_liveness", {"founder": "f", "group_name": "sanctum"}),
         ],
@@ -484,37 +397,33 @@ def wl_privacy(seed: int = 0, encrypt: bool = True) -> Scenario:
 def wl_partitions(seed: int = 0) -> Scenario:
     """Three overlapping groups; partitions must stay disjoint and closed
     and no group block may reach a non-member."""
-    names = ["f1", "f2", "m1", "m2", "m3"]
-    agents = [AgentSpec(n) for n in names]
     bootstrap = []
     for founder, invitees in (("f1", ["m1", "m2", "m3"]), ("f2", ["m2", "m3"])):
         for m in invitees:
-            bootstrap.append((founder, m))
-            bootstrap.append((m, founder))
-    events: list[Event] = []
-    _wl_group_formation("f1", ["m1", "m2"], "G1", "alpha", events)
-    _wl_group_formation("f2", ["m2", "m3"], "G2", "beta", events)
-    _wl_group_formation("f1", ["m1", "m3"], "G3", "gamma", events)
-    groups = ["G1", "G2", "G3"]
+            bootstrap += [(founder, m), (m, founder)]
     speakers = {
         "G1": ["f1", "m1", "m2"],
         "G2": ["f2", "m2", "m3"],
         "G3": ["f1", "m1", "m3"],
     }
+    events: list[Event] = []
+    # A group's first speaker founds it and invites the other two in order.
+    for label, name in (("G1", "alpha"), ("G2", "beta"), ("G3", "gamma")):
+        founder, *members = speakers[label]
+        events.append(Event(0, founder, {"cmd": "create_group", "name": name, "label": label}))
+        for i, member in enumerate(members):
+            invite = {"cmd": "invite", "group": label, "target": member}
+            events.append(Event(2 + 2 * i, founder, invite))
+            events.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": label}))
+    groups = ["G1", "G2", "G3"]
     for i in range(18):
         label = groups[i % 3]
-        speaker = speakers[label][(i // 3) % 3]
-        events.append(
-            Event(
-                40 + 4 * i,
-                speaker,
-                {"cmd": "say_group", "group": label, "text": f"{label}-note-{i:02d}"},
-            )
-        )
+        command = {"cmd": "say_group", "group": label, "text": f"{label}-note-{i:02d}"}
+        events.append(Event(40 + 4 * i, speakers[label][(i // 3) % 3], command))
     events.sort(key=lambda e: e.tick)
     return Scenario(
         protocol="wl",
-        agents=agents,
+        agents=[AgentSpec(n) for n in ("f1", "f2", "m1", "m2", "m3")],
         events=events,
         bootstrap=bootstrap,
         oracles=[

@@ -7,12 +7,13 @@ then protocol ticks, then invariant monitors), agents always iterate in
 roster order, and all randomness comes from generators seeded by the
 scenario seed — so a (scenario, seed) pair determines the trace bytes.
 
-A run is quiescent after two quiet rounds in a row (no correct agent sent
-a block in its tick or still has a retransmit timer running) with no
-datagram in flight and no scripted event left.  Every outstanding pair
-has a timer except a COVERED or LAZY one (`retransmit`): a WL relay copy
-whose creator is known to send the block to the same member.  The
-creator's own timer holds the run open until that member holds the block.
+A run is quiescent after two quiet rounds in a row (no agent sent a block
+in its tick, and no correct agent still has a retransmit timer running)
+with no datagram in flight and no scripted event left.  Every
+outstanding pair has a timer except a COVERED or LAZY one (`retransmit`):
+a WL relay copy whose creator is known to send the block to the same
+member.  The creator's own timer holds the run open until that member
+holds the block.
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
@@ -137,7 +138,6 @@ class Runner:
             trace=self.trace,
             correct_targets=self._correct_targets,
             rng=self._forge_rngs[name],
-            wl_encrypt=self.scenario.wl_encrypt,
         )
 
     # --- the main loop -----------------------------------------------------------
@@ -202,17 +202,19 @@ class Runner:
                     self.wrappers[eavesdropper].receive(payload, src)
 
     def _run_ticks(self, now: int) -> bool:
-        """Every agent's round.  True when the round was quiet: no correct
-        agent sent anything and none has an armed retransmit timer, so no
-        correct agent still owes a peer a block (a backed-off pair sends
+        """Every agent's round.  True when the round was quiet: no agent
+        sent a block, and no correct agent has an armed retransmit timer, so
+        no correct agent still owes a peer a block (a backed-off pair sends
         nothing in most rounds, yet is still outstanding), except WL relay
-        copies whose creator is known to send them too."""
+        copies whose creator is known to send them too.  A muted
+        equivocator's resends of its fork count, so they hold the run open
+        until the fork is acked."""
         quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]
             sends = wrapper.tick()
             self.trace.record(now, "TICK", agent=spec.name, sends=len(sends))
-            if spec.role == "correct" and (sends or wrapper.inner.retransmit.armed()):
+            if sends or (spec.role == "correct" and wrapper.inner.retransmit.armed()):
                 quiet = False
             self._submit(spec.name, sends, now)
         return quiet

@@ -64,7 +64,6 @@ class TlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress):
         super().__init__(kp, address, AgentMetrics())
         self.peers = PeerKnowledge(self.lace, self.lace.self_mask_of, self._full_credit)
-        self._own_head: Optional[BlockId] = None
         # Follow edges by follower, and this agent's own friendship offers
         # by target.  Bound: one entry per follow block stored here.
         self._followees: dict[AgentId, set[AgentId]] = {}
@@ -160,8 +159,8 @@ class TlAgent(Agent):
         # An own block points at the tips and at this agent's previous
         # block, so its blocks form one self-pointer chain.
         pointers = set(self.lace.tip_ids())
-        if self._own_head is not None:
-            pointers.add(self._own_head)
+        if self.last_uttered is not None:
+            pointers.add(self.last_uttered.id)
         return pointers
 
     def _missing(self, block: Block) -> list[BlockId]:
@@ -187,9 +186,7 @@ class TlAgent(Agent):
     def _index(self, block: Block) -> None:
         creator = block.creator
         self._contacts.setdefault(creator)
-        if creator == self.agent_id:
-            self._own_head = block.id
-        else:
+        if creator != self.agent_id:
             # The block's pointers are its creator's claims of possession.
             self.peers.credit(creator, block.pointers, vouched=False)
         payload = block.payload

@@ -555,6 +555,33 @@ def test_three_way_fork_reported_as_three_pairs():
         assert len(pairs) == 3, name
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_tl_fork_resends_hold_the_run_open(seed):
+    # The muted equivocator resends its fork until the hub acks it, and a
+    # round with such a resend is not quiet.  At seed 3 both fork copies
+    # are lost at tick 40, the tick a run that ignored them quiesced in.
+    scenario = canned.tl_star(seed, utterances=4)
+    scenario.ticks = 400
+    scenario.agents = [
+        AgentSpec(a.name, "equivocator" if a.name == "author" else a.role)
+        for a in scenario.agents
+    ]
+    fork = {
+        "cmd": "equivocate",
+        "text_a": "fork-alpha",
+        "text_b": "fork-beta",
+        "recipients_a": ["hub"],
+        "recipients_b": ["hub"],
+    }
+    scenario.events.append(Event(40, "author", fork))
+    result = run_scenario(scenario)
+    assert result.quiescence_tick is not None
+    culprit = result.wrappers["author"].inner.agent_id
+    for name in ("hub", "l1", "l2"):
+        pairs = result.wrappers[name].inner.lace.detect_equivocations(culprit)
+        assert len(pairs) == 1, name
+
+
 def test_equivocation_oracle_trivial_on_honest_run():
     from blocklace.harness.oracles import oracle_equivocation_visibility
 

@@ -125,6 +125,38 @@ def test_committed_scenario_matches_its_builder(path):
     assert scenario.to_dict() == canned.CANNED[path.stem](seed=scenario.seed).to_dict()
 
 
+# The builder calls with arguments that the CLI demos, the tl_feed workload
+# and the acceptance gate make; the golden traces and scenarios/*.json pin
+# only the defaults.
+PINNED_DIGESTS = [
+    (canned.tl_line, dict(seed=1, utterances=6),
+     "a26d531134cbc464ea6a06c30da9654333244d341b9dfb9283d652875dfa2b5d"),
+    (canned.wl_group, dict(seed=1, utterances=8),
+     "a4e5de57326b94ad2bc9dbcdb802c50909507d12643bd7adc0b92f85cb3162e0"),
+    (canned.tl_line, dict(seed=1, utterances=300, loss=0.3, dup=0.1),
+     "cb5c214e60ee51e3acc0203580911f4fefa954110ff417b81277e19fc1c4b481"),
+    (canned.wl_privacy, dict(seed=0, encrypt=False),
+     "b69bfb6b33ec2994555499c1f44f5b293036657872a083a19fb545f748b1a38f"),
+    (canned.tl_forgery, dict(seed=1, garbage=20, tampered=20),
+     "f66ed37753f05a0fcc3571128135647d16c57ea801f3c82ba77d98abdd6fdf7f"),
+    (canned.tl_star, dict(seed=0, utterances=3),
+     "18d99a85bd9c597ad02d6a02c2d70e2a6765e68cdf635ae8af5bb1e7d3b768ba"),
+    (canned.tl_ring, dict(seed=0, utterances=3),
+     "182dccd65e0d7f51e6864f1d398d42e0f0211a81cc8758692feadd9305e51f2d"),
+    (canned.wl_group, dict(seed=2, utterances=8, loss=0.2),
+     "06523e7075a5650f99759a0d50e82342ec2c7d07ee7ab38bf716681bc2476cd2"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, kwargs, digest",
+    PINNED_DIGESTS,
+    ids=[f"{b.__name__}-{'-'.join(map(str, k.values()))}" for b, k, _ in PINNED_DIGESTS],
+)
+def test_parameterised_canned_digest(builder, kwargs, digest):
+    assert builder(**kwargs).digest() == digest
+
+
 def test_round_trip_canned(tmp_path):
     for name, builder in canned.CANNED.items():
         scenario = builder(seed=5)
