@@ -4,12 +4,12 @@ An agent owes a block to a destination address until the destination is
 known to hold it.  Resending on every tick floods the network while the
 first copy or its ack is still in flight (a round trip takes 2-10 ticks
 at a delay of 1-5), so each (destination address, block id) pair gets its
-own entry, on one of five schedules.  The agent names the schedule of
+own entry, on one of six schedules.  The agent names the schedule of
 each pair (`peers.Agent._schedule`); `Retransmit` keeps it.
 
 EAGER is for a pair whose copy may be the destination's only path to the
-block: every pair of a block the agent created, and every TL pair.  It is
-sent:
+block: every pair of a block the agent created, and every TL pair, but
+the RACED ones below.  It is sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
   or on the agent's own command, in a round or not;
@@ -112,17 +112,32 @@ Groups of up to RACING_RELAYS + 2 members are unchanged, since every
 relay races there.  With a fixed number of racers p95 no longer falls as
 the group grows: see ROADMAP item 6 for the ladder.
 
-A pair's entry holds only its due tick and its schedule; two renamings
-carry the rest.  HELD and LAZY mean "not sent yet": a HELD pair's first
-send makes it BACKSTOP, a LAZY pair's makes it COVERED, and neither
-first send counts as a resend.  And an ack that shows the creator now
+RACED is for the copies of a WL agent's own utterance (Say or Respond)
+in a group where it knows at least 3 members, the only copies of its
+blocks that other members race to the destination
+(`wl.WlAgent._schedule`).  Its first offer is EAGER's, EAGER_COPIES
+copies at once, but its first timer resend waits REPAIR_AFTER ticks, the
+longest round trip at the default delays, not GAP; that send makes it
+EAGER, resent every GAP ticks.  A resend before a round trip has passed
+only races its own ack, and the three copies up front plus the racers
+already cover the loss tail.  Later resends stay at GAP, since waiting
+REPAIR_AFTER before each of them delays quiescence.  The agent's other
+blocks stay EAGER, because no relay races them: a membership block's
+copy is often an invitee's only path, and a group of two has no relay.
+ROADMAP item 5 has the measurements.
+
+A pair's entry holds only its due tick and its schedule; renamings carry
+the rest.  RACED means "not resent yet": its first timer send makes it
+EAGER.  HELD and LAZY mean "not sent yet": a HELD pair's first send
+makes it BACKSTOP, a LAZY pair's makes it COVERED, and neither first
+send counts as a resend.  And an ack that shows the creator now
 covers a BACKSTOP pair makes it COVERED, and a HELD one LAZY, so a HELD
 pair covered before its first send goes out only on a repair.  That is
 the one re-read: `take` asks for the schedule of a BACKSTOP or HELD pair
 on every call until the answer is COVERED or LAZY, and of any other pair
-only on its first offer.  Whether the agent created the block never
-changes, and what the creator is known to hold only grows, so an EAGER,
-COVERED or LAZY pair keeps its schedule.
+only on its first offer.  An EAGER or RACED pair keeps the schedule of
+its first offer but for the renaming, and what the creator is known to
+hold only grows, so a COVERED or LAZY pair keeps its schedule.
 
 So a run is quiescent only when every pair is held, COVERED or LAZY:
 what a correct agent owes a member, the member holds.  The exception is
@@ -172,8 +187,9 @@ from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
 
-# An EAGER first offer sends this many copies at once; the next is due GAP
-# ticks later, and every GAP ticks after that.
+# An EAGER or RACED first offer sends this many copies at once; the next
+# is due GAP ticks later (REPAIR_AFTER for RACED), and every GAP ticks
+# after that.
 EAGER_COPIES = 3
 GAP = 4
 # An agent repeats a byte-identical ack to the same address only after this
@@ -189,7 +205,11 @@ COVERED = "covered"
 BACKSTOP = "backstop"
 HELD = "held"
 LAZY = "lazy"
+RACED = "raced"
 
+# The wait after an EAGER or RACED first offer; every later resend of
+# either waits GAP, as EAGER.
+_FIRST_WAIT = {EAGER: GAP, RACED: REPAIR_AFTER}
 # The schedule a pair not sent yet takes on its first send.
 _FIRST_SEND = {HELD: BACKSTOP, LAZY: COVERED}
 # The schedule a BACKSTOP or HELD pair takes once the creator covers it.
@@ -226,7 +246,8 @@ class Retransmit:
         self._repair: set[NetAddress] = set()
 
     def armed(self) -> int:
-        """Timers still running: the pairs neither COVERED nor LAZY."""
+        """Timers still running: the pairs neither COVERED nor LAZY, so a
+        RACED pair counts from its first offer on."""
         return sum(entry[1] not in (COVERED, LAZY) for entry in self._pairs.values())
 
     def mark_repair(self, dest: NetAddress) -> None:
@@ -247,10 +268,10 @@ class Retransmit:
 
     def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
         """How many copies of the block to send to `dest` now: 0, 1, or
-        EAGER_COPIES for an EAGER first offer.  Rearms the pair's timer
-        when it sends.  `schedule` gives the pair's schedule; it is called
-        on the first offer, and after that only while the pair is BACKSTOP
-        or HELD."""
+        EAGER_COPIES for an EAGER or RACED first offer.  Rearms the pair's
+        timer when it sends.  `schedule` gives the pair's schedule; it is
+        called on the first offer, and after that only while the pair is
+        BACKSTOP or HELD."""
         pair = (dest, block_id)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)
@@ -258,8 +279,8 @@ class Retransmit:
             entry = pairs[pair] = before.pop(pair)
         if entry is None:
             name = schedule()
-            if name == EAGER:
-                pairs[pair] = (now + GAP, EAGER)
+            if name in _FIRST_WAIT:
+                pairs[pair] = (now + _FIRST_WAIT[name], name)
                 self._metrics.resent += EAGER_COPIES - 1
                 return EAGER_COPIES
             pairs[pair] = (now + REPAIR_AFTER, name)
@@ -270,7 +291,7 @@ class Retransmit:
             pairs[pair] = (due, name)
         if before is None or due > now or (name in (COVERED, LAZY) and dest not in self._repair):
             return 0
-        if name == EAGER:
+        if name in _FIRST_WAIT:
             pairs[pair] = (now + GAP, EAGER)
         else:
             pairs[pair] = (now + REPAIR_AFTER, _FIRST_SEND.get(name, name))

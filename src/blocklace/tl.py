@@ -3,9 +3,9 @@
 Each agent is a single-threaded state machine over its own blocklace.
 Utterances (follow/say/respond) become blocks pointing at the current
 tips; every received non-ack block is acknowledged.  A block goes to each
-peer that needs it when it lands or is uttered, and a periodic tick
-resends what is still unacknowledged on a backoff schedule per (peer
-address, block) (`retransmit.Retransmit`), so lost datagrams are
+peer that needs it when it lands or is uttered, in three copies, and a
+periodic tick resends what is still unacknowledged every GAP ticks per
+(peer address, block) (`retransmit.Retransmit`), so lost datagrams are
 eventually retried.  Friendship is mutual following; a pending
 friendship offer is resent to its target until acknowledged.
 

@@ -40,7 +40,7 @@ from .blocks import (
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
-from .retransmit import BACKSTOP, COVERED, EAGER, HELD, LAZY
+from .retransmit import BACKSTOP, COVERED, EAGER, HELD, LAZY, RACED
 
 GroupId = BlockId
 
@@ -271,8 +271,12 @@ class WlAgent(Agent):
         # Empty), on which no reader waits.  Otherwise the copy may be q's
         # only path: the founder, which created every invite and so knows
         # every invitee, sends it at once; any other relay holds it for
-        # REPAIR_AFTER ticks.
+        # REPAIR_AFTER ticks.  The agent's own utterance in a group where
+        # it knows a third member, so that relays race it, is RACED; its
+        # other blocks are EAGER, since no relay races them.
         if block.creator == self.agent_id:
+            if b.is_utterance(block.payload) and len(self.members_of(self.group_of(block.id))) >= 3:
+                return RACED
             return EAGER
         gid = self.group_of(block.id)
         joined = self._members.get(gid, {}).get(q, 0)

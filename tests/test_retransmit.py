@@ -22,9 +22,11 @@ from blocklace.retransmit import (
     GAP,
     HELD,
     LAZY,
+    RACED,
     REPAIR_AFTER,
     Retransmit,
 )
+from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
 from blocklace.wl import RACING_RELAYS, WlAgent
 
@@ -86,6 +88,51 @@ def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
     sent = round_sends(rtx, [("p/0", BLOCK)], 13)
     assert sent[("p/0", BLOCK)] == [0, 0, 0, GAP, 2 * GAP, 3 * GAP]
     assert metrics.resent == 5
+
+
+# A RACED pair is an EAGER one whose first timer resend waits REPAIR_AFTER:
+# relays race its copies to the destination, so an earlier resend mostly
+# races the destination's ack.
+
+
+def test_raced_first_offer_sends_three_copies_then_waits_repair_after():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    round_sends(rtx, [], 3)
+    start = rtx.now
+    raced = Asked(RACED)
+    assert rtx.take("p/0", BLOCK, raced) == EAGER_COPIES  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, raced) == 0
+    assert metrics.resent == EAGER_COPIES - 1
+    sent, armed = [], []
+    for _ in range(REPAIR_AFTER + 3 * GAP + 1):
+        sent += round_sends(rtx, [("p/0", BLOCK)], 1, raced)[("p/0", BLOCK)]
+        armed.append(rtx.armed())
+    # Nothing until REPAIR_AFTER ticks after the offer; then, renamed
+    # EAGER, one copy every GAP ticks.
+    assert sent == [start + REPAIR_AFTER + i * GAP for i in range(4)]
+    assert armed == [1] * len(armed)
+    assert metrics.resent == 2 + 4
+    # Asked for on the first offer only.
+    assert raced.calls == 1
+    # No longer wanted: the next round does not ask about it.
+    round_sends(rtx, [], 1)
+    assert rtx.armed() == 0
+
+
+def test_raced_first_offer_in_a_round():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER + GAP + 1, RACED)
+    assert sent[("p/0", BLOCK)] == [0] * EAGER_COPIES + [REPAIR_AFTER, REPAIR_AFTER + GAP]
+    assert metrics.resent == 2 + 2
+
+
+def test_raced_wait_spans_the_longest_default_round_trip():
+    # The first RACED resend waits out the slowest ack at the default
+    # delays, and every later one still draws a fresh ack.
+    assert ACK_HOLDOFF < GAP < REPAIR_AFTER
+    assert REPAIR_AFTER > 2 * NetConfig().delay_max
 
 
 # A backup pair is a COVERED one: another path also covers it.
@@ -486,10 +533,24 @@ def test_schedule_names_each_copy():
     deliver(f, m1, stray_invite)
     f.say_group(gid, b"own")
     own = f.last_uttered
+    f.respond_group(said.id, b"own re")
+    own_responded = f.last_uttered
     stray = b.new_block(KP[3], "r3/0", b.Say(b"stray"), ())
     f.lace.insert(stray, verified=True)
+    # A second group of f and m2 alone, where no member relays.
+    f.create_group(b"pair")
+    pair = f.last_uttered.id
+    pump([f, m2], f.invite(m2.agent_id, pair), f)
+    pump([f, m2], m2.accept(pair), m2)
+    f.say_group(pair, b"just us")
+    pair_said = f.last_uttered
     cases = [
-        (f, own, m1, EAGER),  # the agent's own block
+        (f, own, m1, RACED),  # the agent's own utterance, which relays race
+        (f, own_responded, m1, RACED),
+        (f, pair_said, m2, EAGER),  # its own utterance with no relay
+        (f, invite, m1, EAGER),  # its own membership blocks
+        (m3, accept, f, EAGER),
+        (m1, empty, f, EAGER),
         (f, said, m1, COVERED),  # m2 holds m1's Accept
         (f, responded, m1, COVERED),
         (m1, invite, m2, LAZY),  # covered, not an utterance
@@ -586,6 +647,27 @@ def test_only_the_founder_submits_invites():
     assert any(invites.values())
 
 
+@pytest.mark.parametrize("name", ["wl_group", "wl_crowd"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_creator_resends_no_say_within_repair_after_of_its_burst(name, seed):
+    # Read from the trace alone: a creator sends its own Say to a member in
+    # one burst, and not again until REPAIR_AFTER ticks later (RACED).
+    data = parse_trace(run_scenario(canned.CANNED[name](seed=seed)).trace_text)
+    says = {}
+    bursts = {}
+    for event in data.events_of("SUBMIT"):
+        fields = event.fields
+        raw = fields["bytes"]
+        if raw not in says:
+            block = b.decode_block(bytes.fromhex(raw))
+            says[raw] = block.address if isinstance(block.payload, b.Say) else None
+        if fields["src"] != says[raw]:
+            continue
+        burst = bursts.setdefault((fields["dst"], raw), event.tick)
+        assert event.tick == burst or event.tick >= burst + REPAIR_AFTER, (fields, burst)
+    assert bursts
+
+
 def test_tl_relay_sends_three_copies_in_its_first_tick_like_the_creator():
     # On a line of friends the relay may be the only path, so TL relays
     # stay on the eager schedule.
@@ -643,7 +725,7 @@ def test_wl_new_address_gets_a_fresh_timer():
     gid = wl_group(f, m)
     f.say_group(gid, b"where are you")
     said = f.last_uttered
-    for _ in range(9):  # backed off to the cap at m's old address
+    for _ in range(9):  # resent every GAP ticks at m's old address
         f.tick()
     m.change_address("r1/1")
     deliver(f, m, m.last_uttered)

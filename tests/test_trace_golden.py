@@ -31,16 +31,16 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "041ae13de0c42331ee9b5a7f9ffaa1cc710a3d963768963b3dd3bad988da5404",
     "tl_churn": "330a6edc6ca4e7e3c4aa5b25fe6613541f300540811e9c58f4318477978928b7",
     "tl_forgery": "49d8ec6aa915a6f8c4d3cc6ead4ba1fc4c433dec07e60b641cdb4d70934f0a46",
-    "wl_group": "5f42645e780b856034ccaa7d3bb7f7fb0274da7d377e1a011b0ad83d3c1255a2",
-    "wl_crowd": "d4a652092a627eeec0d1a7fec6281f9b0a04a4db9205cb2ba6cb0af57dca06fc",
-    "wl_dropper": "6fbc8d5ccd8a73209a5c5208fabfa2ac37e522292891a9f1955b69b9b1cdd578",
+    "wl_group": "adb65dbf047b8edb4f50996cb26d415854f5ef053377457c0e50599ac9ed12f0",
+    "wl_crowd": "c4d7e00e275633a06ac13321b7187ac59b4a7cbab936f58abd2556d1f29298c3",
+    "wl_dropper": "4d0d28e5c95fd0062f4470ceca032f35671b2a09b972bfda2159c410b40f8f0e",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "5169152fee4edb9f6b017492b6625ce217e9cb1c06d4a284f47fe8a7ccba80cc",
-    "wl_equivocation": "134383a7c114980f7e85e78cbaacc74503954d9f3b800cdaabe218af7124869f",
-    "wl_privacy": "c070e870c9629e52a8b26993ee7e0429f3249e28a79d8c0bc23332b4b111f464",
-    "wl_partitions": "40de39ff72e0b36a58b5fb1c1c6c5855dc2bc04ce69e62d0059488324857c6d4",
-    "wl_founder_moves": "f71af1acbbf4d8011c15d779db243eb5a4558f9e78349345e06ff6595b1aa24e",
-    "wl_founder_quits": "2a71398ae08499fd05df096cc3422a9a5ef53188e48383bf0f334298b2b7f3be",
+    "wl_churn": "cff41521c751daaf6a3584b8c79ea06d35ff58946e3a3dbcfbd297678ea9170c",
+    "wl_equivocation": "fc70885cb0ca8c8d968186ede9fdfd069765b6aa118a94066142c07e5f6affbc",
+    "wl_privacy": "fed0af75872562cdb636b18f2257a5ab3fcd230a43568e583f693de7a692f9a5",
+    "wl_partitions": "856f1dab31f022515b34f177a0e55fc4a33b895d479bbecf9174d9a247bab412",
+    "wl_founder_moves": "5236dd11f3e34872388361a73af007f9692e2bc2582632a1dcbde091254baec6",
+    "wl_founder_quits": "d0a199a6a6199d6875fdb844d638f83b5a093677ac8f287b8f28a1925da253fe",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "e5396e60aadb3936aa0e095e17f29017f89ec6295879b0f3ab375f9de445a8a9",
@@ -49,16 +49,16 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "943e15b2bac6b1de3198bfa5ad4319a13d2cf1ecc161b054837cdd42f9d4c0e2",
     "tl_churn": "9408f4aa8abdd43d1ea7988d3028b07d918d2d437ccf4db9e85c42e618724c37",
     "tl_forgery": "2cd37456303ddf72733e5a3e09cb5f856aee9589c30225cae1a0b54b0cbd3774",
-    "wl_group": "803bb93a89ad86d23390c7bec1464e7fef4e8f652f85ba8c6acf2955a3c8d41a",
-    "wl_crowd": "ebbbaa5c9f4207e61e5ebb7ebead402f9f14c8b726d166447aaff753eb4de8bf",
-    "wl_dropper": "7badd677d98350260aa2c0bbcdfc61e54c47d978ea063daf68f5e5b05fa2439a",
+    "wl_group": "2950369aa4a892f1c793b7be7576622c92f5a8964319e4edcbc07858adcab612",
+    "wl_crowd": "c6e89532be82a7c6f3e76496f236c136331206d42183334ea0dc8029a7577f7f",
+    "wl_dropper": "c5d7c5854a4099e957258ee0eef0832c492dc93cec1c4358c78d8bd9be5d34ec",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "64c50cc438e63cf6ea49c47af44e9229590372f9a59391462546b68dc096ea1e",
-    "wl_equivocation": "fdace14a28585f375f576b93e73928b77dbb7230338735c1e7f5a628707e62b1",
-    "wl_privacy": "0442869927350897dcd9ba155a3ec883c0f1194cef899eaed6c00178f3733c7d",
-    "wl_partitions": "1515ac2a318c72f92eec45b35a38c0b43cdd8249cbe44511da4430f543ebd281",
-    "wl_founder_moves": "4a6802f0e2563d6c6c07178e4b2df6219fd2ac147f499f5bd4ee29ad4fd713e8",
-    "wl_founder_quits": "6c8dc0d1d4350fbcda8588e47a8173e5d7088b36687b955adddb236359be85c0",
+    "wl_churn": "2487d472bd5f929e56f1e6d64a184a82a7c991b2e1cf7bdcd5a8877da48aecf0",
+    "wl_equivocation": "15ce1f49930b4b7404be33a21e525b825e8320ecbd593c40b2c35109c4e372ca",
+    "wl_privacy": "21bc37a890a997313c283531da3b2fc4a53b3fe3a13358c1ed621813ae329085",
+    "wl_partitions": "47b57cd4a907724ac2209dbb62b1d2e3365bfd25dd15a87840e9787b00db913c",
+    "wl_founder_moves": "ca5664ab03aa63d411f896dd4ea5f311192be9fc41abbb5381e9d4cef8a70ee3",
+    "wl_founder_quits": "e8f306c0bcecf6070343848a029d37198abf30ab2813c48682f23e641777c541",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "11410788e945205847240a37d2ac21c407c1eec751a30186a1b2c4a7e8dd813f",
@@ -67,16 +67,16 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "2322fdd1edcb3a476ce9c0080172dc2fc8550a580bcb7fb8c1be804fe6a0f3d9",
     "tl_churn": "fb80228119fa4f981a6bd55697e2fbb0622a58beaac40f2ef68a2de94132ae89",
     "tl_forgery": "3fcd4d5d47a2d6e1e2f3f285f8311531960c77a6404d65c1a28273b83975dc32",
-    "wl_group": "262064aa05bc1efb87e6d00cd6eb7f1e024ccbd01da5cd0e602af9af372b3dc3",
-    "wl_crowd": "a5129e576322b595ee1d8012ced2655e8c0489620ec0faa4489d1cc5b0329bf7",
-    "wl_dropper": "30cb763f72357f8f78a783cade58eb12a6eddecabf13f28c93e9c890d6febc10",
+    "wl_group": "1b763cbd2a30c85d3d9db613dca92f8414cbc0e4da547ee2b94531f113117b49",
+    "wl_crowd": "a40f2be407f652b58ceb196c93b2b88b244a9a75c2a0fad1da985f5936572133",
+    "wl_dropper": "97c49765adfb0a2ff1412f91cd7b8ec7ddf5a7667d7725be08865ed5fab351a4",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "2518a10512b4065e1de07da31077fb5987532363e263549478b6adcabca098c4",
-    "wl_equivocation": "074c812a4ca5b2b2409137d78966032ae00e10130fd0a445305adb8268d1dc08",
-    "wl_privacy": "9f11e917a8c05c31ba4bc3038579e15e82094a1bf79a2d910224408a7b2810df",
-    "wl_partitions": "e4649769e5c8989f4caa06cf685f019dc960c1d947f918e21e7d41f61886eda6",
-    "wl_founder_moves": "7088d51ae6957f4bc6b3f0708e5fa17b2b556845b1c11976fc7d98da959c23c3",
-    "wl_founder_quits": "3e8e26105e0ffff2876a89ef64d9253e18a520d0cdb9e2b012635f4c6b019790",
+    "wl_churn": "8885ec867f026075a23bb12e92413d47ddff317346bd8f7be2588b9080be8cc9",
+    "wl_equivocation": "a7ad0f4bbfb5e53923fa4b3c7ee0af2ee17c88751be4c8cebae873785e07da6c",
+    "wl_privacy": "da13e48c286717e23b7121bddce385e144c1a8ba84c8840bb43090dc6ddecd24",
+    "wl_partitions": "4648fbb799695762c9de39bbca4091a480ebbdab8522481af38a927579691783",
+    "wl_founder_moves": "dc873211aa8acb6e1bb08f7158c48c0672bd532ee19f0254bc909bb3b42becd9",
+    "wl_founder_quits": "94a5b735509a93ad91490a2ce28e9de2350d065a32a567f4bb89585562a29c9a",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -88,16 +88,16 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "981f6a1d8688f612adf4b55f0283c7cec085bb80f6f1b98128d9163fb44f25d8",
     "tl_churn": "5a6503de270a360e9c8853c1cb3e63989f7023c5bdeec458cc9b893e759f1e07",
     "tl_forgery": "f0291ab9184162b9e09b4f2afd943b111c5d349d0362da368dee02ddf2fe200d",
-    "wl_group": "0d7667228fee8cff1dfcd6d5122dff4bd8ad5c272b000284a4ee5c76731c44ab",
-    "wl_crowd": "fea215e7015cc001f8700b901492c837863d64cf9050fb6510c287b3a2ce9921",
-    "wl_dropper": "97ae7b056bc4fa3b79ef22fb7650a07b90942b4d1692687b01d1cddb9c61e2ac",
+    "wl_group": "81434af663d9e42774669e11375af195b9903d72d66da4c2788568ddf4cfbf35",
+    "wl_crowd": "29ec3220a52ef8f3a2be22bfdb57cbd3eaba921672426cb557583d86f497a0a9",
+    "wl_dropper": "3fb6fe882bd0feacaeb498644e76dcaa55b1d2761be53970912f66c04e41eca4",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "7d850704298de5d0d9ec7bf9446af357d2f2ce6d01915b93688c16cc4954bb9f",
-    "wl_equivocation": "a0a3bfe682929d9b89e55a2a8cfae54aeeeb18c1c41eaaa27c89b8c151affe23",
-    "wl_privacy": "c7714ba92e8fc31debc65e6e069aa4a8ba986240bea22899e287168cb7360e8e",
-    "wl_partitions": "16994b9b99f8080e01f279088d2f9d8a8cc21a44fa5d694726ae20d7c814e50f",
-    "wl_founder_moves": "edaf715847375bae20e6b07f00c724bb8d4883051054c696e3911c96d3372136",
-    "wl_founder_quits": "50847ccf542adeecfbaf92d0aac5ef79aaf61037f4dcf6e07994a486e92cfbc8",
+    "wl_churn": "f9abd61aa39a607e202abe1190cf0ec0ea8e6cdfade62c1985fcae58f06ce43f",
+    "wl_equivocation": "af56bd4800eeefdc9c058459ff311e6623d8a01fe63c8dec364310b491cf55aa",
+    "wl_privacy": "cfe15b5ae80b1a4db0983b4f128ded1354f5bba11e6348d28340c9f6550cf2ce",
+    "wl_partitions": "8d7cc9d0547eb9adb7de239d29d19e524ab2181eb218f5b6e9b151b2a61b8441",
+    "wl_founder_moves": "771871b2d7d223766af65eec2d90efb5f3e37d05074c0f244bbaa3df329f7f2f",
+    "wl_founder_quits": "1c3491bd8d4e691dc901217452100daf763bd580791e5e6498007ac7bb072f07",
 }
 
 

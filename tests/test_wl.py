@@ -319,11 +319,11 @@ def test_receive_forwards_only_landed_blocks():
     sends = m1.receive(encode_block(news), src=f.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(m2.current_address, news.id)]
-    # The rounds resend the own backlog GAP ticks after its offer;
-    # the relayed news went out once, on arrival, and is resent only to
-    # repair a loss a nack reveals.
-    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(GAP + 1)]
-    assert rounds == [set()] * GAP + [{backlog.id}]
+    # The rounds resend the own backlog, which relays race (RACED),
+    # REPAIR_AFTER ticks after its offer; the relayed news went out once,
+    # on arrival, and is resent only to repair a loss a nack reveals.
+    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(REPAIR_AFTER + 1)]
+    assert rounds == [set()] * REPAIR_AFTER + [{backlog.id}]
 
 
 def test_pending_drain_forwards_every_landed_block():
