@@ -11,9 +11,9 @@ copy earns the contacts at its address, the bounded pending buffer, the
 receive -> ack -> forward pipeline with its ack holdoff, the send
 loop (`disseminate`) and the retransmission round.  A subclass fills in
 `_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
-`_ack_pointers`, `_nack_pointers` and `_wanted`, which says who may
-receive what, and may override `_schedule`, which names the
-retransmission schedule of each copy (`retransmit`).
+`_ack_pointers`, `_nack_pointers`, `_wanted`, which says who may
+receive what, and `_schedule`, which names the retransmission schedule
+of each copy (`retransmit`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
-from .retransmit import ACK_HOLDOFF, EAGER, Retransmit
+from .retransmit import ACK_HOLDOFF, Retransmit
 
 Send = tuple[NetAddress, Block]
 
@@ -285,8 +285,9 @@ class Agent:
 
         Outside `tick`'s round only first offers go out; in the round,
         every pair whose timer is due.  `take` says how many copies: an
-        EAGER first offer sends EAGER_COPIES at once.  Each peer's blocks
-        go in causal order (by closure size), a block's copies together.
+        EAGER, PACED or RACED first offer sends EAGER_COPIES at once.
+        Each peer's blocks go in causal order (by closure size), a block's
+        copies together.
         A pair listed twice in one call (a WL invite's closure to a target
         that is already a member) gets at most one offer: the first `take`
         arms or backs off its timer.
@@ -317,12 +318,6 @@ class Agent:
             for _, _, blk, copies in batch:
                 sends.extend([(dest, blk)] * copies)
         return sends
-
-    def _schedule(self, block: Block, q: AgentId) -> str:
-        """The retransmission schedule of this agent's copies of the block
-        to q (`retransmit`).  EAGER for every copy, as TL wants: on a line
-        of friends a relay is often the only path."""
-        return EAGER
 
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose

@@ -4,12 +4,14 @@ An agent owes a block to a destination address until the destination is
 known to hold it.  Resending on every tick floods the network while the
 first copy or its ack is still in flight (a round trip takes 2-10 ticks
 at a delay of 1-5), so each (destination address, block id) pair gets its
-own entry, on one of six schedules.  The agent names the schedule of
-each pair (`peers.Agent._schedule`); `Retransmit` keeps it.
+own entry, on one of seven schedules.  The agent names the schedule of
+each pair (`TlAgent._schedule`, `WlAgent._schedule`); `Retransmit` keeps
+it.  ROADMAP item 5 has the measurements behind each constant and rule.
 
 EAGER is for a pair whose copy may be the destination's only path to the
-block: every pair of a block the agent created, and every TL pair, but
-the RACED ones below.  It is sent:
+block and whose first resend should not wait: a TL Follow or Empty, own
+or relayed, and a WL agent's own blocks but the RACED ones below.  It is
+sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
   or on the agent's own command, in a round or not;
@@ -20,37 +22,50 @@ offer: no ack, claim or peer copy can come back within 2 ticks, since
 every delay is at least 1 tick each way, so that copy always went out.
 Loss and delay are drawn per copy, so at 30% loss all three are lost
 2.7% of the time, below the 5% that the 95th-percentile delivery time
-reads.  That closes the loss tail at the creator, which lets most relays
-hold their copies back (COVERED and LAZY, below).
+reads.  That closes the loss tail at the creator, which lets most WL
+relays hold their copies back (COVERED and LAZY, below).
 
-One GAP, not an RTO.  The estimator of RFC 6298 (Paxson et al.,
-"Computing TCP's Retransmission Timer") gives an RTO of about 11 ticks
-at the default delay of 1-5 ticks each way; as the gap, 11 raised the
-95th-percentile delivery time on a 5-agent line (`tl_feed`, seeds 1-4,
-medians) from 12.1 to 20.8 ticks (+72%).  A longer wait between tries
-costs quiescence too: in a 12-member group at 30% loss, doubling the
-gap after each send up to 16 saved under 0.3% of the datagrams but
-delayed quiescence by up to 38 ticks (170 instead of 132).
+One GAP, not an RTO.  An RTO from the estimator of RFC 6298 (Paxson et
+al., "Computing TCP's Retransmission Timer") is about 11 ticks at the
+default delays; as the gap between every two tries it raised the
+95th-percentile delivery time on a 5-agent TL line sharply, and a gap
+that doubles after each send delayed quiescence for almost no datagrams
+saved.  So every resend after the first waits GAP.
+
+PACED and RACED differ from EAGER only in their first wait: their first
+offer is EAGER's, EAGER_COPIES copies at once, and their first timer
+resend makes them EAGER, resent every GAP ticks.  A resend before the
+ack of the first copies can be back races that ack, and with three
+copies up front it is needed only in the 2.7% of hops that lose all
+three.
+
+* PACED is for every TL copy of a Say or Respond, own or relayed
+  (`TlAgent._schedule`).  Its first resend waits ROUND_TRIP (6) ticks,
+  the mean round trip at the default delays (delay_min + delay_max), as
+  RFC 6298 waits at least a smoothed round trip before it retransmits.
+  Only the first wait is longer, since a longer wait before every
+  resend raises the tail of the delivery time.  TL Follow and Empty
+  copies stay EAGER: they are few, and what follows waits on them (a
+  friendship on the Follow's ack, every later copy on the address an
+  Empty brings).
+* RACED is for the copies of a WL agent's own utterance (Say or
+  Respond) in a group where it knows at least 3 members, the only copies
+  of its blocks that other members race to the destination
+  (`WlAgent._schedule`).  Its first resend waits REPAIR_AFTER ticks, the
+  longest round trip at the default delays, since the racers cover the
+  loss tail too.  The agent's other blocks stay EAGER, because no relay
+  races them: a membership block's copy is often an invitee's only
+  path, and a group of two has no relay.
 
 Ack holdoff.  Each copy that lands draws an ack, and the copies of one
-EAGER burst land in different ticks, so one burst drew up to three
-identical acks.  So an agent sends a byte-identical ack to the same
-address at most once in ACK_HOLDOFF (3) ticks (`peers.Agent._ack`), and
-nacks follow the same rule.  The holdoff only delays a repeat, never
-stops one: with ACK_HOLDOFF < GAP, a resend that arrives with the same
-delay as the copy before it finds the holdoff over and draws a fresh
-ack, so a sender whose acks were all lost still gets one.  On the line
-above (seed 1), repeated acks fell from 1,749 to 628 while the resends
-stayed about the same (creator 966 to 984, relay 2,739 to 2,712): the
-acks held off were not the ones that stop timers.  Seeds 1-8, medians,
-against a first gap of 3, then 4, and no holdoff (7,881 datagrams on
-the line, p95 11.95 ticks, and a 12-member group at 30% loss, `wl_wide`,
-quiescent at tick 131):
-* holdoff 3: -11.4% datagrams, p95 11.88, quiescence 137.5;
-* holdoff 3 and GAP 4 (these constants): -15.3%, p95 11.98, 137.5;
-* GAP 5: -11.4%, p95 12.06, 132.5;
-* holdoff 3 and GAP 5: -20.9%, p95 12.56, 139;
-* holdoff 4 and GAP 5: -22.8%, p95 13.18, 144 (+9.9%).
+burst land in different ticks, so one burst drew up to three identical
+acks.  So an agent sends a byte-identical ack to the same address at
+most once in ACK_HOLDOFF (3) ticks (`peers.Agent._ack`), and nacks follow
+the same rule.  The holdoff only delays a repeat, never stops one: with
+ACK_HOLDOFF < GAP, a resend that arrives with the same delay as the copy
+before it finds the holdoff over and draws a fresh ack, so a sender
+whose acks were all lost still gets one.  The acks it holds off are not
+the ones that stop timers: resends stay about the same.
 
 The other four are for a WL copy of a block this agent did not create,
 where the creator sends it too.  Each sends at most one copy at a time,
@@ -58,10 +73,11 @@ and none is resent sooner than REPAIR_AFTER ticks after its last send:
 
 * COVERED: the agent knows the creator holds the block that made the
   destination a member, so a correct creator has the pair on its own
-  EAGER schedule, and the agent is one of the RACING_RELAYS members that
-  race this utterance to the destination (`wl.WlAgent._race`).  The copy
-  is sent once on first offer and has no timer: it is resent only to
-  repair a loss, in a round after an ack from the destination arrived;
+  EAGER or RACED schedule, and the agent is one of the RACING_RELAYS
+  members that race this utterance to the destination
+  (`wl.WlAgent._race`).  The copy is sent once on first offer and has
+  no timer: it is resent only to repair a loss, in a round after an ack
+  from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
   only path.  It is sent on first offer, then every REPAIR_AFTER ticks
@@ -73,8 +89,7 @@ and none is resent sooner than REPAIR_AFTER ticks after its last send:
   recorded as if sent but not sent, so its copy goes out REPAIR_AFTER
   ticks later if the destination still lacks the block.  With every
   member relaying every Accept to every other member at once, relayed
-  Accepts grew as n^3; holding cut a 12-member group's datagrams at 30%
-  loss by 14%, with delivery times unchanged;
+  Accepts grew as n^3;
 * LAZY: a covered pair whose copy need not race the creator's: a
   membership block (Group, Invite, Accept, Empty), or an utterance this
   agent does not race to the destination.  Its first offer is recorded
@@ -85,59 +100,31 @@ and none is resent sooner than REPAIR_AFTER ticks after its last send:
   utterances, per (utterance, destination).  No reader waits on a
   membership block: when every member relayed every covered Invite to
   every other member at once, although the founder sends each invite to
-  all of them, relayed Invites grew as n^3.  In a 12-member group with 20
-  utterances at 30% loss and 10% duplication (seeds 1-8, medians), LAZY
-  membership copies cut the datagrams from 6,616.5 to 5,328 (-19.5%),
-  with p50 +1.2%, p95 +3.0% and the quiescence tick unchanged.
+  all of them, relayed Invites grew as n^3.
 
 Racing relays.  A reader does wait on an utterance, and with one copy
 from its creator up front a loss tail was left that only relays
 covered; so every member raced its relay copy of every utterance to
 every other member, ten racing copies per (utterance, member) in a
 12-member group.  With three creator copies up front, RACING_RELAYS (5)
-racers suffice.  In that group (20 utterances, 30% loss, 10%
-duplication, seeds 1-8 and 1733-1736, medians) the two together cut the
-datagrams from 5,378 to 4,507 (-16.2%), lower at every seed, with p50
--13%, p95 +5.9% (3.48 to 3.68) and the quiescence tick 132 to 131.  At
-seeds 1-4 (medians; 5,310.5 datagrams and p95 3.53 before), against
-4,514 and 3.47 for the two together:
-* three copies up front with every relay racing: 5,498.5 (+3.5%), p95
-  3.30 (-6.5%);
-* five racers with two copies up front and a first gap of 1 (the
-  datagrams of the old schedule): 4,547.5 (-14.4%), p95 3.87 (+9.7%);
-* four racers: 4,319.5 (-18.7%), p95 3.93 (+11.3%);
-* six racers: 4,675 (-12.0%), p95 3.40 (-3.8%);
-* no racers: 3,461.5 (-34.8%), p95 4.82 (+36.5%).
-Groups of up to RACING_RELAYS + 2 members are unchanged, since every
-relay races there.  With a fixed number of racers p95 no longer falls as
-the group grows: see ROADMAP item 6 for the ladder.
-
-RACED is for the copies of a WL agent's own utterance (Say or Respond)
-in a group where it knows at least 3 members, the only copies of its
-blocks that other members race to the destination
-(`wl.WlAgent._schedule`).  Its first offer is EAGER's, EAGER_COPIES
-copies at once, but its first timer resend waits REPAIR_AFTER ticks, the
-longest round trip at the default delays, not GAP; that send makes it
-EAGER, resent every GAP ticks.  A resend before a round trip has passed
-only races its own ack, and the three copies up front plus the racers
-already cover the loss tail.  Later resends stay at GAP, since waiting
-REPAIR_AFTER before each of them delays quiescence.  The agent's other
-blocks stay EAGER, because no relay races them: a membership block's
-copy is often an invitee's only path, and a group of two has no relay.
-ROADMAP item 5 has the measurements.
+racers suffice.  Groups of up to RACING_RELAYS + 2 members are
+unchanged, since every relay races there.  With a fixed number of
+racers p95 no longer falls as the group grows: ROADMAP item 6 has the
+racer counts tried and the ladder.
 
 A pair's entry holds only its due tick and its schedule; renamings carry
-the rest.  RACED means "not resent yet": its first timer send makes it
-EAGER.  HELD and LAZY mean "not sent yet": a HELD pair's first send
-makes it BACKSTOP, a LAZY pair's makes it COVERED, and neither first
-send counts as a resend.  And an ack that shows the creator now
-covers a BACKSTOP pair makes it COVERED, and a HELD one LAZY, so a HELD
-pair covered before its first send goes out only on a repair.  That is
-the one re-read: `take` asks for the schedule of a BACKSTOP or HELD pair
-on every call until the answer is COVERED or LAZY, and of any other pair
-only on its first offer.  An EAGER or RACED pair keeps the schedule of
-its first offer but for the renaming, and what the creator is known to
-hold only grows, so a COVERED or LAZY pair keeps its schedule.
+the rest.  PACED and RACED mean "not resent yet": the first timer send
+makes either EAGER.  HELD and LAZY mean "not sent yet": a HELD pair's
+first send makes it BACKSTOP, a LAZY pair's makes it COVERED, and
+neither first send counts as a resend.  And an ack that shows the
+creator now covers a BACKSTOP pair makes it COVERED, and a HELD one
+LAZY, so a HELD pair covered before its first send goes out only on a
+repair.  That is the one re-read: `take` asks for the schedule of a
+BACKSTOP or HELD pair on every call until the answer is COVERED or LAZY,
+and of any other pair only on its first offer.  An EAGER, PACED or
+RACED pair keeps the schedule of its first offer but for the renaming,
+and what the creator is known to hold only grows, so a COVERED or LAZY
+pair keeps its schedule.
 
 So a run is quiescent only when every pair is held, COVERED or LAZY:
 what a correct agent owes a member, the member holds.  The exception is
@@ -169,11 +156,9 @@ is lost.  The repair alone passes there only while later blocks keep
 drawing acks from the member; when a new member's Accept and say are the
 last blocks and the founder's copies of them are lost, nothing does, and
 a run could quiesce with the member lacking both.  The backstop closes
-that.  In TL a relay is often the only path (friends in a line), so TL
-relays stay EAGER: dropping a TL relay's same-round second copy raised
-the 95th-percentile delivery time on a 5-agent line from 12.6 to 18.5
-ticks.  Sending its copies up front cut that line's (`tl_feed`) p95 by
-5% and its datagrams by 1.5% (seeds 1-4, medians).
+that.  In TL a relay is often the only path (friends in a line), so a TL
+relay's copy is never COVERED or LAZY: it goes on the creator's own
+schedule, EAGER or PACED, copies up front included.
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
@@ -187,11 +172,14 @@ from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
 
-# An EAGER or RACED first offer sends this many copies at once; the next
-# is due GAP ticks later (REPAIR_AFTER for RACED), and every GAP ticks
-# after that.
+# An EAGER, PACED or RACED first offer sends this many copies at once; the
+# next is due GAP ticks later (ROUND_TRIP for PACED, REPAIR_AFTER for
+# RACED), and every GAP ticks after that.
 EAGER_COPIES = 3
 GAP = 4
+# The mean round trip at the default delays (1-5 ticks each way):
+# delay_min + delay_max.
+ROUND_TRIP = 6
 # An agent repeats a byte-identical ack to the same address only after this
 # many of its ticks.  Below GAP, so each timer resend draws a fresh ack.
 ACK_HOLDOFF = 3
@@ -205,11 +193,12 @@ COVERED = "covered"
 BACKSTOP = "backstop"
 HELD = "held"
 LAZY = "lazy"
+PACED = "paced"
 RACED = "raced"
 
-# The wait after an EAGER or RACED first offer; every later resend of
-# either waits GAP, as EAGER.
-_FIRST_WAIT = {EAGER: GAP, RACED: REPAIR_AFTER}
+# The wait after an EAGER, PACED or RACED first offer; every later resend
+# of each waits GAP, as EAGER.
+_FIRST_WAIT = {EAGER: GAP, PACED: ROUND_TRIP, RACED: REPAIR_AFTER}
 # The schedule a pair not sent yet takes on its first send.
 _FIRST_SEND = {HELD: BACKSTOP, LAZY: COVERED}
 # The schedule a BACKSTOP or HELD pair takes once the creator covers it.
@@ -247,7 +236,7 @@ class Retransmit:
 
     def armed(self) -> int:
         """Timers still running: the pairs neither COVERED nor LAZY, so a
-        RACED pair counts from its first offer on."""
+        PACED or RACED pair counts from its first offer on."""
         return sum(entry[1] not in (COVERED, LAZY) for entry in self._pairs.values())
 
     def mark_repair(self, dest: NetAddress) -> None:
@@ -268,10 +257,10 @@ class Retransmit:
 
     def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
         """How many copies of the block to send to `dest` now: 0, 1, or
-        EAGER_COPIES for an EAGER or RACED first offer.  Rearms the pair's
-        timer when it sends.  `schedule` gives the pair's schedule; it is
-        called on the first offer, and after that only while the pair is
-        BACKSTOP or HELD."""
+        EAGER_COPIES for an EAGER, PACED or RACED first offer.  Rearms the
+        pair's timer when it sends.  `schedule` gives the pair's schedule;
+        it is called on the first offer, and after that only while the
+        pair is BACKSTOP or HELD."""
         pair = (dest, block_id)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)

@@ -4,10 +4,13 @@ Each agent is a single-threaded state machine over its own blocklace.
 Utterances (follow/say/respond) become blocks pointing at the current
 tips; every received non-ack block is acknowledged.  A block goes to each
 peer that needs it when it lands or is uttered, in three copies, and a
-periodic tick resends what is still unacknowledged every GAP ticks per
-(peer address, block) (`retransmit.Retransmit`), so lost datagrams are
-eventually retried.  Friendship is mutual following; a pending
-friendship offer is resent to its target until acknowledged.
+periodic tick resends what is still unacknowledged per (peer address,
+block) (`retransmit.Retransmit`), so lost datagrams are eventually
+retried: a Say or Respond first ROUND_TRIP ticks after its copies, then
+every GAP ticks (PACED); a Follow or Empty every GAP ticks (EAGER).
+Relays send on the creator's schedule, since on a line of friends a
+relay is often the only path.  Friendship is mutual following; a
+pending friendship offer is resent to its target until acknowledged.
 
 Reliable dissemination rests on three choices that keep the ack/nack
 bookkeeping sound:
@@ -53,6 +56,7 @@ from . import blocks as b
 from .blocks import Block, BlockId, Empty, Follow, NetAddress, Respond, Say
 from .crypto import AgentId, Keypair
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
+from .retransmit import EAGER, PACED
 
 
 def is_offer_to(block: Block, q: AgentId) -> bool:
@@ -133,6 +137,12 @@ class TlAgent(Agent):
         known = self.peers.known
         for q in sorted(self.known_agents()):
             yield q, scope & self._sendable(q) & ~known(q)
+
+    def _schedule(self, block: Block, q: AgentId) -> str:
+        # Own or relayed alike: an utterance's first resend waits a round
+        # trip for the ack of its copies; a Follow or Empty, which later
+        # copies wait on, is resent every GAP from the start.
+        return PACED if b.is_utterance(block.payload) else EAGER
 
     def _sendable(self, q: AgentId) -> int:
         """The blocks q may be sent: those by creators q follows when q is

@@ -275,7 +275,7 @@ class WlAgent(Agent):
         # it knows a third member, so that relays race it, is RACED; its
         # other blocks are EAGER, since no relay races them.
         if block.creator == self.agent_id:
-            if b.is_utterance(block.payload) and len(self.members_of(self.group_of(block.id))) >= 3:
+            if b.is_utterance(block.payload) and len(self._members.get(self.group_of(block.id), ())) >= 3:
                 return RACED
             return EAGER
         gid = self.group_of(block.id)
@@ -381,7 +381,7 @@ class WlAgent(Agent):
         that cyclic order.  So every member has RACING_RELAYS racers, or
         every other relay in a group of up to RACING_RELAYS + 2 members,
         chosen afresh per utterance, and every relay races to as many
-        members as race to it.  The creator's own EAGER copies come
+        members as race to it.  The creator's own RACED copies come
         first; the racers cover the few pairs whose creator copies are
         all lost."""
         me = self.agent_id

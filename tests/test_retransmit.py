@@ -22,8 +22,10 @@ from blocklace.retransmit import (
     GAP,
     HELD,
     LAZY,
+    PACED,
     RACED,
     REPAIR_AFTER,
+    ROUND_TRIP,
     Retransmit,
 )
 from blocklace.simnet import NetConfig
@@ -88,6 +90,43 @@ def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
     sent = round_sends(rtx, [("p/0", BLOCK)], 13)
     assert sent[("p/0", BLOCK)] == [0, 0, 0, GAP, 2 * GAP, 3 * GAP]
     assert metrics.resent == 5
+
+
+# A PACED pair is an EAGER one whose first timer resend waits ROUND_TRIP:
+# an earlier resend mostly races the ack of the three copies up front.
+
+
+def test_paced_first_offer_sends_three_copies_then_waits_a_round_trip():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    round_sends(rtx, [], 3)
+    start = rtx.now
+    paced = Asked(PACED)
+    assert rtx.take("p/0", BLOCK, paced) == EAGER_COPIES  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, paced) == 0
+    assert metrics.resent == EAGER_COPIES - 1
+    sent, armed = [], []
+    for _ in range(ROUND_TRIP + 3 * GAP + 1):
+        sent += round_sends(rtx, [("p/0", BLOCK)], 1, paced)[("p/0", BLOCK)]
+        armed.append(rtx.armed())
+    # Nothing until ROUND_TRIP ticks after the offer; then, renamed EAGER,
+    # one copy every GAP ticks.
+    assert sent == [start + ROUND_TRIP + i * GAP for i in range(4)]
+    assert armed == [1] * len(armed)
+    assert metrics.resent == 2 + 4
+    # Asked for on the first offer only.
+    assert paced.calls == 1
+    # No longer wanted: the next round does not ask about it.
+    round_sends(rtx, [], 1)
+    assert rtx.armed() == 0
+
+
+def test_first_waits_in_order_and_paced_waits_the_mean_round_trip():
+    # Each wait draws a fresh ack (ACK_HOLDOFF < GAP); the PACED wait is
+    # the mean round trip at the default delays, the RACED one longer
+    # than the slowest.
+    assert ACK_HOLDOFF < GAP < ROUND_TRIP < REPAIR_AFTER
+    assert ROUND_TRIP == NetConfig().delay_min + NetConfig().delay_max
 
 
 # A RACED pair is an EAGER one whose first timer resend waits REPAIR_AFTER:
@@ -564,15 +603,37 @@ def test_schedule_names_each_copy():
     ]
     for agent, block, q, schedule in cases:
         assert agent._schedule(block, q.agent_id) == schedule
-    # TL copies are all EAGER, relayed or not.
+    # A TL copy of a Say or Respond is PACED, relayed or not; of a Follow
+    # or Empty, EAGER.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
     befriend(a, c)
     befriend(c, d)
-    pump([c, d], d.follow(a.agent_id), d)
+    d.follow(a.agent_id)
+    follow = d.last_uttered
+    deliver(c, d, follow)
     a.say(b"news")
     news = a.last_uttered
     deliver(c, a, news)
-    assert a._schedule(news, c.agent_id) == c._schedule(news, d.agent_id) == EAGER
+    a.respond(b"re", news.id)
+    responded = a.last_uttered
+    deliver(c, a, responded)
+    a.change_address("r0/1")
+    empty = a.last_uttered
+    deliver(c, a, empty)
+    a.follow(d.agent_id)
+    offer = a.last_uttered
+    tl_cases = [
+        (a, news, c, PACED),  # its own utterances
+        (a, responded, c, PACED),
+        (c, news, d, PACED),  # relayed utterances
+        (c, responded, d, PACED),
+        (a, offer, d, EAGER),  # its own Follow and Empty
+        (a, empty, c, EAGER),
+        (c, follow, a, EAGER),  # a relayed Follow and Empty
+        (c, empty, d, EAGER),
+    ]
+    for agent, block, q, schedule in tl_cases:
+        assert agent._schedule(block, q.agent_id) == schedule
 
 
 CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
@@ -668,9 +729,32 @@ def test_creator_resends_no_say_within_repair_after_of_its_burst(name, seed):
     assert bursts
 
 
+@pytest.mark.parametrize("name", ["tl_line", "tl_star"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_tl_say_resent_within_round_trip_of_its_burst(name, seed):
+    # Read from the trace alone: every agent, creator or relay, sends a Say
+    # to a friend in one burst, and not again until ROUND_TRIP ticks later
+    # (PACED).
+    data = parse_trace(run_scenario(canned.CANNED[name](seed=seed)).trace_text)
+    says = {}
+    bursts = {}
+    resends = 0
+    for event in data.events_of("SUBMIT"):
+        fields = event.fields
+        raw = fields["bytes"]
+        if raw not in says:
+            says[raw] = isinstance(b.decode_block(bytes.fromhex(raw)).payload, b.Say)
+        if not says[raw]:
+            continue
+        burst = bursts.setdefault((fields["src"], fields["dst"], raw), event.tick)
+        assert event.tick == burst or event.tick >= burst + ROUND_TRIP, (fields, burst)
+        resends += event.tick > burst
+    assert resends
+
+
 def test_tl_relay_sends_three_copies_in_its_first_tick_like_the_creator():
-    # On a line of friends the relay may be the only path, so TL relays
-    # stay on the eager schedule.
+    # On a line of friends the relay may be the only path, so a TL relay
+    # sends its copies up front, on the creator's schedule.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
     befriend(a, c)
     befriend(c, d)
@@ -822,12 +906,14 @@ def test_delays_beyond_the_repair_window_still_quiesce_with_every_block_held(nam
     assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 
 
-@pytest.mark.parametrize("seed", [15, 32])
+@pytest.mark.parametrize("seed", [17, 39])
 def test_withheld_forks_reach_every_member_through_nack_and_repair(seed):
     # The equivocator withholds each fork from some members it knows, so
     # the relays' copies carry no timer.  At these seeds a lost copy
     # reaches its member only through the member's nack and the relay's
-    # repair: without either, wl_liveness and equivocation_visibility fail.
+    # repair: with no nack (`WlAgent._nack_pointers` giving None) both
+    # seeds fail wl_liveness and equivocation_visibility, and with no
+    # repair (`Retransmit.mark_repair` a no-op) seed 39 does.
     result = run_scenario(canned.wl_equivocation(seed=seed))
     assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 

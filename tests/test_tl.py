@@ -5,7 +5,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
-from blocklace.retransmit import ACK_HOLDOFF, EAGER_COPIES, GAP
+from blocklace.retransmit import ACK_HOLDOFF, EAGER_COPIES, GAP, ROUND_TRIP
 from blocklace.tl import ProtocolError, TlAgent
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
@@ -146,15 +146,15 @@ def test_receive_forwards_only_landed_blocks():
     sends = c.receive(encode_block(news), src=a.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
     assert forwarded == [(d.current_address, news.id)] * EAGER_COPIES
-    # Both were first offered in this tick, so the rounds resend them GAP
-    # ticks later.
+    # Both were first offered in this tick, and both are Says (PACED), so
+    # the rounds resend them ROUND_TRIP ticks later.
     owed = {
         (d.current_address, news.id),
         (a.current_address, backlog.id),
         (d.current_address, backlog.id),
     }
-    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(GAP + 1)]
-    assert [sent & owed for sent in rounds] == [set()] * GAP + [owed]
+    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(ROUND_TRIP + 1)]
+    assert [sent & owed for sent in rounds] == [set()] * ROUND_TRIP + [owed]
 
 
 def test_forged_blocks_dropped():
@@ -398,7 +398,8 @@ def test_two_hop_relay_liveness_perfect_network():
         b"msg-2",
         b"msg-3",
     ]
-    # c's copy is on c's timer (TL relays stay eager), so d acks it to c.
+    # c's copy is on c's own timer (a TL relay keeps one, as the creator
+    # does), so d acks it to c.
     a.say(b"msg-4")
     relayed = c.receive(encode_block(a.last_uttered), src=a.current_address)
     copies = [blk for dst, blk in relayed if dst == d.current_address]

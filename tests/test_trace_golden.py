@@ -25,12 +25,12 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "26d0f3e6a542da88530bb56488f7eab7410080d1e50e7075d60a99d1fd9fb2fc",
-    "tl_star": "16ff1e410b9e6173bddd79e10f480bd8e3e3b07751a2eaee842992345ff9e203",
-    "tl_ring": "f1cda44ecd23e9f3d0db9a8583998a7d02f73f662d1b487d14a9713483f3f201",
-    "tl_line_broken": "041ae13de0c42331ee9b5a7f9ffaa1cc710a3d963768963b3dd3bad988da5404",
-    "tl_churn": "330a6edc6ca4e7e3c4aa5b25fe6613541f300540811e9c58f4318477978928b7",
-    "tl_forgery": "49d8ec6aa915a6f8c4d3cc6ead4ba1fc4c433dec07e60b641cdb4d70934f0a46",
+    "tl_line": "d18859498e68351e2e8c54585e8de80c067f1e196baaac12d36e137b1a387cb8",
+    "tl_star": "a2f6b69505dd819f22e578aae9fa1314216838748fcac04d2580c5d167e1f5e2",
+    "tl_ring": "a9f12f145536530ddbf4e19171886783f53a816f923bb2f8df8c5bce8d74a930",
+    "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
+    "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
+    "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
     "wl_group": "adb65dbf047b8edb4f50996cb26d415854f5ef053377457c0e50599ac9ed12f0",
     "wl_crowd": "c4d7e00e275633a06ac13321b7187ac59b4a7cbab936f58abd2556d1f29298c3",
     "wl_dropper": "4d0d28e5c95fd0062f4470ceca032f35671b2a09b972bfda2159c410b40f8f0e",
@@ -43,12 +43,12 @@ GOLDEN_SHA256 = {
     "wl_founder_quits": "d0a199a6a6199d6875fdb844d638f83b5a093677ac8f287b8f28a1925da253fe",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "e5396e60aadb3936aa0e095e17f29017f89ec6295879b0f3ab375f9de445a8a9",
-    "tl_star": "f2c9a3725d31defa832958d342d9d2a348535fe4edbd238097e9ff74206bf66e",
-    "tl_ring": "681eeb59233faf2b9ac8e63ab3d6070d73db8ddc363606c7f18d0598b0059767",
-    "tl_line_broken": "943e15b2bac6b1de3198bfa5ad4319a13d2cf1ecc161b054837cdd42f9d4c0e2",
-    "tl_churn": "9408f4aa8abdd43d1ea7988d3028b07d918d2d437ccf4db9e85c42e618724c37",
-    "tl_forgery": "2cd37456303ddf72733e5a3e09cb5f856aee9589c30225cae1a0b54b0cbd3774",
+    "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
+    "tl_star": "3895cc5c2ca72e8395861b3c5375f5669738f2d5b06e00ce66aefc093a21d096",
+    "tl_ring": "b1282cb8e96076be0fd6a992b89d3a15db5bd80eb031edd933d995a72c1d5911",
+    "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
+    "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
+    "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
     "wl_group": "2950369aa4a892f1c793b7be7576622c92f5a8964319e4edcbc07858adcab612",
     "wl_crowd": "c6e89532be82a7c6f3e76496f236c136331206d42183334ea0dc8029a7577f7f",
     "wl_dropper": "c5d7c5854a4099e957258ee0eef0832c492dc93cec1c4358c78d8bd9be5d34ec",
@@ -61,12 +61,12 @@ GOLDEN_V3_SHA256 = {
     "wl_founder_quits": "e8f306c0bcecf6070343848a029d37198abf30ab2813c48682f23e641777c541",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "11410788e945205847240a37d2ac21c407c1eec751a30186a1b2c4a7e8dd813f",
-    "tl_star": "7727168270b4c1aa1cac480da0c0deae2665d24bb1040913d56a3fa1a72f90fe",
-    "tl_ring": "394b73123069e38301da7469ccaa81ea974293db19985b87cd3ea165152f1923",
-    "tl_line_broken": "2322fdd1edcb3a476ce9c0080172dc2fc8550a580bcb7fb8c1be804fe6a0f3d9",
-    "tl_churn": "fb80228119fa4f981a6bd55697e2fbb0622a58beaac40f2ef68a2de94132ae89",
-    "tl_forgery": "3fcd4d5d47a2d6e1e2f3f285f8311531960c77a6404d65c1a28273b83975dc32",
+    "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
+    "tl_star": "cec3477848772f5140b7dd0870a543e63040502ddbe1da0ebed6d1f5cb2ccc2e",
+    "tl_ring": "a3e295109f8bcda9c2f30c2e9a18b9af3a7d9e4b09d2c16c966d2d3b54cf5050",
+    "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
+    "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
+    "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
     "wl_group": "1b763cbd2a30c85d3d9db613dca92f8414cbc0e4da547ee2b94531f113117b49",
     "wl_crowd": "a40f2be407f652b58ceb196c93b2b88b244a9a75c2a0fad1da985f5936572133",
     "wl_dropper": "97c49765adfb0a2ff1412f91cd7b8ec7ddf5a7667d7725be08865ed5fab351a4",
@@ -82,12 +82,12 @@ GOLDEN_V2_SHA256 = {
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "f21f80692d05f7c9f5203534b3531e066a32c45ced19beeb259c1c57b6c56181",
-    "tl_star": "fa19d3e87ee65f020426023cb725a78f3133b078fadcab51240b98e88b5ffcf4",
-    "tl_ring": "d2910366becb4079c7ac4d9a678a1bb6ab1d1bc91efb4a0ddfbdcadc793dac88",
-    "tl_line_broken": "981f6a1d8688f612adf4b55f0283c7cec085bb80f6f1b98128d9163fb44f25d8",
-    "tl_churn": "5a6503de270a360e9c8853c1cb3e63989f7023c5bdeec458cc9b893e759f1e07",
-    "tl_forgery": "f0291ab9184162b9e09b4f2afd943b111c5d349d0362da368dee02ddf2fe200d",
+    "tl_line": "866812a271aa7105731127c6a6a96e553a0b950a8389635d074064d85ffc4eff",
+    "tl_star": "67141a4b5cbce903272318797e50673b8707bc232e0d8ad7a0da211daa3c6715",
+    "tl_ring": "acc595b690de9ccb4afcfc5fa400813833b82952f37adc0b6a7663c430c8190c",
+    "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
+    "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
+    "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
     "wl_group": "81434af663d9e42774669e11375af195b9903d72d66da4c2788568ddf4cfbf35",
     "wl_crowd": "29ec3220a52ef8f3a2be22bfdb57cbd3eaba921672426cb557583d86f497a0a9",
     "wl_dropper": "3fb6fe882bd0feacaeb498644e76dcaa55b1d2761be53970912f66c04e41eca4",
