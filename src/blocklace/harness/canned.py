@@ -282,6 +282,34 @@ def wl_founder_quits(seed: int = 0) -> Scenario:
     )
 
 
+def wl_crowd_orphans(seed: int = 0) -> Scenario:
+    """Founder plus nine chatting members and two silent invitees, 30% loss
+    and 10% duplication; the founder goes silent after formation.  A
+    member's uncovered relay copy has only HOLDERS backstops besides the
+    founder (`wl.WlAgent._holds_for`), so with the founder silent the
+    members' blocks reach each other through their own copies and those
+    few holders, and the silent invitees hold none."""
+    names = ["f"] + [f"m{i}" for i in range(1, 10)]
+    silent = ["h1", "h2"]
+    chat = _says(44, 4, names[1:], [f"orphan-crowd-{i:02d}" for i in range(20)])
+    return _group_chat(
+        [AgentSpec(name) for name in names] + [AgentSpec(n, role="silent") for n in silent],
+        names[1:] + silent,
+        "orphan-crowd",
+        [Event(40, "f", {"cmd": "mute"})] + chat,
+        [
+            OracleSpec("wl_liveness", {"founder": "f", "group_name": "orphan-crowd"}),
+            OracleSpec("attribution"),
+        ],
+        seed=seed,
+        # The muted founder and the silent invitees never ack, so the
+        # members resend to them until the budget runs out.
+        ticks=600,
+        loss_prob=0.3,
+        dup_prob=0.1,
+    )
+
+
 def wl_dropper(seed: int = 0) -> Scenario:
     """Four-member group where one member silently swallows everything:
     liveness must still hold among the correct three."""
@@ -449,6 +477,7 @@ CANNED = {
     "wl_crowd": wl_crowd,
     "wl_founder_moves": wl_founder_moves,
     "wl_founder_quits": wl_founder_quits,
+    "wl_crowd_orphans": wl_crowd_orphans,
     "wl_dropper": wl_dropper,
     "wl_solo": wl_solo,
     "wl_churn": wl_churn,

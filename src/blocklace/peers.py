@@ -143,7 +143,7 @@ class Agent:
         self.current_address = address
         self.lace = Blocklace()
         self.metrics = metrics
-        self.retransmit = Retransmit(metrics)
+        self.retransmit = Retransmit(metrics, self.agent_id)
         self.peers: PeerKnowledge  # set by the subclass, with its credit rule
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}

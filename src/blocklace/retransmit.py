@@ -10,8 +10,8 @@ it.  ROADMAP item 5 has the measurements behind each constant and rule.
 
 EAGER is for a pair whose copy may be the destination's only path to the
 block and whose first resend should not wait: a TL Follow or Empty, own
-or relayed, and a WL agent's own blocks but the RACED ones below.  It is
-sent:
+or relayed, and a WL agent's own blocks but the RACED and BACKSTOP ones
+below.  It is sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
   or on the agent's own command, in a round or not;
@@ -55,7 +55,8 @@ three.
   longest round trip at the default delays, since the racers cover the
   loss tail too.  The agent's other blocks stay EAGER, because no relay
   races them: a membership block's copy is often an invitee's only
-  path, and a group of two has no relay.
+  path, and a group of two has no relay.  The exception is its Accept
+  to a member other than the founder, which is BACKSTOP (below).
 
 Ack holdoff.  Each copy that lands draws an ack, and the copies of one
 burst land in different ticks, so one burst drew up to three identical
@@ -67,40 +68,51 @@ before it finds the holdoff over and draws a fresh ack, so a sender
 whose acks were all lost still gets one.  The acks it holds off are not
 the ones that stop timers: resends stay about the same.
 
-The other four are for a WL copy of a block this agent did not create,
-where the creator sends it too.  Each sends at most one copy at a time,
-and none is resent sooner than REPAIR_AFTER ticks after its last send:
+The other four are for a WL copy that another path covers too: a copy of
+a block this agent did not create, which the creator sends too, or of a
+member's own Accept, which the founder relays.  Each sends at most one
+copy at a time, and none is resent sooner than REPAIR_AFTER ticks after
+its last send:
 
-* COVERED: the agent knows the creator holds the block that made the
-  destination a member, so a correct creator has the pair on its own
-  EAGER or RACED schedule, and the agent is one of the RACING_RELAYS
-  members that race this utterance to the destination
-  (`wl.WlAgent._race`).  The copy is sent once on first offer and has
-  no timer: it is resent only to repair a loss, in a round after an ack
-  from the destination arrived;
+* COVERED: the creator covers the destination, so a correct creator has
+  the pair on its own EAGER or RACED schedule, and the agent is one of
+  the RACING_RELAYS members that race this utterance to the destination
+  (`wl.WlAgent._race`).  The creator covers the destination when the
+  agent knows it holds the block that made the destination a member,
+  and always when it is the group's founder: a new member knows only
+  the founder, so every Accept goes to the founder first.  The copy is
+  sent once on first offer and has no timer: it is resent only to
+  repair a loss, in a round after an ack from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
   only path.  It is sent on first offer, then every REPAIR_AFTER ticks
   until the destination is known to hold it.  This is the schedule of
   the group's founder: it created every invite, so it knows every
-  invitee, and a new member, which knows only the founder, sends its
-  Accept there first;
-* HELD: a BACKSTOP pair at any other relay, whose first offer is
+  invitee, and a new member sends its Accept there first.  It is also
+  the schedule of a member's own Accept to a member other than the
+  founder: the founder relays every Accept to every member at once, so
+  the creator's copies need not come in a burst;
+* HELD: a BACKSTOP pair at HOLDERS other relays, whose first offer is
   recorded as if sent but not sent, so its copy goes out REPAIR_AFTER
-  ticks later if the destination still lacks the block.  With every
-  member relaying every Accept to every other member at once, relayed
-  Accepts grew as n^3;
-* LAZY: a covered pair whose copy need not race the creator's: a
-  membership block (Group, Invite, Accept, Empty), or an utterance this
-  agent does not race to the destination.  Its first offer is recorded
-  but not sent, and it has no timer: it goes out only to repair a loss,
-  in a round at least REPAIR_AFTER ticks after the offer, once an ack or
-  nack from the destination still does not cover the block.  This is
-  Plumtree's eager/lazy split (below), made by payload and, for
-  utterances, per (utterance, destination).  No reader waits on a
-  membership block: when every member relayed every covered Invite to
-  every other member at once, although the founder sends each invite to
-  all of them, relayed Invites grew as n^3.
+  ticks later if the destination still lacks the block.  The holders
+  are chosen per (block, destination) in the racing relays' digest
+  order, among the members other than the creator and the founder
+  (`wl.WlAgent._holds_for`).  With every member relaying every Accept
+  to every other member at once, relayed Accepts grew as n^3, and held
+  at every relay they still would;
+* LAZY: a pair whose copy need not race the creator's: a covered
+  membership block (Group, Invite, Accept, Empty), a covered utterance
+  this agent does not race to the destination, or an uncovered block at
+  a relay other than the founder and the destination's holders.  Its
+  first offer is recorded but not sent, and it has no timer: it goes out
+  only to repair a loss, in a round at least REPAIR_AFTER ticks after
+  the offer, once an ack or nack from the destination still does not
+  cover the block.  This is Plumtree's eager/lazy split (below), made
+  by payload and, for utterances and uncovered blocks, per (block,
+  destination).  No reader waits on a membership block: when every
+  member relayed every covered Invite to every other member at once,
+  although the founder sends each invite to all of them, relayed
+  Invites grew as n^3.
 
 Racing relays.  A reader does wait on an utterance, and with one copy
 from its creator up front a loss tail was left that only relays
@@ -120,11 +132,12 @@ neither first send counts as a resend.  And an ack that shows the
 creator now covers a BACKSTOP pair makes it COVERED, and a HELD one
 LAZY, so a HELD pair covered before its first send goes out only on a
 repair.  That is the one re-read: `take` asks for the schedule of a
-BACKSTOP or HELD pair on every call until the answer is COVERED or LAZY,
-and of any other pair only on its first offer.  An EAGER, PACED or
-RACED pair keeps the schedule of its first offer but for the renaming,
-and what the creator is known to hold only grows, so a COVERED or LAZY
-pair keeps its schedule.
+relay's BACKSTOP or HELD pair on every call until the answer is COVERED
+or LAZY, and of any other pair only on its first offer.  A BACKSTOP pair
+of the agent's own Accept is never re-read, since only a relay's copy
+turns covered.  An EAGER, PACED or RACED pair keeps the schedule of its
+first offer but for the renaming, and what the creator is known to hold
+only grows, so a COVERED or LAZY pair keeps its schedule.
 
 So a run is quiescent only when every pair is held, COVERED or LAZY:
 what a correct agent owes a member, the member holds.  The exception is
@@ -171,6 +184,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
+from .crypto import AgentId
 
 # An EAGER, PACED or RACED first offer sends this many copies at once; the
 # next is due GAP ticks later (ROUND_TRIP for PACED, REPAIR_AFTER for
@@ -204,7 +218,9 @@ _FIRST_SEND = {HELD: BACKSTOP, LAZY: COVERED}
 # The schedule a BACKSTOP or HELD pair takes once the creator covers it.
 _ON_COVER = {BACKSTOP: COVERED, HELD: LAZY}
 
-Pair = tuple[NetAddress, BlockId]
+# (destination address, block creator, block digest): a block id's fields,
+# whose hashes are cached, so a lookup runs no Python-level __hash__.
+Pair = tuple[NetAddress, bytes, bytes]
 
 
 class Retransmit:
@@ -222,10 +238,13 @@ class Retransmit:
     from since the last round.
     """
 
-    def __init__(self, metrics):
+    def __init__(self, metrics, owner: Optional[AgentId] = None):
         # `metrics.resent` counts sends that repeat an earlier send of the
         # same block to the same destination.
         self._metrics = metrics
+        # The agent whose sends these are: a pair of its own block keeps
+        # the schedule of its first offer (`take`).
+        self._owner = owner
         self.now = 0
         # pair -> (tick the next send is due, schedule)
         self._pairs: dict[Pair, tuple[int, str]] = {}
@@ -260,12 +279,15 @@ class Retransmit:
         EAGER_COPIES for an EAGER, PACED or RACED first offer.  Rearms the
         pair's timer when it sends.  `schedule` gives the pair's schedule;
         it is called on the first offer, and after that only while the
-        pair is BACKSTOP or HELD."""
-        pair = (dest, block_id)
+        pair is BACKSTOP or HELD and its block is not the owner's: only a
+        relay's copy turns COVERED or LAZY."""
+        pair = (dest, block_id.creator, block_id.digest)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)
-        if entry is None and before is not None and pair in before:
-            entry = pairs[pair] = before.pop(pair)
+        if entry is None and before is not None:
+            entry = before.pop(pair, None)
+            if entry is not None:
+                pairs[pair] = entry
         if entry is None:
             name = schedule()
             if name in _FIRST_WAIT:
@@ -275,7 +297,7 @@ class Retransmit:
             pairs[pair] = (now + REPAIR_AFTER, name)
             return 0 if name in _FIRST_SEND else 1
         due, name = entry
-        if name in _ON_COVER and schedule() in (COVERED, LAZY):
+        if name in _ON_COVER and block_id.creator != self._owner and schedule() in (COVERED, LAZY):
             name = _ON_COVER[name]
             pairs[pair] = (due, name)
         if before is None or due > now or (name in (COVERED, LAZY) and dest not in self._repair):

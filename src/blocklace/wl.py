@@ -22,6 +22,7 @@ plaintext, so a decrypted message can still be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from . import blocks as b
@@ -47,8 +48,15 @@ GroupId = BlockId
 # How many members race their relay copy of an utterance to each other
 # member at once (`WlAgent._race`); the rest relay it only to repair.
 RACING_RELAYS = 5
+# How many members other than the founder hold a relay copy that the
+# creator may not cover, for a backstop (`WlAgent._holds_for`); the rest
+# relay it only to repair.
+HOLDERS = 2
 
 _UTTER_DOMAIN = b"group-utterance\x00"
+# A member's key in a block's digest order is a SHA-256 digest
+# (`_nearest_before`).
+_KEY_RING = 1 << 256
 
 
 @dataclass
@@ -123,6 +131,27 @@ def partition_violations(lace: Blocklace) -> list[str]:
     return issues
 
 
+def _nearest_before(
+    digest: bytes,
+    me: AgentId,
+    others: list[AgentId],
+    count: int,
+    found: tuple[tuple[int, AgentId], ...] = (),
+) -> tuple[tuple[int, AgentId], ...]:
+    """The `count` members nearest before `me` in a block's digest order,
+    among `others` and the (distance, member) pairs `found` earlier.
+
+    The digest order sorts members by the hash of the block's digest and
+    the member's id, cyclically; a member's distance is how far its key
+    lies before `me`'s.  Nearest first."""
+    mine = int.from_bytes(crypto.hash_bytes(digest + me), "big")
+    nearest = list(found)
+    for q in others:
+        key = int.from_bytes(crypto.hash_bytes(digest + q), "big")
+        nearest.append(((mine - key) % _KEY_RING, q))
+    return tuple(sorted(nearest)[:count])
+
+
 # --- the agent ---------------------------------------------------------------
 
 
@@ -147,6 +176,11 @@ class WlAgent(Agent):
         # member -> the bits of the utterances this agent races to it
         # (`_race`).  Bound: one entry per member.
         self._racing: dict[AgentId, int] = {}
+        # block -> (how many members its group had here when last updated,
+        # the (cyclic distance, member) of the members this agent holds
+        # its copy to, nearest first; see `_holds_for`).  Bound: one entry
+        # per block of the lace that was relayed uncovered.
+        self._holding: dict[BlockId, tuple[int, tuple[tuple[int, AgentId], ...]]] = {}
 
     # --- state queries -------------------------------------------------------
 
@@ -268,23 +302,54 @@ class WlAgent(Agent):
         # (`_race`), whose delivery time the copy may shorten, and
         # otherwise only to repair a loss: for the utterances the other
         # racers cover, and for membership blocks (Group, Invite, Accept,
-        # Empty), on which no reader waits.  Otherwise the copy may be q's
-        # only path: the founder, which created every invite and so knows
-        # every invitee, sends it at once; any other relay holds it for
-        # REPAIR_AFTER ticks.  The agent's own utterance in a group where
-        # it knows a third member, so that relays race it, is RACED; its
-        # other blocks are EAGER, since no relay races them.
+        # Empty), on which no reader waits.  The founder covers every
+        # member: each Accept goes to the founder first, so its blocks
+        # are always covered.  Otherwise the copy may be q's only path:
+        # the founder, which created every invite and so knows every
+        # invitee, sends it at once; HOLDERS other relays, chosen per
+        # (block, q) by digest (`_holds_for`), hold it for REPAIR_AFTER
+        # ticks, and the rest send it only to repair.  The agent's own
+        # utterance in a group where it knows a third member, so that
+        # relays race it, is RACED; its own Accept to a member other than
+        # the founder is BACKSTOP, since the founder relays it at once;
+        # its other blocks are EAGER, since no relay races them.
+        gid = self.group_of(block.id)
         if block.creator == self.agent_id:
-            if b.is_utterance(block.payload) and len(self._members.get(self.group_of(block.id), ())) >= 3:
+            payload = block.payload
+            if isinstance(payload, Accept) and q != gid.creator:
+                return BACKSTOP
+            if b.is_utterance(payload) and len(self._members.get(gid, ())) >= 3:
                 return RACED
             return EAGER
-        gid = self.group_of(block.id)
-        joined = self._members.get(gid, {}).get(q, 0)
-        if self.peers.known(block.creator) & joined:
+        if gid is None:
+            return HELD
+        joined = self._members[gid].get(q, 0)
+        if block.creator == gid.creator or self.peers.known(block.creator) & joined:
             return COVERED if self._racing.get(q, 0) & self.lace.bit_of(block.id) else LAZY
-        if gid is not None and gid.creator == self.agent_id:
+        if gid.creator == self.agent_id:
             return BACKSTOP
-        return HELD
+        return HELD if self._holds_for(block, gid, q) else LAZY
+
+    def _holds_for(self, block: Block, gid: GroupId, q: AgentId) -> bool:
+        """Whether this agent is one of q's HOLDERS for the block.
+
+        The group's members other than the block's creator and the
+        founder, as known here, are in `_race`'s digest order; q's holders
+        are the HOLDERS members after q in that cyclic order, so this
+        agent holds for the HOLDERS members nearest before it.  Members
+        only join, so `_holding` keeps those few per block and meets each
+        member once."""
+        me = self.agent_id
+        members = self._members[gid]
+        if me not in members:
+            return False
+        seen, nearest = self._holding.get(block.id, (0, ()))
+        if seen < len(members):
+            skip = (me, block.creator, gid.creator)
+            new = [m for m in islice(members, seen, None) if m not in skip]
+            nearest = _nearest_before(block.id.digest, me, new, HOLDERS, nearest)
+            self._holding[block.id] = (len(members), nearest)
+        return any(m == q for _, m in nearest)
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not
@@ -388,14 +453,8 @@ class WlAgent(Agent):
         members = self._members[gid]
         if block.creator == me or me not in members:
             return
-        digest = block.id.digest
-        order = sorted(
-            (q for q in members if q != block.creator),
-            key=lambda q: crypto.hash_bytes(digest + q),
-        )
-        at = order.index(me)
-        for step in range(1, min(RACING_RELAYS, len(order) - 1) + 1):
-            q = order[at - step]
+        others = [q for q in members if q not in (me, block.creator)]
+        for _, q in _nearest_before(block.id.digest, me, others, RACING_RELAYS):
             self._racing[q] = self._racing.get(q, 0) | bit
 
     def _ack_pointers(

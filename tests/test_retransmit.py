@@ -30,7 +30,7 @@ from blocklace.retransmit import (
 )
 from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
-from blocklace.wl import RACING_RELAYS, WlAgent
+from blocklace.wl import HOLDERS, RACING_RELAYS, WlAgent
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -281,6 +281,17 @@ def test_backstop_left_once_another_path_covers_the_pair():
     assert sent[("p/0", BLOCK)] == [35]
     assert metrics.resent == 1
     assert backstop.calls == 7
+
+
+def test_own_backstop_pair_asked_for_on_its_first_offer_only():
+    # Only a relay's copy turns covered, so a pair of the owner's own block
+    # keeps its BACKSTOP schedule without asking again.
+    rtx = Retransmit(AgentMetrics(), owner=KP[0].agent_id)
+    backstop = Asked(BACKSTOP)
+    assert rtx.take("p/0", BLOCK, backstop) == 1
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, backstop)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    assert backstop.calls == 1
 
 
 # A HELD pair is a backstop pair whose first offer is recorded as if sent,
@@ -541,6 +552,28 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
     assert owes(m1, m2, accept.id, rounds=REPAIR_AFTER)
 
 
+CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
+
+
+def late_accept(agents):
+    """A group of all agents but the last, formed over a perfect network;
+    then the last is invited and accepts, and its Accept reaches the others
+    only through the founder's copies.  So no relay knows that the new
+    member holds the others' Accepts.  Returns the Accept."""
+    founder, late = agents[0], agents[-1]
+    gid = wl_group(*agents[:-1])
+    founder.address_hints[late.agent_id] = late.current_address
+    pump([founder, late], founder.invite(late.agent_id, gid), founder)
+    invite = founder.last_uttered
+    late.accept(gid)
+    accept = late.last_uttered
+    deliver(founder, late, accept)
+    for relay in agents[1:-1]:
+        deliver(relay, founder, invite)
+        deliver(relay, founder, accept)
+    return accept
+
+
 def test_schedule_names_each_copy():
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
@@ -583,22 +616,29 @@ def test_schedule_names_each_copy():
     pump([f, m2], m2.accept(pair), m2)
     f.say_group(pair, b"just us")
     pair_said = f.last_uttered
+    # A group of six whose last member joined after the others.
+    crowd = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:6])]
+    late = late_accept(crowd)
+    c1, c2, c3 = crowd[1:4]
     cases = [
         (f, own, m1, RACED),  # the agent's own utterance, which relays race
         (f, own_responded, m1, RACED),
         (f, pair_said, m2, EAGER),  # its own utterance with no relay
         (f, invite, m1, EAGER),  # its own membership blocks
-        (m3, accept, f, EAGER),
+        (m3, accept, f, EAGER),  # its own Accept, to the founder
         (m1, empty, f, EAGER),
+        (m3, accept, m1, BACKSTOP),  # its own Accept, to another member
         (f, said, m1, COVERED),  # m2 holds m1's Accept
         (f, responded, m1, COVERED),
         (m1, invite, m2, LAZY),  # covered, not an utterance
         (f, m1_accept, m2, LAZY),
         (f, empty, m2, LAZY),
+        (m2, invite, m3, LAZY),  # the founder's block: always covered
         (f, accept, m1, BACKSTOP),  # uncovered, at the founder
         (f, stray_invite, m3, BACKSTOP),
-        (m1, accept, m2, HELD),  # uncovered, at any other relay
-        (m2, invite, m3, HELD),
+        (m1, accept, m2, HELD),  # uncovered, at one of the HOLDERS relays
+        (c3, late, c1, HELD),
+        (c2, late, c1, LAZY),  # uncovered, at a relay not among them
         (f, stray, m1, HELD),  # in no group
     ]
     for agent, block, q, schedule in cases:
@@ -636,9 +676,6 @@ def test_schedule_names_each_copy():
         assert agent._schedule(block, q.agent_id) == schedule
 
 
-CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
-
-
 @pytest.mark.parametrize("size", [12, 7])
 def test_racing_relays_per_utterance_and_member(size):
     # Each member says once in a group formed over a perfect network.  In
@@ -667,6 +704,30 @@ def test_racing_relays_per_utterance_and_member(size):
                 assert relay._schedule(block, q.agent_id) == (COVERED if racing else LAZY)
             racers_per_pair.add(racers)
     assert racers_per_pair == {min(RACING_RELAYS, size - 2)}
+
+
+@pytest.mark.parametrize("size", [4, 6, 12])
+def test_holders_per_uncovered_accept_and_member(size):
+    # Of the members other than the founder, exactly HOLDERS hold their
+    # relay copy of an uncovered Accept to a member, or all of the relays
+    # there are (the members but the founder, the creator and q); the other
+    # relays send it only to repair, and the founder on its backstop.
+    # They are the HOLDERS members after q in the digest order `_race` uses.
+    agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
+    accept = late_accept(agents)
+    founder, creator = agents[0], agents[-1]
+    order = sorted(agents[1:-1], key=lambda r: crypto.hash_bytes(accept.id.digest + r.agent_id))
+    for q in agents[1:-1]:
+        relays = [r for r in agents[1:-1] if r is not q]
+        named = [r._schedule(accept, q.agent_id) for r in relays]
+        assert named.count(HELD) == min(HOLDERS, size - 3)
+        assert named.count(LAZY) == len(relays) - named.count(HELD)
+        at = order.index(q)
+        after = [order[(at + step) % len(order)] for step in range(1, len(order))]
+        held = [r for r, name in zip(relays, named) if name == HELD]
+        assert set(held) == set(after[:HOLDERS])
+        assert founder._schedule(accept, q.agent_id) == BACKSTOP
+        assert creator._schedule(accept, q.agent_id) == BACKSTOP
 
 
 def wide_equivocation(seed):
@@ -849,9 +910,15 @@ def _required_held(runner):
 
 
 # A correct agent owes blocks forever to a peer that never acks: a silent
-# member (wl_dropper), the muted equivocator, the muted founder, or one
-# beyond a broken link.
-NEVER_QUIESCE = {"tl_line_broken", "wl_dropper", "wl_equivocation", "wl_founder_quits"}
+# member (wl_dropper, wl_crowd_orphans), the muted equivocator, the muted
+# founder, or one beyond a broken link.
+NEVER_QUIESCE = {
+    "tl_line_broken",
+    "wl_dropper",
+    "wl_equivocation",
+    "wl_founder_quits",
+    "wl_crowd_orphans",
+}
 
 # Known fault, not by design: a member whose Accept is still in flight when
 # the founder rebinds knows the founder only at its old address, and nothing

@@ -31,16 +31,17 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
     "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
     "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
-    "wl_group": "adb65dbf047b8edb4f50996cb26d415854f5ef053377457c0e50599ac9ed12f0",
-    "wl_crowd": "c4d7e00e275633a06ac13321b7187ac59b4a7cbab936f58abd2556d1f29298c3",
-    "wl_dropper": "4d0d28e5c95fd0062f4470ceca032f35671b2a09b972bfda2159c410b40f8f0e",
+    "wl_group": "a6242eca6aa792bff509ed4150ad86be9343d365a67ae8873ae806e86fd0d5fc",
+    "wl_crowd": "d80c89ed268aa7fd5ea376b1895c285a3ca23c68f3f0e8085d899c3c952ac20e",
+    "wl_dropper": "15cc53e060e6b8c355b3524387a1f50e72c799e7753b652e28cb80e44e059f32",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "cff41521c751daaf6a3584b8c79ea06d35ff58946e3a3dbcfbd297678ea9170c",
-    "wl_equivocation": "fc70885cb0ca8c8d968186ede9fdfd069765b6aa118a94066142c07e5f6affbc",
-    "wl_privacy": "fed0af75872562cdb636b18f2257a5ab3fcd230a43568e583f693de7a692f9a5",
-    "wl_partitions": "856f1dab31f022515b34f177a0e55fc4a33b895d479bbecf9174d9a247bab412",
-    "wl_founder_moves": "5236dd11f3e34872388361a73af007f9692e2bc2582632a1dcbde091254baec6",
-    "wl_founder_quits": "d0a199a6a6199d6875fdb844d638f83b5a093677ac8f287b8f28a1925da253fe",
+    "wl_churn": "d144b55b7150585b6d0083332f9fb12f8a1e41e35c3145ea3aa4a1138217fb51",
+    "wl_equivocation": "1c3c77f03dbb873cb819620e6d7e6be3f8a1b3c18326ca8690958c18115aa5d3",
+    "wl_privacy": "e5ccc0244e50609acade9681776038df989e3a9dff5668188c879fb60dec0e8b",
+    "wl_partitions": "df3c9587b08e0392d4c8e7da8ef173dc17d13f4e85d59c0c7c55b6a318670964",
+    "wl_founder_moves": "0e6b30f754ecfef8c076703bb5fc5ae04e333770056f98b88c625a63b46a9fbb",
+    "wl_founder_quits": "787d33e001f48df29c9fa596f2f079a9eba98942be07d6bea96b189213099575",
+    "wl_crowd_orphans": "accdafd6f3cd60b8352bbc340d2789c115af232ac07cc4602a25f064ffe6402f",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
@@ -49,16 +50,17 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
     "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
     "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
-    "wl_group": "2950369aa4a892f1c793b7be7576622c92f5a8964319e4edcbc07858adcab612",
-    "wl_crowd": "c6e89532be82a7c6f3e76496f236c136331206d42183334ea0dc8029a7577f7f",
-    "wl_dropper": "c5d7c5854a4099e957258ee0eef0832c492dc93cec1c4358c78d8bd9be5d34ec",
+    "wl_group": "ca6b4b20dbaa4c005fa1650205d817ca6aa51a468388ffdab94302ba191a65a5",
+    "wl_crowd": "7c3a8f249c9f321013b602c689425cfaf051d7536730ba6aeaaa904ad90f789b",
+    "wl_dropper": "ebca3345ed45e765b78dd856b289eb7577a1452a994d7d90d3cd0b200ab54de7",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "2487d472bd5f929e56f1e6d64a184a82a7c991b2e1cf7bdcd5a8877da48aecf0",
-    "wl_equivocation": "15ce1f49930b4b7404be33a21e525b825e8320ecbd593c40b2c35109c4e372ca",
-    "wl_privacy": "21bc37a890a997313c283531da3b2fc4a53b3fe3a13358c1ed621813ae329085",
-    "wl_partitions": "47b57cd4a907724ac2209dbb62b1d2e3365bfd25dd15a87840e9787b00db913c",
-    "wl_founder_moves": "ca5664ab03aa63d411f896dd4ea5f311192be9fc41abbb5381e9d4cef8a70ee3",
-    "wl_founder_quits": "e8f306c0bcecf6070343848a029d37198abf30ab2813c48682f23e641777c541",
+    "wl_churn": "ec49b9b101b7b3766e41d58d0aa7bdd9e8d27cca68ab86d984bedc88ceb3aace",
+    "wl_equivocation": "6be252cf65eae5d534c7d31786bd717f1f113aa278b6207ef69925e918255bc0",
+    "wl_privacy": "093117fd50b7371c7e8efacdce8973bb0e5ecbec9544385869b05d4d558b9586",
+    "wl_partitions": "62bfdffd7176118e272b10bf2a0564daae931bc07c8bdbab98aa658f8736f66c",
+    "wl_founder_moves": "9f00e88553827b5029584a8da8319574205b736cdf0a162b552fb925bf5a9682",
+    "wl_founder_quits": "d089cab077218ea716dad9fc7a11f51760066b9e9b6ac29a734d30a399893216",
+    "wl_crowd_orphans": "8ced419d798d8e0165203ea812ad39d1a77f68a0a35f26d8b403c74286e9541c",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
@@ -67,16 +69,17 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
     "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
     "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
-    "wl_group": "1b763cbd2a30c85d3d9db613dca92f8414cbc0e4da547ee2b94531f113117b49",
-    "wl_crowd": "a40f2be407f652b58ceb196c93b2b88b244a9a75c2a0fad1da985f5936572133",
-    "wl_dropper": "97c49765adfb0a2ff1412f91cd7b8ec7ddf5a7667d7725be08865ed5fab351a4",
+    "wl_group": "c8c57aa11e08996afb368b4894200254062b3d7886488b05963a8885e8e32d9a",
+    "wl_crowd": "f907b6257ead63825d142edbf6c363077f68e3973344f49d3951768305af63c6",
+    "wl_dropper": "d0756cf81eadd1263e3a83db186e8d4a11a07612343733d248dc12feb83c83a3",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "8885ec867f026075a23bb12e92413d47ddff317346bd8f7be2588b9080be8cc9",
-    "wl_equivocation": "a7ad0f4bbfb5e53923fa4b3c7ee0af2ee17c88751be4c8cebae873785e07da6c",
-    "wl_privacy": "da13e48c286717e23b7121bddce385e144c1a8ba84c8840bb43090dc6ddecd24",
-    "wl_partitions": "4648fbb799695762c9de39bbca4091a480ebbdab8522481af38a927579691783",
-    "wl_founder_moves": "dc873211aa8acb6e1bb08f7158c48c0672bd532ee19f0254bc909bb3b42becd9",
-    "wl_founder_quits": "94a5b735509a93ad91490a2ce28e9de2350d065a32a567f4bb89585562a29c9a",
+    "wl_churn": "574125efc4c529c063fefc70df440a12924be84110d013b30f3feb8fcd9b9c51",
+    "wl_equivocation": "47b48390bc19b255873dd66ce493b18d9838750a433d716b1fa80029d19a9ae1",
+    "wl_privacy": "41357f4612775fc833d36980aef7f64331c2a685963d6e0fe1037383b76401f3",
+    "wl_partitions": "bfcc40b9451f9780a28dc18dcaac4d9c5447a81f842b5d915db072af45190293",
+    "wl_founder_moves": "da03af1a515a48acd035104c6538ebb8ffbd5d323b01e01f429d1e4e8293d807",
+    "wl_founder_quits": "cda781ec4f49c97497e727f425331053c1cc18144e717f43f1c5a8638dbdb67c",
+    "wl_crowd_orphans": "b1bd897b741bf9b3be69c5fa3322208637be3e78c74e83f4fc81b0247214a60b",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -88,16 +91,17 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
     "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
     "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
-    "wl_group": "81434af663d9e42774669e11375af195b9903d72d66da4c2788568ddf4cfbf35",
-    "wl_crowd": "29ec3220a52ef8f3a2be22bfdb57cbd3eaba921672426cb557583d86f497a0a9",
-    "wl_dropper": "3fb6fe882bd0feacaeb498644e76dcaa55b1d2761be53970912f66c04e41eca4",
+    "wl_group": "c3bd5e13286d0ffd83cb2f259636cb900b70f6ff8b902be101718b0a8f97d944",
+    "wl_crowd": "ef484f63368eff2147fe10b884b99c5694136b9f265226aa82673e2a4376a784",
+    "wl_dropper": "9d405340d53c6bf84b8a05f1cc8ede63af9cd20ba68b77d7ee8ce55919b87118",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "f9abd61aa39a607e202abe1190cf0ec0ea8e6cdfade62c1985fcae58f06ce43f",
-    "wl_equivocation": "af56bd4800eeefdc9c058459ff311e6623d8a01fe63c8dec364310b491cf55aa",
-    "wl_privacy": "cfe15b5ae80b1a4db0983b4f128ded1354f5bba11e6348d28340c9f6550cf2ce",
-    "wl_partitions": "8d7cc9d0547eb9adb7de239d29d19e524ab2181eb218f5b6e9b151b2a61b8441",
-    "wl_founder_moves": "771871b2d7d223766af65eec2d90efb5f3e37d05074c0f244bbaa3df329f7f2f",
-    "wl_founder_quits": "1c3491bd8d4e691dc901217452100daf763bd580791e5e6498007ac7bb072f07",
+    "wl_churn": "7cd4a287c9bc09678324d6b198f17ab66dce1f782734cef03b9b37d7c286b924",
+    "wl_equivocation": "32c863ea4462975ac306670637c94264962dd36cdbe1dcab0faa2fa41d379672",
+    "wl_privacy": "317ba39c0f31dd81761785757a1f6db34996636fdea64441a5a272a56925b8c2",
+    "wl_partitions": "a7cb5fc862d7fdc90985010a9447236472e0c751953e8a40a8f0de6fae6968aa",
+    "wl_founder_moves": "f21c12335d0d925415470c8b607c906111bd223aebcad49abbaf953d6ff1ff5e",
+    "wl_founder_quits": "cae6bc736aaa357a3b44fa82e82a1c9a7fcda6e92c4e5016c50e5647988990cc",
+    "wl_crowd_orphans": "4857c4db2ec89b923c2351004d79be9e1af5564a9c031496f907d6b76b35d2ae",
 }
 
 
