@@ -7,8 +7,8 @@ schedule while keeping the script identical.
 `_group_chat` the WL group chats, so each builder states only how its
 scenario differs.  Two keep a script of their own: tl_forgery befriends
 all its pairs at tick 0, and wl_partitions has two founders and three
-groups.  tl_line_broken, tl_churn and wl_founder_moves edit another
-builder's scenario.
+groups.  tl_line_broken, tl_churn, wl_founder_moves and
+wl_equivocation_crowd edit another builder's scenario.
 """
 
 from __future__ import annotations
@@ -224,8 +224,9 @@ def wl_group(seed: int = 0, utterances: int = 50, loss: float = 0.3) -> Scenario
 
 def wl_crowd(seed: int = 0) -> Scenario:
     """Founder plus eleven members, 30% loss and 10% duplication: large
-    enough that only RACING_RELAYS of the ten relays race each
-    utterance to each member (`wl.WlAgent._race`)."""
+    enough that at most RACING_RELAYS of the ten relays race each
+    utterance to each member, chosen among those that got it straight
+    from its creator (`wl.WlAgent._race`)."""
     names = ["f"] + [f"m{i}" for i in range(1, 12)]
     return _group_chat(
         [AgentSpec(name) for name in names],
@@ -393,6 +394,26 @@ def wl_equivocation(seed: int = 0) -> Scenario:
     )
 
 
+def wl_equivocation_crowd(seed: int = 0) -> Scenario:
+    """`wl_equivocation` with five more correct members, ten in all besides
+    the equivocator, so only some relays race each utterance to a member.
+    The newcomers join after the others and only listen.  A member that
+    misses a withheld fork parks every later Say, since each points only
+    at the forks, so the fork reaches it through its nack and a relay's
+    repair."""
+    scenario = wl_equivocation(seed)
+    extra = [f"m{i}" for i in range(5, 10)]
+    scenario.agents = [AgentSpec(name) for name in extra] + scenario.agents
+    scenario.bootstrap += [("f", m) for m in extra] + [(m, "f") for m in extra]
+    for i, member in enumerate(extra):
+        scenario.events.append(
+            Event(14 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member})
+        )
+        scenario.events.append(Event(15 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    scenario.events.sort(key=lambda e: e.tick)
+    return scenario
+
+
 def wl_privacy(seed: int = 0, encrypt: bool = True) -> Scenario:
     """Three-member group with an eavesdropper that receives a copy of
     every delivered datagram; group text must never appear in the clear."""
@@ -482,6 +503,7 @@ CANNED = {
     "wl_solo": wl_solo,
     "wl_churn": wl_churn,
     "wl_equivocation": wl_equivocation,
+    "wl_equivocation_crowd": wl_equivocation_crowd,
     "wl_privacy": wl_privacy,
     "wl_partitions": wl_partitions,
 }

@@ -77,12 +77,13 @@ its last send:
 * COVERED: the creator covers the destination, so a correct creator has
   the pair on its own EAGER or RACED schedule, and the agent is one of
   the RACING_RELAYS members that race this utterance to the destination
-  (`wl.WlAgent._race`).  The creator covers the destination when the
-  agent knows it holds the block that made the destination a member,
-  and always when it is the group's founder: a new member knows only
-  the founder, so every Accept goes to the founder first.  The copy is
-  sent once on first offer and has no timer: it is resent only to
-  repair a loss, in a round after an ack from the destination arrived;
+  (`wl.WlAgent._race`), which it got straight from its creator.  The
+  creator covers the destination when the agent knows it holds the
+  block that made the destination a member, and always when it is the
+  group's founder: a new member knows only the founder, so every Accept
+  goes to the founder first.  The copy is sent once on first offer and
+  has no timer: it is resent only to repair a loss, in a round after an
+  ack from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
   only path.  It is sent on first offer, then every REPAIR_AFTER ticks
@@ -120,9 +121,13 @@ covered; so every member raced its relay copy of every utterance to
 every other member, ten racing copies per (utterance, member) in a
 12-member group.  With three creator copies up front, RACING_RELAYS (5)
 racers suffice.  Groups of up to RACING_RELAYS + 2 members are
-unchanged, since every relay races there.  With a fixed number of
-racers p95 no longer falls as the group grows: ROADMAP item 6 has the
-racer counts tried and the ladder.
+unchanged, since every relay races there.  A relay races only the
+utterances whose first copy came to it from their creator: a copy from
+another relay has already raced, so the eager pushes follow the tree of
+first arrivals, as in Plumtree, and the other relays' copies are LAZY.
+So a pair has at most RACING_RELAYS racers, often fewer.  With a
+bounded number of racers p95 no longer falls as the group grows:
+ROADMAP item 6 has the racer counts tried and the ladder.
 
 A pair's entry holds only its due tick and its schedule; renamings carry
 the rest.  PACED and RACED mean "not resent yet": the first timer send
@@ -154,6 +159,10 @@ longer delays a repair may race a copy still in flight: an extra send.
 The ack may be a nack: a WL agent that parks a block because ancestors
 are missing acks it at once with the tips of the block's group
 (`peers.Agent.receive`), which shows the deliverer what is missing.
+When none of the block's pointers is here, the group is the one the
+agent shares with the block's creator, if there is exactly one: so a
+member that missed a block every later one points at, such as a
+withheld fork, still nacks (`WlAgent._nack_pointers`).
 The destination does not ack a COVERED or LAZY copy itself: the block
 observes the destination's own Accept (or the genesis, for the
 founder), so it knows the relay keeps no timer on the copy

@@ -152,6 +152,12 @@ def _nearest_before(
     return tuple(sorted(nearest)[:count])
 
 
+def _relayed(block: Block, sender: Optional[AgentId]) -> bool:
+    """Whether a copy of the block came from a relay: its deliverer
+    (`peers.Agent._credit_delivery`) is known and is not its creator."""
+    return sender not in (None, block.creator)
+
+
 # --- the agent ---------------------------------------------------------------
 
 
@@ -298,21 +304,22 @@ class WlAgent(Agent):
         # The creator of a block sends it to every member it knows.  When
         # it holds the block that made q a member of the block's group, it
         # counts q among them, so this agent's relayed copy is a second
-        # path: sent at once for an utterance this agent races to q
-        # (`_race`), whose delivery time the copy may shorten, and
-        # otherwise only to repair a loss: for the utterances the other
-        # racers cover, and for membership blocks (Group, Invite, Accept,
-        # Empty), on which no reader waits.  The founder covers every
-        # member: each Accept goes to the founder first, so its blocks
-        # are always covered.  Otherwise the copy may be q's only path:
-        # the founder, which created every invite and so knows every
-        # invitee, sends it at once; HOLDERS other relays, chosen per
-        # (block, q) by digest (`_holds_for`), hold it for REPAIR_AFTER
-        # ticks, and the rest send it only to repair.  The agent's own
-        # utterance in a group where it knows a third member, so that
-        # relays race it, is RACED; its own Accept to a member other than
-        # the founder is BACKSTOP, since the founder relays it at once;
-        # its other blocks are EAGER, since no relay races them.
+        # path: sent at once for an utterance that came here straight from
+        # its creator and that this agent races to q (`_race`), whose
+        # delivery time the copy may shorten, and otherwise only to repair
+        # a loss: for the utterances the other racers cover or that came
+        # here from another relay, and for membership blocks (Group,
+        # Invite, Accept, Empty), on which no reader waits.  The founder
+        # covers every member: each Accept goes to the founder first, so
+        # its blocks are always covered.  Otherwise the copy may be q's
+        # only path: the founder, which created every invite and so knows
+        # every invitee, sends it at once; HOLDERS other relays, chosen
+        # per (block, q) by digest (`_holds_for`), hold it for
+        # REPAIR_AFTER ticks, and the rest send it only to repair.  The
+        # agent's own utterance in a group where it knows a third member,
+        # so that relays race it, is RACED; its own Accept to a member
+        # other than the founder is BACKSTOP, since the founder relays it
+        # at once; its other blocks are EAGER, since no relay races them.
         gid = self.group_of(block.id)
         if block.creator == self.agent_id:
             payload = block.payload
@@ -422,9 +429,11 @@ class WlAgent(Agent):
             return
         self._partition_bits[gid] |= bit
         payload = block.payload
-        if b.is_utterance(payload):
-            self._race(gid, block, bit)
-        elif isinstance(payload, Invite) and block.creator == gid.creator and block.pointers == {gid}:
+        if (
+            isinstance(payload, Invite)
+            and block.creator == gid.creator
+            and block.pointers == {gid}
+        ):
             self._invite_index[block.id] = (gid, payload.target)
             self._contacts.setdefault(payload.target)
         elif isinstance(payload, Accept) and len(block.pointers) == 1:
@@ -436,23 +445,34 @@ class WlAgent(Agent):
                     joined = self._members[gid]
                     joined[target] = joined.get(target, 0) | bit
 
-    def _race(self, gid: GroupId, block: Block, bit: int) -> None:
-        """Mark a landed utterance in `_racing` for the members this agent
-        races its relay copy to.
+    def _landed(self, landed: list[Block], sender: Optional[AgentId]) -> None:
+        # Race an utterance only when the datagram that landed it came
+        # from its creator: eager pushes follow the tree of first
+        # arrivals, as in Plumtree.  A relay that got it from another
+        # relay holds a copy that has already raced, so its own copies
+        # are LAZY.
+        for block in landed:
+            if b.is_utterance(block.payload) and not _relayed(block, sender):
+                self._race(block)
+
+    def _race(self, block: Block) -> None:
+        """Mark an utterance that landed straight from its creator in
+        `_racing` for the members this agent races its relay copy to.
 
         The group's members other than the creator, as known here, are
         ordered by the digest of the block's digest and the member's id;
         each member's racers are the RACING_RELAYS members after it in
-        that cyclic order.  So every member has RACING_RELAYS racers, or
-        every other relay in a group of up to RACING_RELAYS + 2 members,
-        chosen afresh per utterance, and every relay races to as many
-        members as race to it.  The creator's own RACED copies come
-        first; the racers cover the few pairs whose creator copies are
-        all lost."""
+        that cyclic order.  So every member has up to RACING_RELAYS
+        racers, or every other relay in a group of up to
+        RACING_RELAYS + 2 members, chosen afresh per utterance, among the
+        relays that got the utterance from its creator.  The creator's
+        own RACED copies come first; the racers cover the few pairs whose
+        creator copies are all lost."""
         me = self.agent_id
-        members = self._members[gid]
-        if block.creator == me or me not in members:
+        members = self._members[self.group_of(block.id)]
+        if me not in members:
             return
+        bit = self.lace.bit_of(block.id)
         others = [q for q in members if q not in (me, block.creator)]
         for _, q in _nearest_before(block.id.digest, me, others, RACING_RELAYS):
             self._racing[q] = self._racing.get(q, 0) | bit
@@ -469,7 +489,7 @@ class WlAgent(Agent):
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
             joined = self._members[gid][self.agent_id]
-            if sender not in (None, block.creator) and self.lace.mask_of(block.id) & joined:
+            if _relayed(block, sender) and self.lace.mask_of(block.id) & joined:
                 return None
             return self.partition_tips(gid)
         payload = block.payload
@@ -480,9 +500,20 @@ class WlAgent(Agent):
     def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
         # A parked block's present pointers name its group: acking that
         # group's tips, as `_ack_pointers` would, shows the deliverer what
-        # is missing here.  Nothing when they name no group of this agent.
-        gid = self._pointer_group(block)
-        if gid is None or not self.member(self.agent_id, gid):
+        # is missing here.  When none of them is here (a member that
+        # missed a block every later one points at), the one group this
+        # agent shares with the block's creator stands in.  Nothing when
+        # the pointers name no group of this agent, or when the creator
+        # shares no group with it or several, so a stranger's blocks draw
+        # no nack.
+        me = self.agent_id
+        if any(ptr in self.lace for ptr in block.pointers):
+            gid = self._pointer_group(block)
+        else:
+            pair = {me, block.creator}
+            shared = [g for g, members in self._members.items() if pair <= members.keys()]
+            gid = shared[0] if len(shared) == 1 else None
+        if gid is None or not self.member(me, gid):
             return None
         return self.partition_tips(gid)
 

@@ -9,9 +9,9 @@ from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
+from blocklace.harness.canned import wl_equivocation_crowd
 from blocklace.harness.oracles import parse_trace
 from blocklace.harness.runner import Runner, run_scenario
-from blocklace.harness.scenario import AgentSpec, Event
 from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
     ACK_HOLDOFF,
@@ -706,6 +706,43 @@ def test_racing_relays_per_utterance_and_member(size):
     assert racers_per_pair == {min(RACING_RELAYS, size - 2)}
 
 
+def test_relay_races_only_the_utterances_it_got_from_their_creator():
+    # In a 12-member group, the relay gets one Say first from another
+    # relay and another straight from its creator.  Its copy of the first
+    # is LAZY for every member.  Its copy of the second is COVERED for the
+    # RACING_RELAYS members whose racers it is: it is among the
+    # RACING_RELAYS members after each of them in the Say's digest order,
+    # among the members other than the creator.
+    agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP)]
+    gid = wl_group(*agents)
+    relay, first, creator, direct_creator = agents[1], agents[2], agents[3], agents[4]
+    creator.say_group(gid, b"relayed")
+    relayed = creator.last_uttered
+    deliver(first, creator, relayed)
+    deliver(relay, first, relayed)
+    direct_creator.say_group(gid, b"direct")
+    direct = direct_creator.last_uttered
+    deliver(relay, direct_creator, direct)
+    assert relayed.id in relay.lace and direct.id in relay.lace
+    for q in agents:
+        if q not in (relay, creator):
+            assert relay._schedule(relayed, q.agent_id) == LAZY
+    order = sorted(
+        (a for a in agents if a is not direct_creator),
+        key=lambda a: crypto.hash_bytes(direct.id.digest + a.agent_id),
+    )
+    covered = []
+    for q in agents:
+        if q in (relay, direct_creator):
+            continue
+        at = order.index(q)
+        racers = [order[(at + step) % len(order)] for step in range(1, RACING_RELAYS + 1)]
+        expected = COVERED if relay in racers else LAZY
+        assert relay._schedule(direct, q.agent_id) == expected
+        covered.append(expected == COVERED)
+    assert sum(covered) == RACING_RELAYS
+
+
 @pytest.mark.parametrize("size", [4, 6, 12])
 def test_holders_per_uncovered_accept_and_member(size):
     # Of the members other than the founder, exactly HOLDERS hold their
@@ -730,28 +767,12 @@ def test_holders_per_uncovered_accept_and_member(size):
         assert creator._schedule(accept, q.agent_id) == BACKSTOP
 
 
-def wide_equivocation(seed):
-    """`canned.wl_equivocation` with five more correct members, ten in
-    all besides the equivocator, so relays race only some (utterance,
-    member) pairs.  The newcomers join after the others and only listen."""
-    scenario = canned.wl_equivocation(seed)
-    extra = [f"m{i}" for i in range(5, 10)]
-    scenario.agents = [AgentSpec(name) for name in extra] + scenario.agents
-    scenario.bootstrap += [("f", m) for m in extra] + [(m, "f") for m in extra]
-    for i, member in enumerate(extra):
-        scenario.events.append(
-            Event(14 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member})
-        )
-        scenario.events.append(Event(15 + 2 * i, member, {"cmd": "accept", "group": "G"}))
-    scenario.events.sort(key=lambda e: e.tick)
-    return scenario
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_both_forks_reach_every_member_of_a_crowd(seed):
-    # Non-racing relays send a fork only to repair a loss, so both forks
-    # must still reach all ten correct members.
-    result = run_scenario(wide_equivocation(seed))
+    # Non-racing relays send a fork only to repair a loss, and a member
+    # that misses a fork gets it only through its nack, so both forks must
+    # still reach all ten correct members.
+    result = run_scenario(wl_equivocation_crowd(seed))
     assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 
 
@@ -916,6 +937,7 @@ NEVER_QUIESCE = {
     "tl_line_broken",
     "wl_dropper",
     "wl_equivocation",
+    "wl_equivocation_crowd",
     "wl_founder_quits",
     "wl_crowd_orphans",
 }

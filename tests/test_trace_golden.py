@@ -31,17 +31,18 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
     "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
     "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
-    "wl_group": "a6242eca6aa792bff509ed4150ad86be9343d365a67ae8873ae806e86fd0d5fc",
-    "wl_crowd": "d80c89ed268aa7fd5ea376b1895c285a3ca23c68f3f0e8085d899c3c952ac20e",
+    "wl_group": "8db1b418048d89838a76a92f0d7fca2303da02e4b00f3d3965f470e342241c72",
+    "wl_crowd": "c9621d6e5b64a0932bcdeae00ce179117e6696d410600fba496b8dbad9aac532",
     "wl_dropper": "15cc53e060e6b8c355b3524387a1f50e72c799e7753b652e28cb80e44e059f32",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
     "wl_churn": "d144b55b7150585b6d0083332f9fb12f8a1e41e35c3145ea3aa4a1138217fb51",
-    "wl_equivocation": "1c3c77f03dbb873cb819620e6d7e6be3f8a1b3c18326ca8690958c18115aa5d3",
+    "wl_equivocation": "7cf8647c3cdb9efdc8d91272b8f92001631841de8bab9b7498faa2110483850e",
+    "wl_equivocation_crowd": "61c1d77a8987a722f0652ca1fccbc5e65e5c91c0fe93b83a8d6fe6a1c6c32b22",
     "wl_privacy": "e5ccc0244e50609acade9681776038df989e3a9dff5668188c879fb60dec0e8b",
     "wl_partitions": "df3c9587b08e0392d4c8e7da8ef173dc17d13f4e85d59c0c7c55b6a318670964",
     "wl_founder_moves": "0e6b30f754ecfef8c076703bb5fc5ae04e333770056f98b88c625a63b46a9fbb",
-    "wl_founder_quits": "787d33e001f48df29c9fa596f2f079a9eba98942be07d6bea96b189213099575",
-    "wl_crowd_orphans": "accdafd6f3cd60b8352bbc340d2789c115af232ac07cc4602a25f064ffe6402f",
+    "wl_founder_quits": "8db2e9f9075b54c17316abc7c91d4acfe2ece101c7885924271c11ee8627d23c",
+    "wl_crowd_orphans": "b488103d02e28ce2d058911e6105b7092a23bb13bef9b5dddad3fcde16c9a3b6",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
@@ -50,17 +51,18 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
     "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
     "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
-    "wl_group": "ca6b4b20dbaa4c005fa1650205d817ca6aa51a468388ffdab94302ba191a65a5",
-    "wl_crowd": "7c3a8f249c9f321013b602c689425cfaf051d7536730ba6aeaaa904ad90f789b",
+    "wl_group": "2bec7c5e9173609d285ca063d4993a43edfeb9c674c3759d70507f20db372121",
+    "wl_crowd": "87a3fb5286db895d840dafa7c8264e42b43cc3369ed886843af27028eef62942",
     "wl_dropper": "ebca3345ed45e765b78dd856b289eb7577a1452a994d7d90d3cd0b200ab54de7",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
     "wl_churn": "ec49b9b101b7b3766e41d58d0aa7bdd9e8d27cca68ab86d984bedc88ceb3aace",
-    "wl_equivocation": "6be252cf65eae5d534c7d31786bd717f1f113aa278b6207ef69925e918255bc0",
+    "wl_equivocation": "7f0b9a9bbcd09a20d6deb09bfadbed68b980f565aab40f01672affbaf2d3628e",
+    "wl_equivocation_crowd": "410d3912002b30821ba59d020c56021ac00d3ad8b4dfa0a9a2c1dc6b6ff45463",
     "wl_privacy": "093117fd50b7371c7e8efacdce8973bb0e5ecbec9544385869b05d4d558b9586",
     "wl_partitions": "62bfdffd7176118e272b10bf2a0564daae931bc07c8bdbab98aa658f8736f66c",
     "wl_founder_moves": "9f00e88553827b5029584a8da8319574205b736cdf0a162b552fb925bf5a9682",
-    "wl_founder_quits": "d089cab077218ea716dad9fc7a11f51760066b9e9b6ac29a734d30a399893216",
-    "wl_crowd_orphans": "8ced419d798d8e0165203ea812ad39d1a77f68a0a35f26d8b403c74286e9541c",
+    "wl_founder_quits": "9e6a13ae06c2be122c2a18878b38eb810cbb73cee590c27f2ba717ef9d931748",
+    "wl_crowd_orphans": "d41ecb62fb226c914c42100addbb8b525452053da41c33ac9dba400c2d575ea4",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
@@ -69,17 +71,18 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
     "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
     "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
-    "wl_group": "c8c57aa11e08996afb368b4894200254062b3d7886488b05963a8885e8e32d9a",
-    "wl_crowd": "f907b6257ead63825d142edbf6c363077f68e3973344f49d3951768305af63c6",
+    "wl_group": "7e2cde501057d92072b6b8e59e8408214cd774442b66807012f6ff7ebbce6aae",
+    "wl_crowd": "4ff90715bd7539309617bddfa0684da0fdfc329c5caa13967b1b91452855c883",
     "wl_dropper": "d0756cf81eadd1263e3a83db186e8d4a11a07612343733d248dc12feb83c83a3",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
     "wl_churn": "574125efc4c529c063fefc70df440a12924be84110d013b30f3feb8fcd9b9c51",
-    "wl_equivocation": "47b48390bc19b255873dd66ce493b18d9838750a433d716b1fa80029d19a9ae1",
+    "wl_equivocation": "6143c6e907dd0320300367290c52b07059b4ff611e125ea5c9034f2c3b08e72b",
+    "wl_equivocation_crowd": "5f6253c9d9776f7ffe32c251359058dc9d253bb3d4affe9281ca796f7750f00c",
     "wl_privacy": "41357f4612775fc833d36980aef7f64331c2a685963d6e0fe1037383b76401f3",
     "wl_partitions": "bfcc40b9451f9780a28dc18dcaac4d9c5447a81f842b5d915db072af45190293",
     "wl_founder_moves": "da03af1a515a48acd035104c6538ebb8ffbd5d323b01e01f429d1e4e8293d807",
-    "wl_founder_quits": "cda781ec4f49c97497e727f425331053c1cc18144e717f43f1c5a8638dbdb67c",
-    "wl_crowd_orphans": "b1bd897b741bf9b3be69c5fa3322208637be3e78c74e83f4fc81b0247214a60b",
+    "wl_founder_quits": "2cf82507da01fee05d531b11d404419ff58ebae7e74db2fc3cb429d0d010b422",
+    "wl_crowd_orphans": "a6773f779dd1b01fced32ea8697b2f55f1c39a9980218d83ceea40d30ad5d78c",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -91,17 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
     "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
     "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
-    "wl_group": "c3bd5e13286d0ffd83cb2f259636cb900b70f6ff8b902be101718b0a8f97d944",
-    "wl_crowd": "ef484f63368eff2147fe10b884b99c5694136b9f265226aa82673e2a4376a784",
+    "wl_group": "15824cfa842a6018734dd06db57d1e2f4fd85a2b6fc96ab80643b9047918d7d3",
+    "wl_crowd": "527da1b921af33cf3b516c4a5578f631c32a2fcc51e506581b1e9a48691adef6",
     "wl_dropper": "9d405340d53c6bf84b8a05f1cc8ede63af9cd20ba68b77d7ee8ce55919b87118",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
     "wl_churn": "7cd4a287c9bc09678324d6b198f17ab66dce1f782734cef03b9b37d7c286b924",
-    "wl_equivocation": "32c863ea4462975ac306670637c94264962dd36cdbe1dcab0faa2fa41d379672",
+    "wl_equivocation": "fa6453db4ad67b219825577f8e7395ccb7d20098b578452d389011ca1af40a41",
+    "wl_equivocation_crowd": "422e3ad2c36e37059c9fedf7205836da0c0378f1d581d081763cc1ad4a5fb376",
     "wl_privacy": "317ba39c0f31dd81761785757a1f6db34996636fdea64441a5a272a56925b8c2",
     "wl_partitions": "a7cb5fc862d7fdc90985010a9447236472e0c751953e8a40a8f0de6fae6968aa",
     "wl_founder_moves": "f21c12335d0d925415470c8b607c906111bd223aebcad49abbaf953d6ff1ff5e",
-    "wl_founder_quits": "cae6bc736aaa357a3b44fa82e82a1c9a7fcda6e92c4e5016c50e5647988990cc",
-    "wl_crowd_orphans": "4857c4db2ec89b923c2351004d79be9e1af5564a9c031496f907d6b76b35d2ae",
+    "wl_founder_quits": "3dea6ed324e57369955bce36840bdf10912ac807bbaf5e71b37ec20a92ce0b93",
+    "wl_crowd_orphans": "15afc9d15ec24bd5f0b9968e9f703fc7ef58e7e939c906e7d9db41330c623136",
 }
 
 

@@ -221,8 +221,10 @@ def test_pending_buffer_reorders_to_closure():
     out = m.receive(encode_block(second), src=f.current_address)
     assert second.id not in m.lace
     assert second.id in {blk.id for blk in m.pending_blocks()}
-    # No ack while pending: none of its pointers is here to name a group.
-    assert not [blk for _, blk in out if isinstance(blk.payload, b.Ack)]
+    # None of its pointers is here, so the nack names the tips of the one
+    # group m shares with its creator.
+    ((dst, nack),) = acks(out)
+    assert dst == f.current_address and nack.pointers == m.partition_tips(gid)
     m.receive(encode_block(first), src=f.current_address)
     assert second.id in m.lace and first.id in m.lace
     assert m.lace.is_closed()
@@ -397,13 +399,40 @@ def test_parked_block_not_acked_without_a_group_of_this_agent():
     out = m.receive(encode_block(after), src=f.current_address)
     assert after.id in {blk.id for blk in m.pending_blocks()}
     assert acks(out) == []
-    # No pointer here at all.
+    # No pointer here at all, from a creator that shares no group with n.
     g, n = agent(2), agent(3)
-    gid2 = form_group(g, [n])
+    gid2 = form_group(g, [agent(4)])
+    form_group(n, [agent(5)])
     g.say_group(gid2, b"one")
     g.say_group(gid2, b"two")
     assert acks(n.receive(encode_block(g.last_uttered), src=g.current_address)) == []
     assert m.metrics.nacks_sent == n.metrics.nacks_sent == 0
+
+
+def test_parked_block_with_no_pointer_here_nacked_with_the_shared_group_tips():
+    # m1 misses a Say that f's next one points at alone.  With none of the
+    # parked block's pointers here, the nack names the tips of the one
+    # group m1 shares with f.  m2 shares two groups with f, so it cannot
+    # tell which group to name, and does not nack.
+    f, m1, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m1, m2])
+    form_group(f, [m2], name=b"more")
+    f.say_group(gid, b"missed")
+    missed = f.last_uttered
+    f.say_group(gid, b"after")
+    after = f.last_uttered
+    assert after.pointers == {missed.id}
+    for peer in (m1, m2):
+        for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
+            peer.tick()
+    ((dst, nack),) = acks(m1.receive(encode_block(after), src=f.current_address))
+    assert after.id in {blk.id for blk in m1.pending_blocks()}
+    assert dst == f.current_address
+    assert nack.pointers == m1.partition_tips(gid)
+    assert m1.metrics.nacks_sent == 1
+    assert acks(m2.receive(encode_block(after), src=f.current_address)) == []
+    assert after.id in {blk.id for blk in m2.pending_blocks()}
+    assert m2.metrics.nacks_sent == 0
 
 
 def test_lost_relay_copy_is_repaired_on_a_nack():
