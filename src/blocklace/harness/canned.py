@@ -223,10 +223,11 @@ def wl_group(seed: int = 0, utterances: int = 50, loss: float = 0.3) -> Scenario
 
 
 def wl_crowd(seed: int = 0) -> Scenario:
-    """Founder plus eleven members, 30% loss and 10% duplication: large
-    enough that at most RACING_RELAYS of the ten relays race each
-    utterance to each member, chosen among those that got it straight
-    from its creator (`wl.WlAgent._race`)."""
+    """Founder plus eleven members, 30% loss and 10% duplication: the
+    largest canned group.  Each utterance goes to each member in its
+    creator's four copies up front (RACED), and a relay sends its copy
+    only to repair a loss that an ack or nack reveals, since a direct
+    copy does more for delivery than a two-hop one at the same cost."""
     names = ["f"] + [f"m{i}" for i in range(1, 12)]
     return _group_chat(
         [AgentSpec(name) for name in names],
@@ -396,7 +397,7 @@ def wl_equivocation(seed: int = 0) -> Scenario:
 
 def wl_equivocation_crowd(seed: int = 0) -> Scenario:
     """`wl_equivocation` with five more correct members, ten in all besides
-    the equivocator, so only some relays race each utterance to a member.
+    the equivocator, where relays send every covered copy only to repair.
     The newcomers join after the others and only listen.  A member that
     misses a withheld fork parks every later Say, since each points only
     at the forks, so the fork reaches it through its nack and a relay's

@@ -11,9 +11,9 @@ copy earns the contacts at its address, the bounded pending buffer, the
 receive -> ack -> forward pipeline with its ack holdoff, the send
 loop (`disseminate`) and the retransmission round.  A subclass fills in
 `_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
-`_ack_pointers`, `_nack_pointers`, `_landed`, `_wanted`, which says who may
-receive what, and `_schedule`, which names the retransmission schedule
-of each copy (`retransmit`).
+`_ack_pointers`, `_nack_pointers`, `_wanted`, which says who may receive
+what, and `_schedule`, which names the retransmission schedule of each
+copy (`retransmit`).
 """
 
 from __future__ import annotations
@@ -206,11 +206,9 @@ class Agent:
         pointers: a nack, whose pointers show the deliverer which
         ancestors are missing here, held back like any ack.  A copy earns
         the contacts at the delivering address credit
-        (`_credit_delivery`); an ack counts only from a contact.  The
-        blocks that just landed go to `_landed` with that deliverer (in
-        WL, only those that came from their creator are raced), and only
-        they are forwarded; the rest of the backlog waits for the next
-        `tick`.
+        (`_credit_delivery`); an ack counts only from a contact.  Only the
+        blocks that just landed are forwarded; the rest of the backlog
+        waits for the next `tick`.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
@@ -237,7 +235,6 @@ class Agent:
                 dest = src if src is not None else self.address_of(acked.creator)
                 self._ack(dest, pointers, sends)
         if was_new:
-            self._landed(landed, sender)
             only = 0
             for blk in landed:
                 only |= self.lace.bit_of(blk.id)
@@ -282,17 +279,14 @@ class Agent:
         """The pointers of the ack of a parked block, or None for none."""
         return None
 
-    def _landed(self, landed: list[Block], sender: Optional[AgentId]) -> None:
-        """Note the blocks one datagram just landed, before they are
-        forwarded; `sender` is its deliverer (`_credit_delivery`)."""
-
     def disseminate(self, only: Optional[int] = None) -> list[Send]:
         """Send each peer the blocks `_wanted` lists for it, as
         `self.retransmit` schedules them.
 
         Outside `tick`'s round only first offers go out; in the round,
         every pair whose timer is due.  `take` says how many copies: an
-        EAGER, PACED or RACED first offer sends EAGER_COPIES at once.
+        EAGER or PACED first offer sends EAGER_COPIES at once, a RACED one
+        RACED_COPIES.
         Each peer's blocks go in causal order (by closure size), a block's
         copies together.
         A pair listed twice in one call (a WL invite's closure to a target

@@ -10,7 +10,7 @@ it.  ROADMAP item 5 has the measurements behind each constant and rule.
 
 EAGER is for a pair whose copy may be the destination's only path to the
 block and whose first resend should not wait: a TL Follow or Empty, own
-or relayed, and a WL agent's own blocks but the RACED and BACKSTOP ones
+or relayed, and a WL agent's own membership blocks but the BACKSTOP ones
 below.  It is sent:
 
 * on first offer, in EAGER_COPIES copies at once: when the block lands,
@@ -22,8 +22,8 @@ offer: no ack, claim or peer copy can come back within 2 ticks, since
 every delay is at least 1 tick each way, so that copy always went out.
 Loss and delay are drawn per copy, so at 30% loss all three are lost
 2.7% of the time, below the 5% that the 95th-percentile delivery time
-reads.  That closes the loss tail at the creator, which lets most WL
-relays hold their copies back (COVERED and LAZY, below).
+reads.  That closes the loss tail at the creator, which lets a WL relay
+hold back every copy that the creator covers (LAZY, below).
 
 One GAP, not an RTO.  An RTO from the estimator of RFC 6298 (Paxson et
 al., "Computing TCP's Retransmission Timer") is about 11 ticks at the
@@ -32,12 +32,11 @@ default delays; as the gap between every two tries it raised the
 that doubles after each send delayed quiescence for almost no datagrams
 saved.  So every resend after the first waits GAP.
 
-PACED and RACED differ from EAGER only in their first wait: their first
-offer is EAGER's, EAGER_COPIES copies at once, and their first timer
-resend makes them EAGER, resent every GAP ticks.  A resend before the
-ack of the first copies can be back races that ack, and with three
-copies up front it is needed only in the 2.7% of hops that lose all
-three.
+PACED and RACED differ from EAGER in their first wait, and RACED also in
+its first offer: their first timer resend makes them EAGER, resent every
+GAP ticks.  A resend before the ack of the first copies can be back
+races that ack, and with three copies up front it is needed only in the
+2.7% of hops that lose all three.
 
 * PACED is for every TL copy of a Say or Respond, own or relayed
   (`TlAgent._schedule`).  Its first resend waits ROUND_TRIP (6) ticks,
@@ -49,14 +48,18 @@ three.
   friendship on the Follow's ack, every later copy on the address an
   Empty brings).
 * RACED is for the copies of a WL agent's own utterance (Say or
-  Respond) in a group where it knows at least 3 members, the only copies
-  of its blocks that other members race to the destination
-  (`WlAgent._schedule`).  Its first resend waits REPAIR_AFTER ticks, the
-  longest round trip at the default delays, since the racers cover the
-  loss tail too.  The agent's other blocks stay EAGER, because no relay
-  races them: a membership block's copy is often an invitee's only
-  path, and a group of two has no relay.  The exception is its Accept
-  to a member other than the founder, which is BACKSTOP (below).
+  Respond), in a group of any size (`WlAgent._schedule`).  Its first
+  offer sends RACED_COPIES (4) copies at once, one more than EAGER, and
+  its first resend waits REPAIR_AFTER ticks, the longest round trip at
+  the default delays.  Every member of a WL group is one hop from the
+  creator, and a reader waits on an utterance.  A relay's copy costs
+  the same datagram as a creator's copy but arrives a hop later, so the
+  extra copy goes out from the creator, and every relay copy of the
+  utterance is LAZY.  With four copies up front a resend is needed only
+  when all four are lost, so an earlier one mostly races the ack.  The
+  agent's membership blocks stay EAGER, with three copies: no reader
+  waits on them.  The exception is its Accept to a member other than
+  the founder, which is BACKSTOP (below).
 
 Ack holdoff.  Each copy that lands draws an ack, and the copies of one
 burst land in different ticks, so one burst drew up to three identical
@@ -75,13 +78,13 @@ copy at a time, and none is resent sooner than REPAIR_AFTER ticks after
 its last send:
 
 * COVERED: the creator covers the destination, so a correct creator has
-  the pair on its own EAGER or RACED schedule, and the agent is one of
-  the RACING_RELAYS members that race this utterance to the destination
-  (`wl.WlAgent._race`), which it got straight from its creator.  The
-  creator covers the destination when the agent knows it holds the
-  block that made the destination a member, and always when it is the
-  group's founder: a new member knows only the founder, so every Accept
-  goes to the founder first.  The copy is sent once on first offer and
+  the pair on its own EAGER or RACED schedule, and this agent's copy
+  has already gone out once: it is a LAZY pair after its first repair
+  send, or a BACKSTOP pair whose creator has since been seen to cover
+  the destination.  The creator covers the destination when the agent
+  knows it holds the block that made the destination a member, and
+  always when it is the group's founder: a new member knows only the
+  founder, so every Accept goes to the founder first.  A COVERED pair
   has no timer: it is resent only to repair a loss, in a round after an
   ack from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
@@ -96,38 +99,24 @@ its last send:
 * HELD: a BACKSTOP pair at HOLDERS other relays, whose first offer is
   recorded as if sent but not sent, so its copy goes out REPAIR_AFTER
   ticks later if the destination still lacks the block.  The holders
-  are chosen per (block, destination) in the racing relays' digest
-  order, among the members other than the creator and the founder
-  (`wl.WlAgent._holds_for`).  With every member relaying every Accept
-  to every other member at once, relayed Accepts grew as n^3, and held
-  at every relay they still would;
-* LAZY: a pair whose copy need not race the creator's: a covered
-  membership block (Group, Invite, Accept, Empty), a covered utterance
-  this agent does not race to the destination, or an uncovered block at
-  a relay other than the founder and the destination's holders.  Its
-  first offer is recorded but not sent, and it has no timer: it goes out
-  only to repair a loss, in a round at least REPAIR_AFTER ticks after
-  the offer, once an ack or nack from the destination still does not
-  cover the block.  This is Plumtree's eager/lazy split (below), made
-  by payload and, for utterances and uncovered blocks, per (block,
-  destination).  No reader waits on a membership block: when every
-  member relayed every covered Invite to every other member at once,
-  although the founder sends each invite to all of them, relayed
-  Invites grew as n^3.
-
-Racing relays.  A reader does wait on an utterance, and with one copy
-from its creator up front a loss tail was left that only relays
-covered; so every member raced its relay copy of every utterance to
-every other member, ten racing copies per (utterance, member) in a
-12-member group.  With three creator copies up front, RACING_RELAYS (5)
-racers suffice.  Groups of up to RACING_RELAYS + 2 members are
-unchanged, since every relay races there.  A relay races only the
-utterances whose first copy came to it from their creator: a copy from
-another relay has already raced, so the eager pushes follow the tree of
-first arrivals, as in Plumtree, and the other relays' copies are LAZY.
-So a pair has at most RACING_RELAYS racers, often fewer.  With a
-bounded number of racers p95 no longer falls as the group grows:
-ROADMAP item 6 has the racer counts tried and the ladder.
+  are chosen per (block, destination) in an order drawn from the
+  block's digest, among the members other than the creator and the
+  founder (`wl.WlAgent._holds_for`).  With every member relaying every
+  Accept to every other member at once, relayed Accepts grew as n^3,
+  and held at every relay they still would;
+* LAZY: a pair whose copy need not race the creator's: any covered
+  block, utterance or membership block (Group, Invite, Accept, Empty),
+  or an uncovered block at a relay other than the founder and the
+  destination's holders.  Its first offer is recorded but not sent, and
+  it has no timer: it goes out only to repair a loss, in a round at
+  least REPAIR_AFTER ticks after the offer, once an ack or nack from
+  the destination still does not cover the block.  This is Plumtree's
+  eager/lazy split (below) taken to its end for a group whose members
+  are all one hop from each creator: the eager tree is the creator's own
+  star, and every relay copy of a covered block is lazy.  A relay copy
+  sent at once would cost a datagram, as a creator copy does, and
+  arrive a hop later, and relayed at once by every member to every
+  other member, covered copies grow as n^3.
 
 A pair's entry holds only its due tick and its schedule; renamings carry
 the rest.  PACED and RACED mean "not resent yet": the first timer send
@@ -195,10 +184,11 @@ from typing import Callable, Iterator, Optional
 from .blocks import BlockId, NetAddress
 from .crypto import AgentId
 
-# An EAGER, PACED or RACED first offer sends this many copies at once; the
-# next is due GAP ticks later (ROUND_TRIP for PACED, REPAIR_AFTER for
-# RACED), and every GAP ticks after that.
+# An EAGER or PACED first offer sends EAGER_COPIES copies at once, a RACED
+# one RACED_COPIES; the next is due GAP ticks later (ROUND_TRIP for PACED,
+# REPAIR_AFTER for RACED), and every GAP ticks after that.
 EAGER_COPIES = 3
+RACED_COPIES = 4
 GAP = 4
 # The mean round trip at the default delays (1-5 ticks each way):
 # delay_min + delay_max.
@@ -284,12 +274,13 @@ class Retransmit:
             self.now += 1
 
     def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
-        """How many copies of the block to send to `dest` now: 0, 1, or
-        EAGER_COPIES for an EAGER, PACED or RACED first offer.  Rearms the
-        pair's timer when it sends.  `schedule` gives the pair's schedule;
-        it is called on the first offer, and after that only while the
-        pair is BACKSTOP or HELD and its block is not the owner's: only a
-        relay's copy turns COVERED or LAZY."""
+        """How many copies of the block to send to `dest` now: 0, 1,
+        EAGER_COPIES for an EAGER or PACED first offer, or RACED_COPIES
+        for a RACED one.  Rearms the pair's timer when it sends.
+        `schedule` gives the pair's schedule; it is called on the first
+        offer, and after that only while the pair is BACKSTOP or HELD and
+        its block is not the owner's: only a relay's copy turns COVERED or
+        LAZY."""
         pair = (dest, block_id.creator, block_id.digest)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)
@@ -301,8 +292,9 @@ class Retransmit:
             name = schedule()
             if name in _FIRST_WAIT:
                 pairs[pair] = (now + _FIRST_WAIT[name], name)
-                self._metrics.resent += EAGER_COPIES - 1
-                return EAGER_COPIES
+                copies = RACED_COPIES if name == RACED else EAGER_COPIES
+                self._metrics.resent += copies - 1
+                return copies
             pairs[pair] = (now + REPAIR_AFTER, name)
             return 0 if name in _FIRST_SEND else 1
         due, name = entry

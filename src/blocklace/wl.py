@@ -41,13 +41,10 @@ from .blocks import (
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
-from .retransmit import BACKSTOP, COVERED, EAGER, HELD, LAZY, RACED
+from .retransmit import BACKSTOP, EAGER, HELD, LAZY, RACED
 
 GroupId = BlockId
 
-# How many members race their relay copy of an utterance to each other
-# member at once (`WlAgent._race`); the rest relay it only to repair.
-RACING_RELAYS = 5
 # How many members other than the founder hold a relay copy that the
 # creator may not cover, for a backstop (`WlAgent._holds_for`); the rest
 # relay it only to repair.
@@ -152,12 +149,6 @@ def _nearest_before(
     return tuple(sorted(nearest)[:count])
 
 
-def _relayed(block: Block, sender: Optional[AgentId]) -> bool:
-    """Whether a copy of the block came from a relay: its deliverer
-    (`peers.Agent._credit_delivery`) is known and is not its creator."""
-    return sender not in (None, block.creator)
-
-
 # --- the agent ---------------------------------------------------------------
 
 
@@ -179,9 +170,6 @@ class WlAgent(Agent):
         # one entry per membership.
         self._members: dict[GroupId, dict[AgentId, int]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
-        # member -> the bits of the utterances this agent races to it
-        # (`_race`).  Bound: one entry per member.
-        self._racing: dict[AgentId, int] = {}
         # block -> (how many members its group had here when last updated,
         # the (cyclic distance, member) of the members this agent holds
         # its copy to, nearest first; see `_holds_for`).  Bound: one entry
@@ -304,35 +292,31 @@ class WlAgent(Agent):
         # The creator of a block sends it to every member it knows.  When
         # it holds the block that made q a member of the block's group, it
         # counts q among them, so this agent's relayed copy is a second
-        # path: sent at once for an utterance that came here straight from
-        # its creator and that this agent races to q (`_race`), whose
-        # delivery time the copy may shorten, and otherwise only to repair
-        # a loss: for the utterances the other racers cover or that came
-        # here from another relay, and for membership blocks (Group,
-        # Invite, Accept, Empty), on which no reader waits.  The founder
-        # covers every member: each Accept goes to the founder first, so
-        # its blocks are always covered.  Otherwise the copy may be q's
-        # only path: the founder, which created every invite and so knows
-        # every invitee, sends it at once; HOLDERS other relays, chosen
-        # per (block, q) by digest (`_holds_for`), hold it for
+        # path, LAZY: sent only to repair a loss, utterance or membership
+        # block alike.  Every member is one hop from the creator, and a
+        # relay's copy costs a datagram, as the creator's does, but
+        # arrives a hop later, so the creator sends one more copy of its
+        # own utterance up front (RACED) in place of any relay copy.  The
+        # founder covers every member: each Accept goes to the founder
+        # first, so its blocks are always covered.  Otherwise the copy may
+        # be q's only path: the founder, which created every invite and so
+        # knows every invitee, sends it at once; HOLDERS other relays,
+        # chosen per (block, q) by digest (`_holds_for`), hold it for
         # REPAIR_AFTER ticks, and the rest send it only to repair.  The
-        # agent's own utterance in a group where it knows a third member,
-        # so that relays race it, is RACED; its own Accept to a member
-        # other than the founder is BACKSTOP, since the founder relays it
-        # at once; its other blocks are EAGER, since no relay races them.
+        # agent's own Accept to a member other than the founder is
+        # BACKSTOP, since the founder relays it at once; its other
+        # membership blocks are EAGER.
         gid = self.group_of(block.id)
         if block.creator == self.agent_id:
             payload = block.payload
             if isinstance(payload, Accept) and q != gid.creator:
                 return BACKSTOP
-            if b.is_utterance(payload) and len(self._members.get(gid, ())) >= 3:
-                return RACED
-            return EAGER
+            return RACED if b.is_utterance(payload) else EAGER
         if gid is None:
             return HELD
         joined = self._members[gid].get(q, 0)
         if block.creator == gid.creator or self.peers.known(block.creator) & joined:
-            return COVERED if self._racing.get(q, 0) & self.lace.bit_of(block.id) else LAZY
+            return LAZY
         if gid.creator == self.agent_id:
             return BACKSTOP
         return HELD if self._holds_for(block, gid, q) else LAZY
@@ -341,11 +325,11 @@ class WlAgent(Agent):
         """Whether this agent is one of q's HOLDERS for the block.
 
         The group's members other than the block's creator and the
-        founder, as known here, are in `_race`'s digest order; q's holders
-        are the HOLDERS members after q in that cyclic order, so this
-        agent holds for the HOLDERS members nearest before it.  Members
-        only join, so `_holding` keeps those few per block and meets each
-        member once."""
+        founder, as known here, are in the block's digest order
+        (`_nearest_before`); q's holders are the HOLDERS members after q
+        in that cyclic order, so this agent holds for the HOLDERS members
+        nearest before it.  Members only join, so `_holding` keeps those
+        few per block and meets each member once."""
         me = self.agent_id
         members = self._members[gid]
         if me not in members:
@@ -445,51 +429,21 @@ class WlAgent(Agent):
                     joined = self._members[gid]
                     joined[target] = joined.get(target, 0) | bit
 
-    def _landed(self, landed: list[Block], sender: Optional[AgentId]) -> None:
-        # Race an utterance only when the datagram that landed it came
-        # from its creator: eager pushes follow the tree of first
-        # arrivals, as in Plumtree.  A relay that got it from another
-        # relay holds a copy that has already raced, so its own copies
-        # are LAZY.
-        for block in landed:
-            if b.is_utterance(block.payload) and not _relayed(block, sender):
-                self._race(block)
-
-    def _race(self, block: Block) -> None:
-        """Mark an utterance that landed straight from its creator in
-        `_racing` for the members this agent races its relay copy to.
-
-        The group's members other than the creator, as known here, are
-        ordered by the digest of the block's digest and the member's id;
-        each member's racers are the RACING_RELAYS members after it in
-        that cyclic order.  So every member has up to RACING_RELAYS
-        racers, or every other relay in a group of up to
-        RACING_RELAYS + 2 members, chosen afresh per utterance, among the
-        relays that got the utterance from its creator.  The creator's
-        own RACED copies come first; the racers cover the few pairs whose
-        creator copies are all lost."""
-        me = self.agent_id
-        members = self._members[self.group_of(block.id)]
-        if me not in members:
-            return
-        bit = self.lace.bit_of(block.id)
-        others = [q for q in members if q not in (me, block.creator)]
-        for _, q in _nearest_before(block.id.digest, me, others, RACING_RELAYS):
-            self._racing[q] = self._racing.get(q, 0) | bit
-
     def _ack_pointers(
         self, block: Block, sender: Optional[AgentId]
     ) -> Optional[frozenset[BlockId]]:
         # Disclose only the tips of the group the block belongs to; an
         # invite addressed to this agent is acknowledged by naming it.
-        # No ack for a copy from a member other than the creator when the
+        # No ack for a copy from a relay, a known deliverer
+        # (`peers.Agent._credit_delivery`) other than the creator, when the
         # block observes the block that made this agent a member: that
         # relay holds it too, so its copy is COVERED or LAZY and has no
         # timer for an ack to stop (`_schedule`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
             joined = self._members[gid][self.agent_id]
-            if _relayed(block, sender) and self.lace.mask_of(block.id) & joined:
+            relayed = sender not in (None, block.creator)
+            if relayed and self.lace.mask_of(block.id) & joined:
                 return None
             return self.partition_tips(gid)
         payload = block.payload

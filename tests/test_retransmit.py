@@ -24,13 +24,14 @@ from blocklace.retransmit import (
     LAZY,
     PACED,
     RACED,
+    RACED_COPIES,
     REPAIR_AFTER,
     ROUND_TRIP,
     Retransmit,
 )
 from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
-from blocklace.wl import HOLDERS, RACING_RELAYS, WlAgent
+from blocklace.wl import HOLDERS, WlAgent
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -129,20 +130,21 @@ def test_first_waits_in_order_and_paced_waits_the_mean_round_trip():
     assert ROUND_TRIP == NetConfig().delay_min + NetConfig().delay_max
 
 
-# A RACED pair is an EAGER one whose first timer resend waits REPAIR_AFTER:
-# relays race its copies to the destination, so an earlier resend mostly
-# races the destination's ack.
+# A RACED pair sends RACED_COPIES up front, one more than an EAGER one, and
+# waits REPAIR_AFTER before its first timer resend: with four copies up
+# front a resend is needed only when all four are lost, so an earlier one
+# mostly races the destination's ack.
 
 
-def test_raced_first_offer_sends_three_copies_then_waits_repair_after():
+def test_raced_first_offer_sends_raced_copies_then_waits_repair_after():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
     round_sends(rtx, [], 3)
     start = rtx.now
     raced = Asked(RACED)
-    assert rtx.take("p/0", BLOCK, raced) == EAGER_COPIES  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, raced) == RACED_COPIES == EAGER_COPIES + 1  # outside a round
     assert rtx.take("p/0", BLOCK, raced) == 0
-    assert metrics.resent == EAGER_COPIES - 1
+    assert metrics.resent == RACED_COPIES - 1
     sent, armed = [], []
     for _ in range(REPAIR_AFTER + 3 * GAP + 1):
         sent += round_sends(rtx, [("p/0", BLOCK)], 1, raced)[("p/0", BLOCK)]
@@ -151,7 +153,7 @@ def test_raced_first_offer_sends_three_copies_then_waits_repair_after():
     # EAGER, one copy every GAP ticks.
     assert sent == [start + REPAIR_AFTER + i * GAP for i in range(4)]
     assert armed == [1] * len(armed)
-    assert metrics.resent == 2 + 4
+    assert metrics.resent == 3 + 4
     # Asked for on the first offer only.
     assert raced.calls == 1
     # No longer wanted: the next round does not ask about it.
@@ -163,8 +165,16 @@ def test_raced_first_offer_in_a_round():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
     sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER + GAP + 1, RACED)
-    assert sent[("p/0", BLOCK)] == [0] * EAGER_COPIES + [REPAIR_AFTER, REPAIR_AFTER + GAP]
-    assert metrics.resent == 2 + 2
+    assert sent[("p/0", BLOCK)] == [0] * RACED_COPIES + [REPAIR_AFTER, REPAIR_AFTER + GAP]
+    assert metrics.resent == 3 + 2
+
+
+def test_raced_burst_is_one_copy_more_than_eager():
+    # Each copy is lost on its own, and a creator's copy costs the one
+    # datagram a relay's two-hop copy would: at 30% loss a fourth direct
+    # copy takes the chance that every copy is lost from 2.7% to 0.8%.
+    assert RACED_COPIES == EAGER_COPIES + 1
+    assert 0.3**RACED_COPIES < 0.01 < 0.3**EAGER_COPIES
 
 
 def test_raced_wait_spans_the_longest_default_round_trip():
@@ -493,7 +503,9 @@ def test_wl_ack_stops_the_resends():
     gid = wl_group(f, m)
     f.say_group(gid, b"hello")
     said = f.last_uttered
-    assert owes(f, m, said.id)
+    # Its own Say is RACED, in a group of two too: resent REPAIR_AFTER
+    # ticks after its burst.
+    assert owes(f, m, said.id, rounds=REPAIR_AFTER + 1)
     sends = deliver(m, f, said)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     deliver(f, m, ack)
@@ -513,18 +525,25 @@ def test_wl_block_created_by_the_peer_stops_the_resends():
 
 
 def test_wl_relay_sends_once_in_its_first_tick_creator_three_times():
-    f, m1, m2 = wl_agent(0), wl_agent(1), wl_agent(2)
+    # A relay sends a copy as it lands only when the creator may not cover
+    # the destination: the founder relays a new member's Accept once, while
+    # the member sent it to the founder in EAGER_COPIES copies.  A relay
+    # copy of a covered block is LAZY
+    # (test_every_relay_copy_of_a_covered_utterance_is_lazy).
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
+    f.address_hints[m3.agent_id] = m3.current_address
+    pump([f, m3], f.invite(m3.agent_id, gid), f)
 
     def copies(sends, dest, block_id):
         return sum(dst == dest.current_address and blk.id == block_id for dst, blk in sends)
 
-    own = f.say_group(gid, b"mine")
-    said = f.last_uttered
-    assert copies(own, m2, said.id) == EAGER_COPIES
-    assert copies(f.tick(), m2, said.id) == 0
-    relayed = deliver(m1, f, said)
-    assert copies(relayed + m1.tick(), m2, said.id) == 1
+    own = m3.accept(gid)
+    accept = m3.last_uttered
+    assert copies(own, f, accept.id) == EAGER_COPIES
+    assert copies(m3.tick(), f, accept.id) == 0
+    relayed = deliver(f, m3, accept)
+    assert copies(relayed + f.tick(), m1, accept.id) == 1
 
 
 def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
@@ -621,16 +640,16 @@ def test_schedule_names_each_copy():
     late = late_accept(crowd)
     c1, c2, c3 = crowd[1:4]
     cases = [
-        (f, own, m1, RACED),  # the agent's own utterance, which relays race
+        (f, own, m1, RACED),  # the agent's own utterances
         (f, own_responded, m1, RACED),
-        (f, pair_said, m2, EAGER),  # its own utterance with no relay
+        (f, pair_said, m2, RACED),  # in a group of two too
         (f, invite, m1, EAGER),  # its own membership blocks
         (m3, accept, f, EAGER),  # its own Accept, to the founder
         (m1, empty, f, EAGER),
         (m3, accept, m1, BACKSTOP),  # its own Accept, to another member
-        (f, said, m1, COVERED),  # m2 holds m1's Accept
-        (f, responded, m1, COVERED),
-        (m1, invite, m2, LAZY),  # covered, not an utterance
+        (f, said, m1, LAZY),  # covered: m2 holds m1's Accept
+        (f, responded, m1, LAZY),
+        (m1, invite, m2, LAZY),
         (f, m1_accept, m2, LAZY),
         (f, empty, m2, LAZY),
         (m2, invite, m3, LAZY),  # the founder's block: always covered
@@ -677,70 +696,32 @@ def test_schedule_names_each_copy():
 
 
 @pytest.mark.parametrize("size", [12, 7])
-def test_racing_relays_per_utterance_and_member(size):
-    # Each member says once in a group formed over a perfect network.  In
-    # a 12-member group each (utterance, member) pair has exactly
-    # RACING_RELAYS racers among the other ten relays; in a group of 7
-    # every relay races.  A relay's copy is COVERED where it races and
-    # LAZY where it does not.
+def test_every_relay_copy_of_a_covered_utterance_is_lazy(size):
+    # Each member says once in a group formed over a perfect network, so
+    # its creator covers every member.  The creator sends RACED_COPIES to
+    # each, and no relay sends its copy as the Say lands, although it came
+    # straight from the creator: every relay copy is LAZY, sent only to
+    # repair a loss.
     agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
     gid = wl_group(*agents)
     said = []
     for speaker in agents:
-        pump(agents, speaker.say_group(gid, b"hello"), speaker)
-        said.append(speaker.last_uttered)
+        sends = speaker.say_group(gid, b"hello")
+        block = speaker.last_uttered
+        for q in agents:
+            if q is not speaker:
+                got = sum(dst == q.current_address and blk.id == block.id for dst, blk in sends)
+                assert got == RACED_COPIES
+                relayed = deliver(q, speaker, block)
+                assert not any(blk.id == block.id for _, blk in relayed)
+        said.append(block)
     settle(agents)
-    racers_per_pair = set()
     for block in said:
         for q in agents:
-            if q.agent_id == block.creator:
-                continue
-            racers = 0
             for relay in agents:
-                if relay.agent_id in (block.creator, q.agent_id):
-                    continue
-                racing = bool(relay._racing.get(q.agent_id, 0) & relay.lace.bit_of(block.id))
-                racers += racing
-                assert relay._schedule(block, q.agent_id) == (COVERED if racing else LAZY)
-            racers_per_pair.add(racers)
-    assert racers_per_pair == {min(RACING_RELAYS, size - 2)}
-
-
-def test_relay_races_only_the_utterances_it_got_from_their_creator():
-    # In a 12-member group, the relay gets one Say first from another
-    # relay and another straight from its creator.  Its copy of the first
-    # is LAZY for every member.  Its copy of the second is COVERED for the
-    # RACING_RELAYS members whose racers it is: it is among the
-    # RACING_RELAYS members after each of them in the Say's digest order,
-    # among the members other than the creator.
-    agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP)]
-    gid = wl_group(*agents)
-    relay, first, creator, direct_creator = agents[1], agents[2], agents[3], agents[4]
-    creator.say_group(gid, b"relayed")
-    relayed = creator.last_uttered
-    deliver(first, creator, relayed)
-    deliver(relay, first, relayed)
-    direct_creator.say_group(gid, b"direct")
-    direct = direct_creator.last_uttered
-    deliver(relay, direct_creator, direct)
-    assert relayed.id in relay.lace and direct.id in relay.lace
-    for q in agents:
-        if q not in (relay, creator):
-            assert relay._schedule(relayed, q.agent_id) == LAZY
-    order = sorted(
-        (a for a in agents if a is not direct_creator),
-        key=lambda a: crypto.hash_bytes(direct.id.digest + a.agent_id),
-    )
-    covered = []
-    for q in agents:
-        if q in (relay, direct_creator):
-            continue
-        at = order.index(q)
-        racers = [order[(at + step) % len(order)] for step in range(1, RACING_RELAYS + 1)]
-        expected = COVERED if relay in racers else LAZY
-        assert relay._schedule(direct, q.agent_id) == expected
-        covered.append(expected == COVERED)
-    assert sum(covered) == RACING_RELAYS
+                if block.creator not in (relay.agent_id, q.agent_id) and relay is not q:
+                    assert relay._schedule(block, q.agent_id) == LAZY
+    assert all(a.retransmit.armed() == 0 for a in agents)
 
 
 @pytest.mark.parametrize("size", [4, 6, 12])
@@ -749,7 +730,7 @@ def test_holders_per_uncovered_accept_and_member(size):
     # relay copy of an uncovered Accept to a member, or all of the relays
     # there are (the members but the founder, the creator and q); the other
     # relays send it only to repair, and the founder on its backstop.
-    # They are the HOLDERS members after q in the digest order `_race` uses.
+    # They are the HOLDERS members after q in the block's digest order.
     agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
     accept = late_accept(agents)
     founder, creator = agents[0], agents[-1]
@@ -769,7 +750,7 @@ def test_holders_per_uncovered_accept_and_member(size):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_both_forks_reach_every_member_of_a_crowd(seed):
-    # Non-racing relays send a fork only to repair a loss, and a member
+    # Relays send a fork only to repair a loss, and a member
     # that misses a fork gets it only through its nack, so both forks must
     # still reach all ten correct members.
     result = run_scenario(wl_equivocation_crowd(seed))
@@ -859,12 +840,13 @@ def test_wl_copy_sent_by_the_peer_stops_the_resends():
     gid = wl_group(f, m1, m2)
     m2.say_group(gid, b"relay me")
     said = m2.last_uttered
-    forwarded = deliver(f, m2, said)  # f's one relay copy to m1 is lost
-    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in forwarded}
-    # Without a nack the copy is not resent, but it stays outstanding.
+    forwarded = deliver(f, m2, said)
+    # m2 covers m1, so f's copy to m1 is LAZY: offered, not sent.
+    assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in forwarded}
+    # Without a nack the copy is not sent, but it stays outstanding.
     assert not owes(f, m1, said.id, rounds=REPAIR_AFTER)
     deliver(m1, m2, said)
-    # m1 relays its copy to f: f learns that m1 holds it.
+    # m1 sends its copy to f (a repair, say): f learns that m1 holds it.
     forwarded = deliver(f, m1, said)
     assert not any(blk.id == said.id for _, blk in forwarded)
     # So an ack from m1 that does not name it repairs nothing.

@@ -31,18 +31,18 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
     "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
     "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
-    "wl_group": "8db1b418048d89838a76a92f0d7fca2303da02e4b00f3d3965f470e342241c72",
-    "wl_crowd": "c9621d6e5b64a0932bcdeae00ce179117e6696d410600fba496b8dbad9aac532",
-    "wl_dropper": "15cc53e060e6b8c355b3524387a1f50e72c799e7753b652e28cb80e44e059f32",
+    "wl_group": "9ebc5f6df7d095ef95608c531e23fdcabcbe258faf308f583badb6f754fc89d2",
+    "wl_crowd": "05254005c42c9a54b86f1b436e5bd92ba2406577cd87149a4c5ea5f889b7ed56",
+    "wl_dropper": "253f07c79eedec58ae88af0f4f7e4bedd86b88f953041ff8a738b7d082576696",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "d144b55b7150585b6d0083332f9fb12f8a1e41e35c3145ea3aa4a1138217fb51",
-    "wl_equivocation": "7cf8647c3cdb9efdc8d91272b8f92001631841de8bab9b7498faa2110483850e",
-    "wl_equivocation_crowd": "61c1d77a8987a722f0652ca1fccbc5e65e5c91c0fe93b83a8d6fe6a1c6c32b22",
-    "wl_privacy": "e5ccc0244e50609acade9681776038df989e3a9dff5668188c879fb60dec0e8b",
-    "wl_partitions": "df3c9587b08e0392d4c8e7da8ef173dc17d13f4e85d59c0c7c55b6a318670964",
-    "wl_founder_moves": "0e6b30f754ecfef8c076703bb5fc5ae04e333770056f98b88c625a63b46a9fbb",
-    "wl_founder_quits": "8db2e9f9075b54c17316abc7c91d4acfe2ece101c7885924271c11ee8627d23c",
-    "wl_crowd_orphans": "b488103d02e28ce2d058911e6105b7092a23bb13bef9b5dddad3fcde16c9a3b6",
+    "wl_churn": "4b93bb70719d22bd53be9912f3e41e05841c9fc0225ed6c6ea6e64354095f04f",
+    "wl_equivocation": "0426ebed5666ceaf2fd375ce991166f68b4c9018af144deff33049d1783c6fca",
+    "wl_equivocation_crowd": "da3961409877420846bcc69442421666e67f05a8ccf36c27dc452746e00b93a2",
+    "wl_privacy": "2b888202a4d31f3ab6d2b5eaf77fabd797dcfd04421a4b3ab2191667e2748a0a",
+    "wl_partitions": "5f40757f1278a06365c2153ac8ba84670908023265aafe576ce504f7490edfec",
+    "wl_founder_moves": "b6f6cacef1dd4f3fb83d46fcd42da1f5d80e82283f55317f714430af2fe6b695",
+    "wl_founder_quits": "c85386b61adf091d37facb337fe3a0fd0513a738ff602b0acfa82f30edd9b0d9",
+    "wl_crowd_orphans": "f24f0e69b0be08a4ced3ec47b1718e5590fe590660bf027980005da8a2438e19",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
@@ -51,18 +51,18 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
     "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
     "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
-    "wl_group": "2bec7c5e9173609d285ca063d4993a43edfeb9c674c3759d70507f20db372121",
-    "wl_crowd": "87a3fb5286db895d840dafa7c8264e42b43cc3369ed886843af27028eef62942",
-    "wl_dropper": "ebca3345ed45e765b78dd856b289eb7577a1452a994d7d90d3cd0b200ab54de7",
+    "wl_group": "a43ee4abcc0e74d0deda743b3a2276bad701027b273bc4ada18c4f4a55571493",
+    "wl_crowd": "00e2808168df951c6548b1d2411b2783f1370a40166d52b69c05bf06fbb90092",
+    "wl_dropper": "514f0699ac02848fe1becb543e844f9b07a99e67485d96f7ac8a4498e8217ba7",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "ec49b9b101b7b3766e41d58d0aa7bdd9e8d27cca68ab86d984bedc88ceb3aace",
-    "wl_equivocation": "7f0b9a9bbcd09a20d6deb09bfadbed68b980f565aab40f01672affbaf2d3628e",
-    "wl_equivocation_crowd": "410d3912002b30821ba59d020c56021ac00d3ad8b4dfa0a9a2c1dc6b6ff45463",
-    "wl_privacy": "093117fd50b7371c7e8efacdce8973bb0e5ecbec9544385869b05d4d558b9586",
-    "wl_partitions": "62bfdffd7176118e272b10bf2a0564daae931bc07c8bdbab98aa658f8736f66c",
-    "wl_founder_moves": "9f00e88553827b5029584a8da8319574205b736cdf0a162b552fb925bf5a9682",
-    "wl_founder_quits": "9e6a13ae06c2be122c2a18878b38eb810cbb73cee590c27f2ba717ef9d931748",
-    "wl_crowd_orphans": "d41ecb62fb226c914c42100addbb8b525452053da41c33ac9dba400c2d575ea4",
+    "wl_churn": "eea0087686b5647ae7f94e4a228c25cbee955f566501d65ea9a083edc4e27add",
+    "wl_equivocation": "39b67a221b3c2ad0feaff7d631fc0052732cdbd277b48f3f6ba5cc973e9a7aab",
+    "wl_equivocation_crowd": "01d09639f5e542c1a012468e0dcde34788a621185807178f71ece2efdcf941ac",
+    "wl_privacy": "14635c8a543050b2c5b59bfffb4a348af603dae82d50fc2b6f087738490ca2bd",
+    "wl_partitions": "0e3972dbf17021b9902828af516ce6b27dd5dd87fe6da9552f952fccbd7db01d",
+    "wl_founder_moves": "7d8e4602ba9980142fdfbcf7d807741ff1873c61438f4cc2508f39c485789640",
+    "wl_founder_quits": "42605e87e2545c0d0d0ffe636a19b4c7270b9cb7421f6d1b4fb659c06792d9bf",
+    "wl_crowd_orphans": "cffb885b0ac61086f49e2fe681469d2e13d79aa02d20b486ff95f398e0c75bf0",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
@@ -71,18 +71,18 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
     "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
     "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
-    "wl_group": "7e2cde501057d92072b6b8e59e8408214cd774442b66807012f6ff7ebbce6aae",
-    "wl_crowd": "4ff90715bd7539309617bddfa0684da0fdfc329c5caa13967b1b91452855c883",
-    "wl_dropper": "d0756cf81eadd1263e3a83db186e8d4a11a07612343733d248dc12feb83c83a3",
+    "wl_group": "f9b5aee25432c4dd5065378a3dfd7eff7c802be827e92d3f4e0ecbe052f4ecc1",
+    "wl_crowd": "981fb551c76f740301417cdc776bf20ee90b230f8665f309b674478f56c9e5d7",
+    "wl_dropper": "f9c5d9644ece7ff838c850994d425b4922ce076d1a36a8a489717b260b7ae6d7",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "574125efc4c529c063fefc70df440a12924be84110d013b30f3feb8fcd9b9c51",
-    "wl_equivocation": "6143c6e907dd0320300367290c52b07059b4ff611e125ea5c9034f2c3b08e72b",
-    "wl_equivocation_crowd": "5f6253c9d9776f7ffe32c251359058dc9d253bb3d4affe9281ca796f7750f00c",
-    "wl_privacy": "41357f4612775fc833d36980aef7f64331c2a685963d6e0fe1037383b76401f3",
-    "wl_partitions": "bfcc40b9451f9780a28dc18dcaac4d9c5447a81f842b5d915db072af45190293",
-    "wl_founder_moves": "da03af1a515a48acd035104c6538ebb8ffbd5d323b01e01f429d1e4e8293d807",
-    "wl_founder_quits": "2cf82507da01fee05d531b11d404419ff58ebae7e74db2fc3cb429d0d010b422",
-    "wl_crowd_orphans": "a6773f779dd1b01fced32ea8697b2f55f1c39a9980218d83ceea40d30ad5d78c",
+    "wl_churn": "d42c4a60a839ca116fb45af8560a040b4fe3872f5b47ca8811b522fd1a9ea038",
+    "wl_equivocation": "a3026aff7be5ebc3a0d7fbfabd10d9260ca01c73b0113cac8f6ac51dbde519b8",
+    "wl_equivocation_crowd": "828e7176eed51d30f2fbaa3de1d3ce33c650396e285d21fb79718e1e330ce68f",
+    "wl_privacy": "f72cb37a76af7606889898fc0969856cb177d5393e4d015466a82b99dfc7862e",
+    "wl_partitions": "11a68aeb2d78ddcf56440b72a67b24d86502642081aa5f4240db54cabfc9b78c",
+    "wl_founder_moves": "43de0153ccd3c9119a0dac01d1ab8c3955cbf7d4b7825238f26091992829e365",
+    "wl_founder_quits": "cdf46f490a83de12d4a6016fbd854a1b24c689bfb65b101ebe8c532d83fbbcc2",
+    "wl_crowd_orphans": "4f75f5783aec85376a15b1dc40f1a35106ba7184ecba2145098bf9114f47f9a4",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -94,18 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
     "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
     "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
-    "wl_group": "15824cfa842a6018734dd06db57d1e2f4fd85a2b6fc96ab80643b9047918d7d3",
-    "wl_crowd": "527da1b921af33cf3b516c4a5578f631c32a2fcc51e506581b1e9a48691adef6",
-    "wl_dropper": "9d405340d53c6bf84b8a05f1cc8ede63af9cd20ba68b77d7ee8ce55919b87118",
+    "wl_group": "ee36632554556b14d817752b154c7cd0b7fa314dc596ba98948791e85cfda90c",
+    "wl_crowd": "ec8f306900a4d3afae65c7eacbe2b73b35182f64c5b0c62cab7c338abbdfe40a",
+    "wl_dropper": "07ccb457d710cc8de6f0797e3bcb34799436bcf448ecf30466209310813742a0",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "7cd4a287c9bc09678324d6b198f17ab66dce1f782734cef03b9b37d7c286b924",
-    "wl_equivocation": "fa6453db4ad67b219825577f8e7395ccb7d20098b578452d389011ca1af40a41",
-    "wl_equivocation_crowd": "422e3ad2c36e37059c9fedf7205836da0c0378f1d581d081763cc1ad4a5fb376",
-    "wl_privacy": "317ba39c0f31dd81761785757a1f6db34996636fdea64441a5a272a56925b8c2",
-    "wl_partitions": "a7cb5fc862d7fdc90985010a9447236472e0c751953e8a40a8f0de6fae6968aa",
-    "wl_founder_moves": "f21c12335d0d925415470c8b607c906111bd223aebcad49abbaf953d6ff1ff5e",
-    "wl_founder_quits": "3dea6ed324e57369955bce36840bdf10912ac807bbaf5e71b37ec20a92ce0b93",
-    "wl_crowd_orphans": "15afc9d15ec24bd5f0b9968e9f703fc7ef58e7e939c906e7d9db41330c623136",
+    "wl_churn": "1a61e41ce52d4eea722129712cc50f51c2caed54da3bb03b9c87fc6c95b39c9d",
+    "wl_equivocation": "6a6a888148bdfecfebac75b44faea26e784fbe45e2a2c051962f49470148c389",
+    "wl_equivocation_crowd": "a5c0af06d527c017ed716b6dbb4b1129fdfb38514f75949a4d3d04f736495127",
+    "wl_privacy": "fa95e63b1b583ce81dc1d823a70559516bfb95ed483b8e7984d22978e556d0a9",
+    "wl_partitions": "09b19e99573d74fce21166060e663548f1d9fe237cad0a074205b7b843aedcda",
+    "wl_founder_moves": "a06d1cc101bd3e8873b038a18f0ef98ec1cdb01c85fadadc7fbd805e6594e29d",
+    "wl_founder_quits": "fb572bedcf9561cc87c36068e430707c27eae69215c3c47132171825bc7c9f0b",
+    "wl_crowd_orphans": "4f07fe1039d998b90941f6be61e5ad999899bbbfbf71eb9b29b5547bd795528a",
 }
 
 

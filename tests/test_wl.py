@@ -311,34 +311,49 @@ def test_ack_discloses_only_group_tips():
     assert not ack.pointers & m.partition_ids(gid2)
 
 
+def late_member(f, members, late):
+    """Invite `late` into a group of f and `members`, formed over a perfect
+    network, and let it accept; only f gets the invite, and nobody gets
+    the Accept yet.  So f's relay copies of late's blocks to the others
+    are uncovered: the founder sends them on arrival (BACKSTOP)."""
+    gid = form_group(f, members)
+    f.address_hints[late.agent_id] = late.current_address
+    pump([f, late], f.invite(late.agent_id, gid), f)
+    late.accept(gid)
+    return gid, late.last_uttered
+
+
 def test_receive_forwards_only_landed_blocks():
-    f, m1, m2 = agent(0), agent(1), agent(2)
-    gid = form_group(f, [m1, m2])
-    m1.say_group(gid, b"backlog")  # sent, never delivered
-    backlog = m1.last_uttered
-    f.say_group(gid, b"news")
-    news = f.last_uttered
-    sends = m1.receive(encode_block(news), src=f.current_address)
-    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
-    assert forwarded == [(m2.current_address, news.id)]
-    # The rounds resend the own backlog, which relays race (RACED),
-    # REPAIR_AFTER ticks after its offer; the relayed news went out once,
-    # on arrival, and is resent only to repair a loss a nack reveals.
-    rounds = [{blk.id for _, blk in m1.tick()} for _ in range(REPAIR_AFTER + 1)]
-    assert rounds == [set()] * REPAIR_AFTER + [{backlog.id}]
+    f, m1, m2, m3 = agent(0), agent(1), agent(2), agent(3)
+    gid, accept = late_member(f, [m1, m2], m3)
+    f.say_group(gid, b"backlog")  # sent, never delivered
+    backlog = f.last_uttered
+    sends = f.receive(encode_block(accept), src=m3.current_address)
+    forwarded = {(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)}
+    assert forwarded == {(m1.current_address, accept.id), (m2.current_address, accept.id)}
+    # The rounds resend the own backlog (RACED) REPAIR_AFTER ticks after
+    # its offer.
+    rounds = [
+        backlog.id in {blk.id for dst, blk in f.tick() if dst == m1.current_address}
+        for _ in range(REPAIR_AFTER + 1)
+    ]
+    assert rounds == [False] * REPAIR_AFTER + [True]
 
 
 def test_pending_drain_forwards_every_landed_block():
-    f, m1, m2 = agent(0), agent(1), agent(2)
-    gid = form_group(f, [m1, m2])
-    f.say_group(gid, b"one")
-    first = f.last_uttered
-    f.say_group(gid, b"two")
-    second = f.last_uttered
-    assert m1.receive(encode_block(second), src=f.current_address) == []
-    sends = m1.receive(encode_block(first), src=f.current_address)
+    f, m1, m2, m3 = agent(0), agent(1), agent(2), agent(3)
+    gid, accept = late_member(f, [m1, m2], m3)
+    m3.say_group(gid, b"first words")
+    said = m3.last_uttered
+    assert said.pointers == {accept.id}
+    assert f.receive(encode_block(said), src=m3.current_address) == []
+    sends = f.receive(encode_block(accept), src=m3.current_address)
     forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
-    assert forwarded == [(m2.current_address, first.id), (m2.current_address, second.id)]
+    assert forwarded == [
+        (q.current_address, block.id)
+        for q in sorted([m1, m2], key=lambda q: q.agent_id)
+        for block in (accept, said)
+    ]
 
 
 def acks(sends):
@@ -436,16 +451,17 @@ def test_parked_block_with_no_pointer_here_nacked_with_the_shared_group_tips():
 
 
 def test_lost_relay_copy_is_repaired_on_a_nack():
-    # m2 withholds its say from m1, and f's one relay copy to m1 is lost.
-    # f knows m2 holds m1's Accept, so its copy was a second path and has
-    # no backstop: only f's next block, which points at the say and at
-    # m1's own and parks at m1, shows f what is missing.
+    # m2 withholds its say from m1.  f knows m2 holds m1's Accept, so its
+    # relay copy is a second path, LAZY: not sent on arrival, and with no
+    # backstop.  Only f's next block, which points at the say and at m1's
+    # own and parks at m1, shows f what is missing, and the copy goes out
+    # as a repair.
     f, m1, m2 = agent(0), agent(1), agent(2)
     gid = form_group(f, [m1, m2])
     m2.say_group(gid, b"withheld")
     said = m2.last_uttered
-    lost = f.receive(encode_block(said), src=m2.current_address)
-    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in lost}
+    held = f.receive(encode_block(said), src=m2.current_address)
+    assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in held}
     assert f.retransmit.armed() == 0
     m1.say_group(gid, b"mine")
     f.receive(encode_block(m1.last_uttered), src=m1.current_address)
@@ -608,8 +624,15 @@ def test_covered_relay_copy_not_acked_as_it_lands():
     said = f.last_uttered
     armed = m2.retransmit.armed()
     relayed = m2.receive(encode_block(said), src=f.current_address)
-    assert (m1.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
+    assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in relayed}
     assert m2.retransmit.armed() == armed  # no timer on m2's copy
+    # An ack from m1 that does not cover the say, REPAIR_AFTER ticks
+    # later, draws m2's repair copy.
+    for _ in range(REPAIR_AFTER):
+        m2.tick()
+    m2.retransmit.mark_repair(m1.current_address)
+    repaired = [blk for dst, blk in m2.tick() if dst == m1.current_address]
+    assert said.id in {blk.id for blk in repaired}
     assert acks(m1.receive(encode_block(said), src=m2.current_address)) == []
     assert said.id in m1.lace
     # The creator's copy of the same block is acked, to stop its timer.
