@@ -10,7 +10,7 @@ scenario seed — so a (scenario, seed) pair determines the trace bytes.
 A run is quiescent after two quiet rounds in a row (no agent sent a block
 in its tick, and no correct agent still has a retransmit timer running)
 with no datagram in flight and no scripted event left.  Every
-outstanding pair has a timer except a COVERED or LAZY one (`retransmit`):
+outstanding pair has a timer except a COVERED one (`retransmit`):
 a WL relay copy whose creator is known to send the block to the same
 member.  The creator's own timer holds the run open until that member
 holds the block.

@@ -12,8 +12,8 @@ receive -> ack -> forward pipeline with its ack holdoff, the send
 loop (`disseminate`) and the retransmission round.  A subclass fills in
 `_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
 `_ack_pointers`, `_nack_pointers`, `_wanted`, which says who may receive
-what, and `_schedule`, which names the retransmission schedule of each
-copy (`retransmit`).
+what, and `_schedule`, which names the first offer of each copy
+(`retransmit`).
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class Agent:
         self.current_address = address
         self.lace = Blocklace()
         self.metrics = metrics
-        self.retransmit = Retransmit(metrics, self.agent_id)
+        self.retransmit = Retransmit(metrics)
         self.peers: PeerKnowledge  # set by the subclass, with its credit rule
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}
@@ -163,11 +163,12 @@ class Agent:
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._decoder = WireDecoder()
-        # (destination, ack id) -> the tick (`retransmit.now`) the ack last
-        # went there: a byte-identical ack goes to a destination at most
-        # once in ACK_HOLDOFF ticks.  Bound: the acks sent in the last
+        # (destination, own address, ack pointers) -> the tick
+        # (`retransmit.now`) the ack last went there: a byte-identical ack
+        # goes to a destination at most once in ACK_HOLDOFF ticks, and one
+        # held back is never built.  Bound: the acks sent in the last
         # ACK_HOLDOFF ticks.
-        self._acked: dict[tuple[NetAddress, BlockId], int] = {}
+        self._acked: dict[tuple[NetAddress, NetAddress, frozenset[BlockId]], int] = {}
 
     # --- shared queries ------------------------------------------------------
 
@@ -265,14 +266,14 @@ class Agent:
         the same ack went there within the last ACK_HOLDOFF ticks."""
         if dest is None or dest == self.current_address:
             return False
-        ack = b.new_block(self.kp, self.current_address, Ack(), pointers)
-        key = (dest, ack.id)
+        # For this creator, its address and the pointers fix the ack's id.
         # `tick` keeps only the acks whose holdoff still runs.
+        key = (dest, self.current_address, pointers)
         if key in self._acked:
             return False
         self._acked[key] = self.retransmit.now
         self.metrics.acks_sent += 1
-        sends.append((dest, ack))
+        sends.append((dest, b.new_block(self.kp, self.current_address, Ack(), pointers)))
         return True
 
     def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
@@ -284,9 +285,7 @@ class Agent:
         `self.retransmit` schedules them.
 
         Outside `tick`'s round only first offers go out; in the round,
-        every pair whose timer is due.  `take` says how many copies: an
-        EAGER or PACED first offer sends EAGER_COPIES at once, a RACED one
-        RACED_COPIES.
+        every pair whose timer is due.  `take` says how many copies.
         Each peer's blocks go in causal order (by closure size), a block's
         copies together.
         A pair listed twice in one call (a WL invite's closure to a target

@@ -4,62 +4,77 @@ An agent owes a block to a destination address until the destination is
 known to hold it.  Resending on every tick floods the network while the
 first copy or its ack is still in flight (a round trip takes 2-10 ticks
 at a delay of 1-5), so each (destination address, block id) pair gets its
-own entry, on one of seven schedules.  The agent names the schedule of
-each pair (`TlAgent._schedule`, `WlAgent._schedule`); `Retransmit` keeps
-it.  ROADMAP item 5 has the measurements behind each constant and rule.
+own entry.  The agent names the first offer of each pair
+(`TlAgent._schedule`, `WlAgent._schedule`), and `_OFFER` maps the name to
+the copies sent at once, the wait before the first timer send, and the
+kind of pair `Retransmit` keeps from then on.  ROADMAP item 5 has the
+measurements behind each constant and rule.
+
+There are three kinds:
+
+* EAGER: resent every GAP (4) ticks until the destination is known to
+  hold the block;
+* BACKSTOP: resent every REPAIR_AFTER (11) ticks until then;
+* COVERED: no timer.  Another path, the block's creator, covers the
+  destination, so the pair is resent only to repair a loss: in a round
+  at least REPAIR_AFTER ticks after its last send or first offer, once an
+  ack or nack from the destination still does not cover the block.
+
+And six first offers:
+
+    name      sent at once   first wait     kind
+    EAGER     EAGER_COPIES   GAP            EAGER
+    PACED     EAGER_COPIES   ROUND_TRIP     EAGER
+    RACED     RACED_COPIES   REPAIR_AFTER   EAGER
+    BACKSTOP  1              REPAIR_AFTER   BACKSTOP
+    HELD      0              REPAIR_AFTER   BACKSTOP
+    LAZY      0              REPAIR_AFTER   COVERED
+
+A first offer goes out when the block lands, or on the agent's own
+command, in a round or not.  Only a pair's later sends wait for a round.
 
 EAGER is for a pair whose copy may be the destination's only path to the
 block and whose first resend should not wait: a TL Follow or Empty, own
 or relayed, and a WL agent's own membership blocks but the BACKSTOP ones
-below.  It is sent:
-
-* on first offer, in EAGER_COPIES copies at once: when the block lands,
-  or on the agent's own command, in a round or not;
-* then every GAP (4) ticks until the destination is known to hold it.
-
-The copies up front cost nothing over a first resend one tick after the
-offer: no ack, claim or peer copy can come back within 2 ticks, since
-every delay is at least 1 tick each way, so that copy always went out.
-Loss and delay are drawn per copy, so at 30% loss all three are lost
-2.7% of the time, below the 5% that the 95th-percentile delivery time
-reads.  That closes the loss tail at the creator, which lets a WL relay
-hold back every copy that the creator covers (LAZY, below).
+below.  The EAGER_COPIES (3) copies up front cost nothing over a first
+resend one tick after the offer: no ack, claim or peer copy can come back
+within 2 ticks, since every delay is at least 1 tick each way, so that
+copy always went out.  Loss and delay are drawn per copy, so at 30% loss
+all three are lost 2.7% of the time, below the 5% that the
+95th-percentile delivery time reads.  That closes the loss tail at the
+creator, which lets a WL relay hold back every copy that the creator
+covers (LAZY, below).
 
 One GAP, not an RTO.  An RTO from the estimator of RFC 6298 (Paxson et
 al., "Computing TCP's Retransmission Timer") is about 11 ticks at the
 default delays; as the gap between every two tries it raised the
 95th-percentile delivery time on a 5-agent TL line sharply, and a gap
 that doubles after each send delayed quiescence for almost no datagrams
-saved.  So every resend after the first waits GAP.
+saved.  So every EAGER resend after the first waits GAP.
 
-PACED and RACED differ from EAGER in their first wait, and RACED also in
-its first offer: their first timer resend makes them EAGER, resent every
-GAP ticks.  A resend before the ack of the first copies can be back
-races that ack, and with three copies up front it is needed only in the
-2.7% of hops that lose all three.
+PACED and RACED differ from EAGER only in their first offer.  A resend
+before the ack of the first copies can be back races that ack, and with
+the copies up front it is needed only in the few hops that lose them
+all.
 
-* PACED is for every TL copy of a Say or Respond, own or relayed
-  (`TlAgent._schedule`).  Its first resend waits ROUND_TRIP (6) ticks,
-  the mean round trip at the default delays (delay_min + delay_max), as
-  RFC 6298 waits at least a smoothed round trip before it retransmits.
-  Only the first wait is longer, since a longer wait before every
-  resend raises the tail of the delivery time.  TL Follow and Empty
-  copies stay EAGER: they are few, and what follows waits on them (a
-  friendship on the Follow's ack, every later copy on the address an
-  Empty brings).
+* PACED is for every TL copy of a Say or Respond, own or relayed.  Its
+  first resend waits ROUND_TRIP (6) ticks, the mean round trip at the
+  default delays (delay_min + delay_max), as RFC 6298 waits at least a
+  smoothed round trip before it retransmits.  Only the first wait is
+  longer, since a longer wait before every resend raises the tail of the
+  delivery time.  TL Follow and Empty copies stay EAGER: they are few,
+  and what follows waits on them (a friendship on the Follow's ack,
+  every later copy on the address an Empty brings).
 * RACED is for the copies of a WL agent's own utterance (Say or
-  Respond), in a group of any size (`WlAgent._schedule`).  Its first
-  offer sends RACED_COPIES (4) copies at once, one more than EAGER, and
-  its first resend waits REPAIR_AFTER ticks, the longest round trip at
-  the default delays.  Every member of a WL group is one hop from the
-  creator, and a reader waits on an utterance.  A relay's copy costs
-  the same datagram as a creator's copy but arrives a hop later, so the
-  extra copy goes out from the creator, and every relay copy of the
-  utterance is LAZY.  With four copies up front a resend is needed only
-  when all four are lost, so an earlier one mostly races the ack.  The
-  agent's membership blocks stay EAGER, with three copies: no reader
-  waits on them.  The exception is its Accept to a member other than
-  the founder, which is BACKSTOP (below).
+  Respond), in a group of any size.  It sends RACED_COPIES (4) copies at
+  once, one more than EAGER, and its first resend waits REPAIR_AFTER
+  ticks, the longest round trip at the default delays.  Every member of
+  a WL group is one hop from the creator, and a reader waits on an
+  utterance.  A relay's copy costs the same datagram as a creator's copy
+  but arrives a hop later, so the extra copy goes out from the creator,
+  and every relay copy of the utterance is LAZY.  With four copies up
+  front a resend is needed only when all four are lost, so an earlier
+  one mostly races the ack.
 
 Ack holdoff.  Each copy that lands draws an ack, and the copies of one
 burst land in different ticks, so one burst drew up to three identical
@@ -71,46 +86,33 @@ before it finds the holdoff over and draws a fresh ack, so a sender
 whose acks were all lost still gets one.  The acks it holds off are not
 the ones that stop timers: resends stay about the same.
 
-The other four are for a WL copy that another path covers too: a copy of
-a block this agent did not create, which the creator sends too, or of a
-member's own Accept, which the founder relays.  Each sends at most one
-copy at a time, and none is resent sooner than REPAIR_AFTER ticks after
-its last send:
+BACKSTOP, HELD and LAZY are for a WL copy that another path may cover
+too: a copy of a block this agent did not create, which the creator
+sends too, or of a member's own Accept, which the founder relays.  Each
+sends at most one copy at a time.
 
-* COVERED: the creator covers the destination, so a correct creator has
-  the pair on its own EAGER or RACED schedule, and this agent's copy
-  has already gone out once: it is a LAZY pair after its first repair
-  send, or a BACKSTOP pair whose creator has since been seen to cover
-  the destination.  The creator covers the destination when the agent
-  knows it holds the block that made the destination a member, and
-  always when it is the group's founder: a new member knows only the
-  founder, so every Accept goes to the founder first.  A COVERED pair
-  has no timer: it is resent only to repair a loss, in a round after an
-  ack from the destination arrived;
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
-  only path.  It is sent on first offer, then every REPAIR_AFTER ticks
-  until the destination is known to hold it.  This is the schedule of
-  the group's founder: it created every invite, so it knows every
-  invitee, and a new member sends its Accept there first.  It is also
-  the schedule of a member's own Accept to a member other than the
-  founder: the founder relays every Accept to every member at once, so
-  the creator's copies need not come in a burst;
-* HELD: a BACKSTOP pair at HOLDERS other relays, whose first offer is
-  recorded as if sent but not sent, so its copy goes out REPAIR_AFTER
-  ticks later if the destination still lacks the block.  The holders
-  are chosen per (block, destination) in an order drawn from the
-  block's digest, among the members other than the creator and the
-  founder (`wl.WlAgent._holds_for`).  With every member relaying every
-  Accept to every other member at once, relayed Accepts grew as n^3,
-  and held at every relay they still would;
+  only path.  It is the first offer of the group's founder: it created
+  every invite, so it knows every invitee, and a new member sends its
+  Accept there first.  It is also the first offer of a member's own
+  Accept to a member other than the founder: the founder relays every
+  Accept to every member at once, so the creator's copies need not come
+  in a burst.
+* HELD: a BACKSTOP pair at HOLDERS other relays, whose first copy waits
+  REPAIR_AFTER ticks, so it goes out only if the destination still lacks
+  the block.  The holders are chosen per (block, destination) in an
+  order drawn from the block's digest, among the members other than the
+  creator and the founder (`wl.WlAgent._holds_for`).  With every member
+  relaying every Accept to every other member at once, relayed Accepts
+  grew as n^3, and held at every relay they still would.
 * LAZY: a pair whose copy need not race the creator's: any covered
   block, utterance or membership block (Group, Invite, Accept, Empty),
   or an uncovered block at a relay other than the founder and the
-  destination's holders.  Its first offer is recorded but not sent, and
-  it has no timer: it goes out only to repair a loss, in a round at
-  least REPAIR_AFTER ticks after the offer, once an ack or nack from
-  the destination still does not cover the block.  This is Plumtree's
+  destination's holders.  The creator covers the destination when the
+  agent knows it holds the block that made the destination a member,
+  and always when it is the group's founder: a new member knows only the
+  founder, so every Accept goes to the founder first.  This is Plumtree's
   eager/lazy split (below) taken to its end for a group whose members
   are all one hop from each creator: the eager tree is the creator's own
   star, and every relay copy of a covered block is lazy.  A relay copy
@@ -118,28 +120,21 @@ its last send:
   arrive a hop later, and relayed at once by every member to every
   other member, covered copies grow as n^3.
 
-A pair's entry holds only its due tick and its schedule; renamings carry
-the rest.  PACED and RACED mean "not resent yet": the first timer send
-makes either EAGER.  HELD and LAZY mean "not sent yet": a HELD pair's
-first send makes it BACKSTOP, a LAZY pair's makes it COVERED, and
-neither first send counts as a resend.  And an ack that shows the
-creator now covers a BACKSTOP pair makes it COVERED, and a HELD one
-LAZY, so a HELD pair covered before its first send goes out only on a
-repair.  That is the one re-read: `take` asks for the schedule of a
-relay's BACKSTOP or HELD pair on every call until the answer is COVERED
-or LAZY, and of any other pair only on its first offer.  A BACKSTOP pair
-of the agent's own Accept is never re-read, since only a relay's copy
-turns covered.  An EAGER, PACED or RACED pair keeps the schedule of its
-first offer but for the renaming, and what the creator is known to hold
-only grows, so a COVERED or LAZY pair keeps its schedule.
+The one re-read.  `take` asks again for the schedule of a BACKSTOP pair
+on every call; once the agent names it LAZY, the creator has been seen
+to cover the destination, and the pair becomes COVERED.  What the
+creator is known to hold only grows, so a pair of any other kind keeps
+the kind of its first offer.  A pair's entry also says whether its copy
+has gone out yet, so the first send of a HELD or LAZY pair does not
+count in `metrics.resent`: it repeats nothing.
 
-So a run is quiescent only when every pair is held, COVERED or LAZY:
-what a correct agent owes a member, the member holds.  The exception is
-a creator that withholds its block from a member it knows (a faulty
-one); the relays' COVERED and LAZY copies then get only the repair.  A
-founder that goes silent costs delay, not liveness, only once it has
-relayed every Accept: before that, a new member's Accept may have
-reached no one else, and the group stays split.
+So a run is quiescent only when every pair is COVERED or its block is
+known to be held: what a correct agent owes a member, the member holds.  The exception is a
+creator that withholds its block from a member it knows (a faulty one);
+the relays' COVERED copies then get only the repair.  A founder that
+goes silent costs delay, not liveness, only once it has relayed every
+Accept: before that, a new member's Accept may have reached no one else,
+and the group stays split.
 
 REPAIR_AFTER is twice the largest default delay (5 ticks) plus one, so
 an ack that still does not cover the block left the destination after
@@ -152,7 +147,7 @@ When none of the block's pointers is here, the group is the one the
 agent shares with the block's creator, if there is exactly one: so a
 member that missed a block every later one points at, such as a
 withheld fork, still nacks (`WlAgent._nack_pointers`).
-The destination does not ack a COVERED or LAZY copy itself: the block
+The destination does not ack a relay's COVERED copy itself: the block
 observes the destination's own Accept (or the genesis, for the
 founder), so it knows the relay keeps no timer on the copy
 (`WlAgent._ack_pointers`).
@@ -168,8 +163,8 @@ drawing acks from the member; when a new member's Accept and say are the
 last blocks and the founder's copies of them are lost, nothing does, and
 a run could quiesce with the member lacking both.  The backstop closes
 that.  In TL a relay is often the only path (friends in a line), so a TL
-relay's copy is never COVERED or LAZY: it goes on the creator's own
-schedule, EAGER or PACED, copies up front included.
+relay's copy is never COVERED: it goes on the creator's own schedule,
+EAGER or PACED, copies up front included.
 
 Ticks are counted by the agent's own rounds (`tick()` calls).  The key
 holds the destination address, not the agent: a peer that moves to a new
@@ -182,11 +177,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 from .blocks import BlockId, NetAddress
-from .crypto import AgentId
 
-# An EAGER or PACED first offer sends EAGER_COPIES copies at once, a RACED
-# one RACED_COPIES; the next is due GAP ticks later (ROUND_TRIP for PACED,
-# REPAIR_AFTER for RACED), and every GAP ticks after that.
 EAGER_COPIES = 3
 RACED_COPIES = 4
 GAP = 4
@@ -201,21 +192,25 @@ ACK_HOLDOFF = 3
 # flight: an extra send, never a lost block.
 REPAIR_AFTER = 11
 
+# The kinds of pair `Retransmit` keeps.
 EAGER = "eager"
-COVERED = "covered"
 BACKSTOP = "backstop"
-HELD = "held"
-LAZY = "lazy"
+COVERED = "covered"
+# The other first offers an agent names.
 PACED = "paced"
 RACED = "raced"
+HELD = "held"
+LAZY = "lazy"
 
-# The wait after an EAGER, PACED or RACED first offer; every later resend
-# of each waits GAP, as EAGER.
-_FIRST_WAIT = {EAGER: GAP, PACED: ROUND_TRIP, RACED: REPAIR_AFTER}
-# The schedule a pair not sent yet takes on its first send.
-_FIRST_SEND = {HELD: BACKSTOP, LAZY: COVERED}
-# The schedule a BACKSTOP or HELD pair takes once the creator covers it.
-_ON_COVER = {BACKSTOP: COVERED, HELD: LAZY}
+# first offer -> (copies sent at once, ticks to the first timer send, kind)
+_OFFER = {
+    EAGER: (EAGER_COPIES, GAP, EAGER),
+    PACED: (EAGER_COPIES, ROUND_TRIP, EAGER),
+    RACED: (RACED_COPIES, REPAIR_AFTER, EAGER),
+    BACKSTOP: (1, REPAIR_AFTER, BACKSTOP),
+    HELD: (0, REPAIR_AFTER, BACKSTOP),
+    LAZY: (0, REPAIR_AFTER, COVERED),
+}
 
 # (destination address, block creator, block digest): a block id's fields,
 # whose hashes are cached, so a lookup runs no Python-level __hash__.
@@ -237,29 +232,25 @@ class Retransmit:
     from since the last round.
     """
 
-    def __init__(self, metrics, owner: Optional[AgentId] = None):
+    def __init__(self, metrics):
         # `metrics.resent` counts sends that repeat an earlier send of the
         # same block to the same destination.
         self._metrics = metrics
-        # The agent whose sends these are: a pair of its own block keeps
-        # the schedule of its first offer (`take`).
-        self._owner = owner
         self.now = 0
-        # pair -> (tick the next send is due, schedule)
-        self._pairs: dict[Pair, tuple[int, str]] = {}
+        # pair -> (tick the next send is due, kind, whether a copy went out)
+        self._pairs: dict[Pair, tuple[int, str, bool]] = {}
         # the table as the current round found it; None between rounds
-        self._before: Optional[dict[Pair, tuple[int, str]]] = None
+        self._before: Optional[dict[Pair, tuple[int, str, bool]]] = None
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
 
     def armed(self) -> int:
-        """Timers still running: the pairs neither COVERED nor LAZY, so a
-        PACED or RACED pair counts from its first offer on."""
-        return sum(entry[1] not in (COVERED, LAZY) for entry in self._pairs.values())
+        """Timers still running: the pairs that are not COVERED."""
+        return sum(entry[1] != COVERED for entry in self._pairs.values())
 
     def mark_repair(self, dest: NetAddress) -> None:
         """An ack came from `dest`: the next round may repair its COVERED
-        and LAZY pairs that the ack did not cover."""
+        pairs that the ack did not cover."""
         self._repair.add(dest)
 
     @contextmanager
@@ -274,13 +265,10 @@ class Retransmit:
             self.now += 1
 
     def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
-        """How many copies of the block to send to `dest` now: 0, 1,
-        EAGER_COPIES for an EAGER or PACED first offer, or RACED_COPIES
-        for a RACED one.  Rearms the pair's timer when it sends.
-        `schedule` gives the pair's schedule; it is called on the first
-        offer, and after that only while the pair is BACKSTOP or HELD and
-        its block is not the owner's: only a relay's copy turns COVERED or
-        LAZY."""
+        """How many copies of the block to send to `dest` now: on a first
+        offer as `_OFFER` says, else 0 or 1.  Rearms the pair's timer when
+        it sends.  `schedule` names the pair's first offer; it is called on
+        the first offer, and after that only while the pair is BACKSTOP."""
         pair = (dest, block_id.creator, block_id.digest)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)
@@ -289,24 +277,16 @@ class Retransmit:
             if entry is not None:
                 pairs[pair] = entry
         if entry is None:
-            name = schedule()
-            if name in _FIRST_WAIT:
-                pairs[pair] = (now + _FIRST_WAIT[name], name)
-                copies = RACED_COPIES if name == RACED else EAGER_COPIES
-                self._metrics.resent += copies - 1
-                return copies
-            pairs[pair] = (now + REPAIR_AFTER, name)
-            return 0 if name in _FIRST_SEND else 1
-        due, name = entry
-        if name in _ON_COVER and block_id.creator != self._owner and schedule() in (COVERED, LAZY):
-            name = _ON_COVER[name]
-            pairs[pair] = (due, name)
-        if before is None or due > now or (name in (COVERED, LAZY) and dest not in self._repair):
+            copies, wait, kind = _OFFER[schedule()]
+            pairs[pair] = (now + wait, kind, copies > 0)
+            self._metrics.resent += max(copies - 1, 0)
+            return copies
+        due, kind, sent = entry
+        if kind == BACKSTOP and schedule() == LAZY:
+            kind = COVERED
+            pairs[pair] = (due, kind, sent)
+        if before is None or due > now or (kind == COVERED and dest not in self._repair):
             return 0
-        if name in _FIRST_WAIT:
-            pairs[pair] = (now + GAP, EAGER)
-        else:
-            pairs[pair] = (now + REPAIR_AFTER, _FIRST_SEND.get(name, name))
-        if name not in _FIRST_SEND:
-            self._metrics.resent += 1
+        pairs[pair] = (now + (GAP if kind == EAGER else REPAIR_AFTER), kind, True)
+        self._metrics.resent += sent
         return 1

@@ -289,31 +289,19 @@ class WlAgent(Agent):
     # --- dissemination ----------------------------------------------------------
 
     def _schedule(self, block: Block, q: AgentId) -> str:
-        # The creator of a block sends it to every member it knows.  When
-        # it holds the block that made q a member of the block's group, it
-        # counts q among them, so this agent's relayed copy is a second
-        # path, LAZY: sent only to repair a loss, utterance or membership
-        # block alike.  Every member is one hop from the creator, and a
-        # relay's copy costs a datagram, as the creator's does, but
-        # arrives a hop later, so the creator sends one more copy of its
-        # own utterance up front (RACED) in place of any relay copy.  The
-        # founder covers every member: each Accept goes to the founder
-        # first, so its blocks are always covered.  Otherwise the copy may
-        # be q's only path: the founder, which created every invite and so
-        # knows every invitee, sends it at once; HOLDERS other relays,
-        # chosen per (block, q) by digest (`_holds_for`), hold it for
-        # REPAIR_AFTER ticks, and the rest send it only to repair.  The
-        # agent's own Accept to a member other than the founder is
-        # BACKSTOP, since the founder relays it at once; its other
-        # membership blocks are EAGER.
+        # Its own utterance: RACED.  Its own Accept to a member other than
+        # the founder, which relays every Accept at once: BACKSTOP.  Its
+        # other membership blocks: EAGER.  A relayed block whose creator
+        # covers q (holds the block that made q a member; the founder
+        # covers every member, since each Accept goes to it first): LAZY.
+        # Uncovered: BACKSTOP at the founder, which knows every invitee;
+        # HELD at q's HOLDERS relays (`_holds_for`); LAZY elsewhere.
         gid = self.group_of(block.id)
         if block.creator == self.agent_id:
             payload = block.payload
             if isinstance(payload, Accept) and q != gid.creator:
                 return BACKSTOP
             return RACED if b.is_utterance(payload) else EAGER
-        if gid is None:
-            return HELD
         joined = self._members[gid].get(q, 0)
         if block.creator == gid.creator or self.peers.known(block.creator) & joined:
             return LAZY
@@ -437,7 +425,7 @@ class WlAgent(Agent):
         # No ack for a copy from a relay, a known deliverer
         # (`peers.Agent._credit_delivery`) other than the creator, when the
         # block observes the block that made this agent a member: that
-        # relay holds it too, so its copy is COVERED or LAZY and has no
+        # relay holds it too, so its copy is COVERED and has no
         # timer for an ack to stop (`_schedule`).
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):

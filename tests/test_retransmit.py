@@ -16,7 +16,6 @@ from blocklace.peers import AgentMetrics
 from blocklace.retransmit import (
     ACK_HOLDOFF,
     BACKSTOP,
-    COVERED,
     EAGER,
     EAGER_COPIES,
     GAP,
@@ -65,24 +64,59 @@ def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
     return sent
 
 
-def test_first_offer_sends_three_copies_then_one_every_gap():
+def offer_covered(rtx, dest, block_id):
+    """Offer the pair on its BACKSTOP, then name it LAZY: its copy went out
+    once, and the creator has since been seen to cover `dest`."""
+    assert rtx.take(dest, block_id, lambda: BACKSTOP) == 1
+    assert rtx.take(dest, block_id, lambda: LAZY) == 0
+
+
+# first offer -> (copies sent at once, ticks to the first timer send, ticks
+# between later sends).  A LAZY pair goes out only on a repair.
+FIRST_OFFERS = {
+    EAGER: (EAGER_COPIES, GAP, GAP),
+    PACED: (EAGER_COPIES, ROUND_TRIP, GAP),
+    RACED: (RACED_COPIES, REPAIR_AFTER, GAP),
+    BACKSTOP: (1, REPAIR_AFTER, REPAIR_AFTER),
+    HELD: (0, REPAIR_AFTER, REPAIR_AFTER),
+    LAZY: (0, REPAIR_AFTER, REPAIR_AFTER),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_OFFERS))
+def test_first_offer_copies_waits_and_period(name):
+    copies, first, period = FIRST_OFFERS[name]
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    eager = Asked(EAGER)
-    assert rtx.take("p/0", BLOCK, eager) == EAGER_COPIES == 3  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK, eager) == 0  # no repeat before it is due
-    sent = round_sends(rtx, [("p/0", BLOCK)], 24, eager)
-    # Nothing in the same tick's round, then one copy every GAP ticks.
-    assert sent[("p/0", BLOCK)] == [4, 8, 12, 16, 20]
-    assert GAP == 4
-    # With equal delays each timer resend lands once the holdoff of the ack
-    # its previous copy drew is over, so it draws a fresh ack
-    # (`peers.Agent._ack`).
-    assert ACK_HOLDOFF < GAP
-    # Every copy after the first counts.
-    assert metrics.resent == 2 + 5
-    # An EAGER pair keeps its schedule: it is asked for on the first offer only.
-    assert eager.calls == 1
+    round_sends(rtx, [], 3)
+    start = rtx.now
+    asked = Asked(name)
+    assert rtx.take("p/0", BLOCK, asked) == copies  # first offer, outside a round
+    assert rtx.take("p/0", BLOCK, asked) == 0  # no repeat before it is due
+    assert metrics.resent == max(copies - 1, 0)
+    # Acks from p come before every round: they repair a LAZY pair, and
+    # move no other.
+    sent, armed = [], []
+    for _ in range(first + 3 * period + 1):
+        sent += round_sends(rtx, [("p/0", BLOCK)], 1, asked, marked=["p/0"])[("p/0", BLOCK)]
+        armed.append(rtx.armed())
+    assert sent == [start + first + i * period for i in range(4)]
+    assert armed == [int(name != LAZY)] * len(armed)
+    # Every send but the first repeats one.
+    assert metrics.resent == copies + len(sent) - 1
+    # Only a BACKSTOP or HELD pair is asked for after its first offer.
+    rereads = 1 + len(armed) if name in (BACKSTOP, HELD) else 0
+    assert asked.calls == 1 + rereads
+    # No longer wanted: the next round does not ask about it.
+    round_sends(rtx, [], 1)
+    assert rtx.armed() == 0
+    # First offered in a round, it sends the same copies there, and waits
+    # as long for its first timer send.
+    rtx = Retransmit(AgentMetrics())
+    with rtx.round():
+        assert rtx.take("p/0", BLOCK, asked) == copies
+    sent = round_sends(rtx, [("p/0", BLOCK)], first, asked, marked=["p/0"])
+    assert sent[("p/0", BLOCK)] == [first]
 
 
 def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
@@ -93,72 +127,12 @@ def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
     assert metrics.resent == 5
 
 
-# A PACED pair is an EAGER one whose first timer resend waits ROUND_TRIP:
-# an earlier resend mostly races the ack of the three copies up front.
-
-
-def test_paced_first_offer_sends_three_copies_then_waits_a_round_trip():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    round_sends(rtx, [], 3)
-    start = rtx.now
-    paced = Asked(PACED)
-    assert rtx.take("p/0", BLOCK, paced) == EAGER_COPIES  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK, paced) == 0
-    assert metrics.resent == EAGER_COPIES - 1
-    sent, armed = [], []
-    for _ in range(ROUND_TRIP + 3 * GAP + 1):
-        sent += round_sends(rtx, [("p/0", BLOCK)], 1, paced)[("p/0", BLOCK)]
-        armed.append(rtx.armed())
-    # Nothing until ROUND_TRIP ticks after the offer; then, renamed EAGER,
-    # one copy every GAP ticks.
-    assert sent == [start + ROUND_TRIP + i * GAP for i in range(4)]
-    assert armed == [1] * len(armed)
-    assert metrics.resent == 2 + 4
-    # Asked for on the first offer only.
-    assert paced.calls == 1
-    # No longer wanted: the next round does not ask about it.
-    round_sends(rtx, [], 1)
-    assert rtx.armed() == 0
-
-
 def test_first_waits_in_order_and_paced_waits_the_mean_round_trip():
     # Each wait draws a fresh ack (ACK_HOLDOFF < GAP); the PACED wait is
     # the mean round trip at the default delays, the RACED one longer
     # than the slowest.
     assert ACK_HOLDOFF < GAP < ROUND_TRIP < REPAIR_AFTER
     assert ROUND_TRIP == NetConfig().delay_min + NetConfig().delay_max
-
-
-# A RACED pair sends RACED_COPIES up front, one more than an EAGER one, and
-# waits REPAIR_AFTER before its first timer resend: with four copies up
-# front a resend is needed only when all four are lost, so an earlier one
-# mostly races the destination's ack.
-
-
-def test_raced_first_offer_sends_raced_copies_then_waits_repair_after():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    round_sends(rtx, [], 3)
-    start = rtx.now
-    raced = Asked(RACED)
-    assert rtx.take("p/0", BLOCK, raced) == RACED_COPIES == EAGER_COPIES + 1  # outside a round
-    assert rtx.take("p/0", BLOCK, raced) == 0
-    assert metrics.resent == RACED_COPIES - 1
-    sent, armed = [], []
-    for _ in range(REPAIR_AFTER + 3 * GAP + 1):
-        sent += round_sends(rtx, [("p/0", BLOCK)], 1, raced)[("p/0", BLOCK)]
-        armed.append(rtx.armed())
-    # Nothing until REPAIR_AFTER ticks after the offer; then, renamed
-    # EAGER, one copy every GAP ticks.
-    assert sent == [start + REPAIR_AFTER + i * GAP for i in range(4)]
-    assert armed == [1] * len(armed)
-    assert metrics.resent == 3 + 4
-    # Asked for on the first offer only.
-    assert raced.calls == 1
-    # No longer wanted: the next round does not ask about it.
-    round_sends(rtx, [], 1)
-    assert rtx.armed() == 0
 
 
 def test_raced_first_offer_in_a_round():
@@ -184,21 +158,23 @@ def test_raced_wait_spans_the_longest_default_round_trip():
     assert REPAIR_AFTER > 2 * NetConfig().delay_max
 
 
-# A backup pair is a COVERED one: another path also covers it.
+# A backup pair is a covered one: another path also covers it.  Agents
+# reach it two ways: a BACKSTOP pair whose creator has since been seen to
+# cover the destination (`offer_covered`), and a LAZY pair after its
+# first repair send.
 
 
 def test_backup_pair_sent_once_then_every_backup_gap():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, lambda: COVERED) == 1  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK, lambda: COVERED) == 0
-    sent = round_sends(rtx, [("p/0", BLOCK)], 10, COVERED)
+    offer_covered(rtx, "p/0", BLOCK)  # first offer, outside a round
+    sent = round_sends(rtx, [("p/0", BLOCK)], 10, LAZY)
     # No same-round copy, and without an ack from p no resend at all.
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
     # After acks from p, resends come REPAIR_AFTER ticks after the last send
     # at tick 0.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
     assert metrics.resent == 3
 
@@ -206,11 +182,14 @@ def test_backup_pair_sent_once_then_every_backup_gap():
 def test_backup_pair_first_offered_in_a_round():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    sent = round_sends(rtx, [("p/0", BLOCK), ("p/0", OTHER)], 10, COVERED)
     # A pair first offered in a round goes out there, once.
-    assert sent == {("p/0", BLOCK): [0], ("p/0", OTHER): [0]}
+    with rtx.round():
+        offer_covered(rtx, "p/0", BLOCK)
+        offer_covered(rtx, "p/0", OTHER)
+    sent = round_sends(rtx, [("p/0", BLOCK), ("p/0", OTHER)], 9, LAZY)
+    assert sent == {("p/0", BLOCK): [], ("p/0", OTHER): []}
     assert metrics.resent == 0
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
     assert metrics.resent == 3
 
@@ -218,9 +197,9 @@ def test_backup_pair_first_offered_in_a_round():
 def test_relay_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: COVERED)
+    offer_covered(rtx, "p/0", BLOCK)
     # Acks from another address do not repair p's pairs.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["q/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["q/0"])
     assert sent[("p/0", BLOCK)] == []
     assert metrics.resent == 0
 
@@ -228,24 +207,26 @@ def test_relay_pair_silent_without_a_repair_mark():
 def test_marked_relay_pair_resent_only_after_repair_after():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: COVERED)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED, marked=["p/0"])
+    offer_covered(rtx, "p/0", BLOCK)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
     assert REPAIR_AFTER == 11
     assert metrics.resent == 2
     # A mark lasts one round: an ack before an early round repairs nothing
     # later.
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: COVERED)
-    round_sends(rtx, [("p/0", BLOCK)], 1, COVERED, marked=["p/0"])
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, COVERED)
+    offer_covered(rtx, "p/0", BLOCK)
+    round_sends(rtx, [("p/0", BLOCK)], 1, LAZY, marked=["p/0"])
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY)
     assert sent[("p/0", BLOCK)] == []
 
 
 def test_relay_pairs_armed_only_on_a_backstop():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: COVERED)
-    round_sends(rtx, [("p/0", BLOCK), ("q/0", BLOCK)], 15, COVERED, marked=["p/0"])
+    rtx.take("p/0", BLOCK, lambda: LAZY)
+    sent = round_sends(rtx, [("p/0", BLOCK), ("q/0", BLOCK)], 15, LAZY, marked=["p/0"])
+    # p's pair went out on its first repair, and stays unarmed.
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
     assert rtx.armed() == 0
     rtx.take("p/0", OTHER, lambda: EAGER)
     assert rtx.armed() == 1
@@ -254,17 +235,11 @@ def test_relay_pairs_armed_only_on_a_backstop():
 
 
 def test_backstop_pair_resent_every_repair_after_until_held():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP) == 1
-    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP) == 0
-    # No same-round copy; resent without any ack, REPAIR_AFTER ticks apart.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, BACKSTOP)
+    # Acks from p do not bring a BACKSTOP resend forward.
+    rtx = Retransmit(AgentMetrics())
+    rtx.take("p/0", BLOCK, lambda: BACKSTOP)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 3 * REPAIR_AFTER, BACKSTOP, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
-    assert metrics.resent == 2
-    # Acks from p do not bring the resend forward.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 10, BACKSTOP, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [3 * REPAIR_AFTER]
     assert rtx.armed() == 1
     # Held: the next round does not ask about it, and the timer is gone.
     round_sends(rtx, [], 1)
@@ -279,7 +254,7 @@ def test_backstop_left_once_another_path_covers_the_pair():
     round_sends(rtx, [("p/0", BLOCK)], 5, backstop)
     # Asked for on every take while on its backstop...
     assert backstop.calls == 6
-    backstop.name = COVERED
+    backstop.name = LAZY
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, backstop)
     assert sent[("p/0", BLOCK)] == []
     assert rtx.armed() == 0
@@ -293,49 +268,6 @@ def test_backstop_left_once_another_path_covers_the_pair():
     assert backstop.calls == 7
 
 
-def test_own_backstop_pair_asked_for_on_its_first_offer_only():
-    # Only a relay's copy turns covered, so a pair of the owner's own block
-    # keeps its BACKSTOP schedule without asking again.
-    rtx = Retransmit(AgentMetrics(), owner=KP[0].agent_id)
-    backstop = Asked(BACKSTOP)
-    assert rtx.take("p/0", BLOCK, backstop) == 1
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, backstop)
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
-    assert backstop.calls == 1
-
-
-# A HELD pair is a backstop pair whose first offer is recorded as if sent,
-# but not sent.
-
-
-def test_held_first_offer_not_sent_outside_a_round():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    assert rtx.armed() == 1
-    # Nor in a round before REPAIR_AFTER ticks have passed.
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
-    assert sent[("p/0", BLOCK)] == []
-    assert metrics.resent == 0
-
-
-def test_held_pair_sent_repair_after_later_while_on_its_backstop():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: HELD)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, HELD)
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
-    # The first send repeats no earlier one.
-    assert metrics.resent == 1
-    # First offered in a round, it is held there too.
-    rtx = Retransmit(AgentMetrics())
-    with rtx.round():
-        assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
-
-
 def test_held_pair_dropped_once_covered():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
@@ -344,7 +276,7 @@ def test_held_pair_dropped_once_covered():
     round_sends(rtx, [("p/0", BLOCK)], 5, held)
     assert held.calls == 6
     # Covered before its first send: the creator's eager timer owns it.
-    held.name = COVERED
+    held.name = LAZY
     sent = round_sends(rtx, [("p/0", BLOCK)], 30, held)
     assert sent[("p/0", BLOCK)] == []
     assert rtx.armed() == 0
@@ -355,17 +287,8 @@ def test_held_pair_dropped_once_covered():
     assert held.calls == 7
 
 
-# A LAZY pair is a COVERED one whose first offer is recorded but not sent:
+# A LAZY pair is a covered one whose first offer is recorded but not sent:
 # it goes out only to repair a loss.
-
-
-def test_lazy_first_offer_not_sent_and_not_armed():
-    rtx = Retransmit(AgentMetrics())
-    assert not rtx.take("p/0", BLOCK, lambda: LAZY)
-    assert not rtx.take("p/0", BLOCK, lambda: LAZY)
-    with rtx.round():
-        assert not rtx.take("p/0", OTHER, lambda: LAZY)
-    assert rtx.armed() == 0
 
 
 def test_lazy_pair_silent_without_a_repair_mark():
@@ -404,13 +327,13 @@ def test_backstop_pair_turned_lazy_resent_only_on_repair():
 
 def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: COVERED)
-    rtx.take("p/0", OTHER, lambda: COVERED)
-    round_sends(rtx, [("p/0", OTHER)], 1, COVERED)
-    assert not rtx.take("p/0", OTHER, lambda: COVERED)  # still outstanding
-    assert rtx.take("p/0", BLOCK, lambda: COVERED)  # pruned: a first offer again
+    offer_covered(rtx, "p/0", BLOCK)
+    offer_covered(rtx, "p/0", OTHER)
+    round_sends(rtx, [("p/0", OTHER)], 1, LAZY)
+    assert not rtx.take("p/0", OTHER, lambda: LAZY)  # still outstanding
+    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP)  # pruned: a first offer again
     round_sends(rtx, [], 1)
-    assert rtx.take("p/0", OTHER, lambda: COVERED)
+    assert rtx.take("p/0", OTHER, lambda: BACKSTOP)
 
 
 def test_rebound_address_gets_a_fresh_timer():
@@ -626,8 +549,6 @@ def test_schedule_names_each_copy():
     own = f.last_uttered
     f.respond_group(said.id, b"own re")
     own_responded = f.last_uttered
-    stray = b.new_block(KP[3], "r3/0", b.Say(b"stray"), ())
-    f.lace.insert(stray, verified=True)
     # A second group of f and m2 alone, where no member relays.
     f.create_group(b"pair")
     pair = f.last_uttered.id
@@ -658,7 +579,6 @@ def test_schedule_names_each_copy():
         (m1, accept, m2, HELD),  # uncovered, at one of the HOLDERS relays
         (c3, late, c1, HELD),
         (c2, late, c1, LAZY),  # uncovered, at a relay not among them
-        (f, stray, m1, HELD),  # in no group
     ]
     for agent, block, q, schedule in cases:
         assert agent._schedule(block, q.agent_id) == schedule

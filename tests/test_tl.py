@@ -128,9 +128,30 @@ def test_duplicate_receive_acks_again_without_growth():
     repeated = c.retransmit.now
     for _ in range(ACK_HOLDOFF - 1):
         c.tick()
-    assert c._acked == {(a.current_address, ack.id): repeated}
+    assert c._acked == {(a.current_address, c.current_address, ack.pointers): repeated}
     c.tick()
     assert c._acked == {}
+
+
+def test_held_back_ack_signs_nothing(monkeypatch):
+    a, c = agent(0), agent(1)
+    befriend(a, c)
+    a.say(b"once")
+    wire = encode_block(a.last_uttered)
+    c.receive(wire, src=a.current_address)
+    signed = []
+    sign = crypto.sign
+
+    def counted(*args):
+        signed.append(args)
+        return sign(*args)
+
+    monkeypatch.setattr(crypto, "sign", counted)
+    # The holdoff is checked before the ack is built, so a held-back ack
+    # costs no signature.
+    sends = c.receive(wire, src=a.current_address)
+    assert not any(isinstance(blk.payload, b.Ack) for _, blk in sends)
+    assert signed == []
 
 
 def test_receive_forwards_only_landed_blocks():
