@@ -268,6 +268,34 @@ def test_backstop_left_once_another_path_covers_the_pair():
     assert backstop.calls == 7
 
 
+def test_held_first_offer_not_sent_outside_a_round():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    assert not rtx.take("p/0", BLOCK, lambda: HELD)
+    assert not rtx.take("p/0", BLOCK, lambda: HELD)
+    assert rtx.armed() == 1
+    # Nor in a round before REPAIR_AFTER ticks have passed.
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
+    assert sent[("p/0", BLOCK)] == []
+    assert metrics.resent == 0
+
+
+def test_held_pair_sent_repair_after_later_while_on_its_backstop():
+    metrics = AgentMetrics()
+    rtx = Retransmit(metrics)
+    rtx.take("p/0", BLOCK, lambda: HELD)
+    sent = round_sends(rtx, [("p/0", BLOCK)], 30, HELD)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    # The first send repeats no earlier one.
+    assert metrics.resent == 1
+    # First offered in a round, it is held there too.
+    rtx = Retransmit(AgentMetrics())
+    with rtx.round():
+        assert not rtx.take("p/0", BLOCK, lambda: HELD)
+    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
+    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
+
+
 def test_held_pair_dropped_once_covered():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
