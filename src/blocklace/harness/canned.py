@@ -286,11 +286,11 @@ def wl_founder_quits(seed: int = 0) -> Scenario:
 
 def wl_crowd_orphans(seed: int = 0) -> Scenario:
     """Founder plus nine chatting members and two silent invitees, 30% loss
-    and 10% duplication; the founder goes silent after formation.  A
-    member's uncovered relay copy has only HOLDERS backstops besides the
-    founder (`wl.WlAgent._holds_for`), so with the founder silent the
-    members' blocks reach each other through their own copies and those
-    few holders, and the silent invitees hold none."""
+    and 10% duplication; the founder goes silent after formation.  The
+    founder is the one backstop of an uncovered relay copy
+    (`wl.WlAgent._schedule`), so with the founder silent the members'
+    blocks reach each other through their own copies and the other
+    relays' repairs, and the silent invitees hold none."""
     names = ["f"] + [f"m{i}" for i in range(1, 10)]
     silent = ["h1", "h2"]
     chat = _says(44, 4, names[1:], [f"orphan-crowd-{i:02d}" for i in range(20)])

@@ -187,14 +187,6 @@ class Blocklace:
             return []
         return sorted(self.blocks_of_mask(self._self_mask[block.id]), key=Block.sort_key)
 
-    def agent_observes(self, agent: AgentId, block: Block) -> bool:
-        """True iff this blocklace holds an agent-created block observing
-        `block`."""
-        idx = self._index.get(block.id)
-        if idx is None:
-            return False
-        return any(self._mask[bid] >> idx & 1 for bid in self._by_creator.get(agent, ()))
-
     def closure_size(self, block_id: BlockId) -> int:
         return self._mask[block_id].bit_count()
 

@@ -15,19 +15,19 @@ There are three kinds:
 * EAGER: resent every GAP (4) ticks until the destination is known to
   hold the block;
 * BACKSTOP: resent every REPAIR_AFTER (11) ticks until then;
-* COVERED: no timer.  Another path, the block's creator, covers the
-  destination, so the pair is resent only to repair a loss: in a round
-  at least REPAIR_AFTER ticks after its last send or first offer, once an
-  ack or nack from the destination still does not cover the block.
+* COVERED: no timer.  Another path, the block's creator or the group's
+  founder, covers the destination, so the pair is resent only to repair
+  a loss: in a round at least REPAIR_AFTER ticks after its last send or
+  first offer, once an ack or nack from the destination still does not
+  cover the block.
 
-And six first offers:
+And five first offers:
 
     name      sent at once   first wait     kind
     EAGER     EAGER_COPIES   GAP            EAGER
     PACED     EAGER_COPIES   ROUND_TRIP     EAGER
     RACED     RACED_COPIES   REPAIR_AFTER   EAGER
     BACKSTOP  1              REPAIR_AFTER   BACKSTOP
-    HELD      0              REPAIR_AFTER   BACKSTOP
     LAZY      0              REPAIR_AFTER   COVERED
 
 A first offer goes out when the block lands, or on the agent's own
@@ -86,47 +86,41 @@ before it finds the holdoff over and draws a fresh ack, so a sender
 whose acks were all lost still gets one.  The acks it holds off are not
 the ones that stop timers: resends stay about the same.
 
-BACKSTOP, HELD and LAZY are for a WL copy that another path may cover
-too: a copy of a block this agent did not create, which the creator
-sends too, or of a member's own Accept, which the founder relays.  Each
-sends at most one copy at a time.
+BACKSTOP and LAZY are for a WL copy that another path may cover too: a
+copy of a block this agent did not create, which the creator sends too,
+or of a member's own Accept, which the founder relays.  Each sends at
+most one copy at a time.
 
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
-  only path.  It is the first offer of the group's founder: it created
-  every invite, so it knows every invitee, and a new member sends its
-  Accept there first.  It is also the first offer of a member's own
-  Accept to a member other than the founder: the founder relays every
-  Accept to every member at once, so the creator's copies need not come
-  in a burst.
-* HELD: a BACKSTOP pair at HOLDERS other relays, whose first copy waits
-  REPAIR_AFTER ticks, so it goes out only if the destination still lacks
-  the block.  The holders are chosen per (block, destination) in an
-  order drawn from the block's digest, among the members other than the
-  creator and the founder (`wl.WlAgent._holds_for`).  With every member
-  relaying every Accept to every other member at once, relayed Accepts
-  grew as n^3, and held at every relay they still would.
-* LAZY: a pair whose copy need not race the creator's: any covered
-  block, utterance or membership block (Group, Invite, Accept, Empty),
-  or an uncovered block at a relay other than the founder and the
-  destination's holders.  The creator covers the destination when the
-  agent knows it holds the block that made the destination a member,
-  and always when it is the group's founder: a new member knows only the
+  only path.  It is the first offer of the group's founder for a block
+  it did not create, until the founder knows the creator holds the
+  block that made the destination a member: it created every invite, so
+  it knows every invitee, and a new member sends its Accept there
+  first.  It is also the first offer of a member's own Accept to a
+  member other than the founder: the founder relays every Accept to
+  every member at once, so the creator's copies need not come in a
+  burst.
+* LAZY: every other relay copy, covered or not, utterance or
+  membership block (Group, Invite, Accept, Empty): the founder is the
+  one backstop.  The creator covers the destination when the agent
+  knows it holds the block that made the destination a member, and
+  always when it is the group's founder: a new member knows only the
   founder, so every Accept goes to the founder first.  This is Plumtree's
   eager/lazy split (below) taken to its end for a group whose members
   are all one hop from each creator: the eager tree is the creator's own
-  star, and every relay copy of a covered block is lazy.  A relay copy
-  sent at once would cost a datagram, as a creator copy does, and
-  arrive a hop later, and relayed at once by every member to every
-  other member, covered copies grow as n^3.
+  star, the founder backstops it, and every other relay copy is lazy.
+  A relay copy sent at once would cost a datagram, as a creator copy
+  does, and arrive a hop later, and relayed at once by every member to
+  every other member, Accepts and covered copies grow as n^3.
 
 The one re-read.  `take` asks again for the schedule of a BACKSTOP pair
 on every call; once the agent names it LAZY, the creator has been seen
 to cover the destination, and the pair becomes COVERED.  What the
 creator is known to hold only grows, so a pair of any other kind keeps
 the kind of its first offer.  A pair's entry also says whether its copy
-has gone out yet, so the first send of a HELD or LAZY pair does not
-count in `metrics.resent`: it repeats nothing.
+has gone out yet, so the first send of a LAZY pair does not count in
+`metrics.resent`: it repeats nothing.
 
 So a run is quiescent only when every pair is COVERED or its block is
 known to be held: what a correct agent owes a member, the member holds.  The exception is a
@@ -152,7 +146,7 @@ observes the destination's own Accept (or the genesis, for the
 founder), so it knows the relay keeps no timer on the copy
 (`WlAgent._ack_pointers`).
 So a relay's repair marks come from nacks, from acks of its BACKSTOP
-and HELD copies and from acks of its own blocks.
+copies and from acks of its own blocks.
 This is the eager/lazy split of Plumtree (Leitao, Pereira and Rodrigues,
 "Epidemic Broadcast Trees", SRDS 2007), with acks and nacks in place of
 its IHAVE and GRAFT messages.  With single relay copies and neither
@@ -199,7 +193,6 @@ COVERED = "covered"
 # The other first offers an agent names.
 PACED = "paced"
 RACED = "raced"
-HELD = "held"
 LAZY = "lazy"
 
 # first offer -> (copies sent at once, ticks to the first timer send, kind)
@@ -208,7 +201,6 @@ _OFFER = {
     PACED: (EAGER_COPIES, ROUND_TRIP, EAGER),
     RACED: (RACED_COPIES, REPAIR_AFTER, EAGER),
     BACKSTOP: (1, REPAIR_AFTER, BACKSTOP),
-    HELD: (0, REPAIR_AFTER, BACKSTOP),
     LAZY: (0, REPAIR_AFTER, COVERED),
 }
 

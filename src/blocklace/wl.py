@@ -22,7 +22,6 @@ plaintext, so a decrypted message can still be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional
 
 from . import blocks as b
@@ -41,19 +40,11 @@ from .blocks import (
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
-from .retransmit import BACKSTOP, EAGER, HELD, LAZY, RACED
+from .retransmit import BACKSTOP, EAGER, LAZY, RACED
 
 GroupId = BlockId
 
-# How many members other than the founder hold a relay copy that the
-# creator may not cover, for a backstop (`WlAgent._holds_for`); the rest
-# relay it only to repair.
-HOLDERS = 2
-
 _UTTER_DOMAIN = b"group-utterance\x00"
-# A member's key in a block's digest order is a SHA-256 digest
-# (`_nearest_before`).
-_KEY_RING = 1 << 256
 
 
 @dataclass
@@ -128,27 +119,6 @@ def partition_violations(lace: Blocklace) -> list[str]:
     return issues
 
 
-def _nearest_before(
-    digest: bytes,
-    me: AgentId,
-    others: list[AgentId],
-    count: int,
-    found: tuple[tuple[int, AgentId], ...] = (),
-) -> tuple[tuple[int, AgentId], ...]:
-    """The `count` members nearest before `me` in a block's digest order,
-    among `others` and the (distance, member) pairs `found` earlier.
-
-    The digest order sorts members by the hash of the block's digest and
-    the member's id, cyclically; a member's distance is how far its key
-    lies before `me`'s.  Nearest first."""
-    mine = int.from_bytes(crypto.hash_bytes(digest + me), "big")
-    nearest = list(found)
-    for q in others:
-        key = int.from_bytes(crypto.hash_bytes(digest + q), "big")
-        nearest.append(((mine - key) % _KEY_RING, q))
-    return tuple(sorted(nearest)[:count])
-
-
 # --- the agent ---------------------------------------------------------------
 
 
@@ -170,11 +140,6 @@ class WlAgent(Agent):
         # one entry per membership.
         self._members: dict[GroupId, dict[AgentId, int]] = {}
         self._invite_index: dict[BlockId, tuple[GroupId, AgentId]] = {}
-        # block -> (how many members its group had here when last updated,
-        # the (cyclic distance, member) of the members this agent holds
-        # its copy to, nearest first; see `_holds_for`).  Bound: one entry
-        # per block of the lace that was relayed uncovered.
-        self._holding: dict[BlockId, tuple[int, tuple[tuple[int, AgentId], ...]]] = {}
 
     # --- state queries -------------------------------------------------------
 
@@ -291,44 +256,22 @@ class WlAgent(Agent):
     def _schedule(self, block: Block, q: AgentId) -> str:
         # Its own utterance: RACED.  Its own Accept to a member other than
         # the founder, which relays every Accept at once: BACKSTOP.  Its
-        # other membership blocks: EAGER.  A relayed block whose creator
-        # covers q (holds the block that made q a member; the founder
-        # covers every member, since each Accept goes to it first): LAZY.
-        # Uncovered: BACKSTOP at the founder, which knows every invitee;
-        # HELD at q's HOLDERS relays (`_holds_for`); LAZY elsewhere.
-        gid = self.group_of(block.id)
+        # other membership blocks: EAGER.  A relayed block: BACKSTOP at the
+        # founder, which knows every invitee, until it knows the creator
+        # covers q (holds the block that made q a member); LAZY at every
+        # other relay.
         if block.creator == self.agent_id:
             payload = block.payload
-            if isinstance(payload, Accept) and q != gid.creator:
-                return BACKSTOP
-            return RACED if b.is_utterance(payload) else EAGER
-        joined = self._members[gid].get(q, 0)
-        if block.creator == gid.creator or self.peers.known(block.creator) & joined:
+            if b.is_utterance(payload):
+                return RACED
+            if not isinstance(payload, Accept):
+                return EAGER
+            return EAGER if q == self.group_of(block.id).creator else BACKSTOP
+        gid = self.group_of(block.id)
+        if gid.creator != self.agent_id:
             return LAZY
-        if gid.creator == self.agent_id:
-            return BACKSTOP
-        return HELD if self._holds_for(block, gid, q) else LAZY
-
-    def _holds_for(self, block: Block, gid: GroupId, q: AgentId) -> bool:
-        """Whether this agent is one of q's HOLDERS for the block.
-
-        The group's members other than the block's creator and the
-        founder, as known here, are in the block's digest order
-        (`_nearest_before`); q's holders are the HOLDERS members after q
-        in that cyclic order, so this agent holds for the HOLDERS members
-        nearest before it.  Members only join, so `_holding` keeps those
-        few per block and meets each member once."""
-        me = self.agent_id
-        members = self._members[gid]
-        if me not in members:
-            return False
-        seen, nearest = self._holding.get(block.id, (0, ()))
-        if seen < len(members):
-            skip = (me, block.creator, gid.creator)
-            new = [m for m in islice(members, seen, None) if m not in skip]
-            nearest = _nearest_before(block.id.digest, me, new, HOLDERS, nearest)
-            self._holding[block.id] = (len(members), nearest)
-        return any(m == q for _, m in nearest)
+        joined = self._members[gid].get(q, 0)
+        return LAZY if self.peers.known(block.creator) & joined else BACKSTOP
 
     def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
         # Per group, each other member the partition blocks it has not

@@ -67,12 +67,6 @@ def self_closure(block: Block, blocks: list[Block]) -> list[Block]:
     return sorted(out.values(), key=Block.sort_key)
 
 
-def agent_observes(agent: bytes, block: Block, blocks: list[Block]) -> bool:
-    return any(
-        blk.creator == agent and observes(blk, block, blocks) for blk in blocks
-    )
-
-
 def equivocations(agent: bytes, blocks: list[Block]) -> list[tuple[Block, Block]]:
     own = sorted((blk for blk in blocks if blk.creator == agent), key=Block.sort_key)
     pairs = []

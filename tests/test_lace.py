@@ -31,10 +31,6 @@ def _assert_matches_oracle(blocks_list, lace):
         assert lace.detect_equivocations(creator) == oracle.equivocations(
             creator, blocks_list
         )
-        for blk in blocks_list:
-            assert lace.agent_observes(creator, blk) == oracle.agent_observes(
-                creator, blk, blocks_list
-            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,31 +109,6 @@ def test_self_closure_skips_foreign_hops(kp, kp2):
     p3 = make_block(kp, b.Say(b"p3"), pointers=[p2.id, p1.id])
     lace.insert(p3)
     assert set(lace.self_closure(p3)) == {p1, p2, p3}
-
-
-def test_agent_observes_via_ack_block(kp, kp2):
-    said = make_block(kp, b.Say(b"content"))
-    ack = make_block(kp2, b.Ack(), pointers=[said.id])
-    lace = lace_of([said, ack])
-    assert lace.agent_observes(kp2.agent_id, said)
-
-
-def test_agent_observes_requires_reaching_the_block(kp, kp2):
-    a = make_block(kp, b.Say(b"a"))
-    mid = make_block(kp, b.Say(b"mid"), pointers=[a.id])
-    top = make_block(kp, b.Say(b"top"), pointers=[mid.id])
-    q_ack = make_block(kp2, b.Ack(), pointers=[mid.id])
-    lace = lace_of([a, mid, top, q_ack])
-    assert lace.agent_observes(kp2.agent_id, mid)
-    assert lace.agent_observes(kp2.agent_id, a)
-    assert not lace.agent_observes(kp2.agent_id, top)
-
-
-def test_agent_observes_no_blocks(kp, kp2):
-    lace = Blocklace()
-    blk = make_block(kp)
-    lace.insert(blk)
-    assert not lace.agent_observes(kp2.agent_id, blk)
 
 
 def test_out_of_order_insertion_propagates(kp):

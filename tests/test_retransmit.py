@@ -19,7 +19,6 @@ from blocklace.retransmit import (
     EAGER,
     EAGER_COPIES,
     GAP,
-    HELD,
     LAZY,
     PACED,
     RACED,
@@ -30,7 +29,7 @@ from blocklace.retransmit import (
 )
 from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
-from blocklace.wl import HOLDERS, WlAgent
+from blocklace.wl import WlAgent
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -78,7 +77,6 @@ FIRST_OFFERS = {
     PACED: (EAGER_COPIES, ROUND_TRIP, GAP),
     RACED: (RACED_COPIES, REPAIR_AFTER, GAP),
     BACKSTOP: (1, REPAIR_AFTER, REPAIR_AFTER),
-    HELD: (0, REPAIR_AFTER, REPAIR_AFTER),
     LAZY: (0, REPAIR_AFTER, REPAIR_AFTER),
 }
 
@@ -104,8 +102,8 @@ def test_first_offer_copies_waits_and_period(name):
     assert armed == [int(name != LAZY)] * len(armed)
     # Every send but the first repeats one.
     assert metrics.resent == copies + len(sent) - 1
-    # Only a BACKSTOP or HELD pair is asked for after its first offer.
-    rereads = 1 + len(armed) if name in (BACKSTOP, HELD) else 0
+    # Only a BACKSTOP pair is asked for after its first offer.
+    rereads = 1 + len(armed) if name == BACKSTOP else 0
     assert asked.calls == 1 + rereads
     # No longer wanted: the next round does not ask about it.
     round_sends(rtx, [], 1)
@@ -266,53 +264,6 @@ def test_backstop_left_once_another_path_covers_the_pair():
     assert sent[("p/0", BLOCK)] == [35]
     assert metrics.resent == 1
     assert backstop.calls == 7
-
-
-def test_held_first_offer_not_sent_outside_a_round():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    assert rtx.armed() == 1
-    # Nor in a round before REPAIR_AFTER ticks have passed.
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
-    assert sent[("p/0", BLOCK)] == []
-    assert metrics.resent == 0
-
-
-def test_held_pair_sent_repair_after_later_while_on_its_backstop():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: HELD)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, HELD)
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
-    # The first send repeats no earlier one.
-    assert metrics.resent == 1
-    # First offered in a round, it is held there too.
-    rtx = Retransmit(AgentMetrics())
-    with rtx.round():
-        assert not rtx.take("p/0", BLOCK, lambda: HELD)
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, HELD)
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
-
-
-def test_held_pair_dropped_once_covered():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    held = Asked(HELD)
-    rtx.take("p/0", BLOCK, held)
-    round_sends(rtx, [("p/0", BLOCK)], 5, held)
-    assert held.calls == 6
-    # Covered before its first send: the creator's eager timer owns it.
-    held.name = LAZY
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, held)
-    assert sent[("p/0", BLOCK)] == []
-    assert rtx.armed() == 0
-    # A repair mark can still bring it back, as for any covered pair.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 1, held, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [35]
-    assert metrics.resent == 0
-    assert held.calls == 7
 
 
 # A LAZY pair is a covered one whose first offer is recorded but not sent:
@@ -514,12 +465,14 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
 
     at_f = deliver(f, m3, accept)
     assert copies(at_f, m1) == copies(at_f, m2) == 1
-    # m1 holds its copy to m2 on its backstop: not sent on the tick it
-    # lands, but REPAIR_AFTER ticks later while m2 is not known to hold it.
+    # m1 keeps no timer on its copy to m2: the founder is the one
+    # backstop, so m1 sends it only to repair a loss that an ack from m2
+    # shows.  m1's one timer is its own Accept's BACKSTOP to m3.
     at_m1 = deliver(m1, f, accept)
     assert copies(at_m1 + m1.tick(), m2) == 0
-    assert m1.retransmit.armed() > 0
-    assert owes(m1, m2, accept.id, rounds=REPAIR_AFTER)
+    assert m1.retransmit.armed() == 1
+    assert m1._schedule(accept, m2.agent_id) == LAZY
+    assert not owes(m1, m2, accept.id, rounds=2 * REPAIR_AFTER)
 
 
 CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
@@ -604,9 +557,9 @@ def test_schedule_names_each_copy():
         (m2, invite, m3, LAZY),  # the founder's block: always covered
         (f, accept, m1, BACKSTOP),  # uncovered, at the founder
         (f, stray_invite, m3, BACKSTOP),
-        (m1, accept, m2, HELD),  # uncovered, at one of the HOLDERS relays
-        (c3, late, c1, HELD),
-        (c2, late, c1, LAZY),  # uncovered, at a relay not among them
+        (m1, accept, m2, LAZY),  # uncovered, at a relay other than the founder
+        (c3, late, c1, LAZY),
+        (c2, late, c1, LAZY),
     ]
     for agent, block, q, schedule in cases:
         assert agent._schedule(block, q.agent_id) == schedule
@@ -673,27 +626,19 @@ def test_every_relay_copy_of_a_covered_utterance_is_lazy(size):
 
 
 @pytest.mark.parametrize("size", [4, 6, 12])
-def test_holders_per_uncovered_accept_and_member(size):
-    # Of the members other than the founder, exactly HOLDERS hold their
-    # relay copy of an uncovered Accept to a member, or all of the relays
-    # there are (the members but the founder, the creator and q); the other
-    # relays send it only to repair, and the founder on its backstop.
-    # They are the HOLDERS members after q in the block's digest order.
+def test_only_the_founder_and_creator_back_up_an_uncovered_accept(size):
+    # An uncovered Accept reaches a member on a timer only from its
+    # creator and the founder, both on BACKSTOP; every other relay sends
+    # its copy only to repair a loss.
     agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
     accept = late_accept(agents)
     founder, creator = agents[0], agents[-1]
-    order = sorted(agents[1:-1], key=lambda r: crypto.hash_bytes(accept.id.digest + r.agent_id))
     for q in agents[1:-1]:
-        relays = [r for r in agents[1:-1] if r is not q]
-        named = [r._schedule(accept, q.agent_id) for r in relays]
-        assert named.count(HELD) == min(HOLDERS, size - 3)
-        assert named.count(LAZY) == len(relays) - named.count(HELD)
-        at = order.index(q)
-        after = [order[(at + step) % len(order)] for step in range(1, len(order))]
-        held = [r for r, name in zip(relays, named) if name == HELD]
-        assert set(held) == set(after[:HOLDERS])
         assert founder._schedule(accept, q.agent_id) == BACKSTOP
         assert creator._schedule(accept, q.agent_id) == BACKSTOP
+        for relay in agents[1:-1]:
+            if relay is not q:
+                assert relay._schedule(accept, q.agent_id) == LAZY
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

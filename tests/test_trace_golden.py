@@ -31,18 +31,18 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
     "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
     "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
-    "wl_group": "9ebc5f6df7d095ef95608c531e23fdcabcbe258faf308f583badb6f754fc89d2",
-    "wl_crowd": "05254005c42c9a54b86f1b436e5bd92ba2406577cd87149a4c5ea5f889b7ed56",
+    "wl_group": "4c9fb0530ab66f8d62c3a7cccf48030bea96a20e1da212f2074a5e99761fe95f",
+    "wl_crowd": "65d6deb35c86ec5b80be85ba50379bad98c00448b5ab252f3906bd21cf1a01b8",
     "wl_dropper": "253f07c79eedec58ae88af0f4f7e4bedd86b88f953041ff8a738b7d082576696",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
     "wl_churn": "4b93bb70719d22bd53be9912f3e41e05841c9fc0225ed6c6ea6e64354095f04f",
-    "wl_equivocation": "0426ebed5666ceaf2fd375ce991166f68b4c9018af144deff33049d1783c6fca",
-    "wl_equivocation_crowd": "da3961409877420846bcc69442421666e67f05a8ccf36c27dc452746e00b93a2",
+    "wl_equivocation": "65fd4f41c3b30826ca7e3aba439ae8f270c24a63bc44bfe1342e0f77ffcdfe9a",
+    "wl_equivocation_crowd": "c58b702106b2ca08ae6320496fbbb009d633ec9c1a92a490b0b389ad2201cdf6",
     "wl_privacy": "2b888202a4d31f3ab6d2b5eaf77fabd797dcfd04421a4b3ab2191667e2748a0a",
     "wl_partitions": "5f40757f1278a06365c2153ac8ba84670908023265aafe576ce504f7490edfec",
     "wl_founder_moves": "b6f6cacef1dd4f3fb83d46fcd42da1f5d80e82283f55317f714430af2fe6b695",
-    "wl_founder_quits": "c85386b61adf091d37facb337fe3a0fd0513a738ff602b0acfa82f30edd9b0d9",
-    "wl_crowd_orphans": "f24f0e69b0be08a4ced3ec47b1718e5590fe590660bf027980005da8a2438e19",
+    "wl_founder_quits": "17f72f889ab1f04c42a7d996a10ac8fc660fe7db9d9e1b8591ead45b28685408",
+    "wl_crowd_orphans": "84933f3cdbfc7fdd7d0fd324508f6869da6478e384767e76f8ea5b53710cf1d1",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
@@ -51,18 +51,18 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
     "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
     "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
-    "wl_group": "a43ee4abcc0e74d0deda743b3a2276bad701027b273bc4ada18c4f4a55571493",
-    "wl_crowd": "00e2808168df951c6548b1d2411b2783f1370a40166d52b69c05bf06fbb90092",
+    "wl_group": "f7894cee95bb3fb24193d16a87c0342129d56f83f4e946ada5aea7cbb0791303",
+    "wl_crowd": "6e38d991e159dc17f372b5058d499f4d8552d16dd53be12f72714a7d92f019f9",
     "wl_dropper": "514f0699ac02848fe1becb543e844f9b07a99e67485d96f7ac8a4498e8217ba7",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
     "wl_churn": "eea0087686b5647ae7f94e4a228c25cbee955f566501d65ea9a083edc4e27add",
-    "wl_equivocation": "39b67a221b3c2ad0feaff7d631fc0052732cdbd277b48f3f6ba5cc973e9a7aab",
-    "wl_equivocation_crowd": "01d09639f5e542c1a012468e0dcde34788a621185807178f71ece2efdcf941ac",
+    "wl_equivocation": "e4285a71c305108e504d383220a2c7a477085ead850025dbe4a1b54da2c2ed3d",
+    "wl_equivocation_crowd": "b95721566f6c3938744a9c6afa01dc8ad093e2b605fbf2ae1b322321394cc8b1",
     "wl_privacy": "14635c8a543050b2c5b59bfffb4a348af603dae82d50fc2b6f087738490ca2bd",
     "wl_partitions": "0e3972dbf17021b9902828af516ce6b27dd5dd87fe6da9552f952fccbd7db01d",
     "wl_founder_moves": "7d8e4602ba9980142fdfbcf7d807741ff1873c61438f4cc2508f39c485789640",
-    "wl_founder_quits": "42605e87e2545c0d0d0ffe636a19b4c7270b9cb7421f6d1b4fb659c06792d9bf",
-    "wl_crowd_orphans": "cffb885b0ac61086f49e2fe681469d2e13d79aa02d20b486ff95f398e0c75bf0",
+    "wl_founder_quits": "a5474ac6e77de42a4f0f032719ec9acb3c31ed1c7f0c03e01669de033b4c43b7",
+    "wl_crowd_orphans": "d895d9388601e4025605d9002427ea5a42c30d2a63b7eb9531778436934f053f",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
@@ -71,18 +71,18 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
     "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
     "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
-    "wl_group": "f9b5aee25432c4dd5065378a3dfd7eff7c802be827e92d3f4e0ecbe052f4ecc1",
-    "wl_crowd": "981fb551c76f740301417cdc776bf20ee90b230f8665f309b674478f56c9e5d7",
+    "wl_group": "49da9970b0619effcc88d9524a78037358c38d2231d7fdafbcc557f57cbe01f9",
+    "wl_crowd": "89debc331793dab0576074488b21f0c2d09b0a8521102db11199a67183c19e06",
     "wl_dropper": "f9c5d9644ece7ff838c850994d425b4922ce076d1a36a8a489717b260b7ae6d7",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
     "wl_churn": "d42c4a60a839ca116fb45af8560a040b4fe3872f5b47ca8811b522fd1a9ea038",
-    "wl_equivocation": "a3026aff7be5ebc3a0d7fbfabd10d9260ca01c73b0113cac8f6ac51dbde519b8",
-    "wl_equivocation_crowd": "828e7176eed51d30f2fbaa3de1d3ce33c650396e285d21fb79718e1e330ce68f",
+    "wl_equivocation": "489d662fad4d37b174666b9e24c30424d14cf3510c66c4247705b7ab35a3ee69",
+    "wl_equivocation_crowd": "23ba5d1addb245d79a61ffaf1593c5f9978864fa7f9590a464fdabafd9ef7ac7",
     "wl_privacy": "f72cb37a76af7606889898fc0969856cb177d5393e4d015466a82b99dfc7862e",
     "wl_partitions": "11a68aeb2d78ddcf56440b72a67b24d86502642081aa5f4240db54cabfc9b78c",
     "wl_founder_moves": "43de0153ccd3c9119a0dac01d1ab8c3955cbf7d4b7825238f26091992829e365",
-    "wl_founder_quits": "cdf46f490a83de12d4a6016fbd854a1b24c689bfb65b101ebe8c532d83fbbcc2",
-    "wl_crowd_orphans": "4f75f5783aec85376a15b1dc40f1a35106ba7184ecba2145098bf9114f47f9a4",
+    "wl_founder_quits": "90ad2fd7833400916e47ca1fe51f71fa057c879322bfb63da9a9335e459de692",
+    "wl_crowd_orphans": "86755761884b80cf96ea3ef0ca56f291e23b2272852bc73586d6a13529c219b4",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -94,18 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
     "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
     "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
-    "wl_group": "ee36632554556b14d817752b154c7cd0b7fa314dc596ba98948791e85cfda90c",
-    "wl_crowd": "ec8f306900a4d3afae65c7eacbe2b73b35182f64c5b0c62cab7c338abbdfe40a",
+    "wl_group": "fa36220ce242bf45227096d10e126a682280dca7854f223799d2054fb3e01bb8",
+    "wl_crowd": "a663a2a3b6d6729734a39212ee738adff499c975124ff47e6d2d2699de9f5036",
     "wl_dropper": "07ccb457d710cc8de6f0797e3bcb34799436bcf448ecf30466209310813742a0",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
     "wl_churn": "1a61e41ce52d4eea722129712cc50f51c2caed54da3bb03b9c87fc6c95b39c9d",
-    "wl_equivocation": "6a6a888148bdfecfebac75b44faea26e784fbe45e2a2c051962f49470148c389",
-    "wl_equivocation_crowd": "a5c0af06d527c017ed716b6dbb4b1129fdfb38514f75949a4d3d04f736495127",
+    "wl_equivocation": "67eeef97824cb1a88764cb91982af4e40dfd7ea1ae59eb073dae6dc7133222ff",
+    "wl_equivocation_crowd": "6f04ed705512c2971d65147361eed80d5aa92dde33a1fadfbc901e8c846b39b7",
     "wl_privacy": "fa95e63b1b583ce81dc1d823a70559516bfb95ed483b8e7984d22978e556d0a9",
     "wl_partitions": "09b19e99573d74fce21166060e663548f1d9fe237cad0a074205b7b843aedcda",
     "wl_founder_moves": "a06d1cc101bd3e8873b038a18f0ef98ec1cdb01c85fadadc7fbd805e6594e29d",
-    "wl_founder_quits": "fb572bedcf9561cc87c36068e430707c27eae69215c3c47132171825bc7c9f0b",
-    "wl_crowd_orphans": "4f07fe1039d998b90941f6be61e5ad999899bbbfbf71eb9b29b5547bd795528a",
+    "wl_founder_quits": "e53c8bc239c67e6d07288250710d1b606b33422681674348fc6373f8c7ed6325",
+    "wl_crowd_orphans": "d0e0b850df366aea882a9e10d750e01f2d91eee1f3f0260c306ec55308c73466",
 }
 
 
