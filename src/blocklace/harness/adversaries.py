@@ -1,9 +1,9 @@
 """Role wrappers around protocol agents.
 
 Every rostered agent, honest or not, is driven through a wrapper with the
-same surface: receive / tick / change_address / run_command, all returning
-raw (destination address, wire bytes) pairs.  Adversaries can only emit
-datagrams; they never reach into another agent's state.
+same surface: receive / flush_acks / tick / change_address / run_command,
+all returning raw (destination address, wire bytes) pairs.  Adversaries
+can only emit datagrams; they never reach into another agent's state.
 
 Roles:
   correct       — faithful protocol agent.
@@ -84,6 +84,9 @@ class AgentWrapper:
 
     def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
         return self._out(self.inner.receive(payload, src))
+
+    def flush_acks(self) -> list[RawSend]:
+        return self._out(self.inner.flush_acks())
 
     def tick(self) -> list[RawSend]:
         return self._out(self.inner.tick())

@@ -3,9 +3,10 @@ events, runs to quiescence or the tick budget, dumps a trace, and evaluates
 oracles.
 
 Execution order within a tick is fixed (scripted events, then deliveries,
-then protocol ticks, then invariant monitors), agents always iterate in
-roster order, and all randomness comes from generators seeded by the
-scenario seed — so a (scenario, seed) pair determines the trace bytes.
+then the acks the deliveries drew, then protocol ticks, then invariant
+monitors), agents always iterate in roster order, and all randomness
+comes from generators seeded by the scenario seed — so a (scenario, seed)
+pair determines the trace bytes.
 
 A run is quiescent after two quiet rounds in a row (no agent sent a block
 in its tick, and no correct agent still has a retransmit timer running)
@@ -194,12 +195,18 @@ class Runner:
                 self._submit(spec.name, sends, now)
 
     def _run_deliveries(self, now: int):
+        """The tick's deliveries, then each agent's acks: one per
+        destination, merging what its deliveries drew (`Agent.flush_acks`).
+        They leave in this tick whatever the agent's tick interval, and
+        they do not count against a quiet round."""
         for agent_name, payload, src in self.net.step(now):
             sends = self.wrappers[agent_name].receive(payload, src)
             self._submit(agent_name, sends, now)
             for eavesdropper in self.eavesdroppers:
                 if eavesdropper != agent_name:
                     self.wrappers[eavesdropper].receive(payload, src)
+        for spec in self.scenario.agents:
+            self._submit(spec.name, self.wrappers[spec.name].flush_acks(), now)
 
     def _run_ticks(self, now: int) -> bool:
         """Every agent's round.  True when the round was quiet: no agent

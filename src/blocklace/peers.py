@@ -8,12 +8,12 @@ is fixed when it is made; each agent supplies only its credit rule.
 agents this one talks to, and which of them sits at a delivering
 address), the gate that drops strangers' acks, the credit a delivered
 copy earns the contacts at its address, the bounded pending buffer, the
-receive -> ack -> forward pipeline with its ack holdoff, the send
-loop (`disseminate`) and the retransmission round.  A subclass fills in
-`_missing`, `_admit`, `_index` (which adds contacts), `_record_ack`,
-`_ack_pointers`, `_nack_pointers`, `_wanted`, which says who may receive
-what, and `_schedule`, which names the first offer of each copy
-(`retransmit`).
+receive -> ack -> forward pipeline with its ack outbox (`flush_acks`),
+the send loop (`disseminate`) and the retransmission round.  A subclass
+fills in `_missing`, `_admit`, `_index` (which adds contacts),
+`_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
+who may receive what, and `_schedule`, which names the first offer of
+each copy (`retransmit`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
-from .retransmit import ACK_HOLDOFF, Retransmit
+from .retransmit import ACK_HOLDOFF, BURST, Retransmit
 
 Send = tuple[NetAddress, Block]
 
@@ -50,8 +50,10 @@ class AgentMetrics:
     inserted: int = 0
     dropped_invalid: int = 0
     acks_received: int = 0
+    # Acks built by `Agent.flush_acks`: at most one per destination a call.
     acks_sent: int = 0
-    # Of `acks_sent`, the acks of parked blocks (`Agent.receive`).
+    # Of `acks_sent`, those that carry the pointers of a parked block's
+    # ack (`Agent.receive`).
     nacks_sent: int = 0
     pending_evicted: int = 0
     resent: int = 0
@@ -163,6 +165,15 @@ class Agent:
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._decoder = WireDecoder()
+        # destination -> (the union of the pointers of the acks drawn for
+        # it since the last `flush_acks`, whether one of them was a nack).
+        # Bound: one entry per address a datagram came from since then.
+        self._outbox: dict[NetAddress, tuple[frozenset[BlockId], bool]] = {}
+        # (delivering address, block id) -> the tick (`retransmit.now`) the
+        # block first landed here from there: a later copy from the same
+        # address within BURST ticks is a twin of that burst and draws no
+        # ack.  Bound: the landings of the last BURST ticks.
+        self._first_copies: dict[tuple[Optional[NetAddress], BlockId], int] = {}
         # (destination, own address, ack pointers) -> the tick
         # (`retransmit.now`) the ack last went there: a byte-identical ack
         # goes to a destination at most once in ACK_HOLDOFF ticks, and one
@@ -195,18 +206,19 @@ class Agent:
     def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
         """Validate, integrate, acknowledge, and forward a datagram.
 
+        Returns the forwards; the acks it draws wait in the outbox for
+        `flush_acks`, which merges them into one ack per destination.
         An ack exists to stop the deliverer's retransmission timer, so
         each block that lands is acknowledged to the delivering address
         (its creator's address when none is known), unless `_ack_pointers`
         gives None: in WL, a relay's copy that no timer waits on.  A
-        duplicate is acknowledged again, but an ack byte-identical to one
-        sent to the same address in the last ACK_HOLDOFF ticks is held
-        back (`_ack`): the copies of one burst draw one ack, and a later
-        resend a fresh one.  A block parked in the pending buffer is
-        acknowledged to its deliverer only when `_nack_pointers` gives
-        pointers: a nack, whose pointers show the deliverer which
-        ancestors are missing here, held back like any ack.  A copy earns
-        the contacts at the delivering address credit
+        duplicate is acknowledged again, unless it is a twin: a copy of a
+        block that first landed here from the same address fewer than
+        BURST ticks ago, whose first copy's ack answers the whole burst.
+        A block parked in the pending buffer is acknowledged to its
+        deliverer only when `_nack_pointers` gives pointers: a nack, whose
+        pointers show the deliverer which ancestors are missing here.  A
+        copy earns the contacts at the delivering address credit
         (`_credit_delivery`); an ack counts only from a contact.  Only the
         blocks that just landed are forwarded; the rest of the backlog
         waits for the next `tick`.
@@ -225,22 +237,27 @@ class Agent:
             return []
         landed, was_new = self._integrate(block)
         sender = self._credit_delivery(block, src)
-        sends: list[Send] = []
         if not landed and src is not None and block.id in self._pending:
             pointers = self._nack_pointers(block)
-            if pointers and self._ack(src, pointers, sends):
-                self.metrics.nacks_sent += 1
+            if pointers:
+                self._ack(src, pointers, nack=True)
+        # `tick` keeps only the landings whose burst may still arrive.
+        copy = (src, block.id)
+        if was_new:
+            self._first_copies[copy] = self.retransmit.now
+        elif copy in self._first_copies:
+            landed = []
         for acked in landed:
             pointers = self._ack_pointers(acked, sender)
             if pointers is not None:
                 dest = src if src is not None else self.address_of(acked.creator)
-                self._ack(dest, pointers, sends)
-        if was_new:
-            only = 0
-            for blk in landed:
-                only |= self.lace.bit_of(blk.id)
-            sends.extend(self.disseminate(only))
-        return sends
+                self._ack(dest, pointers)
+        if not was_new:
+            return []
+        only = 0
+        for blk in landed:
+            only |= self.lace.bit_of(blk.id)
+        return self.disseminate(only)
 
     def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
         """Credit the contacts at src with a delivered block they hold, and
@@ -259,22 +276,33 @@ class Agent:
             return block.creator
         return at_src[0] if at_src else None
 
-    def _ack(
-        self, dest: Optional[NetAddress], pointers: frozenset[BlockId], sends: list[Send]
-    ) -> bool:
-        """Append an ack with these pointers for `dest` to `sends`, unless
-        the same ack went there within the last ACK_HOLDOFF ticks."""
+    def _ack(self, dest: Optional[NetAddress], pointers: frozenset[BlockId], nack: bool = False):
+        """Add these pointers to the ack that `flush_acks` builds for
+        `dest`."""
         if dest is None or dest == self.current_address:
-            return False
+            return
+        drawn, nacked = self._outbox.get(dest, (frozenset(), False))
+        self._outbox[dest] = (drawn | pointers, nacked or nack)
+
+    def flush_acks(self) -> list[Send]:
+        """One ack per destination, with the pointers of every ack drawn
+        for it since the last call, unless the same ack went there within
+        the last ACK_HOLDOFF ticks.  Called once a tick, right after the
+        tick's deliveries, so an ack leaves in the tick of the copy that
+        drew it."""
+        sends: list[Send] = []
         # For this creator, its address and the pointers fix the ack's id.
         # `tick` keeps only the acks whose holdoff still runs.
-        key = (dest, self.current_address, pointers)
-        if key in self._acked:
-            return False
-        self._acked[key] = self.retransmit.now
-        self.metrics.acks_sent += 1
-        sends.append((dest, b.new_block(self.kp, self.current_address, Ack(), pointers)))
-        return True
+        for dest, (pointers, nack) in self._outbox.items():
+            key = (dest, self.current_address, pointers)
+            if key in self._acked:
+                continue
+            self._acked[key] = self.retransmit.now
+            self.metrics.acks_sent += 1
+            self.metrics.nacks_sent += nack
+            sends.append((dest, b.new_block(self.kp, self.current_address, Ack(), pointers)))
+        self._outbox = {}
+        return sends
 
     def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
         """The pointers of the ack of a parked block, or None for none."""
@@ -322,11 +350,15 @@ class Agent:
     def tick(self) -> list[Send]:
         """One retransmission round: every unacknowledged block whose
         timer is due, plus first offers of blocks newly needed; it ends
-        this agent's tick, and forgets the acks whose holdoff is over."""
+        this agent's tick, and forgets the acks whose holdoff is over and
+        the landings whose burst is."""
         with self.retransmit.round():
             sends = self.disseminate()
         now = self.retransmit.now
         self._acked = {key: sent for key, sent in self._acked.items() if now - sent < ACK_HOLDOFF}
+        self._first_copies = {
+            copy: tick for copy, tick in self._first_copies.items() if now - tick < BURST
+        }
         return sends
 
     # --- integration -----------------------------------------------------------

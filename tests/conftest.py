@@ -19,6 +19,13 @@ def kp2():
     return KEYPAIRS[1]
 
 
+def deliver(x, payload, src=None):
+    """x receives one datagram alone in a tick: its forwards, then the
+    acks it drew (`flush_acks`), as the runner sends them."""
+    sends = x.receive(payload, src)
+    return sends + x.flush_acks()
+
+
 def make_block(kp, payload=None, pointers=(), address="addr/0"):
     return b.new_block(kp, address, payload if payload is not None else b.Empty(), pointers)
 

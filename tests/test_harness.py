@@ -8,7 +8,7 @@ from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
 from blocklace.harness.adversaries import AgentWrapper
 from blocklace.harness.oracles import evaluate, parse_trace
-from blocklace.harness.runner import run_scenario
+from blocklace.harness.runner import Runner, run_scenario
 from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
 from blocklace.wl import is_genesis
 
@@ -480,6 +480,27 @@ def test_eavesdropper_receives_copies_but_stays_silent():
         for line in result.trace_text.splitlines()
         if "\tSUBMIT\t" in line
     )
+
+
+def test_eavesdropper_tap_sends_no_ack():
+    # Each tap draws acks like a delivery, and the runner drains them with
+    # every other agent's after the tick's deliveries, through eve's muted
+    # wrapper: none reaches the network.
+    scenario = canned.wl_privacy(seed=2)
+    runner = Runner(scenario)
+    eve = runner.wrappers["eve"].inner
+    flush, drawn = eve.flush_acks, []
+
+    def flush_acks():
+        acks = flush()
+        drawn.extend(acks)
+        return acks
+
+    eve.flush_acks = flush_acks
+    runner.run()
+    assert drawn
+    eve_address = next(s.initial_address() for s in scenario.agents if s.name == "eve")
+    assert f"src={eve_address}" not in runner.trace.text()
 
 
 def test_sybil_identities_gain_nothing():

@@ -25,87 +25,87 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "d18859498e68351e2e8c54585e8de80c067f1e196baaac12d36e137b1a387cb8",
-    "tl_star": "a2f6b69505dd819f22e578aae9fa1314216838748fcac04d2580c5d167e1f5e2",
-    "tl_ring": "a9f12f145536530ddbf4e19171886783f53a816f923bb2f8df8c5bce8d74a930",
-    "tl_line_broken": "de0023684ee494b2b8ef532bf90485f43b4826ee1392f4d4b0b7e929de550949",
-    "tl_churn": "2288b29a06f6c319d2ec975217dc662f48fbc9d7f2b02bf47c623f8f6169884f",
-    "tl_forgery": "dcd7a906e9bba9835cf58a8a462d79beb793328340fcbf998aabecea1d2f933b",
-    "wl_group": "4c9fb0530ab66f8d62c3a7cccf48030bea96a20e1da212f2074a5e99761fe95f",
-    "wl_crowd": "65d6deb35c86ec5b80be85ba50379bad98c00448b5ab252f3906bd21cf1a01b8",
-    "wl_dropper": "253f07c79eedec58ae88af0f4f7e4bedd86b88f953041ff8a738b7d082576696",
+    "tl_line": "837dbb818862b46bb1ed1e7c0a00d3bb528feb4253577d8a3f55fdc9fdf96565",
+    "tl_star": "dddeb34d9f9ca8983bea8ff08ff5c6c90766c57c9d964b0eb4d3158cc6686254",
+    "tl_ring": "16fb49c4e27e89801bf57ceafd59fed05d815a60df1e1843b1a0edb998bf0021",
+    "tl_line_broken": "ab1b81c3818f9823573adedecb349fbee095a0bda63d4c5a234d5408f980391d",
+    "tl_churn": "19c4387a6186847f1214ecad851db0174586f8bbe17a3bac9c176f82a9613815",
+    "tl_forgery": "b5c654729f9320e56b106c7b062186ce1ccffc9c71e463cb93ed435f08ff5e6e",
+    "wl_group": "da534d15e3fa1a42c7b08d58973accddcef265e3ea3986b1c807711a153623cd",
+    "wl_crowd": "0a68dc5db5d75c3beb5749a1beb834cf06f735481e1b828b868d1c895aeefeca",
+    "wl_dropper": "3ceabeeb1567af407d1e7783e4eb2ede3783a5170db23b4ef65e909e8c15ed8a",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "4b93bb70719d22bd53be9912f3e41e05841c9fc0225ed6c6ea6e64354095f04f",
-    "wl_equivocation": "65fd4f41c3b30826ca7e3aba439ae8f270c24a63bc44bfe1342e0f77ffcdfe9a",
-    "wl_equivocation_crowd": "c58b702106b2ca08ae6320496fbbb009d633ec9c1a92a490b0b389ad2201cdf6",
-    "wl_privacy": "2b888202a4d31f3ab6d2b5eaf77fabd797dcfd04421a4b3ab2191667e2748a0a",
-    "wl_partitions": "5f40757f1278a06365c2153ac8ba84670908023265aafe576ce504f7490edfec",
-    "wl_founder_moves": "b6f6cacef1dd4f3fb83d46fcd42da1f5d80e82283f55317f714430af2fe6b695",
-    "wl_founder_quits": "17f72f889ab1f04c42a7d996a10ac8fc660fe7db9d9e1b8591ead45b28685408",
-    "wl_crowd_orphans": "84933f3cdbfc7fdd7d0fd324508f6869da6478e384767e76f8ea5b53710cf1d1",
+    "wl_churn": "b750e36fdf7177ab5d37f94fe6bbf1e189c840e39090fc1cc70638e92a196f25",
+    "wl_equivocation": "4ecf8a879bb415c679e333f5855fd8aee962af7c6f016e398d0079eb7a0bb94d",
+    "wl_equivocation_crowd": "7bbea63f770297a84ae9573654e96cfc13c32a41cbad2578038d61a1823b7686",
+    "wl_privacy": "6570a13fb156986d1f3861fa9633870d6f15c7aea2cb493ca407a10f1e89160f",
+    "wl_partitions": "c647e1546ccc61dd144a087dead63d771467112c17856ab2dd9b64ebd6f2b340",
+    "wl_founder_moves": "4988c67733c7777586f072b445f4e19c1a1a395e7adc703d7f09ff8f75586626",
+    "wl_founder_quits": "ac5a64f34b4e5a022cb8420f119f44c1123c7cb0e3977ffcb702b48f3592c4a6",
+    "wl_crowd_orphans": "7cb39490092328034e83f589015d77e3628eab4b84c9cba20b17b545b282c07e",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "a7f4a8c355d0eea254c712431d53d48c2fa3f4ea62ea45ec23e780460134e47c",
-    "tl_star": "3895cc5c2ca72e8395861b3c5375f5669738f2d5b06e00ce66aefc093a21d096",
-    "tl_ring": "b1282cb8e96076be0fd6a992b89d3a15db5bd80eb031edd933d995a72c1d5911",
-    "tl_line_broken": "b76282fdc93a8d7607b17a9a39e5ee79bb22f78e67ce918fb78820facda290b5",
-    "tl_churn": "bdd4761a578290cbc8f1ddca93429587e874cfda900cf0514674adaf0aeaabf5",
-    "tl_forgery": "5987282ff66815fd757c38829ab37a1cc58e9bb36959b7c19fcf85747c6a1232",
-    "wl_group": "f7894cee95bb3fb24193d16a87c0342129d56f83f4e946ada5aea7cbb0791303",
-    "wl_crowd": "6e38d991e159dc17f372b5058d499f4d8552d16dd53be12f72714a7d92f019f9",
-    "wl_dropper": "514f0699ac02848fe1becb543e844f9b07a99e67485d96f7ac8a4498e8217ba7",
+    "tl_line": "36d56c6b4301dd250b52c5779d4e24fd9f46ef4824ffdb1a569b4091411ff3e4",
+    "tl_star": "383cb61d65fe656b334b04b7793c39911e584f3c7dbf09b3446811101785b281",
+    "tl_ring": "6f51fc609674510aefe8b50ee3d01d1e79101200ae837d7e01121ed1c163e4e4",
+    "tl_line_broken": "b6d3f3919cae4c5aea675627b9bd321c1a409f04251fb1629b1f9610f3760d87",
+    "tl_churn": "840910910d0620c7e7134ca84efdd29d0e46f3fd55d753b8c7e922f2ceca52b5",
+    "tl_forgery": "4d936cb9c2160442ae36e4f55fa266c45c5e2d2b0c5404260a22a145e6e13bc8",
+    "wl_group": "2686cebfee23f86930b27a9833ed4cb4772928480c9626b049c7f746f944c728",
+    "wl_crowd": "c19c026103b531ec51bebdba56f3f2d9d41319a2863a5279b418478722ef594d",
+    "wl_dropper": "ad3057c1f4babd2f74031ed5111544ce0238a8c76185eccb417783acfbfe3ebf",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "eea0087686b5647ae7f94e4a228c25cbee955f566501d65ea9a083edc4e27add",
-    "wl_equivocation": "e4285a71c305108e504d383220a2c7a477085ead850025dbe4a1b54da2c2ed3d",
-    "wl_equivocation_crowd": "b95721566f6c3938744a9c6afa01dc8ad093e2b605fbf2ae1b322321394cc8b1",
-    "wl_privacy": "14635c8a543050b2c5b59bfffb4a348af603dae82d50fc2b6f087738490ca2bd",
-    "wl_partitions": "0e3972dbf17021b9902828af516ce6b27dd5dd87fe6da9552f952fccbd7db01d",
-    "wl_founder_moves": "7d8e4602ba9980142fdfbcf7d807741ff1873c61438f4cc2508f39c485789640",
-    "wl_founder_quits": "a5474ac6e77de42a4f0f032719ec9acb3c31ed1c7f0c03e01669de033b4c43b7",
-    "wl_crowd_orphans": "d895d9388601e4025605d9002427ea5a42c30d2a63b7eb9531778436934f053f",
+    "wl_churn": "fdab743f3c41d8d0ccb549840b9197ed9c8090276fa1c723ec21518900f05e96",
+    "wl_equivocation": "a63787fc67ba1e7567119803a96d89abe4a6f8fced934ad4c7147b9d1a5a4d84",
+    "wl_equivocation_crowd": "aaec11eff2c5c36cc37d42fa56c7cbfbbbe104af560b4159249f94a8bb726197",
+    "wl_privacy": "7852cf4716e66efe4b040ff105db42da97e9aa1dcf4b92d87f850462439fd80b",
+    "wl_partitions": "3e1511bd25b33ad0fef93105c818d631c203e5417af4f122a09a2f86fd642601",
+    "wl_founder_moves": "6f476ef61a97ac258b71dfa58b2e5027b28039148c160a3510fe490642523dc5",
+    "wl_founder_quits": "c24a84139eff12139e073a6ac3aa89c7716e231ede035b856739153ff436c402",
+    "wl_crowd_orphans": "adb44ce054235432b6f7bcfd443a3cce6f0a751b02d2201a51aff916a7c8a7b5",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "3c32498f2f1624473c7f5e6c464a24c84eb6ba4cac60c9751df7edd4a95fb41a",
-    "tl_star": "cec3477848772f5140b7dd0870a543e63040502ddbe1da0ebed6d1f5cb2ccc2e",
-    "tl_ring": "a3e295109f8bcda9c2f30c2e9a18b9af3a7d9e4b09d2c16c966d2d3b54cf5050",
-    "tl_line_broken": "d670c7b629bc7b97d2a5eb91f7ff71e75c6a77a0accca90b8cda55bc33ac456d",
-    "tl_churn": "83ec9cf67aa083ec44c2ba7a35493d2bf360dad0b16ba0a21f998b651b0c0547",
-    "tl_forgery": "9e78d7fde1a18fe40edf0c82447e5eba2f61ad9446fadd7603024c9d1fc48cc8",
-    "wl_group": "49da9970b0619effcc88d9524a78037358c38d2231d7fdafbcc557f57cbe01f9",
-    "wl_crowd": "89debc331793dab0576074488b21f0c2d09b0a8521102db11199a67183c19e06",
-    "wl_dropper": "f9c5d9644ece7ff838c850994d425b4922ce076d1a36a8a489717b260b7ae6d7",
+    "tl_line": "2c32e56b46375294b997fa8f17a3f1aefb99e7484e924fc515b9faeaf95772be",
+    "tl_star": "6e58632dae923331e886673e868f5c46bc90349c65686d8bdd4178486876712d",
+    "tl_ring": "001f5aa9214219302dff0e950c8319f78558ce41a6a63640ae2d83244a9c4939",
+    "tl_line_broken": "eeee4a20ac4fb9bc7594b1d6d430448444ef8fd92ac61eb977d337762e0c3e16",
+    "tl_churn": "cd5976eec983fcb6073d942c1a30601bb32348c8b55bc9fd11e38aadc973adbf",
+    "tl_forgery": "cb301364c65cee00bc53819d2b68ec9d18e4e43d2de2536a560054628f6c04bf",
+    "wl_group": "6e04d2c79bbc899d1e9a8fbfd89c4430665ab54f652198a78903d7154fdfc74e",
+    "wl_crowd": "7d7947e30f522128de0cc4d33f8aafc3b40db985699c28f709f22bef6f15066f",
+    "wl_dropper": "4986a9bc3429a2c7b5cdc671c80e8644b85527ab6bd45283f364c008569178a2",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "d42c4a60a839ca116fb45af8560a040b4fe3872f5b47ca8811b522fd1a9ea038",
-    "wl_equivocation": "489d662fad4d37b174666b9e24c30424d14cf3510c66c4247705b7ab35a3ee69",
-    "wl_equivocation_crowd": "23ba5d1addb245d79a61ffaf1593c5f9978864fa7f9590a464fdabafd9ef7ac7",
-    "wl_privacy": "f72cb37a76af7606889898fc0969856cb177d5393e4d015466a82b99dfc7862e",
-    "wl_partitions": "11a68aeb2d78ddcf56440b72a67b24d86502642081aa5f4240db54cabfc9b78c",
-    "wl_founder_moves": "43de0153ccd3c9119a0dac01d1ab8c3955cbf7d4b7825238f26091992829e365",
-    "wl_founder_quits": "90ad2fd7833400916e47ca1fe51f71fa057c879322bfb63da9a9335e459de692",
-    "wl_crowd_orphans": "86755761884b80cf96ea3ef0ca56f291e23b2272852bc73586d6a13529c219b4",
+    "wl_churn": "cd4128415b9a49b5bd0b595625e850c077a2f7e1d1e6e653cf4267bad5208e86",
+    "wl_equivocation": "5ec2f9602669879671e14d6167327d2d799cb8311a365055f05ac52611651a36",
+    "wl_equivocation_crowd": "87debd547acf3662f794681e46c7e75dbb850d5b651f6161ae98088d5b51dc3b",
+    "wl_privacy": "ccd5f0ff5ef75c81aa5617549adad4f465567d7e74a43c43c8aa59bcfdeced44",
+    "wl_partitions": "253f456d88e7c47c8a95c1a924b076610a9a881110dbff633fa3580d83044c2c",
+    "wl_founder_moves": "09b1c2be7a69498179c8b5eda450f1b884b69f064a0dda2ba70f7735951dd942",
+    "wl_founder_quits": "1866771a03550ee74c0ed43d5663261a25b96d4b70d21486dd3d23146eed1d05",
+    "wl_crowd_orphans": "756c10437363804a990d1e38609fdd8b3d4c0a6bd842958b1291653b6d41af07",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "866812a271aa7105731127c6a6a96e553a0b950a8389635d074064d85ffc4eff",
-    "tl_star": "67141a4b5cbce903272318797e50673b8707bc232e0d8ad7a0da211daa3c6715",
-    "tl_ring": "acc595b690de9ccb4afcfc5fa400813833b82952f37adc0b6a7663c430c8190c",
-    "tl_line_broken": "0600d2a37fb83b4f8fd524ea52deb05ec1f115c67c3fb4ab2166c9c250c00018",
-    "tl_churn": "2e8331993eb2b74e184500f57d66935e01c1a21bbc0e3f7ca39bddfb133ff704",
-    "tl_forgery": "96348515a36e654b04b93b56c795e165e81eba1a555f2d45324e64dd175f49b0",
-    "wl_group": "fa36220ce242bf45227096d10e126a682280dca7854f223799d2054fb3e01bb8",
-    "wl_crowd": "a663a2a3b6d6729734a39212ee738adff499c975124ff47e6d2d2699de9f5036",
-    "wl_dropper": "07ccb457d710cc8de6f0797e3bcb34799436bcf448ecf30466209310813742a0",
+    "tl_line": "6d9ab64cc94e63abbaac707cef4a8bf4bc5adc03362a1d01467e8b50769bf97c",
+    "tl_star": "cdf33022c876bfcd90e5084eb38d04b85ba8e9f87c69e07be76bae97a7a3f376",
+    "tl_ring": "8687e1ea979b81698d218b908d16419be99de0a1e7e87b25aca4a6ac61e03f2c",
+    "tl_line_broken": "94323e0e870acaff292309bb1bb1818df86e147cf60f8374aa8fe1a6efb22f45",
+    "tl_churn": "61815ced6f51e3a9e61abefaf14c7ba2e024a1e6c26c2cd13d998e2ffdbbc7ec",
+    "tl_forgery": "00bcf7b3431a04eb1564adf9ba1a767f8093d16198a68166153274fef931bb94",
+    "wl_group": "f688dfd687fad57a94ab39cc49bf28c2a458a778412816c6121f329260ea49da",
+    "wl_crowd": "2fbff0333e58f70217eff051fe52444c2d1e83329b9d497a99afe75dac07bd5b",
+    "wl_dropper": "646126301a66dd808259f14f29e864c1e2e0854cca5e0dd539c7d00943c923cf",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "1a61e41ce52d4eea722129712cc50f51c2caed54da3bb03b9c87fc6c95b39c9d",
-    "wl_equivocation": "67eeef97824cb1a88764cb91982af4e40dfd7ea1ae59eb073dae6dc7133222ff",
-    "wl_equivocation_crowd": "6f04ed705512c2971d65147361eed80d5aa92dde33a1fadfbc901e8c846b39b7",
-    "wl_privacy": "fa95e63b1b583ce81dc1d823a70559516bfb95ed483b8e7984d22978e556d0a9",
-    "wl_partitions": "09b19e99573d74fce21166060e663548f1d9fe237cad0a074205b7b843aedcda",
-    "wl_founder_moves": "a06d1cc101bd3e8873b038a18f0ef98ec1cdb01c85fadadc7fbd805e6594e29d",
-    "wl_founder_quits": "e53c8bc239c67e6d07288250710d1b606b33422681674348fc6373f8c7ed6325",
-    "wl_crowd_orphans": "d0e0b850df366aea882a9e10d750e01f2d91eee1f3f0260c306ec55308c73466",
+    "wl_churn": "0f6febee2cb2ed7a0e86542e9fb50ec01b08f2217b3b49e0ee3bd49b19bd24db",
+    "wl_equivocation": "2f02a6ad0c2974ab3eede9b6585dbfbb4352ba801717af0eb496d01977254ef6",
+    "wl_equivocation_crowd": "dad1f817f5e681d30358d30d22703b4a7540d100c66114c2dd2374bc581be709",
+    "wl_privacy": "b9a4e03cbecbb200cbe83b511633978c97d3f0aa99e00c4cc4d62eb8853626df",
+    "wl_partitions": "2d4c4980c6da84f88b4a2d1172f12e57fbdebae264bac5da9cc17432a55e08af",
+    "wl_founder_moves": "2cf61d7ca40e721b139e50a611aba0af7d2789a3ac7b90494a8506b390132dda",
+    "wl_founder_quits": "8280486128c4e578fb06b59df7fd50dab4fc931c30211a9cc7fe15eed6f66a37",
+    "wl_crowd_orphans": "992c89d13ac01fda48a0e13322fb5e7e70d46b3c5214bb171f7d880c6767885a",
 }
 
 
