@@ -3,7 +3,8 @@
 Every rostered agent, honest or not, is driven through a wrapper with the
 same surface: receive / flush_acks / tick / change_address / run_command,
 all returning raw (destination address, wire bytes) pairs.  Adversaries
-can only emit datagrams; they never reach into another agent's state.
+can only emit datagrams; they never reach into another agent's state,
+and each acts through its own agent's blocklace and resend schedule.
 
 Roles:
   correct       — faithful protocol agent.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 from .. import blocks as b
 from .. import crypto
-from ..blocks import Ack, Block, BlockId, NetAddress, Say, WireDecoder
+from ..blocks import Block, BlockId, NetAddress, Say
 from ..peers import Agent, ProtocolError
 from ..simnet import Trace
 from ..wl import WlAgent, seal_utterance
@@ -46,13 +47,15 @@ class Ctx:
     rng: random.Random
 
 
-def _encode(block: Block) -> bytes:
-    return b.encode_block(block)
-
-
 class AgentWrapper:
-    # A muted agent receives and updates its state, but sends nothing
-    # (`_out`).  The `mute` command sets it; the silent roles start muted.
+    """Drives one agent and encodes what it sends.
+
+    A muted agent receives and updates its state, but its sends go no
+    further than `_out`, which lets through only what `_passes` allows:
+    nothing, for every role but the equivocator.  The `mute` command sets
+    it; the silent roles start muted.  The agent's counters (`metrics`)
+    still count what the agent sent before the wrapper dropped it."""
+
     muted = False
 
     def __init__(self, name: str, inner: Agent):
@@ -67,17 +70,26 @@ class AgentWrapper:
 
     # -- plumbing shared by every role --
 
+    def _passes(self, dst: NetAddress, block: Block) -> bool:
+        """Whether a send of the agent's leaves the wrapper."""
+        return not self.muted
+
     def _out(self, sends) -> list[RawSend]:
-        if self.muted:
-            return []
         out = []
         for dst, block in sends:
+            if not self._passes(dst, block):
+                continue
             key = (block, block.id.signature)
             wire = self._wire.get(key)
             if wire is None:
-                wire = self._wire[key] = _encode(block)
+                wire = self._wire[key] = b.encode_block(block)
             out.append((dst, wire))
         return out
+
+    def owes(self) -> bool:
+        # Whether the run waits on this role beyond a correct agent's
+        # retransmit timers (`Runner._run_ticks`).
+        return False
 
     def bootstrap(self, agent_id: bytes, address: NetAddress):
         self.inner.address_hints[agent_id] = address
@@ -165,38 +177,30 @@ class EavesdropperWrapper(SilentWrapper):
 
 class EquivocatorWrapper(AgentWrapper):
     """Correct until the scripted fork: it then creates two (or three)
-    blocks with the same pointers, hands each to a different subset of
-    recipients, and goes mute.  Its one remaining duty is the fork's
-    delivery: each tick it sends every fork to each of its recipients until
-    an ack from that recipient names the fork.  It relays nothing and acks
-    nothing, so the fork spreads beyond its recipients only through honest
-    dissemination."""
+    blocks with the same pointers, stores them in its own agent, hands
+    each to a different subset of recipients, and goes mute.  Its one
+    remaining duty is the forks' delivery, on its agent's own schedule
+    (WL `RACED`, TL `PACED`): each fork is resent to each of its
+    recipients until the agent knows the recipient holds it.  Muted, it
+    lets through only a fork's copies to that fork's own recipients, so
+    it relays nothing and acks nothing, and the forks spread beyond their
+    recipients only through honest dissemination."""
 
     def __init__(self, name: str, inner):
         super().__init__(name, inner)
-        # (recipient, fork id, wire bytes) per fork delivery not yet
-        # acknowledged.  Bound: forks × recipients of the scripted fork.
-        self._unacked: list[tuple[bytes, BlockId, bytes]] = []
+        # fork id -> its recipients.  Bound: the blocks of the scripted fork.
+        self._forks: dict[BlockId, list[bytes]] = {}
 
-    def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
-        sends = super().receive(payload, src)
-        if self._unacked:
-            block = WireDecoder().decode_verified(payload)
-            if block is not None and isinstance(block.payload, Ack):
-                self._unacked = [
-                    entry
-                    for entry in self._unacked
-                    if entry[0] != block.creator or entry[1] not in block.pointers
-                ]
-        return sends
+    def _passes(self, dst: NetAddress, block: Block) -> bool:
+        if not self.muted:
+            return True
+        recipients = self._forks.get(block.id, ())
+        return any(dst == self.inner.address_of(r) for r in recipients)
 
-    def tick(self) -> list[RawSend]:
-        sends = super().tick()
-        for recipient, _, wire in self._unacked:
-            dest = self.inner.address_of(recipient)
-            if dest is not None:
-                sends.append((dest, wire))
-        return sends
+    def owes(self) -> bool:
+        # Until its agent knows each recipient holds its fork.
+        known, bit = self.inner.peers.known, self.inner.lace.bit_of
+        return any(not known(q) & bit(fork) for fork, qs in self._forks.items() for q in qs)
 
     def _cmd_equivocate(self, command, ctx: Ctx) -> list[RawSend]:
         inner = self.inner
@@ -216,19 +220,14 @@ class EquivocatorWrapper(AgentWrapper):
         else:
             tips = inner.lace.tip_ids()
             payloads = [Say(command[text].encode()) for text, _ in branches]
+        for _, recipients_key in branches:
+            for name in command[recipients_key]:
+                if inner.address_of(ctx.agent_ids[name]) is None:
+                    raise Defer(f"no address for recipient {name!r}")
         forks = [
             b.new_block(inner.kp, inner.current_address, payload, tips)
             for payload in payloads
         ]
-
-        unacked = []
-        for block, (_, recipients_key) in zip(forks, branches):
-            wire = _encode(block)
-            for name in command[recipients_key]:
-                recipient = ctx.agent_ids[name]
-                if inner.address_of(recipient) is None:
-                    raise Defer(f"no address for recipient {name!r}")
-                unacked.append((recipient, block.id, wire))
         for i, one in enumerate(forks):
             for other in forks[i + 1 :]:
                 ctx.trace.record(
@@ -238,31 +237,23 @@ class EquivocatorWrapper(AgentWrapper):
                     id_a=one.id.hex(),
                     id_b=other.id.hex(),
                 )
-        self._unacked = unacked
+        # Stored past every Defer, so a retried command stores nothing twice.
+        for block, (_, recipients_key) in zip(forks, branches):
+            inner._insert(block)
+            self._forks[block.id] = [ctx.agent_ids[name] for name in command[recipients_key]]
         self.muted = True
-        return []
+        return self._out(inner.disseminate())
 
 
 class ForgerWrapper(AgentWrapper):
     """Correct participant that also injects datagrams that must never pass
     verification: fresh bodies under a victim's identity with bogus
-    signatures, and replays of real blocks with tampered bodies."""
+    signatures, and copies of the victim's blocks in its own blocklace
+    with tampered bodies."""
 
     def __init__(self, name: str, inner):
         super().__init__(name, inner)
-        self._material: list[tuple[bytes, bytes]] = []  # (creator, wire bytes)
-        self._seen_digests: set[bytes] = set()
         self._counter = 0
-
-    def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
-        try:
-            block = b.decode_block(payload)
-            if block.id.digest not in self._seen_digests:
-                self._seen_digests.add(block.id.digest)
-                self._material.append((block.id.creator, payload))
-        except b.WireError:
-            pass
-        return super().receive(payload, src)
 
     def _cmd_forge(self, command, ctx: Ctx) -> list[RawSend]:
         victim = ctx.agent_ids[command["victim"]]
@@ -271,14 +262,15 @@ class ForgerWrapper(AgentWrapper):
         targets = ctx.correct_targets()
         if not targets:
             raise Defer("no targets")
-        if mode == "tamper" and not any(c == victim for c, _ in self._material):
-            raise Defer("no victim material captured yet")
+        material = self.inner.lace.by_creator(victim)
+        if mode == "tamper" and not material:
+            raise Defer("no victim block here yet")
         sends: list[RawSend] = []
         for i in range(count):
             if mode == "garbage":
                 wire = self._forge_garbage(victim, ctx)
             else:
-                wire = self._forge_tamper(victim)
+                wire = self._forge_tamper(material)
             _, dest = targets[(self._counter + i) % len(targets)]
             ctx.trace.record(
                 ctx.now,
@@ -301,23 +293,15 @@ class ForgerWrapper(AgentWrapper):
         signature = ctx.rng.randbytes(crypto.SIGNATURE_LEN)
         return b._lp(victim) + b._lp(digest) + b._lp(signature) + body
 
-    def _forge_tamper(self, victim: bytes) -> bytes:
-        pool = [wire for creator, wire in self._material if creator == victim]
-        wire = pool[self._counter % len(pool)]
+    def _forge_tamper(self, material: list[Block]) -> bytes:
+        block = material[self._counter % len(material)]
         self._counter += 1
-        block = b.decode_block(wire)
         payload = block.payload
         if isinstance(payload, Say):
             payload = Say(payload.text + b"!")
         else:
             payload = Say(b"tampered-" + str(self._counter).encode())
-        body = b.canonical_encode(block.address, payload, block.pointers)
-        return (
-            b._lp(block.id.creator)
-            + b._lp(block.id.digest)
-            + b._lp(block.id.signature)
-            + body
-        )
+        return b.encode_block(Block(block.id, block.address, payload, block.pointers))
 
 
 ROLE_WRAPPERS = {

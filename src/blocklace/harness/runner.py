@@ -9,12 +9,12 @@ comes from generators seeded by the scenario seed — so a (scenario, seed)
 pair determines the trace bytes.
 
 A run is quiescent after two quiet rounds in a row (no agent sent a block
-in its tick, and no correct agent still has a retransmit timer running)
-with no datagram in flight and no scripted event left.  Every
-outstanding pair has a timer except a COVERED one (`retransmit`):
-a WL relay copy whose creator is known to send the block to the same
-member.  The creator's own timer holds the run open until that member
-holds the block.
+in its tick, no correct agent still has a retransmit timer running, and
+no equivocator still owes a fork) with no datagram in flight and no
+scripted event left.  Every outstanding pair has a timer except a COVERED
+one (`retransmit`): a WL relay copy whose creator is known to send the
+block to the same member.  The creator's own timer holds the run open
+until that member holds the block.
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
@@ -214,14 +214,20 @@ class Runner:
         no correct agent still owes a peer a block (a backed-off pair sends
         nothing in most rounds, yet is still outstanding), except WL relay
         copies whose creator is known to send them too.  A muted
-        equivocator's resends of its fork count, so they hold the run open
-        until the fork is acked."""
+        equivocator's fork resends hold the run open until its agent knows
+        each recipient holds its fork: each resend is a send, and between
+        them, on its agent's schedule, the equivocator still owes the fork
+        (`EquivocatorWrapper.owes`)."""
         quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]
             sends = wrapper.tick()
             self.trace.record(now, "TICK", agent=spec.name, sends=len(sends))
-            if sends or (spec.role == "correct" and wrapper.inner.retransmit.armed()):
+            if (
+                sends
+                or (spec.role == "correct" and wrapper.inner.retransmit.armed())
+                or wrapper.owes()
+            ):
                 quiet = False
             self._submit(spec.name, sends, now)
         return quiet
@@ -241,9 +247,7 @@ class Runner:
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]
             inner = wrapper.inner
-            sections: list[tuple[str, list]] = [("lace", list(inner.lace.blocks()))]
-            if isinstance(inner, WlAgent):
-                sections.append(("pending", inner.pending_blocks()))
+            sections = [("lace", inner.lace.blocks()), ("pending", inner.pending_blocks())]
             for kind, blocks_list in sections:
                 for block in blocks_list:
                     self.trace.record(

@@ -36,6 +36,9 @@ WL_COMMANDS = {
     "equivocate",
     "forge",
 }
+# The commands that utter one block of their agent's own: only these take
+# a `label`, which binds that block's id (`AgentWrapper.run_command`).
+_UTTERING = (TL_COMMANDS | WL_COMMANDS) - {"rebind", "mute", "equivocate", "forge"}
 
 ORACLE_NAMES = (
     "tl_liveness",
@@ -321,10 +324,10 @@ def _validate_command(command: dict[str, Any], names: set[str], where: str, prot
         _expect(mode in ("garbage", "tamper"), f"{where}.mode", "must be garbage|tamper")
         count = _require_key(command, "count", where)
         _expect(_is_int(count) and count > 0, f"{where}.count", "must be a positive integer")
-    if cmd in ("say", "respond", "say_group", "respond_group", "create_group"):
-        label = command.get("label")
-        if label is not None:
-            _expect(isinstance(label, str) and label, f"{where}.label", "must be a non-empty string")
+    label = command.get("label")
+    if label is not None:
+        _expect(cmd in _UTTERING, f"{where}.label", f"{cmd} utters no block to label")
+        _expect(isinstance(label, str) and label, f"{where}.label", "must be a non-empty string")
     if cmd == "say_group" or (cmd == "equivocate" and protocol == "wl"):
         _require_key(command, "group", where)
 

@@ -416,35 +416,67 @@ def test_equivocate_trace_record():
 
 
 @pytest.mark.parametrize("seed", [26, 34])
-def test_equivocator_resends_each_fork_until_acked(seed):
+def test_equivocator_sends_each_fork_only_to_its_recipients(seed):
     # At these seeds each fork was once sent a single time and lost to
     # both of its recipients, so no member ever saw the equivocation.
+    # Muted, the equivocator lets through only a fork's copies to that
+    # fork's own recipients, on its agent's RACED schedule.
     result = run_scenario(canned.wl_equivocation(seed=seed))
     verdicts = {r.name: r.verdict for r in result.oracle_results}
     assert verdicts["equivocation_visibility"] == "PASS"
+    assert verdicts["wl_liveness"] == "PASS"
     data = parse_trace(result.trace_text)
     (equivocate,) = data.events_of("EQUIVOCATE")
     address = {name: fields["address"] for name, fields in data.agents.items()}
     recipients = {
-        equivocate.fields["id_a"]: {address["f"], address["m1"]},
-        equivocate.fields["id_b"]: {address["m2"], address["m3"]},
+        equivocate.fields["id_a"]: ["f", "m1"],
+        equivocate.fields["id_b"]: ["m2", "m3"],
     }
-    after = [
-        e
+    sent = [
+        (e.fields["dst"], e.fields["id"])
         for e in data.events_of("SUBMIT")
         if e.fields["src"] == address["x"] and e.tick >= equivocate.tick
     ]
-    sent = [(e.tick, e.fields["dst"], e.fields["id"]) for e in after]
-    assert all(dst in recipients[fork] for _, dst, fork in sent)
-    assert len(set(sent)) == len(sent)  # at most once per tick
-    assert len(sent) > 4  # a lost fork was sent again
-    assert max(tick for tick, _, _ in sent) < result.report["last_tick"]
+    assert sent
+    assert all(dst in {address[n] for n in recipients.get(fork, ())} for dst, fork in sent)
+    for fork, names in recipients.items():
+        for name in names:
+            held = {blk.id.hex() for blk in result.wrappers[name].inner.lace.blocks()}
+            assert fork in held, (fork, name)
+
+
+def test_equivocator_stores_its_forks():
+    # Its forks in its own lace, every later Say, which points only at
+    # them, lands at the equivocator: none waits in its pending buffer or
+    # draws a nack that its muted wrapper would drop.
+    result = run_scenario(canned.wl_equivocation(seed=1))
+    (equivocate,) = parse_trace(result.trace_text).events_of("EQUIVOCATE")
+    x = result.wrappers["x"].inner
+    held = {blk.id.hex() for blk in x.lace.blocks()}
+    assert {equivocate.fields["id_a"], equivocate.fields["id_b"]} <= held
+    assert x.pending_blocks() == []
+    assert x.metrics.nacks_sent == 0
 
 
 def test_forge_trace_records_match_count():
     result = run_scenario(canned.tl_forgery(seed=1, garbage=20, tampered=20))
     forged = [line for line in result.trace_text.splitlines() if "\tFORGE\t" in line]
     assert len(forged) == 40
+
+
+def test_forger_tampers_only_blocks_in_its_own_lace():
+    # Each tampered copy keeps the (creator, digest) of a victim block the
+    # forger stored, never of an ack, which no agent stores.
+    result = run_scenario(canned.tl_forgery(seed=1))
+    data = parse_trace(result.trace_text)
+    stored = {(blk.id.creator, blk.id.digest) for blk in data.final_blocks("mallory")}
+    tampered = [
+        b.decode_block(bytes.fromhex(e.fields["bytes"])).id
+        for e in data.events_of("FORGE")
+        if e.fields["mode"] == "tamper"
+    ]
+    assert len(tampered) == 100
+    assert all((ident.creator, ident.digest) in stored for ident in tampered)
 
 
 def test_silent_agent_never_sends():
@@ -576,11 +608,15 @@ def test_three_way_fork_reported_as_three_pairs():
         assert len(pairs) == 3, name
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 269])
 def test_tl_fork_resends_hold_the_run_open(seed):
-    # The muted equivocator resends its fork until the hub acks it, and a
-    # round with such a resend is not quiet.  At seed 3 both fork copies
-    # are lost at tick 40, the tick a run that ignored them quiesced in.
+    # The muted equivocator resends its forks on its agent's PACED
+    # schedule until it knows the hub holds them, and it owes them in
+    # between, so no round before then is quiet.  At seed 3 the copies
+    # sent at tick 40 bring both forks to the hub, so nothing is resent.
+    # At seed 269 one fork's three copies at tick 40 and its resends at
+    # ticks 46 and 50 are all lost: a run that counted only the resends
+    # quiesced at tick 52, before the hub held it.
     scenario = canned.tl_star(seed, utterances=4)
     scenario.ticks = 400
     scenario.agents = [

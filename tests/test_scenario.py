@@ -95,6 +95,40 @@ def test_minimal_parses():
         # A string such as "no" is truthy and would leave encryption on.
         (dict(wl_encrypt="no"), "wl_encrypt"),
         (dict(events=[{"tick": 0, "agent": "a", "cmd": "mute", "target": "b"}]), "events[0].target"),
+        # A label binds the block its command utters; these utter none of
+        # their own, so a label there would bind the agent's last block.
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "equivocate", "text_a": "x",
+                          "text_b": "y", "recipients_a": ["b"], "recipients_b": ["b"],
+                          "label": "L"}]),
+            "events[0].label",
+        ),
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "forge", "victim": "b",
+                          "mode": "tamper", "count": 1, "label": "L"}]),
+            "events[0].label",
+        ),
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "rebind", "address": "a/1",
+                          "label": "L"}]),
+            "events[0].label",
+        ),
+        (dict(events=[{"tick": 0, "agent": "a", "cmd": "mute", "label": "L"}]), "events[0].label"),
+        # Every command that utters one block checks its label.
+        (
+            dict(events=[{"tick": 0, "agent": "a", "cmd": "follow", "target": "b", "label": ""}]),
+            "events[0].label",
+        ),
+        (
+            dict(protocol="wl", events=[{"tick": 0, "agent": "a", "cmd": "invite",
+                                         "group": "G", "target": "b", "label": 7}]),
+            "events[0].label",
+        ),
+        (
+            dict(protocol="wl", events=[{"tick": 0, "agent": "a", "cmd": "accept",
+                                         "group": "G", "label": ["L"]}]),
+            "events[0].label",
+        ),
     ],
 )
 def test_validation_reports_location(mutation, location):

@@ -30,14 +30,14 @@ GOLDEN_SHA256 = {
     "tl_ring": "16fb49c4e27e89801bf57ceafd59fed05d815a60df1e1843b1a0edb998bf0021",
     "tl_line_broken": "ab1b81c3818f9823573adedecb349fbee095a0bda63d4c5a234d5408f980391d",
     "tl_churn": "19c4387a6186847f1214ecad851db0174586f8bbe17a3bac9c176f82a9613815",
-    "tl_forgery": "b5c654729f9320e56b106c7b062186ce1ccffc9c71e463cb93ed435f08ff5e6e",
+    "tl_forgery": "c1a6f0e4ba628428373b5e122445f090c4014a54e49912b9d0a9530d32016a36",
     "wl_group": "da534d15e3fa1a42c7b08d58973accddcef265e3ea3986b1c807711a153623cd",
     "wl_crowd": "0a68dc5db5d75c3beb5749a1beb834cf06f735481e1b828b868d1c895aeefeca",
     "wl_dropper": "3ceabeeb1567af407d1e7783e4eb2ede3783a5170db23b4ef65e909e8c15ed8a",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
     "wl_churn": "b750e36fdf7177ab5d37f94fe6bbf1e189c840e39090fc1cc70638e92a196f25",
-    "wl_equivocation": "4ecf8a879bb415c679e333f5855fd8aee962af7c6f016e398d0079eb7a0bb94d",
-    "wl_equivocation_crowd": "7bbea63f770297a84ae9573654e96cfc13c32a41cbad2578038d61a1823b7686",
+    "wl_equivocation": "22686848844ee2b119f46fccf3a6b28571301d83955ba6e5be45d9a5e2f5b312",
+    "wl_equivocation_crowd": "6b92ace91f889f7aebfb501abd06cceef8821f3a84908572bf6718b9040aa821",
     "wl_privacy": "6570a13fb156986d1f3861fa9633870d6f15c7aea2cb493ca407a10f1e89160f",
     "wl_partitions": "c647e1546ccc61dd144a087dead63d771467112c17856ab2dd9b64ebd6f2b340",
     "wl_founder_moves": "4988c67733c7777586f072b445f4e19c1a1a395e7adc703d7f09ff8f75586626",
@@ -50,14 +50,14 @@ GOLDEN_V3_SHA256 = {
     "tl_ring": "6f51fc609674510aefe8b50ee3d01d1e79101200ae837d7e01121ed1c163e4e4",
     "tl_line_broken": "b6d3f3919cae4c5aea675627b9bd321c1a409f04251fb1629b1f9610f3760d87",
     "tl_churn": "840910910d0620c7e7134ca84efdd29d0e46f3fd55d753b8c7e922f2ceca52b5",
-    "tl_forgery": "4d936cb9c2160442ae36e4f55fa266c45c5e2d2b0c5404260a22a145e6e13bc8",
+    "tl_forgery": "ee06fbd295d73f37df2944a3585d3775b0da37a3fdb53d78f78af449e4af355c",
     "wl_group": "2686cebfee23f86930b27a9833ed4cb4772928480c9626b049c7f746f944c728",
     "wl_crowd": "c19c026103b531ec51bebdba56f3f2d9d41319a2863a5279b418478722ef594d",
     "wl_dropper": "ad3057c1f4babd2f74031ed5111544ce0238a8c76185eccb417783acfbfe3ebf",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
     "wl_churn": "fdab743f3c41d8d0ccb549840b9197ed9c8090276fa1c723ec21518900f05e96",
-    "wl_equivocation": "a63787fc67ba1e7567119803a96d89abe4a6f8fced934ad4c7147b9d1a5a4d84",
-    "wl_equivocation_crowd": "aaec11eff2c5c36cc37d42fa56c7cbfbbbe104af560b4159249f94a8bb726197",
+    "wl_equivocation": "8617b9042f4643fd981a6d20a94d816fbddd3cc02fb267a30050fbced65811a8",
+    "wl_equivocation_crowd": "c910a31b77969d0c3ce7a423230885531475a397bcacf0829e6d312296309e34",
     "wl_privacy": "7852cf4716e66efe4b040ff105db42da97e9aa1dcf4b92d87f850462439fd80b",
     "wl_partitions": "3e1511bd25b33ad0fef93105c818d631c203e5417af4f122a09a2f86fd642601",
     "wl_founder_moves": "6f476ef61a97ac258b71dfa58b2e5027b28039148c160a3510fe490642523dc5",
@@ -70,14 +70,14 @@ GOLDEN_V2_SHA256 = {
     "tl_ring": "001f5aa9214219302dff0e950c8319f78558ce41a6a63640ae2d83244a9c4939",
     "tl_line_broken": "eeee4a20ac4fb9bc7594b1d6d430448444ef8fd92ac61eb977d337762e0c3e16",
     "tl_churn": "cd5976eec983fcb6073d942c1a30601bb32348c8b55bc9fd11e38aadc973adbf",
-    "tl_forgery": "cb301364c65cee00bc53819d2b68ec9d18e4e43d2de2536a560054628f6c04bf",
+    "tl_forgery": "164678334971c7dab776edcdc9c1a40b6262e44d97b125d0ed32670c3bb84597",
     "wl_group": "6e04d2c79bbc899d1e9a8fbfd89c4430665ab54f652198a78903d7154fdfc74e",
     "wl_crowd": "7d7947e30f522128de0cc4d33f8aafc3b40db985699c28f709f22bef6f15066f",
     "wl_dropper": "4986a9bc3429a2c7b5cdc671c80e8644b85527ab6bd45283f364c008569178a2",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
     "wl_churn": "cd4128415b9a49b5bd0b595625e850c077a2f7e1d1e6e653cf4267bad5208e86",
-    "wl_equivocation": "5ec2f9602669879671e14d6167327d2d799cb8311a365055f05ac52611651a36",
-    "wl_equivocation_crowd": "87debd547acf3662f794681e46c7e75dbb850d5b651f6161ae98088d5b51dc3b",
+    "wl_equivocation": "275f14ab46169e1af20183af8ba483afa7bc71462efa95abc9d5d818bef6902b",
+    "wl_equivocation_crowd": "75c94bd461e576ffcbcaf77101a76a83b8f5f9ecda66dbdc92c3f20ee9297c0b",
     "wl_privacy": "ccd5f0ff5ef75c81aa5617549adad4f465567d7e74a43c43c8aa59bcfdeced44",
     "wl_partitions": "253f456d88e7c47c8a95c1a924b076610a9a881110dbff633fa3580d83044c2c",
     "wl_founder_moves": "09b1c2be7a69498179c8b5eda450f1b884b69f064a0dda2ba70f7735951dd942",
@@ -99,8 +99,8 @@ GOLDEN_METRICS_SHA256 = {
     "wl_dropper": "646126301a66dd808259f14f29e864c1e2e0854cca5e0dd539c7d00943c923cf",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
     "wl_churn": "0f6febee2cb2ed7a0e86542e9fb50ec01b08f2217b3b49e0ee3bd49b19bd24db",
-    "wl_equivocation": "2f02a6ad0c2974ab3eede9b6585dbfbb4352ba801717af0eb496d01977254ef6",
-    "wl_equivocation_crowd": "dad1f817f5e681d30358d30d22703b4a7540d100c66114c2dd2374bc581be709",
+    "wl_equivocation": "f8d9635b87ddd2519243e84a0be248253834fbda0f129381e464eadcf2cf3c01",
+    "wl_equivocation_crowd": "a29371208e251e9240992bd0ca29273e0d16133d35b9af4e0d4c9fc77902da07",
     "wl_privacy": "b9a4e03cbecbb200cbe83b511633978c97d3f0aa99e00c4cc4d62eb8853626df",
     "wl_partitions": "2d4c4980c6da84f88b4a2d1172f12e57fbdebae264bac5da9cc17432a55e08af",
     "wl_founder_moves": "2cf61d7ca40e721b139e50a611aba0af7d2789a3ac7b90494a8506b390132dda",
