@@ -4,13 +4,16 @@
     blocklace verify TRACE SCENARIO.json
     blocklace demo {tl,wl} [--seed N]
     blocklace export NAME --out PATH
+    blocklace sweep NAME... --seeds A-B [--quiesce NAME...]
 
-Exit code 0 iff every oracle passes.
+Exit code 0 iff every oracle passes (and, for `sweep`, every run of a
+`--quiesce` scenario quiesces).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -144,6 +147,49 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _seed_range(text: str) -> range:
+    """`A-B` as the seeds A to B, both included."""
+    first, sep, last = text.partition("-")
+    if sep and first.isdigit() and last.isdigit() and int(first) <= int(last):
+        return range(int(first), int(last) + 1)
+    raise argparse.ArgumentTypeError(f"not a seed range A-B with 0 <= A <= B: {text!r}")
+
+
+def cmd_sweep(args) -> int:
+    """Run each canned scenario at each seed in this process and print one
+    row per run: scenario, seed, quiescence tick (None when the run did
+    not quiesce), SUBMIT records, trace sha256, then each oracle's verdict.
+    A row depends only on the (scenario, seed) pair."""
+    unknown = sorted(set(args.names + args.quiesce) - set(canned.CANNED))
+    if unknown:
+        print(f"unknown canned scenario {unknown[0]!r}; "
+              f"choose from {sorted(canned.CANNED)}", file=sys.stderr)
+        return 2
+    unswept = sorted(set(args.quiesce) - set(args.names))
+    if unswept:
+        print(f"--quiesce names {unswept[0]!r}, which is not swept", file=sys.stderr)
+        return 2
+    failures = 0
+    for name in args.names:
+        for seed in args.seeds:
+            result = run_scenario(canned.CANNED[name](seed=seed))
+            text = result.trace_text
+            submits = text.count("\tSUBMIT\t")
+            sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            verdicts = " ".join(f"{r.name}={r.verdict}" for r in result.oracle_results)
+            print(
+                f"{name} seed={seed} quiescence={result.quiescence_tick} "
+                f"submits={submits} sha256={sha256} {verdicts}"
+            )
+            if not result.all_pass():
+                failures += 1
+                print(f"{name} failed at seed {seed}", file=sys.stderr)
+            if name in args.quiesce and result.quiescence_tick is None:
+                failures += 1
+                print(f"{name} did not quiesce at seed {seed}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blocklace",
@@ -174,6 +220,20 @@ def main(argv=None) -> int:
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--seed", type=int)
     p_export.set_defaults(func=cmd_export)
+
+    p_sweep = sub.add_parser(
+        "sweep", help="run canned scenarios over a seed range and print one row per run"
+    )
+    p_sweep.add_argument("names", nargs="+", metavar="NAME")
+    p_sweep.add_argument("--seeds", type=_seed_range, required=True, metavar="A-B")
+    p_sweep.add_argument(
+        "--quiesce",
+        nargs="+",
+        default=[],
+        metavar="NAME",
+        help="swept scenarios whose every run must quiesce",
+    )
+    p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
     return args.func(args)

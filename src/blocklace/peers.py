@@ -13,7 +13,8 @@ the send loop (`disseminate`) and the retransmission round.  A subclass
 fills in `_missing`, `_admit`, `_index` (which adds contacts),
 `_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
 who may receive what, and `_schedule`, which names the first offer of
-each copy (`retransmit`).
+each copy (`retransmit`).  WL also extends `_credit_delivery`: a member's
+copy of a group block vouches for this agent's own membership there.
 """
 
 from __future__ import annotations

@@ -35,8 +35,12 @@ command, in a round or not.  Only a pair's later sends wait for a round.
 
 EAGER is for a pair whose copy may be the destination's only path to the
 block and whose first resend should not wait: a TL Follow or Empty, own
-or relayed, and a WL agent's own membership blocks but the BACKSTOP ones
-below.  The EAGER_COPIES (3) copies up front cost nothing over a first
+or relayed, and a WL agent's own membership block to the agent that acts
+on it next (an Invite to its target, an Accept to the group's founder) or
+to any member (a Group or Empty).  Every other copy of a WL agent's own
+Invite or Accept is BACKSTOP, below: as Plumtree (below) keeps eager
+copies on the paths someone waits on, only the Invite's target waits on
+the Invite.  The EAGER_COPIES (3) copies up front cost nothing over a first
 resend one tick after the offer: no ack, claim or peer copy can come back
 within 2 ticks, since every delay is at least 1 tick each way, so that
 copy always went out.  Loss and delay are drawn per copy, so at 30% loss
@@ -114,10 +118,11 @@ resends stay about the same.  Each rule bounds its state by the last few
 ticks: the merge by one tick's deliveries, the twins by the landings of
 the last BURST ticks, the holdoff by the acks of the last ACK_HOLDOFF.
 
-BACKSTOP and LAZY are for a WL copy that another path may cover too: a
-copy of a block this agent did not create, which the creator sends too,
-or of a member's own Accept, which the founder relays.  Each sends at
-most one copy at a time.
+BACKSTOP and LAZY are for a WL copy that another path may cover too, or
+that no agent acts on next: a copy of a block this agent did not create,
+which the creator sends too, of a member's own Accept, which the founder
+relays, or of the founder's own Invite to a member other than its
+target.  Each sends at most one copy at a time.
 
 * BACKSTOP: the creator may not know the destination yet (a member
   learns of others only from their Accepts), so this copy may be the
@@ -128,7 +133,13 @@ most one copy at a time.
   first.  It is also the first offer of a member's own Accept to a
   member other than the founder: the founder relays every Accept to
   every member at once, so the creator's copies need not come in a
-  burst.
+  burst.  And it is the first offer of the founder's own Invite to a
+  member other than the Invite's target, which acts on nothing until the
+  target's Accept.  A member's own Accept to another member stops at that
+  member's first copy of a block of the group other than the genesis and
+  the invites to this member: it sends those only to the members it
+  knows, so the copy shows that it holds the Accept
+  (`WlAgent._credit_delivery`), with no ack to wait for.
 * LAZY: every other relay copy, covered or not, utterance or
   membership block (Group, Invite, Accept, Empty): the founder is the
   one backstop.  The creator covers the destination when the agent

@@ -11,7 +11,12 @@ and marks the relay copies to its address for repair (`_record_ack`).
 WL's contacts in the shared directory (`peers.Agent`) are the founders of
 the groups here and the targets of their invites: only their acks are
 filed, and a copy delivered from a contact's address is that contact's
-disclosure of the block's whole past.
+disclosure of the block's whole past.  A member sends a group's blocks
+only to the members it knows, but for an invite and the genesis, which
+reach the invitee before it joins; so a copy of any other block of a
+group this agent is a member of, from a member's address, also discloses
+that the member holds the blocks that made this agent a member
+(`_credit_delivery`).  That copy is the ack of this agent's own Accept.
 
 Group privacy: the founder generates a symmetric key per group and seals
 it to each invitee inside the invite block.  Utterance text is encrypted
@@ -254,16 +259,20 @@ class WlAgent(Agent):
     # --- dissemination ----------------------------------------------------------
 
     def _schedule(self, block: Block, q: AgentId) -> str:
-        # Its own utterance: RACED.  Its own Accept to a member other than
-        # the founder, which relays every Accept at once: BACKSTOP.  Its
-        # other membership blocks: EAGER.  A relayed block: BACKSTOP at the
-        # founder, which knows every invitee, until it knows the creator
-        # covers q (holds the block that made q a member); LAZY at every
-        # other relay.
+        # Its own utterance: RACED.  Its own membership block goes EAGER
+        # only to the agent that acts on it next: an Invite to its target,
+        # an Accept to the founder, which relays every Accept at once.  To
+        # any other member an Invite or Accept is BACKSTOP.  Its other
+        # membership blocks (Group, Empty): EAGER.  A relayed block:
+        # BACKSTOP at the founder, which knows every invitee, until it
+        # knows the creator covers q (holds the block that made q a
+        # member); LAZY at every other relay.
         if block.creator == self.agent_id:
             payload = block.payload
             if b.is_utterance(payload):
                 return RACED
+            if isinstance(payload, Invite):
+                return EAGER if q == payload.target else BACKSTOP
             if not isinstance(payload, Accept):
                 return EAGER
             return EAGER if q == self.group_of(block.id).creator else BACKSTOP
@@ -299,6 +308,29 @@ class WlAgent(Agent):
         self.peers.credit(ack.creator, ack.pointers)
         # Relay copies the ack does not cover may have been lost.
         self.retransmit.mark_repair(ack.address)
+
+    def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
+        # A member's copy of a block of a group this agent is a member of
+        # credits the member with the blocks that made this agent a member
+        # (module docstring), which stops the BACKSTOP timer of its own
+        # Accept there.  A resend of the genesis or of an invite to this
+        # agent may cross the Accept and shows nothing, so the Accept's
+        # EAGER copies to the founder keep going until the founder acks it.
+        sender = super()._credit_delivery(block, src)
+        gid = self.group_of(block.id)
+        if gid is None or block.id == gid:
+            return sender
+        members = self._members[gid]
+        joined = members.get(self.agent_id)
+        payload = block.payload
+        if joined is None or (isinstance(payload, Invite) and payload.target == self.agent_id):
+            return sender
+        at_src = [q for q in self._contacts_at(src) if q in members]
+        if at_src:
+            ids = [blk.id for blk in self.lace.blocks_of_mask(joined)]
+            for q in at_src:
+                self.peers.credit(q, ids)
+        return sender
 
     def _missing(self, block: Block) -> list[BlockId]:
         # The blocklace stays closed: a block waits for its whole past.

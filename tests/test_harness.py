@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
-from blocklace.harness.adversaries import AgentWrapper
+from blocklace.harness.adversaries import AgentWrapper, EquivocatorWrapper
 from blocklace.harness.oracles import evaluate, parse_trace
 from blocklace.harness.runner import Runner, run_scenario
 from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
@@ -445,17 +446,28 @@ def test_equivocator_sends_each_fork_only_to_its_recipients(seed):
             assert fork in held, (fork, name)
 
 
-def test_equivocator_stores_its_forks():
+def test_equivocator_stores_its_forks(monkeypatch):
     # Its forks in its own lace, every later Say, which points only at
     # them, lands at the equivocator: none waits in its pending buffer or
-    # draws a nack that its muted wrapper would drop.
+    # draws a nack that its muted wrapper would drop.  Before the fork it
+    # is a correct member, whose nacks go out.
+    nacks_at_fork = []
+    equivocate = EquivocatorWrapper._cmd_equivocate
+
+    def counted(self, command, ctx):
+        sends = equivocate(self, command, ctx)
+        nacks_at_fork.append(self.inner.metrics.nacks_sent)
+        return sends
+
+    monkeypatch.setattr(EquivocatorWrapper, "_cmd_equivocate", counted)
     result = run_scenario(canned.wl_equivocation(seed=1))
     (equivocate,) = parse_trace(result.trace_text).events_of("EQUIVOCATE")
     x = result.wrappers["x"].inner
     held = {blk.id.hex() for blk in x.lace.blocks()}
     assert {equivocate.fields["id_a"], equivocate.fields["id_b"]} <= held
     assert x.pending_blocks() == []
-    assert x.metrics.nacks_sent == 0
+    (nacks_before_fork,) = nacks_at_fork
+    assert x.metrics.nacks_sent == nacks_before_fork
 
 
 def test_forge_trace_records_match_count():
@@ -812,6 +824,48 @@ def test_cli_failing_oracle_nonzero_exit(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(canned.wl_privacy(seed=0, encrypt=False).to_dict()))
     assert run_cli("run", str(scenario_path)) == 1
+
+
+def test_cli_sweep_rows_match_run_scenario(capsys):
+    # One row per (scenario, seed), in argument order, each read off the
+    # run that `run_scenario` makes of the canned scenario.
+    argv = ("sweep", "wl_group", "tl_line", "--seeds", "1-2", "--quiesce", "wl_group", "tl_line")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = []
+    for name in ("wl_group", "tl_line"):
+        for seed in (1, 2):
+            result = run_scenario(canned.CANNED[name](seed=seed))
+            submits = len(parse_trace(result.trace_text).events_of("SUBMIT"))
+            sha256 = hashlib.sha256(result.trace_text.encode("utf-8")).hexdigest()
+            verdicts = [f"{r.name}={r.verdict}" for r in result.oracle_results]
+            expected.append(
+                " ".join(
+                    [name, f"seed={seed}", f"quiescence={result.quiescence_tick}",
+                     f"submits={submits}", f"sha256={sha256}", *verdicts]
+                )
+            )
+    assert captured.out.splitlines() == expected
+
+
+def test_cli_sweep_exits_1_on_a_failing_run(capsys):
+    # A verdict other than PASS, and a run of a --quiesce scenario that
+    # does not quiesce, each fail the sweep; the other rows still print.
+    assert run_cli("sweep", "tl_line_broken", "--seeds", "0-0") == 1
+    assert capsys.readouterr().err == "tl_line_broken failed at seed 0\n"
+    argv = ("sweep", "wl_solo", "wl_dropper", "--seeds", "0-0", "--quiesce", "wl_dropper")
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert [row.split()[0] for row in captured.out.splitlines()] == ["wl_solo", "wl_dropper"]
+    assert captured.err == "wl_dropper did not quiesce at seed 0\n"
+    assert run_cli("sweep", "wl_dropper", "--seeds", "0-0") == 0
+    capsys.readouterr()
+    assert run_cli("sweep", "wl_solo", "--seeds", "0-0", "--quiesce", "wl_group") == 2
+    assert run_cli("sweep", "no_such", "--seeds", "0-0") == 2
+    for seeds in ("3-1", "0", "-1-2", "a-b"):
+        with pytest.raises(SystemExit):
+            run_cli("sweep", "wl_solo", "--seeds", seeds)
 
 
 def test_cli_export_then_run(tmp_path):

@@ -108,13 +108,47 @@ def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
     return mask
 
 
+def wl_joined_as_of(lace: Blocklace, who, genesis, size: int) -> int:
+    """The bits of the blocks that made `who` a member of the group of
+    `genesis` when the blocklace held its first `size` blocks: the genesis
+    it created, or its Accepts of an invite the founder made to it that
+    points at the genesis alone."""
+    if who == genesis.creator:
+        return lace.bit_of(genesis.id)
+    bits = 0
+    for blk in lace.by_creator(who):
+        if lace.bit_of(blk.id).bit_length() > size or not isinstance(blk.payload, b.Accept):
+            continue
+        if len(blk.pointers) != 1:
+            continue
+        (invite_id,) = blk.pointers
+        invite = lace.get(invite_id)
+        if (
+            invite.creator == genesis.creator
+            and isinstance(invite.payload, b.Invite)
+            and invite.payload.target == who
+            and invite.pointers == frozenset([genesis.id])
+        ):
+            bits |= lace.bit_of(blk.id)
+    return bits
+
+
 def wl_reference_knowledge(agent: WlAgent, q, delivered: dict, acked: list) -> int:
     """What q provably holds under WL's rule, rebuilt from scratch: the
     closures of q's own blocks, of the ids q's admitted acks named, and of
     the ids q delivered here while they were held.  A WL blocklace is
     closed, so a closure never grows after its block lands, and when each
-    claim was made does not matter."""
+    claim was made does not matter.
+
+    A delivered block also vouches for the agent's own membership.  A
+    member sends a group's blocks only to the members it knows, but for the
+    genesis and the invites, which reach an invitee before it joins.  So a
+    block of group g other than those, in the blocklace at its last
+    delivery from q, while the agent and q were both members of g, earns
+    q the closures of the blocks that made the agent a member of g then.
+    Membership only grows, so the last delivery earns the most."""
     lace = agent.lace
+    me = agent.agent_id
     named = set(delivered)
     for ack, _ in acked:
         named |= ack.pointers
@@ -123,6 +157,24 @@ def wl_reference_knowledge(agent: WlAgent, q, delivered: dict, acked: list) -> i
         mask |= lace.mask_of(blk.id)
     for block_id in named:
         mask |= lace.mask_of(block_id)
+    for block_id, size in delivered.items():
+        if block_id not in lace or lace.bit_of(block_id).bit_length() > size:
+            continue
+        geneses = [
+            blk
+            for blk in lace.blocks_of_mask(lace.mask_of(block_id))
+            if isinstance(blk.payload, b.Group) and not blk.pointers
+        ]
+        if len(geneses) != 1 or geneses[0].id == block_id:
+            continue
+        payload = lace.get(block_id).payload
+        if isinstance(payload, b.Invite) and payload.target == me:
+            continue
+        (genesis,) = geneses
+        mine = wl_joined_as_of(lace, me, genesis, size)
+        if mine and wl_joined_as_of(lace, q, genesis, size):
+            for blk in lace.blocks_of_mask(mine):
+                mask |= lace.mask_of(blk.id)
     return mask
 
 

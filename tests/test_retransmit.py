@@ -485,6 +485,97 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
     assert not owes(m1, m2, accept.id, rounds=2 * REPAIR_AFTER)
 
 
+def test_wl_founders_invite_bursts_only_to_its_target():
+    # Only the target acts on an Invite next, so only it gets the burst;
+    # every other member gets one copy, on BACKSTOP.
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
+    gid = wl_group(f, m1, m2)
+    f.address_hints[m3.agent_id] = m3.current_address
+    sends = f.invite(m3.agent_id, gid)
+    invite = f.last_uttered
+
+    def copies(sends, dest):
+        return sum(dst == dest.current_address and blk.id == invite.id for dst, blk in sends)
+
+    assert copies(sends, m3) == EAGER_COPIES
+    assert copies(sends, m1) == copies(sends, m2) == 1
+    assert f._schedule(invite, m1.agent_id) == BACKSTOP
+    later = [copies(f.tick(), m1) for _ in range(REPAIR_AFTER + 1)]
+    assert later == [0] * REPAIR_AFTER + [1]
+
+
+@pytest.mark.parametrize("copy_from_member", [False, True])
+def test_wl_members_copy_acks_the_own_accept(copy_from_member):
+    # m3 joins late, learns from f that m1 is a member, and offers m1 its
+    # own Accept on BACKSTOP.  m1 sends the group's blocks only to members
+    # it knows, so its copy of its own Accept shows m3 that it holds m3's
+    # Accept: the pair stops without waiting for an ack.
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
+    gid = wl_group(f, m1, m2)
+    f.address_hints[m3.agent_id] = m3.current_address
+    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    m3.accept(gid)
+    accept = m3.last_uttered
+    (m1_accept,) = [
+        blk for blk in f.lace.by_creator(m1.agent_id) if isinstance(blk.payload, b.Accept)
+    ]
+    (m1_invite,) = [f.lace.get(ptr) for ptr in m1_accept.pointers]
+    deliver(m3, f, m1_invite)
+    deliver(m3, f, m1_accept)
+    assert m3._schedule(accept, m1.agent_id) == BACKSTOP
+    assert owes(m3, m1, accept.id, rounds=1)
+    if copy_from_member:
+        deliver(m3, m1, m1_accept)
+    credited = m3.peers.known(m1.agent_id) & m3.lace.bit_of(accept.id)
+    assert bool(credited) == copy_from_member
+    assert owes(m3, m1, accept.id, rounds=REPAIR_AFTER + 1) != copy_from_member
+
+
+@pytest.mark.parametrize("resent", ["genesis", "invite"])
+def test_wl_founders_resend_of_the_invite_is_no_ack_of_the_accept(resent):
+    # The invite and the genesis reach an invitee before it joins, so a
+    # resend of either that crosses its Accept says nothing of whether the
+    # founder holds the Accept: the Accept's EAGER resends keep going.
+    f, m = wl_agent(0), wl_agent(1)
+    f.create_group(b"g")
+    genesis = f.last_uttered
+    f.address_hints[m.agent_id] = m.current_address
+    f.invite(m.agent_id, genesis.id)
+    invite = f.last_uttered
+    deliver(m, f, genesis)
+    deliver(m, f, invite)
+    m.accept(genesis.id)
+    accept = m.last_uttered
+    assert m._schedule(accept, f.agent_id) == EAGER
+    deliver(m, f, {"genesis": genesis, "invite": invite}[resent])
+    assert not m.peers.known(f.agent_id) & m.lace.bit_of(accept.id)
+    assert owes(m, f, accept.id, rounds=GAP + 1)
+
+
+def test_wl_copy_from_a_non_member_credits_no_membership():
+    # m2 is invited but has not accepted: its copy of a group block earns
+    # it that block's closure, not m1's Accept.  Once m1 holds m2's Accept,
+    # the same copy does.
+    f, m1, m2 = (wl_agent(i) for i in range(3))
+    gid = wl_group(f, m1)
+    f.address_hints[m2.agent_id] = m2.current_address
+    pump([f, m2], f.invite(m2.agent_id, gid), f)
+    invite = f.last_uttered
+    m1.address_hints[m2.agent_id] = m2.current_address
+    deliver(m1, f, invite)
+    (m1_accept,) = [
+        blk for blk in m1.lace.by_creator(m1.agent_id) if isinstance(blk.payload, b.Accept)
+    ]
+    joined = m1.lace.bit_of(m1_accept.id)
+    deliver(m1, m2, invite)
+    assert m1.peers.known(m2.agent_id) & m1.lace.mask_of(invite.id) == m1.lace.mask_of(invite.id)
+    assert not m1.peers.known(m2.agent_id) & joined
+    m2.accept(gid)
+    deliver(m1, f, m2.last_uttered)
+    deliver(m1, m2, invite)
+    assert m1.peers.known(m2.agent_id) & joined
+
+
 CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
 
 
@@ -555,9 +646,10 @@ def test_schedule_names_each_copy():
         (f, own, m1, RACED),  # the agent's own utterances
         (f, own_responded, m1, RACED),
         (f, pair_said, m2, RACED),  # in a group of two too
-        (f, invite, m1, EAGER),  # its own membership blocks
+        (f, invite, m3, EAGER),  # its own Invite, to its target
         (m3, accept, f, EAGER),  # its own Accept, to the founder
-        (m1, empty, f, EAGER),
+        (m1, empty, f, EAGER),  # its own other membership blocks
+        (f, invite, m1, BACKSTOP),  # its own Invite, to another member
         (m3, accept, m1, BACKSTOP),  # its own Accept, to another member
         (f, said, m1, LAZY),  # covered: m2 holds m1's Accept
         (f, responded, m1, LAZY),

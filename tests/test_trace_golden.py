@@ -31,18 +31,18 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "ab1b81c3818f9823573adedecb349fbee095a0bda63d4c5a234d5408f980391d",
     "tl_churn": "19c4387a6186847f1214ecad851db0174586f8bbe17a3bac9c176f82a9613815",
     "tl_forgery": "c1a6f0e4ba628428373b5e122445f090c4014a54e49912b9d0a9530d32016a36",
-    "wl_group": "da534d15e3fa1a42c7b08d58973accddcef265e3ea3986b1c807711a153623cd",
-    "wl_crowd": "0a68dc5db5d75c3beb5749a1beb834cf06f735481e1b828b868d1c895aeefeca",
-    "wl_dropper": "3ceabeeb1567af407d1e7783e4eb2ede3783a5170db23b4ef65e909e8c15ed8a",
+    "wl_group": "40d46ab0bba8777262b0269e0dca3a8355752ebd24fa74bc60dc8b5282a8f3fd",
+    "wl_crowd": "8bcdb6e99da9554852a15198935cd3f2004f2f9377d98833f3f97fdc69221c62",
+    "wl_dropper": "00d7e83eccf7fbae402022a567e52220d78981df55f5fd374d03c83e35e55b8a",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "b750e36fdf7177ab5d37f94fe6bbf1e189c840e39090fc1cc70638e92a196f25",
-    "wl_equivocation": "22686848844ee2b119f46fccf3a6b28571301d83955ba6e5be45d9a5e2f5b312",
-    "wl_equivocation_crowd": "6b92ace91f889f7aebfb501abd06cceef8821f3a84908572bf6718b9040aa821",
-    "wl_privacy": "6570a13fb156986d1f3861fa9633870d6f15c7aea2cb493ca407a10f1e89160f",
-    "wl_partitions": "c647e1546ccc61dd144a087dead63d771467112c17856ab2dd9b64ebd6f2b340",
-    "wl_founder_moves": "4988c67733c7777586f072b445f4e19c1a1a395e7adc703d7f09ff8f75586626",
-    "wl_founder_quits": "ac5a64f34b4e5a022cb8420f119f44c1123c7cb0e3977ffcb702b48f3592c4a6",
-    "wl_crowd_orphans": "7cb39490092328034e83f589015d77e3628eab4b84c9cba20b17b545b282c07e",
+    "wl_churn": "68799473966a832c9c8eb1c2c71bf47a5e7a4ea2ada5fa71c3921cdbd1bce2a0",
+    "wl_equivocation": "a06cb4a71998be4c6533c3d33e9a1f2b706d4e6d9894b4e97782c66716fd65a2",
+    "wl_equivocation_crowd": "c0febc54dc60d67a0f9f9598293acfaaef63e1e0bdb4a4f77500143b33f12fac",
+    "wl_privacy": "d790902f308c434eb18c20bf31d6b75ee5b150f20c0866f6581fc5a788f47e5f",
+    "wl_partitions": "338966570024ad78513c4cbed118d94114c770af9310a2654f092f39e23fd9f7",
+    "wl_founder_moves": "a62906a673b4e1f2744c442dd0b018a66dab9c3a6e174f27547ff5b7401beb1b",
+    "wl_founder_quits": "91fb68656fa4375bd94c7e753f477bc8cd8791d92da63da86cbe442a6bf48c2d",
+    "wl_crowd_orphans": "976f2ac3f771c198444490de9e231e30c5e85eeae5b01c824e137e18c1fe4002",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "36d56c6b4301dd250b52c5779d4e24fd9f46ef4824ffdb1a569b4091411ff3e4",
@@ -51,18 +51,18 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "b6d3f3919cae4c5aea675627b9bd321c1a409f04251fb1629b1f9610f3760d87",
     "tl_churn": "840910910d0620c7e7134ca84efdd29d0e46f3fd55d753b8c7e922f2ceca52b5",
     "tl_forgery": "ee06fbd295d73f37df2944a3585d3775b0da37a3fdb53d78f78af449e4af355c",
-    "wl_group": "2686cebfee23f86930b27a9833ed4cb4772928480c9626b049c7f746f944c728",
-    "wl_crowd": "c19c026103b531ec51bebdba56f3f2d9d41319a2863a5279b418478722ef594d",
-    "wl_dropper": "ad3057c1f4babd2f74031ed5111544ce0238a8c76185eccb417783acfbfe3ebf",
+    "wl_group": "eaec1be56ae92ca2c9dd5f54f146e22daf32442bca835ffbe57b19118d1a7ba3",
+    "wl_crowd": "ae2e78ef159963a5a4e6559a79ddf8d3407697f3b2baa4b109e17f8588f1fc0c",
+    "wl_dropper": "a3ce2d41f146c211a082f03f4313664e3756a3b94db6369bd8f959c34cbfbc7a",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "fdab743f3c41d8d0ccb549840b9197ed9c8090276fa1c723ec21518900f05e96",
-    "wl_equivocation": "8617b9042f4643fd981a6d20a94d816fbddd3cc02fb267a30050fbced65811a8",
-    "wl_equivocation_crowd": "c910a31b77969d0c3ce7a423230885531475a397bcacf0829e6d312296309e34",
-    "wl_privacy": "7852cf4716e66efe4b040ff105db42da97e9aa1dcf4b92d87f850462439fd80b",
-    "wl_partitions": "3e1511bd25b33ad0fef93105c818d631c203e5417af4f122a09a2f86fd642601",
-    "wl_founder_moves": "6f476ef61a97ac258b71dfa58b2e5027b28039148c160a3510fe490642523dc5",
-    "wl_founder_quits": "c24a84139eff12139e073a6ac3aa89c7716e231ede035b856739153ff436c402",
-    "wl_crowd_orphans": "adb44ce054235432b6f7bcfd443a3cce6f0a751b02d2201a51aff916a7c8a7b5",
+    "wl_churn": "b9bad30586ce909a6124555bb62c175ec1af3b82b7f587873fc239142298dddd",
+    "wl_equivocation": "7948ab91ba4cc9be774bdfd78f41a803670d960b7b03f565f15b190d38be0228",
+    "wl_equivocation_crowd": "5ee6a2259ae073453c0ff283a9bac62d6dfeb06203e0e5b40a2ec1e8f0edf2ab",
+    "wl_privacy": "b9f970eba723c8921349d372c798370a256a99d99cdd8dd26e2839630957e4aa",
+    "wl_partitions": "32d0f2966bd61a8e692de4df2783ee2a8d641c2a0597fe737e8d4a7d574f6081",
+    "wl_founder_moves": "43f05ea9fca479c1cd65b509f6f4d0c28806e5bee0520ac7d224479692f46c55",
+    "wl_founder_quits": "08ec459925b30739aeb6927c16a9e2d63ec8903fd330ef6b19602a537cd35c65",
+    "wl_crowd_orphans": "e541f63e54814c2c99470305315d231a3fbe1188be437cf2e1cc1fce2966f2ef",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "2c32e56b46375294b997fa8f17a3f1aefb99e7484e924fc515b9faeaf95772be",
@@ -71,18 +71,18 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "eeee4a20ac4fb9bc7594b1d6d430448444ef8fd92ac61eb977d337762e0c3e16",
     "tl_churn": "cd5976eec983fcb6073d942c1a30601bb32348c8b55bc9fd11e38aadc973adbf",
     "tl_forgery": "164678334971c7dab776edcdc9c1a40b6262e44d97b125d0ed32670c3bb84597",
-    "wl_group": "6e04d2c79bbc899d1e9a8fbfd89c4430665ab54f652198a78903d7154fdfc74e",
-    "wl_crowd": "7d7947e30f522128de0cc4d33f8aafc3b40db985699c28f709f22bef6f15066f",
-    "wl_dropper": "4986a9bc3429a2c7b5cdc671c80e8644b85527ab6bd45283f364c008569178a2",
+    "wl_group": "3e98e1f2b1b730f9034dbc975455985be5c9af8f99f1bef1b260ce6802db6eaf",
+    "wl_crowd": "9fcd7a673f0db9702b37919ebacfcb19a53daa3982890aa4db7c1c6299fc1016",
+    "wl_dropper": "5c7b70bf632b61229eb161f0f16596e929b4b9042bf737de45c779eb816090b7",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "cd4128415b9a49b5bd0b595625e850c077a2f7e1d1e6e653cf4267bad5208e86",
-    "wl_equivocation": "275f14ab46169e1af20183af8ba483afa7bc71462efa95abc9d5d818bef6902b",
-    "wl_equivocation_crowd": "75c94bd461e576ffcbcaf77101a76a83b8f5f9ecda66dbdc92c3f20ee9297c0b",
-    "wl_privacy": "ccd5f0ff5ef75c81aa5617549adad4f465567d7e74a43c43c8aa59bcfdeced44",
-    "wl_partitions": "253f456d88e7c47c8a95c1a924b076610a9a881110dbff633fa3580d83044c2c",
-    "wl_founder_moves": "09b1c2be7a69498179c8b5eda450f1b884b69f064a0dda2ba70f7735951dd942",
-    "wl_founder_quits": "1866771a03550ee74c0ed43d5663261a25b96d4b70d21486dd3d23146eed1d05",
-    "wl_crowd_orphans": "756c10437363804a990d1e38609fdd8b3d4c0a6bd842958b1291653b6d41af07",
+    "wl_churn": "d64aecbabfdc1d6f24500355283583ee0b3342220a91e230998d9f4b3435803b",
+    "wl_equivocation": "33e67a304520aa2d18493662dd587a8148000b87b43c7762b6479b303354637b",
+    "wl_equivocation_crowd": "56ba2c1d95d41cceb413ea081b8d1f54ccb5fed1ce117645adedc4102382f67b",
+    "wl_privacy": "c1fb81692178b41eb0f4aa10416bb5afe44c99aa15840ef801e704afca280847",
+    "wl_partitions": "24e89d49b93e81c8554ddd6d22dd45ee77aced329eaff8eab0e148c2fb36ef7b",
+    "wl_founder_moves": "a54facc943959279acf8dad3e450ae95369abccbd3a720f40ec8e9115b4a9056",
+    "wl_founder_quits": "b45e2fc38f8ab9d884adcc625ac9c86f15cdc9e77eb2be0aa12bd26b6afda07b",
+    "wl_crowd_orphans": "874cf3d04c8c7e4cb4ac0330cc459ddd1651aef9ad637ca08bddca403a0f5169",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -94,18 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "94323e0e870acaff292309bb1bb1818df86e147cf60f8374aa8fe1a6efb22f45",
     "tl_churn": "61815ced6f51e3a9e61abefaf14c7ba2e024a1e6c26c2cd13d998e2ffdbbc7ec",
     "tl_forgery": "00bcf7b3431a04eb1564adf9ba1a767f8093d16198a68166153274fef931bb94",
-    "wl_group": "f688dfd687fad57a94ab39cc49bf28c2a458a778412816c6121f329260ea49da",
-    "wl_crowd": "2fbff0333e58f70217eff051fe52444c2d1e83329b9d497a99afe75dac07bd5b",
-    "wl_dropper": "646126301a66dd808259f14f29e864c1e2e0854cca5e0dd539c7d00943c923cf",
+    "wl_group": "a2c762abaf647e422563a9125d18d895cd96afc5e854121575d64c282998d012",
+    "wl_crowd": "ff469c24adf1f69aecf3aa7ba3ba48e6b26fdd2c3bdaba3f43c47b3956538491",
+    "wl_dropper": "de6502aaeacfc014013126261d32f99a1e914a6957ec1aa688034c462ab8e9a6",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "0f6febee2cb2ed7a0e86542e9fb50ec01b08f2217b3b49e0ee3bd49b19bd24db",
-    "wl_equivocation": "f8d9635b87ddd2519243e84a0be248253834fbda0f129381e464eadcf2cf3c01",
-    "wl_equivocation_crowd": "a29371208e251e9240992bd0ca29273e0d16133d35b9af4e0d4c9fc77902da07",
-    "wl_privacy": "b9a4e03cbecbb200cbe83b511633978c97d3f0aa99e00c4cc4d62eb8853626df",
-    "wl_partitions": "2d4c4980c6da84f88b4a2d1172f12e57fbdebae264bac5da9cc17432a55e08af",
-    "wl_founder_moves": "2cf61d7ca40e721b139e50a611aba0af7d2789a3ac7b90494a8506b390132dda",
-    "wl_founder_quits": "8280486128c4e578fb06b59df7fd50dab4fc931c30211a9cc7fe15eed6f66a37",
-    "wl_crowd_orphans": "992c89d13ac01fda48a0e13322fb5e7e70d46b3c5214bb171f7d880c6767885a",
+    "wl_churn": "3383ac2376e813047521547bf3f0373763e7bd9a2ae8259cc101229d9ca61619",
+    "wl_equivocation": "6849da2d63ed802fc49c1f78cd9deaff8e11ec1adc8c97918fb7c6d6221fec4a",
+    "wl_equivocation_crowd": "6f961fb191fac9c7003316caae387ae0ab633eebd49629a4c2e1113a7806fbc6",
+    "wl_privacy": "8d42f0fc77237d567c813f87101c04fa2040865270153ec9952f56ef8b34410b",
+    "wl_partitions": "7c3910d0da15eaa0e9e50ce8d19980854e3d2abdb58939898997c3595df3926a",
+    "wl_founder_moves": "08ce0873e5578e3e2a98b0dbceabe1ae783cedd737a8370102a5f577634b27a7",
+    "wl_founder_quits": "3dbc394abc270dff8145e0a023fe6d8a559f157208a63f546e0191a13296272a",
+    "wl_crowd_orphans": "0f5167be6a2bc89b6a09983fa65e460870df242e29e0edd8c42cd27b349a16a4",
 }
 
 
