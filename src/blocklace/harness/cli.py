@@ -4,10 +4,11 @@
     blocklace verify TRACE SCENARIO.json
     blocklace demo {tl,wl} [--seed N]
     blocklace export NAME --out PATH
-    blocklace sweep NAME... --seeds A-B [--quiesce NAME...]
+    blocklace sweep NAME... --seeds A-B [--quiesce NAME...] [--against TABLE]
 
 Exit code 0 iff every oracle passes (and, for `sweep`, every run of a
-`--quiesce` scenario quiesces).
+`--quiesce` scenario quiesces and every row matches TABLE's row for the
+same scenario and seed).
 """
 
 from __future__ import annotations
@@ -155,11 +156,21 @@ def _seed_range(text: str) -> range:
     raise argparse.ArgumentTypeError(f"not a seed range A-B with 0 <= A <= B: {text!r}")
 
 
+def _sweep_table(path: str) -> dict[tuple[str, str], str]:
+    """The rows of a saved sweep's output, by (scenario, `seed=N`)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = [line.rstrip("\n") for line in handle if line.strip()]
+    return {tuple(row.split(" ", 2)[:2]): row for row in rows}
+
+
 def cmd_sweep(args) -> int:
     """Run each canned scenario at each seed in this process and print one
     row per run: scenario, seed, quiescence tick (None when the run did
     not quiesce), SUBMIT records, trace sha256, then each oracle's verdict.
-    A row depends only on the (scenario, seed) pair."""
+    A row depends only on the (scenario, seed) pair, so a table of rows
+    saved from one tree checks another (`--against`): each row that
+    differs from the table's row for its scenario and seed, or that the
+    table lacks, is a failure."""
     unknown = sorted(set(args.names + args.quiesce) - set(canned.CANNED))
     if unknown:
         print(f"unknown canned scenario {unknown[0]!r}; "
@@ -169,6 +180,18 @@ def cmd_sweep(args) -> int:
     if unswept:
         print(f"--quiesce names {unswept[0]!r}, which is not swept", file=sys.stderr)
         return 2
+    table = None
+    if args.against is not None:
+        try:
+            table = _sweep_table(args.against)
+        except OSError as exc:
+            print(f"invalid table: {args.against}: cannot read ({exc.strerror})",
+                  file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            # UnicodeDecodeError is a ValueError too.
+            print(f"invalid table: {args.against}: {exc}", file=sys.stderr)
+            return 2
     failures = 0
     for name in args.names:
         for seed in args.seeds:
@@ -177,10 +200,17 @@ def cmd_sweep(args) -> int:
             submits = text.count("\tSUBMIT\t")
             sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
             verdicts = " ".join(f"{r.name}={r.verdict}" for r in result.oracle_results)
-            print(
+            row = (
                 f"{name} seed={seed} quiescence={result.quiescence_tick} "
                 f"submits={submits} sha256={sha256} {verdicts}"
             )
+            print(row)
+            if table is not None:
+                saved = table.get((name, f"seed={seed}"))
+                if saved != row:
+                    failures += 1
+                    how = "missing from" if saved is None else "differs from"
+                    print(f"{how} {args.against}: {row}", file=sys.stderr)
             if not result.all_pass():
                 failures += 1
                 print(f"{name} failed at seed {seed}", file=sys.stderr)
@@ -232,6 +262,11 @@ def main(argv=None) -> int:
         default=[],
         metavar="NAME",
         help="swept scenarios whose every run must quiesce",
+    )
+    p_sweep.add_argument(
+        "--against",
+        metavar="TABLE",
+        help="a saved sweep output that every row must match",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

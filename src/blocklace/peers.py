@@ -154,11 +154,13 @@ class Agent:
         # only agents whose acks are filed and whose deliveries earn credit.
         # Bound: one entry per agent some stored block names.
         self._contacts: dict[AgentId, None] = {}
-        # (lace version, address -> the other contacts there).  An address
-        # comes from a contact's own blocks or its bootstrap hint, so the
-        # book is rebuilt only when the blocklace grows.  Bound: one entry
-        # per contact.
-        self._book: tuple[int, dict[NetAddress, list[AgentId]]] = (-1, {})
+        # (lace version, address hints, address -> the other contacts
+        # there).  An address comes from a contact's own blocks or its
+        # bootstrap hint, so the book is rebuilt when the blocklace grows or
+        # the hints change.  Bound: one entry per contact, and a copy of the
+        # hints.
+        self._book: tuple[int, dict[AgentId, NetAddress], dict[NetAddress, list[AgentId]]]
+        self._book = (-1, {}, {})
         # Blocks waiting for missing ancestors, oldest first, and the
         # pending blocks waiting on each missing id.  Bound: PENDING_CAP
         # blocks, the oldest evicted to make room; `_pending_on` names only
@@ -192,14 +194,14 @@ class Agent:
 
     def _contacts_at(self, src: Optional[NetAddress]) -> list[AgentId]:
         """The other contacts whose address is src, in table order."""
-        version, book = self._book
-        if version != self.lace.version():
+        version, hints, book = self._book
+        if version != self.lace.version() or hints != self.address_hints:
             book = {}
             for q in self._contacts:
                 address = self.address_of(q)
                 if address is not None and q != self.agent_id:
                     book.setdefault(address, []).append(q)
-            self._book = (self.lace.version(), book)
+            self._book = (self.lace.version(), dict(self.address_hints), book)
         return book.get(src, [])
 
     # --- the receive pipeline ------------------------------------------------
@@ -212,7 +214,8 @@ class Agent:
         An ack exists to stop the deliverer's retransmission timer, so
         each block that lands is acknowledged to the delivering address
         (its creator's address when none is known), unless `_ack_pointers`
-        gives None: in WL, a relay's copy that no timer waits on.  A
+        gives None: in WL, a relay's copy that no timer waits on; in TL, a
+        block whose ack would name nothing.  A
         duplicate is acknowledged again, unless it is a twin: a copy of a
         block that first landed here from the same address fewer than
         BURST ticks ago, whose first copy's ack answers the whole burst.

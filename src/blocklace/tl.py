@@ -2,7 +2,8 @@
 
 Each agent is a single-threaded state machine over its own blocklace.
 Utterances (follow/say/respond) become blocks pointing at the current
-tips; every received non-ack block is acknowledged.  A block goes to each
+tips; a friend's block and a friendship offer to this agent are
+acknowledged, and nothing else is.  A block goes to each
 peer that needs it when it lands or is uttered, in three copies, and a
 periodic tick resends what is still unacknowledged per (peer address,
 block) (`retransmit.Retransmit`), so lost datagrams are eventually
@@ -22,11 +23,12 @@ bookkeeping sound:
   buffer.  (Blocks from strangers — offers, spam — are stored as they
   come: nobody promises to have their history.)  Holding a followed
   agent's block therefore implies holding that agent's whole chain prefix.
-* Acks disclose, per creator, the most recent block known; the sender
-  infers knowledge along self-pointer chains only.  Inferring through
-  cross-creator pointers would credit receivers with blocks they may
-  never have gotten (they store blocks out of order), silently starving
-  them of the gap.
+* An ack to a friend discloses, for each block it answers, the head of
+  that block's creator chain, and only when that chain has no hole here;
+  the sender infers knowledge along self-pointer chains only.  Inferring
+  through cross-creator pointers would credit receivers with blocks they
+  may never have gotten (they store blocks out of order), silently
+  starving them of the gap.
 
 What each peer holds is kept as a mask (`peers.PeerKnowledge`) under
 TL's credit rule (`_full_credit`): a peer holds its own blocks; a block
@@ -224,8 +226,10 @@ class TlAgent(Agent):
         """File a contact's ack as knowledge about its creator.
 
         A bare receipt of one of this agent's own friendship offers proves
-        only that single block (offers land out of chain order); every
-        other disclosure vouches for the named blocks and their history."""
+        only that single block (offers land out of chain order), and a
+        friend's disclosure never names such an offer alone
+        (`_ack_pointers`); every other disclosure vouches for the named
+        blocks and their history."""
         pointers = ack.pointers
         vouched = True
         if len(pointers) == 1:
@@ -238,17 +242,23 @@ class TlAgent(Agent):
             )
         self.peers.credit(ack.creator, pointers, vouched)
 
-    def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> frozenset[BlockId]:
-        # Full disclosure to a friend: the most recent block known per
-        # creator, which pins down everything held — so vouch only for
-        # creators whose chains have no known hole here.  A friendship
-        # offer is acknowledged by naming it; anyone else learns nothing.
+    def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> Optional[frozenset[BlockId]]:
+        # A disclosure to a friend names the head of the landed block's
+        # creator chain, which vouches for the chain's whole prefix, so only
+        # when that chain has no known hole here; the merged ack
+        # (`flush_acks`) names one head per chain it answers, as a
+        # cumulative ack does per stream.  A lone head that is an offer to
+        # this agent would read as a bare receipt of that offer alone
+        # (`_record_ack`), so this agent's own head goes with it.  Anyone
+        # else's friendship offer is acknowledged by naming it, and any
+        # other block draws no ack.
         if sender is not None and self.friends(sender):
-            heads: set[BlockId] = set()
-            for creator in self.lace.creators():
-                if not self.lace.has_missing(creator):
-                    heads.update(blk.id for blk in self.lace.creator_heads(creator))
-            return frozenset(heads)
+            if self.lace.has_missing(block.creator):
+                return None
+            heads = self.lace.creator_heads(block.creator)
+            if len(heads) == 1 and is_offer_to(heads[0], self.agent_id):
+                heads = heads + self.lace.creator_heads(self.agent_id)
+            return frozenset(blk.id for blk in heads)
         if is_offer_to(block, self.agent_id):
             return frozenset([block.id])
-        return frozenset()
+        return None

@@ -868,6 +868,38 @@ def test_cli_sweep_exits_1_on_a_failing_run(capsys):
             run_cli("sweep", "wl_solo", "--seeds", seeds)
 
 
+def test_cli_sweep_against_a_saved_table(tmp_path, capsys):
+    # A sweep's own output is a table that the same sweep matches.  A row
+    # that differs from the table's row for its scenario and seed, or that
+    # the table lacks, is printed on standard error and fails the sweep.
+    argv = ("sweep", "wl_solo", "tl_line", "--seeds", "0-1")
+    assert run_cli(*argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    table = tmp_path / "table.txt"
+    table.write_text("\n".join(rows) + "\n")
+    assert run_cli(*argv, "--against", str(table)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == rows and captured.err == ""
+    # A table of more runs than the sweep makes is fine.
+    assert run_cli("sweep", "tl_line", "--seeds", "1-1", "--against", str(table)) == 0
+    capsys.readouterr()
+    edited = rows[1].replace("quiescence=2 ", "quiescence=3 ")
+    assert edited != rows[1]
+    table.write_text("\n".join([rows[0], edited, *rows[3:]]) + "\n")
+    assert run_cli(*argv, "--against", str(table)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == rows
+    assert captured.err.splitlines() == [
+        f"differs from {table}: {rows[1]}",
+        f"missing from {table}: {rows[2]}",
+    ]
+    for bad in (tmp_path / "nope.txt", tmp_path):
+        assert run_cli(*argv, "--against", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid table: {bad}: cannot read")
+
+
 def test_cli_export_then_run(tmp_path):
     out = tmp_path / "exported.json"
     assert run_cli("export", "wl_churn", "--out", str(out)) == 0

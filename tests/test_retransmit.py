@@ -576,6 +576,22 @@ def test_wl_copy_from_a_non_member_credits_no_membership():
     assert m1.peers.known(m2.agent_id) & joined
 
 
+def test_wl_hint_set_after_the_last_insert_names_the_deliverer():
+    # m1 learns m2's address from a hint set after m1's last insert, so the
+    # blocklace has not grown since: the address book is rebuilt because
+    # the hints changed, and m2's copy of a block m1 holds credits m2.
+    f, m1, m2 = (wl_agent(i) for i in range(3))
+    gid = wl_group(f, m1)
+    f.address_hints[m2.agent_id] = m2.current_address
+    pump([f, m2], f.invite(m2.agent_id, gid), f)
+    invite = f.last_uttered
+    deliver(m1, f, invite)
+    assert not m1.peers.known(m2.agent_id)
+    m1.address_hints[m2.agent_id] = m2.current_address
+    deliver(m1, m2, invite)
+    assert m1.peers.known(m2.agent_id) & m1.lace.mask_of(invite.id) == m1.lace.mask_of(invite.id)
+
+
 CROWD_KP = [crypto.keygen(f"rtx-crowd-{i}") for i in range(12)]
 
 

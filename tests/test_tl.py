@@ -93,24 +93,72 @@ def test_offer_acked_with_offer_id():
 
 
 def test_stranger_say_acked_with_nothing():
+    # An ack to a sender that is not a friend would name nothing, so none
+    # is built.
     a, c = agent(0), agent(1)
     a.say(b"cold call")
-    sends = deliver(c, encode_block(a.last_uttered), a.current_address)
-    acks = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
-    assert acks and acks[0].pointers == frozenset()
+    assert deliver(c, encode_block(a.last_uttered), a.current_address) == []
+    assert c.metrics.acks_sent == 0
 
 
 def test_friend_block_acked_with_creator_heads():
-    a, c = agent(0), agent(1)
+    # A lone Say is answered with the head of its creator's chain alone;
+    # a tick that lands blocks of two creators names both heads.
+    a, c, d = agent(0), agent(1), agent(2)
     befriend(a, c)
+    befriend(c, d)
+    pump([c, d], d.follow(a.agent_id), d)
     a.say(b"news")
-    sends = deliver(c, encode_block(a.last_uttered), a.current_address)
-    acks = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
-    assert len(acks) == 1
-    pointed = acks[0].pointers
-    assert a.last_uttered.id in pointed  # c's latest view of a's chain
-    heads = {blk.id for q in c.lace.creators() for blk in c.lace.creator_heads(q)}
-    assert pointed == heads
+    (ack,) = acks_of(deliver(c, encode_block(a.last_uttered), a.current_address))
+    # c holds three creators' chains, and names the one it answers.
+    assert len(c.lace.creators()) == 3
+    assert ack.pointers == frozenset([a.last_uttered.id])
+    a.say(b"more")
+    said = a.last_uttered
+    d.say(b"aside")
+    # Both copies come from one address, so their acks merge into one.
+    c.receive(encode_block(said), src=a.current_address)
+    c.receive(encode_block(d.last_uttered), src=a.current_address)
+    acks = acks_of(c.flush_acks())
+    assert [blk.pointers for blk in acks] == [frozenset([said.id, d.last_uttered.id])]
+
+
+def test_block_whose_chain_has_a_hole_draws_no_ack():
+    # c's offer to a lands at once, ahead of the Say below it, so c's
+    # chain has a hole at a: naming its head would vouch for the Say.
+    a, c = agent(0), agent(1)
+    a.address_hints[c.agent_id] = c.current_address
+    c.address_hints[a.agent_id] = a.current_address
+    pump([a, c], a.follow(c.agent_id), a)
+    c.say(b"before")
+    c.follow(a.agent_id)
+    offer = c.last_uttered
+    assert not a.friends(c.agent_id)
+    assert acks_of(deliver(a, encode_block(offer), c.current_address)) == []
+    assert a.friends(c.agent_id) and a.lace.has_missing(c.agent_id)
+
+
+def test_ack_naming_an_offer_head_vouches_for_the_chain_below():
+    # c says, then offers friendship to a, so the head of c's chain at a is
+    # c's offer to a.  Named alone, it would read at c as a bare receipt of
+    # the offer (`_record_ack`) and c would resend its Say forever; a's own
+    # head goes with it, so the ack vouches for the Say.
+    a, c = agent(0), agent(1)
+    a.address_hints[c.agent_id] = c.current_address
+    c.address_hints[a.agent_id] = a.current_address
+    pump([a, c], a.follow(c.agent_id), a)
+    c.say(b"before")
+    said = c.last_uttered
+    c.follow(a.agent_id)
+    offer = c.last_uttered
+    # Not a friend's block yet: a does not know c follows it.
+    assert acks_of(deliver(a, encode_block(said), c.current_address)) == []
+    (ack,) = acks_of(deliver(a, encode_block(offer), c.current_address))
+    assert ack.pointers == frozenset([offer.id, a.last_uttered.id])
+    c.receive(encode_block(ack), src=a.current_address)
+    assert c.peers.known(a.agent_id) & c.lace.bit_of(said.id)
+    for _ in range(3 * GAP):
+        assert said.id not in {blk.id for _, blk in c.tick()}
 
 
 def test_duplicate_receive_acks_again_without_growth():

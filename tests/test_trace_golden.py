@@ -25,12 +25,12 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "837dbb818862b46bb1ed1e7c0a00d3bb528feb4253577d8a3f55fdc9fdf96565",
-    "tl_star": "dddeb34d9f9ca8983bea8ff08ff5c6c90766c57c9d964b0eb4d3158cc6686254",
-    "tl_ring": "16fb49c4e27e89801bf57ceafd59fed05d815a60df1e1843b1a0edb998bf0021",
-    "tl_line_broken": "ab1b81c3818f9823573adedecb349fbee095a0bda63d4c5a234d5408f980391d",
-    "tl_churn": "19c4387a6186847f1214ecad851db0174586f8bbe17a3bac9c176f82a9613815",
-    "tl_forgery": "c1a6f0e4ba628428373b5e122445f090c4014a54e49912b9d0a9530d32016a36",
+    "tl_line": "3a756e57932dbf6eac196be30eed39a454a1b78207eaaff521bff7a3436efc3f",
+    "tl_star": "1675437309799aea3fa4e8c2aad4396a667174c50a1addd883b0a0f63724ac58",
+    "tl_ring": "00a89527e1959d8533ed0f7ecddf87ad2b047e8ecd51d4fdae70c6fa10e2746b",
+    "tl_line_broken": "60592867ffa3b4ff55beee56f1e9d10f1d00b60281b1fadc41212ff8be516db2",
+    "tl_churn": "f62211e79955ebd6dbc1950c219912aa7ba42a5e3221648b985f97921739a7ca",
+    "tl_forgery": "eeffe2560ecd838977d3bbe767c1a57a9075c90573aa2ae79ea043315ecd24fb",
     "wl_group": "40d46ab0bba8777262b0269e0dca3a8355752ebd24fa74bc60dc8b5282a8f3fd",
     "wl_crowd": "8bcdb6e99da9554852a15198935cd3f2004f2f9377d98833f3f97fdc69221c62",
     "wl_dropper": "00d7e83eccf7fbae402022a567e52220d78981df55f5fd374d03c83e35e55b8a",
@@ -45,12 +45,12 @@ GOLDEN_SHA256 = {
     "wl_crowd_orphans": "976f2ac3f771c198444490de9e231e30c5e85eeae5b01c824e137e18c1fe4002",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "36d56c6b4301dd250b52c5779d4e24fd9f46ef4824ffdb1a569b4091411ff3e4",
-    "tl_star": "383cb61d65fe656b334b04b7793c39911e584f3c7dbf09b3446811101785b281",
-    "tl_ring": "6f51fc609674510aefe8b50ee3d01d1e79101200ae837d7e01121ed1c163e4e4",
-    "tl_line_broken": "b6d3f3919cae4c5aea675627b9bd321c1a409f04251fb1629b1f9610f3760d87",
-    "tl_churn": "840910910d0620c7e7134ca84efdd29d0e46f3fd55d753b8c7e922f2ceca52b5",
-    "tl_forgery": "ee06fbd295d73f37df2944a3585d3775b0da37a3fdb53d78f78af449e4af355c",
+    "tl_line": "b0c5c1b17d5c1a5d023f69319be79b1fa55ab39913d26ffa81bde322b8181a02",
+    "tl_star": "b7d6b1ca94a0f66de4fa60566478427293fc11919f98429cd221584d3d3be99a",
+    "tl_ring": "711bb91ea50ab9a4f57b04470d067084d9fd34c424194739fb4e105b7fe0c3a3",
+    "tl_line_broken": "8b05aa8a9ab10e2107d511489af03c10277ac71272d32760c22aa4f68a7afe70",
+    "tl_churn": "3377661738c36305369d2ad097a2cc8d60ee24c5126e35a6a91d02d7c6e0c1a6",
+    "tl_forgery": "12473b0773c5b6e1424931ceaf5849fe40552f7469c31bfe14648e027fbbadc4",
     "wl_group": "eaec1be56ae92ca2c9dd5f54f146e22daf32442bca835ffbe57b19118d1a7ba3",
     "wl_crowd": "ae2e78ef159963a5a4e6559a79ddf8d3407697f3b2baa4b109e17f8588f1fc0c",
     "wl_dropper": "a3ce2d41f146c211a082f03f4313664e3756a3b94db6369bd8f959c34cbfbc7a",
@@ -65,12 +65,12 @@ GOLDEN_V3_SHA256 = {
     "wl_crowd_orphans": "e541f63e54814c2c99470305315d231a3fbe1188be437cf2e1cc1fce2966f2ef",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "2c32e56b46375294b997fa8f17a3f1aefb99e7484e924fc515b9faeaf95772be",
-    "tl_star": "6e58632dae923331e886673e868f5c46bc90349c65686d8bdd4178486876712d",
-    "tl_ring": "001f5aa9214219302dff0e950c8319f78558ce41a6a63640ae2d83244a9c4939",
-    "tl_line_broken": "eeee4a20ac4fb9bc7594b1d6d430448444ef8fd92ac61eb977d337762e0c3e16",
-    "tl_churn": "cd5976eec983fcb6073d942c1a30601bb32348c8b55bc9fd11e38aadc973adbf",
-    "tl_forgery": "164678334971c7dab776edcdc9c1a40b6262e44d97b125d0ed32670c3bb84597",
+    "tl_line": "e495cd2269504ae2c25dfa472c65e5d40e0d688b4e24a2497863a19c028ac03f",
+    "tl_star": "644406ac15d608da3867f0cf24326b098f2929f9f840108a1097a14c2565364c",
+    "tl_ring": "f1359f259487a2b789b40c46c318908d002b79916dad1e43ae25c069f0c85628",
+    "tl_line_broken": "97913c2246a98233ab54d7b9bc376114920a409930c2d56a6b39035b4c87ce1c",
+    "tl_churn": "8b20af3a92aabb85090b9e71b903ff774f45b9751c10740388faf61bd319afbd",
+    "tl_forgery": "d90d10020d086cda4134f398ac67d8fc1d8018b68cd15af63ef75a87e0715839",
     "wl_group": "3e98e1f2b1b730f9034dbc975455985be5c9af8f99f1bef1b260ce6802db6eaf",
     "wl_crowd": "9fcd7a673f0db9702b37919ebacfcb19a53daa3982890aa4db7c1c6299fc1016",
     "wl_dropper": "5c7b70bf632b61229eb161f0f16596e929b4b9042bf737de45c779eb816090b7",
@@ -88,12 +88,12 @@ GOLDEN_V2_SHA256 = {
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "6d9ab64cc94e63abbaac707cef4a8bf4bc5adc03362a1d01467e8b50769bf97c",
-    "tl_star": "cdf33022c876bfcd90e5084eb38d04b85ba8e9f87c69e07be76bae97a7a3f376",
-    "tl_ring": "8687e1ea979b81698d218b908d16419be99de0a1e7e87b25aca4a6ac61e03f2c",
-    "tl_line_broken": "94323e0e870acaff292309bb1bb1818df86e147cf60f8374aa8fe1a6efb22f45",
-    "tl_churn": "61815ced6f51e3a9e61abefaf14c7ba2e024a1e6c26c2cd13d998e2ffdbbc7ec",
-    "tl_forgery": "00bcf7b3431a04eb1564adf9ba1a767f8093d16198a68166153274fef931bb94",
+    "tl_line": "265c6e5216b5e2a7100a29c57bfa4d765a68d4bd14a2125aa6c663dddb723183",
+    "tl_star": "891e3cc472567dc868b9162935ba93a582a681177175a7618b32b45d6a4e8b0f",
+    "tl_ring": "24c3b6ee60f20e6de0cf214ca23c0942a44c2d72873a11e4343e581cafd2d34e",
+    "tl_line_broken": "a53f937c456dfce0c741fbe3968b350c39b982e4f4e7ea62ae4cd349b8ce6095",
+    "tl_churn": "9126b70fa0cdc566b00826d8dd79924842cc8fa2483f66b1606436529978ea2d",
+    "tl_forgery": "5619c7fd2d8c46fe5bb94c355fecc66c962beb6ef32b956942a5152e51fbfed5",
     "wl_group": "a2c762abaf647e422563a9125d18d895cd96afc5e854121575d64c282998d012",
     "wl_crowd": "ff469c24adf1f69aecf3aa7ba3ba48e6b26fdd2c3bdaba3f43c47b3956538491",
     "wl_dropper": "de6502aaeacfc014013126261d32f99a1e914a6957ec1aa688034c462ab8e9a6",
