@@ -134,9 +134,6 @@ class Block:
     def creator(self) -> AgentId:
         return self.id.creator
 
-    def is_initial(self) -> bool:
-        return not self.pointers
-
     def sort_key(self):
         return (self.id.creator, self.id.digest)
 
@@ -293,8 +290,7 @@ class WireDecoder:
     verification.
 
     Bound: the memo is cleared when it reaches `CAP` entries, so it holds
-    at most `CAP` (32-byte key, decoded block) entries, as `crypto`'s
-    memos do."""
+    at most `CAP` (32-byte key, decoded block) entries."""
 
     CAP = 1 << 16
     _cache: dict[bytes, Block | None] = {}

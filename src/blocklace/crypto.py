@@ -8,9 +8,9 @@ byte-for-byte reproducible; the price is that encrypting the same
 plaintext under the same key twice yields the same ciphertext (message
 equality leaks, which is acceptable here).
 
-All operations are pure functions of their inputs; `sign` and `verify`
-memoize their results in two module-level tables, each cleared when it
-reaches `_CACHE_CAP` entries.
+All operations are pure functions of their inputs; `sign` memoizes its
+results in one module-level table, cleared when it reaches `_CACHE_CAP`
+entries.
 """
 
 from __future__ import annotations
@@ -119,11 +119,10 @@ def hash_bytes(data: bytes) -> Digest:
     return hashlib.sha256(data).digest()
 
 
-# Signing and verification are pure, so results are memoized; simulations
-# re-sign identical acks and re-verify identical datagrams constantly.
+# Signing is pure, so its results are memoized; simulations re-sign
+# identical acks constantly.
 _CACHE_CAP = 1 << 18
 _sign_cache: dict[tuple[bytes, bytes], bytes] = {}
-_verify_cache: dict[tuple[bytes, bytes, bytes], bool] = {}
 
 
 def sign(kp: Keypair, message: bytes) -> Signature:
@@ -148,20 +147,13 @@ def verify(agent_id: AgentId, message: bytes, signature: Signature) -> bool:
     """True iff signature was produced by agent_id's keypair over message."""
     if len(agent_id) != AGENT_ID_LEN or len(signature) != SIGNATURE_LEN:
         return False
-    key = (agent_id, message, signature)
-    cached = _verify_cache.get(key)
-    if cached is None:
-        try:
-            Ed25519PublicKey.from_public_bytes(agent_id[:32]).verify(
-                signature, agent_id + message
-            )
-            cached = True
-        except (InvalidSignature, ValueError):
-            cached = False
-        if len(_verify_cache) >= _CACHE_CAP:
-            _verify_cache.clear()
-        _verify_cache[key] = cached
-    return cached
+    try:
+        Ed25519PublicKey.from_public_bytes(agent_id[:32]).verify(
+            signature, agent_id + message
+        )
+    except (InvalidSignature, ValueError):
+        return False
+    return True
 
 
 # --- group privacy layer -------------------------------------------------

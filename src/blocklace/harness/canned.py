@@ -5,10 +5,11 @@ schedule while keeping the script identical.
 
 `_friends` writes the TL friend graphs (tl_line, tl_star, tl_ring) and
 `_group_chat` the WL group chats, so each builder states only how its
-scenario differs.  Two keep a script of their own: tl_forgery befriends
-all its pairs at tick 0, and wl_partitions has two founders and three
-groups.  tl_line_broken, tl_churn, wl_founder_moves and
-wl_equivocation_crowd edit another builder's scenario.
+scenario differs.  `_formation` writes every WL group's invites and
+accepts.  Two keep a script of their own: tl_forgery befriends all its
+pairs at tick 0, and wl_partitions has two founders and three groups.
+tl_line_broken, tl_churn, wl_founder_moves and wl_equivocation_crowd
+edit another builder's scenario.
 """
 
 from __future__ import annotations
@@ -176,6 +177,17 @@ def _says(start: int, every: int, speakers: list[str], texts: list[str]) -> list
     return events
 
 
+def _formation(founder: str, invitees: list[str], start: int, label: str = "G") -> list[Event]:
+    """The founder of group `label` invites invitee i at tick start + 2i,
+    who accepts at tick start + 1 + 2i."""
+    events = []
+    for i, member in enumerate(invitees):
+        invite = {"cmd": "invite", "group": label, "target": member}
+        events.append(Event(start + 2 * i, founder, invite))
+        events.append(Event(start + 1 + 2 * i, member, {"cmd": "accept", "group": label}))
+    return events
+
+
 def _group_chat(
     roster: list[AgentSpec],
     invitees: list[str],
@@ -185,15 +197,12 @@ def _group_chat(
     **scenario_fields,
 ) -> Scenario:
     """WL group: the first agent in `roster` creates group G, called `name`,
-    at tick 0.  It invites invitee i at tick 2 + 2i, who accepts at tick
-    3 + 2i.  The founder knows each invitee, then each invitee knows the
-    founder.  `events` merge with the formation in tick order, the
-    formation first within a tick."""
+    at tick 0, and forms it from tick 2 (`_formation`).  The founder knows
+    each invitee, then each invitee knows the founder.  `events` merge with
+    the formation in tick order, the formation first within a tick."""
     founder = roster[0].name
     script = [Event(0, founder, {"cmd": "create_group", "name": name, "label": "G"})]
-    for i, member in enumerate(invitees):
-        script.append(Event(2 + 2 * i, founder, {"cmd": "invite", "group": "G", "target": member}))
-        script.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    script += _formation(founder, invitees, 2)
     return Scenario(
         protocol="wl",
         agents=roster,
@@ -406,11 +415,7 @@ def wl_equivocation_crowd(seed: int = 0) -> Scenario:
     extra = [f"m{i}" for i in range(5, 10)]
     scenario.agents = [AgentSpec(name) for name in extra] + scenario.agents
     scenario.bootstrap += [("f", m) for m in extra] + [(m, "f") for m in extra]
-    for i, member in enumerate(extra):
-        scenario.events.append(
-            Event(14 + 2 * i, "f", {"cmd": "invite", "group": "G", "target": member})
-        )
-        scenario.events.append(Event(15 + 2 * i, member, {"cmd": "accept", "group": "G"}))
+    scenario.events += _formation("f", extra, 14)
     scenario.events.sort(key=lambda e: e.tick)
     return scenario
 
@@ -461,10 +466,7 @@ def wl_partitions(seed: int = 0) -> Scenario:
     for label, name in (("G1", "alpha"), ("G2", "beta"), ("G3", "gamma")):
         founder, *members = speakers[label]
         events.append(Event(0, founder, {"cmd": "create_group", "name": name, "label": label}))
-        for i, member in enumerate(members):
-            invite = {"cmd": "invite", "group": label, "target": member}
-            events.append(Event(2 + 2 * i, founder, invite))
-            events.append(Event(3 + 2 * i, member, {"cmd": "accept", "group": label}))
+        events += _formation(founder, members, 2, label)
     groups = ["G1", "G2", "G3"]
     for i in range(18):
         label = groups[i % 3]

@@ -77,6 +77,11 @@ class TraceData:
         self.agents: dict[str, dict[str, str]] = {}
         self.events: list[TraceEvent] = []
         self.finals: dict[str, dict[str, list[Block]]] = {}
+        # Each distinct FINAL record's block and whether it verifies, keyed
+        # by the record's hex: a Block's equality ignores its signature, so
+        # only the bytes tell a tampered copy from a valid one.
+        self.final_records: dict[str, tuple[Block, bool]] = {}
+        self.unverifiable: dict[str, list[str]] = {}  # agent -> ids of its failing lace blocks
         self._laces: dict[str, tuple[Blocklace, list[str]]] = {}
 
     def agent_id(self, name: str) -> bytes:
@@ -94,17 +99,14 @@ class TraceData:
         return list(dict.fromkeys(e.fields.get(key, "") for e in self.events_of(*types)))
 
     def lace_of(self, name: str) -> tuple[Blocklace, list[str]]:
-        """Rebuild an agent's final blocklace, re-verifying every block.
-        Returns (lace, list of blocks that failed verification)."""
+        """Rebuild an agent's final blocklace, failing blocks included.
+        Returns (lace, ids of the blocks that fail verification)."""
         cached = self._laces.get(name)
         if cached is None:
             lace = Blocklace()
-            bad = []
             for block in self.final_blocks(name, "lace"):
-                if not b.verify_block(block):
-                    bad.append(block.id.hex())
                 lace.insert(block, verified=True)
-            cached = (lace, bad)
+            cached = (lace, self.unverifiable.get(name, []))
             self._laces[name] = cached
         return cached
 
@@ -112,18 +114,13 @@ class TraceData:
         """Every valid block seen anywhere: all finals plus all submitted
         datagrams that decode and verify."""
         union = Blocklace()
-        for name in self.finals:
-            for kind in ("lace", "pending"):
-                for block in self.final_blocks(name, kind):
-                    if block.id not in union and b.verify_block(block):
-                        union.insert(block, verified=True)
+        for block, verified in self.final_records.values():
+            if verified and block.id not in union:
+                union.insert(block, verified=True)
+        decoder = b.WireDecoder()
         for hex_text in self.distinct_field("bytes", "SUBMIT"):
-            raw = bytes.fromhex(hex_text)
-            try:
-                block = b.decode_block(raw)
-            except b.WireError:
-                continue
-            if block.id not in union and b.verify_block(block):
+            block = decoder.decode_verified(bytes.fromhex(hex_text))
+            if block is not None and block.id not in union:
                 union.insert(block, verified=True)
         return union
 
@@ -152,7 +149,8 @@ def parse_trace(text: str) -> TraceData:
     so each distinct string (a payload's hex, an id, an address) is held
     once however many records repeat it; the key tuples of `TraceEvent`
     are shared the same way, one per record shape; and each distinct FINAL
-    block is decoded once and shared by every agent that holds it.  These
+    block is decoded and verified once, through `blocks.WireDecoder`, and
+    shared by every agent that holds it.  These
     tables hold one entry per distinct value, so they are bounded by the
     trace's own size.  Blank lines and `#` lines that are not header fields
     are skipped."""
@@ -163,7 +161,7 @@ def parse_trace(text: str) -> TraceData:
     payloads: dict[str, str] = {}
     by_ordinal: list[str] = []
     id_of: dict[str, str] = {}  # "#M" -> digest hex
-    finals: dict[str, Block] = {}
+    decoder = b.WireDecoder()
     pos, end, line_no = 0, len(text), 0
     while pos < end:
         stop = text.find("\n", pos)
@@ -254,19 +252,22 @@ def parse_trace(text: str) -> TraceData:
             for key in _FINAL_KEYS:
                 if key not in fields:
                     raise ValueError(f"trace line {line_no}: FINAL record has no {key}=")
-            hex_text = fields["hex"]
-            block = finals.get(hex_text)
-            if block is None:
+            hex_text, agent, kind = fields["hex"], fields["agent"], fields["kind"]
+            record = data.final_records.get(hex_text)
+            if record is None:
                 try:
-                    block = b.decode_block(bytes.fromhex(hex_text))
+                    raw = bytes.fromhex(hex_text)
+                    block = decoder.decode_verified(raw)
+                    record = (block, True) if block is not None else (b.decode_block(raw), False)
                 except (ValueError, b.WireError) as exc:
                     raise ValueError(
                         f"trace line {line_no}: FINAL block does not decode: {exc}"
                     ) from None
-                finals[hex_text] = block
-            data.finals.setdefault(fields["agent"], {}).setdefault(
-                fields["kind"], []
-            ).append(block)
+                data.final_records[hex_text] = record
+            block, verified = record
+            data.finals.setdefault(agent, {}).setdefault(kind, []).append(block)
+            if kind == "lace" and not verified:
+                data.unverifiable.setdefault(agent, []).append(block.id.hex())
         else:
             shape = tuple(keys)
             shape = shapes.setdefault(shape, shape)
@@ -438,14 +439,16 @@ def oracle_attribution(scenario: Scenario, data: TraceData, params: dict) -> Ora
     for name in scenario.correct_agents():
         lace, bad = data.lace_of(name)
         witness.extend(f"{name} stored unverifiable block {h}" for h in bad)
+    decoder = b.WireDecoder()
     for event in data.events_of("FORGE"):
         raw = bytes.fromhex(event.fields["bytes"])
+        verified = decoder.decode_verified(raw)
+        if verified is not None:
+            witness.append(f"forgery {verified.id.hex()[:12]} unexpectedly verifies")
+            continue
         try:
             forged = b.decode_block(raw)
         except b.WireError:
-            continue
-        if b.verify_block(forged):
-            witness.append(f"forgery {forged.id.hex()[:12]} unexpectedly verifies")
             continue
         for name in scenario.correct_agents():
             lace, _ = data.lace_of(name)

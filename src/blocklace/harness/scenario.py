@@ -93,9 +93,6 @@ class Scenario:
     tick_interval: int = 1
     wl_encrypt: bool = True
 
-    def agent_names(self) -> list[str]:
-        return [a.name for a in self.agents]
-
     def roles(self) -> dict[str, str]:
         return {a.name: a.role for a in self.agents}
 
@@ -131,11 +128,6 @@ class Scenario:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-    def with_seed(self, seed: int) -> "Scenario":
-        clone = Scenario(**{**self.__dict__})
-        clone.seed = seed
-        return clone
 
 
 def _expect(condition: bool, where: str, message: str):

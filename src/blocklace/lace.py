@@ -32,7 +32,6 @@ class Blocklace:
         self._rev: dict[BlockId, list[BlockId]] = {}   # target -> present blocks pointing at it
         self._missing: dict[BlockId, int] = {}         # absent targets -> pointer count
         self._missing_by_creator: dict[AgentId, int] = {}
-        self._by_creator: dict[AgentId, list[BlockId]] = {}
         self._creator_bits: dict[AgentId, int] = {}    # own bits of a creator's blocks
         self._tips: set[BlockId] = set()
         self._version = 0
@@ -77,7 +76,6 @@ class Blocklace:
         self._self_mask[block.id] = self_mask
 
         creator = block.creator
-        self._by_creator.setdefault(creator, []).append(block.id)
         self._creator_bits[creator] = self._creator_bits.get(creator, 0) | bit
 
         if block.id not in self._rev:
@@ -136,10 +134,11 @@ class Blocklace:
         return set(self._blocks)
 
     def by_creator(self, creator: AgentId) -> list[Block]:
-        return [self._blocks[i] for i in self._by_creator.get(creator, ())]
+        """The creator's blocks, in insertion order."""
+        return self.blocks_of_mask(self.creator_mask(creator))
 
     def creators(self) -> list[AgentId]:
-        return list(self._by_creator)
+        return list(self._creator_bits)
 
     def is_closed(self) -> bool:
         """True iff every pointer of every block resolves within the set."""
@@ -199,14 +198,11 @@ class Blocklace:
             return cached[1]
         # One OR: every own block's closure without its own bit.  A block is
         # maximal iff its bit is not in that union (closures are acyclic).
-        own = self._by_creator.get(creator, ())
+        own = self.creator_mask(creator)
         below = 0
-        for bid in own:
-            below |= self._mask[bid] ^ (1 << self._index[bid])
-        heads = sorted(
-            (self._blocks[bid] for bid in own if not below >> self._index[bid] & 1),
-            key=Block.sort_key,
-        )
+        for blk in self.blocks_of_mask(own):
+            below |= self._mask[blk.id] ^ self.bit_of(blk.id)
+        heads = sorted(self.blocks_of_mask(own & ~below), key=Block.sort_key)
         self._heads_cache[creator] = (self._version, heads)
         return heads
 
@@ -217,26 +213,30 @@ class Blocklace:
         (no single latest block), ties break to the maximal block with the
         smallest digest.  None when the agent has no blocks here.
         """
-        own = self._by_creator.get(agent)
-        if own:
-            all_bits = self._creator_bits[agent]
-            for bid in reversed(own):
-                if self._mask[bid] & all_bits == all_bits:
-                    return self._blocks[bid].address
-            # No single latest block: the maximal one with the smallest
-            # digest (heads of one creator sort by digest).
-            return self.creator_heads(agent)[0].address
-        return None
+        all_bits = self.creator_mask(agent)
+        if not all_bits:
+            return None
+        # The block inserted last is almost always the one that observes
+        # all the others, so try it before listing the rest.
+        latest = self._order[all_bits.bit_length() - 1]
+        if self._mask[latest.id] & all_bits == all_bits:
+            return latest.address
+        for blk in reversed(self.by_creator(agent)):
+            if self._mask[blk.id] & all_bits == all_bits:
+                return blk.address
+        # No single latest block: the maximal one with the smallest
+        # digest (heads of one creator sort by digest).
+        return self.creator_heads(agent)[0].address
 
     def detect_equivocations(self, agent: AgentId) -> list[tuple[Block, Block]]:
         """All unordered pairs of agent-created blocks where neither
         observes the other — the visible evidence of a fork."""
-        own = self._by_creator.get(agent, ())
+        own = self.by_creator(agent)
         pairs = []
-        for i, a in enumerate(own):
-            for b in own[i + 1 :]:
-                if not self._mask[a] >> self._index[b] & 1 and not self._mask[b] >> self._index[a] & 1:
-                    pair = sorted((self._blocks[a], self._blocks[b]), key=Block.sort_key)
+        for i, x in enumerate(own):
+            for y in own[i + 1 :]:
+                if not self.observes(x, y) and not self.observes(y, x):
+                    pair = sorted((x, y), key=Block.sort_key)
                     pairs.append((pair[0], pair[1]))
         pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
         return pairs

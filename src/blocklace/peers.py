@@ -1,20 +1,25 @@
 """What peers hold, and the receive pipeline the TL and WL agents share.
 
-An agent sends a block to a peer until it knows the peer holds it.
-`PeerKnowledge` keeps that estimate per peer as one mask of the agent's
-blocklace.  Each claim, ack or delivered copy widens it by a credit that
-is fixed when it is made; each agent supplies only its credit rule.
-`Agent` holds the rest both agents share: the contact directory (the
-agents this one talks to, and which of them sits at a delivering
-address), the gate that drops strangers' acks, the credit a delivered
-copy earns the contacts at its address, the bounded pending buffer, the
-receive -> ack -> forward pipeline with its ack outbox (`flush_acks`),
-the send loop (`disseminate`) and the retransmission round.  A subclass
-fills in `_missing`, `_admit`, `_index` (which adds contacts),
+The rules both agents keep:
+
+* An agent sends a block to a peer until it knows the peer holds it.
+  `PeerKnowledge` keeps that estimate per peer as one mask of the agent's
+  blocklace.
+* Each claim, ack or delivered copy widens the estimate by a credit that
+  is fixed when it is made.  Each agent supplies only its credit rule.
+* Only a contact's acks are filed; a stranger's ack is dropped.  A
+  delivered copy earns credit for the contacts at its address.
+* A block whose past is missing waits in the bounded pending buffer.
+* A datagram goes through receive, then ack, then forward.  The acks wait
+  in an outbox that `flush_acks` empties, one ack per destination.
+* `disseminate` sends what peers are owed, and the retransmission round
+  resends what they still are not known to hold (`retransmit`).
+
+A subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
 `_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
 who may receive what, and `_schedule`, which names the first offer of
-each copy (`retransmit`).  WL also extends `_credit_delivery`: a member's
-copy of a group block vouches for this agent's own membership there.
+each copy.  WL also extends `_credit_delivery`: a member's copy of a
+group block vouches for this agent's own membership there.
 """
 
 from __future__ import annotations

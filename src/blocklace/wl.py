@@ -1,27 +1,30 @@
 """Private-group ("WhatsApp-like") protocol agent.
 
-Groups are independent blocklace partitions rooted at a genesis block.
-A correct agent keeps its blocklace closed: a block whose ancestors have
-not arrived yet waits in a bounded pending buffer and is only inserted
-(and acknowledged) once its whole past is present.  Received acks never
-enter the blocklace, both because the sender never stored them and
-because a groupless block would break the one-genesis-per-block
-partition rule: an ack only updates what its creator is known to hold,
-and marks the relay copies to its address for repair (`_record_ack`).
-WL's contacts in the shared directory (`peers.Agent`) are the founders of
-the groups here and the targets of their invites: only their acks are
-filed, and a copy delivered from a contact's address is that contact's
-disclosure of the block's whole past.  A member sends a group's blocks
-only to the members it knows, but for an invite and the genesis, which
-reach the invitee before it joins; so a copy of any other block of a
-group this agent is a member of, from a member's address, also discloses
-that the member holds the blocks that made this agent a member
-(`_credit_delivery`).  That copy is the ack of this agent's own Accept.
+The rules a correct WL agent keeps:
 
-Group privacy: the founder generates a symmetric key per group and seals
-it to each invitee inside the invite block.  Utterance text is encrypted
-under the group key and carries an inner author signature over the
-plaintext, so a decrypted message can still be attributed.
+* A group is a partition of the blocklace rooted at its genesis block.
+  Each other block belongs to the one group whose genesis it observes.
+* The blocklace stays closed.  A block whose past has not all arrived
+  waits in the bounded pending buffer.  It is inserted, and acked, only
+  once its whole past is present.
+* An ack never enters the blocklace: its sender never stored it, and a
+  block of no group would break the partition rule.  An ack only updates
+  what its creator is known to hold, and marks the relay copies to its
+  address for repair (`_record_ack`).
+* The contacts in the shared directory (`peers.Agent`) are the founders of
+  the groups here and the targets of their invites.  Only their acks are
+  filed.  A copy delivered from a contact's address discloses that the
+  contact holds the block's whole past.
+* A member sends a group's blocks only to the members it knows.  An
+  invite and the genesis are the exceptions: they reach the invitee
+  before it joins.  So a member's copy of any other block of a group this
+  agent belongs to shows that the member holds the blocks that made this
+  agent a member.  That copy is the ack of this agent's own Accept
+  (`_credit_delivery`).
+* The founder makes one symmetric key per group and seals it to each
+  invitee inside the invite.  Utterance text is encrypted under the group
+  key and carries an inner author signature over the plaintext, so a
+  decrypted message can still be attributed.
 """
 
 from __future__ import annotations
@@ -159,9 +162,6 @@ class WlAgent(Agent):
 
     def my_groups(self) -> list[GroupId]:
         return [gid for gid in self._partition_bits if self.member(self.agent_id, gid)]
-
-    def partition_ids(self, gid: GroupId) -> set[BlockId]:
-        return {blk.id for blk in self.lace.blocks_of_mask(self._partition_bits.get(gid, 0))}
 
     def partition_tips(self, gid: GroupId) -> frozenset[BlockId]:
         bits = self._partition_bits.get(gid, 0)

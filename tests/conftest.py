@@ -5,6 +5,7 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.lace import Blocklace
+from blocklace.retransmit import COVERED
 
 KEYPAIRS = [crypto.keygen(i) for i in range(6)]
 
@@ -24,6 +25,34 @@ def deliver(x, payload, src=None):
     acks it drew (`flush_acks`), as the runner sends them."""
     sends = x.receive(payload, src)
     return sends + x.flush_acks()
+
+
+def pump(agents, sends, src_agent):
+    """Perfect in-order delivery of a send list and everything it spawns."""
+    queue = [(src_agent.current_address, dst, b.encode_block(blk)) for dst, blk in sends]
+    while queue:
+        src, dst, payload = queue.pop(0)
+        target = next((a for a in agents if a.current_address == dst), None)
+        if target is not None:
+            out = deliver(target, payload, src)
+            queue.extend((target.current_address, d, b.encode_block(blk)) for d, blk in out)
+
+
+def befriend(x, y, rounds=1):
+    """Mutual follow over a perfect network, then `rounds` rounds in which
+    x and then y tick, each round's sends delivered in full."""
+    x.address_hints[y.agent_id] = y.current_address
+    y.address_hints[x.agent_id] = x.current_address
+    pump([x, y], x.follow(y.agent_id), x)
+    pump([x, y], y.follow(x.agent_id), y)
+    for _ in range(rounds):
+        pump([x, y], x.tick(), x)
+        pump([x, y], y.tick(), y)
+
+
+def armed_pairs(rtx):
+    """How many pairs still have a timer: the ones not COVERED."""
+    return sum(kind != COVERED for _, kind, _ in rtx._pairs.values())
 
 
 def make_block(kp, payload=None, pointers=(), address="addr/0"):

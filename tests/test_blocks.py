@@ -60,9 +60,9 @@ def test_new_block_verifies_and_is_deterministic(kp):
 
 def test_initial_block(kp):
     blk = make_block(kp)
-    assert blk.is_initial()
+    assert not blk.pointers
     child = make_block(kp, pointers=[blk.id])
-    assert not child.is_initial()
+    assert child.pointers
 
 
 def test_verify_rejects_wrong_key(kp, kp2):

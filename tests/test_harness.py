@@ -5,6 +5,7 @@ import json
 import pytest
 
 from blocklace import blocks as b
+from blocklace import crypto
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
 from blocklace.harness.adversaries import AgentWrapper, EquivocatorWrapper
@@ -28,7 +29,7 @@ def test_trace_header_carries_identity():
     data = parse_trace(result.trace_text)
     assert data.meta["scenario"] == scenario.digest()
     assert data.meta["seed"] == "2"
-    assert set(data.agents) == set(scenario.agent_names())
+    assert set(data.agents) == {a.name for a in scenario.agents}
     assert len(data.agent_id("a")) == 64
 
 
@@ -374,6 +375,51 @@ def test_partition_integrity_fails_on_a_merge_block_in_a_final_lace():
     assert failed.witness == [f"final blocklace of m2: partition:{merge.id.hex()}"]
 
 
+def test_attribution_flags_only_the_copy_whose_signature_fails():
+    scenario = canned.tl_line(seed=1, utterances=2)
+    text = run_scenario(scenario).trace_text
+    held = parse_trace(text).final_blocks("b")
+    at = next(i for i, blk in enumerate(held) if isinstance(blk.payload, b.Say))
+    said = held[at]
+    # b's record of the Say is its `at`-th FINAL lace line.  It refers to an
+    # earlier payload (`*N`), so dropping it renumbers no other reference,
+    # and the copy with one signature byte flipped goes last.
+    lines = text.splitlines(keepends=True)
+    line = [x for x in lines if x.split("\t")[1:4] == ["FINAL", "agent=b", "kind=lace"]][at]
+    assert "\thex=*" in line
+    tampered = bytearray(b.encode_block(said))
+    tampered[4 + crypto.AGENT_ID_LEN + 4 + crypto.DIGEST_LEN + 4] ^= 1
+    assert b.decode_block(bytes(tampered)) == said  # a Block's equality ignores signatures
+    tick = line.split("\t", 1)[0]
+    lines.remove(line)
+    lines.append(f"{tick}\tFINAL\tagent=b\tkind=lace\thex={tampered.hex()}\n")
+    data = parse_trace("".join(lines))
+    (result,) = [r for r in evaluate(scenario, data) if r.name == "attribution"]
+    assert result.verdict == "FAIL"
+    assert result.witness == [f"b stored unverifiable block {said.id.hex()}"]
+    for name in ("a", "c", "d", "e"):
+        lace, bad = data.lace_of(name)
+        assert bad == [] and said.id in lace
+
+
+def test_verification_checks_each_final_block_once(monkeypatch):
+    scenario = canned.wl_group(seed=1, utterances=3)
+    text = run_scenario(scenario).trace_text
+    monkeypatch.setattr(b.WireDecoder, "_cache", {})
+    calls = []
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    data = parse_trace(text)
+    assert all(r.verdict == "PASS" for r in evaluate(scenario, data))
+    distinct = {
+        b.encode_block(blk)
+        for kinds in data.finals.values()
+        for blocks_list in kinds.values()
+        for blk in blocks_list
+    }
+    assert 0 < len(calls) <= len(distinct)
+
+
 def test_report_enumerates_every_oracle():
     scenario = canned.wl_partitions(seed=1)
     result = run_scenario(scenario)
@@ -392,10 +438,9 @@ def test_monotonic_growth_during_run():
     # by rerunning with a smaller budget and comparing prefixes).
     scenario = canned.tl_line(seed=6, utterances=4)
     full = run_scenario(scenario)
-    shorter = scenario.with_seed(scenario.seed)
-    shorter.ticks = 40
+    shorter = dataclasses.replace(scenario, ticks=40)
     partial = run_scenario(shorter)
-    for name in scenario.agent_names():
+    for name in (a.name for a in scenario.agents):
         partial_ids = partial.wrappers[name].inner.lace.ids()
         full_ids = full.wrappers[name].inner.lace.ids()
         assert partial_ids <= full_ids

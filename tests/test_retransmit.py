@@ -17,7 +17,6 @@ from blocklace.retransmit import (
     ACK_HOLDOFF,
     BACKSTOP,
     BURST,
-    COVERED,
     EAGER,
     EAGER_COPIES,
     GAP,
@@ -32,6 +31,8 @@ from blocklace.retransmit import (
 from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
+
+from conftest import armed_pairs, befriend, pump
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -63,11 +64,6 @@ def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
             for dest, block_id in pairs:
                 sent[(dest, block_id)] += [rtx.now] * rtx.take(dest, block_id, ask)
     return sent
-
-
-def armed_pairs(rtx):
-    """How many pairs still have a timer: the ones not COVERED."""
-    return sum(kind != COVERED for _, kind, _ in rtx._pairs.values())
 
 
 def offer_covered(rtx, dest, block_id):
@@ -362,17 +358,6 @@ def deliver(dst, src, block):
     return sends + dst.flush_acks()
 
 
-def pump(agents, sends, src_agent):
-    """Perfect in-order delivery of a send list and everything it spawns."""
-    queue = [(src_agent.current_address, dst, encode_block(blk)) for dst, blk in sends]
-    while queue:
-        src, dst, payload = queue.pop(0)
-        target = next((a for a in agents if a.current_address == dst), None)
-        if target is not None:
-            out = target.receive(payload, src) + target.flush_acks()
-            queue.extend((target.current_address, d, encode_block(blk)) for d, blk in out)
-
-
 def settle(agents):
     """Rounds over a perfect network until nobody sends."""
     for _ in range(20):
@@ -391,14 +376,6 @@ def wl_group(*agents):
         pump(agents, m.accept(gid), m)
     settle(agents)
     return gid
-
-
-def befriend(x, y):
-    x.address_hints[y.agent_id] = y.current_address
-    y.address_hints[x.agent_id] = x.current_address
-    pump([x, y], x.follow(y.agent_id), x)
-    pump([x, y], y.follow(x.agent_id), y)
-    settle([x, y])
 
 
 def owes(agent, dest_agent, block_id, rounds=8):
@@ -684,8 +661,8 @@ def test_schedule_names_each_copy():
     # A TL copy of a Say or Respond is PACED, relayed or not; of a Follow
     # or Empty, EAGER.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
-    befriend(a, c)
-    befriend(c, d)
+    befriend(a, c, rounds=20)
+    befriend(c, d, rounds=20)
     d.follow(a.agent_id)
     follow = d.last_uttered
     deliver(c, d, follow)
@@ -845,8 +822,8 @@ def test_tl_relay_sends_three_copies_in_its_first_tick_like_the_creator():
     # On a line of friends the relay may be the only path, so a TL relay
     # sends its copies up front, on the creator's schedule.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
-    befriend(a, c)
-    befriend(c, d)
+    befriend(a, c, rounds=20)
+    befriend(c, d, rounds=20)
     pump([c, d], d.follow(a.agent_id), d)
 
     def copies(sends, dest, block_id):
@@ -882,8 +859,8 @@ def test_wl_copy_sent_by_the_peer_stops_the_resends():
 
 def test_tl_copy_sent_by_the_peer_is_not_sent_back():
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
-    befriend(a, c)
-    befriend(c, d)
+    befriend(a, c, rounds=20)
+    befriend(c, d, rounds=20)
     pump([c, d], d.follow(a.agent_id), d)
     a.say(b"news")
     news = a.last_uttered
@@ -989,8 +966,9 @@ def _required_held(runner):
                     peer = correct.get(q)
                     if peer is None or peer is agent:
                         continue
-                    for block_id in agent.partition_ids(gid) - peer.lace.ids():
-                        missing.append((agent.agent_id, q, block_id))
+                    for blk in agent.lace.blocks_of_mask(agent._partition_bits[gid]):
+                        if blk.id not in peer.lace:
+                            missing.append((agent.agent_id, q, blk.id))
         else:
             for q, peer in correct.items():
                 if peer is agent or not agent.friends(q):

@@ -25,7 +25,7 @@ def minimal(**overrides):
 def test_minimal_parses():
     scenario = parse_scenario(minimal())
     assert scenario.protocol == "tl"
-    assert scenario.agent_names() == ["a", "b"]
+    assert [a.name for a in scenario.agents] == ["a", "b"]
     assert len(scenario.events) == 2
 
 
@@ -206,19 +206,11 @@ def test_digest_sensitive_to_content():
     assert one.digest() != two.digest()
 
 
-def test_with_seed_changes_only_seed():
-    scenario = parse_scenario(minimal())
-    reseeded = scenario.with_seed(123)
-    assert reseeded.seed == 123
-    assert reseeded.events == scenario.events
-    assert scenario.seed == 0
-
-
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal()))
     scenario = load_scenario(str(path))
-    assert scenario.agent_names() == ["a", "b"]
+    assert [a.name for a in scenario.agents] == ["a", "b"]
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ScenarioError):

@@ -8,7 +8,7 @@ from blocklace.blocks import encode_block
 from blocklace.retransmit import ACK_HOLDOFF, BURST, EAGER_COPIES, GAP, ROUND_TRIP
 from blocklace.tl import ProtocolError, TlAgent
 
-from conftest import deliver
+from conftest import befriend, deliver, pump
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
 
@@ -21,35 +21,11 @@ def acks_of(sends):
     return [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
 
 
-def pump(agents, sends, src_agent):
-    """Perfect in-order delivery of a send list (and everything it spawns)."""
-    queue = [(src_agent.current_address, dst, encode_block(blk)) for dst, blk in sends]
-    while queue:
-        src, dst, payload = queue.pop(0)
-        target = next((a for a in agents if a.current_address == dst), None)
-        if target is None:
-            continue
-        out = deliver(target, payload, src)
-        queue.extend(
-            (target.current_address, d, encode_block(blk)) for d, blk in out
-        )
-
-
-def befriend(x, y):
-    """Mutual follow with full offer/ack exchange over a perfect network."""
-    x.address_hints[y.agent_id] = y.current_address
-    y.address_hints[x.agent_id] = x.current_address
-    pump([x, y], x.follow(y.agent_id), x)
-    pump([x, y], y.follow(x.agent_id), y)
-    pump([x, y], x.tick(), x)
-    pump([x, y], y.tick(), y)
-
-
 def test_first_utterance_is_initial():
     a = agent(0)
     a.say(b"hello world")
     blk = a.last_uttered
-    assert blk.is_initial()
+    assert not blk.pointers
     assert blk.payload == b.Say(b"hello world")
     assert b.verify_block(blk)
 

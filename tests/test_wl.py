@@ -9,7 +9,7 @@ from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
 from blocklace.peers import PARKED_CAP, ProtocolError
-from blocklace.retransmit import ACK_HOLDOFF, BURST, COVERED, EAGER_COPIES, GAP, REPAIR_AFTER
+from blocklace.retransmit import ACK_HOLDOFF, BURST, EAGER_COPIES, GAP, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
     compute_member,
@@ -19,29 +19,13 @@ from blocklace.wl import (
     partition_violations,
 )
 
-from conftest import deliver
+from conftest import armed_pairs, deliver, pump
 
 KP = [crypto.keygen(f"wl-{i}") for i in range(6)]
 
 
 def agent(i, encrypt=True):
     return WlAgent(KP[i], f"w{i}/0", encrypt=encrypt)
-
-
-def pump(agents, sends, src_agent):
-    queue = [(src_agent.current_address, dst, encode_block(blk)) for dst, blk in sends]
-    while queue:
-        src, dst, payload = queue.pop(0)
-        target = next((a for a in agents if a.current_address == dst), None)
-        if target is None:
-            continue
-        out = deliver(target, payload, src)
-        queue.extend((target.current_address, d, encode_block(blk)) for d, blk in out)
-
-
-def armed_pairs(x):
-    """How many of x's pairs still have a timer: the ones not COVERED."""
-    return sum(kind != COVERED for _, kind, _ in x.retransmit._pairs.values())
 
 
 def form_group(founder, members, name=b"room"):
@@ -157,7 +141,7 @@ def test_every_block_observes_exactly_one_genesis():
     for blk in m.lace.blocks():
         geneses = [
             g for g in m.lace.blocks()
-            if g.is_initial() and m.lace.observes(blk, g)
+            if not g.pointers and m.lace.observes(blk, g)
         ]
         assert len(geneses) == 1
 
@@ -313,9 +297,9 @@ def test_ack_discloses_only_group_tips():
     f.say_group(gid, b"in-one")
     sends = deliver(m, encode_block(f.last_uttered), src=f.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
-    partition = m.partition_ids(gid)
+    partition = {blk.id for blk in m.lace.blocks_of_mask(m._partition_bits[gid])}
     assert ack.pointers <= partition
-    assert not ack.pointers & m.partition_ids(gid2)
+    assert not ack.pointers & {blk.id for blk in m.lace.blocks_of_mask(m._partition_bits[gid2])}
 
 
 def late_member(f, members, late):
@@ -567,16 +551,16 @@ def test_creator_covers_a_member_only_in_the_group_it_knows_it_in():
     assert not lost and not c.member(q.agent_id, gids[b"one"])
     sends = c.say_group(gids[b"one"], b"to f")
     assert {dst for dst, _ in sends} == {f.current_address}
-    armed = armed_pairs(f)
+    armed = armed_pairs(f.retransmit)
     said = c.last_uttered
     relayed = deliver(f, encode_block(said), src=c.current_address)
     assert (q.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
-    assert armed_pairs(f) == armed + 1
+    assert armed_pairs(f.retransmit) == armed + 1
     # The say does not observe q's Accept in "one", so q acks f's copy,
     # and the ack takes the copy off its backstop.
     for _ in range(2):  # c's Accept in "one", which q lacks, then its ack
         pump(everyone, f.tick(), f)
-    assert armed_pairs(f) == 1
+    assert armed_pairs(f.retransmit) == 1
     ((dst, ack),) = acks(deliver(q, encode_block(said), src=f.current_address))
     assert dst == f.current_address
     f.receive(encode_block(ack), src=q.current_address)
@@ -632,10 +616,10 @@ def test_covered_relay_copy_not_acked_as_it_lands():
     gid = form_group(f, [m1, m2])
     f.say_group(gid, b"news")
     said = f.last_uttered
-    armed = armed_pairs(m2)
+    armed = armed_pairs(m2.retransmit)
     relayed = deliver(m2, encode_block(said), src=f.current_address)
     assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in relayed}
-    assert armed_pairs(m2) == armed  # no timer on m2's copy
+    assert armed_pairs(m2.retransmit) == armed  # no timer on m2's copy
     # An ack from m1 that does not cover the say, REPAIR_AFTER ticks
     # later, draws m2's repair copy.
     for _ in range(REPAIR_AFTER):
@@ -784,7 +768,8 @@ def test_group_tables_match_first_principles_in_canned_runs(name):
             assert holder.members_of(gid) == sorted(
                 q for q in roster if compute_member(holder.lace, q, gid)
             )
-            assert holder.partition_ids(gid) == {
+            indexed = holder.lace.blocks_of_mask(holder._partition_bits[gid])
+            assert {blk.id for blk in indexed} == {
                 blk.id for blk in group_partition(holder.lace, gid)
             }
             checked += 1
