@@ -297,7 +297,7 @@ def wl_crowd_orphans(seed: int = 0) -> Scenario:
     """Founder plus nine chatting members and two silent invitees, 30% loss
     and 10% duplication; the founder goes silent after formation.  The
     founder is the one backstop of an uncovered relay copy
-    (`wl.WlAgent._schedule`), so with the founder silent the members'
+    (`wl.WlAgent._wanted`), so with the founder silent the members'
     blocks reach each other through their own copies and the other
     relays' repairs, and the silent invitees hold none."""
     names = ["f"] + [f"m{i}" for i in range(1, 10)]

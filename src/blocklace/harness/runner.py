@@ -11,10 +11,9 @@ pair determines the trace bytes.
 A run is quiescent after two quiet rounds in a row (no agent sent a block
 in its tick, no correct agent still has a retransmit timer running, and
 no equivocator still owes a fork) with no datagram in flight and no
-scripted event left.  Every outstanding pair has a timer except a COVERED
-one (`retransmit`): a WL relay copy whose creator is known to send the
-block to the same member.  The creator's own timer holds the run open
-until that member holds the block.
+scripted event left.  Every copy a correct agent owes has a timer but a
+WL relay's lazy copy (`retransmit`): the block's creator or the group's
+founder owes the member that block on a timer, which holds the run open.
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
@@ -212,12 +211,12 @@ class Runner:
         """Every agent's round.  True when the round was quiet: no agent
         sent a block, and no correct agent has an armed retransmit timer, so
         no correct agent still owes a peer a block (a backed-off pair sends
-        nothing in most rounds, yet is still outstanding), except WL relay
-        copies whose creator is known to send them too.  A muted
-        equivocator's fork resends hold the run open until its agent knows
-        each recipient holds its fork: each resend is a send, and between
-        them, on its agent's schedule, the equivocator still owes the fork
-        (`EquivocatorWrapper.owes`)."""
+        nothing in most rounds, yet is still outstanding), but for WL
+        relays' lazy copies, which the creator or founder owes on a timer.
+        A muted equivocator's fork resends hold the run open until its
+        agent knows each recipient holds its fork: each resend is a send,
+        and between them, on its agent's schedule, the equivocator still
+        owes the fork (`EquivocatorWrapper.owes`)."""
         quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]

@@ -221,11 +221,9 @@ class Blocklace:
         latest = self._order[all_bits.bit_length() - 1]
         if self._mask[latest.id] & all_bits == all_bits:
             return latest.address
-        for blk in reversed(self.by_creator(agent)):
-            if self._mask[blk.id] & all_bits == all_bits:
-                return blk.address
-        # No single latest block: the maximal one with the smallest
-        # digest (heads of one creator sort by digest).
+        # Else the maximal block with the smallest digest (heads of one
+        # creator sort by digest).  A block that observes all the others is
+        # the only head, so it wins here too.
         return self.creator_heads(agent)[0].address
 
     def detect_equivocations(self, agent: AgentId) -> list[tuple[Block, Block]]:

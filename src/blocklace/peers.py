@@ -6,20 +6,22 @@ The rules both agents keep:
   `PeerKnowledge` keeps that estimate per peer as one mask of the agent's
   blocklace.
 * Each claim, ack or delivered copy widens the estimate by a credit that
-  is fixed when it is made.  Each agent supplies only its credit rule.
+  is fixed when it is made.  Each agent supplies its credit function.
 * Only a contact's acks are filed; a stranger's ack is dropped.  A
   delivered copy earns credit for the contacts at its address.
 * A block whose past is missing waits in the bounded pending buffer.
 * A datagram goes through receive, then ack, then forward.  The acks wait
   in an outbox that `flush_acks` empties, one ack per destination.
 * `disseminate` sends what peers are owed, and the retransmission round
-  resends what they still are not known to hold (`retransmit`).
+  resends what they still are not known to hold (`retransmit`): on a
+  timer per copy, or, for a lazy copy, in a repair per destination.
 
 A subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
 `_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
-who may receive what, and `_schedule`, which names the first offer of
-each copy.  WL also extends `_credit_delivery`: a member's copy of a
-group block vouches for this agent's own membership there.
+who may receive what and which part of it is lazy, and `_schedule`, which
+names the first offer of each other copy.  WL also extends
+`_credit_delivery`: a member's copy of a group block vouches for this
+agent's own membership there.
 """
 
 from __future__ import annotations
@@ -71,13 +73,13 @@ class PeerKnowledge:
     `known(q)` is q's own blocks here (`Blocklace.creator_mask`) joined
     with the credits q earned by naming blocks: in an ack, in a pointer,
     by delivering a copy, or, where the agent credits it so, by creating
-    the block.  A named block earns the block's `closure`, or the block
-    alone where `rule(q, block, vouched)` says so when the block is here
-    (no rule means always the closure).  A credit is fixed when it is
+    the block.  A named block here earns the mask that
+    `credit_of(q, block_id, vouched)` gives: WL's the block's closure, TL's
+    its self-chain prefix or the block alone.  A credit is fixed when it is
     made: a closure that grows later (an ancestor lands) does not widen
     it.  Under-crediting costs at most sends the peer did not need, and
-    the peer's next ack or claim widens it.  A rule that depends on state
-    may upgrade a credit by crediting again.
+    the peer's next ack or claim widens it.  A credit function that
+    depends on state may upgrade a credit by crediting again.
 
     An id not here yet is parked until it lands, its pending block is
     evicted (`forget`), or PARKED_CAP newer ids push it out.  Bound:
@@ -86,15 +88,9 @@ class PeerKnowledge:
     contacts (`Agent.receive`).
     """
 
-    def __init__(
-        self,
-        lace: Blocklace,
-        closure: Callable[[BlockId], int],
-        rule: Optional[Callable[[AgentId, Block, bool], bool]] = None,
-    ):
+    def __init__(self, lace: Blocklace, credit_of: Callable[[AgentId, BlockId, bool], int]):
         self._lace = lace
-        self._closure = closure
-        self._rule = rule
+        self._credit_of = credit_of
         # Bound: one entry per agent that ever named or created a block here.
         self._credits: dict[AgentId, int] = {}
         # absent id -> {peer: whether any of its namings vouched for it}
@@ -105,7 +101,7 @@ class PeerKnowledge:
 
     def credit(self, q: AgentId, ids: Iterable[BlockId], vouched: bool = True) -> None:
         """q named these ids.  `vouched` means q vouched for their history
-        rather than only showing it holds them; the rule reads it."""
+        rather than only showing it holds them."""
         lace = self._lace
         for block_id in ids:
             if block_id in lace:
@@ -129,16 +125,9 @@ class PeerKnowledge:
         self.parked.pop(block_id, None)
 
     def _credit(self, block_id: BlockId, namers: dict[AgentId, bool]) -> None:
-        rule = self._rule
-        block = self._lace.get(block_id) if rule is not None else None
         credits = self._credits
-        closure = 0
         for q, vouched in namers.items():
-            if rule is None or rule(q, block, vouched):
-                closure = closure or self._closure(block_id)
-                credits[q] = credits.get(q, 0) | closure
-            else:
-                credits[q] = credits.get(q, 0) | self._lace.bit_of(block_id)
+            credits[q] = credits.get(q, 0) | self._credit_of(q, block_id, vouched)
 
 
 class Agent:
@@ -152,7 +141,7 @@ class Agent:
         self.lace = Blocklace()
         self.metrics = metrics
         self.retransmit = Retransmit(metrics)
-        self.peers: PeerKnowledge  # set by the subclass, with its credit rule
+        self.peers: PeerKnowledge  # set by the subclass, with its credit function
         self.last_uttered: Optional[Block] = None
         self.address_hints: dict[AgentId, NetAddress] = {}
         # The agents this one talks to, in the order `_index` met them: the
@@ -322,7 +311,8 @@ class Agent:
         `self.retransmit` schedules them.
 
         Outside `tick`'s round only first offers go out; in the round,
-        every pair whose timer is due.  `take` says how many copies.
+        every pair whose timer is due, and each destination's repair
+        (`repair`).  `take`, which never sees a lazy copy, says how many.
         Each peer's blocks go in causal order (by closure size), a block's
         copies together.
         A pair listed twice in one call (a WL invite's closure to a target
@@ -338,22 +328,31 @@ class Agent:
         take = self.retransmit.take
         schedule = self._schedule
         sends: list[Send] = []
-        for q, wanted in self._wanted(scope):
+        # destination -> the lazy blocks owed to the peers there
+        lazy_at: dict[NetAddress, int] = {}
+        for q, wanted, lazy in self._wanted(scope):
             if not wanted:
                 continue
             dest = self.address_of(q)
             if dest is None:
                 continue
+            if lazy:
+                lazy_at[dest] = lazy_at.get(dest, 0) | lazy
             # Each pair's `take` reads and writes only that pair, so only
             # the blocks that go out need sorting.
             batch = []
-            for blk in lace.blocks_of_mask(wanted):
+            for blk in lace.blocks_of_mask(wanted & ~lazy):
                 copies = take(dest, blk.id, lambda: schedule(blk, q))
                 if copies:
                     batch.append((lace.closure_size(blk.id), blk.sort_key(), blk, copies))
             batch.sort(key=lambda item: item[:2])
             for _, _, blk, copies in batch:
                 sends.extend([(dest, blk)] * copies)
+        # Only WL has lazy copies, and a WL blocklace inserts a block after
+        # its past, so bit order is causal order.
+        for dest, lazy in lazy_at.items():
+            repaired = self.retransmit.repair(dest, lazy)
+            sends.extend((dest, blk) for blk in lace.blocks_of_mask(repaired))
         return sends
 
     def tick(self) -> list[Send]:
@@ -361,7 +360,7 @@ class Agent:
         timer is due, plus first offers of blocks newly needed; it ends
         this agent's tick, and forgets the acks whose holdoff is over and
         the landings whose burst is."""
-        with self.retransmit.round():
+        with self.retransmit.round(len(self.lace)):
             sends = self.disseminate()
         now = self.retransmit.now
         self._acked = {key: sent for key, sent in self._acked.items() if now - sent < ACK_HOLDOFF}

@@ -1,36 +1,27 @@
 """The retransmission schedules shared by the TL and WL agents.
 
 An agent owes a block to a destination address until the destination is
-known to hold it.  Resending on every tick floods the network while the
-first copy or its ack is still in flight (a round trip takes 2-10 ticks
-at a delay of 1-5), so each (destination address, block id) pair gets its
-own entry.  The agent names the first offer of each pair
-(`TlAgent._schedule`, `WlAgent._schedule`), and `_OFFER` maps the name to
-the copies sent at once, the wait before the first timer send, and the
-kind of pair `Retransmit` keeps from then on.  ROADMAP item 5 has the
-measurements behind each constant and rule.
+known to hold it.  It sends each copy that someone waits on under a timer
+per (destination address, block id) pair, and each lazy copy, one that
+the block's creator or the group's founder covers, under one repair rule
+per destination.  ROADMAP item 5 has the measurements behind each
+constant and rule.
 
-There are three kinds:
+Timers.  Resending on every tick floods the network while the first copy
+or its ack is still in flight (a round trip takes 2-10 ticks at a delay
+of 1-5), so each pair gets its own timer.  The agent names the first
+offer of each pair (`TlAgent._schedule`, `WlAgent._schedule`), and
+`_OFFER` maps the name to the copies sent at once, the wait before the
+first timer send and the gap between later ones:
 
-* EAGER: resent every GAP (4) ticks until the destination is known to
-  hold the block;
-* BACKSTOP: resent every REPAIR_AFTER (11) ticks until then;
-* COVERED: no timer.  Another path, the block's creator or the group's
-  founder, covers the destination, so the pair is resent only to repair
-  a loss: in a round at least REPAIR_AFTER ticks after its last send or
-  first offer, once an ack or nack from the destination still does not
-  cover the block.
+    name      sent at once   first wait     then every
+    EAGER     EAGER_COPIES   GAP            GAP
+    PACED     EAGER_COPIES   ROUND_TRIP     GAP
+    RACED     RACED_COPIES   REPAIR_AFTER   GAP
+    BACKSTOP  1              REPAIR_AFTER   REPAIR_AFTER
 
-And five first offers:
-
-    name      sent at once   first wait     kind
-    EAGER     EAGER_COPIES   GAP            EAGER
-    PACED     EAGER_COPIES   ROUND_TRIP     EAGER
-    RACED     RACED_COPIES   REPAIR_AFTER   EAGER
-    BACKSTOP  1              REPAIR_AFTER   BACKSTOP
-    LAZY      0              REPAIR_AFTER   COVERED
-
-A first offer goes out when the block lands, or on the agent's own
+A pair is resent on its timer until the destination is known to hold the
+block.  A first offer goes out when the block lands, or on the agent's own
 command, in a round or not.  Only a pair's later sends wait for a round.
 
 EAGER is for a pair whose copy may be the destination's only path to the
@@ -47,7 +38,7 @@ copy always went out.  Loss and delay are drawn per copy, so at 30% loss
 all three are lost 2.7% of the time, below the 5% that the
 95th-percentile delivery time reads.  That closes the loss tail at the
 creator, which lets a WL relay hold back every copy that the creator
-covers (LAZY, below).
+covers (lazy copies, below).
 
 One GAP, not an RTO.  An RTO from the estimator of RFC 6298 (Paxson et
 al., "Computing TCP's Retransmission Timer") is about 11 ticks at the
@@ -76,7 +67,7 @@ all.
   a WL group is one hop from the creator, and a reader waits on an
   utterance.  A relay's copy costs the same datagram as a creator's copy
   but arrives a hop later, so the extra copy goes out from the creator,
-  and every relay copy of the utterance is LAZY.  With four copies up
+  and every relay copy of the utterance is lazy.  With four copies up
   front a resend is needed only when all four are lost, so an earlier
   one mostly races the ack.
 
@@ -118,90 +109,84 @@ resends stay about the same.  Each rule bounds its state by the last few
 ticks: the merge by one tick's deliveries, the twins by the landings of
 the last BURST ticks, the holdoff by the acks of the last ACK_HOLDOFF.
 
-BACKSTOP and LAZY are for a WL copy that another path may cover too, or
-that no agent acts on next: a copy of a block this agent did not create,
-which the creator sends too, of a member's own Accept, which the founder
-relays, or of the founder's own Invite to a member other than its
-target.  Each sends at most one copy at a time.
+BACKSTOP is for a WL copy that another path may cover too, or that no
+agent acts on next, while nothing shows that the other path covers it:
+the creator may not know the destination yet (a member learns of others
+only from their Accepts), so this copy may be the only path.  It is the
+first offer of the group's founder for a block it did not create, until
+the founder knows the creator holds the block that made the destination
+a member: it created every invite, so it knows every invitee, and a new
+member sends its Accept there first.  It is also the first offer of a
+member's own Accept to a member other than the founder, which relays
+every Accept to every member at once, and of the founder's own Invite to
+a member other than its target, which acts on nothing until the target's
+Accept.  A member's own Accept to another member stops at that member's
+first copy of a block of the group other than the genesis and the
+invites to this member: it sends those only to the members it knows, so
+the copy shows that it holds the Accept (`WlAgent._credit_delivery`).
 
-* BACKSTOP: the creator may not know the destination yet (a member
-  learns of others only from their Accepts), so this copy may be the
-  only path.  It is the first offer of the group's founder for a block
-  it did not create, until the founder knows the creator holds the
-  block that made the destination a member: it created every invite, so
-  it knows every invitee, and a new member sends its Accept there
-  first.  It is also the first offer of a member's own Accept to a
-  member other than the founder: the founder relays every Accept to
-  every member at once, so the creator's copies need not come in a
-  burst.  And it is the first offer of the founder's own Invite to a
-  member other than the Invite's target, which acts on nothing until the
-  target's Accept.  A member's own Accept to another member stops at that
-  member's first copy of a block of the group other than the genesis and
-  the invites to this member: it sends those only to the members it
-  knows, so the copy shows that it holds the Accept
-  (`WlAgent._credit_delivery`), with no ack to wait for.
-* LAZY: every other relay copy, covered or not, utterance or
-  membership block (Group, Invite, Accept, Empty): the founder is the
-  one backstop.  The creator covers the destination when the agent
-  knows it holds the block that made the destination a member, and
-  always when it is the group's founder: a new member knows only the
-  founder, so every Accept goes to the founder first.  This is Plumtree's
-  eager/lazy split (below) taken to its end for a group whose members
-  are all one hop from each creator: the eager tree is the creator's own
-  star, the founder backstops it, and every other relay copy is lazy.
-  A relay copy sent at once would cost a datagram, as a creator copy
-  does, and arrive a hop later, and relayed at once by every member to
-  every other member, Accepts and covered copies grow as n^3.
-
-The one re-read.  `take` asks again for the schedule of a BACKSTOP pair
-on every call; once the agent names it LAZY, the creator has been seen
-to cover the destination, and the pair becomes COVERED.  What the
-creator is known to hold only grows, so a pair of any other kind keeps
-the kind of its first offer.  A pair's entry also says whether its copy
-has gone out yet, so the first send of a LAZY pair does not count in
-`metrics.resent`: it repeats nothing.
-
-So a run is quiescent only when every pair is COVERED or its block is
-known to be held: what a correct agent owes a member, the member holds.  The exception is a
-creator that withholds its block from a member it knows (a faulty one);
-the relays' COVERED copies then get only the repair.  A founder that
-goes silent costs delay, not liveness, only once it has relayed every
-Accept: before that, a new member's Accept may have reached no one else,
-and the group stays split.
-
-REPAIR_AFTER is twice the largest default delay (5 ticks) plus one, so
-an ack that still does not cover the block left the destination after
-the copy could have arrived, and is evidence the copy was lost.  With
-longer delays a repair may race a copy still in flight: an extra send.
-The ack may be a nack: a WL agent that parks a block because ancestors
-are missing acks it at once with the tips of the block's group
-(`peers.Agent.receive`), which shows the deliverer what is missing.
-When none of the block's pointers is here, the group is the one the
-agent shares with the block's creator, if there is exactly one: so a
-member that missed a block every later one points at, such as a
-withheld fork, still nacks (`WlAgent._nack_pointers`).
-The destination does not ack a relay's COVERED copy itself: the block
-observes the destination's own Accept (or the genesis, for the
-founder), so it knows the relay keeps no timer on the copy
-(`WlAgent._ack_pointers`).
-So a relay's repair marks come from nacks, from acks of its BACKSTOP
-copies and from acks of its own blocks.
+Lazy copies.  Every other WL relay copy is lazy, covered or not,
+utterance or membership block: the founder is the one backstop.  The
+creator covers the destination when the agent knows it holds the block
+that made the destination a member, and always when it is the group's
+founder, to which every new member sends its Accept first.  So
+`WlAgent._wanted` gives each member's wanted blocks with their lazy part:
+at the founder the blocks whose creator covers the member, at every
+other member every block of another creator.  A lazy copy has no pair
+and no timer (`peers.Agent.disseminate` walks only the rest through
+`take`).  TL has none: a TL relay is often the only path (friends in a
+line), so it sends on the creator's schedule, copies up front included.
 This is the eager/lazy split of Plumtree (Leitao, Pereira and Rodrigues,
 "Epidemic Broadcast Trees", SRDS 2007), with acks and nacks in place of
-its IHAVE and GRAFT messages.  With single relay copies and neither
-repair nor backstop, `wl_partitions` fails at 11 of seeds 0-39: two
-members each miss the other's Accept when the founder's one relay copy
-is lost.  The repair alone passes there only while later blocks keep
-drawing acks from the member; when a new member's Accept and say are the
-last blocks and the founder's copies of them are lost, nothing does, and
-a run could quiesce with the member lacking both.  The backstop closes
-that.  In TL a relay is often the only path (friends in a line), so a TL
-relay's copy is never COVERED: it goes on the creator's own schedule,
-EAGER or PACED, copies up front included.
+its IHAVE and GRAFT messages, taken to its end for a group whose members
+are all one hop from each creator: the eager tree is the creator's own
+star, and the founder backstops it.  A relay copy sent at once costs a
+datagram, as a creator copy does, but arrives a hop later, and relayed
+at once by every member to every other one, copies grow as n^3.
 
-Ticks are counted by the agent's own rounds (`tick()` calls).  The key
-holds the destination address, not the agent: a peer that moves to a new
-address starts over with a fresh entry there.
+The repair rule.  `repair` sends a destination, in a round after an ack
+came from its address (`mark_repair`), every lazy block it is owed that
+landed here at least REPAIR_AFTER rounds ago; at most once per
+REPAIR_AFTER rounds, counted from when the address was first owed a lazy
+copy or was last repaired.  REPAIR_AFTER is twice the largest default
+delay (5 ticks) plus one, so an ack that still does not cover the block
+left the destination after the creator's copy could have arrived, and is
+evidence the copy was lost.  With longer delays a repair may race a copy
+still in flight: an extra send, never a lost block.  The ack may be a
+nack: a WL agent that parks a block because ancestors are missing acks
+it at once with the tips of the block's group (`peers.Agent.receive`),
+which shows the deliverer what is missing; when none of the block's
+pointers is here, the group is the one the agent shares with the
+block's creator, if there is exactly one, so a member that missed a
+withheld fork still nacks (`WlAgent._nack_pointers`).  A member does not
+ack a relay's copy of a block that observes its own Accept (or the
+genesis, for the founder): the copy is lazy, and no timer waits on it
+(`WlAgent._ack_pointers`).  With single relay copies and neither repair
+nor backstop, `wl_partitions` fails at 11 of seeds 0-39: two members
+each miss the other's Accept when the founder's one relay copy is lost.
+The repair alone passes only while later blocks keep drawing acks: when
+a new member's Accept and say are the last blocks and the founder's
+copies are lost, a run could quiesce with the member lacking both.  The
+backstop closes that.
+
+So `armed()` reads only the timers, and a run is quiescent only when a
+correct agent's members hold what it owes them on a timer; what it owes
+lazily, the creator or the founder owes on a timer.  The exception is a
+faulty creator that withholds its block from a member it knows: the
+relays' lazy copies then get only the repair.  A founder that goes
+silent before it has relayed every Accept may leave a new member's
+Accept with no one else, and the group split.
+
+`metrics.resent` counts every send but the first copy of a pair's first
+offer: the other copies up front, each timer send and each repair copy.
+
+Bounds.  The pair table holds the pairs outstanding at the last round
+plus those first offered since, two ints each; the repair marks, the
+addresses acks came from since the last round; the repair rule, one tick
+per destination address ever owed a lazy copy and the lace size after
+each of the last REPAIR_AFTER rounds.  Ticks are counted by the agent's
+own rounds (`tick()` calls).  Pairs and repair ticks are keyed by the
+destination address: a peer that moves starts over at its new address.
 """
 
 from __future__ import annotations
@@ -231,22 +216,19 @@ BURST = 5
 # flight: an extra send, never a lost block.
 REPAIR_AFTER = 11
 
-# The kinds of pair `Retransmit` keeps.
+# The first offers an agent names.
 EAGER = "eager"
-BACKSTOP = "backstop"
-COVERED = "covered"
-# The other first offers an agent names.
 PACED = "paced"
 RACED = "raced"
-LAZY = "lazy"
+BACKSTOP = "backstop"
 
-# first offer -> (copies sent at once, ticks to the first timer send, kind)
+# first offer -> (copies sent at once, ticks to the first timer send, ticks
+# between later timer sends)
 _OFFER = {
-    EAGER: (EAGER_COPIES, GAP, EAGER),
-    PACED: (EAGER_COPIES, ROUND_TRIP, EAGER),
-    RACED: (RACED_COPIES, REPAIR_AFTER, EAGER),
-    BACKSTOP: (1, REPAIR_AFTER, BACKSTOP),
-    LAZY: (0, REPAIR_AFTER, COVERED),
+    EAGER: (EAGER_COPIES, GAP, GAP),
+    PACED: (EAGER_COPIES, ROUND_TRIP, GAP),
+    RACED: (RACED_COPIES, REPAIR_AFTER, GAP),
+    BACKSTOP: (1, REPAIR_AFTER, REPAIR_AFTER),
 }
 
 # (destination address, block creator, block digest): a block id's fields,
@@ -255,57 +237,62 @@ Pair = tuple[NetAddress, bytes, bytes]
 
 
 class Retransmit:
-    """Send schedule per (destination address, block id).
+    """Send schedule per (destination address, block id), and the repair
+    of lazy copies per destination address.
 
-    `take` decides each candidate send on the pair's schedule.  Outside a
-    round it passes only first offers.  Inside a round (`with
-    schedule.round():`) it passes every pair that is due, and rearms its
+    `take` decides each candidate send on the pair's timer.  Outside a
+    round (`with schedule.round(size):`) it passes only first offers.
+    Inside a round it passes every pair that is due, and rearms its
     timer.  A round moves the table aside, and each `take` moves the pair
     it asks about back, so the pairs the round asked about are exactly
     the pairs still outstanding; when the round ends every other entry is
-    dropped.  So `armed()` is read only between rounds.  Bound: the table
-    holds the pairs outstanding at the last round plus those first offered
-    since, one entry each; the repair marks hold the addresses acks came
-    from since the last round.
+    dropped.  So `armed()` is read only between rounds.  `repair` sends
+    only in a round.
     """
 
     def __init__(self, metrics):
-        # `metrics.resent` counts sends that repeat an earlier send of the
-        # same block to the same destination.
         self._metrics = metrics
         self.now = 0
-        # pair -> (tick the next send is due, kind, whether a copy went out)
-        self._pairs: dict[Pair, tuple[int, str, bool]] = {}
+        # pair -> (tick the next send is due, ticks between timer sends)
+        self._pairs: dict[Pair, tuple[int, int]] = {}
         # the table as the current round found it; None between rounds
-        self._before: Optional[dict[Pair, tuple[int, str, bool]]] = None
+        self._before: Optional[dict[Pair, tuple[int, int]]] = None
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
+        # destination -> the tick it was first owed a lazy copy or was last
+        # repaired
+        self._repaired: dict[NetAddress, int] = {}
+        # the lace size after each of the last REPAIR_AFTER rounds
+        self._sizes = [0] * REPAIR_AFTER
 
     def armed(self) -> bool:
-        """Whether a timer still runs: a pair that is not COVERED."""
-        return any(entry[1] != COVERED for entry in self._pairs.values())
+        """Whether a timer still runs."""
+        return bool(self._pairs)
 
     def mark_repair(self, dest: NetAddress) -> None:
-        """An ack came from `dest`: the next round may repair its COVERED
-        pairs that the ack did not cover."""
+        """An ack came from `dest`: the next round may repair the lazy
+        copies it is owed."""
         self._repair.add(dest)
 
     @contextmanager
-    def round(self) -> Iterator[None]:
-        """One retransmission round; ends the agent's current tick."""
+    def round(self, size: int) -> Iterator[None]:
+        """One retransmission round; ends the agent's current tick.  `size`
+        is how many blocks the agent's blocklace holds: a block's bit below
+        it landed before this round."""
         self._before, self._pairs = self._pairs, {}
         try:
             yield
         finally:
             self._before = None
             self._repair = set()
+            self._sizes = self._sizes[1:] + [size]
             self.now += 1
 
     def take(self, dest: NetAddress, block_id: BlockId, schedule: Callable[[], str]) -> int:
         """How many copies of the block to send to `dest` now: on a first
         offer as `_OFFER` says, else 0 or 1.  Rearms the pair's timer when
-        it sends.  `schedule` names the pair's first offer; it is called on
-        the first offer, and after that only while the pair is BACKSTOP."""
+        it sends.  `schedule` names the pair's first offer, and is called
+        only then."""
         pair = (dest, block_id.creator, block_id.digest)
         pairs, before, now = self._pairs, self._before, self.now
         entry = pairs.get(pair)
@@ -314,16 +301,27 @@ class Retransmit:
             if entry is not None:
                 pairs[pair] = entry
         if entry is None:
-            copies, wait, kind = _OFFER[schedule()]
-            pairs[pair] = (now + wait, kind, copies > 0)
-            self._metrics.resent += max(copies - 1, 0)
+            copies, wait, gap = _OFFER[schedule()]
+            pairs[pair] = (now + wait, gap)
+            self._metrics.resent += copies - 1
             return copies
-        due, kind, sent = entry
-        if kind == BACKSTOP and schedule() == LAZY:
-            kind = COVERED
-            pairs[pair] = (due, kind, sent)
-        if before is None or due > now or (kind == COVERED and dest not in self._repair):
+        due, gap = entry
+        if before is None or due > now:
             return 0
-        pairs[pair] = (now + (GAP if kind == EAGER else REPAIR_AFTER), kind, True)
-        self._metrics.resent += sent
+        pairs[pair] = (now + gap, gap)
+        self._metrics.resent += 1
         return 1
+
+    def repair(self, dest: NetAddress, lazy: int) -> int:
+        """Of the lazy blocks `dest` is owed (a mask of the agent's
+        blocklace), those to send it now by the repair rule.  Call it once
+        a round per destination."""
+        now = self.now
+        since = self._repaired.setdefault(dest, now)
+        if self._before is None or dest not in self._repair or now - since < REPAIR_AFTER:
+            return 0
+        old = lazy & ((1 << self._sizes[0]) - 1)
+        if old:
+            self._repaired[dest] = now
+            self._metrics.resent += old.bit_count()
+        return old

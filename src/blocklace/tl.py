@@ -69,7 +69,7 @@ def is_offer_to(block: Block, q: AgentId) -> bool:
 class TlAgent(Agent):
     def __init__(self, kp: Keypair, address: NetAddress):
         super().__init__(kp, address, AgentMetrics())
-        self.peers = PeerKnowledge(self.lace, self.lace.self_mask_of, self._full_credit)
+        self.peers = PeerKnowledge(self.lace, self._full_credit)
         # Follow edges by follower, and this agent's own friendship offers
         # by target.  Bound: one entry per follow block stored here.
         self._followees: dict[AgentId, set[AgentId]] = {}
@@ -134,11 +134,12 @@ class TlAgent(Agent):
 
     # --- internals -----------------------------------------------------------
 
-    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
+    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int, int]]:
         # Every known agent, each block it may be sent and does not hold.
         known = self.peers.known
+        # None of it is lazy: a TL relay may be the only path.
         for q in sorted(self.known_agents()):
-            yield q, scope & self._sendable(q) & ~known(q)
+            yield q, scope & self._sendable(q) & ~known(q), 0
 
     def _schedule(self, block: Block, q: AgentId) -> str:
         # Own or relayed alike: an utterance's first resend waits a round
@@ -155,17 +156,18 @@ class TlAgent(Agent):
                 mask |= self.lace.creator_mask(creator)
         return mask
 
-    def _full_credit(self, q: AgentId, block: Block, vouched: bool) -> bool:
-        # What q naming a block proves q holds.  A disclosure vouches for
-        # the block's self-chain prefix: the discloser names only heads of
-        # chains it holds without holes.  A claim (a pointer in q's block,
-        # or a copy q delivered) proves the prefix too when q's buffering
-        # guarantees it: q follows the creator and the block is not an
-        # offer to q, which lands out of chain order.  Otherwise it proves
-        # the block alone, until q follows the creator (`_index`).
-        return vouched or (
-            self.follows(q, block.creator) and not is_offer_to(block, q)
+    def _full_credit(self, q: AgentId, block_id: BlockId, vouched: bool) -> int:
+        # What q naming a block here proves q holds.  A disclosure vouches
+        # for the block's self-chain prefix: the discloser names only heads
+        # of chains it holds without holes.  A claim (a pointer in q's
+        # block, or a copy q delivered) proves the prefix too when q's
+        # buffering guarantees it: q follows the creator and the block is
+        # not an offer to q, which lands out of chain order.  Otherwise it
+        # proves the block alone, until q follows the creator (`_index`).
+        prefix = vouched or (
+            self.follows(q, block_id.creator) and not is_offer_to(self.lace.get(block_id), q)
         )
+        return (self.lace.self_mask_of if prefix else self.lace.bit_of)(block_id)
 
     def _pointers(self) -> set[BlockId]:
         # An own block points at the tips and at this agent's previous

@@ -48,7 +48,7 @@ from .blocks import (
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
 from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
-from .retransmit import BACKSTOP, EAGER, LAZY, RACED
+from .retransmit import BACKSTOP, EAGER, RACED
 
 GroupId = BlockId
 
@@ -138,7 +138,7 @@ class WlAgent(Agent):
         super().__init__(kp, address, WlMetrics())
         # A peer holds the closures of its own blocks (credited by
         # `_index`), of the ids its acks named and of the blocks it sent here.
-        self.peers = PeerKnowledge(self.lace, self.lace.mask_of)
+        self.peers = PeerKnowledge(self.lace, lambda q, block_id, _: self.lace.mask_of(block_id))
         self.group_keys: dict[GroupId, GroupKey] = {}
         self._genesis_bits = 0
         # Each genesis here, in insertion order -> the bits of its partition.
@@ -263,44 +263,46 @@ class WlAgent(Agent):
         # only to the agent that acts on it next: an Invite to its target,
         # an Accept to the founder, which relays every Accept at once.  To
         # any other member an Invite or Accept is BACKSTOP.  Its other
-        # membership blocks (Group, Empty): EAGER.  A relayed block:
-        # BACKSTOP at the founder, which knows every invitee, until it
-        # knows the creator covers q (holds the block that made q a
-        # member); LAZY at every other relay.
-        if block.creator == self.agent_id:
-            payload = block.payload
-            if b.is_utterance(payload):
-                return RACED
-            if isinstance(payload, Invite):
-                return EAGER if q == payload.target else BACKSTOP
-            if not isinstance(payload, Accept):
-                return EAGER
-            return EAGER if q == self.group_of(block.id).creator else BACKSTOP
-        gid = self.group_of(block.id)
-        if gid.creator != self.agent_id:
-            return LAZY
-        joined = self._members[gid].get(q, 0)
-        return LAZY if self.peers.known(block.creator) & joined else BACKSTOP
+        # membership blocks (Group, Empty): EAGER.  A relayed block, asked
+        # for only at the founder while it may be q's only path: BACKSTOP.
+        if block.creator != self.agent_id:
+            return BACKSTOP
+        payload = block.payload
+        if b.is_utterance(payload):
+            return RACED
+        if isinstance(payload, Invite):
+            return EAGER if q == payload.target else BACKSTOP
+        if not isinstance(payload, Accept):
+            return EAGER
+        return EAGER if q == self.group_of(block.id).creator else BACKSTOP
 
-    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int]]:
+    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int, int]]:
         # Per group, each other member the partition blocks it has not
-        # observed; then each invitee this agent's invite with its
-        # ancestry, so the invitee can validate it, until the invitee's
-        # blocks or acks cover the invite.
+        # observed, and their lazy part (`retransmit`): every block of
+        # another creator, at the founder only those whose creator holds
+        # the blocks that made the member a member (creator masks are
+        # disjoint, so their sum is their union).  Then each invitee this
+        # agent's invite with its ancestry, until the invitee covers it.
         lace = self.lace
         known = self.peers.known
         me = self.agent_id
         for gid in sorted(self._partition_bits):
             bits = self._partition_bits[gid] & scope
-            if bits:
-                for q in self.members_of(gid):
-                    if q != me:
-                        yield q, bits & ~known(q)
+            if not bits:
+                continue
+            members = self._members[gid]
+            for q in sorted(members.keys() - {me}):
+                wanted = bits & ~known(q)
+                lazy = wanted & ~lace.creator_mask(me)
+                if gid.creator == me and lazy:
+                    creators = {blk.creator for blk in lace.blocks_of_mask(lazy)}
+                    lazy &= sum(lace.creator_mask(c) for c in creators if known(c) & members[q])
+                yield q, wanted, lazy
         for invite_id, (gid, target) in self._invite_index.items():
             if invite_id.creator != me or target == me:
                 continue
             if not known(target) & lace.bit_of(invite_id):
-                yield target, lace.mask_of(invite_id) & scope
+                yield target, lace.mask_of(invite_id) & scope, 0
 
     # --- receive pipeline -----------------------------------------------------
 
@@ -399,9 +401,9 @@ class WlAgent(Agent):
         # invite addressed to this agent is acknowledged by naming it.
         # No ack for a copy from a relay, a known deliverer
         # (`peers.Agent._credit_delivery`) other than the creator, when the
-        # block observes the block that made this agent a member: that
-        # relay holds it too, so its copy is COVERED and has no
-        # timer for an ack to stop (`_schedule`).
+        # block observes the block that made this agent a member: the
+        # relay's copy is lazy, and no timer waits on it (`_wanted`).  And
+        # none for another block at an invitee: it would name nothing.
         gid = self.group_of(block.id)
         if gid is not None and self.member(self.agent_id, gid):
             joined = self._members[gid][self.agent_id]
@@ -409,10 +411,9 @@ class WlAgent(Agent):
             if relayed and self.lace.mask_of(block.id) & joined:
                 return None
             return self.partition_tips(gid)
-        payload = block.payload
-        if isinstance(payload, Invite) and payload.target == self.agent_id:
+        if isinstance(block.payload, Invite) and block.payload.target == self.agent_id:
             return frozenset([block.id])
-        return frozenset()
+        return None
 
     def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
         # A parked block's present pointers name its group: acking that

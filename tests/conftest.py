@@ -5,7 +5,6 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.lace import Blocklace
-from blocklace.retransmit import COVERED
 
 KEYPAIRS = [crypto.keygen(i) for i in range(6)]
 
@@ -50,9 +49,11 @@ def befriend(x, y, rounds=1):
         pump([x, y], y.tick(), y)
 
 
-def armed_pairs(rtx):
-    """How many pairs still have a timer: the ones not COVERED."""
-    return sum(kind != COVERED for _, kind, _ in rtx._pairs.values())
+def is_lazy(agent, block, q):
+    """Whether `agent` owes q the block lazily: in the lazy part of what
+    `_wanted` lists for q, which only a repair sends."""
+    bit = agent.lace.bit_of(block.id)
+    return any(peer == q.agent_id and lazy & bit for peer, _, lazy in agent._wanted(bit))
 
 
 def make_block(kp, payload=None, pointers=(), address="addr/0"):

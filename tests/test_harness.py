@@ -572,9 +572,9 @@ def test_eavesdropper_receives_copies_but_stays_silent():
 
 
 def test_eavesdropper_tap_sends_no_ack():
-    # Each tap draws acks like a delivery, and the runner drains them with
-    # every other agent's after the tick's deliveries, through eve's muted
-    # wrapper: none reaches the network.
+    # Eve is in no group and holds no invite, so an ack of a tap would name
+    # nothing: the runner drains eve's acks with every other agent's, but
+    # none is built (`WlAgent._ack_pointers`), and none reaches the network.
     scenario = canned.wl_privacy(seed=2)
     runner = Runner(scenario)
     eve = runner.wrappers["eve"].inner
@@ -587,7 +587,8 @@ def test_eavesdropper_tap_sends_no_ack():
 
     eve.flush_acks = flush_acks
     runner.run()
-    assert drawn
+    assert eve.metrics.received > 0
+    assert drawn == [] and eve.metrics.acks_sent == 0
     eve_address = next(s.initial_address() for s in scenario.agents if s.name == "eve")
     assert f"src={eve_address}" not in runner.trace.text()
 

@@ -194,6 +194,46 @@ def test_ip_address_without_a_latest_block_matches_bruteforce(kp):
         )
 
 
+
+def _latest_address(creator, present):
+    """The reference `ip_address`: the address of the creator's one block
+    that observes all its others here, else of its maximal block with the
+    smallest digest."""
+    own = [blk for blk in present if blk.creator == creator]
+    if not own:
+        return None
+    latest = [blk for blk in own if all(oracle.observes(blk, other, present) for other in own)]
+    if latest:
+        (only,) = latest
+        return only.address
+    return _bruteforce_address(creator, present)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ip_address_matches_latest_block_reference_in_any_insertion_order(seed):
+    # Random DAGs over two creators, so a creator's blocks fork as often as
+    # they chain, each block at its own address, inserted in a random
+    # order: after every insert, each creator's address is its latest
+    # block's, with gaps and forks in what is here so far.
+    rng = random.Random(seed)
+    creators = KEYPAIRS[:2]
+    blocks_list = []
+    for i in range(rng.randint(1, 12)):
+        pool = [blk.id for blk in blocks_list]
+        pointers = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        blocks_list.append(
+            make_block(rng.choice(creators), b.Say(b"%d" % i), pointers, address=f"a{i}/0")
+        )
+    rng.shuffle(blocks_list)
+    lace = Blocklace()
+    for blk in blocks_list:
+        lace.insert(blk)
+        present = list(lace.blocks())
+        for keypair in creators:
+            expected = _latest_address(keypair.agent_id, present)
+            assert lace.ip_address(keypair.agent_id) == expected
+
 def test_equivocation_shapes(kp, kp2):
     base = make_block(kp2)
     lace = lace_of([base])

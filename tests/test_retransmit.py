@@ -20,7 +20,6 @@ from blocklace.retransmit import (
     EAGER,
     EAGER_COPIES,
     GAP,
-    LAZY,
     PACED,
     RACED,
     RACED_COPIES,
@@ -32,7 +31,7 @@ from blocklace.simnet import NetConfig
 from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
 
-from conftest import armed_pairs, befriend, pump
+from conftest import befriend, is_lazy, pump
 
 KP = [crypto.keygen(f"rtx-{i}") for i in range(4)]
 BLOCK = b.new_block(KP[0], "r0/0", b.Say(b"x"), ()).id
@@ -60,27 +59,19 @@ def round_sends(rtx, pairs, rounds, schedule=EAGER, marked=()):
     for _ in range(rounds):
         for dest in marked:
             rtx.mark_repair(dest)
-        with rtx.round():
+        with rtx.round(0):
             for dest, block_id in pairs:
                 sent[(dest, block_id)] += [rtx.now] * rtx.take(dest, block_id, ask)
     return sent
 
 
-def offer_covered(rtx, dest, block_id):
-    """Offer the pair on its BACKSTOP, then name it LAZY: its copy went out
-    once, and the creator has since been seen to cover `dest`."""
-    assert rtx.take(dest, block_id, lambda: BACKSTOP) == 1
-    assert rtx.take(dest, block_id, lambda: LAZY) == 0
-
-
 # first offer -> (copies sent at once, ticks to the first timer send, ticks
-# between later sends).  A LAZY pair goes out only on a repair.
+# between later sends)
 FIRST_OFFERS = {
     EAGER: (EAGER_COPIES, GAP, GAP),
     PACED: (EAGER_COPIES, ROUND_TRIP, GAP),
     RACED: (RACED_COPIES, REPAIR_AFTER, GAP),
     BACKSTOP: (1, REPAIR_AFTER, REPAIR_AFTER),
-    LAZY: (0, REPAIR_AFTER, REPAIR_AFTER),
 }
 
 
@@ -94,27 +85,25 @@ def test_first_offer_copies_waits_and_period(name):
     asked = Asked(name)
     assert rtx.take("p/0", BLOCK, asked) == copies  # first offer, outside a round
     assert rtx.take("p/0", BLOCK, asked) == 0  # no repeat before it is due
-    assert metrics.resent == max(copies - 1, 0)
-    # Acks from p come before every round: they repair a LAZY pair, and
-    # move no other.
+    assert metrics.resent == copies - 1
+    # Acks from p come before every round, and move no timer.
     sent, armed = [], []
     for _ in range(first + 3 * period + 1):
         sent += round_sends(rtx, [("p/0", BLOCK)], 1, asked, marked=["p/0"])[("p/0", BLOCK)]
         armed.append(rtx.armed())
     assert sent == [start + first + i * period for i in range(4)]
-    assert armed == [name != LAZY] * len(armed)
+    assert all(armed)
     # Every send but the first repeats one.
     assert metrics.resent == copies + len(sent) - 1
-    # Only a BACKSTOP pair is asked for after its first offer.
-    rereads = 1 + len(armed) if name == BACKSTOP else 0
-    assert asked.calls == 1 + rereads
+    # The schedule is asked for on the first offer only.
+    assert asked.calls == 1
     # No longer wanted: the next round does not ask about it.
     round_sends(rtx, [], 1)
     assert not rtx.armed()
     # First offered in a round, it sends the same copies there, and waits
     # as long for its first timer send.
     rtx = Retransmit(AgentMetrics())
-    with rtx.round():
+    with rtx.round(0):
         assert rtx.take("p/0", BLOCK, asked) == copies
     sent = round_sends(rtx, [("p/0", BLOCK)], first, asked, marked=["p/0"])
     assert sent[("p/0", BLOCK)] == [first]
@@ -159,82 +148,6 @@ def test_raced_wait_spans_the_longest_default_round_trip():
     assert REPAIR_AFTER > 2 * NetConfig().delay_max
 
 
-# A backup pair is a covered one: another path also covers it.  Agents
-# reach it two ways: a BACKSTOP pair whose creator has since been seen to
-# cover the destination (`offer_covered`), and a LAZY pair after its
-# first repair send.
-
-
-def test_backup_pair_sent_once_then_every_backup_gap():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    offer_covered(rtx, "p/0", BLOCK)  # first offer, outside a round
-    sent = round_sends(rtx, [("p/0", BLOCK)], 10, LAZY)
-    # No same-round copy, and without an ack from p no resend at all.
-    assert sent[("p/0", BLOCK)] == []
-    assert metrics.resent == 0
-    # After acks from p, resends come REPAIR_AFTER ticks after the last send
-    # at tick 0.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
-    assert metrics.resent == 3
-
-
-def test_backup_pair_first_offered_in_a_round():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    # A pair first offered in a round goes out there, once.
-    with rtx.round():
-        offer_covered(rtx, "p/0", BLOCK)
-        offer_covered(rtx, "p/0", OTHER)
-    sent = round_sends(rtx, [("p/0", BLOCK), ("p/0", OTHER)], 9, LAZY)
-    assert sent == {("p/0", BLOCK): [], ("p/0", OTHER): []}
-    assert metrics.resent == 0
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
-    assert metrics.resent == 3
-
-
-def test_relay_pair_silent_without_a_repair_mark():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    offer_covered(rtx, "p/0", BLOCK)
-    # Acks from another address do not repair p's pairs.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["q/0"])
-    assert sent[("p/0", BLOCK)] == []
-    assert metrics.resent == 0
-
-
-def test_marked_relay_pair_resent_only_after_repair_after():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    offer_covered(rtx, "p/0", BLOCK)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
-    assert REPAIR_AFTER == 11
-    assert metrics.resent == 2
-    # A mark lasts one round: an ack before an early round repairs nothing
-    # later.
-    rtx = Retransmit(AgentMetrics())
-    offer_covered(rtx, "p/0", BLOCK)
-    round_sends(rtx, [("p/0", BLOCK)], 1, LAZY, marked=["p/0"])
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY)
-    assert sent[("p/0", BLOCK)] == []
-
-
-def test_relay_pairs_armed_only_on_a_backstop():
-    rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: LAZY)
-    sent = round_sends(rtx, [("p/0", BLOCK), ("q/0", BLOCK)], 15, LAZY, marked=["p/0"])
-    # p's pair went out on its first repair, and stays unarmed.
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
-    assert armed_pairs(rtx) == 0
-    rtx.take("p/0", OTHER, lambda: EAGER)
-    assert armed_pairs(rtx) == 1
-    rtx.take("q/0", OTHER, lambda: BACKSTOP)
-    assert armed_pairs(rtx) == 2
-
-
 def test_backstop_pair_resent_every_repair_after_until_held():
     # Acks from p do not bring a BACKSTOP resend forward.
     rtx = Retransmit(AgentMetrics())
@@ -247,75 +160,80 @@ def test_backstop_pair_resent_every_repair_after_until_held():
     assert not rtx.armed()
 
 
-def test_backstop_left_once_another_path_covers_the_pair():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    backstop = Asked(BACKSTOP)
-    rtx.take("p/0", BLOCK, backstop)
-    round_sends(rtx, [("p/0", BLOCK)], 5, backstop)
-    # Asked for on every take while on its backstop...
-    assert backstop.calls == 6
-    backstop.name = LAZY
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, backstop)
-    assert sent[("p/0", BLOCK)] == []
-    assert not rtx.armed()
-    assert metrics.resent == 0
-    # ...and never again once covered.
-    assert backstop.calls == 7
-    # A repair resends the copy sent at tick 0.
-    sent = round_sends(rtx, [("p/0", BLOCK)], 1, backstop, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [35]
-    assert metrics.resent == 1
-    assert backstop.calls == 7
+# The repair of lazy copies: per destination, a mask of the agent's
+# blocklace, with no pair and no timer.
 
 
-# A LAZY pair is a covered one whose first offer is recorded but not sent:
-# it goes out only to repair a loss.
+def repair_rounds(rtx, dest, sizes, lazy, marked=()):
+    """One round per entry of `sizes` (the lace size that round), each
+    after acks from the `marked` addresses, in which `dest` is owed the
+    `lazy` blocks; returns {tick: mask repaired} for each round that sent
+    something."""
+    sent = {}
+    for size in sizes:
+        for address in marked:
+            rtx.mark_repair(address)
+        with rtx.round(size):
+            got = rtx.repair(dest, lazy)
+            if got:
+                sent[rtx.now] = got
+    return sent
 
 
 def test_lazy_pair_silent_without_a_repair_mark():
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: LAZY)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY, marked=["q/0"])
-    assert sent[("p/0", BLOCK)] == []
+    # Acks from another address do not repair p's copies.
+    assert repair_rounds(rtx, "p/0", [1] * 30, 0b1, marked=["q/0"]) == {}
+    # Outside a round nothing is repaired, marked or not.
+    rtx.mark_repair("p/0")
+    assert rtx.repair("p/0", 0b1) == 0
     assert metrics.resent == 0
+    assert not rtx.armed()
 
 
 def test_lazy_pair_repaired_only_after_repair_after():
+    # p has been owed a lazy copy since tick 0, so only the age of each
+    # block holds it back: the block that lands before round 20 goes out
+    # in round 20 + REPAIR_AFTER, without the one that lands later.
     metrics = AgentMetrics()
     rtx = Retransmit(metrics)
-    rtx.take("p/0", BLOCK, lambda: LAZY)
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER + 1, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER]
-    # The first send repeats no earlier one.
-    assert metrics.resent == 0
-    sent = round_sends(rtx, [("p/0", BLOCK)], REPAIR_AFTER, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [2 * REPAIR_AFTER]
+    assert repair_rounds(rtx, "p/0", [1] * 20, 0b1) == {}
+    sent = repair_rounds(rtx, "p/0", [2] * 5 + [3] * 10, 0b110, marked=["p/0"])
+    assert sent == {20 + REPAIR_AFTER: 0b010}
+    # Each repair copy counts as a resend.
     assert metrics.resent == 1
 
 
-def test_backstop_pair_turned_lazy_resent_only_on_repair():
-    metrics = AgentMetrics()
-    rtx = Retransmit(metrics)
-    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP)
-    sent = round_sends(rtx, [("p/0", BLOCK)], 30, LAZY)
-    assert sent[("p/0", BLOCK)] == []
-    assert not rtx.armed()
-    sent = round_sends(rtx, [("p/0", BLOCK)], 1, LAZY, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [30]
-    assert metrics.resent == 1
-
-
-def test_round_prunes_relay_pairs_to_the_pairs_it_asked_about():
+def test_marked_relay_pair_resent_only_after_repair_after():
+    # At most one repair in REPAIR_AFTER rounds, counted from the round in
+    # which p was first owed a lazy copy, then from its last repair, even
+    # when every round brings an ack from p.
     rtx = Retransmit(AgentMetrics())
-    offer_covered(rtx, "p/0", BLOCK)
-    offer_covered(rtx, "p/0", OTHER)
-    round_sends(rtx, [("p/0", OTHER)], 1, LAZY)
-    assert not rtx.take("p/0", OTHER, lambda: LAZY)  # still outstanding
-    assert rtx.take("p/0", BLOCK, lambda: BACKSTOP)  # pruned: a first offer again
-    round_sends(rtx, [], 1)
-    assert rtx.take("p/0", OTHER, lambda: BACKSTOP)
+    sent = repair_rounds(rtx, "p/0", [1] * (3 * REPAIR_AFTER + 1), 0b1, marked=["p/0"])
+    assert list(sent) == [REPAIR_AFTER, 2 * REPAIR_AFTER, 3 * REPAIR_AFTER]
+    assert REPAIR_AFTER == 11
+    # First owed at round 20, for a block that landed long before.
+    rtx = Retransmit(AgentMetrics())
+    repair_rounds(rtx, "q/0", [1] * 20, 0b1)
+    sent = repair_rounds(rtx, "p/0", [1] * 20, 0b1, marked=["p/0"])
+    assert list(sent) == [20 + REPAIR_AFTER]
+    # A mark lasts one round: an ack before an early round repairs nothing
+    # later.
+    rtx = Retransmit(AgentMetrics())
+    repair_rounds(rtx, "p/0", [1] * REPAIR_AFTER, 0b1)
+    assert repair_rounds(rtx, "p/0", [1], 0b1, marked=["p/0"]) == {REPAIR_AFTER: 0b1}
+    repair_rounds(rtx, "p/0", [1] * REPAIR_AFTER, 0b1, marked=["p/0"])
+    assert repair_rounds(rtx, "p/0", [1] * 30, 0b1) == {}
+
+
+def test_a_repair_that_sends_nothing_opens_no_window():
+    # A marked round with no old block owed is no repair: the block goes
+    # out as soon as it is old enough.
+    rtx = Retransmit(AgentMetrics())
+    repair_rounds(rtx, "p/0", [0] * REPAIR_AFTER, 0)
+    sent = repair_rounds(rtx, "p/0", [1] * (REPAIR_AFTER + 1), 0b1, marked=["p/0"])
+    assert sent == {2 * REPAIR_AFTER: 0b1}
 
 
 def test_rebound_address_gets_a_fresh_timer():
@@ -331,9 +249,8 @@ def test_round_prunes_to_the_pairs_it_asked_about():
     rtx.take("p/0", BLOCK, lambda: EAGER)
     rtx.take("p/0", OTHER, lambda: EAGER)
     rtx.take("q/0", BLOCK, lambda: EAGER)
-    assert armed_pairs(rtx) == 3
     round_sends(rtx, [("p/0", OTHER)], 1)
-    assert armed_pairs(rtx) == 1
+    assert rtx.armed()
     assert not rtx.take("p/0", OTHER, lambda: EAGER)  # still armed, outside a round
     assert rtx.take("p/0", BLOCK, lambda: EAGER)  # pruned: a first offer again
     round_sends(rtx, [], 1)
@@ -417,7 +334,7 @@ def test_wl_relay_sends_once_in_its_first_tick_creator_three_times():
     # A relay sends a copy as it lands only when the creator may not cover
     # the destination: the founder relays a new member's Accept once, while
     # the member sent it to the founder in EAGER_COPIES copies.  A relay
-    # copy of a covered block is LAZY
+    # copy of a covered block is lazy
     # (test_every_relay_copy_of_a_covered_utterance_is_lazy).
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
@@ -452,14 +369,107 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
 
     at_f = deliver(f, m3, accept)
     assert copies(at_f, m1) == copies(at_f, m2) == 1
-    # m1 keeps no timer on its copy to m2: the founder is the one
-    # backstop, so m1 sends it only to repair a loss that an ack from m2
-    # shows.  m1's one timer is its own Accept's BACKSTOP to m3.
+    # m1's copy to m2 is lazy: the founder is the one backstop, so m1
+    # sends it only to repair a loss that an ack from m2 shows.
     at_m1 = deliver(m1, f, accept)
     assert copies(at_m1 + m1.tick(), m2) == 0
-    assert armed_pairs(m1.retransmit) == 1
-    assert m1._schedule(accept, m2.agent_id) == LAZY
+    assert is_lazy(m1, accept, m2)
     assert not owes(m1, m2, accept.id, rounds=2 * REPAIR_AFTER)
+
+
+def test_relay_pair_silent_without_a_repair_mark():
+    # m1's relay copy of m2's Say to the founder is lazy: without an ack
+    # from f it never goes out, and an ack from m2 does not repair it.  A
+    # nack from f that does not cover the Say draws the repair.
+    f, m1, m2 = (wl_agent(i) for i in range(3))
+    gid = wl_group(f, m1, m2)
+    m2.say_group(gid, b"to m1")
+    said = m2.last_uttered
+    deliver(m1, m2, said)
+    assert is_lazy(m1, said, f)
+    assert not owes(m1, f, said.id, rounds=2 * REPAIR_AFTER)
+    m1.retransmit.mark_repair(m2.current_address)
+    assert not owes(m1, f, said.id, rounds=1)
+    m1.say_group(gid, b"reply")  # points at the Say, which f lacks
+    (nack,) = acks_to(deliver(f, m1, m1.last_uttered), m1)
+    deliver(m1, f, nack)
+    assert said.id in {blk.id for dst, blk in m1.tick() if dst == f.current_address}
+
+
+def founder_relays_a_late_accept(covered):
+    """f, m1 and m2 form a group; m3 joins late, and f's relay copies of
+    its Accept to m1 and m2 are lost.  When `covered`, f's copies to m3 in
+    its next round arrive, and m3's acks show f that m3 holds m1's Accept.
+    Returns f, m1 and the Accept."""
+    f, m1, m2, m3 = (wl_agent(i) for i in range(4))
+    gid = wl_group(f, m1, m2)
+    f.address_hints[m3.agent_id] = m3.current_address
+    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    m3.accept(gid)
+    accept = m3.last_uttered
+    relayed = deliver(f, m3, accept)
+    assert {dst for dst, blk in relayed if blk.id == accept.id} == {
+        m1.current_address,
+        m2.current_address,
+    }
+    assert not is_lazy(f, accept, m1)
+    to_m3 = [(dst, blk) for dst, blk in f.tick() if dst == m3.current_address]
+    if covered:
+        pump([f, m3], to_m3, f)
+    return f, m1, accept
+
+
+def test_backstop_left_once_another_path_covers_the_pair():
+    # The founder keeps a timer on its relay copy of an Accept only while
+    # the Accept's creator may not cover the member: once it is seen to,
+    # the copy is lazy, and the timer is gone.
+    for covered in (False, True):
+        f, m1, accept = founder_relays_a_late_accept(covered)
+        assert is_lazy(f, accept, m1) == covered
+        assert owes(f, m1, accept.id, rounds=2 * REPAIR_AFTER) != covered
+
+
+def test_backstop_pair_turned_lazy_resent_only_on_repair():
+    f, m1, accept = founder_relays_a_late_accept(covered=True)
+    gid = f.group_of(accept.id)
+    assert not owes(f, m1, accept.id, rounds=2 * REPAIR_AFTER)
+    # m1 acks f's Say, which points at the Accept m1 lacks, so the ack is
+    # a nack, and it draws f's repair copy.
+    f.say_group(gid, b"after")
+    (nack,) = acks_to(deliver(m1, f, f.last_uttered), f)
+    resent = f.metrics.resent
+    deliver(f, m1, nack)
+    repaired = [blk.id for dst, blk in f.tick() if dst == m1.current_address]
+    assert repaired.count(accept.id) == 1
+    assert f.metrics.resent == resent + 1
+
+
+def test_relay_pairs_armed_only_on_a_backstop(monkeypatch):
+    # No table entry holds a copy that only a repair sends: after every
+    # round, each pair of a WL agent is of its own block or, at the
+    # block's group founder, of a relay copy to a member whom the block's
+    # creator is not known to cover: a BACKSTOP.
+    tick = WlAgent.tick
+    backstops = 0
+
+    def checked_tick(agent):
+        nonlocal backstops
+        sends = tick(agent)
+        at = {agent.address_of(q): q for gid in agent.groups() for q in agent.members_of(gid)}
+        for dest, creator, digest in agent.retransmit._pairs:
+            if creator == agent.agent_id:
+                continue
+            gid = agent.group_of(b.BlockId(creator, digest))
+            assert gid.creator == agent.agent_id
+            assert not agent.peers.known(creator) & agent._members[gid][at[dest]]
+            backstops += 1
+        return sends
+
+    monkeypatch.setattr(WlAgent, "tick", checked_tick)
+    for name in ("wl_group", "wl_partitions", "wl_churn"):
+        result = run_scenario(canned.CANNED[name](seed=1))
+        assert result.all_pass(), [(name, r.name, r.verdict) for r in result.oracle_results]
+    assert backstops
 
 
 def test_wl_founders_invite_bursts_only_to_its_target():
@@ -644,20 +654,23 @@ def test_schedule_names_each_copy():
         (m1, empty, f, EAGER),  # its own other membership blocks
         (f, invite, m1, BACKSTOP),  # its own Invite, to another member
         (m3, accept, m1, BACKSTOP),  # its own Accept, to another member
-        (f, said, m1, LAZY),  # covered: m2 holds m1's Accept
-        (f, responded, m1, LAZY),
-        (m1, invite, m2, LAZY),
-        (f, m1_accept, m2, LAZY),
-        (f, empty, m2, LAZY),
-        (m2, invite, m3, LAZY),  # the founder's block: always covered
         (f, accept, m1, BACKSTOP),  # uncovered, at the founder
         (f, stray_invite, m3, BACKSTOP),
-        (m1, accept, m2, LAZY),  # uncovered, at a relay other than the founder
-        (c3, late, c1, LAZY),
-        (c2, late, c1, LAZY),
     ]
     for agent, block, q, schedule in cases:
         assert agent._schedule(block, q.agent_id) == schedule
+        assert not is_lazy(agent, block, q)
+    lazy_cases = [
+        (f, said, m1),  # covered: m2 holds m1's Accept
+        (f, responded, m1),
+        (f, empty, m2),
+        (m1, invite, m2),  # at a relay other than the founder, the
+        (m1, accept, m2),  # founder's block, and uncovered
+        (c3, late, c1),
+        (c2, late, c1),
+    ]
+    for agent, block, q in lazy_cases:
+        assert is_lazy(agent, block, q)
     # A TL copy of a Say or Respond is PACED, relayed or not; of a Follow
     # or Empty, EAGER.
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
@@ -689,6 +702,9 @@ def test_schedule_names_each_copy():
     ]
     for agent, block, q, schedule in tl_cases:
         assert agent._schedule(block, q.agent_id) == schedule
+    # A TL relay may be the only path: nothing is lazy.
+    for agent in (a, c, d):
+        assert all(not lazy for _, _, lazy in agent._wanted(agent.lace.all_mask()))
 
 
 @pytest.mark.parametrize("size", [12, 7])
@@ -696,27 +712,24 @@ def test_every_relay_copy_of_a_covered_utterance_is_lazy(size):
     # Each member says once in a group formed over a perfect network, so
     # its creator covers every member.  The creator sends RACED_COPIES to
     # each, and no relay sends its copy as the Say lands, although it came
-    # straight from the creator: every relay copy is LAZY, sent only to
+    # straight from the creator: every relay copy is lazy, sent only to
     # repair a loss.
     agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
     gid = wl_group(*agents)
-    said = []
     for speaker in agents:
         sends = speaker.say_group(gid, b"hello")
         block = speaker.last_uttered
-        for q in agents:
-            if q is not speaker:
-                got = sum(dst == q.current_address and blk.id == block.id for dst, blk in sends)
-                assert got == RACED_COPIES
-                relayed = deliver(q, speaker, block)
-                assert not any(blk.id == block.id for _, blk in relayed)
-        said.append(block)
+        others = [q for q in agents if q is not speaker]
+        for q in others:
+            got = sum(dst == q.current_address and blk.id == block.id for dst, blk in sends)
+            assert got == RACED_COPIES
+            relayed = deliver(q, speaker, block)
+            assert not any(blk.id == block.id for _, blk in relayed)
+        for relay in others:
+            for q in others:
+                if q is not relay:
+                    assert is_lazy(relay, block, q)
     settle(agents)
-    for block in said:
-        for q in agents:
-            for relay in agents:
-                if block.creator not in (relay.agent_id, q.agent_id) and relay is not q:
-                    assert relay._schedule(block, q.agent_id) == LAZY
     assert not any(a.retransmit.armed() for a in agents)
 
 
@@ -731,9 +744,10 @@ def test_only_the_founder_and_creator_back_up_an_uncovered_accept(size):
     for q in agents[1:-1]:
         assert founder._schedule(accept, q.agent_id) == BACKSTOP
         assert creator._schedule(accept, q.agent_id) == BACKSTOP
+        assert not is_lazy(founder, accept, q)
         for relay in agents[1:-1]:
             if relay is not q:
-                assert relay._schedule(accept, q.agent_id) == LAZY
+                assert is_lazy(relay, accept, q)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -746,9 +760,9 @@ def test_both_forks_reach_every_member_of_a_crowd(seed):
 
 
 def test_only_the_founder_submits_invites():
-    # The founder sends each invite to every member on its EAGER schedule,
-    # so a member's relay copy of it is LAZY: never offered as it lands,
-    # and sent only to repair a loss, at least REPAIR_AFTER ticks after
+    # The founder sends each invite to every member on a timer, so a
+    # member's relay copy of it is lazy: never offered as it lands, and
+    # sent only to repair a loss, at least REPAIR_AFTER ticks after
     # the invite first reached the member.  Whether a member repairs an
     # Invite at all depends on the losses: at seed 2 some do.
     for seed in (1, 2):
@@ -844,7 +858,7 @@ def test_wl_copy_sent_by_the_peer_stops_the_resends():
     m2.say_group(gid, b"relay me")
     said = m2.last_uttered
     forwarded = deliver(f, m2, said)
-    # m2 covers m1, so f's copy to m1 is LAZY: offered, not sent.
+    # m2 covers m1, so f's copy to m1 is lazy: not sent.
     assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in forwarded}
     # Without a nack the copy is not sent, but it stays outstanding.
     assert not owes(f, m1, said.id, rounds=REPAIR_AFTER)
@@ -889,6 +903,17 @@ def test_wl_new_address_gets_a_fresh_timer():
 
 def acks_to(sends, dest):
     return [blk for dst, blk in sends if dst == dest.current_address and isinstance(blk.payload, b.Ack)]
+
+
+def test_wl_invitee_queues_no_ack_for_the_genesis():
+    # The genesis reaches an invitee before its invite: an ack would name
+    # nothing, so none is built, and none marks f's copies for repair.
+    f, m = wl_agent(0), wl_agent(1)
+    f.create_group(b"g")
+    genesis = f.last_uttered
+    assert m.receive(encode_block(genesis), f.current_address) == []
+    assert m.flush_acks() == []
+    assert m.metrics.acks_sent == 0
 
 
 def test_twins_of_a_raced_burst_draw_one_ack_while_the_tips_move():

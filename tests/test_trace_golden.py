@@ -31,18 +31,18 @@ GOLDEN_SHA256 = {
     "tl_line_broken": "60592867ffa3b4ff55beee56f1e9d10f1d00b60281b1fadc41212ff8be516db2",
     "tl_churn": "f62211e79955ebd6dbc1950c219912aa7ba42a5e3221648b985f97921739a7ca",
     "tl_forgery": "eeffe2560ecd838977d3bbe767c1a57a9075c90573aa2ae79ea043315ecd24fb",
-    "wl_group": "40d46ab0bba8777262b0269e0dca3a8355752ebd24fa74bc60dc8b5282a8f3fd",
-    "wl_crowd": "8bcdb6e99da9554852a15198935cd3f2004f2f9377d98833f3f97fdc69221c62",
-    "wl_dropper": "00d7e83eccf7fbae402022a567e52220d78981df55f5fd374d03c83e35e55b8a",
+    "wl_group": "27deab7111b4c62c670d5ec66a6642ed48008d1532e5cdf4973258960375533b",
+    "wl_crowd": "9bffd7f64ede485773bfdef2d0ce95568fce1d24e97c2dae35e8b77d26935f66",
+    "wl_dropper": "fd5a94248f9b4c9c5e3179fc6fb58d90461dfcd935be1edff034abb9ff85f26c",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "68799473966a832c9c8eb1c2c71bf47a5e7a4ea2ada5fa71c3921cdbd1bce2a0",
-    "wl_equivocation": "a06cb4a71998be4c6533c3d33e9a1f2b706d4e6d9894b4e97782c66716fd65a2",
-    "wl_equivocation_crowd": "c0febc54dc60d67a0f9f9598293acfaaef63e1e0bdb4a4f77500143b33f12fac",
-    "wl_privacy": "d790902f308c434eb18c20bf31d6b75ee5b150f20c0866f6581fc5a788f47e5f",
-    "wl_partitions": "338966570024ad78513c4cbed118d94114c770af9310a2654f092f39e23fd9f7",
-    "wl_founder_moves": "a62906a673b4e1f2744c442dd0b018a66dab9c3a6e174f27547ff5b7401beb1b",
-    "wl_founder_quits": "91fb68656fa4375bd94c7e753f477bc8cd8791d92da63da86cbe442a6bf48c2d",
-    "wl_crowd_orphans": "976f2ac3f771c198444490de9e231e30c5e85eeae5b01c824e137e18c1fe4002",
+    "wl_churn": "0dbc1c9d1bc1ee36581fad6ce2629ea632c24bbb7ace2a5fe3239250b0a99568",
+    "wl_equivocation": "525a51edd42cbf0b0cebfe8186fd7c324f1b735d45e7f6a41e669f3f915be549",
+    "wl_equivocation_crowd": "2e936f9c153f557a9f41dba58324f14c9c3d96fe8341d63ec1a4488d2e478212",
+    "wl_privacy": "0365c7425aaf1870a932ae1f27ed0d2d783635e63324c44c4fff28fabf397678",
+    "wl_partitions": "371fab09b64bf96f4d86aed66b9af9f046d815fbb167ea1e429c6bfd66ae6fa1",
+    "wl_founder_moves": "f6944371c354e5327a7ff811a5745e7f0a5f0fd237dad909dbf4bb25f6dc4734",
+    "wl_founder_quits": "f404c1eca6bba76fb02f5cd8e04eda0b120154ba48270b545d0b054b3a904949",
+    "wl_crowd_orphans": "0a504d2e6145f6f2e8f2dbc8169d10f28ee41f6d5f79dc21eb3de9cfdb3cf413",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "b0c5c1b17d5c1a5d023f69319be79b1fa55ab39913d26ffa81bde322b8181a02",
@@ -51,18 +51,18 @@ GOLDEN_V3_SHA256 = {
     "tl_line_broken": "8b05aa8a9ab10e2107d511489af03c10277ac71272d32760c22aa4f68a7afe70",
     "tl_churn": "3377661738c36305369d2ad097a2cc8d60ee24c5126e35a6a91d02d7c6e0c1a6",
     "tl_forgery": "12473b0773c5b6e1424931ceaf5849fe40552f7469c31bfe14648e027fbbadc4",
-    "wl_group": "eaec1be56ae92ca2c9dd5f54f146e22daf32442bca835ffbe57b19118d1a7ba3",
-    "wl_crowd": "ae2e78ef159963a5a4e6559a79ddf8d3407697f3b2baa4b109e17f8588f1fc0c",
-    "wl_dropper": "a3ce2d41f146c211a082f03f4313664e3756a3b94db6369bd8f959c34cbfbc7a",
+    "wl_group": "f1f3573681f0749c7870ff08573d2b5b2c57398afd9ef6e636ab64f045509b9a",
+    "wl_crowd": "4681660850a4e2128a449672b1af2ea1091f27ca24524a5a74a9b37b4369a0ac",
+    "wl_dropper": "a3101a6f1a57158cced64235ed6323db76383ffc566ed081fd9a5f70b4eb0446",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "b9bad30586ce909a6124555bb62c175ec1af3b82b7f587873fc239142298dddd",
-    "wl_equivocation": "7948ab91ba4cc9be774bdfd78f41a803670d960b7b03f565f15b190d38be0228",
-    "wl_equivocation_crowd": "5ee6a2259ae073453c0ff283a9bac62d6dfeb06203e0e5b40a2ec1e8f0edf2ab",
-    "wl_privacy": "b9f970eba723c8921349d372c798370a256a99d99cdd8dd26e2839630957e4aa",
-    "wl_partitions": "32d0f2966bd61a8e692de4df2783ee2a8d641c2a0597fe737e8d4a7d574f6081",
-    "wl_founder_moves": "43f05ea9fca479c1cd65b509f6f4d0c28806e5bee0520ac7d224479692f46c55",
-    "wl_founder_quits": "08ec459925b30739aeb6927c16a9e2d63ec8903fd330ef6b19602a537cd35c65",
-    "wl_crowd_orphans": "e541f63e54814c2c99470305315d231a3fbe1188be437cf2e1cc1fce2966f2ef",
+    "wl_churn": "9b228aa1eb3911860d8558b78c396e4d5f17bf88f60ebf335cc3098b72f483b7",
+    "wl_equivocation": "1c84fd26d8d9157d47993375026b0b238f4c1818a296105017db9054813215e3",
+    "wl_equivocation_crowd": "1c6ad6b397df9e36b19fe7a9a09e590eeb96c3f4e33f911436b92065f2e0f1ca",
+    "wl_privacy": "8195df4ccf6d82d5150f9d9269767e1491a703b68c203abf617ad29b26ad122f",
+    "wl_partitions": "dde3d5e2c3f6d0c3dc9ef146fbec4842140ea588b6c954c778afc19996526d76",
+    "wl_founder_moves": "19768ef186cfaf549e628418c81917add87ee81bbe954a47da507773a0c5d91d",
+    "wl_founder_quits": "044deac3c2b3254a138b73a4795587bfdd5ff38b9739d3539bbf09be7013209e",
+    "wl_crowd_orphans": "a7d3261eb02235c97c78e125842c51510e3489810347b11d26f5ed712be60e98",
 }
 GOLDEN_V2_SHA256 = {
     "tl_line": "e495cd2269504ae2c25dfa472c65e5d40e0d688b4e24a2497863a19c028ac03f",
@@ -71,18 +71,18 @@ GOLDEN_V2_SHA256 = {
     "tl_line_broken": "97913c2246a98233ab54d7b9bc376114920a409930c2d56a6b39035b4c87ce1c",
     "tl_churn": "8b20af3a92aabb85090b9e71b903ff774f45b9751c10740388faf61bd319afbd",
     "tl_forgery": "d90d10020d086cda4134f398ac67d8fc1d8018b68cd15af63ef75a87e0715839",
-    "wl_group": "3e98e1f2b1b730f9034dbc975455985be5c9af8f99f1bef1b260ce6802db6eaf",
-    "wl_crowd": "9fcd7a673f0db9702b37919ebacfcb19a53daa3982890aa4db7c1c6299fc1016",
-    "wl_dropper": "5c7b70bf632b61229eb161f0f16596e929b4b9042bf737de45c779eb816090b7",
+    "wl_group": "563f1cc3af0bfdce1fa2ad3bb6b4ad4bc85823ccdc6ca6864d3e327b93e88c8c",
+    "wl_crowd": "6f079103c49725ca99d5e5c335bf086318022a30a6edb8739523a464e9bd55b3",
+    "wl_dropper": "3e85562d9ee28dfbadb83955ee01fe3bb9b67f2e051b89d6dd0f8698c22bc860",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "d64aecbabfdc1d6f24500355283583ee0b3342220a91e230998d9f4b3435803b",
-    "wl_equivocation": "33e67a304520aa2d18493662dd587a8148000b87b43c7762b6479b303354637b",
-    "wl_equivocation_crowd": "56ba2c1d95d41cceb413ea081b8d1f54ccb5fed1ce117645adedc4102382f67b",
-    "wl_privacy": "c1fb81692178b41eb0f4aa10416bb5afe44c99aa15840ef801e704afca280847",
-    "wl_partitions": "24e89d49b93e81c8554ddd6d22dd45ee77aced329eaff8eab0e148c2fb36ef7b",
-    "wl_founder_moves": "a54facc943959279acf8dad3e450ae95369abccbd3a720f40ec8e9115b4a9056",
-    "wl_founder_quits": "b45e2fc38f8ab9d884adcc625ac9c86f15cdc9e77eb2be0aa12bd26b6afda07b",
-    "wl_crowd_orphans": "874cf3d04c8c7e4cb4ac0330cc459ddd1651aef9ad637ca08bddca403a0f5169",
+    "wl_churn": "30222ee00ddca1c2187ca9903a97b9d3b22378ddebd0e503f62f9e4db6c3c394",
+    "wl_equivocation": "bbfb26430ee8caf53654909b85520da0791c3f8d522e4f2a4df077f77f62fac3",
+    "wl_equivocation_crowd": "9ea01ea3248e2a9d2a3b1c35dd2510f7f68b416a02bdd6db495e0758d6410e21",
+    "wl_privacy": "06110338d35402c486afcb80e528c9782960e55f11b803deb09e3eda94aca6c0",
+    "wl_partitions": "97482cd9afd33c54f313d8451a34f33fbbb5adc2e29b3dc36ec0b2121847a597",
+    "wl_founder_moves": "bddf2838bd24076b0577579e95b12727152a315580e28d85a21b238fefa07485",
+    "wl_founder_quits": "459d1d86ede557c6b26925817dab16104a8f44bebc8e69195f25d02bba611a12",
+    "wl_crowd_orphans": "cdb22bdbfd5673b548b69a11e1942e8d3a73dbf1a83e2c052c5312d57c5e10a3",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -94,18 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "a53f937c456dfce0c741fbe3968b350c39b982e4f4e7ea62ae4cd349b8ce6095",
     "tl_churn": "9126b70fa0cdc566b00826d8dd79924842cc8fa2483f66b1606436529978ea2d",
     "tl_forgery": "5619c7fd2d8c46fe5bb94c355fecc66c962beb6ef32b956942a5152e51fbfed5",
-    "wl_group": "a2c762abaf647e422563a9125d18d895cd96afc5e854121575d64c282998d012",
-    "wl_crowd": "ff469c24adf1f69aecf3aa7ba3ba48e6b26fdd2c3bdaba3f43c47b3956538491",
-    "wl_dropper": "de6502aaeacfc014013126261d32f99a1e914a6957ec1aa688034c462ab8e9a6",
+    "wl_group": "d675db425e924fec258a67fe0806197e8279bddd5204f0b5577c56907dede241",
+    "wl_crowd": "0bbb17cbb9bc7aa3b1512fe35157905d77a7a32eb245418f22f975ffa4af048d",
+    "wl_dropper": "dea3c72034f25d56ace3e1bd9591d0c85cecd96e0a2605db9a3437114ace34b4",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "3383ac2376e813047521547bf3f0373763e7bd9a2ae8259cc101229d9ca61619",
-    "wl_equivocation": "6849da2d63ed802fc49c1f78cd9deaff8e11ec1adc8c97918fb7c6d6221fec4a",
-    "wl_equivocation_crowd": "6f961fb191fac9c7003316caae387ae0ab633eebd49629a4c2e1113a7806fbc6",
-    "wl_privacy": "8d42f0fc77237d567c813f87101c04fa2040865270153ec9952f56ef8b34410b",
-    "wl_partitions": "7c3910d0da15eaa0e9e50ce8d19980854e3d2abdb58939898997c3595df3926a",
-    "wl_founder_moves": "08ce0873e5578e3e2a98b0dbceabe1ae783cedd737a8370102a5f577634b27a7",
-    "wl_founder_quits": "3dbc394abc270dff8145e0a023fe6d8a559f157208a63f546e0191a13296272a",
-    "wl_crowd_orphans": "0f5167be6a2bc89b6a09983fa65e460870df242e29e0edd8c42cd27b349a16a4",
+    "wl_churn": "bfb39b5efd1d219bfff938947906a12aa18ddef4f644742fb9f18792228694e0",
+    "wl_equivocation": "43ec02a7d3feab486f93c2a3ccafa0d67465745edc156b94dbebaf7213610196",
+    "wl_equivocation_crowd": "1911f6d125451b3e39e3ff2dd005ef5cb8afac21e8caf82b724b7e302a78846d",
+    "wl_privacy": "661783e4bcc2b0b0a437562c049a63c200a0797fec07b0b08f2d657e7551c088",
+    "wl_partitions": "7e400f80a62a97c05738cc43e227fd89db3efc656472553fa2b0b99e170d7e01",
+    "wl_founder_moves": "8ff9b009fade9cb7282108dd40228c7d890c279d9602b92c1148fce942ce8e6c",
+    "wl_founder_quits": "51d3c9fe1ec8aab3793d13dd9ce919c4dcf51f7df8504f83efcc64d9e6823d24",
+    "wl_crowd_orphans": "45ac6d2d9000c5b81403e5388a99efe05d42ba790ae79f5759cb6e0bd21511a5",
 }
 
 

@@ -19,7 +19,7 @@ from blocklace.wl import (
     partition_violations,
 )
 
-from conftest import armed_pairs, deliver, pump
+from conftest import deliver, is_lazy, pump
 
 KP = [crypto.keygen(f"wl-{i}") for i in range(6)]
 
@@ -443,7 +443,7 @@ def test_parked_block_with_no_pointer_here_nacked_with_the_shared_group_tips():
 
 def test_lost_relay_copy_is_repaired_on_a_nack():
     # m2 withholds its say from m1.  f knows m2 holds m1's Accept, so its
-    # relay copy is a second path, LAZY: not sent on arrival, and with no
+    # relay copy is a second path, lazy: not sent on arrival, and with no
     # backstop.  Only f's next block, which points at the say and at m1's
     # own and parks at m1, shows f what is missing, and the copy goes out
     # as a repair.
@@ -551,16 +551,15 @@ def test_creator_covers_a_member_only_in_the_group_it_knows_it_in():
     assert not lost and not c.member(q.agent_id, gids[b"one"])
     sends = c.say_group(gids[b"one"], b"to f")
     assert {dst for dst, _ in sends} == {f.current_address}
-    armed = armed_pairs(f.retransmit)
     said = c.last_uttered
     relayed = deliver(f, encode_block(said), src=c.current_address)
     assert (q.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
-    assert armed_pairs(f.retransmit) == armed + 1
+    assert not is_lazy(f, said, q)
     # The say does not observe q's Accept in "one", so q acks f's copy,
-    # and the ack takes the copy off its backstop.
+    # and the ack takes the copy off its backstop, f's last timer.
     for _ in range(2):  # c's Accept in "one", which q lacks, then its ack
         pump(everyone, f.tick(), f)
-    assert armed_pairs(f.retransmit) == 1
+    assert f.retransmit.armed()
     ((dst, ack),) = acks(deliver(q, encode_block(said), src=f.current_address))
     assert dst == f.current_address
     f.receive(encode_block(ack), src=q.current_address)
@@ -616,10 +615,9 @@ def test_covered_relay_copy_not_acked_as_it_lands():
     gid = form_group(f, [m1, m2])
     f.say_group(gid, b"news")
     said = f.last_uttered
-    armed = armed_pairs(m2.retransmit)
     relayed = deliver(m2, encode_block(said), src=f.current_address)
     assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in relayed}
-    assert armed_pairs(m2.retransmit) == armed  # no timer on m2's copy
+    assert is_lazy(m2, said, m1)  # no timer on m2's copy
     # An ack from m1 that does not cover the say, REPAIR_AFTER ticks
     # later, draws m2's repair copy.
     for _ in range(REPAIR_AFTER):
