@@ -1,10 +1,13 @@
 """Role wrappers around protocol agents.
 
 Every rostered agent, honest or not, is driven through a wrapper with the
-same surface: receive / flush_acks / tick / change_address / run_command,
-all returning raw (destination address, wire bytes) pairs.  Adversaries
-can only emit datagrams; they never reach into another agent's state,
-and each acts through its own agent's blocklace and resend schedule.
+same surface: receive / flush_acks / tick / change_address / run_command.
+An agent's blocks leave only in its round (`tick`) and its acks only in
+`flush_acks`, each returning raw (destination address, wire bytes) pairs;
+`receive`, `change_address` and the protocol commands send nothing.
+Adversaries can only emit datagrams; they never reach into another
+agent's state, and each acts through its own agent's blocklace and resend
+schedule.
 
 Roles:
   correct       — faithful protocol agent.
@@ -94,8 +97,8 @@ class AgentWrapper:
     def bootstrap(self, agent_id: bytes, address: NetAddress):
         self.inner.address_hints[agent_id] = address
 
-    def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> list[RawSend]:
-        return self._out(self.inner.receive(payload, src))
+    def receive(self, payload: bytes, src: Optional[NetAddress] = None) -> None:
+        self.inner.receive(payload, src)
 
     def flush_acks(self) -> list[RawSend]:
         return self._out(self.inner.flush_acks())
@@ -103,10 +106,12 @@ class AgentWrapper:
     def tick(self) -> list[RawSend]:
         return self._out(self.inner.tick())
 
-    def change_address(self, address: NetAddress) -> list[RawSend]:
-        return self._out(self.inner.change_address(address))
+    def change_address(self, address: NetAddress) -> None:
+        self.inner.change_address(address)
 
     def run_command(self, command: dict, ctx: Ctx) -> list[RawSend]:
+        """Run a scripted command.  Returns the datagrams it emits outside
+        the agent's round: only a forger's forgeries."""
         cmd = command["cmd"]
         handler = getattr(self, f"_cmd_{cmd}", None)
         if handler is None:
@@ -118,7 +123,7 @@ class AgentWrapper:
         label = command.get("label")
         if label is not None and self.inner.last_uttered is not None:
             ctx.labels[label] = self.inner.last_uttered.id
-        return sends
+        return sends or []
 
     def _resolve_label(self, ctx: Ctx, label: str) -> BlockId:
         block_id = ctx.labels.get(label)
@@ -126,43 +131,43 @@ class AgentWrapper:
             raise Defer(f"label {label!r} not yet bound")
         return block_id
 
-    # -- protocol commands (available to every role; sends go through _out,
-    #    so silent roles act but never emit) --
+    # -- protocol commands (available to every role; what they store goes
+    #    out in the agent's round, through _out, so silent roles act but
+    #    never emit) --
 
     def _cmd_follow(self, command, ctx):
-        return self._out(self.inner.follow(ctx.agent_ids[command["target"]]))
+        self.inner.follow(ctx.agent_ids[command["target"]])
 
     def _cmd_mute(self, command, ctx):
         # From now on the agent receives and updates its state, but sends
         # nothing: a phone switched off for good.
         self.muted = True
-        return []
 
     def _cmd_say(self, command, ctx):
-        return self._out(self.inner.say(command["text"].encode("utf-8")))
+        self.inner.say(command["text"].encode("utf-8"))
 
     def _cmd_respond(self, command, ctx):
         re = self._resolve_label(ctx, command["re"])
-        return self._out(self.inner.respond(command["text"].encode("utf-8"), re))
+        self.inner.respond(command["text"].encode("utf-8"), re)
 
     def _cmd_create_group(self, command, ctx):
-        return self._out(self.inner.create_group(command["name"].encode("utf-8")))
+        self.inner.create_group(command["name"].encode("utf-8"))
 
     def _cmd_invite(self, command, ctx):
         gid = self._resolve_label(ctx, command["group"])
-        return self._out(self.inner.invite(ctx.agent_ids[command["target"]], gid))
+        self.inner.invite(ctx.agent_ids[command["target"]], gid)
 
     def _cmd_accept(self, command, ctx):
         gid = self._resolve_label(ctx, command["group"])
-        return self._out(self.inner.accept(gid))
+        self.inner.accept(gid)
 
     def _cmd_say_group(self, command, ctx):
         gid = self._resolve_label(ctx, command["group"])
-        return self._out(self.inner.say_group(gid, command["text"].encode("utf-8")))
+        self.inner.say_group(gid, command["text"].encode("utf-8"))
 
     def _cmd_respond_group(self, command, ctx):
         re = self._resolve_label(ctx, command["re"])
-        return self._out(self.inner.respond_group(re, command["text"].encode("utf-8")))
+        self.inner.respond_group(re, command["text"].encode("utf-8"))
 
 
 class SilentWrapper(AgentWrapper):
@@ -177,14 +182,14 @@ class EavesdropperWrapper(SilentWrapper):
 
 class EquivocatorWrapper(AgentWrapper):
     """Correct until the scripted fork: it then creates two (or three)
-    blocks with the same pointers, stores them in its own agent, hands
-    each to a different subset of recipients, and goes mute.  Its one
-    remaining duty is the forks' delivery, on its agent's own schedule
-    (WL `RACED`, TL `PACED`): each fork is resent to each of its
-    recipients until the agent knows the recipient holds it.  Muted, it
-    lets through only a fork's copies to that fork's own recipients, so
-    it relays nothing and acks nothing, and the forks spread beyond their
-    recipients only through honest dissemination."""
+    blocks with the same pointers, stores them in its own agent, and goes
+    mute.  Its one remaining duty is the forks' delivery, on its agent's
+    own schedule (WL `RACED`, TL `PACED`): the agent's next round hands
+    each fork to its own subset of recipients, and later rounds resend it
+    to each of them until the agent knows the recipient holds it.  Muted,
+    it lets through only a fork's copies to that fork's own recipients,
+    so it relays nothing and acks nothing, and the forks spread beyond
+    their recipients only through honest dissemination."""
 
     def __init__(self, name: str, inner):
         super().__init__(name, inner)
@@ -202,7 +207,7 @@ class EquivocatorWrapper(AgentWrapper):
         known, bit = self.inner.peers.known, self.inner.lace.bit_of
         return any(not known(q) & bit(fork) for fork, qs in self._forks.items() for q in qs)
 
-    def _cmd_equivocate(self, command, ctx: Ctx) -> list[RawSend]:
+    def _cmd_equivocate(self, command, ctx: Ctx) -> None:
         inner = self.inner
         branches = [("text_a", "recipients_a"), ("text_b", "recipients_b")]
         if "text_c" in command:
@@ -242,7 +247,6 @@ class EquivocatorWrapper(AgentWrapper):
             inner._insert(block)
             self._forks[block.id] = [ctx.agent_ids[name] for name in command[recipients_key]]
         self.muted = True
-        return self._out(inner.disseminate())
 
 
 class ForgerWrapper(AgentWrapper):

@@ -440,8 +440,9 @@ def oracle_attribution(scenario: Scenario, data: TraceData, params: dict) -> Ora
         lace, bad = data.lace_of(name)
         witness.extend(f"{name} stored unverifiable block {h}" for h in bad)
     decoder = b.WireDecoder()
-    for event in data.events_of("FORGE"):
-        raw = bytes.fromhex(event.fields["bytes"])
+    # A forger may send the same bytes several times; each is judged once.
+    for hex_text in data.distinct_field("bytes", "FORGE"):
+        raw = bytes.fromhex(hex_text)
         verified = decoder.decode_verified(raw)
         if verified is not None:
             witness.append(f"forgery {verified.id.hex()[:12]} unexpectedly verifies")

@@ -8,12 +8,20 @@ monitors), agents always iterate in roster order, and all randomness
 comes from generators seeded by the scenario seed — so a (scenario, seed)
 pair determines the trace bytes.
 
-A run is quiescent after two quiet rounds in a row (no agent sent a block
-in its tick, no correct agent still has a retransmit timer running, and
-no equivocator still owes a fork) with no datagram in flight and no
-scripted event left.  Every copy a correct agent owes has a timer but a
-WL relay's lazy copy (`retransmit`): the block's creator or the group's
+An agent's blocks leave only in its round (`Agent.tick`): receiving a
+datagram and running a command store and ack, and what they store goes
+out in the agent's next round.  So a quiet round means no block left any
+agent in that tick (acks, which leave with the deliveries that drew
+them, do not count), no correct agent still has a retransmit timer
+running, and no equivocator still owes a fork.  A run is quiescent after
+two quiet rounds in a row with no datagram in flight and no scripted
+event left.  Every copy a correct agent owes has a timer but a WL
+relay's lazy copy (`retransmit`): the block's creator or the group's
 founder owes the member that block on a timer, which holds the run open.
+With a tick interval above 1, a block that lands between an agent's
+rounds waits for its next round, as a resend does: `wl_group` at seed 1
+and tick interval 3 quiesces at tick 300, where forwarding each block on
+arrival quiesced at 282.
 
 A scripted event whose precondition is not met yet (a label not bound, an
 invite not yet delivered) stays queued and is retried each tick; an
@@ -184,7 +192,7 @@ class Runner:
                             f"tick {now}: {spec.name} rebinds to {address!r}, which {holder} holds"
                         )
                     self.net.rebind(spec.name, address, now)
-                    self._submit(spec.name, wrapper.change_address(address), now)
+                    wrapper.change_address(address)
                     continue
                 try:
                     sends = wrapper.run_command(command, self._ctx(now, spec.name))
@@ -197,10 +205,10 @@ class Runner:
         """The tick's deliveries, then each agent's acks: one per
         destination, merging what its deliveries drew (`Agent.flush_acks`).
         They leave in this tick whatever the agent's tick interval, and
-        they do not count against a quiet round."""
+        they do not count against a quiet round.  A delivery sends no
+        block: what lands goes out in the agent's next round."""
         for agent_name, payload, src in self.net.step(now):
-            sends = self.wrappers[agent_name].receive(payload, src)
-            self._submit(agent_name, sends, now)
+            self.wrappers[agent_name].receive(payload, src)
             for eavesdropper in self.eavesdroppers:
                 if eavesdropper != agent_name:
                     self.wrappers[eavesdropper].receive(payload, src)

@@ -34,7 +34,6 @@ class Blocklace:
         self._missing_by_creator: dict[AgentId, int] = {}
         self._creator_bits: dict[AgentId, int] = {}    # own bits of a creator's blocks
         self._tips: set[BlockId] = set()
-        self._version = 0
         self._heads_cache: dict[AgentId, tuple[int, list[Block]]] = {}
 
     # --- mutation ---------------------------------------------------------
@@ -52,7 +51,6 @@ class Blocklace:
 
         idx = len(self._order)
         bit = 1 << idx
-        self._version += 1
         self._blocks[block.id] = block
         self._order.append(block)
         self._index[block.id] = idx
@@ -130,15 +128,9 @@ class Blocklace:
         """Blocks in insertion order."""
         return iter(self._order)
 
-    def ids(self) -> set[BlockId]:
-        return set(self._blocks)
-
     def by_creator(self, creator: AgentId) -> list[Block]:
         """The creator's blocks, in insertion order."""
         return self.blocks_of_mask(self.creator_mask(creator))
-
-    def creators(self) -> list[AgentId]:
-        return list(self._creator_bits)
 
     def is_closed(self) -> bool:
         """True iff every pointer of every block resolves within the set."""
@@ -150,8 +142,8 @@ class Blocklace:
         return creator in self._missing_by_creator
 
     def version(self) -> int:
-        """Bumps on every insert; lets callers cache derived masks."""
-        return self._version
+        """Grows by one on every insert; lets callers cache derived masks."""
+        return len(self._order)
 
     # --- observation queries -------------------------------------------------
 
@@ -194,7 +186,7 @@ class Blocklace:
         same creator observes.  A single head for honest chains; several
         under equivocation."""
         cached = self._heads_cache.get(creator)
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == self.version():
             return cached[1]
         # One OR: every own block's closure without its own bit.  A block is
         # maximal iff its bit is not in that union (closures are acyclic).
@@ -203,7 +195,7 @@ class Blocklace:
         for blk in self.blocks_of_mask(own):
             below |= self._mask[blk.id] ^ self.bit_of(blk.id)
         heads = sorted(self.blocks_of_mask(own & ~below), key=Block.sort_key)
-        self._heads_cache[creator] = (self._version, heads)
+        self._heads_cache[creator] = (self.version(), heads)
         return heads
 
     def ip_address(self, agent: AgentId) -> Optional[NetAddress]:
@@ -261,6 +253,3 @@ class Blocklace:
     def creator_mask(self, agent: AgentId) -> int:
         """The agent's own blocks here: the union of their self-closures."""
         return self._creator_bits.get(agent, 0)
-
-    def all_mask(self) -> int:
-        return (1 << len(self._order)) - 1

@@ -10,11 +10,13 @@ The rules both agents keep:
 * Only a contact's acks are filed; a stranger's ack is dropped.  A
   delivered copy earns credit for the contacts at its address.
 * A block whose past is missing waits in the bounded pending buffer.
-* A datagram goes through receive, then ack, then forward.  The acks wait
-  in an outbox that `flush_acks` empties, one ack per destination.
-* `disseminate` sends what peers are owed, and the retransmission round
-  resends what they still are not known to hold (`retransmit`): on a
-  timer per copy, or, for a lazy copy, in a repair per destination.
+* `receive` stores and acks; the round sends.  The acks a datagram draws
+  wait in an outbox that `flush_acks` empties, one ack per destination.
+  The blocks that land wait for the agent's next round (`tick`).
+* The round is the one place an agent sends blocks: `disseminate` makes
+  the first offers of what peers are owed and resends what they still
+  are not known to hold (`retransmit`): on a timer per copy, or, for a
+  lazy copy, in a repair per destination.
 
 A subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
 `_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
@@ -200,11 +202,12 @@ class Agent:
 
     # --- the receive pipeline ------------------------------------------------
 
-    def receive(self, data: bytes, src: Optional[NetAddress] = None) -> list[Send]:
-        """Validate, integrate, acknowledge, and forward a datagram.
+    def receive(self, data: bytes, src: Optional[NetAddress] = None) -> None:
+        """Validate, integrate and acknowledge a datagram.
 
-        Returns the forwards; the acks it draws wait in the outbox for
-        `flush_acks`, which merges them into one ack per destination.
+        It sends nothing: the acks it draws wait in the outbox for
+        `flush_acks`, which merges them into one ack per destination, and
+        the blocks that land go out in the agent's next round (`tick`).
         An ack exists to stop the deliverer's retransmission timer, so
         each block that lands is acknowledged to the delivering address
         (its creator's address when none is known), unless `_ack_pointers`
@@ -217,22 +220,20 @@ class Agent:
         deliverer only when `_nack_pointers` gives pointers: a nack, whose
         pointers show the deliverer which ancestors are missing here.  A
         copy earns the contacts at the delivering address credit
-        (`_credit_delivery`); an ack counts only from a contact.  Only the
-        blocks that just landed are forwarded; the rest of the backlog
-        waits for the next `tick`.
+        (`_credit_delivery`); an ack counts only from a contact.
         """
         self.metrics.received += 1
         block = self._decoder.decode_verified(data)
         if block is None:
             self.metrics.dropped_invalid += 1
-            return []
+            return
         if isinstance(block.payload, Ack):
             self.metrics.acks_received += 1
             # A stranger's ack proves nothing this agent acts on, so it
             # does not reach `peers`.
             if block.creator in self._contacts:
                 self._record_ack(block)
-            return []
+            return
         landed, was_new = self._integrate(block)
         sender = self._credit_delivery(block, src)
         if not landed and src is not None and block.id in self._pending:
@@ -250,12 +251,6 @@ class Agent:
             if pointers is not None:
                 dest = src if src is not None else self.address_of(acked.creator)
                 self._ack(dest, pointers)
-        if not was_new:
-            return []
-        only = 0
-        for blk in landed:
-            only |= self.lace.bit_of(blk.id)
-        return self.disseminate(only)
 
     def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
         """Credit the contacts at src with a delivered block they hold, and
@@ -306,31 +301,25 @@ class Agent:
         """The pointers of the ack of a parked block, or None for none."""
         return None
 
-    def disseminate(self, only: Optional[int] = None) -> list[Send]:
+    def disseminate(self) -> list[Send]:
         """Send each peer the blocks `_wanted` lists for it, as
-        `self.retransmit` schedules them.
+        `self.retransmit` schedules them; `tick`'s round is its one caller.
 
-        Outside `tick`'s round only first offers go out; in the round,
-        every pair whose timer is due, and each destination's repair
-        (`repair`).  `take`, which never sees a lazy copy, says how many.
-        Each peer's blocks go in causal order (by closure size), a block's
-        copies together.
+        The first offer of each pair newly owed, every pair whose timer is
+        due, and each destination's repair (`repair`).  `take`, which
+        never sees a lazy copy, says how many.  Each peer's blocks go in causal order (by
+        closure size), a block's copies together.
         A pair listed twice in one call (a WL invite's closure to a target
         that is already a member) gets at most one offer: the first `take`
         arms or backs off its timer.
-        `only` is a bitmask of this blocklace that limits the candidates
-        to those blocks: `receive` passes the blocks that just landed, so
-        a new block is forwarded on arrival.  None means every block,
-        which `tick` and the agent's own commands consider.
         """
         lace = self.lace
-        scope = lace.all_mask() if only is None else only
         take = self.retransmit.take
         schedule = self._schedule
         sends: list[Send] = []
         # destination -> the lazy blocks owed to the peers there
         lazy_at: dict[NetAddress, int] = {}
-        for q, wanted, lazy in self._wanted(scope):
+        for q, wanted, lazy in self._wanted():
             if not wanted:
                 continue
             dest = self.address_of(q)
@@ -356,10 +345,11 @@ class Agent:
         return sends
 
     def tick(self) -> list[Send]:
-        """One retransmission round: every unacknowledged block whose
-        timer is due, plus first offers of blocks newly needed; it ends
-        this agent's tick, and forgets the acks whose holdoff is over and
-        the landings whose burst is."""
+        """One retransmission round, the only place this agent sends
+        blocks: first offers of blocks newly needed, plus every
+        unacknowledged block whose timer is due; it ends this agent's
+        tick, and forgets the acks whose holdoff is over and the landings
+        whose burst is."""
         with self.retransmit.round(len(self.lace)):
             sends = self.disseminate()
         now = self.retransmit.now

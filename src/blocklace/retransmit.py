@@ -21,8 +21,9 @@ first timer send and the gap between later ones:
     BACKSTOP  1              REPAIR_AFTER   REPAIR_AFTER
 
 A pair is resent on its timer until the destination is known to hold the
-block.  A first offer goes out when the block lands, or on the agent's own
-command, in a round or not.  Only a pair's later sends wait for a round.
+block.  Every send goes out in the agent's round (`peers.Agent.tick`): a
+first offer in the first round after the block lands or the agent utters
+it, a later send in the first round its timer is due.
 
 EAGER is for a pair whose copy may be the destination's only path to the
 block and whose first resend should not wait: a TL Follow or Empty, own
@@ -79,9 +80,9 @@ three rules keep the acks few.  Nacks follow them too.
   This is TCP's delayed, cumulative ack (RFC 1122 4.2.3.2, RFC 5681
   4.2), at no cost in latency: the runner drains the acks right after
   the tick's deliveries, so they leave in the tick of the copies that
-  drew them, as the sends those copies cause do, whatever the agent's
-  tick interval.  They are not sent in the agent's round, so they never
-  hold a quiet round open.
+  drew them, whatever the agent's tick interval, while the blocks those
+  copies bring wait for the agent's round.  They are not sent in the
+  round, so they never hold a quiet round open.
 * Twins: a copy of a block that first landed here from the same address
   fewer than BURST (5) ticks ago draws no ack.  At the default delays
   the copies of one burst land at most delay_max - delay_min = 4 ticks
@@ -192,7 +193,7 @@ destination address: a peer that moves starts over at its new address.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .blocks import BlockId, NetAddress
 
@@ -240,14 +241,14 @@ class Retransmit:
     """Send schedule per (destination address, block id), and the repair
     of lazy copies per destination address.
 
-    `take` decides each candidate send on the pair's timer.  Outside a
-    round (`with schedule.round(size):`) it passes only first offers.
-    Inside a round it passes every pair that is due, and rearms its
-    timer.  A round moves the table aside, and each `take` moves the pair
-    it asks about back, so the pairs the round asked about are exactly
-    the pairs still outstanding; when the round ends every other entry is
-    dropped.  So `armed()` is read only between rounds.  `repair` sends
-    only in a round.
+    `take` and `repair` are called only inside a round (`with
+    schedule.round(size):`).  `take` decides each candidate send on the
+    pair's timer: it passes every first offer and every pair that is
+    due, and rearms its timer.  A round moves the table aside, and each
+    `take` moves the pair it asks about back, so the pairs the round
+    asked about are exactly the pairs still outstanding; when the round
+    ends every other entry is dropped.  So `armed()` is read only between
+    rounds.
     """
 
     def __init__(self, metrics):
@@ -255,8 +256,8 @@ class Retransmit:
         self.now = 0
         # pair -> (tick the next send is due, ticks between timer sends)
         self._pairs: dict[Pair, tuple[int, int]] = {}
-        # the table as the current round found it; None between rounds
-        self._before: Optional[dict[Pair, tuple[int, int]]] = None
+        # the table as the current round found it; empty between rounds
+        self._before: dict[Pair, tuple[int, int]] = {}
         # destinations an ack came from since the last round
         self._repair: set[NetAddress] = set()
         # destination -> the tick it was first owed a lazy copy or was last
@@ -283,7 +284,7 @@ class Retransmit:
         try:
             yield
         finally:
-            self._before = None
+            self._before = {}
             self._repair = set()
             self._sizes = self._sizes[1:] + [size]
             self.now += 1
@@ -294,19 +295,16 @@ class Retransmit:
         it sends.  `schedule` names the pair's first offer, and is called
         only then."""
         pair = (dest, block_id.creator, block_id.digest)
-        pairs, before, now = self._pairs, self._before, self.now
-        entry = pairs.get(pair)
-        if entry is None and before is not None:
-            entry = before.pop(pair, None)
-            if entry is not None:
-                pairs[pair] = entry
+        pairs, now = self._pairs, self.now
+        entry = pairs.get(pair) or self._before.pop(pair, None)
         if entry is None:
             copies, wait, gap = _OFFER[schedule()]
             pairs[pair] = (now + wait, gap)
             self._metrics.resent += copies - 1
             return copies
         due, gap = entry
-        if before is None or due > now:
+        if due > now:
+            pairs[pair] = entry
             return 0
         pairs[pair] = (now + gap, gap)
         self._metrics.resent += 1
@@ -318,7 +316,7 @@ class Retransmit:
         a round per destination."""
         now = self.now
         since = self._repaired.setdefault(dest, now)
-        if self._before is None or dest not in self._repair or now - since < REPAIR_AFTER:
+        if dest not in self._repair or now - since < REPAIR_AFTER:
             return 0
         old = lazy & ((1 << self._sizes[0]) - 1)
         if old:

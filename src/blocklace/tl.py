@@ -3,12 +3,14 @@
 Each agent is a single-threaded state machine over its own blocklace.
 Utterances (follow/say/respond) become blocks pointing at the current
 tips; a friend's block and a friendship offer to this agent are
-acknowledged, and nothing else is.  A block goes to each
-peer that needs it when it lands or is uttered, in three copies, and a
-periodic tick resends what is still unacknowledged per (peer address,
-block) (`retransmit.Retransmit`), so lost datagrams are eventually
-retried: a Say or Respond first ROUND_TRIP ticks after its copies, then
-every GAP ticks (PACED); a Follow or Empty every GAP ticks (EAGER).
+acknowledged, and nothing else is.  Receiving and commands store and
+ack; the agent's round (`tick`) sends.  A block goes to each peer that
+needs it in the first round after it lands or is uttered, in three
+copies, and later rounds resend what is still unacknowledged per (peer
+address, block) (`retransmit.Retransmit`), so lost datagrams are
+eventually retried: a Say or Respond first ROUND_TRIP ticks after its
+copies, then every GAP ticks (PACED); a Follow or Empty every GAP ticks
+(EAGER).
 Relays send on the creator's schedule, since on a line of friends a
 relay is often the only path.  Friendship is mutual following; a
 pending friendship offer is resent to its target until acknowledged.
@@ -57,7 +59,7 @@ from typing import Iterator, Optional
 from . import blocks as b
 from .blocks import Block, BlockId, Empty, Follow, NetAddress, Respond, Say
 from .crypto import AgentId, Keypair
-from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
+from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError
 from .retransmit import EAGER, PACED
 
 
@@ -110,36 +112,32 @@ class TlAgent(Agent):
 
     # --- commands ----------------------------------------------------------
 
-    def follow(self, target: AgentId) -> list[Send]:
+    def follow(self, target: AgentId) -> None:
         self._utter(Follow(target), self._pointers())
-        return self.disseminate()
 
-    def say(self, text: bytes) -> list[Send]:
+    def say(self, text: bytes) -> None:
         self._utter(Say(text), self._pointers())
-        return self.disseminate()
 
-    def respond(self, text: bytes, re: BlockId) -> list[Send]:
+    def respond(self, text: bytes, re: BlockId) -> None:
         referent = self.lace.get(re)
         if referent is None:
             raise ProtocolError("respond referent not known locally")
         if not b.is_utterance(referent.payload):
             raise ProtocolError("respond referent is not an utterance")
         self._utter(Respond(text, re), self._pointers())
-        return self.disseminate()
 
-    def change_address(self, address: NetAddress) -> list[Send]:
+    def change_address(self, address: NetAddress) -> None:
         self.current_address = address
         self._utter(Empty(), self._pointers())
-        return self.disseminate()
 
     # --- internals -----------------------------------------------------------
 
-    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int, int]]:
+    def _wanted(self) -> Iterator[tuple[AgentId, int, int]]:
         # Every known agent, each block it may be sent and does not hold.
         known = self.peers.known
         # None of it is lazy: a TL relay may be the only path.
         for q in sorted(self.known_agents()):
-            yield q, scope & self._sendable(q) & ~known(q), 0
+            yield q, self._sendable(q) & ~known(q), 0
 
     def _schedule(self, block: Block, q: AgentId) -> str:
         # Own or relayed alike: an utterance's first resend waits a round

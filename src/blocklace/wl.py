@@ -47,7 +47,7 @@ from .blocks import (
 )
 from .crypto import AgentId, GroupKey, Keypair
 from .lace import Blocklace
-from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError, Send
+from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError
 from .retransmit import BACKSTOP, EAGER, RACED
 
 GroupId = BlockId
@@ -191,16 +191,15 @@ class WlAgent(Agent):
 
     # --- command surface -------------------------------------------------------
 
-    def create_group(self, name: bytes) -> list[Send]:
+    def create_group(self, name: bytes) -> None:
         for gid in self._partition_bits:
             if gid.creator == self.agent_id and self.lace.get(gid).payload.name == name:
                 raise ProtocolError("group name already used by this agent")
         genesis = self._utter(Group(name), ())
         key = crypto.group_keygen(crypto.derive_seed("group-key", self.kp.sign_seed, name))
         self.group_keys[genesis.id] = key.bound_to(genesis.id.digest)
-        return self.disseminate()
 
-    def invite(self, target: AgentId, gid: GroupId) -> list[Send]:
+    def invite(self, target: AgentId, gid: GroupId) -> None:
         genesis = self.lace.get(gid)
         if genesis is None or not is_genesis(genesis):
             raise ProtocolError("unknown group")
@@ -210,9 +209,8 @@ class WlAgent(Agent):
             raise ProtocolError("cannot invite self")
         sealed = crypto.seal(self.group_keys[gid], target)
         self._utter(Invite(target, sealed), [gid])
-        return self.disseminate()
 
-    def accept(self, gid: GroupId) -> list[Send]:
+    def accept(self, gid: GroupId) -> None:
         invites = [
             self.lace.get(invite_id)
             for invite_id, entry in self._invite_index.items()
@@ -226,15 +224,13 @@ class WlAgent(Agent):
             raise ProtocolError("sealed key bound to a different group")
         self._utter(Accept(), [invite.id])
         self.group_keys[gid] = key
-        return self.disseminate()
 
-    def say_group(self, gid: GroupId, text: bytes) -> list[Send]:
+    def say_group(self, gid: GroupId, text: bytes) -> None:
         self._require_member(gid)
         payload = Say(seal_utterance(self.group_keys[gid], self.kp, text, self.encrypt))
         self._utter(payload, self.partition_tips(gid))
-        return self.disseminate()
 
-    def respond_group(self, re: BlockId, text: bytes) -> list[Send]:
+    def respond_group(self, re: BlockId, text: bytes) -> None:
         referent = self.lace.get(re)
         if referent is None:
             raise ProtocolError("respond referent not known locally")
@@ -248,13 +244,11 @@ class WlAgent(Agent):
             seal_utterance(self.group_keys[gid], self.kp, text, self.encrypt), re
         )
         self._utter(payload, self.partition_tips(gid))
-        return self.disseminate()
 
-    def change_address(self, address: NetAddress) -> list[Send]:
+    def change_address(self, address: NetAddress) -> None:
         self.current_address = address
         for gid in self.my_groups():
             self._utter(Empty(), self.partition_tips(gid))
-        return self.disseminate()
 
     # --- dissemination ----------------------------------------------------------
 
@@ -276,7 +270,7 @@ class WlAgent(Agent):
             return EAGER
         return EAGER if q == self.group_of(block.id).creator else BACKSTOP
 
-    def _wanted(self, scope: int) -> Iterator[tuple[AgentId, int, int]]:
+    def _wanted(self) -> Iterator[tuple[AgentId, int, int]]:
         # Per group, each other member the partition blocks it has not
         # observed, and their lazy part (`retransmit`): every block of
         # another creator, at the founder only those whose creator holds
@@ -287,9 +281,7 @@ class WlAgent(Agent):
         known = self.peers.known
         me = self.agent_id
         for gid in sorted(self._partition_bits):
-            bits = self._partition_bits[gid] & scope
-            if not bits:
-                continue
+            bits = self._partition_bits[gid]
             members = self._members[gid]
             for q in sorted(members.keys() - {me}):
                 wanted = bits & ~known(q)
@@ -302,7 +294,7 @@ class WlAgent(Agent):
             if invite_id.creator != me or target == me:
                 continue
             if not known(target) & lace.bit_of(invite_id):
-                yield target, lace.mask_of(invite_id) & scope, 0
+                yield target, lace.mask_of(invite_id), 0
 
     # --- receive pipeline -----------------------------------------------------
 

@@ -20,14 +20,15 @@ def kp2():
 
 
 def deliver(x, payload, src=None):
-    """x receives one datagram alone in a tick: its forwards, then the
-    acks it drew (`flush_acks`), as the runner sends them."""
-    sends = x.receive(payload, src)
-    return sends + x.flush_acks()
+    """x receives one datagram alone in a tick, and returns the acks it
+    drew (`flush_acks`), as the runner sends them.  What lands goes out
+    only in x's next round (`tick`)."""
+    x.receive(payload, src)
+    return x.flush_acks()
 
 
 def pump(agents, sends, src_agent):
-    """Perfect in-order delivery of a send list and everything it spawns."""
+    """Perfect in-order delivery of a send list and the acks it draws."""
     queue = [(src_agent.current_address, dst, b.encode_block(blk)) for dst, blk in sends]
     while queue:
         src, dst, payload = queue.pop(0)
@@ -38,12 +39,15 @@ def pump(agents, sends, src_agent):
 
 
 def befriend(x, y, rounds=1):
-    """Mutual follow over a perfect network, then `rounds` rounds in which
-    x and then y tick, each round's sends delivered in full."""
+    """Mutual follow over a perfect network, each offer sent in its
+    creator's round, then `rounds` rounds in which x and then y tick, each
+    round's sends delivered in full."""
     x.address_hints[y.agent_id] = y.current_address
     y.address_hints[x.agent_id] = x.current_address
-    pump([x, y], x.follow(y.agent_id), x)
-    pump([x, y], y.follow(x.agent_id), y)
+    x.follow(y.agent_id)
+    pump([x, y], x.tick(), x)
+    y.follow(x.agent_id)
+    pump([x, y], y.tick(), y)
     for _ in range(rounds):
         pump([x, y], x.tick(), x)
         pump([x, y], y.tick(), y)
@@ -53,7 +57,7 @@ def is_lazy(agent, block, q):
     """Whether `agent` owes q the block lazily: in the lazy part of what
     `_wanted` lists for q, which only a repair sends."""
     bit = agent.lace.bit_of(block.id)
-    return any(peer == q.agent_id and lazy & bit for peer, _, lazy in agent._wanted(bit))
+    return any(peer == q.agent_id and lazy & bit for peer, _, lazy in agent._wanted())
 
 
 def make_block(kp, payload=None, pointers=(), address="addr/0"):

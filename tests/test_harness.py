@@ -9,7 +9,7 @@ from blocklace import crypto
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
 from blocklace.harness.adversaries import AgentWrapper, EquivocatorWrapper
-from blocklace.harness.oracles import evaluate, parse_trace
+from blocklace.harness.oracles import evaluate, oracle_attribution, parse_trace
 from blocklace.harness.runner import Runner, run_scenario
 from blocklace.harness.scenario import AgentSpec, Event, OracleSpec, Scenario
 from blocklace.wl import is_genesis
@@ -53,7 +53,9 @@ def test_finals_reconstruct_agent_state():
         for name, wrapper in result.wrappers.items():
             lace, bad = data.lace_of(name)
             assert not bad
-            assert lace.ids() == wrapper.inner.lace.ids()
+            assert {blk.id for blk in lace.blocks()} == {
+                blk.id for blk in wrapper.inner.lace.blocks()
+            }
         assert [r.verdict for r in evaluate(scenario, data)] == verdicts
     for name, ack in acks.items():
         assert data.final_blocks(name, "acks") == [ack]
@@ -402,6 +404,29 @@ def test_attribution_flags_only_the_copy_whose_signature_fails():
         assert bad == [] and said.id in lace
 
 
+def test_attribution_decodes_each_forged_payload_once(monkeypatch):
+    # tl_forgery's forger sends some payloads more than once; the oracle
+    # judges each distinct payload once and still counts every forgery.
+    scenario = canned.tl_forgery(seed=1)
+    data = parse_trace(run_scenario(scenario).trace_text)
+    forged = len(data.events_of("FORGE"))
+    distinct = len(data.distinct_field("bytes", "FORGE"))
+    assert forged > distinct
+    oracle_attribution(scenario, data, {})  # warms the WireDecoder memo
+    decoded = []
+    decode_block = b.decode_block
+
+    def counted(raw):
+        decoded.append(raw)
+        return decode_block(raw)
+
+    monkeypatch.setattr(b, "decode_block", counted)
+    result = oracle_attribution(scenario, data, {})
+    assert result.verdict == "PASS"
+    assert result.detail == f"{forged} forgeries, none inserted"
+    assert len(decoded) <= distinct
+
+
 def test_verification_checks_each_final_block_once(monkeypatch):
     scenario = canned.wl_group(seed=1, utterances=3)
     text = run_scenario(scenario).trace_text
@@ -441,8 +466,8 @@ def test_monotonic_growth_during_run():
     shorter = dataclasses.replace(scenario, ticks=40)
     partial = run_scenario(shorter)
     for name in (a.name for a in scenario.agents):
-        partial_ids = partial.wrappers[name].inner.lace.ids()
-        full_ids = full.wrappers[name].inner.lace.ids()
+        partial_ids = {blk.id for blk in partial.wrappers[name].inner.lace.blocks()}
+        full_ids = {blk.id for blk in full.wrappers[name].inner.lace.blocks()}
         assert partial_ids <= full_ids
 
 

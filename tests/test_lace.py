@@ -286,9 +286,10 @@ def test_creator_index_agrees_with_set(seed):
     rng = random.Random(seed)
     blocks_list = random_blocklace(rng, max_blocks=14)
     lace = lace_of(blocks_list, shuffle_rng=rng)
-    via_index = {blk.id for creator in lace.creators() for blk in lace.by_creator(creator)}
-    assert via_index == lace.ids() == {blk.id for blk in blocks_list}
-    for creator in lace.creators():
+    creators = {blk.creator for blk in blocks_list}
+    via_index = {blk.id for creator in creators for blk in lace.by_creator(creator)}
+    assert via_index == {blk.id for blk in lace.blocks()} == {blk.id for blk in blocks_list}
+    for creator in creators:
         assert all(blk.creator == creator for blk in lace.by_creator(creator))
 
 

@@ -203,7 +203,7 @@ def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of
         acked.setdefault((id(self), ack.creator), []).append((ack, len(self.lace)))
         return record_ack(self, ack)
 
-    def check(self, only=None):
+    def check(self):
         nonlocal checks
         for q in peers_of(self):
             expected = reference(
@@ -211,7 +211,7 @@ def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of
             )
             assert self.peers.known(q) == expected
             checks += 1
-        return disseminate(self, only)
+        return disseminate(self)
 
     monkeypatch.setattr(cls, "_credit_delivery", record)
     monkeypatch.setattr(cls, "_record_ack", record_acked)

@@ -83,12 +83,13 @@ def test_first_offer_copies_waits_and_period(name):
     round_sends(rtx, [], 3)
     start = rtx.now
     asked = Asked(name)
-    assert rtx.take("p/0", BLOCK, asked) == copies  # first offer, outside a round
-    assert rtx.take("p/0", BLOCK, asked) == 0  # no repeat before it is due
+    with rtx.round(0):
+        assert rtx.take("p/0", BLOCK, asked) == copies  # first offer
+        assert rtx.take("p/0", BLOCK, asked) == 0  # no repeat before it is due
     assert metrics.resent == copies - 1
     # Acks from p come before every round, and move no timer.
     sent, armed = [], []
-    for _ in range(first + 3 * period + 1):
+    for _ in range(first + 3 * period):
         sent += round_sends(rtx, [("p/0", BLOCK)], 1, asked, marked=["p/0"])[("p/0", BLOCK)]
         armed.append(rtx.armed())
     assert sent == [start + first + i * period for i in range(4)]
@@ -100,13 +101,6 @@ def test_first_offer_copies_waits_and_period(name):
     # No longer wanted: the next round does not ask about it.
     round_sends(rtx, [], 1)
     assert not rtx.armed()
-    # First offered in a round, it sends the same copies there, and waits
-    # as long for its first timer send.
-    rtx = Retransmit(AgentMetrics())
-    with rtx.round(0):
-        assert rtx.take("p/0", BLOCK, asked) == copies
-    sent = round_sends(rtx, [("p/0", BLOCK)], first, asked, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [first]
 
 
 def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
@@ -151,9 +145,8 @@ def test_raced_wait_spans_the_longest_default_round_trip():
 def test_backstop_pair_resent_every_repair_after_until_held():
     # Acks from p do not bring a BACKSTOP resend forward.
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: BACKSTOP)
     sent = round_sends(rtx, [("p/0", BLOCK)], 3 * REPAIR_AFTER, BACKSTOP, marked=["p/0"])
-    assert sent[("p/0", BLOCK)] == [REPAIR_AFTER, 2 * REPAIR_AFTER]
+    assert sent[("p/0", BLOCK)] == [0, REPAIR_AFTER, 2 * REPAIR_AFTER]
     assert rtx.armed()
     # Held: the next round does not ask about it, and the timer is gone.
     round_sends(rtx, [], 1)
@@ -185,9 +178,6 @@ def test_lazy_pair_silent_without_a_repair_mark():
     rtx = Retransmit(metrics)
     # Acks from another address do not repair p's copies.
     assert repair_rounds(rtx, "p/0", [1] * 30, 0b1, marked=["q/0"]) == {}
-    # Outside a round nothing is repaired, marked or not.
-    rtx.mark_repair("p/0")
-    assert rtx.repair("p/0", 0b1) == 0
     assert metrics.resent == 0
     assert not rtx.armed()
 
@@ -246,13 +236,12 @@ def test_rebound_address_gets_a_fresh_timer():
 
 def test_round_prunes_to_the_pairs_it_asked_about():
     rtx = Retransmit(AgentMetrics())
-    rtx.take("p/0", BLOCK, lambda: EAGER)
-    rtx.take("p/0", OTHER, lambda: EAGER)
-    rtx.take("q/0", BLOCK, lambda: EAGER)
+    round_sends(rtx, [("p/0", BLOCK), ("p/0", OTHER), ("q/0", BLOCK)], 1)
     round_sends(rtx, [("p/0", OTHER)], 1)
     assert rtx.armed()
-    assert not rtx.take("p/0", OTHER, lambda: EAGER)  # still armed, outside a round
-    assert rtx.take("p/0", BLOCK, lambda: EAGER)  # pruned: a first offer again
+    with rtx.round(0):
+        assert not rtx.take("p/0", OTHER, lambda: EAGER)  # still armed
+        assert rtx.take("p/0", BLOCK, lambda: EAGER)  # pruned: a first offer again
     round_sends(rtx, [], 1)
     assert not rtx.armed()
 
@@ -269,10 +258,10 @@ def tl_agent(i):
 
 
 def deliver(dst, src, block):
-    """dst receives the block from src alone in a tick: its forwards, then
-    the acks it drew (`flush_acks`), as the runner sends them."""
-    sends = dst.receive(encode_block(block), src=src.current_address)
-    return sends + dst.flush_acks()
+    """dst receives the block from src alone in a tick, and returns the
+    acks it drew (`flush_acks`), as the runner sends them."""
+    dst.receive(encode_block(block), src=src.current_address)
+    return dst.flush_acks()
 
 
 def settle(agents):
@@ -289,8 +278,10 @@ def wl_group(*agents):
     gid = founder.last_uttered.id
     for m in members:
         founder.address_hints[m.agent_id] = m.current_address
-        pump(agents, founder.invite(m.agent_id, gid), founder)
-        pump(agents, m.accept(gid), m)
+        founder.invite(m.agent_id, gid)
+        pump(agents, founder.tick(), founder)
+        m.accept(gid)
+        pump(agents, m.tick(), m)
     settle(agents)
     return gid
 
@@ -331,25 +322,27 @@ def test_wl_block_created_by_the_peer_stops_the_resends():
 
 
 def test_wl_relay_sends_once_in_its_first_tick_creator_three_times():
-    # A relay sends a copy as it lands only when the creator may not cover
-    # the destination: the founder relays a new member's Accept once, while
-    # the member sent it to the founder in EAGER_COPIES copies.  A relay
-    # copy of a covered block is lazy
+    # A relay sends a copy in its first round after the block lands only
+    # when the creator may not cover the destination: the founder relays a
+    # new member's Accept once, while the member sent it to the founder in
+    # EAGER_COPIES copies.  A relay copy of a covered block is lazy
     # (test_every_relay_copy_of_a_covered_utterance_is_lazy).
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
     f.address_hints[m3.agent_id] = m3.current_address
-    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    f.invite(m3.agent_id, gid)
+    pump([f, m3], f.tick(), f)
 
     def copies(sends, dest, block_id):
         return sum(dst == dest.current_address and blk.id == block_id for dst, blk in sends)
 
-    own = m3.accept(gid)
+    m3.accept(gid)
     accept = m3.last_uttered
-    assert copies(own, f, accept.id) == EAGER_COPIES
+    assert copies(m3.tick(), f, accept.id) == EAGER_COPIES
     assert copies(m3.tick(), f, accept.id) == 0
-    relayed = deliver(f, m3, accept)
-    assert copies(relayed + f.tick(), m1, accept.id) == 1
+    deliver(f, m3, accept)
+    assert copies(f.tick(), m1, accept.id) == 1
+    assert copies(f.tick(), m1, accept.id) == 0
 
 
 def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
@@ -357,22 +350,24 @@ def test_wl_only_the_founder_relays_an_uncovered_accept_at_once():
     gid = wl_group(f, m1, m2)
     everyone = [f, m1, m2, m3]
     f.address_hints[m3.agent_id] = m3.current_address
-    pump(everyone, f.invite(m3.agent_id, gid), f)
+    f.invite(m3.agent_id, gid)
+    pump(everyone, f.tick(), f)
     # m3 knows only f, so its Accept goes to f alone, and reaches the
     # others only through relays: none of them knows m3 holds their Accepts.
-    sends = m3.accept(gid)
+    m3.accept(gid)
     accept = m3.last_uttered
-    assert {dst for dst, _ in sends} == {f.current_address}
+    assert {dst for dst, _ in m3.tick()} == {f.current_address}
 
     def copies(sends, dest):
         return sum(dst == dest.current_address and blk.id == accept.id for dst, blk in sends)
 
-    at_f = deliver(f, m3, accept)
+    deliver(f, m3, accept)
+    at_f = f.tick()
     assert copies(at_f, m1) == copies(at_f, m2) == 1
     # m1's copy to m2 is lazy: the founder is the one backstop, so m1
     # sends it only to repair a loss that an ack from m2 shows.
-    at_m1 = deliver(m1, f, accept)
-    assert copies(at_m1 + m1.tick(), m2) == 0
+    deliver(m1, f, accept)
+    assert copies(m1.tick(), m2) == 0
     assert is_lazy(m1, accept, m2)
     assert not owes(m1, m2, accept.id, rounds=2 * REPAIR_AFTER)
 
@@ -398,22 +393,24 @@ def test_relay_pair_silent_without_a_repair_mark():
 
 def founder_relays_a_late_accept(covered):
     """f, m1 and m2 form a group; m3 joins late, and f's relay copies of
-    its Accept to m1 and m2 are lost.  When `covered`, f's copies to m3 in
-    its next round arrive, and m3's acks show f that m3 holds m1's Accept.
-    Returns f, m1 and the Accept."""
+    its Accept to m1 and m2, sent in f's next round, are lost.  When
+    `covered`, f's copies to m3 in that round arrive, and m3's acks show f
+    that m3 holds m1's Accept.  Returns f, m1 and the Accept."""
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
     f.address_hints[m3.agent_id] = m3.current_address
-    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    f.invite(m3.agent_id, gid)
+    pump([f, m3], f.tick(), f)
     m3.accept(gid)
     accept = m3.last_uttered
-    relayed = deliver(f, m3, accept)
+    deliver(f, m3, accept)
+    relayed = f.tick()
     assert {dst for dst, blk in relayed if blk.id == accept.id} == {
         m1.current_address,
         m2.current_address,
     }
     assert not is_lazy(f, accept, m1)
-    to_m3 = [(dst, blk) for dst, blk in f.tick() if dst == m3.current_address]
+    to_m3 = [(dst, blk) for dst, blk in relayed if dst == m3.current_address]
     if covered:
         pump([f, m3], to_m3, f)
     return f, m1, accept
@@ -436,7 +433,9 @@ def test_backstop_pair_turned_lazy_resent_only_on_repair():
     # m1 acks f's Say, which points at the Accept m1 lacks, so the ack is
     # a nack, and it draws f's repair copy.
     f.say_group(gid, b"after")
-    (nack,) = acks_to(deliver(m1, f, f.last_uttered), f)
+    said = f.last_uttered
+    f.tick()  # the Say's first offers
+    (nack,) = acks_to(deliver(m1, f, said), f)
     resent = f.metrics.resent
     deliver(f, m1, nack)
     repaired = [blk.id for dst, blk in f.tick() if dst == m1.current_address]
@@ -478,8 +477,9 @@ def test_wl_founders_invite_bursts_only_to_its_target():
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
     f.address_hints[m3.agent_id] = m3.current_address
-    sends = f.invite(m3.agent_id, gid)
+    f.invite(m3.agent_id, gid)
     invite = f.last_uttered
+    sends = f.tick()
 
     def copies(sends, dest):
         return sum(dst == dest.current_address and blk.id == invite.id for dst, blk in sends)
@@ -487,8 +487,8 @@ def test_wl_founders_invite_bursts_only_to_its_target():
     assert copies(sends, m3) == EAGER_COPIES
     assert copies(sends, m1) == copies(sends, m2) == 1
     assert f._schedule(invite, m1.agent_id) == BACKSTOP
-    later = [copies(f.tick(), m1) for _ in range(REPAIR_AFTER + 1)]
-    assert later == [0] * REPAIR_AFTER + [1]
+    later = [copies(f.tick(), m1) for _ in range(REPAIR_AFTER)]
+    assert later == [0] * (REPAIR_AFTER - 1) + [1]
 
 
 @pytest.mark.parametrize("copy_from_member", [False, True])
@@ -500,7 +500,8 @@ def test_wl_members_copy_acks_the_own_accept(copy_from_member):
     f, m1, m2, m3 = (wl_agent(i) for i in range(4))
     gid = wl_group(f, m1, m2)
     f.address_hints[m3.agent_id] = m3.current_address
-    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    f.invite(m3.agent_id, gid)
+    pump([f, m3], f.tick(), f)
     m3.accept(gid)
     accept = m3.last_uttered
     (m1_accept,) = [
@@ -546,7 +547,8 @@ def test_wl_copy_from_a_non_member_credits_no_membership():
     f, m1, m2 = (wl_agent(i) for i in range(3))
     gid = wl_group(f, m1)
     f.address_hints[m2.agent_id] = m2.current_address
-    pump([f, m2], f.invite(m2.agent_id, gid), f)
+    f.invite(m2.agent_id, gid)
+    pump([f, m2], f.tick(), f)
     invite = f.last_uttered
     m1.address_hints[m2.agent_id] = m2.current_address
     deliver(m1, f, invite)
@@ -570,7 +572,8 @@ def test_wl_hint_set_after_the_last_insert_names_the_deliverer():
     f, m1, m2 = (wl_agent(i) for i in range(3))
     gid = wl_group(f, m1)
     f.address_hints[m2.agent_id] = m2.current_address
-    pump([f, m2], f.invite(m2.agent_id, gid), f)
+    f.invite(m2.agent_id, gid)
+    pump([f, m2], f.tick(), f)
     invite = f.last_uttered
     deliver(m1, f, invite)
     assert not m1.peers.known(m2.agent_id)
@@ -590,7 +593,8 @@ def late_accept(agents):
     founder, late = agents[0], agents[-1]
     gid = wl_group(*agents[:-1])
     founder.address_hints[late.agent_id] = late.current_address
-    pump([founder, late], founder.invite(late.agent_id, gid), founder)
+    founder.invite(late.agent_id, gid)
+    pump([founder, late], founder.tick(), founder)
     invite = founder.last_uttered
     late.accept(gid)
     accept = late.last_uttered
@@ -619,7 +623,8 @@ def test_schedule_names_each_copy():
     # m3's invite and Accept: none of the others knows m3 holds their
     # Accepts, and m2 does not hold m3's.
     f.address_hints[m3.agent_id] = m3.current_address
-    pump([f, m3], f.invite(m3.agent_id, gid), f)
+    f.invite(m3.agent_id, gid)
+    pump([f, m3], f.tick(), f)
     invite = f.last_uttered
     deliver(m1, f, invite)
     deliver(m2, f, invite)
@@ -637,8 +642,10 @@ def test_schedule_names_each_copy():
     # A second group of f and m2 alone, where no member relays.
     f.create_group(b"pair")
     pair = f.last_uttered.id
-    pump([f, m2], f.invite(m2.agent_id, pair), f)
-    pump([f, m2], m2.accept(pair), m2)
+    f.invite(m2.agent_id, pair)
+    pump([f, m2], f.tick(), f)
+    m2.accept(pair)
+    pump([f, m2], m2.tick(), m2)
     f.say_group(pair, b"just us")
     pair_said = f.last_uttered
     # A group of six whose last member joined after the others.
@@ -704,27 +711,28 @@ def test_schedule_names_each_copy():
         assert agent._schedule(block, q.agent_id) == schedule
     # A TL relay may be the only path: nothing is lazy.
     for agent in (a, c, d):
-        assert all(not lazy for _, _, lazy in agent._wanted(agent.lace.all_mask()))
+        assert all(not lazy for _, _, lazy in agent._wanted())
 
 
 @pytest.mark.parametrize("size", [12, 7])
 def test_every_relay_copy_of_a_covered_utterance_is_lazy(size):
     # Each member says once in a group formed over a perfect network, so
     # its creator covers every member.  The creator sends RACED_COPIES to
-    # each, and no relay sends its copy as the Say lands, although it came
-    # straight from the creator: every relay copy is lazy, sent only to
-    # repair a loss.
+    # each, and no relay sends its copy in its round after the Say lands,
+    # although it came straight from the creator: every relay copy is
+    # lazy, sent only to repair a loss.
     agents = [WlAgent(kp, f"c{i}/0") for i, kp in enumerate(CROWD_KP[:size])]
     gid = wl_group(*agents)
     for speaker in agents:
-        sends = speaker.say_group(gid, b"hello")
+        speaker.say_group(gid, b"hello")
         block = speaker.last_uttered
+        sends = speaker.tick()
         others = [q for q in agents if q is not speaker]
         for q in others:
             got = sum(dst == q.current_address and blk.id == block.id for dst, blk in sends)
             assert got == RACED_COPIES
-            relayed = deliver(q, speaker, block)
-            assert not any(blk.id == block.id for _, blk in relayed)
+            deliver(q, speaker, block)
+            assert not any(blk.id == block.id for _, blk in q.tick())
         for relay in others:
             for q in others:
                 if q is not relay:
@@ -838,17 +846,18 @@ def test_tl_relay_sends_three_copies_in_its_first_tick_like_the_creator():
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
     befriend(a, c, rounds=20)
     befriend(c, d, rounds=20)
-    pump([c, d], d.follow(a.agent_id), d)
+    d.follow(a.agent_id)
+    pump([c, d], d.tick(), d)
 
     def copies(sends, dest, block_id):
         return sum(dst == dest.current_address and blk.id == block_id for dst, blk in sends)
 
-    own = a.say(b"news")
+    a.say(b"news")
     news = a.last_uttered
-    assert copies(own, c, news.id) == EAGER_COPIES
+    assert copies(a.tick(), c, news.id) == EAGER_COPIES
     assert copies(a.tick(), c, news.id) == 0
-    relayed = deliver(c, a, news)
-    assert copies(relayed, d, news.id) == EAGER_COPIES
+    deliver(c, a, news)
+    assert copies(c.tick(), d, news.id) == EAGER_COPIES
     assert copies(c.tick(), d, news.id) == 0
 
 
@@ -857,15 +866,16 @@ def test_wl_copy_sent_by_the_peer_stops_the_resends():
     gid = wl_group(f, m1, m2)
     m2.say_group(gid, b"relay me")
     said = m2.last_uttered
-    forwarded = deliver(f, m2, said)
-    # m2 covers m1, so f's copy to m1 is lazy: not sent.
+    deliver(f, m2, said)
+    # m2 covers m1, so f's copy to m1 is lazy: not sent in f's next round.
+    forwarded = f.tick()
     assert (m1.current_address, said.id) not in {(dst, blk.id) for dst, blk in forwarded}
     # Without a nack the copy is not sent, but it stays outstanding.
     assert not owes(f, m1, said.id, rounds=REPAIR_AFTER)
     deliver(m1, m2, said)
     # m1 sends its copy to f (a repair, say): f learns that m1 holds it.
-    forwarded = deliver(f, m1, said)
-    assert not any(blk.id == said.id for _, blk in forwarded)
+    deliver(f, m1, said)
+    assert not any(blk.id == said.id for _, blk in f.tick())
     # So an ack from m1 that does not name it repairs nothing.
     f.retransmit.mark_repair(m1.current_address)
     assert not owes(f, m1, said.id, rounds=1)
@@ -875,13 +885,14 @@ def test_tl_copy_sent_by_the_peer_is_not_sent_back():
     a, c, d = tl_agent(0), tl_agent(1), tl_agent(2)
     befriend(a, c, rounds=20)
     befriend(c, d, rounds=20)
-    pump([c, d], d.follow(a.agent_id), d)
+    d.follow(a.agent_id)
+    pump([c, d], d.tick(), d)
     a.say(b"news")
     news = a.last_uttered
     deliver(c, a, news)
-    # c relays to d; d's forward of the copy skips c, which sent it.
-    sends = deliver(d, c, news)
-    assert not any(blk.id == news.id for _, blk in sends)
+    # c relays to d; d's next round skips c, which sent it.
+    deliver(d, c, news)
+    assert not any(blk.id == news.id for _, blk in d.tick())
     assert not owes(d, c, news.id)
 
 
@@ -911,7 +922,7 @@ def test_wl_invitee_queues_no_ack_for_the_genesis():
     f, m = wl_agent(0), wl_agent(1)
     f.create_group(b"g")
     genesis = f.last_uttered
-    assert m.receive(encode_block(genesis), f.current_address) == []
+    assert m.receive(encode_block(genesis), f.current_address) is None
     assert m.flush_acks() == []
     assert m.metrics.acks_sent == 0
 
@@ -922,9 +933,9 @@ def test_twins_of_a_raced_burst_draw_one_ack_while_the_tips_move():
     # The first copy's ack answers the whole burst.
     f, m1, m2 = (wl_agent(i) for i in range(3))
     gid = wl_group(f, m1, m2)
-    sends = m1.say_group(gid, b"burst")
+    m1.say_group(gid, b"burst")
     said = m1.last_uttered
-    copies = [blk for dst, blk in sends if dst == f.current_address]
+    copies = [blk for dst, blk in m1.tick() if dst == f.current_address]
     assert len(copies) == RACED_COPIES
     start = f.retransmit.now
     tips, acked = set(), []
@@ -963,8 +974,8 @@ def test_two_landings_from_one_address_in_one_tick_draw_one_ack():
     second = f.last_uttered
     assert first.id in second.pointers
     sent = m.metrics.acks_sent
-    assert m.receive(encode_block(first), f.current_address) == []
-    assert m.receive(encode_block(second), f.current_address) == []
+    assert m.receive(encode_block(first), f.current_address) is None
+    assert m.receive(encode_block(second), f.current_address) is None
     # The one ack names the tips after each landing: both Says.
     (ack,) = acks_to(m.flush_acks(), f)
     assert {first.id, second.id} <= ack.pointers
@@ -1072,19 +1083,23 @@ def test_delays_beyond_the_repair_window_still_quiesce_with_every_block_held(nam
 def test_acks_leave_in_the_tick_of_the_delivery_at_every_tick_interval():
     # With tick_interval 3 an agent's round runs every third tick, but the
     # runner drains the acks right after each tick's deliveries: every ack
-    # leaves in a tick where its agent got a datagram, rounds or not.
+    # leaves in a tick where its agent got a datagram, rounds or not.  A
+    # block that is not an ack leaves only in its agent's round.
     scenario = dataclasses.replace(canned.wl_group(seed=1), tick_interval=3)
     result = run_scenario(scenario)
     data = parse_trace(result.trace_text)
     at = {info["address"]: name for name, info in data.agents.items()}
     delivered = {(event.tick, event.fields["agent"]) for event in data.events_of("DELIVER")}
-    ticks = set()
+    ticks, block_ticks = set(), set()
     for event in data.events_of("SUBMIT"):
         block = b.decode_block(bytes.fromhex(event.fields["bytes"]))
         if isinstance(block.payload, b.Ack):
             assert (event.tick, at[event.fields["src"]]) in delivered, event.fields
             ticks.add(event.tick % 3)
+        else:
+            block_ticks.add(event.tick % 3)
     assert ticks == {0, 1, 2}
+    assert block_ticks == {0}
     assert result.all_pass(), [(r.name, r.verdict) for r in result.oracle_results]
 
 

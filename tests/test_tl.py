@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -83,11 +84,12 @@ def test_friend_block_acked_with_creator_heads():
     a, c, d = agent(0), agent(1), agent(2)
     befriend(a, c)
     befriend(c, d)
-    pump([c, d], d.follow(a.agent_id), d)
+    d.follow(a.agent_id)
+    pump([c, d], d.tick(), d)
     a.say(b"news")
     (ack,) = acks_of(deliver(c, encode_block(a.last_uttered), a.current_address))
     # c holds three creators' chains, and names the one it answers.
-    assert len(c.lace.creators()) == 3
+    assert len({blk.creator for blk in c.lace.blocks()}) == 3
     assert ack.pointers == frozenset([a.last_uttered.id])
     a.say(b"more")
     said = a.last_uttered
@@ -105,7 +107,8 @@ def test_block_whose_chain_has_a_hole_draws_no_ack():
     a, c = agent(0), agent(1)
     a.address_hints[c.agent_id] = c.current_address
     c.address_hints[a.agent_id] = a.current_address
-    pump([a, c], a.follow(c.agent_id), a)
+    a.follow(c.agent_id)
+    pump([a, c], a.tick(), a)
     c.say(b"before")
     c.follow(a.agent_id)
     offer = c.last_uttered
@@ -122,7 +125,8 @@ def test_ack_naming_an_offer_head_vouches_for_the_chain_below():
     a, c = agent(0), agent(1)
     a.address_hints[c.agent_id] = c.current_address
     c.address_hints[a.agent_id] = a.current_address
-    pump([a, c], a.follow(c.agent_id), a)
+    a.follow(c.agent_id)
+    pump([a, c], a.tick(), a)
     c.say(b"before")
     said = c.last_uttered
     c.follow(a.agent_id)
@@ -191,28 +195,34 @@ def test_held_back_ack_signs_nothing(monkeypatch):
     assert signed == []
 
 
-def test_receive_forwards_only_landed_blocks():
+def test_round_forwards_what_landed():
+    # Receiving and saying store and ack; c's next round sends both the
+    # block that landed and c's own.
     a, c, d = agent(0), agent(1), agent(2)
     befriend(a, c)
     befriend(c, d)
     d.follow(a.agent_id)
     c.receive(encode_block(d.last_uttered), src=d.current_address)
-    c.say(b"backlog")  # sent, never delivered
+    c.say(b"backlog")
     backlog = c.last_uttered
     a.say(b"news")
     news = a.last_uttered
-    sends = c.receive(encode_block(news), src=a.current_address)
-    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
-    assert forwarded == [(d.current_address, news.id)] * EAGER_COPIES
-    # Both were first offered in this tick, and both are Says (PACED), so
+    assert c.receive(encode_block(news), src=a.current_address) is None
+    assert all(isinstance(blk.payload, b.Ack) for _, blk in c.flush_acks())
+    # Both are first offered in that round, and both are Says (PACED), so
     # the rounds resend them ROUND_TRIP ticks later.
     owed = {
         (d.current_address, news.id),
         (a.current_address, backlog.id),
         (d.current_address, backlog.id),
     }
-    rounds = [{(dst, blk.id) for dst, blk in c.tick()} for _ in range(ROUND_TRIP + 1)]
-    assert [sent & owed for sent in rounds] == [set()] * ROUND_TRIP + [owed]
+    rounds = [
+        [(dst, blk.id) for dst, blk in c.tick() if (dst, blk.id) in owed]
+        for _ in range(ROUND_TRIP + 1)
+    ]
+    assert Counter(rounds[0]) == {pair: EAGER_COPIES for pair in owed}
+    assert rounds[1:ROUND_TRIP] == [[]] * (ROUND_TRIP - 1)
+    assert Counter(rounds[ROUND_TRIP]) == {pair: 1 for pair in owed}
 
 
 def test_forged_blocks_dropped():
@@ -260,7 +270,7 @@ def test_acks_from_strangers_are_dropped():
     for i in range(50):
         pointers = [random_id() for _ in range(20)]
         ack = b.new_block(KP[3], f"t3/{i}", b.Ack(), pointers)
-        assert a.receive(encode_block(ack), src="t3/0") == []
+        assert deliver(a, encode_block(ack), "t3/0") == []
     assert a.peers.known(KP[3].agent_id) == 0
     assert a.peers.parked == {}
 
@@ -313,7 +323,8 @@ def test_parked_block_not_acked_even_with_pointers_here():
     befriend(a, c)
     a.say(b"one")
     first = a.last_uttered
-    pump([a, c], c.say(b"hi"), c)
+    c.say(b"hi")
+    pump([a, c], c.tick(), c)
     a.say(b"two")
     second = a.last_uttered
     assert c.last_uttered.id in second.pointers
@@ -344,15 +355,16 @@ def test_disseminate_sends_followed_creators_to_friend():
     d.follow(a.agent_id)
     c.receive(encode_block(d.last_uttered), src=d.current_address)
     a.say(b"payload")
-    sends = c.receive(encode_block(a.last_uttered), src=a.current_address)
-    copies = [dst for dst, blk in sends if blk.id == a.last_uttered.id]
+    c.receive(encode_block(a.last_uttered), src=a.current_address)
+    copies = [dst for dst, blk in c.tick() if blk.id == a.last_uttered.id]
     assert copies == [d.current_address] * EAGER_COPIES
 
 
 def test_disseminate_skips_acked_blocks():
     a, c = agent(0), agent(1)
     befriend(a, c)
-    sends = a.say(b"fresh")
+    a.say(b"fresh")
+    sends = a.tick()
     assert any(blk.payload == b.Say(b"fresh") for _, blk in sends)
     pump([a, c], sends, a)  # delivers, acks flow back
     assert not any(
@@ -363,15 +375,16 @@ def test_disseminate_skips_acked_blocks():
 def test_offer_resent_until_acked():
     a, c = agent(0), agent(1)
     a.address_hints[c.agent_id] = c.current_address
-    sends = a.follow(c.agent_id)
+    a.follow(c.agent_id)
     offer = a.last_uttered
 
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == offer.id for _, blk in a.tick())]
 
-    # EAGER_COPIES copies on the offer, then one every GAP ticks.
-    assert [blk.id for _, blk in sends] == [offer.id] * EAGER_COPIES
-    assert resent_at(range(3 * GAP)) == [GAP, 2 * GAP]
+    # EAGER_COPIES copies in the round of the offer, then one every GAP
+    # ticks.
+    assert [blk.id for _, blk in a.tick()] == [offer.id] * EAGER_COPIES
+    assert resent_at(range(1, 3 * GAP)) == [GAP, 2 * GAP]
     (ack,) = acks_of(deliver(c, encode_block(offer), a.current_address))
     a.receive(encode_block(ack), src=c.current_address)
     assert resent_at(range(3 * GAP, 6 * GAP)) == []
@@ -388,8 +401,9 @@ def test_utterance_pointers_are_possessed_at_creation():
     # causal context: a new block only ever names blocks its author held
     a, c = agent(0), agent(1)
     befriend(a, c)
-    pump([a, c], c.say(b"context"), c)
-    held_before = a.lace.ids()
+    c.say(b"context")
+    pump([a, c], c.tick(), c)
+    held_before = {blk.id for blk in a.lace.blocks()}
     a.say(b"answer")
     assert a.last_uttered.pointers <= held_before
 
@@ -398,22 +412,24 @@ def test_tick_idempotent_on_state():
     a, c = agent(0), agent(1)
     befriend(a, c)
     a.say(b"x")
-    before = a.lace.ids()
+    before = list(a.lace.blocks())
     a.tick()
     a.tick()
-    assert a.lace.ids() == before
+    assert list(a.lace.blocks()) == before
 
 
 def test_change_address_announces():
     a, c = agent(0), agent(1)
     befriend(a, c)
-    sends = a.change_address("t0/9")
+    a.change_address("t0/9")
     assert a.last_uttered.payload == b.Empty()
     assert a.last_uttered.address == "t0/9"
-    pump([a, c], sends, a)
+    pump([a, c], a.tick(), a)
     assert c.lace.ip_address(a.agent_id) == "t0/9"
-    a.change_address("t0/10")  # every copy of the announcement is lost
-    for _ in range(GAP):
+    a.change_address("t0/10")
+    # Every copy of the announcement, sent in the round after it, is lost.
+    assert {blk.id for _, blk in a.tick()} == {a.last_uttered.id}
+    for _ in range(GAP - 1):
         assert a.tick() == []
     pump([a, c], a.tick(), a)  # resent GAP ticks after the offer
     assert c.lace.ip_address(a.agent_id) == "t0/10"
@@ -423,7 +439,8 @@ def test_feed_projection_and_spam_exclusion():
     a, c, stranger = agent(0), agent(1), agent(2)
     befriend(a, c)
     for i in range(3):
-        pump([a, c], a.say(b"post-%d" % i), a)
+        a.say(b"post-%d" % i)
+        pump([a, c], a.tick(), a)
     feed = c.feed(a.agent_id)
     assert [blk.payload.text for blk in feed] == [b"post-0", b"post-1", b"post-2"]
     # stranger content sits in the lace but never in a feed view
@@ -442,7 +459,8 @@ def test_two_hop_relay_liveness_perfect_network():
     c.receive(encode_block(d.last_uttered), src=d.current_address)
     agents = [a, c, d]
     for i in range(4):
-        pump(agents, a.say(b"msg-%d" % i), a)
+        a.say(b"msg-%d" % i)
+        pump(agents, a.tick(), a)
         for x in agents:
             pump(agents, x.tick(), x)
     said = [blk.id for blk in a.lace.by_creator(a.agent_id) if b.is_utterance(blk.payload)]
@@ -456,8 +474,8 @@ def test_two_hop_relay_liveness_perfect_network():
     # c's copy is on c's own timer (a TL relay keeps one, as the creator
     # does), so d acks it to c.
     a.say(b"msg-4")
-    relayed = c.receive(encode_block(a.last_uttered), src=a.current_address)
-    copies = [blk for dst, blk in relayed if dst == d.current_address]
+    c.receive(encode_block(a.last_uttered), src=a.current_address)
+    copies = [blk for dst, blk in c.tick() if dst == d.current_address]
     assert [blk.id for blk in copies] == [a.last_uttered.id] * EAGER_COPIES
     copy = copies[0]
     sends = deliver(d, encode_block(copy), c.current_address)

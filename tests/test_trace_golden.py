@@ -25,87 +25,87 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "3a756e57932dbf6eac196be30eed39a454a1b78207eaaff521bff7a3436efc3f",
-    "tl_star": "1675437309799aea3fa4e8c2aad4396a667174c50a1addd883b0a0f63724ac58",
-    "tl_ring": "00a89527e1959d8533ed0f7ecddf87ad2b047e8ecd51d4fdae70c6fa10e2746b",
-    "tl_line_broken": "60592867ffa3b4ff55beee56f1e9d10f1d00b60281b1fadc41212ff8be516db2",
-    "tl_churn": "f62211e79955ebd6dbc1950c219912aa7ba42a5e3221648b985f97921739a7ca",
-    "tl_forgery": "eeffe2560ecd838977d3bbe767c1a57a9075c90573aa2ae79ea043315ecd24fb",
-    "wl_group": "27deab7111b4c62c670d5ec66a6642ed48008d1532e5cdf4973258960375533b",
-    "wl_crowd": "9bffd7f64ede485773bfdef2d0ce95568fce1d24e97c2dae35e8b77d26935f66",
-    "wl_dropper": "fd5a94248f9b4c9c5e3179fc6fb58d90461dfcd935be1edff034abb9ff85f26c",
+    "tl_line": "cbd7ed85f24381a566b8bc91ebb5c6d39b7af78671abcaa736c2a3bc73b5b26e",
+    "tl_star": "5f5983bf394337214e7aca03c23dfbba917a6c578a4c9a5f095ec63cd5a62963",
+    "tl_ring": "35272cda2ae9052a0c8854c71b919f62ff3c350b4cb07d268270f24d544a9473",
+    "tl_line_broken": "7e56bc0732d3629a1844fe643875d7814428527a98cc1e9d746747f5bed7c6d5",
+    "tl_churn": "7c47c08ec02f0a5f8f218b80a7df66789789dbc05735d4206bbb51cb7dbec713",
+    "tl_forgery": "dec29fc4e80f70b1c82049a136e1981cc2973e5721a72d013effab83fd320532",
+    "wl_group": "a320105b9594ecd93c433adea6b1159528a526bfc8ebb08e5bbdae30c997c041",
+    "wl_crowd": "675e21cee43ac045b2e2572fb473d68fdcbff55c6f4305910c421a1c9fe6c9d9",
+    "wl_dropper": "94e92647f59936d53a8b1394daa875109fd5992b165b9f8dfe00ca08888a694f",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "0dbc1c9d1bc1ee36581fad6ce2629ea632c24bbb7ace2a5fe3239250b0a99568",
-    "wl_equivocation": "525a51edd42cbf0b0cebfe8186fd7c324f1b735d45e7f6a41e669f3f915be549",
-    "wl_equivocation_crowd": "2e936f9c153f557a9f41dba58324f14c9c3d96fe8341d63ec1a4488d2e478212",
-    "wl_privacy": "0365c7425aaf1870a932ae1f27ed0d2d783635e63324c44c4fff28fabf397678",
-    "wl_partitions": "371fab09b64bf96f4d86aed66b9af9f046d815fbb167ea1e429c6bfd66ae6fa1",
-    "wl_founder_moves": "f6944371c354e5327a7ff811a5745e7f0a5f0fd237dad909dbf4bb25f6dc4734",
-    "wl_founder_quits": "f404c1eca6bba76fb02f5cd8e04eda0b120154ba48270b545d0b054b3a904949",
-    "wl_crowd_orphans": "0a504d2e6145f6f2e8f2dbc8169d10f28ee41f6d5f79dc21eb3de9cfdb3cf413",
+    "wl_churn": "47eec014cf643b7835aa8177ce07eadc98677513625f591e0631f20529bd134f",
+    "wl_equivocation": "81804b778a34df73558f6d443335e7ff51b033b81e68223ff4b262332ccc5914",
+    "wl_equivocation_crowd": "2c0abfb9b28071fb9f9d7fabb9c1f0f2594fca3d1fb2832a0b58cc456174b5a8",
+    "wl_privacy": "9d7996bfdc9dc94e3c1594598c73d39b36a1b85176cef7b13704c9e9cf09c6ac",
+    "wl_partitions": "99eba620d0b8a11c344ac8db8638672fa4c6e1faa4e1364861466d386bbe72b3",
+    "wl_founder_moves": "dd471ed7c0c1259772cf3da3cc23a8bbf6de62dde678c39865ac855fcc969218",
+    "wl_founder_quits": "5b0bf2e9f64c40c96a6e2fd594252fa3fc137955fa97c8048c38f3bd21f62216",
+    "wl_crowd_orphans": "b3267744713695b0db0c140ff2def29e815dfae80fd6a3068598eafe2f6e6949",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "b0c5c1b17d5c1a5d023f69319be79b1fa55ab39913d26ffa81bde322b8181a02",
-    "tl_star": "b7d6b1ca94a0f66de4fa60566478427293fc11919f98429cd221584d3d3be99a",
-    "tl_ring": "711bb91ea50ab9a4f57b04470d067084d9fd34c424194739fb4e105b7fe0c3a3",
-    "tl_line_broken": "8b05aa8a9ab10e2107d511489af03c10277ac71272d32760c22aa4f68a7afe70",
-    "tl_churn": "3377661738c36305369d2ad097a2cc8d60ee24c5126e35a6a91d02d7c6e0c1a6",
-    "tl_forgery": "12473b0773c5b6e1424931ceaf5849fe40552f7469c31bfe14648e027fbbadc4",
-    "wl_group": "f1f3573681f0749c7870ff08573d2b5b2c57398afd9ef6e636ab64f045509b9a",
-    "wl_crowd": "4681660850a4e2128a449672b1af2ea1091f27ca24524a5a74a9b37b4369a0ac",
-    "wl_dropper": "a3101a6f1a57158cced64235ed6323db76383ffc566ed081fd9a5f70b4eb0446",
+    "tl_line": "bc0d3b5a959108542280372fe99d7e66d64ab021c3a1564a632fa3547e63fae6",
+    "tl_star": "aa0088c6bee81d520639beb2ea7f75476db38776d6d88114987604e9039f3ec2",
+    "tl_ring": "e5490c8ac73c5e4c421c779cdc16a70e0de38d053fb9d2f0d3911d5bed725d5f",
+    "tl_line_broken": "c97c7d821c95a741cbca4ce70f712497118f3aa086af94939159cb569ca1fbf6",
+    "tl_churn": "6d7ae7b4a3ecfbcf9d2918e3f3ec6d2d7e5bf414a53194613959b4516008f683",
+    "tl_forgery": "970df4b203d656e3208c3e90561ed672b34370da1d1734fcfa5cafcf1a2762bc",
+    "wl_group": "0b1a730faf58d54da5ac03c13441a59ebf23c518bac06d15a07dac9da2c1ef79",
+    "wl_crowd": "1ba300a9416820cae81d01c9773e264603a36a89bba72fc2652947b1e7b5310c",
+    "wl_dropper": "edf51ed49b34c1788ffeccae54d5af739d91074b2b3ae9bcc229368d9e5dfa1b",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "9b228aa1eb3911860d8558b78c396e4d5f17bf88f60ebf335cc3098b72f483b7",
-    "wl_equivocation": "1c84fd26d8d9157d47993375026b0b238f4c1818a296105017db9054813215e3",
-    "wl_equivocation_crowd": "1c6ad6b397df9e36b19fe7a9a09e590eeb96c3f4e33f911436b92065f2e0f1ca",
-    "wl_privacy": "8195df4ccf6d82d5150f9d9269767e1491a703b68c203abf617ad29b26ad122f",
-    "wl_partitions": "dde3d5e2c3f6d0c3dc9ef146fbec4842140ea588b6c954c778afc19996526d76",
-    "wl_founder_moves": "19768ef186cfaf549e628418c81917add87ee81bbe954a47da507773a0c5d91d",
-    "wl_founder_quits": "044deac3c2b3254a138b73a4795587bfdd5ff38b9739d3539bbf09be7013209e",
-    "wl_crowd_orphans": "a7d3261eb02235c97c78e125842c51510e3489810347b11d26f5ed712be60e98",
+    "wl_churn": "a99a9fcad29dbda15920731bbb42d62464221af828c0333a0185a6fb3c1a85cb",
+    "wl_equivocation": "3285e76c174acdc275db1cc389419c812fe4bc23d6339dacbfc06934e91a0ec8",
+    "wl_equivocation_crowd": "93bbff02eccc5555354d72c061382337fdf0c71cc81973163ddb75cf3e1bec61",
+    "wl_privacy": "34280ff06440529b74677135f0bfa1a11a787f56ac71d7bd532dfdb17dac455f",
+    "wl_partitions": "d22ee50947019171c3257f5c41749c1d70b1462d71f7e2377891293a35c19771",
+    "wl_founder_moves": "6b1c493118924eef4b22a9260f9cd1656e09060909cc173ab589b65d77fb7cf7",
+    "wl_founder_quits": "ff0630a34e1ddc169654421392cccd0ae8db9f332c0b50ca2095b8263bb7e050",
+    "wl_crowd_orphans": "225ad21c557a56be5ae29836eda5b7e1aba78deec42e085f0c01b8b80bc0dbe4",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "e495cd2269504ae2c25dfa472c65e5d40e0d688b4e24a2497863a19c028ac03f",
-    "tl_star": "644406ac15d608da3867f0cf24326b098f2929f9f840108a1097a14c2565364c",
-    "tl_ring": "f1359f259487a2b789b40c46c318908d002b79916dad1e43ae25c069f0c85628",
-    "tl_line_broken": "97913c2246a98233ab54d7b9bc376114920a409930c2d56a6b39035b4c87ce1c",
-    "tl_churn": "8b20af3a92aabb85090b9e71b903ff774f45b9751c10740388faf61bd319afbd",
-    "tl_forgery": "d90d10020d086cda4134f398ac67d8fc1d8018b68cd15af63ef75a87e0715839",
-    "wl_group": "563f1cc3af0bfdce1fa2ad3bb6b4ad4bc85823ccdc6ca6864d3e327b93e88c8c",
-    "wl_crowd": "6f079103c49725ca99d5e5c335bf086318022a30a6edb8739523a464e9bd55b3",
-    "wl_dropper": "3e85562d9ee28dfbadb83955ee01fe3bb9b67f2e051b89d6dd0f8698c22bc860",
+    "tl_line": "26ff14a9714435472fa2a96d59d9e95c494869c65c76df1cc505f7ce060e3e44",
+    "tl_star": "6cf229f2eafaf540580f72fa6eb2e7976b2a1ffea4b8917da0fdef40642bdd27",
+    "tl_ring": "b2654ca5b46a2746b71bbc301c765d33a3c329701b7b19723fee8ce6c620671e",
+    "tl_line_broken": "521f8e1696aedc15f6f40091980d45a26bae277b6d0f6d7a21be35fb9968f2bf",
+    "tl_churn": "1578a28f32827499477af796f8df7fd984467e0fc49de665b1b6264e9c9d963c",
+    "tl_forgery": "860aa1bf565dcd42ae1ac49ee392985acbf4c74ba2299513560cea23cc89a8d0",
+    "wl_group": "ed926426be6d8ac6b8ff4300e96d1fafa2183635991b0222a9cd9ecdd4874248",
+    "wl_crowd": "48b03bd252e75b890911c7b8cb9f71cbe273dd01b648682840b3d6be9b42c9ef",
+    "wl_dropper": "a1f359e5ee941a0012378e94a283b6aba71cebb121d44a7769965229813ef73e",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "30222ee00ddca1c2187ca9903a97b9d3b22378ddebd0e503f62f9e4db6c3c394",
-    "wl_equivocation": "bbfb26430ee8caf53654909b85520da0791c3f8d522e4f2a4df077f77f62fac3",
-    "wl_equivocation_crowd": "9ea01ea3248e2a9d2a3b1c35dd2510f7f68b416a02bdd6db495e0758d6410e21",
-    "wl_privacy": "06110338d35402c486afcb80e528c9782960e55f11b803deb09e3eda94aca6c0",
-    "wl_partitions": "97482cd9afd33c54f313d8451a34f33fbbb5adc2e29b3dc36ec0b2121847a597",
-    "wl_founder_moves": "bddf2838bd24076b0577579e95b12727152a315580e28d85a21b238fefa07485",
-    "wl_founder_quits": "459d1d86ede557c6b26925817dab16104a8f44bebc8e69195f25d02bba611a12",
-    "wl_crowd_orphans": "cdb22bdbfd5673b548b69a11e1942e8d3a73dbf1a83e2c052c5312d57c5e10a3",
+    "wl_churn": "6e59568c5fb9e18baacfaa79f3bcb2dcbc8f3b6eab9c192c4e0c367d396483c1",
+    "wl_equivocation": "e6b6d9ad7950dd0c024d6877e22c1ffcb560dd7dff99004f890bee68348b478f",
+    "wl_equivocation_crowd": "f725b8d477be4cf181c66dc7c46e6130537d1511dcd508f2d6fdd4f95606a4b8",
+    "wl_privacy": "3c434393bfbe335795be8e52e6d535dbe6c9b5896e7dc6f2a22a1e69294f18c9",
+    "wl_partitions": "01f4d54fd3445c9ce4b80d3914c9fd2fb5ff4c06914626d2e1fdb8077d88e99e",
+    "wl_founder_moves": "5a438a8a33cd2527014158b9406357cf404ed512d9b191f2b55f7cbe8c06ae2b",
+    "wl_founder_quits": "9673e585e15c6a9c94688c9d15190dcf65de9b7e790ae174938b86c3440a8437",
+    "wl_crowd_orphans": "14ec68d422dfb1bad61d92a74511d9e672c3ed2c9d91021f7060824e7264bb74",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "265c6e5216b5e2a7100a29c57bfa4d765a68d4bd14a2125aa6c663dddb723183",
-    "tl_star": "891e3cc472567dc868b9162935ba93a582a681177175a7618b32b45d6a4e8b0f",
-    "tl_ring": "24c3b6ee60f20e6de0cf214ca23c0942a44c2d72873a11e4343e581cafd2d34e",
-    "tl_line_broken": "a53f937c456dfce0c741fbe3968b350c39b982e4f4e7ea62ae4cd349b8ce6095",
-    "tl_churn": "9126b70fa0cdc566b00826d8dd79924842cc8fa2483f66b1606436529978ea2d",
-    "tl_forgery": "5619c7fd2d8c46fe5bb94c355fecc66c962beb6ef32b956942a5152e51fbfed5",
-    "wl_group": "d675db425e924fec258a67fe0806197e8279bddd5204f0b5577c56907dede241",
-    "wl_crowd": "0bbb17cbb9bc7aa3b1512fe35157905d77a7a32eb245418f22f975ffa4af048d",
-    "wl_dropper": "dea3c72034f25d56ace3e1bd9591d0c85cecd96e0a2605db9a3437114ace34b4",
+    "tl_line": "0da921ad2a1365814c14c643d3c5d793cf3eea861da710451cd3da7c1336c46c",
+    "tl_star": "425a24660d734cbe41bb0bdea1c76e334929b333ae8b381fa0032d8b4242cd72",
+    "tl_ring": "78f8f2a89fdad0b3cc514d074de8a09d797322b71bf050f84810bae523686e49",
+    "tl_line_broken": "fc84dcd5096b9af7a06d83bb650f9e6dbb1811f1bad6eb1435466d45207575ec",
+    "tl_churn": "c4dae637ada0f2443b694069afd059c5a83994a61f142273f260246e46fb32ca",
+    "tl_forgery": "805f408d7c323ae0adc7ba3e6df357599cbdfc2b00a084ae8e110523ccedc4c5",
+    "wl_group": "5309169b1550b6b481adfd14bd1adedaaecfc085b22a8ebab101e918e526c9fe",
+    "wl_crowd": "8e94a74d710494704743d90c7a01ae311dbe0924d5aa44a6510095e0cba314c4",
+    "wl_dropper": "fb94d2c47e478fd8fa78af00ce6f4fad5af5e833963ac778290b24b7258efd16",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
-    "wl_churn": "bfb39b5efd1d219bfff938947906a12aa18ddef4f644742fb9f18792228694e0",
-    "wl_equivocation": "43ec02a7d3feab486f93c2a3ccafa0d67465745edc156b94dbebaf7213610196",
-    "wl_equivocation_crowd": "1911f6d125451b3e39e3ff2dd005ef5cb8afac21e8caf82b724b7e302a78846d",
-    "wl_privacy": "661783e4bcc2b0b0a437562c049a63c200a0797fec07b0b08f2d657e7551c088",
-    "wl_partitions": "7e400f80a62a97c05738cc43e227fd89db3efc656472553fa2b0b99e170d7e01",
-    "wl_founder_moves": "8ff9b009fade9cb7282108dd40228c7d890c279d9602b92c1148fce942ce8e6c",
-    "wl_founder_quits": "51d3c9fe1ec8aab3793d13dd9ce919c4dcf51f7df8504f83efcc64d9e6823d24",
-    "wl_crowd_orphans": "45ac6d2d9000c5b81403e5388a99efe05d42ba790ae79f5759cb6e0bd21511a5",
+    "wl_churn": "f9a8970aedee79891db285247f5e4697a70743a3a92b3deaa41d7852fcf404fe",
+    "wl_equivocation": "308193f956d115b3efb32b9bb613192a251235587c931e645533bcbd7de13007",
+    "wl_equivocation_crowd": "f587657723ee09b5c212bde2065c4b3a62dd5d18cce5d7ab6289a097d7b19ca6",
+    "wl_privacy": "2dcfcdc84e0ead577210ff995be3ffd8d627ed0aded4bf340373c7923e7b8077",
+    "wl_partitions": "873ed2a0b1dfe7f2079f5605a005a56cad60d504aeecba2c2637f367b6a646b3",
+    "wl_founder_moves": "f862a39113841f44f5aceaefdc2aa41638021c18ffe9a115296b7e5febd1091d",
+    "wl_founder_quits": "016398beb9c5770364c62bbf47fa48c587dafaaa7ce3db86c9d91e3a3a1b49e2",
+    "wl_crowd_orphans": "1c4e9101283604d5e8a8236e2c892171e282fe85a59e96cab62cd6983205a5be",
 }
 
 

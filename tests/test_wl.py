@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
 from blocklace.peers import PARKED_CAP, ProtocolError
-from blocklace.retransmit import ACK_HOLDOFF, BURST, EAGER_COPIES, GAP, REPAIR_AFTER
+from blocklace.retransmit import ACK_HOLDOFF, BURST, EAGER_COPIES, GAP, RACED_COPIES, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
     compute_member,
@@ -35,8 +36,10 @@ def form_group(founder, members, name=b"room"):
     gid = founder.last_uttered.id
     for member in members:
         founder.address_hints[member.agent_id] = member.current_address
-        pump(everyone, founder.invite(member.agent_id, gid), founder)
-        pump(everyone, member.accept(gid), member)
+        founder.invite(member.agent_id, gid)
+        pump(everyone, founder.tick(), founder)
+        member.accept(gid)
+        pump(everyone, member.tick(), member)
         pump(everyone, founder.tick(), founder)
     for participant in everyone:
         pump(everyone, participant.tick(), participant)
@@ -71,7 +74,7 @@ def test_two_groups_disjoint_partitions():
     p1 = {blk.id for blk in group_partition(f.lace, g1)}
     p2 = {blk.id for blk in group_partition(f.lace, g2)}
     assert p1 and p2 and not (p1 & p2)
-    assert p1 | p2 == f.lace.ids()
+    assert p1 | p2 == {blk.id for blk in f.lace.blocks()}
 
 
 def test_invite_shape_and_preconditions():
@@ -96,7 +99,8 @@ def test_accept_requires_founder_invite():
         m.accept(gid)
     # an impostor "invite" pointing at the genesis is not founder-authored
     f.address_hints[imp.agent_id] = imp.current_address
-    pump([f, m, imp], f.invite(imp.agent_id, gid), f)  # imp gets genesis+invite
+    f.invite(imp.agent_id, gid)  # imp gets genesis+invite
+    pump([f, m, imp], f.tick(), f)
     forged = b.new_block(
         imp.kp, imp.current_address,
         b.Invite(m.agent_id, crypto.seal(crypto.group_keygen(0), m.agent_id)),
@@ -113,7 +117,8 @@ def test_accept_unseals_key_and_joins():
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
-    pump([f, m], f.invite(m.agent_id, gid), f)
+    f.invite(m.agent_id, gid)
+    pump([f, m], f.tick(), f)
     m.accept(gid)
     accept = m.last_uttered
     assert isinstance(accept.payload, b.Accept)
@@ -153,7 +158,8 @@ def test_say_requires_membership():
     with pytest.raises(ProtocolError):
         m.say_group(gid, b"not in yet")
     f.address_hints[m.agent_id] = m.current_address
-    pump([f, m], f.invite(m.agent_id, gid), f)
+    f.invite(m.agent_id, gid)
+    pump([f, m], f.tick(), f)
     with pytest.raises(ProtocolError):
         m.say_group(gid, b"invited but not accepted")
     m.accept(gid)
@@ -179,7 +185,8 @@ def test_respond_group_cross_group_rejected():
 def test_respond_group_within_group():
     f, m = agent(0), agent(1)
     gid = form_group(f, [m])
-    pump([f, m], f.say_group(gid, b"topic"), f)
+    f.say_group(gid, b"topic")
+    pump([f, m], f.tick(), f)
     topic = f.last_uttered
     m.respond_group(topic.id, b"reply")
     assert isinstance(m.last_uttered.payload, b.Respond)
@@ -248,7 +255,8 @@ def test_cross_group_merge_rejected():
     merge = b.new_block(f.kp, "w0/0", b.Say(b"bridge"), [g1, g2])
     m = agent(1)
     f.address_hints[m.agent_id] = m.current_address
-    pump([f, m], f.invite(m.agent_id, g1), f)
+    f.invite(m.agent_id, g1)
+    pump([f, m], f.tick(), f)
     m.receive(encode_block(f.lace.get(g2)))
     m.receive(encode_block(merge))
     assert merge.id not in m.lace
@@ -306,29 +314,36 @@ def late_member(f, members, late):
     """Invite `late` into a group of f and `members`, formed over a perfect
     network, and let it accept; only f gets the invite, and nobody gets
     the Accept yet.  So f's relay copies of late's blocks to the others
-    are uncovered: the founder sends them on arrival (BACKSTOP)."""
+    are uncovered: the founder sends them in its next round (BACKSTOP)."""
     gid = form_group(f, members)
     f.address_hints[late.agent_id] = late.current_address
-    pump([f, late], f.invite(late.agent_id, gid), f)
+    f.invite(late.agent_id, gid)
+    pump([f, late], f.tick(), f)
     late.accept(gid)
     return gid, late.last_uttered
 
 
-def test_receive_forwards_only_landed_blocks():
+def test_round_forwards_what_landed():
+    # Receiving and saying store and ack; f's next round relays the Accept
+    # that landed, one BACKSTOP copy to each other member, and makes the
+    # first offer of f's own Say.
     f, m1, m2, m3 = agent(0), agent(1), agent(2), agent(3)
     gid, accept = late_member(f, [m1, m2], m3)
-    f.say_group(gid, b"backlog")  # sent, never delivered
+    f.say_group(gid, b"backlog")
     backlog = f.last_uttered
-    sends = deliver(f, encode_block(accept), src=m3.current_address)
-    forwarded = {(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)}
-    assert forwarded == {(m1.current_address, accept.id), (m2.current_address, accept.id)}
+    assert f.receive(encode_block(accept), src=m3.current_address) is None
+    assert all(isinstance(blk.payload, b.Ack) for _, blk in f.flush_acks())
+    sent = Counter((dst, blk.id) for dst, blk in f.tick())
+    relayed = {pair: n for pair, n in sent.items() if pair[1] == accept.id}
+    assert relayed == {(m1.current_address, accept.id): 1, (m2.current_address, accept.id): 1}
+    assert sent[(m1.current_address, backlog.id)] == RACED_COPIES
     # The rounds resend the own backlog (RACED) REPAIR_AFTER ticks after
     # its offer.
     rounds = [
         backlog.id in {blk.id for dst, blk in f.tick() if dst == m1.current_address}
-        for _ in range(REPAIR_AFTER + 1)
+        for _ in range(REPAIR_AFTER)
     ]
-    assert rounds == [False] * REPAIR_AFTER + [True]
+    assert rounds == [False] * (REPAIR_AFTER - 1) + [True]
 
 
 def test_pending_drain_forwards_every_landed_block():
@@ -338,8 +353,10 @@ def test_pending_drain_forwards_every_landed_block():
     said = m3.last_uttered
     assert said.pointers == {accept.id}
     assert deliver(f, encode_block(said), src=m3.current_address) == []
-    sends = deliver(f, encode_block(accept), src=m3.current_address)
-    forwarded = [(dst, blk.id) for dst, blk in sends if not isinstance(blk.payload, b.Ack)]
+    deliver(f, encode_block(accept), src=m3.current_address)
+    # f's next round sends both blocks the drain landed.
+    landed = {accept.id, said.id}
+    forwarded = [(dst, blk.id) for dst, blk in f.tick() if blk.id in landed]
     assert forwarded == [
         (q.current_address, block.id)
         for q in sorted([m1, m2], key=lambda q: q.agent_id)
@@ -393,7 +410,8 @@ def test_parked_block_not_acked_without_a_group_of_this_agent():
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
-    pump([f, m], f.invite(m.agent_id, gid), f)  # m is invited, not a member
+    f.invite(m.agent_id, gid)  # m is invited, not a member
+    pump([f, m], f.tick(), f)
     invite = f.last_uttered
     f.invite(agent(2).agent_id, gid)  # never reaches m
     f.say_group(gid, b"after")
@@ -475,9 +493,9 @@ def test_lost_relay_copy_is_repaired_on_a_nack():
 
 
 def deliver_losing(agents, sends, src_agent, lost):
-    """Deliver `sends` from `src_agent` and everything they spawn, in
-    order, except that the first copy of each (destination agent, block
-    id) in the set `lost` is dropped (and removed from it)."""
+    """Deliver `sends` from `src_agent` and the acks they draw, in order,
+    except that the first copy of each (destination agent, block id) in
+    the set `lost` is dropped (and removed from it)."""
     queue = [(src_agent, dst, blk) for dst, blk in sends]
     while queue:
         src, dst, blk = queue.pop(0)
@@ -503,19 +521,23 @@ def test_relay_copy_to_a_member_its_creator_does_not_know_is_held(say_lost):
     gid = f.last_uttered.id
     for m in (m1, m2):
         f.address_hints[m.agent_id] = m.current_address
-        pump(everyone, f.invite(m.agent_id, gid), f)
-    sends = {m: m.accept(gid) for m in (m1, m2)}
+        f.invite(m.agent_id, gid)
+        pump(everyone, f.tick(), f)
+    for m in (m1, m2):
+        m.accept(gid)
     lost = {(m1, m2.last_uttered.id), (m2, m1.last_uttered.id)}
     for m in (m1, m2):
-        deliver_losing(everyone, sends[m], m, lost)
+        deliver_losing(everyone, m.tick(), m, lost)
     for a in everyone:
         deliver_losing(everyone, a.tick(), a, lost)
     assert not lost
-    sends = m2.say_group(gid, b"last word")
+    m2.say_group(gid, b"last word")
+    sends = m2.tick()
     said = m2.last_uttered
     assert {dst for dst, _ in sends} == {f.current_address}
     lost = {(m1, said.id)} if say_lost else set()
     deliver_losing(everyone, sends, m2, lost)
+    deliver_losing(everyone, f.tick(), f, lost)
     assert not lost
     assert said.id not in m1.lace and f.retransmit.armed()
     for _ in range(4 * REPAIR_AFTER):
@@ -538,21 +560,27 @@ def test_creator_covers_a_member_only_in_the_group_it_knows_it_in():
         gids[name] = f.last_uttered.id
         for m in (c, q):
             f.address_hints[m.agent_id] = m.current_address
-            pump(everyone, f.invite(m.agent_id, gids[name]), f)
+            f.invite(m.agent_id, gids[name])
+            pump(everyone, f.tick(), f)
     for m in (c, q):
-        pump(everyone, m.accept(gids[b"two"]), m)
+        m.accept(gids[b"two"])
+        pump(everyone, m.tick(), m)
     for a in everyone:
         pump(everyone, a.tick(), a)
     assert c.member(q.agent_id, gids[b"two"])
-    pump(everyone, c.accept(gids[b"one"]), c)
-    sends = q.accept(gids[b"one"])
+    c.accept(gids[b"one"])
+    pump(everyone, c.tick(), c)
+    q.accept(gids[b"one"])
     lost = {(c, q.last_uttered.id)}  # f's copy
-    deliver_losing(everyone, sends, q, lost)
+    deliver_losing(everyone, q.tick(), q, lost)
+    deliver_losing(everyone, f.tick(), f, lost)
     assert not lost and not c.member(q.agent_id, gids[b"one"])
-    sends = c.say_group(gids[b"one"], b"to f")
+    c.say_group(gids[b"one"], b"to f")
+    sends = c.tick()
     assert {dst for dst, _ in sends} == {f.current_address}
     said = c.last_uttered
-    relayed = deliver(f, encode_block(said), src=c.current_address)
+    deliver(f, encode_block(said), src=c.current_address)
+    relayed = f.tick()
     assert (q.current_address, said.id) in {(dst, blk.id) for dst, blk in relayed}
     assert not is_lazy(f, said, q)
     # The say does not observe q's Accept in "one", so q acks f's copy,
@@ -685,7 +713,8 @@ def test_invite_acked_with_invite_id():
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
-    sends = f.invite(m.agent_id, gid)
+    f.invite(m.agent_id, gid)
+    sends = f.tick()
     # invite dissemination carries genesis first, then invite, each in
     # EAGER_COPIES copies
     to_m = [blk for dst, blk in sends if dst == m.current_address]
@@ -704,15 +733,17 @@ def test_invite_resent_until_acked():
     f.create_group(b"g")
     gid = f.last_uttered.id
     f.address_hints[m.agent_id] = m.current_address
-    first_offer = f.invite(m.agent_id, gid)
+    f.invite(m.agent_id, gid)
     invite = f.last_uttered
+    first_offer = f.tick()
 
     def resent_at(ticks):
         return [t for t in ticks if any(blk.id == invite.id for _, blk in f.tick())]
 
-    # EAGER_COPIES copies on the offer, then one every GAP ticks.
+    # EAGER_COPIES copies in the round of the offer, then one every GAP
+    # ticks.
     assert [blk.id for _, blk in first_offer if blk.id == invite.id] == [invite.id] * EAGER_COPIES
-    assert resent_at(range(3 * GAP)) == [GAP, 2 * GAP]
+    assert resent_at(range(1, 3 * GAP)) == [GAP, 2 * GAP]
     pump([f, m], first_offer, f)  # delivery + ack
     assert resent_at(range(3 * GAP, 6 * GAP)) == []
     assert not f.retransmit.armed()
@@ -723,7 +754,8 @@ def test_dissemination_reaches_all_members_not_strangers():
     stranger = agent(3)
     gid = form_group(f, [m1, m2])
     everyone = [f, m1, m2, stranger]
-    pump(everyone, m1.say_group(gid, b"to the room"), m1)
+    m1.say_group(gid, b"to the room")
+    pump(everyone, m1.tick(), m1)
     for x in (f, m1, m2):
         pump(everyone, x.tick(), x)
     said = m1.last_uttered
@@ -737,8 +769,10 @@ def test_member_matches_compute_member():
     gid = form_group(f, [m1])
     everyone = [f, m1, m2]
     f.address_hints[m2.agent_id] = m2.current_address
-    pump(everyone, f.invite(m2.agent_id, gid), f)
-    pump(everyone, m2.accept(gid), m2)
+    f.invite(m2.agent_id, gid)
+    pump(everyone, f.tick(), f)
+    m2.accept(gid)
+    pump(everyone, m2.tick(), m2)
     for x in everyone:
         pump(everyone, x.tick(), x)
     for holder in everyone:
@@ -777,8 +811,10 @@ def test_group_tables_match_first_principles_in_canned_runs(name):
 def test_transcript_roundtrip_encrypted():
     f, m = agent(0), agent(1)
     gid = form_group(f, [m])
-    pump([f, m], f.say_group(gid, b"alpha"), f)
-    pump([f, m], m.say_group(gid, b"beta"), m)
+    f.say_group(gid, b"alpha")
+    pump([f, m], f.tick(), f)
+    m.say_group(gid, b"beta")
+    pump([f, m], m.tick(), m)
     for x in (f, m):
         pump([f, m], x.tick(), x)
     for reader in (f, m):
@@ -797,7 +833,8 @@ def test_transcript_plaintext_mode():
     f = agent(0, encrypt=False)
     m = agent(1, encrypt=False)
     gid = form_group(f, [m])
-    pump([f, m], f.say_group(gid, b"open secret"), f)
+    f.say_group(gid, b"open secret")
+    pump([f, m], f.tick(), f)
     assert any(
         b"open secret" in encode_block(blk)
         for blk in m.lace.blocks()
@@ -809,7 +846,8 @@ def test_transcript_plaintext_mode():
 def test_inner_signature_attributes_author():
     f, m = agent(0), agent(1)
     gid = form_group(f, [m])
-    pump([f, m], f.say_group(gid, b"signed words"), f)
+    f.say_group(gid, b"signed words")
+    pump([f, m], f.tick(), f)
     said = f.last_uttered
     key = m.group_keys[gid]
     text, ok = open_utterance(key, said, True)
@@ -848,7 +886,8 @@ def test_group_partition_unknown_id_empty():
 def test_two_member_group_is_direct_messaging():
     alice, bob = agent(0), agent(1)
     gid = form_group(alice, [bob], name=b"dm")
-    pump([alice, bob], alice.say_group(gid, b"just us"), alice)
+    alice.say_group(gid, b"just us")
+    pump([alice, bob], alice.tick(), alice)
     assert bob.transcript(gid)[-1][1] == b"just us"
     assert alice.members_of(gid) == bob.members_of(gid)
     assert len(alice.members_of(gid)) == 2
