@@ -316,8 +316,9 @@ def _texts_of_group(scenario: Scenario, founder: str, group_name: str) -> list[b
             if command.get("label"):
                 label_to_group[command["label"]] = label_to_group[command["re"]]
         elif cmd == "equivocate" and command.get("group") in group_labels:
-            texts.append(command["text_a"].encode("utf-8"))
-            texts.append(command["text_b"].encode("utf-8"))
+            for key in ("text_a", "text_b", "text_c"):
+                if key in command:
+                    texts.append(command[key].encode("utf-8"))
     return texts
 
 

@@ -141,10 +141,6 @@ class Blocklace:
         creator — the creator's chain here provably has a hole."""
         return creator in self._missing_by_creator
 
-    def version(self) -> int:
-        """Grows by one on every insert; lets callers cache derived masks."""
-        return len(self._order)
-
     # --- observation queries -------------------------------------------------
 
     def observes_ids(self, a: BlockId, b: BlockId) -> bool:
@@ -186,7 +182,7 @@ class Blocklace:
         same creator observes.  A single head for honest chains; several
         under equivocation."""
         cached = self._heads_cache.get(creator)
-        if cached is not None and cached[0] == self.version():
+        if cached is not None and cached[0] == len(self):
             return cached[1]
         # One OR: every own block's closure without its own bit.  A block is
         # maximal iff its bit is not in that union (closures are acyclic).
@@ -195,7 +191,7 @@ class Blocklace:
         for blk in self.blocks_of_mask(own):
             below |= self._mask[blk.id] ^ self.bit_of(blk.id)
         heads = sorted(self.blocks_of_mask(own & ~below), key=Block.sort_key)
-        self._heads_cache[creator] = (self.version(), heads)
+        self._heads_cache[creator] = (len(self), heads)
         return heads
 
     def ip_address(self, agent: AgentId) -> Optional[NetAddress]:

@@ -10,13 +10,44 @@ The rules both agents keep:
 * Only a contact's acks are filed; a stranger's ack is dropped.  A
   delivered copy earns credit for the contacts at its address.
 * A block whose past is missing waits in the bounded pending buffer.
-* `receive` stores and acks; the round sends.  The acks a datagram draws
-  wait in an outbox that `flush_acks` empties, one ack per destination.
-  The blocks that land wait for the agent's next round (`tick`).
+* `receive` stores and acks (Acks, below); the round sends.  The blocks
+  that land wait for the agent's next round (`tick`).
 * The round is the one place an agent sends blocks: `disseminate` makes
   the first offers of what peers are owed and resends what they still
   are not known to hold (`retransmit`): on a timer per copy, or, for a
   lazy copy, in a repair per destination.
+
+Acks.  Each copy that lands draws an ack to stop the deliverer's timer
+(`Agent.receive`), and two rules keep the acks few.  Nacks follow them
+too.
+
+* Merge: an agent sends each address at most one ack a tick, naming
+  every pointer the tick's deliveries drew for it (`Agent.flush_acks`).
+  This is TCP's delayed, cumulative ack (RFC 1122 4.2.3.2, RFC 5681
+  4.2), at no cost in latency: the runner drains the acks right after
+  the tick's deliveries, so they leave in the tick of the copies that
+  drew them, whatever the agent's tick interval, while the blocks those
+  copies bring wait for the agent's round.  They are not sent in the
+  round, so they never hold a quiet round open.
+* Twins: a copy of a block that first landed here from the same address
+  fewer than BURST (5) ticks ago draws no ack.  At the default delays
+  the copies of one burst land at most delay_max - delay_min = 4 ticks
+  apart, and the first copy's ack answers the whole burst; without the
+  rule each twin that lands in a later tick draws an ack of its own.
+  Only a block's first landing opens the window, so a timer resend
+  still draws a fresh ack: a RACED resend lands at least 7 ticks after
+  the burst's first copy.  A first EAGER resend lands inside the window
+  when it travels no slower than the first copy did, and a first PACED
+  one when it travels at least 2 ticks faster; the resend after it
+  lands outside, but for an EAGER one whose delays differ by the full 4
+  ticks.  Every other copy draws its ack, even one that lands a tick
+  after the same ack went: it may be a resend whose sender lost that
+  ack.
+
+The acks these rules hold back are not the ones that stop timers, so
+resends stay about the same.  Each rule bounds its state by the last few
+ticks: the merge by one tick's deliveries, the twins by the landings of
+the last BURST ticks.
 
 A subclass fills in `_missing`, `_admit`, `_index` (which adds contacts),
 `_record_ack`, `_ack_pointers`, `_nack_pointers`, `_wanted`, which says
@@ -35,7 +66,7 @@ from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
 from .crypto import AgentId, Keypair
 from .lace import Blocklace
-from .retransmit import ACK_HOLDOFF, BURST, Retransmit
+from .retransmit import Retransmit
 
 Send = tuple[NetAddress, Block]
 
@@ -48,6 +79,12 @@ PENDING_CAP = 1024
 # oldest is dropped, as the pending buffer drops its oldest block.  A
 # dropped credit costs at most sends the peer did not need.
 PARKED_CAP = 4096
+
+# A copy that lands fewer than this many ticks after the same block first
+# landed from the same address is a twin of that burst, and draws no ack.
+# At the default delays the copies of one burst land at most
+# delay_max - delay_min = 4 ticks apart.
+BURST = 5
 
 
 class ProtocolError(Exception):
@@ -150,7 +187,7 @@ class Agent:
         # only agents whose acks are filed and whose deliveries earn credit.
         # Bound: one entry per agent some stored block names.
         self._contacts: dict[AgentId, None] = {}
-        # (lace version, address hints, address -> the other contacts
+        # (lace size, address hints, address -> the other contacts
         # there).  An address comes from a contact's own blocks or its
         # bootstrap hint, so the book is rebuilt when the blocklace grows or
         # the hints change.  Bound: one entry per contact, and a copy of the
@@ -173,12 +210,6 @@ class Agent:
         # address within BURST ticks is a twin of that burst and draws no
         # ack.  Bound: the landings of the last BURST ticks.
         self._first_copies: dict[tuple[Optional[NetAddress], BlockId], int] = {}
-        # (destination, own address, ack pointers) -> the tick
-        # (`retransmit.now`) the ack last went there: a byte-identical ack
-        # goes to a destination at most once in ACK_HOLDOFF ticks, and one
-        # held back is never built.  Bound: the acks sent in the last
-        # ACK_HOLDOFF ticks.
-        self._acked: dict[tuple[NetAddress, NetAddress, frozenset[BlockId]], int] = {}
 
     # --- shared queries ------------------------------------------------------
 
@@ -190,14 +221,14 @@ class Agent:
 
     def _contacts_at(self, src: Optional[NetAddress]) -> list[AgentId]:
         """The other contacts whose address is src, in table order."""
-        version, hints, book = self._book
-        if version != self.lace.version() or hints != self.address_hints:
+        size, hints, book = self._book
+        if size != len(self.lace) or hints != self.address_hints:
             book = {}
             for q in self._contacts:
                 address = self.address_of(q)
                 if address is not None and q != self.agent_id:
                     book.setdefault(address, []).append(q)
-            self._book = (self.lace.version(), dict(self.address_hints), book)
+            self._book = (len(self.lace), dict(self.address_hints), book)
         return book.get(src, [])
 
     # --- the receive pipeline ------------------------------------------------
@@ -279,18 +310,11 @@ class Agent:
 
     def flush_acks(self) -> list[Send]:
         """One ack per destination, with the pointers of every ack drawn
-        for it since the last call, unless the same ack went there within
-        the last ACK_HOLDOFF ticks.  Called once a tick, right after the
+        for it since the last call.  Called once a tick, right after the
         tick's deliveries, so an ack leaves in the tick of the copy that
         drew it."""
         sends: list[Send] = []
-        # For this creator, its address and the pointers fix the ack's id.
-        # `tick` keeps only the acks whose holdoff still runs.
         for dest, (pointers, nack) in self._outbox.items():
-            key = (dest, self.current_address, pointers)
-            if key in self._acked:
-                continue
-            self._acked[key] = self.retransmit.now
             self.metrics.acks_sent += 1
             self.metrics.nacks_sent += nack
             sends.append((dest, b.new_block(self.kp, self.current_address, Ack(), pointers)))
@@ -348,12 +372,10 @@ class Agent:
         """One retransmission round, the only place this agent sends
         blocks: first offers of blocks newly needed, plus every
         unacknowledged block whose timer is due; it ends this agent's
-        tick, and forgets the acks whose holdoff is over and the landings
-        whose burst is."""
+        tick, and forgets the landings whose burst is over."""
         with self.retransmit.round(len(self.lace)):
             sends = self.disseminate()
         now = self.retransmit.now
-        self._acked = {key: sent for key, sent in self._acked.items() if now - sent < ACK_HOLDOFF}
         self._first_copies = {
             copy: tick for copy, tick in self._first_copies.items() if now - tick < BURST
         }

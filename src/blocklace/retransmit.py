@@ -5,7 +5,8 @@ known to hold it.  It sends each copy that someone waits on under a timer
 per (destination address, block id) pair, and each lazy copy, one that
 the block's creator or the group's founder covers, under one repair rule
 per destination.  ROADMAP item 5 has the measurements behind each
-constant and rule.
+constant and rule.  What stops a timer is an ack, and `peers` holds the
+rules for when a copy draws one.
 
 Timers.  Resending on every tick floods the network while the first copy
 or its ack is still in flight (a round trip takes 2-10 ticks at a delay
@@ -71,44 +72,6 @@ all.
   and every relay copy of the utterance is lazy.  With four copies up
   front a resend is needed only when all four are lost, so an earlier
   one mostly races the ack.
-
-Acks.  Each copy that lands draws an ack (`peers.Agent.receive`), and
-three rules keep the acks few.  Nacks follow them too.
-
-* Merge: an agent sends each address at most one ack a tick, naming
-  every pointer the tick's deliveries drew for it (`Agent.flush_acks`).
-  This is TCP's delayed, cumulative ack (RFC 1122 4.2.3.2, RFC 5681
-  4.2), at no cost in latency: the runner drains the acks right after
-  the tick's deliveries, so they leave in the tick of the copies that
-  drew them, whatever the agent's tick interval, while the blocks those
-  copies bring wait for the agent's round.  They are not sent in the
-  round, so they never hold a quiet round open.
-* Twins: a copy of a block that first landed here from the same address
-  fewer than BURST (5) ticks ago draws no ack.  At the default delays
-  the copies of one burst land at most delay_max - delay_min = 4 ticks
-  apart, and the first copy's ack answers the whole burst.  Without
-  the rule a twin draws an ack of its own whenever the group's tips
-  moved since the first, which the byte-identical rule cannot see.
-  Only a block's first landing opens the window, so a timer resend
-  still draws a fresh ack: a RACED resend lands at least 7 ticks after
-  the burst's first copy.  A first EAGER resend lands inside the window
-  when it travels no slower than the first copy did, and a first PACED
-  one when it travels at least 2 ticks faster; the resend after it
-  lands outside, but for an EAGER one whose delays differ by the full 4
-  ticks.
-* Byte-identical: an agent sends a byte-identical ack to the same
-  address at most once in ACK_HOLDOFF (3) ticks.  It holds back the
-  repeats that are not twins: the nack of a block still parked, and a
-  resend that lands soon after the last ack went.  The holdoff only
-  delays a repeat, never stops one: with ACK_HOLDOFF < GAP, a resend
-  that arrives with the same delay as the copy before it finds the
-  holdoff over and draws a fresh ack, so a sender whose acks were all
-  lost still gets one.
-
-The acks these rules hold back are not the ones that stop timers, so
-resends stay about the same.  Each rule bounds its state by the last few
-ticks: the merge by one tick's deliveries, the twins by the landings of
-the last BURST ticks, the holdoff by the acks of the last ACK_HOLDOFF.
 
 BACKSTOP is for a WL copy that another path may cover too, or that no
 agent acts on next, while nothing shows that the other path covers it:
@@ -203,15 +166,6 @@ GAP = 4
 # The mean round trip at the default delays (1-5 ticks each way):
 # delay_min + delay_max.
 ROUND_TRIP = 6
-# An agent repeats a byte-identical ack to the same address only after this
-# many of its ticks.  Below GAP, so a resend that arrives with the same
-# delay as the copy before it draws a fresh ack.
-ACK_HOLDOFF = 3
-# A copy that lands fewer than this many ticks after the same block first
-# landed from the same address is a twin of that burst, and draws no ack.
-# At the default delays the copies of one burst land at most
-# delay_max - delay_min = 4 ticks apart.
-BURST = 5
 # Twice the largest delay of the default range (1-5 ticks), plus one.  With
 # longer delays a repair may go out while the first copy is still in
 # flight: an extra send, never a lost block.

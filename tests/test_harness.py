@@ -676,19 +676,34 @@ def test_wl_single_member_group_trivially_live():
     assert liveness.verdict == "PASS"
 
 
-def test_three_way_fork_reported_as_three_pairs():
-    scenario = canned.wl_equivocation(seed=0)
+def three_way_fork(scenario):
+    """Give the scenario's equivocation a third fork, to m4."""
     for event in scenario.events:
         if event.command["cmd"] == "equivocate":
             event.command["text_c"] = "fork-gamma"
             event.command["recipients_c"] = ["m4"]
-    result = run_scenario(scenario)
+    return scenario
+
+
+def test_three_way_fork_reported_as_three_pairs():
+    result = run_scenario(three_way_fork(canned.wl_equivocation(seed=0)))
     verdicts = {r.name: r for r in result.oracle_results}
     assert verdicts["equivocation_visibility"].verdict == "PASS"
     culprit = result.wrappers["x"].inner.agent_id
     for name in ("f", "m1", "m2", "m3", "m4"):
         pairs = result.wrappers[name].inner.lace.detect_equivocations(culprit)
         assert len(pairs) == 3, name
+
+
+def test_privacy_oracle_reads_the_third_fork():
+    # Sent in the clear, every fork's plaintext is on the wire, the third
+    # one too.
+    scenario = three_way_fork(canned.wl_equivocation(seed=0))
+    scenario.wl_encrypt = False
+    scenario.oracles = [OracleSpec("privacy", {"founder": "f", "group_name": "forked"})]
+    (privacy,) = run_scenario(scenario).oracle_results
+    assert privacy.verdict == "FAIL"
+    assert any("fork-gamma" in line for line in privacy.witness)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 269])

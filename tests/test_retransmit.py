@@ -12,11 +12,9 @@ from blocklace.harness import canned
 from blocklace.harness.canned import wl_equivocation_crowd
 from blocklace.harness.oracles import parse_trace
 from blocklace.harness.runner import Runner, run_scenario
-from blocklace.peers import AgentMetrics
+from blocklace.peers import BURST, AgentMetrics
 from blocklace.retransmit import (
-    ACK_HOLDOFF,
     BACKSTOP,
-    BURST,
     EAGER,
     EAGER_COPIES,
     GAP,
@@ -112,10 +110,9 @@ def test_first_offer_in_a_round_sends_three_copies_then_backs_off():
 
 
 def test_first_waits_in_order_and_paced_waits_the_mean_round_trip():
-    # Each wait draws a fresh ack (ACK_HOLDOFF < GAP); the PACED wait is
-    # the mean round trip at the default delays, the RACED one longer
-    # than the slowest.
-    assert ACK_HOLDOFF < GAP < ROUND_TRIP < REPAIR_AFTER
+    # The PACED wait is the mean round trip at the default delays, the
+    # RACED one longer than the slowest.
+    assert GAP < ROUND_TRIP < REPAIR_AFTER
     assert ROUND_TRIP == NetConfig().delay_min + NetConfig().delay_max
 
 
@@ -137,9 +134,11 @@ def test_raced_burst_is_one_copy_more_than_eager():
 
 def test_raced_wait_spans_the_longest_default_round_trip():
     # The first RACED resend waits out the slowest ack at the default
-    # delays, and every later one still draws a fresh ack.
-    assert ACK_HOLDOFF < GAP < REPAIR_AFTER
-    assert REPAIR_AFTER > 2 * NetConfig().delay_max
+    # delays, and lands outside the twin window of its burst, so it draws
+    # a fresh ack even when it travels faster than the burst's first copy.
+    net = NetConfig()
+    assert REPAIR_AFTER > 2 * net.delay_max
+    assert REPAIR_AFTER - (net.delay_max - net.delay_min) >= BURST
 
 
 def test_backstop_pair_resent_every_repair_after_until_held():

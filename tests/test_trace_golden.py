@@ -25,87 +25,87 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "cbd7ed85f24381a566b8bc91ebb5c6d39b7af78671abcaa736c2a3bc73b5b26e",
-    "tl_star": "5f5983bf394337214e7aca03c23dfbba917a6c578a4c9a5f095ec63cd5a62963",
-    "tl_ring": "35272cda2ae9052a0c8854c71b919f62ff3c350b4cb07d268270f24d544a9473",
-    "tl_line_broken": "7e56bc0732d3629a1844fe643875d7814428527a98cc1e9d746747f5bed7c6d5",
-    "tl_churn": "7c47c08ec02f0a5f8f218b80a7df66789789dbc05735d4206bbb51cb7dbec713",
-    "tl_forgery": "dec29fc4e80f70b1c82049a136e1981cc2973e5721a72d013effab83fd320532",
-    "wl_group": "a320105b9594ecd93c433adea6b1159528a526bfc8ebb08e5bbdae30c997c041",
-    "wl_crowd": "675e21cee43ac045b2e2572fb473d68fdcbff55c6f4305910c421a1c9fe6c9d9",
-    "wl_dropper": "94e92647f59936d53a8b1394daa875109fd5992b165b9f8dfe00ca08888a694f",
+    "tl_line": "f2aaa77da5366f334b8decfc05552814cc925b28beb83cbcd2c63ae58868071f",
+    "tl_star": "6601a89d8a417fbc33408623d30f28f6b1b7cfc32ea31794b2757c31f63d54d0",
+    "tl_ring": "7952b3c72f0247ba2e116f721cd492ca948eb1b88d7cfd68287f60da9f614aea",
+    "tl_line_broken": "0a039f4d99a6f357ed6da316e7e234bea6ecf43cd13c4f0afaf05347f5bc8b33",
+    "tl_churn": "6210da14ee2ee105d850d5dd1998d5564e4ab271811f195d50bd57576274942f",
+    "tl_forgery": "afd46e289c149cbae3bd949d30f06c565738f71b21f6c56d5ad73dc3d20ab852",
+    "wl_group": "5fa1a6f1367c18fe247e158a165d4004e4d119a2835013d62452e79145105c90",
+    "wl_crowd": "75b61771c308352cab3464b165184ed8e09427a5e61a4fab2258572d4623d04b",
+    "wl_dropper": "92c04d6d49376aa7209071a9eb90d41d863e9ba7a1e1b06e64a7d57d2445cef9",
     "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
     "wl_churn": "47eec014cf643b7835aa8177ce07eadc98677513625f591e0631f20529bd134f",
-    "wl_equivocation": "81804b778a34df73558f6d443335e7ff51b033b81e68223ff4b262332ccc5914",
-    "wl_equivocation_crowd": "2c0abfb9b28071fb9f9d7fabb9c1f0f2594fca3d1fb2832a0b58cc456174b5a8",
+    "wl_equivocation": "48c4213de54c6316ad1fa6bd4b17da556b86713d7629fe33c4534648475a8c85",
+    "wl_equivocation_crowd": "9fd1a9447ac965500452b633ac1edeee03413aa142c18da8782a652a47a38cbd",
     "wl_privacy": "9d7996bfdc9dc94e3c1594598c73d39b36a1b85176cef7b13704c9e9cf09c6ac",
-    "wl_partitions": "99eba620d0b8a11c344ac8db8638672fa4c6e1faa4e1364861466d386bbe72b3",
-    "wl_founder_moves": "dd471ed7c0c1259772cf3da3cc23a8bbf6de62dde678c39865ac855fcc969218",
-    "wl_founder_quits": "5b0bf2e9f64c40c96a6e2fd594252fa3fc137955fa97c8048c38f3bd21f62216",
-    "wl_crowd_orphans": "b3267744713695b0db0c140ff2def29e815dfae80fd6a3068598eafe2f6e6949",
+    "wl_partitions": "c5b0e296bda200ce5c973f7a085db856b43d8cb0e825a48bb6ac438747eb9718",
+    "wl_founder_moves": "953fef675ffee912cbdd696a52ed003db0df7b2a78cf7733e528fd6297122bfc",
+    "wl_founder_quits": "7a177dd24726347e85f3b14622547088717f472143229a97ae0bd0fc4e683e2c",
+    "wl_crowd_orphans": "a076fa29237f5c23273586f7a13c6b1c72d714c45ce3c24e892438508d7cd26d",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "bc0d3b5a959108542280372fe99d7e66d64ab021c3a1564a632fa3547e63fae6",
-    "tl_star": "aa0088c6bee81d520639beb2ea7f75476db38776d6d88114987604e9039f3ec2",
-    "tl_ring": "e5490c8ac73c5e4c421c779cdc16a70e0de38d053fb9d2f0d3911d5bed725d5f",
-    "tl_line_broken": "c97c7d821c95a741cbca4ce70f712497118f3aa086af94939159cb569ca1fbf6",
-    "tl_churn": "6d7ae7b4a3ecfbcf9d2918e3f3ec6d2d7e5bf414a53194613959b4516008f683",
-    "tl_forgery": "970df4b203d656e3208c3e90561ed672b34370da1d1734fcfa5cafcf1a2762bc",
-    "wl_group": "0b1a730faf58d54da5ac03c13441a59ebf23c518bac06d15a07dac9da2c1ef79",
-    "wl_crowd": "1ba300a9416820cae81d01c9773e264603a36a89bba72fc2652947b1e7b5310c",
-    "wl_dropper": "edf51ed49b34c1788ffeccae54d5af739d91074b2b3ae9bcc229368d9e5dfa1b",
+    "tl_line": "2c9b2324993648b36d608a72a4c966e8c9490e808944f4cc6c29bce82e119a82",
+    "tl_star": "ff2ceb619041db3a8230e44ec81a6e691d0af72ed6498262677af42db3ecf60c",
+    "tl_ring": "82f1f1e9c986f30f4c05a5fec461636e01713960e551155e0341c65fc5f97f0f",
+    "tl_line_broken": "050a0fb51d312315692c9db5137cfa655a1d45e7c4256464dec9474506814569",
+    "tl_churn": "956edfd8134d9e1c0031d8a1f39bfc769c4e185fab668929f9acf01ce45c08e0",
+    "tl_forgery": "b0fd6f3954f60784b72ddb56bb4c8d62addeafeefff90003f53153fb5b6b15d3",
+    "wl_group": "fe2b31e7999e89b751e738fae18092f48fe61ebcf43d6869e4c804f9e9b23000",
+    "wl_crowd": "94a2df907e9baca9e157f3cd75ecc50d6e031264f896f4497051c82a0095efe2",
+    "wl_dropper": "d7d14780dae2b3cfc834c1b5f13144ecab9b8849932ff58066bbf9dc433c5c81",
     "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
     "wl_churn": "a99a9fcad29dbda15920731bbb42d62464221af828c0333a0185a6fb3c1a85cb",
-    "wl_equivocation": "3285e76c174acdc275db1cc389419c812fe4bc23d6339dacbfc06934e91a0ec8",
-    "wl_equivocation_crowd": "93bbff02eccc5555354d72c061382337fdf0c71cc81973163ddb75cf3e1bec61",
+    "wl_equivocation": "5fd95420c80b45faa6c81c79cea7388d6d801bcc6cff4118287c9500b799ac7c",
+    "wl_equivocation_crowd": "85680807b3b23c3b8cc4979b1dc04e06c313a9cb2a644536939363404af46e35",
     "wl_privacy": "34280ff06440529b74677135f0bfa1a11a787f56ac71d7bd532dfdb17dac455f",
-    "wl_partitions": "d22ee50947019171c3257f5c41749c1d70b1462d71f7e2377891293a35c19771",
-    "wl_founder_moves": "6b1c493118924eef4b22a9260f9cd1656e09060909cc173ab589b65d77fb7cf7",
-    "wl_founder_quits": "ff0630a34e1ddc169654421392cccd0ae8db9f332c0b50ca2095b8263bb7e050",
-    "wl_crowd_orphans": "225ad21c557a56be5ae29836eda5b7e1aba78deec42e085f0c01b8b80bc0dbe4",
+    "wl_partitions": "314a8efb5996172a57808b48c47a8dc619037ccb40d964afc4d4a9fa1cdd2aa7",
+    "wl_founder_moves": "3cb6319f92b020776510f9c150f836e712331ef0b675a79a8ca231eb1ac1120d",
+    "wl_founder_quits": "038b9d8d628c42076caf3b60d34d27df270bd16ff7fcbd59fdd99808f3538f6e",
+    "wl_crowd_orphans": "b8c5a580ae63bc31db7e05c11ac1461ef6c057079bb7f3fbced275f91aeae681",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "26ff14a9714435472fa2a96d59d9e95c494869c65c76df1cc505f7ce060e3e44",
-    "tl_star": "6cf229f2eafaf540580f72fa6eb2e7976b2a1ffea4b8917da0fdef40642bdd27",
-    "tl_ring": "b2654ca5b46a2746b71bbc301c765d33a3c329701b7b19723fee8ce6c620671e",
-    "tl_line_broken": "521f8e1696aedc15f6f40091980d45a26bae277b6d0f6d7a21be35fb9968f2bf",
-    "tl_churn": "1578a28f32827499477af796f8df7fd984467e0fc49de665b1b6264e9c9d963c",
-    "tl_forgery": "860aa1bf565dcd42ae1ac49ee392985acbf4c74ba2299513560cea23cc89a8d0",
-    "wl_group": "ed926426be6d8ac6b8ff4300e96d1fafa2183635991b0222a9cd9ecdd4874248",
-    "wl_crowd": "48b03bd252e75b890911c7b8cb9f71cbe273dd01b648682840b3d6be9b42c9ef",
-    "wl_dropper": "a1f359e5ee941a0012378e94a283b6aba71cebb121d44a7769965229813ef73e",
+    "tl_line": "95f82490d9911db8d9f8a2fd5460dce1c36cf51702a99ead89fb77a4ba2c908a",
+    "tl_star": "274358ee83cf5d4eba9268427b23c33325397609d17bc923f7d5530802cc9535",
+    "tl_ring": "74c2d79eb431cf9ab7a8eb4b94afaadb27ca90b16f2fa4e1d0f96176b59d00c8",
+    "tl_line_broken": "60bee870ab6e4b34ce30755d4599b473352df6ca6c885a8df903a658cb287646",
+    "tl_churn": "979eac7bdfd4fe09fb5dfdab24342b3619183ca8299a28162963b7286ba70820",
+    "tl_forgery": "3878c894aa1e9d60fe04bff9731bb842f3820639abb8a5be16fde8bb7ac8d248",
+    "wl_group": "c48910adc4d76d024be1b1d0db60ed8e71de6aea41497e0a1dc5894fd3d8d32f",
+    "wl_crowd": "6d9035b00c4bcc69bf90222297a1693f3179f0d839e113eca030450554414634",
+    "wl_dropper": "bb952b913cf268c6b5afbffcd553ac0a2b37f6abdf93da23d8806a155ee9578d",
     "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
     "wl_churn": "6e59568c5fb9e18baacfaa79f3bcb2dcbc8f3b6eab9c192c4e0c367d396483c1",
-    "wl_equivocation": "e6b6d9ad7950dd0c024d6877e22c1ffcb560dd7dff99004f890bee68348b478f",
-    "wl_equivocation_crowd": "f725b8d477be4cf181c66dc7c46e6130537d1511dcd508f2d6fdd4f95606a4b8",
+    "wl_equivocation": "981e8b632833aca30a00685616e4a92946c5985e48ffb179e4bd0ed3f3db2965",
+    "wl_equivocation_crowd": "b07f06f8287f4e5a1ae615f0b1e0f140fd89fb41b75c303d33aa31e63f846a9e",
     "wl_privacy": "3c434393bfbe335795be8e52e6d535dbe6c9b5896e7dc6f2a22a1e69294f18c9",
-    "wl_partitions": "01f4d54fd3445c9ce4b80d3914c9fd2fb5ff4c06914626d2e1fdb8077d88e99e",
-    "wl_founder_moves": "5a438a8a33cd2527014158b9406357cf404ed512d9b191f2b55f7cbe8c06ae2b",
-    "wl_founder_quits": "9673e585e15c6a9c94688c9d15190dcf65de9b7e790ae174938b86c3440a8437",
-    "wl_crowd_orphans": "14ec68d422dfb1bad61d92a74511d9e672c3ed2c9d91021f7060824e7264bb74",
+    "wl_partitions": "a31380ef1d370b1f028849ab9e7de28d39ecae6adc06d8e5e8028ce31ed69886",
+    "wl_founder_moves": "a1f83bc2c5a29ff58382a580ce3c512515560c6fcbf87742ad1071d6f7c82d11",
+    "wl_founder_quits": "08f473c0042546946584331079539abda43c17dcf452a3ba7860a293dd0d791a",
+    "wl_crowd_orphans": "6705cbc4d30ec5505994f9efd5778dbb4ad3b563f94fa2a6b12404fb9b1c10ba",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
 # same runs.
 GOLDEN_METRICS_SHA256 = {
-    "tl_line": "0da921ad2a1365814c14c643d3c5d793cf3eea861da710451cd3da7c1336c46c",
-    "tl_star": "425a24660d734cbe41bb0bdea1c76e334929b333ae8b381fa0032d8b4242cd72",
-    "tl_ring": "78f8f2a89fdad0b3cc514d074de8a09d797322b71bf050f84810bae523686e49",
-    "tl_line_broken": "fc84dcd5096b9af7a06d83bb650f9e6dbb1811f1bad6eb1435466d45207575ec",
-    "tl_churn": "c4dae637ada0f2443b694069afd059c5a83994a61f142273f260246e46fb32ca",
-    "tl_forgery": "805f408d7c323ae0adc7ba3e6df357599cbdfc2b00a084ae8e110523ccedc4c5",
-    "wl_group": "5309169b1550b6b481adfd14bd1adedaaecfc085b22a8ebab101e918e526c9fe",
-    "wl_crowd": "8e94a74d710494704743d90c7a01ae311dbe0924d5aa44a6510095e0cba314c4",
-    "wl_dropper": "fb94d2c47e478fd8fa78af00ce6f4fad5af5e833963ac778290b24b7258efd16",
+    "tl_line": "dc3428e700ab2f0bb76f60ada7d035a14cb1bb7b6ae3b4debaeaf2457e23ed9b",
+    "tl_star": "15d6e78fa41178f57a71ee0c25311b497bdedf85791da8850f7aebbacec9fcac",
+    "tl_ring": "530bf66c436d24e5fe16effb6a0a0b09a3e4a9cf38d64798bdc3317f92071b17",
+    "tl_line_broken": "64ef97bc0be19990b26b2878b79837e2f859d10bf9bb58bfc0670fd0725f34b6",
+    "tl_churn": "ff503ecb66adccda7e893e2c38ea3383d63685879de2bc1c271e591d9901679c",
+    "tl_forgery": "4b672c58ba7fe94fe386fd0121f89fd113f14f0dee825160aad3f2be785fae0d",
+    "wl_group": "eef8a36056fd0f6793b3fb466aa87e7c3892e5e9c9b6ce61931730a7335be0f4",
+    "wl_crowd": "c32eba93e6f26b8c92f0d475c4959ebf13149006854ba2cd9241dbee10b3093d",
+    "wl_dropper": "ea5b5096aa841c2e424bcfcab20b225da1f87a0adc747ff8b28a43a492bbdd6d",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
     "wl_churn": "f9a8970aedee79891db285247f5e4697a70743a3a92b3deaa41d7852fcf404fe",
-    "wl_equivocation": "308193f956d115b3efb32b9bb613192a251235587c931e645533bcbd7de13007",
-    "wl_equivocation_crowd": "f587657723ee09b5c212bde2065c4b3a62dd5d18cce5d7ab6289a097d7b19ca6",
+    "wl_equivocation": "3897a2640f616ebbd939ef580c55846242630aec74748fcd9fc59237d405d108",
+    "wl_equivocation_crowd": "65d7f3653295a6b4b5569abf06a3afd4e4442fa0e453e88b2056e6ffe4f0d36c",
     "wl_privacy": "2dcfcdc84e0ead577210ff995be3ffd8d627ed0aded4bf340373c7923e7b8077",
-    "wl_partitions": "873ed2a0b1dfe7f2079f5605a005a56cad60d504aeecba2c2637f367b6a646b3",
-    "wl_founder_moves": "f862a39113841f44f5aceaefdc2aa41638021c18ffe9a115296b7e5febd1091d",
-    "wl_founder_quits": "016398beb9c5770364c62bbf47fa48c587dafaaa7ce3db86c9d91e3a3a1b49e2",
-    "wl_crowd_orphans": "1c4e9101283604d5e8a8236e2c892171e282fe85a59e96cab62cd6983205a5be",
+    "wl_partitions": "45632888cd36fa004de166f570a3551c6191ddfe5f389aadb15d4283d6eb30da",
+    "wl_founder_moves": "f84ee2bbc8cc61d33a05d0273082a13c7417b3cd1845553c9f116756c245a52c",
+    "wl_founder_quits": "1f9362d5bd92ff45b6ed272eb9bb8cabfb23f6e4cdf829764f42cc536094dcd8",
+    "wl_crowd_orphans": "5136a4c389b509486f6f1a6cd9e634f70b3826c0b4005c7a865c62cd49651d16",
 }
 
 

@@ -9,8 +9,8 @@ from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
 from blocklace.lace import Blocklace
-from blocklace.peers import PARKED_CAP, ProtocolError
-from blocklace.retransmit import ACK_HOLDOFF, BURST, EAGER_COPIES, GAP, RACED_COPIES, REPAIR_AFTER
+from blocklace.peers import BURST, PARKED_CAP, ProtocolError
+from blocklace.retransmit import EAGER_COPIES, GAP, RACED_COPIES, REPAIR_AFTER
 from blocklace.wl import (
     WlAgent,
     compute_member,
@@ -379,29 +379,20 @@ def test_parked_block_acked_at_once_with_the_group_tips():
     f.say_group(gid, b"both")
     both = f.last_uttered
     assert missed.id in both.pointers and missed.id not in m1.lace
-    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
-        m1.tick()
     ((dst, nack),) = acks(deliver(m1, encode_block(both), src=f.current_address))
     assert both.id in {blk.id for blk in m1.pending_blocks()}
     assert dst == f.current_address
     assert nack.pointers == m1.partition_tips(gid)
     assert m1.metrics.nacks_sent == 1
-    # Delivered again while still parked: the same nack, held off for
-    # ACK_HOLDOFF ticks and sent again once they have passed.
-    for _ in range(ACK_HOLDOFF):
-        assert acks(deliver(m1, encode_block(both), src=f.current_address)) == []
-        m1.tick()
+    # Delivered again while still parked: the same nack again.
     assert acks(deliver(m1, encode_block(both), src=f.current_address)) == [(dst, nack)]
     assert m1.metrics.nacks_sent == 2
-    # A relay's copy parks too and draws the same nack, to the relay: the
-    # holdoff is per address.
+    # A relay's copy parks too and draws the same nack, to the relay.
     assert acks(deliver(m1, encode_block(both), src=m2.current_address)) == [
         (m2.current_address, nack)
     ]
     assert m1.metrics.nacks_sent == 3
     # Without a source address there is no deliverer to nack.
-    for _ in range(ACK_HOLDOFF):
-        m1.tick()
     assert acks(deliver(m1, encode_block(both))) == []
 
 
@@ -418,8 +409,6 @@ def test_parked_block_not_acked_without_a_group_of_this_agent():
     after = f.last_uttered
     # after's present pointer, m's invite, observes a group m has not joined.
     assert invite.id in after.pointers and len(after.pointers) == 2
-    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
-        m.tick()
     out = deliver(m, encode_block(after), src=f.current_address)
     assert after.id in {blk.id for blk in m.pending_blocks()}
     assert acks(out) == []
@@ -446,9 +435,6 @@ def test_parked_block_with_no_pointer_here_nacked_with_the_shared_group_tips():
     f.say_group(gid, b"after")
     after = f.last_uttered
     assert after.pointers == {missed.id}
-    for peer in (m1, m2):
-        for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
-            peer.tick()
     ((dst, nack),) = acks(deliver(m1, encode_block(after), src=f.current_address))
     assert after.id in {blk.id for blk in m1.pending_blocks()}
     assert dst == f.current_address
@@ -479,8 +465,6 @@ def test_lost_relay_copy_is_repaired_on_a_nack():
     f.say_group(gid, b"after")
     after = f.last_uttered
     assert said.id in after.pointers
-    for _ in range(ACK_HOLDOFF):  # past the holdoff of every earlier ack
-        m1.tick()
     ((_, nack),) = acks(deliver(m1, encode_block(after), src=f.current_address))
     assert after.id not in m1.lace
     f.receive(encode_block(nack), src=m1.current_address)
@@ -611,33 +595,6 @@ def test_nacks_counted_in_report_not_trace():
     assert "nacks_sent" not in result.trace_text
 
 
-def test_identical_ack_sent_once_per_destination_per_holdoff():
-    f, m1, m2 = agent(0), agent(1), agent(2)
-    gid = form_group(f, [m1, m2])
-    f.say_group(gid, b"twice")
-    wire = encode_block(f.last_uttered)
-    sent_before = m1.metrics.acks_sent
-
-    (first,) = acks(deliver(m1, wire, src=f.current_address))
-    # An address where no member is known gets its own ack, and the same
-    # ack not again there within ACK_HOLDOFF ticks.
-    assert acks(deliver(m1, wire, src="w9/0")) == [("w9/0", first[1])]
-    for _ in range(ACK_HOLDOFF - 1):
-        m1.tick()
-        assert acks(deliver(m1, wire, src="w9/0")) == []
-    # m2's copy gets none: the say observes m1's Accept, so m2 knows f
-    # sends it to m1 too and keeps no timer for its own copy.
-    assert acks(deliver(m1, wire, src=m2.current_address)) == []
-    # f's copies within BURST ticks of the first are twins of its burst;
-    # a later one draws the ack again.
-    for _ in range(BURST - ACK_HOLDOFF + 1):
-        assert acks(deliver(m1, wire, src=f.current_address)) == []
-        m1.tick()
-    assert acks(deliver(m1, wire, src=m2.current_address)) == []
-    assert acks(deliver(m1, wire, src=f.current_address)) == [first]
-    assert m1.metrics.acks_sent - sent_before == 3
-
-
 def test_covered_relay_copy_not_acked_as_it_lands():
     f, m1, m2 = agent(0), agent(1), agent(2)
     gid = form_group(f, [m1, m2])
@@ -658,6 +615,22 @@ def test_covered_relay_copy_not_acked_as_it_lands():
     # The creator's copy of the same block is acked, to stop its timer.
     ((dst, _),) = acks(deliver(m1, encode_block(said), src=f.current_address))
     assert dst == f.current_address
+    # When the creator's copy lands first, an address where no member is
+    # known gets its own ack, and m2's copy still gets none.  f's copies
+    # within BURST ticks of the first are twins of its burst; a later one
+    # draws the ack again.
+    f.say_group(gid, b"twice")
+    wire = encode_block(f.last_uttered)
+    sent_before = m1.metrics.acks_sent
+    (first,) = acks(deliver(m1, wire, src=f.current_address))
+    assert acks(deliver(m1, wire, src="w9/0")) == [("w9/0", first[1])]
+    assert acks(deliver(m1, wire, src=m2.current_address)) == []
+    for _ in range(BURST):
+        assert acks(deliver(m1, wire, src=f.current_address)) == []
+        m1.tick()
+    assert acks(deliver(m1, wire, src=m2.current_address)) == []
+    assert acks(deliver(m1, wire, src=f.current_address)) == [first]
+    assert m1.metrics.acks_sent - sent_before == 3
 
 
 def test_acks_from_strangers_are_dropped():
