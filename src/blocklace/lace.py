@@ -30,7 +30,7 @@ class Blocklace:
         self._mask: dict[BlockId, int] = {}    # closure bitmask, includes own bit
         self._self_mask: dict[BlockId, int] = {}  # closure via same-creator pointers only
         self._rev: dict[BlockId, list[BlockId]] = {}   # target -> present blocks pointing at it
-        self._missing: dict[BlockId, int] = {}         # absent targets -> pointer count
+        self._missing: set[BlockId] = set()            # absent pointer targets
         self._missing_by_creator: dict[AgentId, int] = {}
         self._creator_bits: dict[AgentId, int] = {}    # own bits of a creator's blocks
         self._tips: set[BlockId] = set()
@@ -65,10 +65,10 @@ class Blocklace:
                     self_mask |= self._self_mask[ptr]
             else:
                 if ptr not in self._missing:
+                    self._missing.add(ptr)
                     self._missing_by_creator[ptr.creator] = (
                         self._missing_by_creator.get(ptr.creator, 0) + 1
                     )
-                self._missing[ptr] = self._missing.get(ptr, 0) + 1
             self._tips.discard(ptr)
         self._mask[block.id] = mask
         self._self_mask[block.id] = self_mask
@@ -80,7 +80,7 @@ class Blocklace:
             self._tips.add(block.id)
 
         if block.id in self._missing:
-            del self._missing[block.id]
+            self._missing.remove(block.id)
             remaining = self._missing_by_creator[creator] - 1
             if remaining:
                 self._missing_by_creator[creator] = remaining
@@ -178,15 +178,22 @@ class Blocklace:
         return self._mask[block_id].bit_count()
 
     def creator_heads(self, creator: AgentId) -> list[Block]:
-        """The creator's maximal blocks here: those no other block of the
-        same creator observes.  A single head for honest chains; several
-        under equivocation."""
+        """The creator's maximal blocks here, sorted by digest: those no
+        other block of the same creator observes.  A single head for honest
+        chains; several under equivocation."""
+        own = self._creator_bits.get(creator, 0)
+        if not own:
+            return []
+        # The block inserted last is almost always the one that observes
+        # all the others, and then it is the only head.
+        latest = self._order[own.bit_length() - 1]
+        if self._mask[latest.id] & own == own:
+            return [latest]
         cached = self._heads_cache.get(creator)
         if cached is not None and cached[0] == len(self):
             return cached[1]
         # One OR: every own block's closure without its own bit.  A block is
         # maximal iff its bit is not in that union (closures are acyclic).
-        own = self.creator_mask(creator)
         below = 0
         for blk in self.blocks_of_mask(own):
             below |= self._mask[blk.id] ^ self.bit_of(blk.id)
@@ -195,24 +202,14 @@ class Blocklace:
         return heads
 
     def ip_address(self, agent: AgentId) -> Optional[NetAddress]:
-        """Latest known address of an agent.
+        """Latest known address of an agent: its first head's.
 
         The agent's own most recent block wins; if the agent equivocated
         (no single latest block), ties break to the maximal block with the
         smallest digest.  None when the agent has no blocks here.
         """
-        all_bits = self.creator_mask(agent)
-        if not all_bits:
-            return None
-        # The block inserted last is almost always the one that observes
-        # all the others, so try it before listing the rest.
-        latest = self._order[all_bits.bit_length() - 1]
-        if self._mask[latest.id] & all_bits == all_bits:
-            return latest.address
-        # Else the maximal block with the smallest digest (heads of one
-        # creator sort by digest).  A block that observes all the others is
-        # the only head, so it wins here too.
-        return self.creator_heads(agent)[0].address
+        heads = self.creator_heads(agent)
+        return heads[0].address if heads else None
 
     def detect_equivocations(self, agent: AgentId) -> list[tuple[Block, Block]]:
         """All unordered pairs of agent-created blocks where neither

@@ -117,8 +117,7 @@ class PeerKnowledge:
     its self-chain prefix or the block alone.  A credit is fixed when it is
     made: a closure that grows later (an ancestor lands) does not widen
     it.  Under-crediting costs at most sends the peer did not need, and
-    the peer's next ack or claim widens it.  A credit function that
-    depends on state may upgrade a credit by crediting again.
+    the peer's next ack or claim widens it.
 
     An id not here yet is parked until it lands, its pending block is
     evicted (`forget`), or PARKED_CAP newer ids push it out.  Bound:
@@ -434,6 +433,14 @@ class Agent:
                     landed.append(waiter)
                     queue.append(waiter_id)
         return landed
+
+    def _check_referent(self, re: BlockId) -> None:
+        """A Respond's precondition: its referent is an utterance here."""
+        referent = self.lace.get(re)
+        if referent is None:
+            raise ProtocolError("respond referent not known locally")
+        if not b.is_utterance(referent.payload):
+            raise ProtocolError("respond referent is not an utterance")
 
     def _utter(self, payload: b.Payload, pointers: Iterable[BlockId]) -> Block:
         """Sign and store one of this agent's own blocks."""

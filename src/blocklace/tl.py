@@ -36,14 +36,14 @@ What each peer holds is kept as a mask (`peers.PeerKnowledge`) under
 TL's credit rule (`_full_credit`): a peer holds its own blocks; a block
 it discloses in an ack, or names while it follows the block's creator,
 proves the block's self-chain prefix; any other block it names proves
-itself alone, until the peer follows the creator.  A block goes to a peer
-that does not hold it when the peer is a friend that follows the block's
-creator, or when it is this agent's own friendship offer to the peer, so
-what `_wanted` hands the shared send loop (`peers.Agent.disseminate`) is
-mask arithmetic.  TL's contacts in the shared directory (`peers.Agent`)
-are the creators and follow targets of the blocks here: a copy delivered
-from a contact's address is that contact's claim, and an ack from anyone
-else is dropped.
+itself alone, even after the peer follows the creator, until it names the
+block again.  A block goes to a peer that does not hold it when the peer
+is a friend that follows the block's creator, or when it is this agent's
+own friendship offer to the peer, so what `_wanted` hands the shared send
+loop (`peers.Agent.disseminate`) is mask arithmetic.  TL's contacts in the
+shared directory (`peers.Agent`) are the creators and follow targets of
+the blocks here: a copy delivered from a contact's address is that
+contact's claim, and an ack from anyone else is dropped.
 
 Received acks never enter the blocklace: storing them would make them
 tips, everything afterwards would point at them, yet acks are never
@@ -59,7 +59,7 @@ from typing import Iterator, Optional
 from . import blocks as b
 from .blocks import Block, BlockId, Empty, Follow, NetAddress, Respond, Say
 from .crypto import AgentId, Keypair
-from .peers import Agent, AgentMetrics, PeerKnowledge, ProtocolError
+from .peers import Agent, AgentMetrics, PeerKnowledge
 from .retransmit import EAGER, PACED
 
 
@@ -119,11 +119,7 @@ class TlAgent(Agent):
         self._utter(Say(text), self._pointers())
 
     def respond(self, text: bytes, re: BlockId) -> None:
-        referent = self.lace.get(re)
-        if referent is None:
-            raise ProtocolError("respond referent not known locally")
-        if not b.is_utterance(referent.payload):
-            raise ProtocolError("respond referent is not an utterance")
+        self._check_referent(re)
         self._utter(Respond(text, re), self._pointers())
 
     def change_address(self, address: NetAddress) -> None:
@@ -161,7 +157,8 @@ class TlAgent(Agent):
         # block, or a copy q delivered) proves the prefix too when q's
         # buffering guarantees it: q follows the creator and the block is
         # not an offer to q, which lands out of chain order.  Otherwise it
-        # proves the block alone, until q follows the creator (`_index`).
+        # proves the block alone: q following the creator later does not
+        # widen that, but q's next naming of the block does.
         prefix = vouched or (
             self.follows(q, block_id.creator) and not is_offer_to(self.lace.get(block_id), q)
         )
@@ -208,19 +205,7 @@ class TlAgent(Agent):
             if creator == self.agent_id:
                 bit = self.lace.bit_of(block.id)
                 self._offers_to[target] = self._offers_to.get(target, 0) | bit
-            followees = self._followees.setdefault(creator, set())
-            if target not in followees:
-                followees.add(target)
-                # The creator's claims of target's blocks now prove their
-                # self-chain prefixes: crediting them again upgrades those
-                # credited alone so far.
-                claimed = self.peers.known(creator) & self.lace.creator_mask(target)
-                if claimed:
-                    self.peers.credit(
-                        creator,
-                        [blk.id for blk in self.lace.blocks_of_mask(claimed)],
-                        vouched=False,
-                    )
+            self._followees.setdefault(creator, set()).add(target)
 
     def _record_ack(self, ack: Block):
         """File a contact's ack as knowledge about its creator.

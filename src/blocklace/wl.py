@@ -231,11 +231,7 @@ class WlAgent(Agent):
         self._utter(payload, self.partition_tips(gid))
 
     def respond_group(self, re: BlockId, text: bytes) -> None:
-        referent = self.lace.get(re)
-        if referent is None:
-            raise ProtocolError("respond referent not known locally")
-        if not b.is_utterance(referent.payload):
-            raise ProtocolError("respond referent is not an utterance")
+        self._check_referent(re)
         gid = self.group_of(re)
         if gid is None:
             raise ProtocolError("referent belongs to no group")

@@ -155,7 +155,9 @@ def test_ip_address_equivocation_tiebreak(kp, kp2):
     assert lace.ip_address(kp2.agent_id) == expected.address
 
 
-def _bruteforce_address(creator, blocks_list):
+def _bruteforce_heads(creator, blocks_list):
+    """The reference `creator_heads`: the creator's blocks that no other
+    of its blocks observes, sorted by digest."""
     own = [blk for blk in blocks_list if blk.creator == creator]
     maximal = [
         blk
@@ -164,7 +166,11 @@ def _bruteforce_address(creator, blocks_list):
             other != blk and oracle.observes(other, blk, blocks_list) for other in own
         )
     ]
-    return min(maximal, key=lambda blk: blk.id.digest).address
+    return sorted(maximal, key=b.Block.sort_key)
+
+
+def _bruteforce_address(creator, blocks_list):
+    return _bruteforce_heads(creator, blocks_list)[0].address
 
 
 def test_ip_address_without_a_latest_block_matches_bruteforce(kp):
@@ -215,7 +221,8 @@ def test_ip_address_matches_latest_block_reference_in_any_insertion_order(seed):
     # Random DAGs over two creators, so a creator's blocks fork as often as
     # they chain, each block at its own address, inserted in a random
     # order: after every insert, each creator's address is its latest
-    # block's, with gaps and forks in what is here so far.
+    # block's, and its heads are its maximal blocks, with gaps and forks in
+    # what is here so far.
     rng = random.Random(seed)
     creators = KEYPAIRS[:2]
     blocks_list = []
@@ -233,6 +240,8 @@ def test_ip_address_matches_latest_block_reference_in_any_insertion_order(seed):
         for keypair in creators:
             expected = _latest_address(keypair.agent_id, present)
             assert lace.ip_address(keypair.agent_id) == expected
+            heads = _bruteforce_heads(keypair.agent_id, present)
+            assert lace.creator_heads(keypair.agent_id) == heads
 
 def test_equivocation_shapes(kp, kp2):
     base = make_block(kp2)

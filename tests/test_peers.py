@@ -55,9 +55,10 @@ def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
     A credit is fixed when it is made: a claimed or disclosed block earns
     its self-chain prefix as it was then (`prefix_as_of`), at the claim,
     or when the block lands if the claim named it before it did.  A claim
-    earns the prefix only once q follows the block's creator; when q's
-    first follow of a creator lands, every block of that creator q was
-    then known to hold earns its prefix as it is at that moment."""
+    earns the prefix only if q already followed the block's creator then,
+    and else the block alone, which a later follow does not widen.  The
+    pointers of q's block are credited before its own follow edge, so they
+    count as made at the size before it landed."""
     lace = agent.lace
 
     def landed_at(block_id) -> int:
@@ -70,19 +71,21 @@ def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
         if isinstance(payload, b.Follow):
             follow_at.setdefault(payload.target, landed_at(blk.id))
         for ptr in blk.pointers:
-            claims[ptr] = max(claims.get(ptr, 0), landed_at(blk.id))
-
-    def claim_credit(block_id, size: int) -> int:
-        block = lace.get(block_id)
-        follow = follow_at.get(block.creator)
-        if follow is None or (isinstance(block.payload, b.Follow) and block.payload.target == q):
-            return lace.bit_of(block_id)
-        return prefix_as_of(lace, block_id, max(size, follow))
+            claims[ptr] = max(claims.get(ptr, 0), landed_at(blk.id) - 1)
 
     mask = lace.creator_mask(q)
     for claimed, size in claims.items():
-        if claimed in lace:
-            mask |= claim_credit(claimed, max(size, landed_at(claimed)))
+        if claimed not in lace:
+            continue
+        size = max(size, landed_at(claimed))
+        block = lace.get(claimed)
+        follow = follow_at.get(block.creator)
+        if follow is None or follow > size or (
+            isinstance(block.payload, b.Follow) and block.payload.target == q
+        ):
+            mask |= lace.bit_of(claimed)
+        else:
+            mask |= prefix_as_of(lace, claimed, size)
     for ack, size in acked:
         if len(ack.pointers) == 1:
             (only,) = ack.pointers
@@ -96,15 +99,8 @@ def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
                 mask |= lace.bit_of(only)
                 continue
         for disclosed in ack.pointers:
-            if disclosed not in lace:
-                continue
-            size_then = max(size, landed_at(disclosed))
-            prefix = prefix_as_of(lace, disclosed, size_then)
-            mask |= prefix
-            follow = follow_at.get(disclosed.creator)
-            if follow is not None and follow > size_then:
-                for blk in lace.blocks_of_mask(prefix):
-                    mask |= claim_credit(blk.id, size_then)
+            if disclosed in lace:
+                mask |= prefix_as_of(lace, disclosed, max(size, landed_at(disclosed)))
     return mask
 
 
@@ -270,7 +266,11 @@ def bits(lace: Blocklace, blocks_list) -> int:
     return mask
 
 
-def test_claim_credited_alone_until_follow_edge_lands():
+def test_claim_before_follow_stays_credited_alone():
+    # c claimed x[1] before it followed d, which earned x[1] alone.  The
+    # Follow, which names x[1] too, lands and does not widen that credit,
+    # since a block's pointers are credited before its follow edge; c
+    # naming x[1] again does.
     me, c, d = tl(0), KP[1], KP[2]
     x = chain(d, 2)
     for blk in x:
@@ -279,9 +279,12 @@ def test_claim_credited_alone_until_follow_edge_lands():
     me.receive(encode_block(claim))
     known = me.peers.known(c.agent_id)
     assert known & bits(me.lace, x) == me.lace.bit_of(x[1].id)
-    follow = b.new_block(c, "c/0", b.Follow(d.agent_id), [claim.id])
+    follow = b.new_block(c, "c/0", b.Follow(d.agent_id), [claim.id, x[1].id])
     me.receive(encode_block(follow))
     assert me.follows(c.agent_id, d.agent_id)
+    assert me.peers.known(c.agent_id) & bits(me.lace, x) == me.lace.bit_of(x[1].id)
+    again = b.new_block(c, "c/0", b.Say(b"again"), [follow.id, x[1].id])
+    me.receive(encode_block(again))
     assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x)
 
 
@@ -361,6 +364,8 @@ def test_eviction_drops_waiters_and_parked_credit(monkeypatch):
 
 
 def test_stranger_chain_costs_linear_self_mask_calls(monkeypatch):
+    # A stranger's blocks are stored as they come, so a chain delivered
+    # head first lands out of order.  Both orders stay linear in calls.
     calls = 0
     self_mask_of = Blocklace.self_mask_of
 
@@ -370,13 +375,16 @@ def test_stranger_chain_costs_linear_self_mask_calls(monkeypatch):
         return self_mask_of(self, block_id)
 
     monkeypatch.setattr(Blocklace, "self_mask_of", counted)
-    me, stranger = tl(0), KP[3]
     n = 500
-    for blk in chain(stranger, n, address="s/0"):
-        me.receive(encode_block(blk), src="s/0")
-        me.tick()
-    assert len(me.lace) == n
-    assert calls <= 4 * n
+    blocks_list = chain(KP[3], n, address="s/0")
+    for order in (blocks_list, blocks_list[::-1]):
+        calls = 0
+        me = tl(0)
+        for blk in order:
+            me.receive(encode_block(blk), src="s/0")
+            me.tick()
+        assert len(me.lace) == n
+        assert calls <= 4 * n
 
 
 def test_wl_credit_is_the_whole_closure():

@@ -6,9 +6,9 @@ import pytest
 from blocklace import blocks as b
 from blocklace import crypto
 from blocklace.blocks import encode_block
-from blocklace.peers import BURST
+from blocklace.peers import BURST, ProtocolError
 from blocklace.retransmit import EAGER_COPIES, GAP, ROUND_TRIP
-from blocklace.tl import ProtocolError, TlAgent
+from blocklace.tl import TlAgent
 
 from conftest import befriend, deliver, pump
 
