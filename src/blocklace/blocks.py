@@ -1,13 +1,18 @@
 """Blocks: signed, hash-identified units linking to prior blocks.
 
-A block is (id, address, payload, pointers).  The id is a digest of the
-canonically-encoded body, signed by the creator; two blocks are the same
-block iff (creator, digest) match, regardless of signature bytes.
+A block is (id, address, payload, pointers).  The id is the creator and
+the digest of the creator's id followed by the canonically-encoded body
+(`block_digest`), signed by the creator; two blocks are the same block iff
+(creator, digest) match, regardless of signature bytes.  Since the digest
+commits to the creator, a digest alone names one block: a second key that
+signs a byte-identical body gets another digest.  That is what lets an
+`Ack` name the blocks it answers by digest alone.
 
 The canonical encoding is injective: every field is length-prefixed and
 pointer sets are sorted, so set identity maps to byte identity.  Field
 order in the encoded body is (address, payload, pointers); the golden
-tests pin it.
+tests pin it.  An ack's names sit in its payload: a 4-byte count, then the
+32-byte digests, strictly ascending.  An ack carries no pointers.
 """
 
 from __future__ import annotations
@@ -75,7 +80,10 @@ class Respond:
 
 @dataclass(frozen=True)
 class Ack:
-    """Receipt acknowledgement; never acked in turn."""
+    """Receipt acknowledgement; never acked in turn.  `named` holds the
+    digests of the blocks it answers."""
+
+    named: frozenset[Digest] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -140,8 +148,13 @@ class Block:
 
 def _encode_payload(payload: Payload) -> bytes:
     tag = _TAG_OF[type(payload)]
-    if isinstance(payload, Empty) or isinstance(payload, Ack) or isinstance(payload, Accept):
+    if isinstance(payload, Empty) or isinstance(payload, Accept):
         return tag
+    if isinstance(payload, Ack):
+        named = sorted(payload.named)
+        if any(len(digest) != crypto.DIGEST_LEN for digest in named):
+            raise ValueError("an ack names blocks by 32-byte digests")
+        return tag + len(named).to_bytes(4, "big") + b"".join(named)
     if isinstance(payload, Follow):
         return tag + _lp(payload.target)
     if isinstance(payload, Say):
@@ -160,8 +173,15 @@ def _decode_payload(reader: _Reader) -> Payload:
     if tag >= len(_PAYLOAD_TAGS):
         raise WireError(f"unknown payload tag {tag}")
     cls = _PAYLOAD_TAGS[tag]
-    if cls in (Empty, Ack, Accept):
+    if cls in (Empty, Accept):
         return cls()
+    if cls is Ack:
+        # One set, one encoding: digests come strictly ascending.
+        count = int.from_bytes(reader.take(4), "big")
+        named = [reader.take(crypto.DIGEST_LEN) for _ in range(count)]
+        if any(low >= high for low, high in zip(named, named[1:])):
+            raise WireError("ack digests not strictly ascending")
+        return Ack(frozenset(named))
     if cls is Follow:
         return Follow(reader.take_lp())
     if cls is Say:
@@ -188,6 +208,13 @@ def canonical_encode(
     return b"".join(parts)
 
 
+def block_digest(creator: AgentId, body: bytes) -> Digest:
+    """The digest of a block: H(creator || body).  The creator id has a
+    fixed length (`crypto.AGENT_ID_LEN`), so the concatenation is
+    injective."""
+    return crypto.hash_bytes(creator + body)
+
+
 def new_block(
     kp: Keypair,
     address: NetAddress,
@@ -196,8 +223,7 @@ def new_block(
 ) -> Block:
     """Create and sign a block; the result always passes verify_block."""
     ptrs = frozenset(pointers)
-    body = canonical_encode(address, payload, ptrs)
-    digest = crypto.hash_bytes(body)
+    digest = block_digest(kp.agent_id, canonical_encode(address, payload, ptrs))
     signature = crypto.sign(kp, digest)
     return Block(
         id=BlockId(kp.agent_id, digest, signature),
@@ -212,7 +238,7 @@ def verify_block(block: Block) -> bool:
     if any(ptr == block.id for ptr in block.pointers):
         return False
     body = canonical_encode(block.address, block.payload, block.pointers)
-    if crypto.hash_bytes(body) != block.id.digest:
+    if block_digest(block.id.creator, body) != block.id.digest:
         return False
     return crypto.verify(block.id.creator, block.id.digest, block.id.signature)
 
@@ -261,6 +287,8 @@ def _decode_block(data: bytes) -> Block:
         pointers.append(BlockId(*key))
     if not reader.done():
         raise WireError("trailing bytes")
+    if isinstance(payload, Ack) and pointers:
+        raise WireError("ack with pointers")
     if len(creator) != crypto.AGENT_ID_LEN or len(digest) != crypto.DIGEST_LEN:
         raise WireError("bad id field lengths")
     return Block(

@@ -293,7 +293,8 @@ class ForgerWrapper(AgentWrapper):
         self._counter += 1
         text = f"forged-{self._counter}".encode()
         body = b.canonical_encode(self.inner.current_address, Say(text), ())
-        digest = crypto.hash_bytes(body)
+        # The digest is right, so only the signature is bad.
+        digest = b.block_digest(victim, body)
         signature = ctx.rng.randbytes(crypto.SIGNATURE_LEN)
         return b._lp(victim) + b._lp(digest) + b._lp(signature) + body
 

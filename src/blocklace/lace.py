@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .blocks import Block, BlockId, NetAddress, verify_block
-from .crypto import AgentId
+from .crypto import AgentId, Digest
 
 
 class InvalidBlock(Exception):
@@ -24,7 +24,9 @@ class InvalidBlock(Exception):
 
 class Blocklace:
     def __init__(self):
-        self._blocks: dict[BlockId, Block] = {}
+        # By digest, which binds the creator (`blocks.block_digest`), so a
+        # digest alone names one block.
+        self._blocks: dict[Digest, Block] = {}
         self._order: list[Block] = []          # insertion order; index = bit position
         self._index: dict[BlockId, int] = {}
         self._mask: dict[BlockId, int] = {}    # closure bitmask, includes own bit
@@ -44,14 +46,14 @@ class Blocklace:
         Raises InvalidBlock unless the block verifies (callers that already
         ran verify_block on the same bytes pass verified=True).
         """
-        if block.id in self._blocks:
+        if block.id in self:
             return False
         if not verified and not verify_block(block):
             raise InvalidBlock(block.id.short())
 
         idx = len(self._order)
         bit = 1 << idx
-        self._blocks[block.id] = block
+        self._blocks[block.id.digest] = block
         self._order.append(block)
         self._index[block.id] = idx
 
@@ -97,7 +99,7 @@ class Blocklace:
         while queue:
             current = queue.pop()
             current_mask = self._mask[current]
-            current_creator = self._blocks[current].creator
+            current_creator = current.creator
             current_self = self._self_mask[current]
             for waiter in self._rev.get(current, ()):
                 changed = False
@@ -105,7 +107,7 @@ class Blocklace:
                 if merged != self._mask[waiter]:
                     self._mask[waiter] = merged
                     changed = True
-                if self._blocks[waiter].creator == current_creator:
+                if waiter.creator == current_creator:
                     merged_self = self._self_mask[waiter] | current_self
                     if merged_self != self._self_mask[waiter]:
                         self._self_mask[waiter] = merged_self
@@ -119,10 +121,16 @@ class Blocklace:
         return len(self._order)
 
     def __contains__(self, block_id: BlockId) -> bool:
-        return block_id in self._blocks
+        return self.get(block_id) is not None
 
     def get(self, block_id: BlockId) -> Optional[Block]:
-        return self._blocks.get(block_id)
+        block = self._blocks.get(block_id.digest)
+        return block if block is not None and block.creator == block_id.creator else None
+
+    def by_digest(self, digest: Digest) -> Optional[Block]:
+        """The block with this digest, if present: how an ack's names
+        resolve."""
+        return self._blocks.get(digest)
 
     def blocks(self) -> Iterator[Block]:
         """Blocks in insertion order."""
@@ -157,7 +165,7 @@ class Blocklace:
 
     def tips(self) -> list[Block]:
         """Blocks no other present block points at, sorted by id."""
-        return sorted((self._blocks[i] for i in self._tips), key=Block.sort_key)
+        return sorted((self._blocks[i.digest] for i in self._tips), key=Block.sort_key)
 
     def tip_ids(self) -> frozenset[BlockId]:
         return frozenset(self._tips)
@@ -170,7 +178,7 @@ class Blocklace:
 
     def self_closure(self, block: Block) -> list[Block]:
         """Blocks reachable from `block` via pointers to same-creator blocks."""
-        if block.id not in self._blocks:
+        if block.id not in self:
             return []
         return sorted(self.blocks_of_mask(self._self_mask[block.id]), key=Block.sort_key)
 

@@ -22,7 +22,7 @@ Acks.  Each copy that lands draws an ack to stop the deliverer's timer
 too.
 
 * Merge: an agent sends each address at most one ack a tick, naming
-  every pointer the tick's deliveries drew for it (`Agent.flush_acks`).
+  every block the tick's deliveries drew for it (`Agent.flush_acks`).
   This is TCP's delayed, cumulative ack (RFC 1122 4.2.3.2, RFC 5681
   4.2), at no cost in latency: the runner drains the acks right after
   the tick's deliveries, so they leave in the tick of the copies that
@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Optional
 
 from . import blocks as b
 from .blocks import Ack, Block, BlockId, NetAddress, WireDecoder
-from .crypto import AgentId, Keypair
+from .crypto import AgentId, Digest, Keypair
 from .lace import Blocklace
 from .retransmit import Retransmit
 
@@ -99,8 +99,8 @@ class AgentMetrics:
     acks_received: int = 0
     # Acks built by `Agent.flush_acks`: at most one per destination a call.
     acks_sent: int = 0
-    # Of `acks_sent`, those that carry the pointers of a parked block's
-    # ack (`Agent.receive`).
+    # Of `acks_sent`, those that name what a parked block's ack names
+    # (`Agent.receive`).
     nacks_sent: int = 0
     pending_evicted: int = 0
     resent: int = 0
@@ -112,18 +112,20 @@ class PeerKnowledge:
     `known(q)` is q's own blocks here (`Blocklace.creator_mask`) joined
     with the credits q earned by naming blocks: in an ack, in a pointer,
     by delivering a copy, or, where the agent credits it so, by creating
-    the block.  A named block here earns the mask that
-    `credit_of(q, block_id, vouched)` gives: WL's the block's closure, TL's
-    its self-chain prefix or the block alone.  A credit is fixed when it is
-    made: a closure that grows later (an ancestor lands) does not widen
-    it.  Under-crediting costs at most sends the peer did not need, and
-    the peer's next ack or claim widens it.
+    the block.  A block is named by its digest, which binds its creator
+    (`blocks.block_digest`), and resolved through `Blocklace.by_digest`.
+    A named block here earns the mask that `credit_of(q, block_id,
+    vouched)` gives: WL's the block's closure, TL's its self-chain prefix
+    or the block alone.  A credit is fixed when it is made: a closure that
+    grows later (an ancestor lands) does not widen it.  Under-crediting
+    costs at most sends the peer did not need, and the peer's next ack or
+    claim widens it.
 
-    An id not here yet is parked until it lands, its pending block is
-    evicted (`forget`), or PARKED_CAP newer ids push it out.  Bound:
-    PARKED_CAP entries, each holding one flag per peer that named the id;
-    the ids come from blocks stored or pending here and from acks from
-    contacts (`Agent.receive`).
+    A digest not here yet is parked until its block lands, its pending
+    block is evicted (`forget`), or PARKED_CAP newer digests push it out.
+    Bound: PARKED_CAP entries, each holding one flag per peer that named
+    the digest; the digests come from blocks stored or pending here and
+    from acks from contacts (`Agent.receive`).
     """
 
     def __init__(self, lace: Blocklace, credit_of: Callable[[AgentId, BlockId, bool], int]):
@@ -131,36 +133,38 @@ class PeerKnowledge:
         self._credit_of = credit_of
         # Bound: one entry per agent that ever named or created a block here.
         self._credits: dict[AgentId, int] = {}
-        # absent id -> {peer: whether any of its namings vouched for it}
-        self.parked: dict[BlockId, dict[AgentId, bool]] = {}
+        # absent digest -> {peer: whether any of its namings vouched for it}
+        self.parked: dict[Digest, dict[AgentId, bool]] = {}
 
     def known(self, q: AgentId) -> int:
         return self._lace.creator_mask(q) | self._credits.get(q, 0)
 
-    def credit(self, q: AgentId, ids: Iterable[BlockId], vouched: bool = True) -> None:
-        """q named these ids.  `vouched` means q vouched for their history
-        rather than only showing it holds them."""
-        lace = self._lace
-        for block_id in ids:
-            if block_id in lace:
-                self._credit(block_id, {q: vouched})
+    def credit(self, q: AgentId, digests: Iterable[Digest], vouched: bool = True) -> None:
+        """q named the blocks with these digests.  `vouched` means q
+        vouched for their history rather than only showing it holds
+        them."""
+        by_digest = self._lace.by_digest
+        for digest in digests:
+            block = by_digest(digest)
+            if block is not None:
+                self._credit(block.id, {q: vouched})
             else:
-                waiting = self.parked.get(block_id)
+                waiting = self.parked.get(digest)
                 if waiting is None:
                     if len(self.parked) >= PARKED_CAP:
                         del self.parked[next(iter(self.parked))]
-                    waiting = self.parked[block_id] = {}
+                    waiting = self.parked[digest] = {}
                 waiting[q] = waiting.get(q, False) or vouched
 
     def landed(self, block_id: BlockId) -> None:
         """Fold in the credits parked for a block that just landed."""
-        waiting = self.parked.pop(block_id, None)
+        waiting = self.parked.pop(block_id.digest, None)
         if waiting:
             self._credit(block_id, waiting)
 
     def forget(self, block_id: BlockId) -> None:
-        """Drop the credits parked for an id that will not land soon."""
-        self.parked.pop(block_id, None)
+        """Drop the credits parked for a block that will not land soon."""
+        self.parked.pop(block_id.digest, None)
 
     def _credit(self, block_id: BlockId, namers: dict[AgentId, bool]) -> None:
         credits = self._credits
@@ -200,10 +204,10 @@ class Agent:
         self._pending: dict[BlockId, Block] = {}
         self._pending_on: dict[BlockId, list[BlockId]] = {}
         self._decoder = WireDecoder()
-        # destination -> (the union of the pointers of the acks drawn for
-        # it since the last `flush_acks`, whether one of them was a nack).
-        # Bound: one entry per address a datagram came from since then.
-        self._outbox: dict[NetAddress, tuple[frozenset[BlockId], bool]] = {}
+        # destination -> (the digests the acks drawn for it since the last
+        # `flush_acks` name, whether one of them was a nack).  Bound: one
+        # entry per address a datagram came from since then.
+        self._outbox: dict[NetAddress, tuple[frozenset[Digest], bool]] = {}
         # (delivering address, block id) -> the tick (`retransmit.now`) the
         # block first landed here from there: a later copy from the same
         # address within BURST ticks is a twin of that burst and draws no
@@ -247,8 +251,8 @@ class Agent:
         block that first landed here from the same address fewer than
         BURST ticks ago, whose first copy's ack answers the whole burst.
         A block parked in the pending buffer is acknowledged to its
-        deliverer only when `_nack_pointers` gives pointers: a nack, whose
-        pointers show the deliverer which ancestors are missing here.  A
+        deliverer only when `_nack_pointers` gives ids: a nack, whose
+        names show the deliverer which ancestors are missing here.  A
         copy earns the contacts at the delivering address credit
         (`_credit_delivery`); an ack counts only from a contact.
         """
@@ -267,9 +271,9 @@ class Agent:
         landed, was_new = self._integrate(block)
         sender = self._credit_delivery(block, src)
         if not landed and src is not None and block.id in self._pending:
-            pointers = self._nack_pointers(block)
-            if pointers:
-                self._ack(src, pointers, nack=True)
+            named = self._nack_pointers(block)
+            if named:
+                self._ack(src, named, nack=True)
         # `tick` keeps only the landings whose burst may still arrive.
         copy = (src, block.id)
         if was_new:
@@ -277,10 +281,10 @@ class Agent:
         elif copy in self._first_copies:
             landed = []
         for acked in landed:
-            pointers = self._ack_pointers(acked, sender)
-            if pointers is not None:
+            named = self._ack_pointers(acked, sender)
+            if named is not None:
                 dest = src if src is not None else self.address_of(acked.creator)
-                self._ack(dest, pointers)
+                self._ack(dest, named)
 
     def _credit_delivery(self, block: Block, src: Optional[NetAddress]) -> Optional[AgentId]:
         """Credit the contacts at src with a delivered block they hold, and
@@ -294,34 +298,34 @@ class Agent:
         at_src = self._contacts_at(src)
         if at_src and self._holds(block.id):
             for q in at_src:
-                self.peers.credit(q, (block.id,), vouched=False)
+                self.peers.credit(q, (block.id.digest,), vouched=False)
         if src is None or block.creator in at_src:
             return block.creator
         return at_src[0] if at_src else None
 
-    def _ack(self, dest: Optional[NetAddress], pointers: frozenset[BlockId], nack: bool = False):
-        """Add these pointers to the ack that `flush_acks` builds for
+    def _ack(self, dest: Optional[NetAddress], ids: frozenset[BlockId], nack: bool = False):
+        """Name these blocks in the ack that `flush_acks` builds for
         `dest`."""
         if dest is None or dest == self.current_address:
             return
         drawn, nacked = self._outbox.get(dest, (frozenset(), False))
-        self._outbox[dest] = (drawn | pointers, nacked or nack)
+        self._outbox[dest] = (drawn.union(i.digest for i in ids), nacked or nack)
 
     def flush_acks(self) -> list[Send]:
-        """One ack per destination, with the pointers of every ack drawn
-        for it since the last call.  Called once a tick, right after the
-        tick's deliveries, so an ack leaves in the tick of the copy that
-        drew it."""
+        """One ack per destination, naming every block the acks drawn for
+        it since the last call name, by digest and with no pointers.
+        Called once a tick, right after the tick's deliveries, so an ack
+        leaves in the tick of the copy that drew it."""
         sends: list[Send] = []
-        for dest, (pointers, nack) in self._outbox.items():
+        for dest, (named, nack) in self._outbox.items():
             self.metrics.acks_sent += 1
             self.metrics.nacks_sent += nack
-            sends.append((dest, b.new_block(self.kp, self.current_address, Ack(), pointers)))
+            sends.append((dest, b.new_block(self.kp, self.current_address, Ack(named))))
         self._outbox = {}
         return sends
 
     def _nack_pointers(self, block: Block) -> Optional[frozenset[BlockId]]:
-        """The pointers of the ack of a parked block, or None for none."""
+        """The ids the ack of a parked block names, or None for none."""
         return None
 
     def disseminate(self) -> list[Send]:

@@ -197,7 +197,7 @@ class TlAgent(Agent):
         self._contacts.setdefault(creator)
         if creator != self.agent_id:
             # The block's pointers are its creator's claims of possession.
-            self.peers.credit(creator, block.pointers, vouched=False)
+            self.peers.credit(creator, (ptr.digest for ptr in block.pointers), vouched=False)
         payload = block.payload
         if isinstance(payload, Follow):
             target = payload.target
@@ -215,17 +215,17 @@ class TlAgent(Agent):
         friend's disclosure never names such an offer alone
         (`_ack_pointers`); every other disclosure vouches for the named
         blocks and their history."""
-        pointers = ack.pointers
+        named = ack.payload.named
         vouched = True
-        if len(pointers) == 1:
-            (only,) = pointers
-            named = self.lace.get(only)
+        if len(named) == 1:
+            (only,) = named
+            block = self.lace.by_digest(only)
             vouched = not (
-                named is not None
-                and named.creator == self.agent_id
-                and is_offer_to(named, ack.creator)
+                block is not None
+                and block.creator == self.agent_id
+                and is_offer_to(block, ack.creator)
             )
-        self.peers.credit(ack.creator, pointers, vouched)
+        self.peers.credit(ack.creator, named, vouched)
 
     def _ack_pointers(self, block: Block, sender: Optional[AgentId]) -> Optional[frozenset[BlockId]]:
         # A disclosure to a friend names the head of the landed block's

@@ -295,7 +295,7 @@ class WlAgent(Agent):
     # --- receive pipeline -----------------------------------------------------
 
     def _record_ack(self, ack: Block):
-        self.peers.credit(ack.creator, ack.pointers)
+        self.peers.credit(ack.creator, ack.payload.named)
         # Relay copies the ack does not cover may have been lost.
         self.retransmit.mark_repair(ack.address)
 
@@ -317,9 +317,9 @@ class WlAgent(Agent):
             return sender
         at_src = [q for q in self._contacts_at(src) if q in members]
         if at_src:
-            ids = [blk.id for blk in self.lace.blocks_of_mask(joined)]
+            digests = [blk.id.digest for blk in self.lace.blocks_of_mask(joined)]
             for q in at_src:
-                self.peers.credit(q, ids)
+                self.peers.credit(q, digests)
         return sender
 
     def _missing(self, block: Block) -> list[BlockId]:
@@ -354,7 +354,7 @@ class WlAgent(Agent):
 
     def _index(self, block: Block):
         bit = self.lace.bit_of(block.id)
-        self.peers.credit(block.creator, (block.id,))
+        self.peers.credit(block.creator, (block.id.digest,))
         if is_genesis(block):
             self._genesis_bits |= bit
             self._partition_bits[block.id] = bit

@@ -19,6 +19,11 @@ def kp2():
     return KEYPAIRS[1]
 
 
+def digests(ids):
+    """What an ack naming these block ids carries: their digests."""
+    return frozenset(i.digest for i in ids)
+
+
 def deliver(x, payload, src=None):
     """x receives one datagram alone in a tick, and returns the acks it
     drew (`flush_acks`), as the runner sends them.  What lands goes out
@@ -81,7 +86,9 @@ def random_blocklace(rng: random.Random, max_blocks: int = 20, creators: int = 4
         elif kind == 1:
             payload = b.Empty()
         else:
-            payload = b.Ack()
+            # An ack names blocks by digest and carries no pointers.
+            payload = b.Ack(digests(pointers))
+            pointers = []
         blk = b.new_block(keypair, f"addr/{rng.randrange(3)}", payload, pointers)
         if blk.id not in seen:
             seen.add(blk.id)

@@ -32,16 +32,96 @@ def test_canonical_encode_field_order_golden():
 
 
 def test_block_digest_golden():
+    # The digest is H(creator || body) (`blocks.block_digest`).
     kp = crypto.keygen(1)
     blk = b.new_block(kp, "golden/0", b.Say(b"golden"), ())
     assert (
         blk.id.digest.hex()
-        == "2319d4583872110bfa8cfb25d5e1eacd1196941573d18430fc55646f4e9db82c"
+        == "5eccf3db4f32f1d55da4df688976779f37d16fc2dd25de75f38b8f0a65f74470"
     )
     assert (
         crypto.hash_bytes(b.encode_block(blk)).hex()
-        == "881543e3a6bc8313def94a73fefa2acd478487a4781d7c2f96ec111acbc51d61"
+        == "1ccd728f3fba0a4897c2bd1012fa0ae576650801084589fb0c1fb9b03127319b"
     )
+
+
+def test_digest_binds_the_creator(kp, kp2):
+    # A second key that signs a body identical to the victim's gets a
+    # different digest, so a digest names one creator's block.
+    victim = make_block(kp, b.Say(b"same words"))
+    impostor = make_block(kp2, b.Say(b"same words"))
+    body = lambda blk: b.canonical_encode(blk.address, blk.payload, blk.pointers)
+    assert body(victim) == body(impostor)
+    assert victim.id.digest != impostor.id.digest
+    assert b.verify_block(victim) and b.verify_block(impostor)
+    assert victim.id.digest == b.block_digest(kp.agent_id, body(victim))
+
+
+def _digest(i):
+    return bytes([i]) * crypto.DIGEST_LEN
+
+
+def test_ack_encoding_golden():
+    # An ack's payload is its tag, a 4-byte count and the named digests,
+    # ascending; it carries no pointers.
+    def ack_body(*named):
+        return b.canonical_encode("a", b.Ack(frozenset(map(_digest, named))), ()).hex()
+
+    assert ack_body() == "000000016100000005040000000000000000"
+    assert ack_body(1) == "0000000161000000250400000001" + "01" * 32 + "00000000"
+    assert ack_body(3, 1, 2) == (
+        "0000000161000000650400000003" + "01" * 32 + "02" * 32 + "03" * 32 + "00000000"
+    )
+
+
+def test_ack_costs_one_digest_per_named_block(kp):
+    empty = len(b.encode_block(b.new_block(kp, "addr/0", b.Ack())))
+    for k in (1, 2, 5, 40):
+        ack = b.new_block(kp, "addr/0", b.Ack(frozenset(map(_digest, range(k)))))
+        assert len(b.encode_block(ack)) == empty + crypto.DIGEST_LEN * k
+
+
+def test_ack_rejects_names_that_are_not_digests(kp):
+    with pytest.raises(ValueError):
+        b.new_block(kp, "addr/0", b.Ack(frozenset([b"short"])))
+
+
+def _wire_with_payload(blk, payload, pointers=()):
+    """blk's id and address with these payload bytes and pointers."""
+    parts = [
+        b._lp(blk.id.creator),
+        b._lp(blk.id.digest),
+        b._lp(blk.id.signature),
+        b._lp(blk.address.encode("utf-8")),
+        b._lp(payload),
+        len(pointers).to_bytes(4, "big"),
+    ]
+    parts.extend(b._lp(ptr.creator) + b._lp(ptr.digest) for ptr in pointers)
+    return b"".join(parts)
+
+
+def test_decode_rejects_other_encodings_of_an_ack(kp):
+    blk = b.new_block(kp, "addr/0", b.Ack(frozenset([_digest(1), _digest(2)])))
+    tag = b._TAG_OF[b.Ack]
+    count = lambda n: n.to_bytes(4, "big")
+    assert _wire_with_payload(blk, tag + count(2) + _digest(1) + _digest(2)) == b.encode_block(blk)
+    for payload, error in (
+        (tag + count(2) + _digest(2) + _digest(1), "ascending"),
+        (tag + count(2) + _digest(1) + _digest(1), "ascending"),
+        (tag + count(1) + _digest(1)[:-1], "truncated"),
+        (tag + count(1) + _digest(1) + b"\x01", "trailing"),
+        (tag + count(2) + _digest(1), "truncated"),
+    ):
+        with pytest.raises(b.WireError, match=error):
+            b.decode_block(_wire_with_payload(blk, payload))
+
+
+def test_decode_rejects_an_ack_with_pointers(kp):
+    parent = make_block(kp)
+    blk = b.new_block(kp, "addr/0", b.Ack(frozenset([parent.id.digest])), [parent.id])
+    assert b.verify_block(blk)
+    with pytest.raises(b.WireError, match="ack with pointers"):
+        b.decode_block(b.encode_block(blk))
 
 
 def test_length_prefix_prevents_field_bleed(kp):
@@ -94,6 +174,7 @@ def test_block_id_identity_ignores_signature(kp):
 
 def _all_payloads(kp, kp2):
     ref = make_block(kp)
+    parent = make_block(kp, b.Say(b"parent"))
     sealed = crypto.seal(crypto.group_keygen(1), kp2.agent_id)
     return [
         b.Empty(),
@@ -101,6 +182,7 @@ def _all_payloads(kp, kp2):
         b.Say(b"text \x00 with nulls"),
         b.Respond(b"re-text", ref.id),
         b.Ack(),
+        b.Ack(frozenset([ref.id.digest, parent.id.digest])),
         b.Group(b"group-name"),
         b.Invite(kp2.agent_id, sealed),
         b.Accept(),
@@ -110,7 +192,9 @@ def _all_payloads(kp, kp2):
 def test_wire_roundtrip_every_payload(kp, kp2):
     parent = make_block(kp)
     for payload in _all_payloads(kp, kp2):
-        blk = b.new_block(kp, "addr/1", payload, [parent.id])
+        # An ack names blocks in its payload and carries no pointers.
+        pointers = [] if isinstance(payload, b.Ack) else [parent.id]
+        blk = b.new_block(kp, "addr/1", payload, pointers)
         decoded = b.decode_block(b.encode_block(blk))
         assert decoded == blk
         assert b.verify_block(decoded)
@@ -144,16 +228,7 @@ def test_decode_trailing_bytes_raises(kp):
 
 def _wire_with_pointers(blk, pointers):
     """blk's wire bytes with its pointer list written as given."""
-    parts = [
-        b._lp(blk.id.creator),
-        b._lp(blk.id.digest),
-        b._lp(blk.id.signature),
-        b._lp(blk.address.encode("utf-8")),
-        b._lp(b._encode_payload(blk.payload)),
-        len(pointers).to_bytes(4, "big"),
-    ]
-    parts.extend(b._lp(ptr.creator) + b._lp(ptr.digest) for ptr in pointers)
-    return b"".join(parts)
+    return _wire_with_payload(blk, b._encode_payload(blk.payload), pointers)
 
 
 def test_decode_rejects_permuted_pointers(kp, kp2):
@@ -229,16 +304,20 @@ def test_wire_decoder_memo_clears_at_cap(kp, monkeypatch):
     assert sizes == [1, 2, 3, 1, 2, 3, 1]
 
 
+def _random_payload(rng):
+    """A Say, or an ack naming a few of four digests."""
+    if rng.randrange(2):
+        return b.Say(rng.randbytes(rng.randint(0, 8)))
+    return b.Ack(frozenset(rng.sample([_digest(i) for i in range(4)], rng.randint(0, 3))))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32))
 def test_encode_injective_random(seed):
     rng = random.Random(seed)
-    kp = KEYPAIRS[rng.randrange(3)]
-    texts = [rng.randbytes(rng.randint(0, 8)) for _ in range(2)]
-    one = b.canonical_encode(f"a/{rng.randrange(2)}", b.Say(texts[0]), ())
-    two = b.canonical_encode(f"a/{rng.randrange(2)}", b.Say(texts[1]), ())
-    if one == two:
-        assert texts[0] == texts[1]
+    bodies = [(f"a/{rng.randrange(2)}", _random_payload(rng)) for _ in range(2)]
+    one, two = (b.canonical_encode(address, payload, ()) for address, payload in bodies)
+    assert (one == two) == (bodies[0] == bodies[1])
 
 
 def test_digest_injectivity_corpus():

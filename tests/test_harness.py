@@ -39,7 +39,11 @@ def test_finals_reconstruct_agent_state():
     # Older traces also carry each agent's received acks as
     # `FINAL kind=acks` records; such a trace still parses and verifies.
     acks = {
-        name: b.new_block(w.inner.kp, w.inner.current_address, b.Ack(), w.inner.lace.tip_ids())
+        name: b.new_block(
+            w.inner.kp,
+            w.inner.current_address,
+            b.Ack(frozenset(tip.digest for tip in w.inner.lace.tip_ids())),
+        )
         for name, w in result.wrappers.items()
     }
     with_acks = result.trace_text + "".join(
@@ -544,6 +548,24 @@ def test_forge_trace_records_match_count():
     result = run_scenario(canned.tl_forgery(seed=1, garbage=20, tampered=20))
     forged = [line for line in result.trace_text.splitlines() if "\tFORGE\t" in line]
     assert len(forged) == 40
+
+
+def test_forged_garbage_fails_only_its_signature():
+    # A garbage forgery's digest is the victim's digest of its body
+    # (`blocks.block_digest`), so it is rejected for its signature alone.
+    result = run_scenario(canned.tl_forgery(seed=1, garbage=20, tampered=0))
+    data = parse_trace(result.trace_text)
+    garbage = [
+        b.decode_block(bytes.fromhex(e.fields["bytes"]))
+        for e in data.events_of("FORGE")
+        if e.fields["mode"] == "garbage"
+    ]
+    assert len(garbage) == 20
+    for block in garbage:
+        body = b.canonical_encode(block.address, block.payload, block.pointers)
+        assert block.id.digest == b.block_digest(block.creator, body)
+        assert block.creator == data.agent_id("victim")
+        assert not b.verify_block(block)
 
 
 def test_forger_tampers_only_blocks_in_its_own_lace():

@@ -14,9 +14,13 @@ from blocklace import crypto, peers
 from blocklace.blocks import encode_block
 from blocklace.harness import canned
 from blocklace.harness.runner import run_scenario
+from blocklace.harness.scenario import Event
 from blocklace.lace import Blocklace
+from blocklace.retransmit import GAP, ROUND_TRIP
 from blocklace.tl import TlAgent
 from blocklace.wl import WlAgent
+
+from conftest import befriend
 
 KP = [crypto.keygen(f"peers-{i}") for i in range(4)]
 
@@ -87,20 +91,20 @@ def reference_knowledge(agent: TlAgent, q, delivered: dict, acked: list) -> int:
         else:
             mask |= prefix_as_of(lace, claimed, size)
     for ack, size in acked:
-        if len(ack.pointers) == 1:
-            (only,) = ack.pointers
-            named = lace.get(only)
+        named = [lace.by_digest(digest) for digest in ack.payload.named]
+        if len(named) == 1:
+            (only,) = named
             if (
-                named is not None
-                and named.creator == agent.agent_id
-                and isinstance(named.payload, b.Follow)
-                and named.payload.target == q
+                only is not None
+                and only.creator == agent.agent_id
+                and isinstance(only.payload, b.Follow)
+                and only.payload.target == q
             ):
-                mask |= lace.bit_of(only)
+                mask |= lace.bit_of(only.id)
                 continue
-        for disclosed in ack.pointers:
-            if disclosed in lace:
-                mask |= prefix_as_of(lace, disclosed, max(size, landed_at(disclosed)))
+        for disclosed in named:
+            if disclosed is not None:
+                mask |= prefix_as_of(lace, disclosed.id, max(size, landed_at(disclosed.id)))
     return mask
 
 
@@ -147,7 +151,7 @@ def wl_reference_knowledge(agent: WlAgent, q, delivered: dict, acked: list) -> i
     me = agent.agent_id
     named = set(delivered)
     for ack, _ in acked:
-        named |= ack.pointers
+        named |= {blk.id for blk in map(lace.by_digest, ack.payload.named) if blk is not None}
     mask = 0
     for blk in lace.by_creator(q):
         mask |= lace.mask_of(blk.id)
@@ -222,12 +226,29 @@ def assert_maintained_masks_match(monkeypatch, cls, builder, reference, peers_of
     assert checks > 0
 
 
-@pytest.mark.parametrize("name", TL_CANNED)
+def tl_late_friend(seed: int = 0):
+    """tl_line where e, which follows a, befriends b late.  e's offer to b
+    names a's Says before b holds e's Follow of a, so b credits those
+    claims alone, and e's Follow landing later does not widen them."""
+    scenario = canned.tl_line(seed, utterances=12)
+    late = [
+        Event(40, "e", {"cmd": "follow", "target": "b"}),
+        Event(42, "b", {"cmd": "follow", "target": "e"}),
+    ]
+    scenario.events = sorted(scenario.events + late, key=lambda e: e.tick)
+    scenario.bootstrap = scenario.bootstrap + [("e", "b"), ("b", "e")]
+    return scenario
+
+
+TL_RUNS = {**{name: getattr(canned, name) for name in TL_CANNED}, "tl_late_friend": tl_late_friend}
+
+
+@pytest.mark.parametrize("name", TL_RUNS)
 def test_maintained_mask_matches_rebuild_in_canned_runs(name, monkeypatch):
     assert_maintained_masks_match(
         monkeypatch,
         TlAgent,
-        getattr(canned, name),
+        TL_RUNS[name],
         reference_knowledge,
         lambda agent: agent.known_agents(),
     )
@@ -318,7 +339,7 @@ def test_credit_stays_as_made_until_the_next_ack():
     me.receive(encode_block(x[0]))
     assert me.lace.self_mask_of(x[2].id) == bits(me.lace, x)
     assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x[1:])
-    ack = b.new_block(c, "c/0", b.Ack(), [x[2].id])
+    ack = b.new_block(c, "c/0", b.Ack(frozenset([x[2].id.digest])))
     me.receive(encode_block(ack))
     assert me.peers.known(c.agent_id) & bits(me.lace, x) == bits(me.lace, x)
 
@@ -328,10 +349,33 @@ def test_absent_claim_is_parked_until_it_lands():
     x = chain(d, 1)
     claim = b.new_block(c, "c/0", b.Say(b"seen"), [x[0].id])
     me.receive(encode_block(claim))
-    assert me.peers.parked == {x[0].id: {c.agent_id: False}}
+    assert me.peers.parked == {x[0].id.digest: {c.agent_id: False}}
     me.receive(encode_block(x[0]))
     assert me.peers.parked == {}
     assert me.peers.known(c.agent_id) & me.lace.bit_of(x[0].id)
+
+
+def test_ack_naming_an_impostors_digest_does_not_credit_the_victim():
+    # An impostor signs a body identical to me's Say under its own key.
+    # c's ack naming the impostor's digest credits nothing here, so the
+    # Say's timer to c keeps running; the ack naming the Say's digest stops
+    # it.
+    me, c = tl(0), tl(1)
+    befriend(me, c)
+    me.say(b"mine")
+    said = me.last_uttered
+    assert (c.current_address, said) in me.tick()
+    impostor = b.new_block(KP[2], said.address, said.payload, said.pointers)
+    assert impostor.id.digest != said.id.digest
+    forged = b.new_block(c.kp, c.current_address, b.Ack(frozenset([impostor.id.digest])))
+    me.receive(encode_block(forged), src=c.current_address)
+    assert not me.peers.known(c.agent_id) & me.lace.bit_of(said.id)
+    resent = [blk for _ in range(ROUND_TRIP) for dst, blk in me.tick() if dst == c.current_address]
+    assert said in resent
+    ack = b.new_block(c.kp, c.current_address, b.Ack(frozenset([said.id.digest])))
+    me.receive(encode_block(ack), src=c.current_address)
+    assert me.peers.known(c.agent_id) & me.lace.bit_of(said.id)
+    assert not [blk for _ in range(2 * GAP) for dst, blk in me.tick() if blk == said]
 
 
 def test_copy_from_a_hinted_followee_is_its_claim():
@@ -360,7 +404,7 @@ def test_eviction_drops_waiters_and_parked_credit(monkeypatch):
     assert {w for waiters in f._pending_on.values() for w in waiters} == pending
     # Copies of pending blocks are their sender's claims, parked until
     # they land, and leave with the evicted blocks.
-    assert set(f.peers.parked) == pending
+    assert set(f.peers.parked) == {block_id.digest for block_id in pending}
 
 
 def test_stranger_chain_costs_linear_self_mask_calls(monkeypatch):
@@ -393,5 +437,5 @@ def test_wl_credit_is_the_whole_closure():
     gid = f.last_uttered.id
     f.say_group(gid, b"one")
     said = f.last_uttered.id
-    f.peers.credit(KP[1].agent_id, [said])
+    f.peers.credit(KP[1].agent_id, [said.digest])
     assert f.peers.known(KP[1].agent_id) == f.lace.mask_of(said)

@@ -946,7 +946,7 @@ def test_twins_of_a_raced_burst_draw_one_ack_while_the_tips_move():
         tips.add(f.partition_tips(gid))
         acked += acks_to(deliver(f, m1, copy), m1)
     assert len(tips) == len(copies)
-    assert len(acked) == 1 and said.id in acked[0].pointers
+    assert len(acked) == 1 and said.id.digest in acked[0].payload.named
 
 
 def test_a_resend_burst_ticks_after_the_first_copy_draws_a_fresh_ack():
@@ -977,7 +977,7 @@ def test_two_landings_from_one_address_in_one_tick_draw_one_ack():
     assert m.receive(encode_block(second), f.current_address) is None
     # The one ack names the tips after each landing: both Says.
     (ack,) = acks_to(m.flush_acks(), f)
-    assert {first.id, second.id} <= ack.pointers
+    assert {first.id.digest, second.id.digest} <= ack.payload.named
     assert m.metrics.acks_sent == sent + 1
     assert m.flush_acks() == []
 

@@ -10,7 +10,7 @@ from blocklace.peers import BURST, ProtocolError
 from blocklace.retransmit import EAGER_COPIES, GAP, ROUND_TRIP
 from blocklace.tl import TlAgent
 
-from conftest import befriend, deliver, pump
+from conftest import befriend, deliver, digests, pump
 
 KP = [crypto.keygen(f"tl-{i}") for i in range(5)]
 
@@ -67,7 +67,7 @@ def test_offer_acked_with_offer_id():
     sends = deliver(c, encode_block(offer), a.current_address)
     acks = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     assert len(acks) == 1
-    assert acks[0].pointers == frozenset([offer.id])
+    assert acks[0].payload.named == digests([offer.id])
 
 
 def test_stranger_say_acked_with_nothing():
@@ -91,7 +91,7 @@ def test_friend_block_acked_with_creator_heads():
     (ack,) = acks_of(deliver(c, encode_block(a.last_uttered), a.current_address))
     # c holds three creators' chains, and names the one it answers.
     assert len({blk.creator for blk in c.lace.blocks()}) == 3
-    assert ack.pointers == frozenset([a.last_uttered.id])
+    assert ack.payload.named == digests([a.last_uttered.id])
     a.say(b"more")
     said = a.last_uttered
     d.say(b"aside")
@@ -99,7 +99,7 @@ def test_friend_block_acked_with_creator_heads():
     c.receive(encode_block(said), src=a.current_address)
     c.receive(encode_block(d.last_uttered), src=a.current_address)
     acks = acks_of(c.flush_acks())
-    assert [blk.pointers for blk in acks] == [frozenset([said.id, d.last_uttered.id])]
+    assert [blk.payload.named for blk in acks] == [digests([said.id, d.last_uttered.id])]
 
 
 def test_block_whose_chain_has_a_hole_draws_no_ack():
@@ -135,7 +135,7 @@ def test_ack_naming_an_offer_head_vouches_for_the_chain_below():
     # Not a friend's block yet: a does not know c follows it.
     assert acks_of(deliver(a, encode_block(said), c.current_address)) == []
     (ack,) = acks_of(deliver(a, encode_block(offer), c.current_address))
-    assert ack.pointers == frozenset([offer.id, a.last_uttered.id])
+    assert ack.payload.named == digests([offer.id, a.last_uttered.id])
     c.receive(encode_block(ack), src=a.current_address)
     assert c.peers.known(a.agent_id) & c.lace.bit_of(said.id)
     for _ in range(3 * GAP):
@@ -233,12 +233,9 @@ def test_acks_from_strangers_are_dropped():
     a, c = agent(0), agent(1)
     rng = random.Random(7)
 
-    def random_id():
-        return b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
-
     for i in range(50):
-        pointers = [random_id() for _ in range(20)]
-        ack = b.new_block(KP[3], f"t3/{i}", b.Ack(), pointers)
+        named = frozenset(rng.randbytes(crypto.DIGEST_LEN) for _ in range(20))
+        ack = b.new_block(KP[3], f"t3/{i}", b.Ack(named))
         assert deliver(a, encode_block(ack), "t3/0") == []
     assert a.peers.known(KP[3].agent_id) == 0
     assert a.peers.parked == {}
@@ -249,8 +246,8 @@ def test_acks_from_strangers_are_dropped():
     assert not a.peers.known(c.agent_id) & a.lace.bit_of(said.id)
     (ack,) = acks_of(deliver(c, encode_block(said), a.current_address))
     a.receive(encode_block(ack), src=c.current_address)
-    for named in ack.pointers:
-        assert a.peers.known(c.agent_id) & a.lace.bit_of(named)
+    for named in ack.payload.named:
+        assert a.peers.known(c.agent_id) & a.lace.bit_of(a.lace.by_digest(named).id)
     assert a.peers.parked == {}
     assert a.peers.known(c.agent_id) & a.lace.bit_of(said.id)
 

@@ -25,64 +25,64 @@ from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
 GOLDEN_SHA256 = {
-    "tl_line": "f2aaa77da5366f334b8decfc05552814cc925b28beb83cbcd2c63ae58868071f",
-    "tl_star": "6601a89d8a417fbc33408623d30f28f6b1b7cfc32ea31794b2757c31f63d54d0",
-    "tl_ring": "7952b3c72f0247ba2e116f721cd492ca948eb1b88d7cfd68287f60da9f614aea",
-    "tl_line_broken": "0a039f4d99a6f357ed6da316e7e234bea6ecf43cd13c4f0afaf05347f5bc8b33",
-    "tl_churn": "6210da14ee2ee105d850d5dd1998d5564e4ab271811f195d50bd57576274942f",
-    "tl_forgery": "afd46e289c149cbae3bd949d30f06c565738f71b21f6c56d5ad73dc3d20ab852",
-    "wl_group": "5fa1a6f1367c18fe247e158a165d4004e4d119a2835013d62452e79145105c90",
-    "wl_crowd": "75b61771c308352cab3464b165184ed8e09427a5e61a4fab2258572d4623d04b",
-    "wl_dropper": "92c04d6d49376aa7209071a9eb90d41d863e9ba7a1e1b06e64a7d57d2445cef9",
-    "wl_solo": "8db6db78fa20b8c94258db4095c878fc613bc6e905840e6501aa2a9985c8013e",
-    "wl_churn": "47eec014cf643b7835aa8177ce07eadc98677513625f591e0631f20529bd134f",
-    "wl_equivocation": "48c4213de54c6316ad1fa6bd4b17da556b86713d7629fe33c4534648475a8c85",
-    "wl_equivocation_crowd": "9fd1a9447ac965500452b633ac1edeee03413aa142c18da8782a652a47a38cbd",
-    "wl_privacy": "9d7996bfdc9dc94e3c1594598c73d39b36a1b85176cef7b13704c9e9cf09c6ac",
-    "wl_partitions": "c5b0e296bda200ce5c973f7a085db856b43d8cb0e825a48bb6ac438747eb9718",
-    "wl_founder_moves": "953fef675ffee912cbdd696a52ed003db0df7b2a78cf7733e528fd6297122bfc",
-    "wl_founder_quits": "7a177dd24726347e85f3b14622547088717f472143229a97ae0bd0fc4e683e2c",
-    "wl_crowd_orphans": "a076fa29237f5c23273586f7a13c6b1c72d714c45ce3c24e892438508d7cd26d",
+    "tl_line": "21ba86046ffbeabae53614db7d7c46a010fc0072a5e6fdb0c0c20bad36d48bd4",
+    "tl_star": "95031b2c7bd95ee53eb3629a22bffd1eea7b26c39665342f5513dc3c5b60f772",
+    "tl_ring": "2098ca028be7efbaa58521c37a0397183784e0627cf5500521c3443d3db4e632",
+    "tl_line_broken": "3e9a087a3157b0b8b98d5162d5c88ed6de5d0eb9afb67aff05cdf41c33049f2f",
+    "tl_churn": "9bbe6d3b42cec8743a8a617c85ab53c70428e0616e9bf7ae7272b38923b0c5d6",
+    "tl_forgery": "c559452f2a79566fb98e1fb08d874b2bccd36ae49bf5b7e08bac125f3559f83d",
+    "wl_group": "36c76f6316e10bc4e51b50caf9d054cd4ef8060b1f025b458d6702cbdb777736",
+    "wl_crowd": "adf08ab383f49c9d1db2f63ab7bf8f2772291d18bc01bab925033c6f4e95cdcd",
+    "wl_dropper": "bcf8fc004284dacd225c73c6eb24404b5277885be02ca6cb0ef9cca7b1ac5969",
+    "wl_solo": "aab51e780ebebfac0984023a9e8241f218f10605facfbcb031a971338b244e44",
+    "wl_churn": "1fee8ed418c106b9886414aca2619a25ef4603b119802a1bf17ced4d21de6705",
+    "wl_equivocation": "267e79de83165430638f58d89a6dc93ee8426e82a0079a81876e7e1427102627",
+    "wl_equivocation_crowd": "66285e01bf3a1e4e9cae6d966bfbe825340dee203d75621683e79f989e013a57",
+    "wl_privacy": "e1af9caf04788f48d1201a6203c3ac1a95fd0c514a4c459eefc8aba3e3b51852",
+    "wl_partitions": "2b92d29486e7c58d2d7d5e5ae55c1aaeaf1bfacbb31b21a98897c340715f8dc2",
+    "wl_founder_moves": "00f50de2d1bc21da0ba9e06c3bd8d2e8132ef7dec808b7b5729a550d2192f1dc",
+    "wl_founder_quits": "9e2ea7bfb275837395e32f2363277555eeba883cbc7d24a08bea68d814c3209f",
+    "wl_crowd_orphans": "cdedab134808361c6405f84b8a9020760cbfdc31c28dfba9012e03f79a44686c",
 }
 GOLDEN_V3_SHA256 = {
-    "tl_line": "2c9b2324993648b36d608a72a4c966e8c9490e808944f4cc6c29bce82e119a82",
-    "tl_star": "ff2ceb619041db3a8230e44ec81a6e691d0af72ed6498262677af42db3ecf60c",
-    "tl_ring": "82f1f1e9c986f30f4c05a5fec461636e01713960e551155e0341c65fc5f97f0f",
-    "tl_line_broken": "050a0fb51d312315692c9db5137cfa655a1d45e7c4256464dec9474506814569",
-    "tl_churn": "956edfd8134d9e1c0031d8a1f39bfc769c4e185fab668929f9acf01ce45c08e0",
-    "tl_forgery": "b0fd6f3954f60784b72ddb56bb4c8d62addeafeefff90003f53153fb5b6b15d3",
-    "wl_group": "fe2b31e7999e89b751e738fae18092f48fe61ebcf43d6869e4c804f9e9b23000",
-    "wl_crowd": "94a2df907e9baca9e157f3cd75ecc50d6e031264f896f4497051c82a0095efe2",
-    "wl_dropper": "d7d14780dae2b3cfc834c1b5f13144ecab9b8849932ff58066bbf9dc433c5c81",
-    "wl_solo": "c7b7d616d8c7a3c6af70d90e1040cb8bc3e1701c691781f88cef3e544d1a26f5",
-    "wl_churn": "a99a9fcad29dbda15920731bbb42d62464221af828c0333a0185a6fb3c1a85cb",
-    "wl_equivocation": "5fd95420c80b45faa6c81c79cea7388d6d801bcc6cff4118287c9500b799ac7c",
-    "wl_equivocation_crowd": "85680807b3b23c3b8cc4979b1dc04e06c313a9cb2a644536939363404af46e35",
-    "wl_privacy": "34280ff06440529b74677135f0bfa1a11a787f56ac71d7bd532dfdb17dac455f",
-    "wl_partitions": "314a8efb5996172a57808b48c47a8dc619037ccb40d964afc4d4a9fa1cdd2aa7",
-    "wl_founder_moves": "3cb6319f92b020776510f9c150f836e712331ef0b675a79a8ca231eb1ac1120d",
-    "wl_founder_quits": "038b9d8d628c42076caf3b60d34d27df270bd16ff7fcbd59fdd99808f3538f6e",
-    "wl_crowd_orphans": "b8c5a580ae63bc31db7e05c11ac1461ef6c057079bb7f3fbced275f91aeae681",
+    "tl_line": "ab4fc3331934a1e7e19fdf8cfe6e46bf3459b56cfbf3b497da64e9648ecf8f95",
+    "tl_star": "f72baab8ecf03450ababb6149e14da904cdc764c958d93a5f9d4d02f95c13849",
+    "tl_ring": "19dbbe8dd42822ee6653498743a5bd03be4fc4c8308aa8ba537e658061250ff5",
+    "tl_line_broken": "0011d2ca576d2ba6639e37c23676d0f161e066b1e0af2f788990e152c8c89014",
+    "tl_churn": "76078955f21a85184d300e3494fb8567f8cd41244300c9b639ab42d3d31792de",
+    "tl_forgery": "05474af210c8e3e4906e9d50c04cc22fbfb116f37ef14a7fa52a9ced89b53eff",
+    "wl_group": "65f8ed99082555871d08a6c04c3e783a74bcaec60679f531f41f446e67cc13b2",
+    "wl_crowd": "f5a6c768ca559a6125efca5e50c6919863c708787479d05f68ca12228df74810",
+    "wl_dropper": "ddff246b204dfc96c2cc815235fb84b7cf0eaa3c8b9de4ac7f951256ebd22661",
+    "wl_solo": "07f923bdc0c4529ac452250d65bedb3811294fbacbce1c1d534a894eb9248a59",
+    "wl_churn": "aced6b23e36d03ce51aff10d7a3f1e6af72dd9de11a089dc676e24929d66d8ef",
+    "wl_equivocation": "4fa2e222aa2168e2db4b6641fed95b34b6364fe5cfd47c5a701c6f74b71d7932",
+    "wl_equivocation_crowd": "3229647423ffd022f1771bfd4b38c4714fbf923c37dea7eca7318f746ad3e039",
+    "wl_privacy": "1bbc71923a13a5b76f114f5d207b83447b06984e59143cd33577274a1fd82c2e",
+    "wl_partitions": "7b29202eb341a880bfbb4ffa5505dd5ae805b24e6d4b8f5ecc783f4cf1a614c2",
+    "wl_founder_moves": "6054d42febc3a5cf53a8fc22a913e5163aae780e1519cc8d33a2bc3f17d2d385",
+    "wl_founder_quits": "46e2d3f2109ca838d6dac437382edd26ba6fe89a87d365a71d63a6906f0333a2",
+    "wl_crowd_orphans": "d315e3178eeb4afb370451faa5c257fd08ea981e0340257b2501221eb65f5253",
 }
 GOLDEN_V2_SHA256 = {
-    "tl_line": "95f82490d9911db8d9f8a2fd5460dce1c36cf51702a99ead89fb77a4ba2c908a",
-    "tl_star": "274358ee83cf5d4eba9268427b23c33325397609d17bc923f7d5530802cc9535",
-    "tl_ring": "74c2d79eb431cf9ab7a8eb4b94afaadb27ca90b16f2fa4e1d0f96176b59d00c8",
-    "tl_line_broken": "60bee870ab6e4b34ce30755d4599b473352df6ca6c885a8df903a658cb287646",
-    "tl_churn": "979eac7bdfd4fe09fb5dfdab24342b3619183ca8299a28162963b7286ba70820",
-    "tl_forgery": "3878c894aa1e9d60fe04bff9731bb842f3820639abb8a5be16fde8bb7ac8d248",
-    "wl_group": "c48910adc4d76d024be1b1d0db60ed8e71de6aea41497e0a1dc5894fd3d8d32f",
-    "wl_crowd": "6d9035b00c4bcc69bf90222297a1693f3179f0d839e113eca030450554414634",
-    "wl_dropper": "bb952b913cf268c6b5afbffcd553ac0a2b37f6abdf93da23d8806a155ee9578d",
-    "wl_solo": "507d4ce76a4f24a1ad8893c5c7cb9cbe1241603309783b0275d5cc581b0d7a23",
-    "wl_churn": "6e59568c5fb9e18baacfaa79f3bcb2dcbc8f3b6eab9c192c4e0c367d396483c1",
-    "wl_equivocation": "981e8b632833aca30a00685616e4a92946c5985e48ffb179e4bd0ed3f3db2965",
-    "wl_equivocation_crowd": "b07f06f8287f4e5a1ae615f0b1e0f140fd89fb41b75c303d33aa31e63f846a9e",
-    "wl_privacy": "3c434393bfbe335795be8e52e6d535dbe6c9b5896e7dc6f2a22a1e69294f18c9",
-    "wl_partitions": "a31380ef1d370b1f028849ab9e7de28d39ecae6adc06d8e5e8028ce31ed69886",
-    "wl_founder_moves": "a1f83bc2c5a29ff58382a580ce3c512515560c6fcbf87742ad1071d6f7c82d11",
-    "wl_founder_quits": "08f473c0042546946584331079539abda43c17dcf452a3ba7860a293dd0d791a",
-    "wl_crowd_orphans": "6705cbc4d30ec5505994f9efd5778dbb4ad3b563f94fa2a6b12404fb9b1c10ba",
+    "tl_line": "183c0ab6d176ddda2435807d231a2af1bde735e0e34c694027ea1e57675587c6",
+    "tl_star": "d0884913dd5bcd6a774293d6e7ff62fafc6327961d102ecc9c195106c3430da2",
+    "tl_ring": "3de4c5831b33a75f3a273ad49c16cd32434776ece5f50f50d636c1d33e82a4a0",
+    "tl_line_broken": "b4dc1fce95c639374eedcf8f58727cda8d0fd95ea2c44f355065e733934bdad7",
+    "tl_churn": "aff035e2c345612e02e305283bee56b598b16b385a27ff142b2d2c5a0fd62bc8",
+    "tl_forgery": "3266fe577a94a06d4b612b5c60e53bca044d8200dc398ba97186ec5998cbb1bc",
+    "wl_group": "b98cc1d2d953d8455b50b332e562fead486b847e4111e7cbc4a75d92b6b941ea",
+    "wl_crowd": "da14db65cbb8943a37ff8f2db7b73f86ab2edcbc80a515043d52ca2b1eb863bd",
+    "wl_dropper": "d71e94557c99016bc8632f3a7fd691332e76b1ad347ad38ac1295fb3e68af6a6",
+    "wl_solo": "4125efff59761c666f07a8e457860cce0438482024c52927b6bed04f252c3c75",
+    "wl_churn": "1bb0c067499669777328479ba06b1b13828cabc32b058d42c2ce3cb0081a499d",
+    "wl_equivocation": "28f38ff91e793c88dd0166ceed61cb230c16f105534265c7776519effe6bdc46",
+    "wl_equivocation_crowd": "2c7f039870d9592abaa4fc4da4effefad9612eb362b519b558b849f610163c38",
+    "wl_privacy": "3515d00cad74258f8881e636ab69fd3f6c609bb93331f66f36f2b98e834eaef3",
+    "wl_partitions": "b9b32538910c1f51a6d9a015c1fbef47aee45fbd354dd445807d417db366a3f6",
+    "wl_founder_moves": "17f55affb8b7ab066489e362b126506cc79a6ab200deb3947459ae26bdafabc9",
+    "wl_founder_quits": "e21e86db1b2dd6d3dca42cb17a27b8a772c40062ac1180d8d6977b946d9e5e68",
+    "wl_crowd_orphans": "a642cb3f71576f7061ef906399298a9407c06def5fbc58cac43814c8ad83fcc3",
 }
 
 # sha256 of `json.dumps(runner.metrics_report(), sort_keys=True)` for the
@@ -94,18 +94,18 @@ GOLDEN_METRICS_SHA256 = {
     "tl_line_broken": "64ef97bc0be19990b26b2878b79837e2f859d10bf9bb58bfc0670fd0725f34b6",
     "tl_churn": "ff503ecb66adccda7e893e2c38ea3383d63685879de2bc1c271e591d9901679c",
     "tl_forgery": "4b672c58ba7fe94fe386fd0121f89fd113f14f0dee825160aad3f2be785fae0d",
-    "wl_group": "eef8a36056fd0f6793b3fb466aa87e7c3892e5e9c9b6ce61931730a7335be0f4",
-    "wl_crowd": "c32eba93e6f26b8c92f0d475c4959ebf13149006854ba2cd9241dbee10b3093d",
-    "wl_dropper": "ea5b5096aa841c2e424bcfcab20b225da1f87a0adc747ff8b28a43a492bbdd6d",
+    "wl_group": "3bc463cbd10e08632783c1b052f1c610a39eb290725c792c2bb441a7b7a669aa",
+    "wl_crowd": "4dd8bbf5389bf5d535c8850ffce1444beb4eeccdc9fc461a0fa013942700be39",
+    "wl_dropper": "c3547ea47d6fe38eb1d0f501ac5133c552f3fd20759acaac44715192078c795d",
     "wl_solo": "f025de3690468d406189d9fad3382ab2a3abc9ee2845e0c5a2440501d3669228",
     "wl_churn": "f9a8970aedee79891db285247f5e4697a70743a3a92b3deaa41d7852fcf404fe",
-    "wl_equivocation": "3897a2640f616ebbd939ef580c55846242630aec74748fcd9fc59237d405d108",
-    "wl_equivocation_crowd": "65d7f3653295a6b4b5569abf06a3afd4e4442fa0e453e88b2056e6ffe4f0d36c",
+    "wl_equivocation": "aa91817b59d42183e1a54c9ca9d407218fc197435206781c6899ef06f313206b",
+    "wl_equivocation_crowd": "554631031ffd61d2bdfc96d7e206005cdc23c23f375cdf12f8850780aafefa6b",
     "wl_privacy": "2dcfcdc84e0ead577210ff995be3ffd8d627ed0aded4bf340373c7923e7b8077",
     "wl_partitions": "45632888cd36fa004de166f570a3551c6191ddfe5f389aadb15d4283d6eb30da",
-    "wl_founder_moves": "f84ee2bbc8cc61d33a05d0273082a13c7417b3cd1845553c9f116756c245a52c",
-    "wl_founder_quits": "1f9362d5bd92ff45b6ed272eb9bb8cabfb23f6e4cdf829764f42cc536094dcd8",
-    "wl_crowd_orphans": "5136a4c389b509486f6f1a6cd9e634f70b3826c0b4005c7a865c62cd49651d16",
+    "wl_founder_moves": "b431860810bd2c18fa42085640845f19306c3165e211e05a5d0132d72e162e0a",
+    "wl_founder_quits": "8d9a05bc586ef16a71af573737505fb1b828c03a0453168d34c368f31ac7aa37",
+    "wl_crowd_orphans": "a1f1f1c3eab91010267675b4dcdfcf9531550faf4d68c1fbb9edf7f013399df1",
 }
 
 

@@ -20,7 +20,7 @@ from blocklace.wl import (
     partition_violations,
 )
 
-from conftest import deliver, is_lazy, pump
+from conftest import deliver, digests, is_lazy, pump
 
 KP = [crypto.keygen(f"wl-{i}") for i in range(6)]
 
@@ -222,7 +222,7 @@ def test_pending_buffer_reorders_to_closure():
     # None of its pointers is here, so the nack names the tips of the one
     # group m shares with its creator.
     ((dst, nack),) = acks(out)
-    assert dst == f.current_address and nack.pointers == m.partition_tips(gid)
+    assert dst == f.current_address and nack.payload.named == digests(m.partition_tips(gid))
     m.receive(encode_block(first), src=f.current_address)
     assert second.id in m.lace and first.id in m.lace
     assert m.lace.is_closed()
@@ -306,8 +306,9 @@ def test_ack_discloses_only_group_tips():
     sends = deliver(m, encode_block(f.last_uttered), src=f.current_address)
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     partition = {blk.id for blk in m.lace.blocks_of_mask(m._partition_bits[gid])}
-    assert ack.pointers <= partition
-    assert not ack.pointers & {blk.id for blk in m.lace.blocks_of_mask(m._partition_bits[gid2])}
+    assert ack.payload.named <= digests(partition)
+    other = digests(blk.id for blk in m.lace.blocks_of_mask(m._partition_bits[gid2]))
+    assert not ack.payload.named & other
 
 
 def late_member(f, members, late):
@@ -382,7 +383,7 @@ def test_parked_block_acked_at_once_with_the_group_tips():
     ((dst, nack),) = acks(deliver(m1, encode_block(both), src=f.current_address))
     assert both.id in {blk.id for blk in m1.pending_blocks()}
     assert dst == f.current_address
-    assert nack.pointers == m1.partition_tips(gid)
+    assert nack.payload.named == digests(m1.partition_tips(gid))
     assert m1.metrics.nacks_sent == 1
     # Delivered again while still parked: the same nack again.
     assert acks(deliver(m1, encode_block(both), src=f.current_address)) == [(dst, nack)]
@@ -438,7 +439,7 @@ def test_parked_block_with_no_pointer_here_nacked_with_the_shared_group_tips():
     ((dst, nack),) = acks(deliver(m1, encode_block(after), src=f.current_address))
     assert after.id in {blk.id for blk in m1.pending_blocks()}
     assert dst == f.current_address
-    assert nack.pointers == m1.partition_tips(gid)
+    assert nack.payload.named == digests(m1.partition_tips(gid))
     assert m1.metrics.nacks_sent == 1
     assert acks(deliver(m2, encode_block(after), src=f.current_address)) == []
     assert after.id in {blk.id for blk in m2.pending_blocks()}
@@ -638,12 +639,12 @@ def test_acks_from_strangers_are_dropped():
     gid = form_group(f, [m])
     rng = random.Random(7)
 
-    def random_id():
-        return b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
+    def random_digest():
+        return rng.randbytes(crypto.DIGEST_LEN)
 
     for i in range(50):
-        pointers = [random_id() for _ in range(20)]
-        ack = b.new_block(KP[3], f"w3/{i}", b.Ack(), pointers)
+        named = frozenset(random_digest() for _ in range(20))
+        ack = b.new_block(KP[3], f"w3/{i}", b.Ack(named))
         assert deliver(f, encode_block(ack), src="w3/0") == []
     assert f.peers.known(KP[3].agent_id) == 0
     assert f.peers.parked == {}
@@ -653,13 +654,29 @@ def test_acks_from_strangers_are_dropped():
     (ack,) = [blk for _, blk in sends if isinstance(blk.payload, b.Ack)]
     assert not f.peers.known(m.agent_id) & f.lace.bit_of(f.last_uttered.id)
     f.receive(encode_block(ack), src=m.current_address)
-    for named in ack.pointers:
-        assert f.peers.known(m.agent_id) & f.lace.bit_of(named)
+    for named in ack.payload.named:
+        assert f.peers.known(m.agent_id) & f.lace.bit_of(f.lace.by_digest(named).id)
     assert f.peers.parked == {}
-    # A member's ack naming an id not here yet is parked for it.
-    absent = random_id()
-    f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(), [absent])))
+    # A member's ack naming a digest not here yet is parked for it.
+    absent = random_digest()
+    f.receive(encode_block(b.new_block(KP[1], m.current_address, b.Ack(frozenset([absent])))))
     assert f.peers.parked == {absent: {m.agent_id: True}}
+
+
+def test_digest_parked_before_its_block_lands_is_credited_when_it_lands():
+    # m2's Say reaches f only after m's ack naming it: the digest waits in
+    # `parked` and credits m once the Say lands.
+    f, m, m2 = agent(0), agent(1), agent(2)
+    gid = form_group(f, [m, m2])
+    m2.say_group(gid, b"late")
+    said = m2.last_uttered
+    (ack,) = [blk for _, blk in deliver(m, encode_block(said), src=m2.current_address)]
+    assert ack.payload.named == digests([said.id])
+    f.receive(encode_block(ack), src=m.current_address)
+    assert f.peers.parked == {said.id.digest: {m.agent_id: True}}
+    f.receive(encode_block(said), src=m2.current_address)
+    assert f.peers.parked == {}
+    assert f.peers.known(m.agent_id) & f.lace.bit_of(said.id)
 
 
 def test_parked_ids_from_a_members_acks_stay_within_the_cap():
@@ -668,15 +685,11 @@ def test_parked_ids_from_a_members_acks_stay_within_the_cap():
     rng = random.Random(11)
     named = []
     for i in range(1000):
-        pointers = [
-            b.BlockId(rng.randbytes(crypto.AGENT_ID_LEN), rng.randbytes(crypto.DIGEST_LEN))
-            for _ in range(20)
-        ]
-        named.append(set(pointers))
-        ack = b.new_block(KP[1], m.current_address, b.Ack(), pointers)
+        named.append(frozenset(rng.randbytes(crypto.DIGEST_LEN) for _ in range(20)))
+        ack = b.new_block(KP[1], m.current_address, b.Ack(named[-1]))
         f.receive(encode_block(ack), src=m.current_address)
     assert len(f.peers.parked) == PARKED_CAP
-    # The oldest went first: the ids of the last acks are all still there.
+    # The oldest went first: the digests of the last acks are all still there.
     assert set().union(*named[-(PARKED_CAP // 20) :]) <= set(f.peers.parked)
     assert not named[0] & set(f.peers.parked)
 
@@ -698,7 +711,7 @@ def test_invite_acked_with_invite_id():
     m.receive(encode_block(genesis), src=f.current_address)
     out = deliver(m, encode_block(invite), src=f.current_address)
     (ack,) = [blk for _, blk in out if isinstance(blk.payload, b.Ack)]
-    assert ack.pointers == frozenset([invite.id])
+    assert ack.payload.named == digests([invite.id])
 
 
 def test_invite_resent_until_acked():
@@ -846,7 +859,7 @@ def test_pending_eviction_bounded(monkeypatch):
     assert len(m.pending_blocks()) == 4
     assert m.metrics.pending_evicted == 1
     # A parked copy's credit to its sender leaves with the evicted block.
-    assert set(m.peers.parked) == {blk.id for blk in m.pending_blocks()}
+    assert set(m.peers.parked) == digests(blk.id for blk in m.pending_blocks())
 
 
 def test_group_partition_unknown_id_empty():
