@@ -126,20 +126,25 @@ class TraceData:
 
 
 _FINAL_KEYS = ("agent", "kind", "hex")
+# The version headers `parse_trace` reads.
+_VERSION_HEADERS = frozenset(f"blocklace-trace v{n}" for n in range(1, 5))
 
 
 def parse_trace(text: str) -> TraceData:
     """Parse a trace's text, one newline-terminated line at a time.
 
-    Reads v3, v2 and v1 alike.  A payload field (a key in `PAYLOAD_KEYS`)
-    whose value is `*N` refers to the N-th distinct payload in order of
-    first appearance, and resolves to the very `str` of that first
-    occurrence.  An `id` field whose value is `#M` refers to the M-th
-    distinct id in order of first appearance and resolves to its digest
-    hex, so events carry the same fields as in a v2 trace: when `#M` first
-    appears, its record must carry a `bytes` payload (inline or `*N`), and
+    Reads v4, v3, v2 and v1 alike, and text without a version header
+    too.  v4 and v3 differ only in which records they write (`Trace`), so
+    a record reads the same in both.  A payload field (a key in
+    `PAYLOAD_KEYS`) whose value is `*N` refers to the N-th distinct
+    payload in order of first appearance, and resolves to the very `str`
+    of that first occurrence.  An `id` field whose value is `#M` refers
+    to the M-th distinct id in order of first appearance and resolves to
+    its digest hex, so events carry the same fields as in a v2 trace: when
+    `#M` first appears, its record must carry a `bytes` payload (inline or `*N`), and
     the id is `peek_digest_hex` of that payload.  `ValueError` naming the
-    line is raised by a reference to no earlier payload, an `#M` that is
+    line is raised by a `# blocklace-trace` header naming a version other
+    than v1 to v4, a reference to no earlier payload, an `#M` that is
     neither an earlier id nor the next new one, a new `#M` on a record
     without a payload (or with a payload that is not hex), a record line
     with a non-integer tick, no event type, or a field without `=`, a
@@ -186,6 +191,12 @@ def parse_trace(text: str) -> TraceData:
                 if "name" not in fields:
                     raise ValueError(f"trace line {line_no}: agent line has no name=")
                 data.agents[fields["name"]] = fields
+            elif body.startswith("blocklace-trace"):
+                if body not in _VERSION_HEADERS:
+                    raise ValueError(
+                        f"trace line {line_no}: header {body!r} names no version"
+                        " this reader reads (v1 to v4)"
+                    )
             elif "=" in body:
                 key, value = body.split("=", 1)
                 data.meta[key] = value

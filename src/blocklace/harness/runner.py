@@ -8,6 +8,12 @@ monitors), agents always iterate in roster order, and all randomness
 comes from generators seeded by the scenario seed — so a (scenario, seed)
 pair determines the trace bytes.
 
+The trace grows with traffic, not with agents × ticks: each datagram is
+one `SUBMIT` record that carries its fate at the network (`SimNet.submit`),
+and an agent's round writes a `TICK` record only when it sends, so a
+missing `TICK` means `sends=0` and a tick with nothing sent, delivered or
+scripted writes nothing.
+
 An agent's blocks leave only in its round (`Agent.tick`): receiving a
 datagram and running a command store and ack, and what they store goes
 out in the agent's next round.  So a quiet round means no block left any
@@ -45,7 +51,7 @@ from . import oracles as oracle_mod
 from .adversaries import ROLE_WRAPPERS, AgentWrapper, Ctx, Defer, RawSend
 from .scenario import Event, Scenario, ScenarioError
 
-TRACE_HEADER = "blocklace-trace v3"
+TRACE_HEADER = "blocklace-trace v4"
 
 
 @dataclass
@@ -224,12 +230,15 @@ class Runner:
         A muted equivocator's fork resends hold the run open until its
         agent knows each recipient holds its fork: each resend is a send,
         and between them, on its agent's schedule, the equivocator still
-        owes the fork (`EquivocatorWrapper.owes`)."""
+        owes the fork (`EquivocatorWrapper.owes`).  An agent's round writes
+        a `TICK` record only when it sends, so the trace of an idle round
+        is empty."""
         quiet = True
         for spec in self.scenario.agents:
             wrapper = self.wrappers[spec.name]
             sends = wrapper.tick()
-            self.trace.record(now, "TICK", agent=spec.name, sends=len(sends))
+            if sends:
+                self.trace.record(now, "TICK", agent=spec.name, sends=len(sends))
             if (
                 sends
                 or (spec.role == "correct" and wrapper.inner.retransmit.armed())

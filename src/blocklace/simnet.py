@@ -63,7 +63,7 @@ class Trace:
     """Line-delimited event log; the oracles' input.
 
     A record is one line: tick, event type and `key=value` fields, separated
-    by tabs.  The text is the `v3` format that the runner's header names.
+    by tabs.  The text is the `v4` format that the runner's header names.
 
     A `bytes` field value is a payload: the first record carrying a
     distinct payload writes it in full as hex, and every later record
@@ -86,8 +86,14 @@ class Trace:
     keys records on the raw `id` text still groups them correctly.  Other
     fields that hold ids (`EQUIVOCATE`'s `id_a` and `id_b`) stay hex.
 
-    v2 differs only in writing ids as hex, and v1 also in writing repeated
-    payloads in full; `parse_trace` reads all three.
+    Each datagram is one `SUBMIT` record, whose `net` field, when present,
+    names its fate at the network (`SimNet.submit`), and the runner writes
+    a `TICK` record only for an agent round that sends.  v3 differs in
+    writing a lost copy as a `DROP_LOSS` record and a duplicate as a `DUP`
+    record after the `SUBMIT`, and a `TICK` for every round, idle ones
+    with `sends=0`.  v2 differs from v3 only in writing ids as hex, and v1
+    also in writing repeated payloads in full; `parse_trace` reads all
+    four.
 
     The text is kept in memory so a run can hand it over without
     re-reading.  Records accumulate as string parts until `text()` joins
@@ -214,26 +220,24 @@ class SimNet:
     # --- traffic ----------------------------------------------------------------
 
     def submit(self, datagram: Datagram, now: int):
+        """Schedule `datagram`'s copies and write its one `SUBMIT` record.
+
+        The loss draw comes first, then the dup draw, then one delay draw
+        per copy.  The record's `net` field names the datagram's fate at
+        the network when it is not one plain copy: `lost` (no copy),
+        `dup` (two copies) or `lost+dup` (one copy, the duplicate of a
+        lost original)."""
+        lost = self._rng.random() < self.config.loss_prob
+        dup = self._rng.random() < self.config.dup_prob
         digest = peek_digest_hex(datagram.payload)
-        self.trace.record(
-            now,
-            "SUBMIT",
-            src=datagram.src,
-            dst=datagram.dst,
-            id=digest,
-            bytes=datagram.payload,
-        )
-        copies = 0
-        if self._rng.random() < self.config.loss_prob:
-            self.trace.record(now, "DROP_LOSS", src=datagram.src, dst=datagram.dst, id=digest)
-        else:
-            copies = 1
-        if self._rng.random() < self.config.dup_prob:
-            copies += 1
-            self.trace.record(now, "DUP", src=datagram.src, dst=datagram.dst, id=digest)
+        fields = dict(src=datagram.src, dst=datagram.dst, id=digest, bytes=datagram.payload)
+        if lost or dup:
+            fields["net"] = "lost+dup" if lost and dup else "lost" if lost else "dup"
+        self.trace.record(now, "SUBMIT", **fields)
         # The destination's owner now, so delivery can tell whether the
         # address changed hands in flight.
         entry = (datagram, digest, self.table.owner(datagram.dst))
+        copies = (not lost) + dup
         for _ in range(copies):
             when = now + self._rng.randint(self.config.delay_min, self.config.delay_max)
             self._schedule.setdefault(when, []).append(entry)

@@ -19,8 +19,37 @@ def test_trace_has_required_event_vocabulary():
     scenario = canned.tl_churn(seed=1)
     result = run_scenario(scenario)
     kinds = {line.split("\t")[1] for line in result.trace_text.splitlines() if not line.startswith("#")}
-    for required in ("SUBMIT", "DROP_LOSS", "DELIVER", "REBIND", "TICK", "FINAL"):
+    for required in ("SUBMIT", "DELIVER", "REBIND", "TICK", "FINAL"):
         assert required in kinds, required
+    # A lost copy is a SUBMIT's fate field, not a record of its own.
+    assert not kinds & {"DROP_LOSS", "DUP"}
+    assert "\tnet=lost" in result.trace_text
+
+
+_COPIES = {None: 1, "lost": 0, "dup": 2, "lost+dup": 1}
+
+
+@pytest.mark.parametrize("name", sorted(canned.CANNED))
+def test_every_datagram_copy_meets_its_fate(name):
+    """Each (destination, block) pair's copies, as its SUBMITs' fate
+    fields count them, are each delivered or dropped as stale; in a run
+    that stops at its tick budget, some may still be in flight."""
+    result = run_scenario(canned.CANNED[name](seed=1))
+    data = parse_trace(result.trace_text)
+    sent: dict[tuple[str, str], int] = {}
+    met: dict[tuple[str, str], int] = {}
+    for event in data.events:
+        fields = event.fields
+        key = (fields.get("dst"), fields.get("id"))
+        if event.type == "SUBMIT":
+            sent[key] = sent.get(key, 0) + _COPIES[fields.get("net")]
+        elif event.type in ("DELIVER", "DROP_STALE"):
+            met[key] = met.get(key, 0) + 1
+    assert sent.keys() >= met.keys()
+    if result.quiescence_tick is not None:
+        assert {key: n for key, n in sent.items() if n} == met
+    else:
+        assert all(sent[key] >= n for key, n in met.items())
 
 
 def test_trace_header_carries_identity():
@@ -113,7 +142,7 @@ def test_trace_event_fields_match_record_lines(name):
         assert (event.tick, event.type, event.fields) == (int(tick), kind, fields)
         types.add(kind)
     assert next(events, None) is None
-    assert {"SUBMIT", "DROP_LOSS", "DELIVER", "TICK"} <= types
+    assert {"SUBMIT", "DELIVER", "TICK"} <= types
 
 
 def test_trace_events_compare_by_tick_type_and_fields():
@@ -198,6 +227,30 @@ UNRESOLVED_ID_TRACES = [
         id="no_payload",
     ),
 ]
+
+
+@pytest.mark.parametrize("version", ["v0", "v5", "v10", "v", "3", "v3.1"])
+def test_parse_trace_rejects_a_version_it_does_not_read(version):
+    text = f"# blocklace-trace {version}\n0\tTICK\tagent=a\tsends=1\n"
+    with pytest.raises(ValueError, match=r"^trace line 1: header .* \(v1 to v4\)$"):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize("header", ["# blocklace-trace v1\n", "# blocklace-trace v4\n", ""])
+def test_parse_trace_reads_known_versions_and_bare_records(header):
+    (event,) = parse_trace(header + "0\tTICK\tagent=a\tsends=1\n").events
+    assert event.fields == {"agent": "a", "sends": "1"}
+
+
+def test_cli_verify_rejects_a_version_it_does_not_read(tmp_path, capsys):
+    scenario = canned.tl_line(seed=1, utterances=2)
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(scenario.to_dict()))
+    trace_path = tmp_path / "t.trace"
+    text = run_scenario(scenario).trace_text
+    trace_path.write_text(text.replace("# blocklace-trace v4\n", "# blocklace-trace v5\n", 1))
+    assert run_cli("verify", str(trace_path), str(scenario_path)) == 2
+    assert "invalid trace: trace line 1: header " in capsys.readouterr().err
 
 
 def test_parse_trace_resolves_id_from_first_payload():

@@ -44,7 +44,7 @@ def test_total_loss():
     for i in range(50):
         net.submit(Datagram("b/0", "a/0", b"x"), i)
     assert _drain(net, 60) == []
-    assert sum("DROP_LOSS" in line for line in trace.text().splitlines()) == 50
+    assert sum(line.endswith("\tnet=lost") for line in trace.text().splitlines()) == 50
 
 
 def test_duplication():
@@ -53,7 +53,22 @@ def test_duplication():
     net.submit(Datagram("b/0", "a/0", b"x"), 0)
     delivered = _drain(net, 5)
     assert len(delivered) == 2
-    assert sum("DUP" in line for line in trace.text().splitlines()) == 1
+    assert sum(line.endswith("\tnet=dup") for line in trace.text().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "loss_prob, dup_prob, fate, copies",
+    [(0.0, 0.0, None, 1), (1.0, 0.0, "lost", 0), (0.0, 1.0, "dup", 2), (1.0, 1.0, "lost+dup", 1)],
+)
+def test_submit_writes_one_record_with_the_fate(loss_prob, dup_prob, fate, copies):
+    net, trace = _net(loss_prob=loss_prob, dup_prob=dup_prob)
+    net.bind("alice", "a/0")
+    net.submit(Datagram("b/0", "a/0", b"x"), 0)
+    assert net.in_flight() == copies
+    (line,) = trace.text().splitlines()
+    assert line.split("\t")[:4] == ["0", "SUBMIT", "src=b/0", "dst=a/0"]
+    assert line.split("\t")[-1] == (f"net={fate}" if fate else "bytes=78")
+    assert len(_drain(net, 3)) == copies
 
 
 def test_delivery_byte_identity():

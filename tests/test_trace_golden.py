@@ -2,17 +2,22 @@
 exactly these trace bytes.  A change that alters a trace on purpose must
 say so and update the hash here; any other change must leave them alone.
 
-The trace is written in the v3 encoding, where a repeated payload is a
-`*N` back-reference and every block id is an `#M` back-reference.
-`GOLDEN_V3_SHA256` pins those bytes.  `GOLDEN_V2_SHA256` pins the v2 bytes
-of the same runs (ids spelled out as hex) and `GOLDEN_SHA256` the v1 bytes
-(repeated payloads spelled out too): expanding each v3 trace to v2 and on
-to v1 must reproduce them.  So a change to the encoding alone moves only
-the table of its own version, while a change to what the agents send
-moves all three.  `GOLDEN_METRICS_SHA256` pins each run's per-agent
-counters (`Runner.metrics_report`), which the trace does not show, such
-as `resent`."""
+The trace is written in the v4 encoding: each datagram is one `SUBMIT`
+record whose `net=` field names its fate at the network, an agent round
+writes a `TICK` only when it sends, a repeated payload is a `*N`
+back-reference and every block id is an `#M` back-reference.
+`GOLDEN_V4_SHA256` pins those bytes.  `GOLDEN_V3_SHA256` pins the v3 bytes
+of the same runs (`DROP_LOSS` and `DUP` records, and a `TICK` for every
+round), `GOLDEN_V2_SHA256` the v2 bytes (ids spelled out as hex) and
+`GOLDEN_SHA256` the v1 bytes (repeated payloads spelled out too):
+expanding each v4 trace to v3, on to v2 and on to v1 must reproduce them.
+So a change to the encoding alone moves only the table of its own
+version, while a change to what the agents send moves all four.
+`GOLDEN_METRICS_SHA256` pins each run's per-agent counters
+(`Runner.metrics_report`), which the trace does not show, such as
+`resent`."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -20,7 +25,7 @@ import pytest
 
 from blocklace.harness import canned
 from blocklace.harness.cli import main as cli_main
-from blocklace.harness.oracles import parse_trace
+from blocklace.harness.oracles import TraceEvent, evaluate, parse_trace
 from blocklace.harness.runner import Runner, run_scenario
 
 GOLDEN_SEED = 1
@@ -43,6 +48,26 @@ GOLDEN_SHA256 = {
     "wl_founder_moves": "00f50de2d1bc21da0ba9e06c3bd8d2e8132ef7dec808b7b5729a550d2192f1dc",
     "wl_founder_quits": "9e2ea7bfb275837395e32f2363277555eeba883cbc7d24a08bea68d814c3209f",
     "wl_crowd_orphans": "cdedab134808361c6405f84b8a9020760cbfdc31c28dfba9012e03f79a44686c",
+}
+GOLDEN_V4_SHA256 = {
+    "tl_line": "692dc9f8e4eb19bc548956b14efe4dfdad312a715f1aab912a1d1efa7df98e3e",
+    "tl_star": "ede573fc21656f23b0cb49677e524bfaac3d899300623b6a056c623d36644dd4",
+    "tl_ring": "a2496b10d3cc1a9656f36cffaf39108cbb48375deac48f3b84c5f4b7701edeca",
+    "tl_line_broken": "da1d97c2d7f3aee8100c49adfc5ddf731e00b39f5dd3512cfe45fffcd10a6096",
+    "tl_churn": "7d31da160358762c4e1f25fdc532c122d8f1c0842abb5c7840be0ffa55045097",
+    "tl_forgery": "b77ae51bf42d9192ba3a0dc9406d537995a52bcfc84ac0c021a0f58f7fa368e3",
+    "wl_group": "190a9fb50951c28caaa80a1d1896266b15fcaae378cdf99f87580a17ac7628be",
+    "wl_crowd": "90e59c5ee4fe1359f16b72945608902a1cbbfa1cf262b99d101f4a8240f8ffe8",
+    "wl_founder_moves": "3b2af887e7d6e9037947e8f2b0eee697068fc9b32a9d636bd5eb9556ac1ff643",
+    "wl_founder_quits": "c0ae8ddb7eb39fb456a2092783f164629c30636d0f19108cce3ed4084ad3d906",
+    "wl_crowd_orphans": "c1aacfa37d5ced18626869ecc7ecf04494c7769f56f7fc4abbba1f615aab355e",
+    "wl_dropper": "1fffc99b26733c65d113f1c3c41904f2268febff6d9a8daa10bb18a4f48433e2",
+    "wl_solo": "a461968f404cb642b3c6b10b9da1faaebca84a0ca5489968723c915aeaecf646",
+    "wl_churn": "01e788d65a7131f9ac961c56586f114f5d040b78c257c35b169fab457cd0f2b6",
+    "wl_equivocation": "a721f482f2de8f5507e47165a7dfa5b2d39108297d1622161b24f8f2f624c700",
+    "wl_equivocation_crowd": "6edea43fd1d5482b99d501473f9f0416f1ded71c19baf6da0e79d88e6f5b659d",
+    "wl_privacy": "5d7eb9135663f9a42a56ab5864a2a7e42178396f4f0cc2a8b2680881d73e6ee8",
+    "wl_partitions": "172f5462eef7de4a64c9dfa513bb25ec0fee38b805091df0c3e729b346721b9c",
 }
 GOLDEN_V3_SHA256 = {
     "tl_line": "ab4fc3331934a1e7e19fdf8cfe6e46bf3459b56cfbf3b497da64e9648ecf8f95",
@@ -123,6 +148,77 @@ def _digest_hex(payload_hex: str) -> str:
     return payload_hex[start:end]
 
 
+def _expand_fate(line: str) -> list[str]:
+    """A v4 record line as v3 lines: a `SUBMIT` loses its `net=` fate
+    field and is followed by a `DROP_LOSS` record when the fate names
+    `lost` and a `DUP` record when it names `dup`."""
+    parts = line.split("\t")
+    if parts[1] != "SUBMIT" or not parts[-1].startswith("net="):
+        return [line]
+    fates = parts.pop()[len("net="):].split("+")
+    fields = dict(part.split("=", 1) for part in parts[2:])
+    where = "\t".join(f"{key}={fields[key]}" for key in ("src", "dst", "id"))
+    out = ["\t".join(parts)]
+    if "lost" in fates:
+        out.append(f"{parts[0]}\tDROP_LOSS\t{where}")
+    if "dup" in fates:
+        out.append(f"{parts[0]}\tDUP\t{where}")
+    return out
+
+
+def _with_idle_ticks(tick: int, lines: list[str], roster: list[str]) -> list[str]:
+    """One round tick's v4 record lines, with `TICK agent=X sends=0` for
+    each agent whose round wrote no `TICK`.  The round follows the
+    events, deliveries and acks and precedes the monitors' `VIOLATION`
+    records and the `FINAL`s; each `TICK` it wrote heads the agent's
+    `SUBMIT`s."""
+    kinds = [line.split("\t")[1] for line in lines]
+    after = [i for i, kind in enumerate(kinds) if kind in ("VIOLATION", "FINAL")]
+    end = after[0] if after else len(lines)
+    start = next((i for i in range(end) if kinds[i] == "TICK"), end)
+    sent: dict[str, list[str]] = {}
+    for line, kind in zip(lines[start:end], kinds[start:end]):
+        if kind == "TICK":
+            agent = line.split("\tagent=", 1)[1].split("\t", 1)[0]
+            sent[agent] = []
+        sent[agent].append(line)
+    round_lines = [
+        line
+        for name in roster
+        for line in sent.get(name, [f"{tick}\tTICK\tagent={name}\tsends=0"])
+    ]
+    return lines[:start] + round_lines + lines[end:]
+
+
+def to_v3(text: str, tick_interval: int, last_tick: int) -> str:
+    """The v3 text of a v4 trace of a run that ran ticks 0 to `last_tick`
+    with agent rounds every `tick_interval` ticks: the header names v3,
+    each `SUBMIT`'s `net=` fate becomes the `DROP_LOSS` and `DUP` records
+    after it (`_expand_fate`), and each round writes a `TICK` for every
+    agent, in roster order (`_with_idle_ticks`).  Written apart from
+    `parse_trace` and the runner so the readings of the format check each
+    other."""
+    lines = text.split("\n")
+    head = [line for line in lines if line.startswith("#")]
+    roster = [
+        line.split(" name=", 1)[1].split(" ", 1)[0]
+        for line in head
+        if line.startswith("# agent ")
+    ]
+    by_tick: dict[int, list[str]] = {}
+    for line in lines:
+        if line and not line.startswith("#"):
+            by_tick.setdefault(int(line.split("\t", 1)[0]), []).append(line)
+    rounds = range(0, last_tick + 1, tick_interval)
+    out = ["# blocklace-trace v3" if line == "# blocklace-trace v4" else line for line in head]
+    for tick in sorted(by_tick.keys() | set(rounds)):
+        records = by_tick.get(tick, [])
+        if tick in rounds:
+            records = _with_idle_ticks(tick, records, roster)
+        out.extend(expanded for line in records for expanded in _expand_fate(line))
+    return "\n".join(out) + "\n"
+
+
 def to_v2(text: str) -> str:
     """The v2 text of a v3 trace: the header names v2 and every `id=#M`
     is replaced by the digest of the payload on the record where `#M`
@@ -188,6 +284,7 @@ def test_golden_covers_every_canned_scenario():
     assert (
         set(GOLDEN_SHA256)
         == set(GOLDEN_V2_SHA256)
+        == set(GOLDEN_V4_SHA256)
         == set(GOLDEN_V3_SHA256)
         == set(GOLDEN_METRICS_SHA256)
         == set(canned.CANNED)
@@ -196,20 +293,80 @@ def test_golden_covers_every_canned_scenario():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_trace_bytes_unchanged(name):
-    runner = Runner(canned.CANNED[name](seed=GOLDEN_SEED))
-    runner.run()
+    scenario = canned.CANNED[name](seed=GOLDEN_SEED)
+    runner = Runner(scenario)
+    _, last_tick = runner.run()
     text = runner.trace.text()
-    assert _sha256(text) == GOLDEN_V3_SHA256[name]
-    v2_text = to_v2(text)
+    assert _sha256(text) == GOLDEN_V4_SHA256[name]
+    v3_text = to_v3(text, scenario.tick_interval, last_tick)
+    assert _sha256(v3_text) == GOLDEN_V3_SHA256[name]
+    v2_text = to_v2(v3_text)
     assert _sha256(v2_text) == GOLDEN_V2_SHA256[name]
     assert _sha256(to_v1(v2_text)) == GOLDEN_SHA256[name]
     metrics = json.dumps(runner.metrics_report(), sort_keys=True)
     assert _sha256(metrics) == GOLDEN_METRICS_SHA256[name]
 
 
+def _run_v4_v3(scenario):
+    """A run, its v4 trace and that trace's v3 expansion."""
+    result = run_scenario(scenario)
+    text = result.trace_text
+    return result, text, to_v3(text, scenario.tick_interval, result.report["last_tick"])
+
+
+def _without_v4_fate(event):
+    """A v4 event as v3 writes it: a `SUBMIT` without its `net` field."""
+    fields = event.fields
+    if event.type != "SUBMIT" or fields.pop("net", None) is None:
+        return event
+    return TraceEvent(event.tick, event.type, tuple(fields), tuple(fields.values()))
+
+
+def _v3_only(event) -> bool:
+    """Whether v4 leaves `event` out: a `DROP_LOSS`, a `DUP` or an idle
+    round's `TICK`."""
+    if event.type == "TICK":
+        return event.fields["sends"] == "0"
+    return event.type in ("DROP_LOSS", "DUP")
+
+
+@pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])
+def test_parse_trace_reads_v4_as_v3(name):
+    scenario = canned.CANNED[name](seed=GOLDEN_SEED)
+    result, text, v3_text = _run_v4_v3(scenario)
+    assert text.startswith("# blocklace-trace v4\n")
+    assert "\tnet=" in text and "\tnet=" not in v3_text
+    v4, v3 = parse_trace(text), parse_trace(v3_text)
+    assert [_without_v4_fate(e) for e in v4.events] == [
+        e for e in v3.events if not _v3_only(e)
+    ]
+    assert len(v3.events) > len(v4.events)
+    assert v4.finals == v3.finals
+    assert v4.agents == v3.agents
+    assert v4.meta == v3.meta
+    assert evaluate(scenario, v4) == evaluate(scenario, v3) == result.oracle_results
+
+
+@pytest.mark.parametrize("tick_interval", [1, 3])
+def test_v3_expansion_ticks_every_agent_every_round(tick_interval):
+    scenario = dataclasses.replace(
+        canned.tl_line(seed=GOLDEN_SEED, utterances=3), tick_interval=tick_interval
+    )
+    result, text, v3_text = _run_v4_v3(scenario)
+    roster = [spec.name for spec in scenario.agents]
+    rounds = range(0, result.report["last_tick"] + 1, tick_interval)
+    ticks = parse_trace(v3_text).events_of("TICK")
+    assert [(e.tick, e.fields["agent"]) for e in ticks] == [
+        (tick, name) for tick in rounds for name in roster
+    ]
+    sent = [e for e in ticks if e.fields["sends"] != "0"]
+    assert sent == parse_trace(text).events_of("TICK")
+    assert sent and len(sent) < len(ticks)
+
+
 @pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])
 def test_parse_trace_reads_v3_as_v2(name):
-    text = run_scenario(canned.CANNED[name](seed=GOLDEN_SEED)).trace_text
+    _, _, text = _run_v4_v3(canned.CANNED[name](seed=GOLDEN_SEED))
     v2_text = to_v2(text)
     assert "\tid=#" in text and "\tid=#" not in v2_text
     v3, v2 = parse_trace(text), parse_trace(v2_text)
@@ -221,7 +378,8 @@ def test_parse_trace_reads_v3_as_v2(name):
 
 @pytest.mark.parametrize("name", ["tl_forgery", "wl_privacy"])
 def test_parse_trace_reads_v1_as_v2(name):
-    text = to_v2(run_scenario(canned.CANNED[name](seed=GOLDEN_SEED)).trace_text)
+    _, _, v3_text = _run_v4_v3(canned.CANNED[name](seed=GOLDEN_SEED))
+    text = to_v2(v3_text)
     v1_text = to_v1(text)
     assert "=*" not in v1_text and "=*" in text
     v1, v2 = parse_trace(v1_text), parse_trace(text)
@@ -231,21 +389,26 @@ def test_parse_trace_reads_v1_as_v2(name):
     assert v1.meta == v2.meta
 
 
-def test_cli_verifies_saved_v1_trace(tmp_path):
+def _cli_verifies_saved(tmp_path, version: str, expand) -> int:
+    """`blocklace verify` on a saved trace: a small `tl_line` run's v3
+    expansion, expanded on to `version` by `expand`."""
     scenario = canned.tl_line(seed=GOLDEN_SEED, utterances=3)
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(scenario.to_dict()))
-    trace_path = tmp_path / "v1.trace"
-    trace_path.write_text(to_v1(to_v2(run_scenario(scenario).trace_text)))
-    assert trace_path.read_text().startswith("# blocklace-trace v1\n")
-    assert cli_main(["verify", str(trace_path), str(scenario_path)]) == 0
+    trace_path = tmp_path / f"{version}.trace"
+    _, _, v3_text = _run_v4_v3(scenario)
+    trace_path.write_text(expand(v3_text))
+    assert trace_path.read_text().startswith(f"# blocklace-trace {version}\n")
+    return cli_main(["verify", str(trace_path), str(scenario_path)])
+
+
+def test_cli_verifies_saved_v1_trace(tmp_path):
+    assert _cli_verifies_saved(tmp_path, "v1", lambda text: to_v1(to_v2(text))) == 0
 
 
 def test_cli_verifies_saved_v2_trace(tmp_path):
-    scenario = canned.tl_line(seed=GOLDEN_SEED, utterances=3)
-    scenario_path = tmp_path / "s.json"
-    scenario_path.write_text(json.dumps(scenario.to_dict()))
-    trace_path = tmp_path / "v2.trace"
-    trace_path.write_text(to_v2(run_scenario(scenario).trace_text))
-    assert trace_path.read_text().startswith("# blocklace-trace v2\n")
-    assert cli_main(["verify", str(trace_path), str(scenario_path)]) == 0
+    assert _cli_verifies_saved(tmp_path, "v2", to_v2) == 0
+
+
+def test_cli_verifies_saved_v3_trace(tmp_path):
+    assert _cli_verifies_saved(tmp_path, "v3", lambda text: text) == 0
